@@ -21,7 +21,7 @@ import (
 // entries). The experiment quantifies what the compressed causality
 // machinery buys back:
 //
-//   - wire: gob bytes/event with full dense vectors vs. per-connection
+//   - wire: frame bytes/event with full dense vectors vs. per-connection
 //     delta encoding (only the entries that changed since the previous
 //     event on the connection);
 //   - memory/time: ns per happens-before test and timestamp entries per

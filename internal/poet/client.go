@@ -13,7 +13,6 @@ import (
 	"ocep/internal/backoff"
 	"ocep/internal/event"
 	"ocep/internal/pool"
-	"ocep/internal/vclock"
 )
 
 // ErrStreamInterrupted reports that a wire connection died without the
@@ -63,29 +62,13 @@ func isTimeout(err error) bool {
 type ReporterOption func(*repCfg)
 
 type repCfg struct {
-	buffer          int
-	reconnectBudget time.Duration
-	backoffBase     time.Duration
-	backoffMax      time.Duration
-	heartbeat       time.Duration
-	peerTimeout     time.Duration
-	dialTimeout     time.Duration
-	writeTimeout    time.Duration
-	logf            func(string, ...any)
+	clientCfg
+	buffer    int
+	heartbeat time.Duration
 }
 
 func defaultRepCfg() repCfg {
-	return repCfg{
-		buffer:          defaultReporterBuffer,
-		reconnectBudget: defaultReconnectBudget,
-		backoffBase:     defaultBackoffBase,
-		backoffMax:      defaultBackoffMax,
-		heartbeat:       defaultHeartbeat,
-		peerTimeout:     defaultPeerTimeout,
-		dialTimeout:     defaultDialTimeout,
-		writeTimeout:    defaultWriteTimeout,
-		logf:            func(string, ...any) {},
-	}
+	return repCfg{clientCfg: defaultClientCfg(), buffer: defaultReporterBuffer, heartbeat: defaultHeartbeat}
 }
 
 // WithReporterReconnect bounds the cumulative backoff spent redialing
@@ -185,8 +168,12 @@ type Reporter struct {
 	// unacked[:sent] have been transmitted on the current connection.
 	unacked []RawEvent
 	sent    int
-	// acks is the latest per-trace contiguous ack from the server.
+	// acks is the latest per-trace contiguous ack from the server;
+	// ackGen counts the times one advanced, pruned is the ackGen the
+	// buffer was last pruned at (sender-only).
 	acks   map[string]int
+	ackGen int
+	pruned int
 	closed bool
 	// failed is the permanent failure, if any; Report and Flush return it.
 	failed error
@@ -198,10 +185,14 @@ type Reporter struct {
 	closeCh chan struct{}
 	// done closes when the sender goroutine exits.
 	done chan struct{}
+}
 
-	// initial connection, handed to the sender.
-	conn   net.Conn
-	enc    *gob.Encoder
+// repConn is one reporter connection: frames go out through fw, gob
+// serverAcks come back to the reader goroutine, which closes broken when
+// the connection dies.
+type repConn struct {
+	net.Conn
+	fw     *frameWriter
 	broken chan struct{}
 }
 
@@ -231,42 +222,25 @@ func DialReporter(addr string, opts ...ReporterOption) (*Reporter, error) {
 		done:    make(chan struct{}),
 	}
 	r.cond = sync.NewCond(&r.mu)
-	// One synchronous round over the pool: a fully unreachable service
-	// fails fast, a partially degraded one lands on a healthy endpoint.
-	var (
-		conn   net.Conn
-		enc    *gob.Encoder
-		broken chan struct{}
-	)
-	for i := 0; ; i++ {
-		ep := r.eps.Pick()
-		var err error
-		conn, enc, broken, err = r.handshake(ep)
-		if err == nil {
-			r.eps.Success(ep)
-			break
-		}
-		if errors.Is(err, ErrSessionRejected) {
-			return nil, fmt.Errorf("poet reporter: %w", err)
-		}
-		r.eps.Fail(ep, err)
-		if i+1 >= r.eps.Size() {
-			return nil, fmt.Errorf("poet reporter: %w", r.eps.ErrorSummary())
-		}
+	// A zero budget is one synchronous round over the pool: a fully
+	// unreachable service fails fast, a partially degraded one lands on a
+	// healthy endpoint.
+	var conn *repConn
+	err := redial(r.eps, 0, nil, func(ep string) (err error) {
+		conn, err = r.handshake(ep)
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("poet reporter: %w", err)
 	}
-	r.conn, r.enc, r.broken = conn, enc, broken
-	go r.sender()
+	go r.sender(conn)
 	return r, nil
 }
 
 // handshake dials one endpoint, sends the hello (naming the traces with
 // unacked events), reads the helloAck, and spawns the ack reader. Called
 // from DialReporter and, on the sender goroutine, from reconnect.
-func (r *Reporter) handshake(addr string) (net.Conn, *gob.Encoder, chan struct{}, error) {
-	conn, err := net.DialTimeout("tcp", addr, r.cfg.dialTimeout)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("dial: %w", err)
-	}
+func (r *Reporter) handshake(addr string) (*repConn, error) {
 	r.mu.Lock()
 	names := make([]string, 0, 4)
 	seen := make(map[string]bool)
@@ -277,61 +251,41 @@ func (r *Reporter) handshake(addr string) (net.Conn, *gob.Encoder, chan struct{}
 		}
 	}
 	r.mu.Unlock()
-	enc := gob.NewEncoder(conn)
-	_ = conn.SetWriteDeadline(time.Now().Add(r.cfg.writeTimeout))
-	if err := enc.Encode(hello{Magic: wireMagic, Role: roleTarget, Traces: names}); err != nil {
-		_ = conn.Close()
-		return nil, nil, nil, fmt.Errorf("hello: %w", err)
-	}
-	dec := gob.NewDecoder(conn)
-	// The handshake deadline is floored: peerTimeout tracks the
-	// heartbeat interval and can be tuned to tens of milliseconds for
-	// fast liveness detection, but the one-shot hello/ack exchange over
-	// a slow or degraded link should not inherit that aggressiveness —
-	// a reconnect loop that times out every handshake never recovers.
-	hsTimeout := r.cfg.peerTimeout
-	if hsTimeout < minHandshakeTimeout {
-		hsTimeout = minHandshakeTimeout
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(hsTimeout))
-	var ack helloAck
-	if err := dec.Decode(&ack); err != nil {
-		_ = conn.Close()
-		return nil, nil, nil, fmt.Errorf("hello ack: %w", err)
-	}
-	if !ack.OK {
-		_ = conn.Close()
-		if ack.Retry {
-			// A retriable refusal (standby awaiting promotion, draining
-			// server): treated like a dial failure so the pool rotates
-			// and the backoff schedule keeps probing.
-			return nil, nil, nil, fmt.Errorf("session deferred: %s", ack.Error)
-		}
-		return nil, nil, nil, fmt.Errorf("%w: %s", ErrSessionRejected, ack.Error)
+	s, err := dialSession(addr, hello{Magic: wireMagic, Role: roleTarget, Traces: names},
+		&r.cfg.clientCfg, max(r.cfg.peerTimeout, minHandshakeTimeout))
+	if err != nil {
+		return nil, err
 	}
 	r.mu.Lock()
-	for _, ta := range ack.Acks {
-		if ta.Seq > r.acks[ta.Trace] {
-			r.acks[ta.Trace] = ta.Seq
-		}
-	}
+	r.applyAcksLocked(s.ack.Acks)
 	// Everything on the new connection is unsent; the sender prunes
 	// acked entries and retransmits the remainder.
 	r.sent = 0
 	r.mu.Unlock()
-	broken := make(chan struct{})
-	go r.reader(conn, addr, dec, broken)
-	return conn, enc, broken, nil
+	c := &repConn{Conn: s.link, fw: newFrameWriter(s.link), broken: make(chan struct{})}
+	go r.reader(c, addr, s.dec)
+	return c, nil
+}
+
+// applyAcksLocked folds a server ack into r.acks, bumping ackGen for
+// every trace that advanced so the sender knows a prune pass will find
+// work.
+func (r *Reporter) applyAcksLocked(acks []traceAck) {
+	for _, ta := range acks {
+		if ta.Seq > r.acks[ta.Trace] {
+			r.acks[ta.Trace] = ta.Seq
+			r.ackGen++
+		}
+	}
 }
 
 // reader consumes server acks on one connection, pruning is left to the
 // sender (the only goroutine that mutates the buffer indices). Exits
 // when the connection dies; the peer timeout makes a silent server
 // indistinguishable from a dead one, on purpose.
-func (r *Reporter) reader(conn net.Conn, addr string, dec *gob.Decoder, broken chan struct{}) {
-	defer close(broken)
+func (r *Reporter) reader(conn *repConn, addr string, dec *gob.Decoder) {
+	defer close(conn.broken)
 	for {
-		_ = conn.SetReadDeadline(time.Now().Add(r.cfg.peerTimeout))
 		var ack serverAck
 		if err := dec.Decode(&ack); err != nil {
 			if isTimeout(err) {
@@ -350,11 +304,7 @@ func (r *Reporter) reader(conn net.Conn, addr string, dec *gob.Decoder, broken c
 			return
 		}
 		r.mu.Lock()
-		for _, ta := range ack.Acks {
-			if ta.Seq > r.acks[ta.Trace] {
-				r.acks[ta.Trace] = ta.Seq
-			}
-		}
+		r.applyAcksLocked(ack.Acks)
 		r.mu.Unlock()
 		r.signal()
 		if ack.Drain && r.eps.HealthyAlternative(addr) {
@@ -392,14 +342,14 @@ func (r *Reporter) fail(err error) {
 	r.signal()
 }
 
-// prune drops acked entries from the buffer. Sender-only (it adjusts
-// sent).
-func (r *Reporter) prune() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.acks) == 0 || len(r.unacked) == 0 {
+// pruneLocked drops acked entries from the buffer, if an ack advanced
+// since the last pass — the scan is O(window), and the window may hold
+// hundreds of thousands of events. Sender-only (it adjusts sent).
+func (r *Reporter) pruneLocked() {
+	if r.pruned == r.ackGen {
 		return
 	}
+	r.pruned = r.ackGen
 	kept := 0
 	newSent := 0
 	for i := range r.unacked {
@@ -423,46 +373,57 @@ func (r *Reporter) prune() {
 // sender owns the connection: it streams unsent events, heartbeats when
 // idle, and reconnects (pruning and retransmitting) when the connection
 // dies.
-func (r *Reporter) sender() {
+func (r *Reporter) sender(conn *repConn) {
 	defer close(r.done)
-	conn, enc, broken := r.conn, r.enc, r.broken
 	disconnect := func() {
 		if conn != nil {
 			_ = conn.Close()
-			conn, enc, broken = nil, nil, nil
+			conn = nil
 		}
 	}
 	defer disconnect()
 	hb := time.NewTimer(r.cfg.heartbeat)
 	defer hb.Stop()
 	for {
-		r.prune()
+		// One lock per pass: prune, then claim everything unsent. The
+		// claimed entries stay put while they are encoded — Report only
+		// appends past them, and only this goroutine compacts — and
+		// counting them sent before the flush is safe because a failed
+		// flush ends in a handshake, which resets sent.
 		r.mu.Lock()
+		r.pruneLocked()
 		failed := r.failed
 		closed := r.closed
-		pending := r.sent < len(r.unacked)
+		pending := r.unacked[r.sent:]
+		if conn != nil {
+			r.sent = len(r.unacked)
+		}
 		r.mu.Unlock()
 		if failed != nil {
 			return
 		}
-		if closed && (!pending || conn == nil) {
+		if closed && (len(pending) == 0 || conn == nil) {
 			// Drained (or unsendable): exit. Close does not redial.
 			return
 		}
 		if conn == nil {
-			c, e, b, err := r.reconnect()
+			c, err := r.reconnect()
 			if err != nil {
 				if !errors.Is(err, ErrClientClosed) {
 					r.fail(fmt.Errorf("poet reporter: %w (cause: %v)", ErrStreamInterrupted, err))
 				}
 				return
 			}
-			conn, enc, broken = c, e, b
+			conn = c
 			backoff.ResetTimer(hb, r.cfg.heartbeat)
 			continue // re-prune with the handshake acks before sending
 		}
-		if pending {
-			if !r.sendPending(conn, enc) {
+		if len(pending) > 0 {
+			for i := range pending {
+				conn.fw.raw(&pending[i])
+			}
+			if err := conn.fw.flush(); err != nil {
+				r.cfg.logf("poet reporter: send to %s failed: %v", r.addr, err)
 				disconnect()
 				continue
 			}
@@ -471,11 +432,11 @@ func (r *Reporter) sender() {
 		}
 		select {
 		case <-r.wake:
-		case <-broken:
+		case <-conn.broken:
 			disconnect()
 		case <-hb.C:
-			_ = conn.SetWriteDeadline(time.Now().Add(r.cfg.writeTimeout))
-			if err := enc.Encode(&targetMsg{Heartbeat: true}); err != nil {
+			conn.fw.signal(frameHeartbeat)
+			if err := conn.fw.flush(); err != nil {
 				r.cfg.logf("poet reporter: heartbeat to %s failed: %v", r.addr, err)
 				disconnect()
 			}
@@ -484,75 +445,33 @@ func (r *Reporter) sender() {
 	}
 }
 
-// sendPending transmits every currently unsent event. Returns false on a
-// transport error (the caller reconnects).
-func (r *Reporter) sendPending(conn net.Conn, enc *gob.Encoder) bool {
-	for {
-		r.mu.Lock()
-		if r.sent >= len(r.unacked) {
-			r.mu.Unlock()
-			return true
-		}
-		ev := r.unacked[r.sent]
-		r.mu.Unlock()
-		_ = conn.SetWriteDeadline(time.Now().Add(r.cfg.writeTimeout))
-		if err := enc.Encode(&targetMsg{Event: &ev}); err != nil {
-			r.cfg.logf("poet reporter: send to %s failed: %v", r.addr, err)
-			return false
-		}
-		r.mu.Lock()
-		r.sent++
-		r.mu.Unlock()
-	}
-}
-
-// reconnect redials with backoff — rotating through the endpoint pool,
-// sleeping only when a whole round has failed — until the budget is
+// reconnect redials through the endpoint pool until the budget is
 // exhausted. Runs on the sender goroutine.
-func (r *Reporter) reconnect() (net.Conn, *gob.Encoder, chan struct{}, error) {
+func (r *Reporter) reconnect() (conn *repConn, err error) {
 	if r.cfg.reconnectBudget <= 0 {
-		return nil, nil, nil, errors.New("reconnection disabled")
+		return nil, errors.New("reconnection disabled")
 	}
-	var slept time.Duration
-	for {
+	err = redial(r.eps, r.cfg.reconnectBudget, r.closeCh, func(ep string) error {
+		if r.Err() != nil {
+			return ErrClientClosed
+		}
+		if conn, err = r.handshake(ep); err != nil {
+			return err
+		}
 		r.mu.Lock()
-		closed, failed := r.closed, r.failed
-		r.mu.Unlock()
-		if closed || failed != nil {
-			return nil, nil, nil, ErrClientClosed
-		}
-		ep := r.eps.Pick()
-		conn, enc, broken, err := r.handshake(ep)
-		if err == nil {
-			r.eps.Success(ep)
-			r.mu.Lock()
-			r.stats.Reconnects++
-			retrans := 0
-			for i := range r.unacked {
-				if r.unacked[i].Seq > r.acks[r.unacked[i].Trace] {
-					retrans++
-				}
+		r.stats.Reconnects++
+		retrans := 0
+		for i := range r.unacked {
+			if r.unacked[i].Seq > r.acks[r.unacked[i].Trace] {
+				retrans++
 			}
-			r.stats.Retransmits += retrans
-			r.mu.Unlock()
-			r.cfg.logf("poet reporter: reconnected to %s (retransmitting %d unacked events)", ep, retrans)
-			return conn, enc, broken, nil
 		}
-		if errors.Is(err, ErrSessionRejected) {
-			// Terminal: the server understood the session and refused it
-			// for keeps. Another endpoint cannot make the refusal wrong,
-			// so it is not retried elsewhere.
-			return nil, nil, nil, err
-		}
-		d := r.eps.Fail(ep, err)
-		if slept+d > r.cfg.reconnectBudget {
-			return nil, nil, nil, fmt.Errorf("reconnect budget %v exhausted: %w", r.cfg.reconnectBudget, r.eps.ErrorSummary())
-		}
-		slept += d
-		if !backoff.Sleep(d, r.closeCh) {
-			return nil, nil, nil, ErrClientClosed
-		}
-	}
+		r.stats.Retransmits += retrans
+		r.mu.Unlock()
+		r.cfg.logf("poet reporter: reconnected to %s (retransmitting %d unacked events)", ep, retrans)
+		return nil
+	})
+	return conn, err
 }
 
 // Report buffers one raw event for transmission. It blocks only when the
@@ -572,6 +491,10 @@ func (r *Reporter) Report(raw RawEvent) error {
 	if r.closed {
 		r.mu.Unlock()
 		return fmt.Errorf("poet reporter: %w", ErrClientClosed)
+	}
+	if n := len(raw.Trace) + len(raw.Type) + len(raw.Text); n > maxFrameLen-64 {
+		r.mu.Unlock()
+		return fmt.Errorf("poet reporter: event %s/%d carries %d bytes of strings, more than one frame holds", raw.Trace, raw.Seq, n)
 	}
 	r.unacked = append(r.unacked, raw)
 	r.stats.Reported++
@@ -641,30 +564,16 @@ func (r *Reporter) Close() error {
 type MonitorOption func(*monCfg)
 
 type monCfg struct {
-	reconnectBudget time.Duration
-	backoffBase     time.Duration
-	backoffMax      time.Duration
-	readTimeout     time.Duration
-	dialTimeout     time.Duration
-	logf            func(string, ...any)
-	// deltaVC advertises delta-encoded timestamps in the hello. On by
-	// default; a server that predates the flag simply never confirms
-	// it and the session stays dense.
+	clientCfg
+	// deltaVC advertises delta-encoded timestamps in the hello (on by
+	// default).
 	deltaVC bool
 	// sparse emits each event's timestamp in the sparse representation.
 	sparse bool
 }
 
 func defaultMonCfg() monCfg {
-	return monCfg{
-		reconnectBudget: defaultReconnectBudget,
-		backoffBase:     defaultBackoffBase,
-		backoffMax:      defaultBackoffMax,
-		readTimeout:     defaultPeerTimeout,
-		dialTimeout:     defaultDialTimeout,
-		logf:            func(string, ...any) {},
-		deltaVC:         true,
-	}
+	return monCfg{clientCfg: defaultClientCfg(), deltaVC: true}
 }
 
 // WithMonitorReconnect bounds the cumulative backoff spent redialing per
@@ -680,7 +589,7 @@ func WithMonitorReconnect(budget time.Duration) MonitorOption {
 func WithMonitorReadTimeout(d time.Duration) MonitorOption {
 	return func(c *monCfg) {
 		if d > 0 {
-			c.readTimeout = d
+			c.peerTimeout = d
 		}
 	}
 }
@@ -699,11 +608,8 @@ func WithMonitorLog(logf func(string, ...any)) MonitorOption {
 	}
 }
 
-// WithMonitorDeltaVC controls whether the client offers delta-encoded
-// vector timestamps at the handshake (on by default). The server must
-// confirm the offer for the session to use deltas; a server that
-// predates the negotiation silently keeps the session on dense full
-// vectors, so the option never breaks compatibility. Turning it off
+// WithMonitorDeltaVC controls whether the client asks for delta-encoded
+// vector timestamps at the handshake (on by default). Turning it off
 // forces dense timestamps — useful as a differential oracle against the
 // delta path.
 func WithMonitorDeltaVC(on bool) MonitorOption {
@@ -764,11 +670,10 @@ type MonitorClient struct {
 	// closeCh closes on Close, aborting any in-progress backoff sleep.
 	closeCh chan struct{}
 
-	dec *gob.Decoder
-	// ddec reconstructs delta-encoded timestamps; nil on a dense
-	// session. Replaced wholesale on every (re)connection so the
-	// baseline resets together with the server's.
-	ddec     *deltaDecoder
+	// fr decodes the connection's frames. Replaced wholesale on every
+	// (re)connection, so the string table, the announced traces, and the
+	// delta baseline reset together with the server's.
+	fr       *frameReader
 	received int
 	ended    bool
 	stats    MonitorClientStats
@@ -796,22 +701,9 @@ func DialMonitor(addr string, opts ...MonitorOption) (*MonitorClient, error) {
 		names:   make(map[event.TraceID]string),
 		closeCh: make(chan struct{}),
 	}
-	// One synchronous round over the pool: a fully unreachable service
-	// fails fast, a partially degraded one lands on a healthy endpoint.
-	for i := 0; ; i++ {
-		ep := m.eps.Pick()
-		err := m.connect(ep, 0)
-		if err == nil {
-			m.eps.Success(ep)
-			break
-		}
-		if errors.Is(err, ErrSessionRejected) {
-			return nil, fmt.Errorf("poet monitor: %w", err)
-		}
-		m.eps.Fail(ep, err)
-		if i+1 >= m.eps.Size() {
-			return nil, fmt.Errorf("poet monitor: %w", m.eps.ErrorSummary())
-		}
+	// One synchronous round over the pool, as in DialReporter.
+	if err := redial(m.eps, 0, nil, func(ep string) error { return m.connect(ep, 0) }); err != nil {
+		return nil, fmt.Errorf("poet monitor: %w", err)
 	}
 	return m, nil
 }
@@ -819,52 +711,22 @@ func DialMonitor(addr string, opts ...MonitorOption) (*MonitorClient, error) {
 // connect dials one endpoint and performs the hello/helloAck handshake,
 // resuming from the given linearization offset.
 func (m *MonitorClient) connect(addr string, resumeFrom int) error {
-	conn, err := net.DialTimeout("tcp", addr, m.cfg.dialTimeout)
+	s, err := dialSession(addr, hello{Magic: wireMagic, Role: roleMonitor, ResumeFrom: resumeFrom, DeltaVC: m.cfg.deltaVC},
+		&m.cfg.clientCfg, m.cfg.peerTimeout)
 	if err != nil {
-		return fmt.Errorf("dial: %w", err)
-	}
-	enc := gob.NewEncoder(conn)
-	_ = conn.SetWriteDeadline(time.Now().Add(defaultWriteTimeout))
-	if err := enc.Encode(hello{Magic: wireMagic, Role: roleMonitor, ResumeFrom: resumeFrom, DeltaVC: m.cfg.deltaVC}); err != nil {
-		_ = conn.Close()
-		return fmt.Errorf("hello: %w", err)
-	}
-	dec := gob.NewDecoder(conn)
-	_ = conn.SetReadDeadline(time.Now().Add(m.cfg.readTimeout))
-	var ack helloAck
-	if err := dec.Decode(&ack); err != nil {
-		_ = conn.Close()
-		return fmt.Errorf("hello ack: %w", err)
-	}
-	if !ack.OK {
-		_ = conn.Close()
-		if ack.Retry {
-			// A retriable refusal (standby awaiting promotion, draining
-			// server): treated like a dial failure so the pool rotates
-			// and the backoff schedule keeps probing.
-			return fmt.Errorf("session deferred: %s", ack.Error)
-		}
-		return fmt.Errorf("%w: %s", ErrSessionRejected, ack.Error)
+		return err
 	}
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		_ = conn.Close()
+		_ = s.Close()
 		return ErrClientClosed
 	}
-	m.conn = conn
+	m.conn = s.link
 	m.curAddr = addr
 	m.mu.Unlock()
-	m.dec = dec
-	// A fresh decoder per connection: the delta baseline restarts at
-	// zero on both sides of every handshake, so resumed replays decode
-	// correctly regardless of what the dead connection had seen.
-	if ack.DeltaVC {
-		m.ddec = &deltaDecoder{sparse: m.cfg.sparse}
-	} else {
-		m.ddec = nil
-	}
-	m.stats.DeltaNegotiated = ack.DeltaVC
+	m.fr = &frameReader{br: s.br, sparse: m.cfg.sparse}
+	m.stats.DeltaNegotiated = s.ack.DeltaVC
 	return nil
 }
 
@@ -885,14 +747,18 @@ func (m *MonitorClient) Next() (*event.Event, error) {
 		if closed {
 			return nil, io.EOF
 		}
-		_ = conn.SetReadDeadline(time.Now().Add(m.cfg.readTimeout))
-		var msg wireMsg
-		if err := m.dec.Decode(&msg); err != nil {
+		var f frame
+		if err := m.fr.next(&f); err != nil {
 			if m.isClosed() {
 				return nil, io.EOF
 			}
+			if errors.Is(err, errNoBaseline) {
+				// A baseline desync is a protocol bug, not a transport
+				// fault: resuming would mask it, so surface it.
+				return nil, err
+			}
 			if isTimeout(err) {
-				m.cfg.logf("poet monitor: no frame from %s in %v; connection presumed dead", addr, m.cfg.readTimeout)
+				m.cfg.logf("poet monitor: no frame from %s in %v; connection presumed dead", addr, m.cfg.peerTimeout)
 			}
 			_ = conn.Close()
 			if rerr := m.resume(err); rerr != nil {
@@ -900,13 +766,12 @@ func (m *MonitorClient) Next() (*event.Event, error) {
 			}
 			continue
 		}
-		switch {
-		case msg.End:
+		switch f.kind {
+		case frameEnd:
 			m.ended = true
 			return nil, io.EOF
-		case msg.Heartbeat:
-			continue
-		case msg.Drain:
+		case frameHeartbeat:
+		case frameDrain:
 			// The server is draining. A pooled client moves to a healthy
 			// peer, resuming at its exact offset so the stream stays
 			// gap-free and duplicate-free across the move. With no
@@ -922,86 +787,43 @@ func (m *MonitorClient) Next() (*event.Event, error) {
 					return nil, rerr
 				}
 			}
-			continue
-		case msg.Trace != nil:
-			m.names[event.TraceID(msg.Trace.ID)] = msg.Trace.Name
-		case msg.Event != nil:
-			e, err := m.eventFromWire(msg.Event)
-			if err != nil {
-				// A baseline desync is a protocol bug, not a transport
-				// fault: resuming would mask it, so surface it.
-				return nil, err
-			}
+		case frameTrace:
+			m.names[f.id] = f.name
+		case frameEvent:
 			m.received++
 			m.stats.Received = m.received
-			return e, nil
+			return f.ev, nil
 		default:
-			return nil, fmt.Errorf("poet monitor: empty wire message")
+			return nil, fmt.Errorf("poet monitor: unexpected kind-%d frame on a monitor stream", f.kind)
 		}
 	}
 }
 
-// eventFromWire materializes one received event in the configured
-// timestamp representation, decoding the connection's delta stream when
-// one was negotiated.
-func (m *MonitorClient) eventFromWire(w *wireEvent) (*event.Event, error) {
-	if m.ddec == nil {
-		e := fromWire(w)
-		if m.cfg.sparse {
-			e.VC = vclock.SparseOf(e.VC)
-		}
-		return e, nil
-	}
-	vc, err := m.ddec.decode(w)
-	if err != nil {
-		return nil, err
-	}
-	e := fromWire(w)
-	e.VC = vc
-	return e, nil
-}
-
-// resume redials with backoff — rotating through the endpoint pool,
-// sleeping only when a whole round has failed — and resumes the session
-// at the current offset. cause is the transport error that killed the
+// resume redials through the endpoint pool and resumes the session at
+// the current offset. cause is the transport error that killed the
 // connection.
 func (m *MonitorClient) resume(cause error) error {
 	interrupted := fmt.Errorf("poet monitor: %w after %d events (cause: %v)", ErrStreamInterrupted, m.received, cause)
 	if m.cfg.reconnectBudget <= 0 {
 		return interrupted
 	}
-	var slept time.Duration
-	for {
-		if m.isClosed() {
-			return io.EOF
+	err := redial(m.eps, m.cfg.reconnectBudget, m.closeCh, func(ep string) error {
+		if err := m.connect(ep, m.received); err != nil {
+			return err
 		}
-		ep := m.eps.Pick()
-		err := m.connect(ep, m.received)
-		if err == nil {
-			m.eps.Success(ep)
-			m.stats.Reconnects++
-			m.cfg.logf("poet monitor: resumed session with %s at offset %d", ep, m.received)
-			return nil
-		}
-		if errors.Is(err, ErrClientClosed) {
-			return io.EOF
-		}
-		if errors.Is(err, ErrSessionRejected) {
-			// Terminal: the offset this client remembers is beyond what
-			// the server (or a promoted standby) can replay. Another
-			// endpoint cannot make the refusal wrong, so it is not
-			// retried elsewhere.
-			return fmt.Errorf("%w: %w", interrupted, err)
-		}
-		d := m.eps.Fail(ep, err)
-		if slept+d > m.cfg.reconnectBudget {
-			return fmt.Errorf("%w; reconnect budget %v exhausted: %w", interrupted, m.cfg.reconnectBudget, m.eps.ErrorSummary())
-		}
-		slept += d
-		if !backoff.Sleep(d, m.closeCh) {
-			return io.EOF
-		}
+		m.stats.Reconnects++
+		m.cfg.logf("poet monitor: resumed session with %s at offset %d", ep, m.received)
+		return nil
+	})
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, ErrClientClosed):
+		return io.EOF
 	}
+	// The budget ran out, or the offset this client remembers is beyond
+	// what the server (or a promoted standby) can replay.
+	return fmt.Errorf("%w; %w", interrupted, err)
 }
 
 func (m *MonitorClient) isClosed() bool {

@@ -1,6 +1,9 @@
 package poet
 
 import (
+	"bufio"
+	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -191,17 +194,47 @@ func TestDeltaResumeBaselineReset(t *testing.T) {
 	}
 }
 
+// deltaPipe is a frameWriter feeding a frameReader through a buffer.
+type deltaPipe struct {
+	buf bytes.Buffer
+	fw  *frameWriter
+	fr  *frameReader
+}
+
+func newDeltaPipe() *deltaPipe {
+	p := &deltaPipe{}
+	p.fw = newFrameWriter(&p.buf)
+	p.fr = &frameReader{br: bufio.NewReader(&p.buf)}
+	return p
+}
+
+// export round-trips vc as a delta-encoded export frame.
+func (p *deltaPipe) export(t *testing.T, vc vclock.Clock) (vclock.Clock, error) {
+	t.Helper()
+	p.fw.export(&shardExport{MsgID: 1, ID: event.ID{Index: 1}, VC: vc}, true)
+	if err := p.fw.flush(); err != nil {
+		t.Fatal(err)
+	}
+	var f frame
+	err := p.fr.next(&f)
+	return f.exp.VC, err
+}
+
 // TestDeltaDecoderRejectsMissingBaseline: a decoder that never saw a
-// VCFull frame must fail loudly instead of stamping events against a
+// baseline frame must fail loudly instead of stamping events against a
 // garbage baseline.
 func TestDeltaDecoderRejectsMissingBaseline(t *testing.T) {
-	d := &deltaDecoder{}
-	_, err := d.decode(&wireEvent{Trace: 0, Index: 1, VCTr: []int32{0}, VCN: []int32{1}})
-	if err == nil || !strings.Contains(err.Error(), "out of sync") {
+	p := newDeltaPipe()
+	// The writer believes it already sent its baseline (as after a
+	// desync): its next frame is a bare delta.
+	p.fw.sent = true
+	_, err := p.export(t, vclock.VC{1})
+	if !errors.Is(err, errNoBaseline) || !strings.Contains(err.Error(), "out of sync") {
 		t.Fatalf("decode without baseline = %v, want out-of-sync error", err)
 	}
-	// A VCFull frame recovers it.
-	vc, err := d.decode(&wireEvent{Trace: 0, Index: 1, VCFull: true, VCTr: []int32{0}, VCN: []int32{1}})
+	// A baseline frame recovers it.
+	p.fw.sent, p.fw.base = false, nil
+	vc, err := p.export(t, vclock.VC{1})
 	if err != nil || vc.Get(0) != 1 {
 		t.Fatalf("decode of baseline frame = %v, %v", vc, err)
 	}
@@ -219,12 +252,9 @@ func TestDeltaCodecVanishedEntries(t *testing.T) {
 		{},        // everything vanished
 		{0, 0, 0, 9},
 	}
-	enc := &deltaEncoder{}
-	dec := &deltaDecoder{}
+	p := newDeltaPipe()
 	for i, vc := range stamps {
-		w := &wireEvent{}
-		enc.encode(vc, w)
-		got, err := dec.decode(w)
+		got, err := p.export(t, vc)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}

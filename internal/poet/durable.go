@@ -25,6 +25,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -102,6 +103,10 @@ type Durability struct {
 	c   *Collector
 	log *wal.Log
 	dir string
+
+	// rec is the record being appended; the log copies it. Guarded by
+	// the collector's mu, like the appends themselves.
+	rec []byte
 
 	policy        SyncPolicy
 	snapshotEvery int
@@ -249,7 +254,8 @@ func (d *Durability) Sync() error { return d.log.Sync() }
 
 // appendEventLocked logs one ingested event. Caller holds c.mu.
 func (d *Durability) appendEventLocked(raw RawEvent) (int64, error) {
-	seq, err := d.log.Append(encodeEventRecord(raw))
+	d.rec = encodeEventRecord(d.rec[:0], &raw, nil)
+	seq, err := d.log.Append(d.rec)
 	if err != nil {
 		return -1, err
 	}
@@ -261,7 +267,8 @@ func (d *Durability) appendEventLocked(raw RawEvent) (int64, error) {
 // c.mu. WAL failure here is deferred to the next commit (the sticky
 // error resurfaces); returns -1 so the caller skips the commit.
 func (d *Durability) appendTraceLocked(name string) int64 {
-	seq, err := d.log.Append(encodeTraceRecord(name))
+	d.rec = encodeTraceRecord(d.rec[:0], name, nil)
+	seq, err := d.log.Append(d.rec)
 	if err != nil {
 		return -1
 	}
@@ -435,10 +442,13 @@ func ReloadDir(c *Collector, dir string) (RecoveryStats, error) {
 	return stats, nil
 }
 
-// WAL record encoding: one leading kind byte, then varint-framed fields.
+// Record encoding: one leading kind byte, then varint-framed fields.
 // Manual encoding instead of gob: records are written on the ingestion
 // hot path, and gob's per-encoder type preamble would bloat every
-// record.
+// record. The WAL, the replica stream, and the target stream share it
+// (see frame.go); the only difference is how the repeating strings are
+// spelled — literally on disk, where every record must stand alone,
+// through the connection's string table on the wire.
 const (
 	recEvent = 1 // trace, seq, kind, msgid, type, text
 	recTrace = 2 // name
@@ -449,49 +459,120 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func encodeEventRecord(raw RawEvent) []byte {
-	b := make([]byte, 0, 16+len(raw.Trace)+len(raw.Type)+len(raw.Text))
+// stringTable is the writing half of a connection's string table: the
+// reference (index+1) of every string already spelled out on it. The
+// nil table of a WAL record spells every string literally.
+type stringTable map[string]uint64
+
+// append spells s as a reference when the peer has seen it, and as
+// reference 0 plus the literal otherwise. The literal enters the table
+// on both sides when it is short and the table has room — the same test
+// recordReader.interned applies, so the two halves never disagree.
+func (t stringTable) append(b []byte, s string) []byte {
+	if t == nil {
+		return appendString(b, s)
+	}
+	if ref, ok := t[s]; ok {
+		return binary.AppendUvarint(b, ref)
+	}
+	if len(s) <= maxInternLen && len(t) < maxInterned {
+		t[s] = uint64(len(t) + 1)
+	}
+	return appendString(append(b, 0), s)
+}
+
+func encodeEventRecord(b []byte, raw *RawEvent, t stringTable) []byte {
 	b = append(b, recEvent)
-	b = appendString(b, raw.Trace)
+	b = t.append(b, raw.Trace)
 	b = binary.AppendUvarint(b, uint64(raw.Seq))
 	b = binary.AppendUvarint(b, uint64(raw.Kind))
 	b = binary.AppendUvarint(b, raw.MsgID)
-	b = appendString(b, raw.Type)
-	b = appendString(b, raw.Text)
-	return b
+	b = t.append(b, raw.Type)
+	return appendString(b, raw.Text)
 }
 
-func encodeTraceRecord(name string) []byte {
-	b := make([]byte, 0, 2+len(name))
-	b = append(b, recTrace)
-	return appendString(b, name)
+func encodeTraceRecord(b []byte, name string, t stringTable) []byte {
+	return t.append(append(b, recTrace), name)
 }
 
-// recordReader cursors over one WAL record payload.
+// recordReader cursors over one record payload (a WAL record or a wire
+// frame, past its kind byte). The first failure sticks in err and
+// empties the cursor, so callers check once after reading every field.
 type recordReader struct {
 	p   []byte
-	bad bool
+	err error
+	// tab is the reading half of the connection's string table; nil for
+	// WAL records.
+	tab *[]string
+}
+
+func (r *recordReader) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+	r.p = nil
 }
 
 func (r *recordReader) uvarint() uint64 {
 	v, n := binary.Uvarint(r.p)
 	if n <= 0 {
-		r.bad = true
+		r.fail(errFrameOverrun)
 		return 0
 	}
 	r.p = r.p[n:]
 	return v
 }
 
+// int reads a field that must fit a non-negative int.
+func (r *recordReader) int() int {
+	v := r.uvarint()
+	if v > math.MaxInt {
+		r.fail(fmt.Errorf("%w: integer field %d out of range", errFrameMalformed, v))
+		return 0
+	}
+	return int(v)
+}
+
 func (r *recordReader) string() string {
 	n := r.uvarint()
-	if r.bad || n > uint64(len(r.p)) {
-		r.bad = true
+	if n > uint64(len(r.p)) {
+		r.fail(errFrameOverrun)
 		return ""
 	}
 	s := string(r.p[:n])
 	r.p = r.p[n:]
 	return s
+}
+
+// interned reads a string spelled by stringTable.append.
+func (r *recordReader) interned() string {
+	if r.tab == nil {
+		return r.string()
+	}
+	ref := r.uvarint()
+	if ref == 0 {
+		s := r.string()
+		if r.err == nil && len(s) <= maxInternLen && len(*r.tab) < maxInterned {
+			*r.tab = append(*r.tab, s)
+		}
+		return s
+	}
+	if ref > uint64(len(*r.tab)) {
+		r.fail(fmt.Errorf("%w: index %d, table holds %d", errStringRef, ref-1, len(*r.tab)))
+		return ""
+	}
+	return (*r.tab)[ref-1]
+}
+
+// eventRecord reads the fields encodeEventRecord wrote.
+func (r *recordReader) eventRecord() RawEvent {
+	raw := RawEvent{Trace: r.interned()}
+	raw.Seq = r.int()
+	raw.Kind = event.Kind(r.uvarint())
+	raw.MsgID = r.uvarint()
+	raw.Type = r.interned()
+	raw.Text = r.string()
+	return raw
 }
 
 // replayRecord decodes one WAL record and applies it to the collector.
@@ -502,19 +583,14 @@ func (d *Durability) replayRecord(p []byte) error {
 	r := &recordReader{p: p[1:]}
 	switch p[0] {
 	case recEvent:
-		raw := RawEvent{Trace: r.string()}
-		raw.Seq = int(r.uvarint())
-		raw.Kind = event.Kind(r.uvarint())
-		raw.MsgID = r.uvarint()
-		raw.Type = r.string()
-		raw.Text = r.string()
-		if r.bad {
+		raw := r.eventRecord()
+		if r.err != nil {
 			return fmt.Errorf("poet: malformed WAL event record")
 		}
 		return d.c.Report(raw)
 	case recTrace:
 		name := r.string()
-		if r.bad || name == "" {
+		if r.err != nil || name == "" {
 			return fmt.Errorf("poet: malformed WAL trace record")
 		}
 		d.c.RegisterTrace(name)

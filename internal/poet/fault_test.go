@@ -332,7 +332,9 @@ func TestMonitorReconnectBudgetExhausted(t *testing.T) {
 	}
 
 	// Take the server away entirely; the proxy refuses new sessions too.
-	_ = srv.Close()
+	// A crash, not a Close: a graceful End frame that won the race with
+	// the proxy's teardown would end the stream cleanly instead.
+	srv.abort()
 	_ = p.Close()
 	_, err = mon.Next()
 	if err == nil || err == io.EOF {

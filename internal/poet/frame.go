@@ -1,0 +1,383 @@
+package poet
+
+import (
+	"bufio"
+	"encoding/binary"
+	"encoding/gob"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+
+	"ocep/internal/event"
+	"ocep/internal/vclock"
+)
+
+// The frame codec: what the data direction of every streaming role
+// speaks after the gob handshake. A frame is a uvarint body length, a
+// kind byte, and that kind's fields — uvarints, strings as uvarint
+// length plus bytes. Three things are per-connection state, reset by
+// every handshake: the string table (repeating strings are spelled
+// once, then referenced), the set of announced trace IDs, and the
+// baseline of the delta-encoded timestamps.
+//
+// A timestamp is always the last field and runs to the end of its
+// frame, in one of two spellings named by the frame's flags byte: dense
+// (every entry of the vector, in order) or delta ((trace, value) pairs
+// for the entries that differ from the previous timestamp on this
+// connection, explicit zeros for entries that vanished — the
+// linearization interleaves traces, so timestamps are not per-component
+// monotone along the stream). The first delta frame of a connection is
+// flagged as the baseline, so a desynchronized decoder fails loudly
+// instead of mis-stamping.
+const (
+	frameRaw       = recEvent // RawEvent, in the WAL's record encoding
+	frameTraceReg  = recTrace // explicit trace registration (replica stream), ditto
+	frameTrace     = 3        // trace announcement (monitor stream): id, name
+	frameEvent     = 4        // delivered event: flags, id, kind, type, text, partner, timestamp
+	frameExport    = 5        // cross-shard export record: flags, msgid, id, timestamp
+	frameHead      = 6        // the sender's ingest count (replica stream) or export-log length (shard stream)
+	frameHeartbeat = 7        // idle keep-alive
+	frameDrain     = 8        // orderly shutdown ahead: pooled peers fail over now
+	frameEnd       = 9        // graceful end of stream
+
+	flagDelta    = 1 // the timestamp is delta-encoded
+	flagBaseline = 2 // ...against the all-zero vector: the first delta frame of a connection
+)
+
+// Decoder bounds: frames come from outside the process.
+const (
+	maxFrameLen   = 1 << 24 // bytes in one frame body
+	maxInternLen  = 255     // longest string the string table takes
+	maxInterned   = 1 << 16 // strings in one connection's table
+	maxClockWidth = 1 << 20 // highest trace ID a timestamp entry or announcement may name, plus one
+	frameBufSize  = 32 << 10
+)
+
+var (
+	errFrameTooLong   = errors.New("poet: frame length out of bounds")
+	errFrameKind      = errors.New("poet: unknown frame kind")
+	errFrameOverrun   = errors.New("poet: field overruns its frame")
+	errFrameMalformed = errors.New("poet: malformed frame")
+	errStringRef      = errors.New("poet: string-table index not yet sent")
+	errTraceRef       = errors.New("poet: event on a trace not yet announced")
+	errNoBaseline     = errors.New("poet: delta-encoded timestamp without a baseline frame (decoder out of sync)")
+)
+
+// frameWriter encodes frames into one connection's outbound buffer.
+// Callers append every frame they have in hand and then flush; a full
+// buffer flushes itself. Write errors stick to the buffer and surface at
+// flush. Not safe for concurrent use.
+type frameWriter struct {
+	bw   *bufio.Writer
+	body []byte
+	err  error
+	strs stringTable
+	// base is the previous timestamp sent delta-encoded; sent reports
+	// that there was one.
+	base vclock.VC
+	sent bool
+}
+
+func newFrameWriter(w io.Writer) *frameWriter {
+	return &frameWriter{bw: bufio.NewWriterSize(w, frameBufSize), strs: make(stringTable)}
+}
+
+// gob sends a handshake message ahead of the frames, through the same
+// buffer (and so the same byte accounting).
+func (w *frameWriter) gob(v any) error {
+	if err := gob.NewEncoder(w.bw).Encode(v); err != nil {
+		return err
+	}
+	return w.flush()
+}
+
+func (w *frameWriter) flush() error {
+	if w.err != nil {
+		return w.err
+	}
+	return w.bw.Flush()
+}
+
+// emit frames w.body into the buffer.
+func (w *frameWriter) emit() {
+	if len(w.body) > maxFrameLen {
+		w.err = fmt.Errorf("%w: %d bytes, limit %d", errFrameTooLong, len(w.body), maxFrameLen)
+		return
+	}
+	var hdr [binary.MaxVarintLen32]byte
+	_, _ = w.bw.Write(hdr[:binary.PutUvarint(hdr[:], uint64(len(w.body)))]) // sticky; flush reports it
+	_, _ = w.bw.Write(w.body)
+}
+
+// signal sends a fieldless frame: heartbeat, drain, or end.
+func (w *frameWriter) signal(kind byte) {
+	w.body = append(w.body[:0], kind)
+	w.emit()
+}
+
+func (w *frameWriter) head(n int) {
+	w.body = binary.AppendUvarint(append(w.body[:0], frameHead), uint64(n))
+	w.emit()
+}
+
+func (w *frameWriter) raw(ev *RawEvent) {
+	w.body = encodeEventRecord(w.body[:0], ev, w.strs)
+	w.emit()
+}
+
+func (w *frameWriter) traceReg(name string) {
+	w.body = encodeTraceRecord(w.body[:0], name, w.strs)
+	w.emit()
+}
+
+func (w *frameWriter) trace(id event.TraceID, name string) {
+	w.body = binary.AppendUvarint(append(w.body[:0], frameTrace), uint64(id))
+	w.body = appendString(w.body, name)
+	w.emit()
+}
+
+// event sends a delivered event and returns the number of timestamp
+// entries it put on the wire.
+func (w *frameWriter) event(e *event.Event, delta bool) int {
+	b := append(w.body[:0], frameEvent, w.flags(delta))
+	b = appendID(b, e.ID)
+	b = binary.AppendUvarint(b, uint64(e.Kind))
+	b = w.strs.append(b, e.Type)
+	b = appendString(b, e.Text)
+	b = appendID(b, e.Partner)
+	return w.stamp(b, e.VC, delta)
+}
+
+// export sends a cross-shard export record; the count is event's.
+func (w *frameWriter) export(rec *shardExport, delta bool) int {
+	b := append(w.body[:0], frameExport, w.flags(delta))
+	b = binary.AppendUvarint(b, rec.MsgID)
+	return w.stamp(appendID(b, rec.ID), rec.VC, delta)
+}
+
+func appendID(b []byte, id event.ID) []byte {
+	b = binary.AppendUvarint(b, uint64(id.Trace))
+	return binary.AppendUvarint(b, uint64(id.Index))
+}
+
+func (w *frameWriter) flags(delta bool) byte {
+	switch {
+	case !delta:
+		return 0
+	case !w.sent:
+		return flagDelta | flagBaseline
+	}
+	return flagDelta
+}
+
+// stamp appends vc to the frame b straight from the clock, advances the
+// delta baseline, and emits the frame.
+func (w *frameWriter) stamp(b []byte, vc vclock.Clock, delta bool) (entries int) {
+	v := denseView(vc)
+	if !delta {
+		for _, n := range v {
+			b = binary.AppendUvarint(b, uint64(n))
+		}
+		entries = len(v)
+	} else {
+		w.sent = true
+		if len(v) > len(w.base) {
+			w.base = append(w.base, make(vclock.VC, len(v)-len(w.base))...)
+		}
+		for t := range w.base {
+			var n int32
+			if t < len(v) {
+				n = v[t]
+			}
+			if w.base[t] != n {
+				w.base[t] = n
+				b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(t)), uint64(n))
+				entries++
+			}
+		}
+	}
+	w.body = b
+	w.emit()
+	return entries
+}
+
+// denseView returns a dense read-only view of c: the clock itself when
+// it is already dense (stamps are immutable once delivered, so sharing
+// is safe for encoding), a dense copy otherwise.
+func denseView(c vclock.Clock) vclock.VC {
+	if v, ok := c.(vclock.VC); ok || c == nil {
+		return v
+	}
+	return vclock.DenseOf(c)
+}
+
+// frame is one decoded frame; kind says which fields are set.
+type frame struct {
+	kind byte
+	raw  RawEvent      // frameRaw
+	id   event.TraceID // frameTrace
+	name string        // frameTrace, frameTraceReg
+	ev   *event.Event  // frameEvent
+	exp  shardExport   // frameExport
+	head int           // frameHead
+}
+
+// frameReader decodes frames from a connection's inbound buffer. Every
+// length it allocates by is checked against a bound or against the bytes
+// actually received first; malformed input is an error, never a panic.
+type frameReader struct {
+	br   *bufio.Reader
+	strs []string
+	// announced marks the trace IDs announced on this connection.
+	announced []bool
+	// base is the previous delta-decoded timestamp; seen reports that a
+	// baseline frame arrived.
+	base vclock.VC
+	seen bool
+	// sparse selects the representation of the timestamps handed out.
+	sparse bool
+}
+
+// next decodes the next frame into f. io.EOF means the stream ended on a
+// frame boundary.
+func (r *frameReader) next(f *frame) error {
+	n, err := binary.ReadUvarint(r.br)
+	if err != nil {
+		return err
+	}
+	if n == 0 || n > maxFrameLen {
+		return fmt.Errorf("%w: %d bytes, limit %d", errFrameTooLong, n, maxFrameLen)
+	}
+	var p []byte
+	if int(n) <= r.br.Size() {
+		// The common case decodes in place; the bytes stay valid until
+		// the next read, and decoded values own copies.
+		if p, err = r.br.Peek(int(n)); err == nil {
+			defer r.br.Discard(int(n))
+		}
+	} else {
+		p = make([]byte, n)
+		_, err = io.ReadFull(r.br, p)
+	}
+	if err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return err
+	}
+	f.kind = p[0]
+	c := recordReader{p: p[1:], tab: &r.strs}
+	switch f.kind {
+	case frameRaw:
+		f.raw = c.eventRecord()
+	case frameTraceReg:
+		f.name = c.interned()
+	case frameTrace:
+		id := c.int()
+		f.id, f.name = event.TraceID(id), c.string()
+		if c.err == nil && id >= maxClockWidth {
+			c.fail(fmt.Errorf("%w: trace id %d, limit %d", errFrameMalformed, id, maxClockWidth))
+		}
+		if c.err == nil {
+			if id >= len(r.announced) {
+				r.announced = append(r.announced, make([]bool, id+1-len(r.announced))...)
+			}
+			r.announced[id] = true
+		}
+	case frameEvent:
+		flags := byte(c.uvarint())
+		e := &event.Event{ID: c.id()}
+		e.Kind = event.Kind(c.uvarint())
+		e.Type, e.Text = c.interned(), c.string()
+		e.Partner = c.id()
+		if t := int(e.ID.Trace); c.err == nil && (t >= len(r.announced) || !r.announced[t]) {
+			c.fail(fmt.Errorf("%w: trace %d", errTraceRef, t))
+		}
+		e.VC = r.stamp(&c, flags)
+		f.ev = e
+	case frameExport:
+		flags := byte(c.uvarint())
+		f.exp = shardExport{MsgID: c.uvarint(), ID: c.id()}
+		f.exp.VC = r.stamp(&c, flags)
+	case frameHead:
+		f.head = c.int()
+	case frameHeartbeat, frameDrain, frameEnd:
+	default:
+		return fmt.Errorf("%w: %d", errFrameKind, f.kind)
+	}
+	if c.err == nil && len(c.p) > 0 {
+		c.fail(fmt.Errorf("%w: %d bytes past the last field of a kind-%d frame", errFrameMalformed, len(c.p), f.kind))
+	}
+	return c.err
+}
+
+func (r *recordReader) id() event.ID {
+	return event.ID{Trace: event.TraceID(r.int()), Index: r.int()}
+}
+
+// entry reads one timestamp value.
+func (r *recordReader) entry() int32 {
+	n := r.uvarint()
+	if n > math.MaxInt32 {
+		r.fail(fmt.Errorf("%w: timestamp entry %d out of range", errFrameMalformed, n))
+	}
+	return int32(n)
+}
+
+// stamp consumes the rest of the frame as a timestamp and returns it as
+// an independent clock in the configured representation.
+func (r *frameReader) stamp(c *recordReader, flags byte) vclock.Clock {
+	if c.err != nil {
+		return nil
+	}
+	if flags&flagDelta == 0 {
+		// One pass to size the vector by the varints actually present.
+		width := 0
+		for _, b := range c.p {
+			if b < 0x80 {
+				width++
+			}
+		}
+		if width > maxClockWidth {
+			c.fail(fmt.Errorf("%w: %d-entry timestamp, limit %d", errFrameMalformed, width, maxClockWidth))
+			return nil
+		}
+		vc := make(vclock.VC, width)
+		for i := range vc {
+			vc[i] = c.entry()
+		}
+		if len(c.p) > 0 {
+			c.fail(errFrameOverrun) // a last varint with no final byte
+		}
+		if r.sparse {
+			return vclock.SparseOf(vc)
+		}
+		return vc
+	}
+	switch {
+	case flags&flagBaseline != 0:
+		r.base, r.seen = r.base[:0], true
+	case !r.seen:
+		c.fail(errNoBaseline)
+		return nil
+	}
+	for len(c.p) > 0 {
+		t, n := c.uvarint(), c.entry()
+		if c.err != nil {
+			return nil
+		}
+		if t >= maxClockWidth {
+			c.fail(fmt.Errorf("%w: timestamp entry for trace %d, limit %d", errFrameMalformed, t, maxClockWidth))
+			return nil
+		}
+		if int(t) >= len(r.base) {
+			r.base = append(r.base, make(vclock.VC, int(t)+1-len(r.base))...)
+		}
+		r.base[t] = n
+	}
+	if r.sparse {
+		return vclock.SparseOf(r.base)
+	}
+	return r.base.Clone()
+}

@@ -8,6 +8,7 @@ import (
 	"net"
 
 	"ocep/internal/event"
+	"ocep/internal/vclock"
 )
 
 // This file implements the "future plugin" of the paper's Section VI: a
@@ -75,9 +76,18 @@ type queryResp struct {
 	OK    bool
 	Error string
 	// Event is set for opGet.
-	Event *wireEvent
+	Event *queryEvent
 	// Pos is set for opGP/opLS.
 	Pos int
+}
+
+// queryEvent is a delivered event in a gob query response, its timestamp
+// as a dense vector.
+type queryEvent struct {
+	ID, Partner event.ID
+	Kind        event.Kind
+	Type, Text  string
+	VC          vclock.VC
 }
 
 // handleQuery serves one query connection.
@@ -96,7 +106,7 @@ func (s *Server) handleQuery(conn net.Conn, dec *gob.Decoder) error {
 		switch req.Op {
 		case opGet:
 			if e, ok := s.collector.GetEvent(id); ok {
-				resp = queryResp{OK: true, Event: toWire(e)}
+				resp = queryResp{OK: true, Event: &queryEvent{ID: e.ID, Partner: e.Partner, Kind: e.Kind, Type: e.Type, Text: e.Text, VC: denseView(e.VC)}}
 			} else {
 				resp = queryResp{Error: fmt.Sprintf("unknown event %s", id)}
 			}
@@ -166,7 +176,8 @@ func (q *QueryClient) Get(id event.ID) (*event.Event, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fromWire(resp.Event), nil
+	w := resp.Event
+	return &event.Event{ID: w.ID, Partner: w.Partner, Kind: w.Kind, Type: w.Type, Text: w.Text, VC: w.VC}, nil
 }
 
 // GP returns the greatest-predecessor index of id on trace t.

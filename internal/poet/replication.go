@@ -5,11 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"ocep/internal/backoff"
-	"ocep/internal/event"
+	"ocep/internal/pool"
 )
 
 // Warm-standby replication. A primary collector with the replication
@@ -17,7 +16,7 @@ import (
 // successfully ingested raw event plus every explicit trace
 // registration, in exactly the order the WAL would log them — and
 // serves it to replica sessions (hello role "replica") over the normal
-// OCEP-POET-2 port. A standby runs a Replicator that applies the stream
+// wire port. A standby runs a Replicator that applies the stream
 // to its own collector through the public Report/RegisterTrace path, so
 // the standby's delivery, ack watermarks, and monitor offsets are the
 // deterministic product of the same record order the primary ingested:
@@ -211,9 +210,15 @@ func (c *Collector) replConfirm(id, applied int) {
 
 // replWait blocks until every attached replica session has confirmed
 // pos event records, no session remains attached, or the timeout
-// expires; it reports whether the confirmation condition held.
+// expires (a negative timeout never does); it reports whether the
+// confirmation condition held.
 func (c *Collector) replWait(pos int, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
+	var expired <-chan time.Time
+	if timeout >= 0 {
+		t := time.NewTimer(timeout)
+		defer t.Stop()
+		expired = t.C
+	}
 	for {
 		c.mu.Lock()
 		r := c.repl
@@ -223,15 +228,9 @@ func (c *Collector) replWait(pos int, timeout time.Duration) bool {
 		}
 		ch := r.ch
 		c.mu.Unlock()
-		d := time.Until(deadline)
-		if d <= 0 {
-			return false
-		}
-		t := time.NewTimer(d)
 		select {
 		case <-ch:
-			t.Stop()
-		case <-t.C:
+		case <-expired:
 			return false
 		}
 	}
@@ -244,26 +243,7 @@ func (c *Collector) replWait(pos int, timeout time.Duration) bool {
 // wait is unbounded on purpose — a hung replica is evicted by the
 // server's peer timeout, which detaches the session and lifts the
 // barrier.
-func (c *Collector) replBarrier() {
-	c.mu.Lock()
-	if c.repl == nil || len(c.repl.confirmed) == 0 {
-		c.mu.Unlock()
-		return
-	}
-	pos := c.ingests
-	c.mu.Unlock()
-	for {
-		c.mu.Lock()
-		r := c.repl
-		if r == nil || len(r.confirmed) == 0 || r.minConfirmed() >= pos {
-			c.mu.Unlock()
-			return
-		}
-		ch := r.ch
-		c.mu.Unlock()
-		<-ch
-	}
-}
+func (c *Collector) replBarrier() { c.replWait(c.IngestCount(), -1) }
 
 // replResumeIndex translates a replica's event-record offset into an
 // index of the record log: the position just past the offset-th event
@@ -316,13 +296,10 @@ func (c *Collector) replRecordsFrom(idx int) (recs []repRecord, next, head int, 
 // background reader consumes replicaAck frames and feeds the
 // confirmations that release the primary's ack and monitor-send
 // barriers.
-func (s *Server) handleReplica(conn net.Conn, dec *gob.Decoder, h hello) error {
+func (s *Server) handleReplica(conn *link, dec *gob.Decoder, h hello) error {
 	c := s.collector
-	enc := gob.NewEncoder(conn)
-	sendHello := func(ack helloAck) error {
-		_ = conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-		return enc.Encode(&ack)
-	}
+	fw := newFrameWriter(conn)
+	sendHello := func(ack helloAck) error { return fw.gob(&ack) }
 	if !c.ReplicationStats().Enabled {
 		msg := "replication log not enabled on this collector"
 		_ = sendHello(helloAck{Error: msg})
@@ -336,10 +313,9 @@ func (s *Server) handleReplica(conn net.Conn, dec *gob.Decoder, h hello) error {
 	if err := sendHello(helloAck{OK: true}); err != nil {
 		return fmt.Errorf("replica hello ack: %w", err)
 	}
-	s.replicaSessions.Add(1)
-	s.tel.replicaConns.Inc()
+	s.replicaSessions.add(1)
 	if h.ReplicaFrom > 0 {
-		s.targetResumes.Add(1)
+		s.targetResumes.Add(1) // WireStats only: the metric counts reporters
 	}
 	sess := c.replAttach(h.ReplicaFrom)
 	defer c.replDetach(sess)
@@ -348,15 +324,15 @@ func (s *Server) handleReplica(conn net.Conn, dec *gob.Decoder, h hello) error {
 	// Confirmation reader. The peer timeout applies: a replica that
 	// stops acking (hung, partitioned) is declared dead, detaching the
 	// session so the barriers lift instead of stalling the primary.
+	conn.readTimeout = s.peerTimeout
 	readerDone := make(chan struct{})
 	go func() {
 		defer close(readerDone)
 		for {
-			_ = conn.SetReadDeadline(time.Now().Add(s.peerTimeout))
 			var ack replicaAck
 			if err := dec.Decode(&ack); err != nil {
 				if isTimeout(err) {
-					s.tel.peerTimeouts.Inc()
+					s.peerTimeouts.add(1)
 					s.logf("poet server: replica %s silent for %v; presumed dead", conn.RemoteAddr(), s.peerTimeout)
 				}
 				_ = conn.Close()
@@ -368,64 +344,84 @@ func (s *Server) handleReplica(conn net.Conn, dec *gob.Decoder, h hello) error {
 		}
 	}()
 
-	writeMsg := func(msg *wireMsg) error {
-		_ = conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-		return enc.Encode(msg)
-	}
-	goodbye := func() error {
-		// Drain precedes End: the replica takes it as the primary's
-		// clean handoff and promotes.
-		if err := writeMsg(&wireMsg{Drain: true}); err != nil {
-			return err
+	// No drain notice of its own: a replica takes Drain as the clean
+	// handoff, and that comes with the End frame.
+	err = s.streamLog(conn, fw, "replica", readerDone, nil, func() (int, int, <-chan struct{}) {
+		recs, next, head, ch := c.replRecordsFrom(idx)
+		if len(recs) > 0 {
+			fw.head(head)
 		}
-		return writeMsg(&wireMsg{End: true})
-	}
+		events := 0
+		for i := range recs {
+			switch {
+			case recs[i].Trace != "":
+				fw.traceReg(recs[i].Trace)
+			case recs[i].Remote != nil:
+				fw.export(recs[i].Remote, false)
+			default:
+				fw.raw(&recs[i].Event)
+				events++
+			}
+		}
+		s.replicaEvents.add(int64(events))
+		idx = next
+		return len(recs), head, ch
+	})
+	_ = conn.Close()
+	<-readerDone
+	return err
+}
+
+// streamLog is the sending loop of the sessions that tail an append-only
+// log (replica, shard): emit frames whatever the log holds past the
+// session's cursor — the whole suffix goes into the buffer behind one
+// head count and leaves in one flush, earlier only if the buffer fills —
+// and reports how many records that was, the current head, and the
+// channel that signals growth. An idle stream heartbeats with the head,
+// so the peer can tell quiet from dead and compute its lag; a drain
+// notice goes out when drain fires; on server Close the stream ends with
+// Drain then End — a replica takes that as the primary's clean handoff
+// and promotes, a shard peer rotates to the standby. gone closes when
+// the peer hangs up.
+func (s *Server) streamLog(conn *link, fw *frameWriter, peer string, gone, drain <-chan struct{}, emit func() (n, head int, grew <-chan struct{})) error {
 	hb := time.NewTimer(s.hbInterval)
 	defer hb.Stop()
 	for {
-		recs, next, head, ch := c.replRecordsFrom(idx)
-		for i := range recs {
-			msg := wireMsg{Head: head}
-			switch {
-			case recs[i].Trace != "":
-				msg.Trace = &wireTrace{Name: recs[i].Trace}
-			case recs[i].Remote != nil:
-				rs := recs[i].Remote
-				w := toWire(&event.Event{ID: rs.ID, VC: rs.VC})
-				w.MsgID = rs.MsgID
-				msg.Shard = w
-			default:
-				msg.Raw = &recs[i].Event
-				s.replicaEvents.Add(1)
-				s.tel.replicaEvents.Inc()
+		n, head, grew := emit()
+		if n > 0 {
+			if err := fw.flush(); err != nil {
+				return fmt.Errorf("encoding to %s: %w", peer, err)
 			}
-			if err := writeMsg(&msg); err != nil {
-				<-readerDone
-				return fmt.Errorf("encoding to replica: %w", err)
-			}
-		}
-		idx = next
-		if len(recs) > 0 {
 			// Re-check for records appended while this batch encoded
 			// before parking.
 			backoff.ResetTimer(hb, s.hbInterval)
 			continue
 		}
 		select {
-		case <-ch:
+		case <-grew:
 		case <-hb.C:
 			hb.Reset(s.hbInterval)
-			if err := writeMsg(&wireMsg{Heartbeat: true, Head: head}); err != nil {
-				<-readerDone
-				return fmt.Errorf("heartbeat to replica: %w", err)
+			fw.head(head)
+			fw.signal(frameHeartbeat)
+			if err := fw.flush(); err != nil {
+				return fmt.Errorf("heartbeat to %s: %w", peer, err)
 			}
-			s.heartbeats.Add(1)
-		case <-readerDone:
+			s.heartbeats.add(1)
+		case <-gone:
 			return nil
+		case <-drain:
+			// Advise the peer to move on; keep serving until End/close
+			// for peers with nowhere to go.
+			drain = nil
+			fw.signal(frameDrain)
+			if err := fw.flush(); err != nil {
+				return fmt.Errorf("drain frame to %s: %w", peer, err)
+			}
 		case <-s.closing:
-			err := goodbye()
+			fw.signal(frameDrain)
+			fw.signal(frameEnd)
+			err := fw.flush()
 			_ = conn.Close()
-			<-readerDone
 			return err
 		}
 	}
@@ -469,8 +465,7 @@ func (s *Server) Drain(wait time.Duration) error {
 	if wait <= 0 {
 		wait = DefaultDrainWait
 	}
-	s.drains.Add(1)
-	s.tel.drains.Inc()
+	s.drains.add(1)
 	s.logf("poet server: draining (up to %v)", wait)
 	close(s.drainCh)
 	deadline := time.Now().Add(wait)
@@ -523,14 +518,8 @@ func (s *Server) abort() {
 type ReplicaOption func(*replCfg)
 
 type replCfg struct {
-	reconnectBudget time.Duration
-	backoffBase     time.Duration
-	backoffMax      time.Duration
-	heartbeat       time.Duration
-	peerTimeout     time.Duration
-	dialTimeout     time.Duration
-	writeTimeout    time.Duration
-	logf            func(string, ...any)
+	clientCfg
+	heartbeat time.Duration
 }
 
 // defaultReplicaBudget is deliberately shorter than the client default:
@@ -540,16 +529,9 @@ type replCfg struct {
 const defaultReplicaBudget = 10 * time.Second
 
 func defaultReplCfg() replCfg {
-	return replCfg{
-		reconnectBudget: defaultReplicaBudget,
-		backoffBase:     defaultBackoffBase,
-		backoffMax:      defaultBackoffMax,
-		heartbeat:       defaultHeartbeat,
-		peerTimeout:     defaultPeerTimeout,
-		dialTimeout:     defaultDialTimeout,
-		writeTimeout:    defaultWriteTimeout,
-		logf:            func(string, ...any) {},
-	}
+	cfg := replCfg{clientCfg: defaultClientCfg(), heartbeat: defaultHeartbeat}
+	cfg.reconnectBudget = defaultReplicaBudget
+	return cfg
 }
 
 // WithReplicaReconnect bounds the cumulative backoff spent redialing the
@@ -618,16 +600,10 @@ type Replicator struct {
 	c    *Collector
 	cfg  replCfg
 
-	mu         sync.Mutex
-	conn       net.Conn
+	follower                 // guards the fields below too
 	wake       chan struct{} // current connection's acker wake signal
 	head       int
 	reconnects int
-	stopped    bool
-	err        error
-
-	stopCh chan struct{}
-	done   chan struct{}
 }
 
 // FollowPrimary connects to the primary at addr as a replica and starts
@@ -643,62 +619,36 @@ func FollowPrimary(addr string, c *Collector, opts ...ReplicaOption) (*Replicato
 	for _, o := range opts {
 		o(&cfg)
 	}
-	r := &Replicator{
-		addr:   addr,
-		c:      c,
-		cfg:    cfg,
-		stopCh: make(chan struct{}),
-		done:   make(chan struct{}),
-	}
-	conn, dec, err := r.connect()
+	r := &Replicator{addr: addr, c: c, cfg: cfg}
+	r.stopCh, r.done = make(chan struct{}), make(chan struct{})
+	conn, err := r.connect()
 	if err != nil {
 		return nil, fmt.Errorf("poet replica: %w", err)
 	}
-	go r.run(conn, dec)
+	go r.run(conn)
 	return r, nil
 }
 
 // connect dials the primary and completes the replica handshake,
 // resuming from the local collector's ingest count.
-func (r *Replicator) connect() (net.Conn, *gob.Decoder, error) {
-	conn, err := net.DialTimeout("tcp", r.addr, r.cfg.dialTimeout)
+func (r *Replicator) connect() (*link, error) {
+	s, err := dialSession(r.addr, hello{Magic: wireMagic, Role: roleReplica, ReplicaFrom: r.c.IngestCount()},
+		&r.cfg.clientCfg, max(r.cfg.peerTimeout, minHandshakeTimeout))
 	if err != nil {
-		return nil, nil, fmt.Errorf("dial: %w", err)
-	}
-	enc := gob.NewEncoder(conn)
-	_ = conn.SetWriteDeadline(time.Now().Add(r.cfg.writeTimeout))
-	applied := r.c.IngestCount()
-	if err := enc.Encode(hello{Magic: wireMagic, Role: roleReplica, ReplicaFrom: applied}); err != nil {
-		_ = conn.Close()
-		return nil, nil, fmt.Errorf("hello: %w", err)
-	}
-	dec := gob.NewDecoder(conn)
-	hsTimeout := r.cfg.peerTimeout
-	if hsTimeout < minHandshakeTimeout {
-		hsTimeout = minHandshakeTimeout
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(hsTimeout))
-	var ack helloAck
-	if err := dec.Decode(&ack); err != nil {
-		_ = conn.Close()
-		return nil, nil, fmt.Errorf("hello ack: %w", err)
-	}
-	if !ack.OK {
-		_ = conn.Close()
-		if ack.Retry {
-			return nil, nil, fmt.Errorf("primary not accepting replicas yet: %s", ack.Error)
-		}
-		return nil, nil, fmt.Errorf("%w: %s", ErrSessionRejected, ack.Error)
+		return nil, err
 	}
 	wake := make(chan struct{}, 1)
 	r.mu.Lock()
-	r.conn = conn
+	live := r.publishLocked(s.link)
 	r.wake = wake
 	r.mu.Unlock()
+	if !live {
+		return nil, ErrClientClosed
+	}
 	// Confirmation sender for this connection: an ack immediately after
 	// each applied burst (the barrier's latency), heartbeats when idle.
-	go r.acker(conn, enc, wake)
-	return conn, dec, nil
+	go r.acker(s.link, s.enc, wake)
+	return s.link, nil
 }
 
 // signalAck wakes the current connection's acker; buffered so the apply
@@ -732,7 +682,6 @@ func (r *Replicator) acker(conn net.Conn, enc *gob.Encoder, wake chan struct{}) 
 		if applied == last && !hb {
 			continue
 		}
-		_ = conn.SetWriteDeadline(time.Now().Add(r.cfg.writeTimeout))
 		if err := enc.Encode(&replicaAck{Applied: applied, Heartbeat: hb && applied == last}); err != nil {
 			_ = conn.Close()
 			return
@@ -747,10 +696,10 @@ func (r *Replicator) acker(conn net.Conn, enc *gob.Encoder, wake chan struct{}) 
 // run is the replica's session loop: apply the stream, reconnect on
 // transport faults, finish on drain, stop, terminal rejection, or
 // budget exhaustion.
-func (r *Replicator) run(conn net.Conn, dec *gob.Decoder) {
+func (r *Replicator) run(conn *link) {
 	defer close(r.done)
 	for {
-		cause := r.session(conn, dec)
+		cause := r.session(conn)
 		_ = conn.Close()
 		if errors.Is(cause, ErrPrimaryDrained) {
 			r.finish(ErrPrimaryDrained)
@@ -764,7 +713,7 @@ func (r *Replicator) run(conn net.Conn, dec *gob.Decoder) {
 			r.finish(cause)
 			return
 		}
-		c, d, err := r.reconnect(cause)
+		c, err := r.reconnect(cause)
 		if err != nil {
 			r.finish(err)
 			return
@@ -774,7 +723,7 @@ func (r *Replicator) run(conn net.Conn, dec *gob.Decoder) {
 			r.finish(nil)
 			return
 		}
-		conn, dec = c, d
+		conn = c
 	}
 }
 
@@ -794,131 +743,81 @@ func (d *divergenceError) Error() string { return d.err.Error() }
 func (d *divergenceError) Unwrap() error { return d.err }
 
 // session applies one connection's stream until it ends.
-func (r *Replicator) session(conn net.Conn, dec *gob.Decoder) error {
+func (r *Replicator) session(conn *link) error {
+	fr := &frameReader{br: conn.br}
+	var f frame
 	for {
-		_ = conn.SetReadDeadline(time.Now().Add(r.cfg.peerTimeout))
-		var msg wireMsg
-		if err := dec.Decode(&msg); err != nil {
+		if err := fr.next(&f); err != nil {
 			if isTimeout(err) {
 				r.cfg.logf("poet replica: no record or heartbeat from %s in %v; reconnecting", r.addr, r.cfg.peerTimeout)
 			}
 			return err
 		}
-		if msg.Head > 0 {
+		switch f.kind {
+		case frameDrain, frameEnd:
+			return ErrPrimaryDrained
+		case frameHead:
 			r.mu.Lock()
-			if msg.Head > r.head {
-				r.head = msg.Head
+			if f.head > r.head {
+				r.head = f.head
 			}
 			r.mu.Unlock()
-		}
-		switch {
-		case msg.Drain, msg.End:
-			return ErrPrimaryDrained
-		case msg.Heartbeat:
-			r.signalAck() // keep our side of the liveness conversation
-		case msg.Trace != nil:
-			r.c.RegisterTrace(msg.Trace.Name)
-		case msg.Shard != nil:
-			e := fromWire(msg.Shard)
-			if err := r.c.SupplyRemoteSend(msg.Shard.MsgID, e.ID, e.VC); err != nil {
+			continue
+		case frameHeartbeat:
+		case frameTraceReg:
+			r.c.RegisterTrace(f.name)
+			continue
+		case frameExport:
+			if err := r.c.SupplyRemoteSend(f.exp.MsgID, f.exp.ID, f.exp.VC); err != nil {
 				// The primary applied this remote send; a local refusal
 				// (e.g. sharding not enabled here) is a configuration
 				// divergence redialing cannot fix.
-				return &divergenceError{fmt.Errorf("poet replica: applying remote send %d: %w", msg.Shard.MsgID, err)}
+				return &divergenceError{fmt.Errorf("poet replica: applying remote send %d: %w", f.exp.MsgID, err)}
 			}
-			r.signalAck()
-		case msg.Raw != nil:
-			err := r.c.Report(*msg.Raw)
+		case frameRaw:
+			err := r.c.Report(f.raw)
 			if err != nil && !errors.Is(err, ErrStaleEvent) {
 				// The primary ingested this record; a local refusal means
 				// the two collectors have diverged (or the local disk
 				// died). Redialing replays the same record — surface it.
-				return &divergenceError{fmt.Errorf("poet replica: applying %s/%d: %w", msg.Raw.Trace, msg.Raw.Seq, err)}
+				return &divergenceError{fmt.Errorf("poet replica: applying %s/%d: %w", f.raw.Trace, f.raw.Seq, err)}
 			}
+		default:
+			return &divergenceError{fmt.Errorf("poet replica: unexpected kind-%d frame on a replica stream", f.kind)}
+		}
+		// Confirm once per applied burst, when the inbound buffer runs
+		// dry — not once per record: a heartbeat keeps our side of the
+		// liveness conversation, a record releases the primary's barriers.
+		if conn.br.Buffered() == 0 {
 			r.signalAck()
 		}
 	}
 }
 
-// reconnect redials the primary with backoff until the budget is
-// exhausted.
-func (r *Replicator) reconnect(cause error) (net.Conn, *gob.Decoder, error) {
+// reconnect redials the primary until the budget is exhausted. Returns a
+// nil conn when stopped (run notices and finishes nil).
+func (r *Replicator) reconnect(cause error) (conn *link, err error) {
 	if r.cfg.reconnectBudget <= 0 {
-		return nil, nil, fmt.Errorf("poet replica: %w (cause: %v; reconnection disabled)", ErrStreamInterrupted, cause)
+		return nil, fmt.Errorf("poet replica: %w (cause: %v; reconnection disabled)", ErrStreamInterrupted, cause)
 	}
-	bo := backoff.New(r.cfg.backoffBase, r.cfg.backoffMax)
-	var slept time.Duration
-	lastErr := cause
-	for {
-		if r.isStopped() {
-			return nil, nil, nil // run() notices stopped and finishes nil
+	eps := pool.New([]string{r.addr}, r.cfg.backoffBase, r.cfg.backoffMax)
+	err = redial(eps, r.cfg.reconnectBudget, r.stopCh, func(string) error {
+		if conn, err = r.connect(); err != nil {
+			return err
 		}
-		conn, dec, err := r.connect()
-		if err == nil {
-			r.mu.Lock()
-			r.reconnects++
-			r.mu.Unlock()
-			r.cfg.logf("poet replica: resumed replication from %s at offset %d", r.addr, r.c.IngestCount())
-			return conn, dec, nil
-		}
-		if errors.Is(err, ErrSessionRejected) {
-			return nil, nil, err
-		}
-		lastErr = err
-		d := bo.Next()
-		if slept+d > r.cfg.reconnectBudget {
-			return nil, nil, fmt.Errorf("poet replica: %w; primary unreachable for %v (last error: %v)", ErrStreamInterrupted, r.cfg.reconnectBudget, lastErr)
-		}
-		slept += d
-		if !backoff.Sleep(d, r.stopCh) {
-			return nil, nil, nil
-		}
-	}
-}
-
-func (r *Replicator) isStopped() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stopped
-}
-
-func (r *Replicator) finish(err error) {
-	r.mu.Lock()
-	if r.err == nil {
-		r.err = err
-	}
-	r.mu.Unlock()
-}
-
-// Stop detaches from the primary (manual promotion, e.g. SIGUSR1). The
-// caller should wait on Done before serving.
-func (r *Replicator) Stop() {
-	r.mu.Lock()
-	if r.stopped {
+		r.mu.Lock()
+		r.reconnects++
 		r.mu.Unlock()
-		return
+		r.cfg.logf("poet replica: resumed replication from %s at offset %d", r.addr, r.c.IngestCount())
+		return nil
+	})
+	switch {
+	case err == nil || errors.Is(err, ErrClientClosed):
+		return conn, nil
+	case errors.Is(err, ErrSessionRejected):
+		return nil, err
 	}
-	r.stopped = true
-	conn := r.conn
-	r.mu.Unlock()
-	close(r.stopCh)
-	if conn != nil {
-		_ = conn.Close()
-	}
-}
-
-// Done is closed when the Replicator has stopped following, for any
-// reason; Err then says why.
-func (r *Replicator) Done() <-chan struct{} { return r.done }
-
-// Err returns why following ended: nil (Stop was called),
-// ErrPrimaryDrained (clean handoff), an error wrapping
-// ErrStreamInterrupted (primary presumed dead — promote), or a terminal
-// ErrSessionRejected wrap (misconfigured pairing — do not promote).
-func (r *Replicator) Err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.err
+	return nil, fmt.Errorf("poet replica: %w; primary unreachable: %v", ErrStreamInterrupted, err)
 }
 
 // Stats returns the follower-side replication counters.

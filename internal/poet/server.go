@@ -19,7 +19,7 @@ import (
 // report raw events, monitor clients connect to receive the linearized
 // stream (the POET server role of Section V-A).
 //
-// The v2 wire layer is fault-tolerant: target connections are
+// The wire layer is fault-tolerant: target connections are
 // periodically acknowledged (highest contiguous ingested (trace, seq)),
 // stale retransmissions after a reporter reconnect are idempotent
 // no-ops, monitor connections carry idle heartbeats and can resume a
@@ -55,30 +55,17 @@ type Server struct {
 	// when the reporters have flushed and left.
 	targetConnCount atomic.Int64
 
-	stale           atomic.Int64
-	acksSent        atomic.Int64
-	heartbeats      atomic.Int64
-	targetResumes   atomic.Int64
-	monitorResumes  atomic.Int64
-	loadSheds       atomic.Int64
-	monitorBytes    atomic.Int64
-	vcEntriesSent   atomic.Int64
-	deltaSessions   atomic.Int64
-	replicaSessions atomic.Int64
-	replicaEvents   atomic.Int64
-	shardSessions   atomic.Int64
-	shardRecords    atomic.Int64
-	shardVCEntries  atomic.Int64
-	drains          atomic.Int64
+	// The wire counters: WireStats reads them, InstrumentMetrics mirrors
+	// them into a registry. The last five are metrics only.
+	stale, acksSent, heartbeats, targetResumes, monitorResumes, loadSheds,
+	monitorBytes, monitorFlushes, targetReads, vcEntriesSent, deltaSessions,
+	replicaSessions, replicaEvents, shardSessions, shardRecords, shardVCEntries, drains,
+	targetConns, monitorConns, targetEvents, peerTimeouts, monOverflows wireCounter
 	// sheddingConns counts target handlers currently parked in the
 	// overload retry loop; nonzero means the server is shedding load
 	// (see Shedding, which readiness probes consult).
 	sheddingConns atomic.Int64
 	overloadWait  time.Duration
-
-	// tel mirrors the wire counters into a telemetry registry; all nil
-	// (no-op) until InstrumentMetrics.
-	tel serverMetrics
 
 	mu      sync.Mutex
 	conns   map[net.Conn]struct{}
@@ -175,6 +162,11 @@ type WireStats struct {
 	// MonitorBytes counts bytes written to monitor connections (frames,
 	// heartbeats, and handshakes included).
 	MonitorBytes int
+	// MonitorFlushes counts write(2) calls on monitor connections and
+	// TargetReads read(2) calls that returned data on target connections;
+	// delivered (or ingested) events over either is the batching the
+	// frame buffers achieve on that leg.
+	MonitorFlushes, TargetReads int
 	// VCEntriesSent counts vector-timestamp entries put on the wire to
 	// monitors: the full dense length per event on dense connections,
 	// only the changed entries on delta-negotiated ones. Divide by the
@@ -209,29 +201,17 @@ type WireStats struct {
 	Drains int
 }
 
-// serverMetrics are the wire layer's instruments. All fields are nil
-// until InstrumentMetrics; writes are nil-safe no-ops.
-type serverMetrics struct {
-	targetConns    *telemetry.Counter
-	monitorConns   *telemetry.Counter
-	targetEvents   *telemetry.Counter
-	acksSent       *telemetry.Counter
-	heartbeats     *telemetry.Counter
-	stale          *telemetry.Counter
-	targetRes      *telemetry.Counter
-	monitorRes     *telemetry.Counter
-	peerTimeouts   *telemetry.Counter
-	monOverflows   *telemetry.Counter
-	loadSheds      *telemetry.Counter
-	monitorBytes   *telemetry.Counter
-	vcEntries      *telemetry.Counter
-	deltaSess      *telemetry.Counter
-	replicaConns   *telemetry.Counter
-	replicaEvents  *telemetry.Counter
-	shardConns     *telemetry.Counter
-	shardRecords   *telemetry.Counter
-	shardVCEntries *telemetry.Counter
-	drains         *telemetry.Counter
+// wireCounter is one wire statistic: a server-wide count, mirrored into
+// a telemetry counter once InstrumentMetrics has run (a nil-safe no-op
+// before).
+type wireCounter struct {
+	atomic.Int64
+	tel *telemetry.Counter
+}
+
+func (c *wireCounter) add(n int64) {
+	c.Add(n)
+	c.tel.Add(n)
 }
 
 // InstrumentMetrics registers the server's wire metrics with reg. Call
@@ -242,27 +222,34 @@ func (s *Server) InstrumentMetrics(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	s.tel = serverMetrics{
-		targetConns:    reg.Counter("poet_wire_target_conns_total", "Accepted target (reporter) connections."),
-		monitorConns:   reg.Counter("poet_wire_monitor_conns_total", "Accepted monitor connections."),
-		targetEvents:   reg.Counter("poet_wire_target_events_total", "Event frames received from targets (before ingestion; includes stale retransmits)."),
-		acksSent:       reg.Counter("poet_wire_acks_sent_total", "serverAck frames sent to targets."),
-		heartbeats:     reg.Counter("poet_wire_heartbeats_sent_total", "Idle keep-alive frames sent to monitors."),
-		stale:          reg.Counter("poet_wire_stale_retransmits_total", "Retransmitted events absorbed as idempotent no-ops."),
-		targetRes:      reg.Counter("poet_wire_target_resumes_total", "Target hellos that named resumed traces."),
-		monitorRes:     reg.Counter("poet_wire_monitor_resumes_total", "Monitor hellos with a nonzero resume offset."),
-		peerTimeouts:   reg.Counter("poet_wire_peer_timeouts_total", "Target connections declared dead after peer-timeout silence."),
-		monOverflows:   reg.Counter("poet_wire_monitor_overflow_disconnects_total", "Monitors disconnected for overflowing their delivery queue."),
-		loadSheds:      reg.Counter("poet_wire_load_sheds_total", "Events shed back onto reporter buffers after an ErrOverloaded refusal."),
-		monitorBytes:   reg.Counter("poet_wire_monitor_bytes_total", "Bytes written to monitor connections (events, announcements, heartbeats, handshakes)."),
-		vcEntries:      reg.Counter("poet_wire_vc_entries_total", "Vector-timestamp entries sent to monitors (full vectors on dense connections, changed entries on delta connections)."),
-		deltaSess:      reg.Counter("poet_wire_delta_sessions_total", "Monitor sessions that negotiated delta-encoded timestamps."),
-		replicaConns:   reg.Counter("poet_wire_replica_sessions_total", "Accepted replica (warm-standby) sessions."),
-		replicaEvents:  reg.Counter("poet_wire_replica_events_total", "Event records streamed to replica sessions."),
-		shardConns:     reg.Counter("poet_wire_shard_sessions_total", "Accepted peer-shard (cross-shard exchange) sessions."),
-		shardRecords:   reg.Counter("poet_wire_shard_records_total", "Export records streamed to peer shards."),
-		shardVCEntries: reg.Counter("poet_wire_shard_vc_entries_total", "Vector-timestamp entries sent on shard sessions (changed entries on delta sessions)."),
-		drains:         reg.Counter("poet_wire_drains_total", "Drain invocations (orderly shutdowns announced to peers)."),
+	for _, m := range []struct {
+		c          *wireCounter
+		name, help string
+	}{
+		{&s.targetConns, "poet_wire_target_conns_total", "Accepted target (reporter) connections."},
+		{&s.monitorConns, "poet_wire_monitor_conns_total", "Accepted monitor connections."},
+		{&s.targetEvents, "poet_wire_target_events_total", "Event frames received from targets (before ingestion; includes stale retransmits)."},
+		{&s.acksSent, "poet_wire_acks_sent_total", "serverAck frames sent to targets."},
+		{&s.heartbeats, "poet_wire_heartbeats_sent_total", "Idle keep-alive frames sent to monitors, replicas, and shard peers."},
+		{&s.stale, "poet_wire_stale_retransmits_total", "Retransmitted events absorbed as idempotent no-ops."},
+		{&s.targetResumes, "poet_wire_target_resumes_total", "Target hellos that named resumed traces."},
+		{&s.monitorResumes, "poet_wire_monitor_resumes_total", "Monitor hellos with a nonzero resume offset."},
+		{&s.peerTimeouts, "poet_wire_peer_timeouts_total", "Target connections declared dead after peer-timeout silence."},
+		{&s.monOverflows, "poet_wire_monitor_overflow_disconnects_total", "Monitors disconnected for overflowing their delivery queue."},
+		{&s.loadSheds, "poet_wire_load_sheds_total", "Events shed back onto reporter buffers after an ErrOverloaded refusal."},
+		{&s.monitorBytes, "poet_wire_monitor_bytes_total", "Bytes written to monitor connections (events, announcements, heartbeats, handshakes)."},
+		{&s.monitorFlushes, "poet_wire_monitor_flushes_total", "write(2) calls on monitor connections; events per flush is the batching of the outbound leg."},
+		{&s.targetReads, "poet_wire_target_reads_total", "read(2) calls that returned data on target connections; events per read is the batching of the inbound leg."},
+		{&s.vcEntriesSent, "poet_wire_vc_entries_total", "Vector-timestamp entries sent to monitors (full vectors on dense connections, changed entries on delta connections)."},
+		{&s.deltaSessions, "poet_wire_delta_sessions_total", "Monitor sessions that negotiated delta-encoded timestamps."},
+		{&s.replicaSessions, "poet_wire_replica_sessions_total", "Accepted replica (warm-standby) sessions."},
+		{&s.replicaEvents, "poet_wire_replica_events_total", "Event records streamed to replica sessions."},
+		{&s.shardSessions, "poet_wire_shard_sessions_total", "Accepted peer-shard (cross-shard exchange) sessions."},
+		{&s.shardRecords, "poet_wire_shard_records_total", "Export records streamed to peer shards."},
+		{&s.shardVCEntries, "poet_wire_shard_vc_entries_total", "Vector-timestamp entries sent on shard sessions (changed entries on delta sessions)."},
+		{&s.drains, "poet_wire_drains_total", "Drain invocations (orderly shutdowns announced to peers)."},
+	} {
+		m.c.tel = reg.Counter(m.name, m.help)
 	}
 	reg.GaugeFunc("poet_wire_shedding_connections", "Target connections currently parked in the overload retry loop.", func() int64 {
 		return s.sheddingConns.Load()
@@ -288,6 +275,8 @@ func (s *Server) WireStats() WireStats {
 		MonitorResumes:  int(s.monitorResumes.Load()),
 		LoadSheds:       int(s.loadSheds.Load()),
 		MonitorBytes:    int(s.monitorBytes.Load()),
+		MonitorFlushes:  int(s.monitorFlushes.Load()),
+		TargetReads:     int(s.targetReads.Load()),
 		VCEntriesSent:   int(s.vcEntriesSent.Load()),
 		DeltaSessions:   int(s.deltaSessions.Load()),
 		ReplicaSessions: int(s.replicaSessions.Load()),
@@ -414,35 +403,40 @@ func (s *Server) Close() error {
 	return err
 }
 
-// countingWriter counts the bytes flowing to one connection into a
-// server-wide atomic and (when instrumented) a telemetry counter.
+// countingWriter counts what is flushed to one monitor connection — bytes
+// and write(2) calls — into server-wide atomics and (when instrumented)
+// telemetry counters. It sits below the frame buffer, so the counts are
+// of what reached the socket, not of what was framed.
 type countingWriter struct {
-	w     io.Writer
-	total *atomic.Int64
-	tel   *telemetry.Counter
+	w io.Writer
+	s *Server
 }
 
-func (cw *countingWriter) Write(p []byte) (int, error) {
+func (cw countingWriter) Write(p []byte) (int, error) {
 	n, err := cw.w.Write(p)
-	cw.total.Add(int64(n))
-	cw.tel.Add(int64(n))
+	cw.s.monitorBytes.add(int64(n))
+	cw.s.monitorFlushes.add(1)
 	return n, err
 }
 
 func (s *Server) handle(conn net.Conn) error {
-	dec := gob.NewDecoder(conn)
 	// A connection that never completes its hello must not pin a handler
 	// goroutine forever.
-	_ = conn.SetReadDeadline(time.Now().Add(s.peerTimeout))
+	l := newLink(conn, s.peerTimeout, s.writeTimeout)
+	dec := gob.NewDecoder(l.br)
 	var h hello
 	if err := dec.Decode(&h); err != nil {
 		return fmt.Errorf("reading hello: %w", err)
 	}
+	// Past the hello only the roles that hear from their peer keep a read
+	// deadline; they re-arm it themselves.
+	l.readTimeout = 0
 	_ = conn.SetReadDeadline(time.Time{})
-	if h.Magic != wireMagic {
-		if h.Magic == wireMagicV1 {
-			return fmt.Errorf("v1 peer rejected: this server speaks %s (the v2 handshake adds acks, resume, and heartbeats)", wireMagic)
-		}
+	switch h.Magic {
+	case wireMagic:
+	case wireMagicV1, wireMagicV2:
+		return fmt.Errorf("%s peer rejected: this server speaks %s (v2 added acks, resume, and heartbeats to the handshake; v3 streams binary frames, not gob messages, after it)", h.Magic, wireMagic)
+	default:
 		return fmt.Errorf("bad magic %q", h.Magic)
 	}
 	// An unpromoted standby or a draining server takes no new sessions;
@@ -457,23 +451,21 @@ func (s *Server) handle(conn net.Conn) error {
 			reason = "standby awaiting promotion; not serving yet"
 		}
 		if reason != "" {
-			enc := gob.NewEncoder(conn)
-			_ = conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-			_ = enc.Encode(&helloAck{Error: reason, Retry: true})
+			_ = gob.NewEncoder(l).Encode(&helloAck{Error: reason, Retry: true})
 			return fmt.Errorf("rejected %s session: %s", h.Role, reason)
 		}
 	}
 	switch h.Role {
 	case roleTarget:
-		return s.handleTarget(conn, dec, h)
+		return s.handleTarget(l, dec, h)
 	case roleMonitor:
-		return s.handleMonitor(conn, h)
+		return s.handleMonitor(l, h)
 	case roleReplica:
-		return s.handleReplica(conn, dec, h)
+		return s.handleReplica(l, dec, h)
 	case roleShard:
-		return s.handleShard(conn, dec, h)
+		return s.handleShard(l, h)
 	case roleQuery:
-		return s.handleQuery(conn, dec)
+		return s.handleQuery(l, dec)
 	default:
 		return fmt.Errorf("unknown role %q", h.Role)
 	}
@@ -487,47 +479,42 @@ func (s *Server) handle(conn net.Conn) error {
 // as idempotent no-ops; genuinely malformed events still hard-fail the
 // connection, with the reason reported to the peer so it stops
 // retransmitting the poison event.
-func (s *Server) handleTarget(conn net.Conn, dec *gob.Decoder, h hello) error {
-	s.tel.targetConns.Inc()
+func (s *Server) handleTarget(conn *link, dec *gob.Decoder, h hello) error {
+	s.targetConns.add(1)
 	s.targetConnCount.Add(1)
 	defer s.targetConnCount.Add(-1)
+	// The reverse direction is cold (one ack per interval) and stays gob,
+	// unbuffered: every ack is its own write.
 	enc := gob.NewEncoder(conn)
 	var encMu sync.Mutex
-	writeAck := func(ack *serverAck) error {
+	writeAck := func(ack any) error {
 		encMu.Lock()
 		defer encMu.Unlock()
-		_ = conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
 		return enc.Encode(ack)
 	}
 
 	// The handshake ack tells a resuming reporter what it may prune
 	// before retransmitting.
-	encMu.Lock()
-	_ = conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-	err := enc.Encode(&helloAck{OK: true, Acks: s.collector.acksFor(h.Traces)})
-	encMu.Unlock()
-	if err != nil {
+	if err := writeAck(&helloAck{OK: true, Acks: s.collector.acksFor(h.Traces)}); err != nil {
 		return fmt.Errorf("hello ack: %w", err)
 	}
 	if len(h.Traces) > 0 {
-		s.targetResumes.Add(1)
-		s.tel.targetRes.Inc()
+		s.targetResumes.add(1)
 	}
 
-	// Traces this connection has reported, for the ack pump.
-	var seenMu sync.Mutex
+	// Traces this connection has reported: seen is the read loop's own,
+	// names is what the ack pump shares.
+	var namesMu sync.Mutex
 	seen := make(map[string]bool, len(h.Traces))
 	for _, n := range h.Traces {
 		seen[n] = true
 	}
-	names := func() []string {
-		seenMu.Lock()
-		defer seenMu.Unlock()
-		out := make([]string, 0, len(seen))
-		for n := range seen {
-			out = append(out, n)
-		}
-		return out
+	names := append([]string(nil), h.Traces...)
+	acks := func() []traceAck {
+		namesMu.Lock()
+		cur := names[:len(names):len(names)]
+		namesMu.Unlock()
+		return s.collector.acksFor(cur)
 	}
 
 	stop := make(chan struct{})
@@ -537,6 +524,7 @@ func (s *Server) handleTarget(conn net.Conn, dec *gob.Decoder, h hello) error {
 		defer t.Stop()
 		drain := s.drainCh
 		for {
+			ack := serverAck{}
 			select {
 			case <-stop:
 				return
@@ -546,47 +534,52 @@ func (s *Server) handleTarget(conn net.Conn, dec *gob.Decoder, h hello) error {
 				// instead of waiting for the connection to die. Acks keep
 				// flowing below while single-endpoint reporters flush.
 				drain = nil
-				if err := writeAck(&serverAck{Drain: true, Acks: s.collector.acksFor(names())}); err != nil {
-					_ = conn.Close()
-					return
-				}
-				s.acksSent.Add(1)
-				s.tel.acksSent.Inc()
+				ack.Drain = true
 			case <-t.C:
-				if err := writeAck(&serverAck{Acks: s.collector.acksFor(names())}); err != nil {
-					_ = conn.Close() // unblock the decode loop
-					return
-				}
-				s.acksSent.Add(1)
-				s.tel.acksSent.Inc()
+			}
+			ack.Acks = acks()
+			// Counted before it is written: the reporter may act on the ack
+			// (and someone scrape the counter) before this goroutine runs
+			// again.
+			s.acksSent.add(1)
+			if err := writeAck(&ack); err != nil {
+				_ = conn.Close() // unblock the decode loop
+				return
 			}
 		}
 	}()
 
+	conn.readTimeout = s.peerTimeout
+	conn.onRead = func() {
+		s.targetReads.add(1)
+	}
+	fr := &frameReader{br: conn.br}
+	var f frame
 	for {
-		_ = conn.SetReadDeadline(time.Now().Add(s.peerTimeout))
-		var msg targetMsg
-		if err := dec.Decode(&msg); err != nil {
+		if err := fr.next(&f); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
 				return nil
 			}
 			if isTimeout(err) {
-				s.tel.peerTimeouts.Inc()
+				s.peerTimeouts.add(1)
 				return fmt.Errorf("target silent for %v (no event or heartbeat); presumed dead", s.peerTimeout)
 			}
 			return fmt.Errorf("decoding raw event: %w", err)
 		}
-		if msg.Heartbeat {
+		if f.kind == frameHeartbeat {
 			continue
 		}
-		if msg.Event == nil {
-			return fmt.Errorf("empty target message")
+		if f.kind != frameRaw {
+			return fmt.Errorf("unexpected kind-%d frame on a target stream", f.kind)
 		}
-		raw := *msg.Event
-		s.tel.targetEvents.Inc()
-		seenMu.Lock()
-		seen[raw.Trace] = true
-		seenMu.Unlock()
+		raw := f.raw
+		s.targetEvents.add(1)
+		if !seen[raw.Trace] {
+			seen[raw.Trace] = true
+			namesMu.Lock()
+			names = append(names, raw.Trace)
+			namesMu.Unlock()
+		}
 		err := s.collector.Report(raw)
 		if errors.Is(err, ErrOverloaded) {
 			// Admission control refused the event: shed the load back onto
@@ -595,8 +588,7 @@ func (s *Server) handleTarget(conn net.Conn, dec *gob.Decoder, h hello) error {
 			// in its bounded unacked buffer the whole time (no ack covers
 			// it), so nothing is lost; its own Report calls block once that
 			// buffer fills, propagating the backpressure to the source.
-			s.loadSheds.Add(1)
-			s.tel.loadSheds.Inc()
+			s.loadSheds.add(1)
 			s.sheddingConns.Add(1)
 			deadline := time.Now().Add(s.overloadWait)
 			for errors.Is(err, ErrOverloaded) && time.Now().Before(deadline) {
@@ -622,8 +614,7 @@ func (s *Server) handleTarget(conn net.Conn, dec *gob.Decoder, h hello) error {
 				// A retransmit of something already ingested: the normal
 				// aftermath of a reporter reconnect, not a fault. Dropping
 				// it is exactly once delivery.
-				s.stale.Add(1)
-				s.tel.stale.Inc()
+				s.stale.add(1)
 				s.logf("poet server: %s: ignoring stale retransmit %s/%d", conn.RemoteAddr(), raw.Trace, raw.Seq)
 				continue
 			}
@@ -646,35 +637,31 @@ func (s *Server) handleTarget(conn net.Conn, dec *gob.Decoder, h hello) error {
 // its own offset); under BackpressureBlock ingestion throttles to the
 // monitor instead. On server Close the queue is drained and an End
 // frame marks the clean end of stream.
-func (s *Server) handleMonitor(conn net.Conn, h hello) error {
-	s.tel.monitorConns.Inc()
+func (s *Server) handleMonitor(conn *link, h hello) error {
+	s.monitorConns.add(1)
 	s.monWG.Add(1)
 	defer s.monWG.Done()
 
-	// All monitor-bound frames go through a byte-counting writer so the
-	// wire cost of the stream — and of the timestamp encoding in
-	// particular — is observable (WireStats.MonitorBytes,
-	// poet_wire_monitor_bytes_total).
-	cw := &countingWriter{w: conn, total: &s.monitorBytes, tel: s.tel.monitorBytes}
-	enc := gob.NewEncoder(cw)
-	var encMu sync.Mutex
+	// All monitor-bound bytes go through a counting writer so the wire
+	// cost of the stream — and of the timestamp encoding in particular —
+	// is observable (WireStats.MonitorBytes, poet_wire_monitor_bytes_total).
+	// fwMu serializes the batch handler, the heartbeat ticker, and the
+	// drain/end frames; each holds it from first frame to flush.
+	fw := newFrameWriter(countingWriter{w: conn, s: s})
+	var fwMu sync.Mutex
 	var lastWrite atomic.Int64
-	writeMsg := func(msg *wireMsg) error {
-		encMu.Lock()
-		defer encMu.Unlock()
-		_ = conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-		err := enc.Encode(msg)
+	flush := func() error {
+		err := fw.flush()
 		lastWrite.Store(time.Now().UnixNano())
 		return err
 	}
-	sendHello := func(ack helloAck) error {
-		encMu.Lock()
-		defer encMu.Unlock()
-		_ = conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-		err := enc.Encode(&ack)
-		lastWrite.Store(time.Now().UnixNano())
-		return err
+	writeSignal := func(kind byte) error {
+		fwMu.Lock()
+		defer fwMu.Unlock()
+		fw.signal(kind)
+		return flush()
 	}
+	sendHello := func(ack helloAck) error { return fw.gob(&ack) }
 
 	// Validate the resume offset before subscribing. Delivered and the
 	// retention trim point only grow; an offset rejected here would be
@@ -712,12 +699,10 @@ func (s *Server) handleMonitor(conn net.Conn, h hello) error {
 		return fmt.Errorf("hello ack: %w", err)
 	}
 	if deltaVC {
-		s.deltaSessions.Add(1)
-		s.tel.deltaSess.Inc()
+		s.deltaSessions.add(1)
 	}
 	if h.ResumeFrom > 0 {
-		s.monitorResumes.Add(1)
-		s.tel.monitorRes.Inc()
+		s.monitorResumes.add(1)
 	}
 
 	errc := make(chan error, 1)
@@ -730,8 +715,7 @@ func (s *Server) handleMonitor(conn net.Conn, h hello) error {
 	}
 	// pending and stats are touched only on the subscription's consumer
 	// goroutine: announcements arrive before the batch that needs them.
-	var pending []wireTrace
-	denc := &deltaEncoder{}
+	var pending []traceAnn
 	statsCh := make(chan func() DeliveryStats, 1)
 	var stats func() DeliveryStats
 	// dropCheck disconnects the client at the first dropped event. It
@@ -745,7 +729,7 @@ func (s *Server) handleMonitor(conn net.Conn, h hello) error {
 			return true
 		}
 		if st := stats(); st.Dropped > 0 {
-			s.tel.monOverflows.Inc()
+			s.monOverflows.add(1)
 			fail(fmt.Errorf("monitor %s overflowed its %d-event queue; disconnected",
 				conn.RemoteAddr(), s.monQueue))
 			return false
@@ -774,31 +758,26 @@ func (s *Server) handleMonitor(conn net.Conn, h hello) error {
 		// this monitor's resume offset ahead of the promoted standby's
 		// stream. Lifts the moment no replica is attached.
 		s.collector.replBarrier()
-		for i := range pending {
-			if err := writeMsg(&wireMsg{Trace: &pending[i]}); err != nil {
-				fail(fmt.Errorf("encoding to monitor: %w", err))
-				return
-			}
+		// The whole batch is framed into the connection's buffer and
+		// leaves in one flush (earlier only if the buffer fills). The
+		// frame writer's delta baseline is touched only here, on the
+		// subscription's consumer goroutine, so encoding order equals
+		// stream order — which the baseline depends on.
+		fwMu.Lock()
+		for _, a := range pending {
+			fw.trace(a.id, a.name)
 		}
-		pending = nil
+		pending = pending[:0]
+		entries := 0
 		for _, e := range batch {
-			var w *wireEvent
-			if deltaVC {
-				// denc is touched only here, on the subscription's
-				// consumer goroutine, so encoding order equals stream
-				// order — which the delta baseline depends on.
-				w = toWireDelta(e, denc)
-				s.vcEntriesSent.Add(int64(len(w.VCTr)))
-				s.tel.vcEntries.Add(int64(len(w.VCTr)))
-			} else {
-				w = toWire(e)
-				s.vcEntriesSent.Add(int64(len(w.VC)))
-				s.tel.vcEntries.Add(int64(len(w.VC)))
-			}
-			if err := writeMsg(&wireMsg{Event: w}); err != nil {
-				fail(fmt.Errorf("encoding to monitor: %w", err))
-				return
-			}
+			entries += fw.event(e, deltaVC)
+		}
+		err := flush()
+		fwMu.Unlock()
+		s.vcEntriesSent.add(int64(entries))
+		if err != nil {
+			fail(fmt.Errorf("encoding to monitor: %w", err))
+			return
 		}
 		dropCheck()
 	}
@@ -806,7 +785,7 @@ func (s *Server) handleMonitor(conn net.Conn, h hello) error {
 		QueueDepth: s.monQueue,
 		Policy:     s.monPolicy,
 		OnTrace: func(t event.TraceID, name string) {
-			pending = append(pending, wireTrace{ID: int(t), Name: name})
+			pending = append(pending, traceAnn{t, name})
 		},
 	})
 	if err != nil {
@@ -832,11 +811,11 @@ func (s *Server) handleMonitor(conn net.Conn, h hello) error {
 				if time.Since(time.Unix(0, lastWrite.Load())) < s.hbInterval {
 					continue
 				}
-				if err := writeMsg(&wireMsg{Heartbeat: true}); err != nil {
+				if err := writeSignal(frameHeartbeat); err != nil {
 					fail(fmt.Errorf("heartbeat to monitor: %w", err))
 					return
 				}
-				s.heartbeats.Add(1)
+				s.heartbeats.add(1)
 			}
 		}
 	}()
@@ -845,8 +824,7 @@ func (s *Server) handleMonitor(conn net.Conn, h hello) error {
 	// a close detector.
 	done := make(chan struct{})
 	go func() {
-		buf := make([]byte, 1)
-		_, _ = conn.Read(buf)
+		_, _ = conn.br.ReadByte()
 		close(done)
 	}()
 
@@ -868,7 +846,7 @@ func (s *Server) handleMonitor(conn net.Conn, h hello) error {
 			// monitors fail over on the notice; single-endpoint clients
 			// ignore it, so keep serving until End/close.
 			drain = nil
-			if err := writeMsg(&wireMsg{Drain: true}); err != nil {
+			if err := writeSignal(frameDrain); err != nil {
 				return fmt.Errorf("drain frame: %w", err)
 			}
 		case <-s.closing:
@@ -880,7 +858,7 @@ func (s *Server) handleMonitor(conn net.Conn, h hello) error {
 				return err
 			default:
 			}
-			if err := writeMsg(&wireMsg{End: true}); err != nil {
+			if err := writeSignal(frameEnd); err != nil {
 				return fmt.Errorf("end frame: %w", err)
 			}
 			return nil

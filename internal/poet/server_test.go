@@ -296,11 +296,12 @@ func TestServerToleratesStaleDuplicates(t *testing.T) {
 	if err := gob.NewDecoder(conn).Decode(&ack); err != nil || !ack.OK {
 		t.Fatalf("hello ack = %+v, %v", ack, err)
 	}
-	enc := gob.NewEncoder(conn)
+	fw := newFrameWriter(conn)
 	send := func(r RawEvent) {
 		t.Helper()
-		if err := enc.Encode(&targetMsg{Event: &r}); err != nil {
-			t.Fatalf("encode: %v", err)
+		fw.raw(&r)
+		if err := fw.flush(); err != nil {
+			t.Fatalf("send: %v", err)
 		}
 	}
 	send(RawEvent{Trace: "p0", Seq: 1, Kind: event.KindInternal, Type: "x"})
@@ -365,7 +366,7 @@ func TestServerGarbageAfterHello(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write([]byte("\x01\x02garbage that is not gob")); err != nil {
+	if _, err := conn.Write([]byte("\x01\x02garbage that is not a frame")); err != nil {
 		t.Fatal(err)
 	}
 	// The server should close; a later good connection still works.

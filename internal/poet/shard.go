@@ -1,11 +1,8 @@
 package poet
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"net"
-	"sync"
 	"time"
 
 	"ocep/internal/backoff"
@@ -26,7 +23,7 @@ import (
 //   - The cross-shard exchange: delivering a send-like event appends a
 //     shardExport record — the send's identity, MsgID, and full vector
 //     timestamp — to an append-only export log. Peer shards tail that
-//     log over the normal OCEP-POET-2 port (hello role "shard"), with
+//     log over the normal wire port (hello role "shard"), with
 //     the timestamp delta-encoded exactly like monitor frames, so only
 //     the changed entries of the exporting shard's frontier travel.
 //     SupplyRemoteSend applies a record idempotently: a receive whose
@@ -255,22 +252,10 @@ func (c *Collector) shardRecordsFrom(idx int) (recs []shardExport, next int, ch 
 // slowly-changing frontier costs a handful of entries per record. The
 // peer never writes after its hello; a background read doubles as the
 // close detector.
-func (s *Server) handleShard(conn net.Conn, dec *gob.Decoder, h hello) error {
+func (s *Server) handleShard(conn *link, h hello) error {
 	c := s.collector
-	enc := gob.NewEncoder(conn)
-	var encMu sync.Mutex
-	writeMsg := func(msg *wireMsg) error {
-		encMu.Lock()
-		defer encMu.Unlock()
-		_ = conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-		return enc.Encode(msg)
-	}
-	sendHello := func(ack helloAck) error {
-		encMu.Lock()
-		defer encMu.Unlock()
-		_ = conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-		return enc.Encode(&ack)
-	}
+	fw := newFrameWriter(conn)
+	sendHello := func(ack helloAck) error { return fw.gob(&ack) }
 	if !c.Sharded() {
 		msg := "sharding not enabled on this collector"
 		_ = sendHello(helloAck{Error: msg})
@@ -285,77 +270,34 @@ func (s *Server) handleShard(conn net.Conn, dec *gob.Decoder, h hello) error {
 	if err := sendHello(helloAck{OK: true, DeltaVC: h.DeltaVC}); err != nil {
 		return fmt.Errorf("shard hello ack: %w", err)
 	}
-	s.shardSessions.Add(1)
-	s.tel.shardConns.Inc()
+	s.shardSessions.add(1)
 	s.logf("poet server: shard peer %s attached at export offset %d", conn.RemoteAddr(), h.ResumeFrom)
 
 	// Shard peers never send after the hello; a background read doubles
 	// as a close detector.
 	done := make(chan struct{})
 	go func() {
-		buf := make([]byte, 1)
-		_, _ = conn.Read(buf)
+		_, _ = conn.br.ReadByte()
 		close(done)
 	}()
 
-	denc := &deltaEncoder{}
+	// The delta baseline is touched only inside this loop, so encoding
+	// order equals stream order — its invariant.
 	idx := h.ResumeFrom
-	hb := time.NewTimer(s.hbInterval)
-	defer hb.Stop()
-	drain := s.drainCh
-	for {
+	return s.streamLog(conn, fw, "shard peer", done, s.drainCh, func() (int, int, <-chan struct{}) {
 		recs, next, ch := c.shardRecordsFrom(idx)
-		for i := range recs {
-			rec := recs[i]
-			var w *wireEvent
-			if h.DeltaVC {
-				// denc is touched only on this loop, so encoding order
-				// equals stream order — the delta baseline's invariant.
-				w = toWireDelta(&event.Event{ID: rec.ID, VC: rec.VC}, denc)
-				s.shardVCEntries.Add(int64(len(w.VCTr)))
-				s.tel.shardVCEntries.Add(int64(len(w.VCTr)))
-			} else {
-				w = toWire(&event.Event{ID: rec.ID, VC: rec.VC})
-				s.shardVCEntries.Add(int64(len(w.VC)))
-				s.tel.shardVCEntries.Add(int64(len(w.VC)))
-			}
-			w.MsgID = rec.MsgID
-			if err := writeMsg(&wireMsg{Shard: w, Head: next}); err != nil {
-				return fmt.Errorf("encoding to shard peer: %w", err)
-			}
-			s.shardRecords.Add(1)
-			s.tel.shardRecords.Inc()
-		}
-		idx = next
 		if len(recs) > 0 {
-			// Re-check for records appended while this batch encoded
-			// before parking.
-			backoff.ResetTimer(hb, s.hbInterval)
-			continue
+			fw.head(next)
 		}
-		select {
-		case <-ch:
-		case <-hb.C:
-			hb.Reset(s.hbInterval)
-			if err := writeMsg(&wireMsg{Heartbeat: true, Head: idx}); err != nil {
-				return fmt.Errorf("heartbeat to shard peer: %w", err)
-			}
-			s.heartbeats.Add(1)
-		case <-done:
-			return nil
-		case <-drain:
-			// Advise the peer to move to this shard's standby; keep
-			// serving until End/close for peers with nowhere to go.
-			drain = nil
-			if err := writeMsg(&wireMsg{Drain: true}); err != nil {
-				return fmt.Errorf("drain frame to shard peer: %w", err)
-			}
-		case <-s.closing:
-			err := writeMsg(&wireMsg{End: true})
-			_ = conn.Close()
-			return err
+		entries := 0
+		for i := range recs {
+			entries += fw.export(&recs[i], h.DeltaVC)
 		}
-	}
+		s.shardVCEntries.add(int64(entries))
+		s.shardRecords.add(int64(len(recs)))
+		idx = next
+		return len(recs), next, ch
+	})
 }
 
 // ---------------------------------------------------------------------
@@ -365,28 +307,12 @@ func (s *Server) handleShard(conn net.Conn, dec *gob.Decoder, h hello) error {
 type ShardOption func(*shardCfg)
 
 type shardCfg struct {
-	reconnectBudget time.Duration
-	backoffBase     time.Duration
-	backoffMax      time.Duration
-	peerTimeout     time.Duration
-	dialTimeout     time.Duration
-	writeTimeout    time.Duration
-	breakerAfter    int
-	breakerProbe    time.Duration
-	logf            func(string, ...any)
+	clientCfg
+	breakerAfter int
+	breakerProbe time.Duration
 }
 
-func defaultShardCfg() shardCfg {
-	return shardCfg{
-		reconnectBudget: defaultReconnectBudget,
-		backoffBase:     defaultBackoffBase,
-		backoffMax:      defaultBackoffMax,
-		peerTimeout:     defaultPeerTimeout,
-		dialTimeout:     defaultDialTimeout,
-		writeTimeout:    defaultWriteTimeout,
-		logf:            func(string, ...any) {},
-	}
-}
+func defaultShardCfg() shardCfg { return shardCfg{clientCfg: defaultClientCfg()} }
 
 // WithShardReconnect bounds the cumulative backoff spent per outage
 // redialing the peer's endpoint pool before the follower finishes with
@@ -492,8 +418,7 @@ type ShardFollower struct {
 	c     *Collector
 	cfg   shardCfg
 
-	mu          sync.Mutex
-	conn        net.Conn
+	follower    // guards the fields below too
 	received    int
 	got         int // records received on the current session
 	head        int
@@ -503,11 +428,6 @@ type ShardFollower struct {
 	lastContact time.Time
 	breaker     int // BreakerClosed / BreakerHalfOpen / BreakerOpen
 	exhaustions int // reconnect budgets exhausted since last session
-	stopped     bool
-	err         error
-
-	stopCh chan struct{}
-	done   chan struct{}
 }
 
 // FollowShardPeer starts tailing the peer shard behind addrs (a
@@ -534,26 +454,16 @@ func FollowShardPeer(addrs string, c *Collector, opts ...ShardOption) (*ShardFol
 		c:           c,
 		cfg:         cfg,
 		lastContact: time.Now(),
-		stopCh:      make(chan struct{}),
-		done:        make(chan struct{}),
 	}
+	f.stopCh, f.done = make(chan struct{}), make(chan struct{})
 	go f.run()
 	return f, nil
 }
 
-// shardApplyError marks causes redialing cannot fix: the local
-// collector refused a record the peer exported (configuration
-// divergence), or the delta stream desynchronized in a way a fresh
-// handshake would only repeat.
-type shardApplyError struct{ err error }
-
-func (e *shardApplyError) Error() string { return e.err.Error() }
-func (e *shardApplyError) Unwrap() error { return e.err }
-
 func (f *ShardFollower) run() {
 	defer close(f.done)
 	for {
-		conn, dec, delta, err := f.connect()
+		conn, err := f.connect()
 		if err != nil {
 			if f.cfg.breakerAfter > 0 && errors.Is(err, ErrStreamInterrupted) {
 				f.mu.Lock()
@@ -563,7 +473,7 @@ func (f *ShardFollower) run() {
 				if !tripped {
 					continue // burn another reconnect budget before tripping
 				}
-				conn, dec, delta, err = f.breakerLoop(err)
+				conn, err = f.breakerLoop(err)
 				if err != nil {
 					f.finish(err)
 					return
@@ -574,17 +484,19 @@ func (f *ShardFollower) run() {
 			}
 		}
 		if conn == nil {
-			f.finish(nil) // stopped mid-backoff or mid-probe
+			f.finish(nil) // stopped mid-backoff, mid-probe, or mid-dial
 			return
 		}
-		cause := f.session(conn, dec, delta)
+		cause := f.session(conn)
 		_ = conn.Close()
 		if f.isStopped() {
 			f.finish(nil)
 			return
 		}
-		var ae *shardApplyError
-		if errors.As(cause, &ae) {
+		if !isTransport(cause) {
+			// The local collector refused a record the peer exported
+			// (configuration divergence), or the delta stream
+			// desynchronized in a way a fresh handshake would only repeat.
 			f.finish(cause)
 			return
 		}
@@ -598,29 +510,30 @@ func (f *ShardFollower) run() {
 // one handshake against each pool endpoint. A success closes the
 // breaker and returns the fresh session; a terminal rejection surfaces;
 // anything else reopens. Returns a nil conn when stopped.
-func (f *ShardFollower) breakerLoop(cause error) (net.Conn, *gob.Decoder, bool, error) {
+func (f *ShardFollower) breakerLoop(cause error) (*link, error) {
 	f.setBreaker(BreakerOpen)
 	f.cfg.logf("poet shard: breaker OPEN for peer %s after %d exhausted reconnect budgets (%v); probing every %v",
 		f.peer, f.cfg.breakerAfter, cause, f.cfg.breakerProbe)
 	for {
 		if !backoff.Sleep(f.cfg.breakerProbe, f.stopCh) {
-			return nil, nil, false, nil
+			return nil, nil
 		}
 		f.setBreaker(BreakerHalfOpen)
 		for _, addr := range f.addrs {
 			if f.isStopped() {
-				return nil, nil, false, nil
+				return nil, nil
 			}
-			conn, dec, delta, err := f.handshake(addr)
+			conn, err := f.handshake(addr)
 			if err == nil {
 				f.eps.Success(addr)
-				f.registerSession(conn)
 				f.setBreaker(BreakerClosed)
-				f.cfg.logf("poet shard: breaker closed; following %s again (export log from zero)", addr)
-				return conn, dec, delta, nil
+				if conn != nil {
+					f.cfg.logf("poet shard: breaker closed; following %s again (export log from zero)", addr)
+				}
+				return conn, nil
 			}
 			if errors.Is(err, ErrSessionRejected) {
-				return nil, nil, false, err
+				return nil, err
 			}
 		}
 		f.setBreaker(BreakerOpen)
@@ -633,11 +546,38 @@ func (f *ShardFollower) setBreaker(state int) {
 	f.mu.Unlock()
 }
 
-// registerSession records a fresh session's bookkeeping: the handshake
-// counts as peer contact, and per-session counters restart.
-func (f *ShardFollower) registerSession(conn net.Conn) {
+// connect completes one handshake against the peer's pool within the
+// per-outage reconnect budget. Returns a nil conn when stopped.
+func (f *ShardFollower) connect() (conn *link, err error) {
+	err = redial(f.eps, f.cfg.reconnectBudget, f.stopCh, func(addr string) error {
+		if conn, err = f.handshake(addr); err == nil && conn != nil {
+			f.cfg.logf("poet shard: following %s (export log from zero)", addr)
+		}
+		return err
+	})
+	switch {
+	case err == nil || errors.Is(err, ErrClientClosed):
+		return conn, nil
+	case errors.Is(err, ErrSessionRejected):
+		return nil, err
+	}
+	return nil, fmt.Errorf("poet shard: %w; peer %s: %v", ErrStreamInterrupted, f.peer, err)
+}
+
+// handshake dials one endpoint and publishes the fresh session's
+// bookkeeping: the handshake counts as peer contact, and per-session
+// counters restart. Returns a nil conn when Stop raced the dial.
+func (f *ShardFollower) handshake(addr string) (*link, error) {
+	s, err := dialSession(addr, hello{Magic: wireMagic, Role: roleShard, DeltaVC: true},
+		&f.cfg.clientCfg, max(f.cfg.peerTimeout, minHandshakeTimeout))
+	if err != nil {
+		return nil, err
+	}
 	f.mu.Lock()
-	f.conn = conn
+	defer f.mu.Unlock()
+	if !f.publishLocked(s.link) {
+		return nil, nil
+	}
 	f.got = 0
 	f.sessions++
 	if f.sessions > 1 {
@@ -646,184 +586,52 @@ func (f *ShardFollower) registerSession(conn net.Conn) {
 	f.connected = true
 	f.exhaustions = 0
 	f.lastContact = time.Now()
-	f.mu.Unlock()
-}
-
-// connect completes one handshake against the peer's pool, pacing full
-// failed rounds with the shared backoff until the per-outage budget is
-// exhausted.
-func (f *ShardFollower) connect() (net.Conn, *gob.Decoder, bool, error) {
-	var slept time.Duration
-	for {
-		if f.isStopped() {
-			return nil, nil, false, nil
-		}
-		addr := f.eps.Pick()
-		conn, dec, delta, err := f.handshake(addr)
-		if err == nil {
-			f.eps.Success(addr)
-			f.registerSession(conn)
-			f.cfg.logf("poet shard: following %s (export log from zero)", addr)
-			return conn, dec, delta, nil
-		}
-		if errors.Is(err, ErrSessionRejected) {
-			return nil, nil, false, err
-		}
-		d := f.eps.Fail(addr, err)
-		if d == 0 {
-			continue // healthy alternative: try it immediately
-		}
-		if slept+d > f.cfg.reconnectBudget {
-			sum := f.eps.ErrorSummary()
-			if sum == nil {
-				sum = err
-			}
-			return nil, nil, false, fmt.Errorf("poet shard: %w; peer %s unreachable for %v (%v)",
-				ErrStreamInterrupted, f.peer, f.cfg.reconnectBudget, sum)
-		}
-		slept += d
-		if !backoff.Sleep(d, f.stopCh) {
-			return nil, nil, false, nil
-		}
-	}
-}
-
-func (f *ShardFollower) handshake(addr string) (net.Conn, *gob.Decoder, bool, error) {
-	conn, err := net.DialTimeout("tcp", addr, f.cfg.dialTimeout)
-	if err != nil {
-		return nil, nil, false, fmt.Errorf("dial: %w", err)
-	}
-	enc := gob.NewEncoder(conn)
-	_ = conn.SetWriteDeadline(time.Now().Add(f.cfg.writeTimeout))
-	if err := enc.Encode(hello{Magic: wireMagic, Role: roleShard, ResumeFrom: 0, DeltaVC: true}); err != nil {
-		_ = conn.Close()
-		return nil, nil, false, fmt.Errorf("hello: %w", err)
-	}
-	dec := gob.NewDecoder(conn)
-	hsTimeout := f.cfg.peerTimeout
-	if hsTimeout < minHandshakeTimeout {
-		hsTimeout = minHandshakeTimeout
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(hsTimeout))
-	var ack helloAck
-	if err := dec.Decode(&ack); err != nil {
-		_ = conn.Close()
-		return nil, nil, false, fmt.Errorf("hello ack: %w", err)
-	}
-	if !ack.OK {
-		_ = conn.Close()
-		if ack.Retry {
-			return nil, nil, false, fmt.Errorf("session deferred: %s", ack.Error)
-		}
-		return nil, nil, false, fmt.Errorf("%w: %s", ErrSessionRejected, ack.Error)
-	}
-	return conn, dec, ack.DeltaVC, nil
+	return s.link, nil
 }
 
 // session applies one connection's export stream until it ends.
-func (f *ShardFollower) session(conn net.Conn, dec *gob.Decoder, delta bool) error {
+func (f *ShardFollower) session(conn *link) error {
 	defer func() {
 		f.mu.Lock()
 		f.connected = false
 		f.mu.Unlock()
 	}()
-	ddec := &deltaDecoder{sparse: f.c.SparseClocks()}
+	fr := &frameReader{br: conn.br, sparse: f.c.SparseClocks()}
+	var fm frame
 	addr := conn.RemoteAddr().String()
 	for {
-		_ = conn.SetReadDeadline(time.Now().Add(f.cfg.peerTimeout))
-		var msg wireMsg
-		if err := dec.Decode(&msg); err != nil {
+		if err := fr.next(&fm); err != nil {
 			if isTimeout(err) {
 				f.cfg.logf("poet shard: no record or heartbeat from %s in %v; reconnecting", addr, f.cfg.peerTimeout)
 			}
+			if errors.Is(err, errNoBaseline) {
+				return &divergenceError{fmt.Errorf("poet shard: %w", err)}
+			}
 			return err
+		}
+		if fm.kind == frameExport {
+			if err := f.c.SupplyRemoteSend(fm.exp.MsgID, fm.exp.ID, fm.exp.VC); err != nil {
+				return &divergenceError{fmt.Errorf("poet shard: applying export %d from %s: %w", fm.exp.MsgID, addr, err)}
+			}
 		}
 		f.mu.Lock()
 		f.lastContact = time.Now()
-		f.mu.Unlock()
-		if msg.Head > 0 {
-			f.mu.Lock()
-			if msg.Head > f.head {
-				f.head = msg.Head
-			}
-			f.mu.Unlock()
-		}
-		switch {
-		case msg.Drain, msg.End:
-			// The peer is going away; rotate toward its standby. When no
-			// alternative looks healthy on a mere drain notice, hold the
-			// session — the peer keeps exporting until its End frame.
-			if msg.End || f.eps.HealthyAlternative(addr) {
-				f.eps.Demote(addr)
-				return fmt.Errorf("peer %s %s", addr, map[bool]string{true: "ended its stream", false: "draining"}[msg.End])
-			}
-		case msg.Heartbeat:
-			// Head already tracked above.
-		case msg.Shard != nil:
-			var vc vclock.Clock
-			if delta {
-				c, err := ddec.decode(msg.Shard)
-				if err != nil {
-					return &shardApplyError{fmt.Errorf("poet shard: %w", err)}
-				}
-				vc = c
-			} else {
-				vc = vclock.VC(msg.Shard.VC)
-			}
-			id := event.ID{Trace: event.TraceID(msg.Shard.Trace), Index: msg.Shard.Index}
-			if err := f.c.SupplyRemoteSend(msg.Shard.MsgID, id, vc); err != nil {
-				return &shardApplyError{fmt.Errorf("poet shard: applying export %d from %s: %w", msg.Shard.MsgID, addr, err)}
-			}
-			f.mu.Lock()
+		switch fm.kind {
+		case frameHead:
+			f.head = max(f.head, fm.head)
+		case frameExport:
 			f.received++
 			f.got++
-			f.mu.Unlock()
+		}
+		f.mu.Unlock()
+		// The peer is going away; rotate toward its standby. When no
+		// alternative looks healthy on a mere drain notice, hold the
+		// session — the peer keeps exporting until its End frame.
+		if fm.kind == frameEnd || fm.kind == frameDrain && f.eps.HealthyAlternative(addr) {
+			f.eps.Demote(addr)
+			return fmt.Errorf("peer %s %s", addr, map[bool]string{true: "ended its stream", false: "draining"}[fm.kind == frameEnd])
 		}
 	}
-}
-
-func (f *ShardFollower) isStopped() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.stopped
-}
-
-func (f *ShardFollower) finish(err error) {
-	f.mu.Lock()
-	if f.err == nil {
-		f.err = err
-	}
-	f.mu.Unlock()
-}
-
-// Stop detaches from the peer. Wait on Done for the session goroutine.
-func (f *ShardFollower) Stop() {
-	f.mu.Lock()
-	if f.stopped {
-		f.mu.Unlock()
-		return
-	}
-	f.stopped = true
-	conn := f.conn
-	f.mu.Unlock()
-	close(f.stopCh)
-	if conn != nil {
-		_ = conn.Close()
-	}
-}
-
-// Done is closed when the follower has stopped, for any reason; Err
-// then says why.
-func (f *ShardFollower) Done() <-chan struct{} { return f.done }
-
-// Err returns why following ended: nil (Stop), an ErrStreamInterrupted
-// wrap (peer unreachable past the budget), a terminal
-// ErrSessionRejected wrap, or a shard apply error (configuration
-// divergence).
-func (f *ShardFollower) Err() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.err
 }
 
 // Stats returns the follower's exchange counters.

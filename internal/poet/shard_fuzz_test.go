@@ -1,8 +1,8 @@
 package poet
 
 import (
+	"bufio"
 	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"ocep/internal/event"
@@ -12,11 +12,11 @@ import (
 // FuzzShardFrontierCodec interprets the fuzz input as a program driving
 // a shard export session's frontier: a vector clock is mutated per
 // record (the exporting shard's advancing frontier) and each export is
-// pushed through the exact wire path a shard session uses — toWireDelta
-// with a per-session encoder, a gob round-trip of the wireMsg carrying
-// it as a Shard frame, and a per-connection deltaDecoder on the far
-// side, once sparse and once dense. Any divergence between the decoded
-// timestamp and the encoder's input, or a lost MsgID/identity, fails.
+// pushed through the exact wire path a shard session uses — a
+// per-session frameWriter emitting a head count and a delta-encoded
+// export frame, and a per-connection frameReader on the far side, once
+// sparse and once dense. Any divergence between the decoded timestamp
+// and the encoder's input, or a lost MsgID/identity/head, fails.
 //
 // Opcodes (byte pairs: op, operand), in the style of the delta-VC
 // corpus in internal/vclock:
@@ -33,44 +33,42 @@ func FuzzShardFrontierCodec(f *testing.F) {
 	f.Add([]byte{3, 0})
 	f.Fuzz(func(t *testing.T, program []byte) {
 		var frontier vclock.Clock = vclock.VC(nil)
-		denc := &deltaEncoder{}
-		sparseDec := &deltaDecoder{sparse: true}
-		denseDec := &deltaDecoder{}
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		dec := gob.NewDecoder(&buf)
+		var wire, spBuf, dnBuf bytes.Buffer
+		fw := newFrameWriter(&wire)
+		readers := map[string]*frameReader{
+			"sparse": {br: bufio.NewReader(&spBuf), sparse: true},
+			"dense":  {br: bufio.NewReader(&dnBuf)},
+		}
 		trace := 0
 		export := func(step int, msgID uint64, vc vclock.Clock) {
 			id := event.ID{Trace: event.TraceID(trace % 64), Index: step + 1}
-			w := toWireDelta(&event.Event{ID: id, VC: vc}, denc)
-			w.MsgID = msgID
-			if err := enc.Encode(&wireMsg{Shard: w, Head: step + 1}); err != nil {
+			fw.head(step + 1)
+			fw.export(&shardExport{MsgID: msgID, ID: id, VC: vc}, true)
+			if err := fw.flush(); err != nil {
 				t.Fatalf("step %d: encode: %v", step, err)
 			}
-			var msg wireMsg
-			if err := dec.Decode(&msg); err != nil {
-				t.Fatalf("step %d: decode: %v", step, err)
-			}
-			if msg.Shard == nil || msg.Shard.MsgID != msgID {
-				t.Fatalf("step %d: shard frame lost its MsgID: %+v", step, msg.Shard)
-			}
-			if got := (event.ID{Trace: event.TraceID(msg.Shard.Trace), Index: msg.Shard.Index}); got != id {
-				t.Fatalf("step %d: identity mangled: %v, want %v", step, got, id)
-			}
-			// Both decoder representations must reconstruct the stamp; the
-			// sparse one consumes a copy of the frame first (decode
-			// mutates nothing, but keep ordering symmetric with a real
-			// session, where exactly one decoder sees each frame).
-			sp, err := sparseDec.decode(msg.Shard)
-			if err != nil {
-				t.Fatalf("step %d: sparse decode: %v", step, err)
-			}
-			dn, err := denseDec.decode(msg.Shard)
-			if err != nil {
-				t.Fatalf("step %d: dense decode: %v", step, err)
-			}
-			if !sp.Equal(vc) || !dn.Equal(vc) {
-				t.Fatalf("step %d: decoded %s / %s, want %s", step, sp, dn, vc)
+			// Exactly one decoder sees each frame in a real session; here
+			// each representation gets its own copy of the bytes.
+			spBuf.Write(wire.Bytes())
+			dnBuf.Write(wire.Bytes())
+			wire.Reset()
+			for name, fr := range readers {
+				var f frame
+				if err := fr.next(&f); err != nil || f.kind != frameHead || f.head != step+1 {
+					t.Fatalf("step %d: %s head frame = %+v, %v", step, name, f, err)
+				}
+				if err := fr.next(&f); err != nil || f.kind != frameExport {
+					t.Fatalf("step %d: %s decode: kind %d, %v", step, name, f.kind, err)
+				}
+				if f.exp.MsgID != msgID {
+					t.Fatalf("step %d: %s export frame lost its MsgID: %+v", step, name, f.exp)
+				}
+				if f.exp.ID != id {
+					t.Fatalf("step %d: %s identity mangled: %v, want %v", step, name, f.exp.ID, id)
+				}
+				if !f.exp.VC.Equal(vc) {
+					t.Fatalf("step %d: %s decoded %s, want %s", step, name, f.exp.VC, vc)
+				}
 			}
 		}
 		for i := 0; i+1 < len(program); i += 2 {

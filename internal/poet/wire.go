@@ -1,39 +1,47 @@
 package poet
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"io"
+	"net"
+	"sync"
+	"time"
 
+	"ocep/internal/backoff"
 	"ocep/internal/event"
-	"ocep/internal/vclock"
+	"ocep/internal/pool"
 )
 
-// Wire protocol v2 ("OCEP-POET-2"): every connection opens with a hello
-// naming its role; the server answers target and monitor hellos with a
-// helloAck (query connections keep their request/response framing).
-// After the handshake:
+// Wire protocol v3 ("OCEP-POET-3"); docs/ARCHITECTURE.md has the frame
+// layout table. Every connection opens with a gob hello naming its role,
+// answered (for every role but query) by a gob helloAck. After that the
+// data direction of the four streaming roles speaks the binary frame
+// codec of frame.go — target→server raw events, server→monitor
+// delivered events, server→replica records, server→shard exports, each
+// with its in-band heartbeat/drain/end/head frames — while the cold
+// reverse direction (serverAck at the ack interval, replicaAck per
+// applied burst) and the query role stay gob: their structs grow fields
+// without a format change, and none of it shows in a profile.
 //
-//   - target connections stream targetMsg frames (events or idle
-//     heartbeats) and receive periodic serverAck frames carrying the
-//     highest contiguous (trace, seq) the collector has ingested — the
-//     acks double as server-side heartbeats;
-//   - monitor connections receive wireMsg frames: trace announcements,
-//     events, idle heartbeats, and an explicit End frame on graceful
-//     shutdown, so an abrupt peer death is distinguishable from a clean
-//     end of stream.
+// A writer buffers every record its producer already has in hand — the
+// delivery batch, the reporter's unsent window, the record-log suffix —
+// and flushes when that source is exhausted: one deadline and one
+// write(2) per burst, no timer, so a lone event leaves at once.
 //
 // Reconnecting peers resume: a target hello names the traces it is
 // retransmitting (the helloAck returns the server's ack for each, so
 // already-ingested events are pruned before replay), and a monitor hello
 // carries ResumeFrom, the number of linearized events already received,
-// so the server replays only the suffix. Everything is gob-encoded
-// directly on the connection.
+// so the server replays only the suffix. All per-connection codec state
+// restarts with the handshake.
 //
-// Compatibility: the magic bump from OCEP-POET-1 is deliberate — v1
-// peers did not read a helloAck and had no ack/heartbeat/resume frames,
-// so the server rejects them at the handshake instead of desynchronizing
-// mid-stream.
+// Compatibility: v3 replaces the gob data messages of v2 outright, as v2
+// replaced v1's ack-less stream; the server rejects both older magics at
+// the handshake instead of desynchronizing mid-stream.
 
 // Connection roles.
 const (
@@ -61,21 +69,22 @@ type hello struct {
 	// DeltaVC (monitor role) advertises that the client can decode
 	// delta-encoded vector timestamps. The server echoes it in the
 	// helloAck when it agrees; either side left at false keeps the
-	// connection on dense clocks. gob ignores unknown fields, so v2
-	// peers that predate the flag negotiate dense without a magic bump.
+	// connection on dense clocks.
 	DeltaVC bool
 	// ReplicaFrom (replica role) is the number of event records the
 	// replica has already applied; the server replays the record stream
 	// from just past that point (trace records in the skipped prefix
-	// were applied strictly in order, so they need no replay). Like
-	// DeltaVC, it is a new-in-struct field: no magic bump.
+	// were applied strictly in order, so they need no replay).
 	ReplicaFrom int
 }
 
-const wireMagic = "OCEP-POET-2"
+const wireMagic = "OCEP-POET-3"
 
-// wireMagicV1 is recognized only to produce a targeted rejection.
-const wireMagicV1 = "OCEP-POET-1"
+// The older magics are recognized only to produce a targeted rejection.
+const (
+	wireMagicV1 = "OCEP-POET-1"
+	wireMagicV2 = "OCEP-POET-2"
+)
 
 // helloAck is the server's handshake response to target and monitor
 // hellos.
@@ -85,9 +94,8 @@ type helloAck struct {
 	// Acks (target role) is the server's contiguous ingest position for
 	// each trace named in the hello.
 	Acks []traceAck
-	// DeltaVC confirms delta-encoded timestamps for this monitor
-	// session. False from a server that predates the flag (gob zeroes
-	// missing fields), so the client falls back to dense.
+	// DeltaVC confirms delta-encoded timestamps for this monitor or
+	// shard session.
 	DeltaVC bool
 	// Retry marks a rejection as retriable: the server is a standby
 	// awaiting promotion or is draining, so the same hello may succeed
@@ -102,13 +110,6 @@ type helloAck struct {
 type traceAck struct {
 	Trace string
 	Seq   int
-}
-
-// targetMsg is one target-to-server frame: an event, or a bare idle
-// heartbeat.
-type targetMsg struct {
-	Event     *RawEvent
-	Heartbeat bool
 }
 
 // serverAck is one server-to-target frame. A frame with unchanged Acks
@@ -126,40 +127,6 @@ type serverAck struct {
 	Drain bool
 }
 
-// wireMsg is one server-to-monitor (and server-to-replica) message:
-// exactly one of Trace/Event/Raw/Heartbeat/End/Drain is set (Head rides
-// along on replica frames).
-type wireMsg struct {
-	Trace *wireTrace
-	Event *wireEvent
-	// Heartbeat marks an idle keep-alive frame.
-	Heartbeat bool
-	// End marks a graceful end of stream (server shutdown). Absent an
-	// End frame, a broken connection is an interruption, never a clean
-	// EOF.
-	End bool
-	// Raw is one ingestion-ordered event record on a replica session
-	// (monitor sessions carry delivered events as Event instead).
-	Raw *RawEvent
-	// Drain announces an orderly shutdown ahead of the End frame.
-	// Pooled monitors fail over immediately; a replica treats it as the
-	// primary's clean handoff and promotes.
-	Drain bool
-	// Head, on replica-session frames, is the server's current ingest
-	// count (event records), letting the replica compute its lag even
-	// while the stream is idle. On shard-session frames it is the export
-	// log length instead.
-	Head int
-	// Shard is one cross-shard export record: a stamped send event
-	// another shard may need to deliver a receive. Only the identity,
-	// timestamp, and MsgID fields are meaningful; the timestamp travels
-	// dense or delta-encoded exactly like monitor frames. Shard records
-	// also appear on replica sessions, placed at the position the
-	// primary applied them, so a standby rebuilds the identical
-	// linearization. New-in-struct gob field: no magic bump.
-	Shard *wireEvent
-}
-
 // replicaAck is one replica-to-server frame: the number of event
 // records the replica has durably applied (a bare heartbeat when
 // nothing advanced). The server's replication barrier releases reporter
@@ -169,137 +136,223 @@ type replicaAck struct {
 	Heartbeat bool
 }
 
-// wireTrace announces a trace's ID and name before its first event.
-type wireTrace struct {
-	ID   int
-	Name string
+// link is one end of a wire connection. It moves each deadline onto the
+// syscall it guards — a fresh one is armed before every read(2) and
+// write(2), not before every message — and owns the connection's one
+// inbound buffer: the gob handshake decoder and the frameReader both
+// read through br, so bytes that arrive in the same segment as the
+// handshake are never stranded in a decoder's private read-ahead
+// (gob.NewDecoder wraps anything that is not an io.ByteReader in a
+// bufio.Reader of its own).
+type link struct {
+	net.Conn
+	// readTimeout and writeTimeout arm the deadlines when positive. Each
+	// is touched only by the goroutine doing that direction's I/O.
+	readTimeout, writeTimeout time.Duration
+	br                        *bufio.Reader
+	// onRead, when set, is told of every read(2) that returned data.
+	onRead func()
 }
 
-// wireEvent is a delivered event in transit. The timestamp travels in
-// exactly one of two spellings, fixed per connection at the handshake:
-//
-//   - dense (DeltaVC not negotiated): VC carries the full vector;
-//   - delta (DeltaVC negotiated): VCTr/VCN carry only the entries whose
-//     value differs from the previous event sent on this connection,
-//     including explicit zero values for entries that vanished (the
-//     linearization interleaves traces, so timestamps are not
-//     per-component monotone along the stream). The baseline is the
-//     all-zero vector at handshake time, so the first event's delta is
-//     its full set of nonzero entries; VCFull marks that frame so a
-//     desynchronized decoder fails loudly instead of mis-stamping.
-//
-// Reconnect/resume safety falls out of the handshake reset: every
-// (re)connection re-runs the hello, both sides restart from the zero
-// baseline, and replayed suffixes are re-encoded fresh.
-type wireEvent struct {
-	Trace, Index               int
-	Kind                       event.Kind
-	Type, Text                 string
-	VC                         vclock.VC
-	PartnerTrace, PartnerIndex int
-	// VCTr/VCN are the delta entries: parallel (trace, new value) pairs.
-	VCTr, VCN []int32
-	// VCFull marks the first frame of a connection's delta stream (a
-	// delta against the all-zero baseline).
-	VCFull bool
-	// MsgID identifies the message a cross-shard export record's send
-	// belongs to; zero on monitor frames. New-in-struct gob field: no
-	// magic bump.
-	MsgID uint64
+func newLink(conn net.Conn, readTimeout, writeTimeout time.Duration) *link {
+	l := &link{Conn: conn, readTimeout: readTimeout, writeTimeout: writeTimeout}
+	l.br = bufio.NewReaderSize(l, frameBufSize)
+	return l
 }
 
-func toWire(e *event.Event) *wireEvent {
-	return &wireEvent{
-		Trace:        int(e.ID.Trace),
-		Index:        e.ID.Index,
-		Kind:         e.Kind,
-		Type:         e.Type,
-		Text:         e.Text,
-		VC:           denseView(e.VC),
-		PartnerTrace: int(e.Partner.Trace),
-		PartnerIndex: e.Partner.Index,
+func (l *link) Read(p []byte) (int, error) {
+	if l.readTimeout > 0 {
+		_ = l.Conn.SetReadDeadline(time.Now().Add(l.readTimeout))
+	}
+	n, err := l.Conn.Read(p)
+	if n > 0 && l.onRead != nil {
+		l.onRead()
+	}
+	return n, err
+}
+
+func (l *link) Write(p []byte) (int, error) {
+	if l.writeTimeout > 0 {
+		_ = l.Conn.SetWriteDeadline(time.Now().Add(l.writeTimeout))
+	}
+	return l.Conn.Write(p)
+}
+
+// clientCfg is what the client ends of the four streaming roles
+// configure alike.
+type clientCfg struct {
+	// reconnectBudget bounds the cumulative backoff per outage; the pool
+	// paces failed rounds between backoffBase and backoffMax.
+	reconnectBudget, backoffBase, backoffMax time.Duration
+	// peerTimeout is how long the inbound direction may stay silent
+	// before the connection is declared dead.
+	peerTimeout, dialTimeout, writeTimeout time.Duration
+	logf                                   func(string, ...any)
+}
+
+func defaultClientCfg() clientCfg {
+	return clientCfg{
+		reconnectBudget: defaultReconnectBudget,
+		backoffBase:     defaultBackoffBase,
+		backoffMax:      defaultBackoffMax,
+		peerTimeout:     defaultPeerTimeout,
+		dialTimeout:     defaultDialTimeout,
+		writeTimeout:    defaultWriteTimeout,
+		logf:            func(string, ...any) {},
 	}
 }
 
-func fromWire(w *wireEvent) *event.Event {
-	return &event.Event{
-		ID:      event.ID{Trace: event.TraceID(w.Trace), Index: w.Index},
-		Kind:    w.Kind,
-		Type:    w.Type,
-		Text:    w.Text,
-		VC:      vclock.VC(w.VC),
-		Partner: event.ID{Trace: event.TraceID(w.PartnerTrace), Index: w.PartnerIndex},
-	}
+// session is the client end of a freshly handshaken connection.
+type session struct {
+	*link
+	// enc and dec carried the hello and the helloAck; a role whose cold
+	// reverse direction stays gob keeps using the same pair (a second
+	// encoder on the stream would resend type definitions).
+	enc *gob.Encoder
+	dec *gob.Decoder
+	ack helloAck
 }
 
-// denseView returns a dense read-only view of c: the clock itself when
-// it is already dense (stamps are immutable once delivered, so sharing
-// is safe for encoding), a dense copy otherwise.
-func denseView(c vclock.Clock) vclock.VC {
-	if v, ok := c.(vclock.VC); ok {
-		return v
+// dialSession dials addr, sends h, and reads the helloAck under
+// ackTimeout (see minHandshakeTimeout); the peer timeout guards the
+// reads after it. A refused session closes the connection: a retriable
+// refusal (standby awaiting promotion, draining server) reads like a
+// dial failure so endpoint pools rotate and keep probing, a terminal one
+// wraps ErrSessionRejected.
+func dialSession(addr string, h hello, cfg *clientCfg, ackTimeout time.Duration) (*session, error) {
+	conn, err := net.DialTimeout("tcp", addr, cfg.dialTimeout)
+	if err != nil {
+		return nil, fmt.Errorf("dial: %w", err)
 	}
-	return vclock.DenseOf(c)
-}
-
-// toWireDelta is toWire with the timestamp delta-encoded against d's
-// baseline instead of carried as a full vector.
-func toWireDelta(e *event.Event, d *deltaEncoder) *wireEvent {
-	w := &wireEvent{
-		Trace:        int(e.ID.Trace),
-		Index:        e.ID.Index,
-		Kind:         e.Kind,
-		Type:         e.Type,
-		Text:         e.Text,
-		PartnerTrace: int(e.Partner.Trace),
-		PartnerIndex: e.Partner.Index,
+	s := &session{link: newLink(conn, ackTimeout, cfg.writeTimeout)}
+	s.enc, s.dec = gob.NewEncoder(s.link), gob.NewDecoder(s.br)
+	if err := s.enc.Encode(h); err != nil {
+		_ = conn.Close()
+		return nil, fmt.Errorf("hello: %w", err)
 	}
-	d.encode(e.VC, w)
-	return w
-}
-
-// deltaEncoder turns event timestamps into per-connection deltas. It
-// lives on the server side of one monitor connection; its baseline is
-// the timestamp of the previous event encoded on that connection
-// (all-zero after the handshake).
-type deltaEncoder struct {
-	base vclock.VC
-	sent bool
-}
-
-// encode fills w's delta fields with the entries of vc that differ from
-// the baseline and advances the baseline. Entry order is two sorted
-// runs (changed/new entries, then vanished ones); the decoder applies
-// entries independently, so order is irrelevant to correctness.
-func (d *deltaEncoder) encode(vc vclock.Clock, w *wireEvent) {
-	w.VCFull = !d.sent
-	d.sent = true
-	if vc != nil {
-		vc.Range(func(t int, n int32) bool {
-			if int32(d.base.Get(t)) != n {
-				w.VCTr = append(w.VCTr, int32(t))
-				w.VCN = append(w.VCN, n)
-			}
-			return true
-		})
+	if err := s.dec.Decode(&s.ack); err != nil {
+		_ = conn.Close()
+		return nil, fmt.Errorf("hello ack: %w", err)
 	}
-	d.base.Range(func(t int, _ int32) bool {
-		if vclockGet(vc, t) == 0 {
-			w.VCTr = append(w.VCTr, int32(t))
-			w.VCN = append(w.VCN, 0)
+	if !s.ack.OK {
+		_ = conn.Close()
+		if s.ack.Retry {
+			return nil, fmt.Errorf("session deferred: %s", s.ack.Error)
 		}
-		return true
-	})
-	for i, t := range w.VCTr {
-		d.base = d.base.Set(int(t), w.VCN[i])
+		return nil, fmt.Errorf("%w: %s", ErrSessionRejected, s.ack.Error)
+	}
+	s.readTimeout = cfg.peerTimeout
+	return s, nil
+}
+
+// follower is the lifecycle the two log-tailing clients (Replicator,
+// ShardFollower) share: the live connection, published under mu so Stop
+// can sever it; the stop signal; and why following ended.
+type follower struct {
+	mu      sync.Mutex
+	conn    *link
+	stopped bool
+	err     error
+	stopCh  chan struct{}
+	done    chan struct{}
+}
+
+// publishLocked makes conn the connection Stop will close. Stop may have
+// raced the dial — it closes only a published connection — so stopped is
+// re-checked here, under the lock that publishes: a follower stopped
+// meanwhile closes the connection itself, instead of sitting out a peer
+// timeout on a session nobody can interrupt. Caller holds mu.
+func (f *follower) publishLocked(conn *link) bool {
+	if f.stopped {
+		_ = conn.Close()
+		return false
+	}
+	f.conn = conn
+	return true
+}
+
+func (f *follower) isStopped() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.stopped
+}
+
+func (f *follower) finish(err error) {
+	f.mu.Lock()
+	if f.err == nil {
+		f.err = err
+	}
+	f.mu.Unlock()
+}
+
+// Stop detaches from the peer (for a Replicator: manual promotion). The
+// caller should wait on Done for the session goroutine.
+func (f *follower) Stop() {
+	f.mu.Lock()
+	if f.stopped {
+		f.mu.Unlock()
+		return
+	}
+	f.stopped = true
+	conn := f.conn
+	f.mu.Unlock()
+	close(f.stopCh)
+	if conn != nil {
+		_ = conn.Close()
 	}
 }
 
-func vclockGet(c vclock.Clock, t int) int {
-	if c == nil {
-		return 0
+// Done is closed when following has stopped, for any reason; Err then
+// says why.
+func (f *follower) Done() <-chan struct{} { return f.done }
+
+// Err returns why following ended: nil (Stop was called), an
+// ErrStreamInterrupted wrap (peer unreachable past the reconnect budget
+// — a standby's cue to promote), a terminal ErrSessionRejected wrap
+// (misconfigured pairing — do not promote), a record the local collector
+// refused, or, for a Replicator, ErrPrimaryDrained (clean handoff).
+func (f *follower) Err() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.err
+}
+
+// redial tries the pool's endpoints until try succeeds, sleeping the
+// pool's backoff only when a whole round has failed, while the
+// cumulative sleep stays within budget (zero: one round, for the
+// synchronous first dial). It ends early with ErrClientClosed when stop
+// closes or try says so, and with a terminal ErrSessionRejected from
+// try — another endpoint cannot make a refusal wrong.
+func redial(eps *pool.Pool, budget time.Duration, stop <-chan struct{}, try func(ep string) error) error {
+	var slept time.Duration
+	for {
+		if !backoff.Sleep(0, stop) {
+			return ErrClientClosed
+		}
+		ep := eps.Pick()
+		err := try(ep)
+		if err == nil {
+			eps.Success(ep)
+			return nil
+		}
+		if errors.Is(err, ErrSessionRejected) || errors.Is(err, ErrClientClosed) {
+			return err
+		}
+		d := eps.Fail(ep, err)
+		if slept+d > budget {
+			if sum := eps.ErrorSummary(); sum != nil {
+				err = sum
+			}
+			if budget > 0 {
+				err = fmt.Errorf("reconnect budget %v exhausted: %w", budget, err)
+			}
+			return err
+		}
+		slept += d
+		if !backoff.Sleep(d, stop) {
+			return ErrClientClosed
+		}
 	}
-	return c.Get(t)
 }
 
 // byteCounter is an io.Writer that only counts.
@@ -310,82 +363,52 @@ func (b *byteCounter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// MeasureWire gob-encodes evs exactly as one monitor session would —
-// dense or delta-encoded timestamps — and reports the encoded bytes and
-// the number of timestamp entries shipped. The delta variant buffers
-// its stream, decodes it back, and verifies every reconstructed
-// timestamp against the original, so a measurement run doubles as a
-// codec differential; the dense variant streams into a pure counter
-// (a dense stream at tens of thousands of traces is too large to hold).
-// Supports the -tracescale experiment; not on the serving path.
+// MeasureWire frames evs exactly as one monitor session would — a trace
+// announcement before each trace's first event (named "t<id>": the
+// events do not carry names), then the events with dense or
+// delta-encoded timestamps — and reports the encoded bytes and the
+// number of timestamp entries shipped. The delta variant buffers its
+// stream, decodes it back, and verifies every reconstructed timestamp
+// against the original, so a measurement run doubles as a codec
+// differential; the dense variant streams into a pure counter (a dense
+// stream at tens of thousands of traces is too large to hold). Supports
+// the -tracescale experiment; not on the serving path.
 func MeasureWire(evs []*event.Event, delta bool) (wireBytes int64, vcEntries int, err error) {
-	if !delta {
-		var bc byteCounter
-		enc := gob.NewEncoder(&bc)
-		for _, e := range evs {
-			w := toWire(e)
-			vcEntries += len(w.VC)
-			if err := enc.Encode(&wireMsg{Event: w}); err != nil {
-				return bc.n, vcEntries, err
-			}
+	var (
+		buf  bytes.Buffer
+		bc   byteCounter
+		sink io.Writer = &bc
+	)
+	if delta {
+		sink = &buf
+	}
+	fw := newFrameWriter(sink)
+	announced := make(map[event.TraceID]bool)
+	for _, e := range evs {
+		if !announced[e.ID.Trace] {
+			announced[e.ID.Trace] = true
+			fw.trace(e.ID.Trace, fmt.Sprintf("t%d", int(e.ID.Trace)))
 		}
+		vcEntries += fw.event(e, delta)
+	}
+	if err := fw.flush(); err != nil {
+		return 0, vcEntries, err
+	}
+	if !delta {
 		return bc.n, vcEntries, nil
 	}
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	denc := &deltaEncoder{}
-	for _, e := range evs {
-		w := toWireDelta(e, denc)
-		vcEntries += len(w.VCTr)
-		if err := enc.Encode(&wireMsg{Event: w}); err != nil {
-			return int64(buf.Len()), vcEntries, err
-		}
-	}
 	wireBytes = int64(buf.Len())
-	dec := gob.NewDecoder(&buf)
-	ddec := &deltaDecoder{}
+	fr := &frameReader{br: bufio.NewReader(&buf)}
+	var f frame
 	for _, e := range evs {
-		var msg wireMsg
-		if err := dec.Decode(&msg); err != nil {
-			return wireBytes, vcEntries, fmt.Errorf("poet: measure decode: %w", err)
+		for f.kind = 0; f.kind != frameEvent; {
+			if err := fr.next(&f); err != nil {
+				return wireBytes, vcEntries, fmt.Errorf("poet: measure decode: %w", err)
+			}
 		}
-		vc, err := ddec.decode(msg.Event)
-		if err != nil {
-			return wireBytes, vcEntries, err
-		}
-		if !vc.Equal(e.VC) {
-			return wireBytes, vcEntries, fmt.Errorf("poet: delta codec diverged at %v: decoded %v, stamped %v", e.ID, vc, e.VC)
+		if !f.ev.VC.Equal(e.VC) {
+			return wireBytes, vcEntries, fmt.Errorf("poet: delta codec diverged at %v: decoded %v, stamped %v", e.ID, f.ev.VC, e.VC)
 		}
 	}
 	return wireBytes, vcEntries, nil
-}
-
-// deltaDecoder reconstructs timestamps from per-connection deltas on
-// the monitor client side. A fresh decoder is installed on every
-// (re)connection, restoring the all-zero baseline the server restarts
-// from.
-type deltaDecoder struct {
-	base vclock.VC
-	seen bool
-	// sparse selects the representation of the emitted stamps.
-	sparse bool
-}
-
-// decode applies w's delta entries to the baseline and returns the
-// event's timestamp as an independent clock.
-func (d *deltaDecoder) decode(w *wireEvent) (vclock.Clock, error) {
-	if !d.seen && !w.VCFull {
-		return nil, fmt.Errorf("poet: delta-encoded event %d/%d without a baseline frame (decoder out of sync)", w.Trace, w.Index)
-	}
-	if w.VCFull {
-		d.base = nil
-	}
-	d.seen = true
-	for i, t := range w.VCTr {
-		d.base = d.base.Set(int(t), w.VCN[i])
-	}
-	if d.sparse {
-		return vclock.SparseOf(d.base), nil
-	}
-	return d.base.Clone(), nil
 }

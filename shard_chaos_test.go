@@ -233,7 +233,10 @@ func TestShardChaosPartitionHealsToCleanRun(t *testing.T) {
 				// Heal the partition, then keep abusing the links: flap every
 				// proxied connection with a mid-stream RST, and slow the
 				// monitor streams to a trickle (latency + 64-byte chunks) for
-				// the rest of the workload.
+				// the rest of the workload. That chunk size cuts frames
+				// mid-header and mid-varint; the poet package asserts it at
+				// the same setting (TestTrickleCutsFramesMidHeaderAndMidVarint)
+				// where the frame boundaries are visible.
 				ct.px1.SetBlackholeDir(faultnet.ServerToClient, false)
 				ct.mpx0.SetBlackholeDir(faultnet.ServerToClient, false)
 				for _, p := range []*faultnet.Proxy{ct.px0, ct.px1, ct.mpx0, ct.mpx1} {
