@@ -95,14 +95,14 @@ func conflictBound(st *event.Store, rel pattern.Rel, placed *event.Event, l even
 		// class event on l (Figure 5a). A resolving candidate for the
 		// placed level must happen before that latest class event z:
 		// its position must be at most GP(z, placedTrace).
-		z := leafHist.lastPos(int(l))
-		if z == 0 {
+		ents := leafHist.entries(int(l))
+		if len(ents) == 0 {
 			// No class event on l at all: no candidate on the placed
 			// level changes that; the trace is structurally empty.
 			return conflict{level: lvl, bound: 0, hasBound: true}
 		}
-		zEv := leafHist.entries(int(l))[len(leafHist.entries(int(l)))-1].ev
-		return conflict{level: lvl, bound: st.GP(zEv, placedTrace), hasBound: true}
+		z := ents[len(ents)-1].ev
+		return conflict{level: lvl, bound: st.GP(z, placedTrace), hasBound: true}
 	case pattern.RelBefore, pattern.RelLim:
 		// leaf -> placed failed: GP(placed, l) precedes every class
 		// event on l (Figure 5b). Earlier candidates for the placed

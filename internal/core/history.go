@@ -5,20 +5,23 @@
 // and representative-subset maintenance (Section IV-B).
 package core
 
-import (
-	"sort"
+import "ocep/internal/event"
 
-	"ocep/internal/event"
-)
-
-// histEntry is one matched event in a leaf history, together with the
-// trace's communication-event count at the time it was appended. Two
-// same-class internal events with equal counts have no send or receive
-// between them and therefore the same causal relation to events on other
-// traces (Section V-D).
+// histEntry is one matched event in a leaf history, together with its
+// trace position and the trace's communication-event count at the time
+// it was appended. Two same-class internal events with equal counts have
+// no send or receive between them and therefore the same causal relation
+// to events on other traces (Section V-D).
+//
+// pos duplicates ev.ID.Index so that the searches over a history —
+// rangeEntries, lastPos, the candidate loop's jump-bound test — compare
+// positions out of the entry array itself and never load the event. Both
+// counters are int32, as wide as a vector-clock entry, which keeps the
+// entry at 16 bytes.
 type histEntry struct {
 	ev     *event.Event
-	commAt int
+	pos    int32
+	commAt int32
 }
 
 // history is the History attribute of one pattern-tree leaf: the matched
@@ -47,13 +50,13 @@ func (h *history) add(ev *event.Event, commAt int, prune bool) {
 	if prune && ev.Kind == event.KindInternal {
 		if entries := h.perTrace[t]; len(entries) > 0 {
 			last := entries[len(entries)-1]
-			if last.ev.Kind == event.KindInternal && last.commAt == commAt {
+			if last.ev.Kind == event.KindInternal && int(last.commAt) == commAt {
 				h.pruned++
 				return
 			}
 		}
 	}
-	h.perTrace[t] = append(h.perTrace[t], histEntry{ev: ev, commAt: commAt})
+	h.perTrace[t] = append(h.perTrace[t], histEntry{ev: ev, pos: int32(ev.ID.Index), commAt: int32(commAt)})
 }
 
 // entries returns the history of trace t.
@@ -99,7 +102,7 @@ func (h *history) firstIndex(t int) int {
 	if len(entries) == 0 {
 		return 0
 	}
-	return entries[0].ev.ID.Index
+	return int(entries[0].pos)
 }
 
 // lastPos returns the trace position (event index) of the last entry on
@@ -109,27 +112,56 @@ func (h *history) lastPos(t int) int {
 	if len(entries) == 0 {
 		return 0
 	}
-	return entries[len(entries)-1].ev.ID.Index
+	return int(entries[len(entries)-1].pos)
+}
+
+// firstAbove returns the number of leading entries whose trace position
+// is at most p: entries[firstAbove:] are exactly the ones above p. It
+// probes the last entry first and gallops back from there in doubling
+// steps before binary-searching the bracket, so the cost is logarithmic
+// in the answer's distance from the tail rather than in the history's
+// length (the same shape as event.Store.LS, for the same reason: the
+// matcher's interval bounds come from events placed near the head of
+// the linearization).
+func firstAbove(entries []histEntry, p int) int {
+	hi := len(entries)
+	lo := hi - 1
+	for step := 1; lo >= 0 && int(entries[lo].pos) > p; step <<= 1 {
+		hi = lo
+		lo -= step
+	}
+	if lo < 0 {
+		lo = -1
+	}
+	for hi-lo > 1 {
+		mid := int(uint(lo+hi) >> 1)
+		if int(entries[mid].pos) > p {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi
 }
 
 // rangeEntries returns the sub-slice of trace t's entries whose trace
-// positions fall in [lo, hi], using binary search. An empty slice means
-// the interval holds no candidate.
+// positions fall in [lo, hi]. An empty slice means the interval holds no
+// candidate. Both ends are located from the tail (firstAbove); a lower
+// bound at or below the oldest entry — the unrestricted lo of 1 — is
+// settled by one look at the head instead.
 func (h *history) rangeEntries(t, lo, hi int) []histEntry {
 	entries := h.entries(t)
 	if len(entries) == 0 || lo > hi {
 		return nil
 	}
-	start := sort.Search(len(entries), func(i int) bool {
-		return entries[i].ev.ID.Index >= lo
-	})
-	end := sort.Search(len(entries), func(i int) bool {
-		return entries[i].ev.ID.Index > hi
-	})
-	if start >= end {
+	entries = entries[:firstAbove(entries, hi)]
+	if len(entries) > 0 && int(entries[0].pos) < lo {
+		entries = entries[firstAbove(entries, lo-1):]
+	}
+	if len(entries) == 0 {
 		return nil
 	}
-	return entries[start:end]
+	return entries
 }
 
 // anyBetween reports whether the history holds an event x (other than a

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
+	"unsafe"
 
 	"ocep/internal/event"
 	"ocep/internal/event/eventtest"
@@ -96,6 +98,53 @@ func TestHistoryRangeEntries(t *testing.T) {
 	}
 	if got := len(h.rangeEntries(3, 1, 10)); got != 0 {
 		t.Errorf("rangeEntries on empty trace = %d want 0", got)
+	}
+}
+
+// TestHistoryRangeEntriesBruteForce checks the tail-anchored search
+// against a linear scan: random gapped histories (including after an
+// eviction), every interval shape — empty, below, above, inside a gap,
+// hugging either end.
+func TestHistoryRangeEntriesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 200; round++ {
+		h := newHistory()
+		pos, n := 0, rng.Intn(40)
+		for i := 0; i < n; i++ {
+			pos += 1 + rng.Intn(4)
+			h.add(ev(0, pos, event.KindSend), i, false)
+		}
+		if n > 0 && round%3 == 0 {
+			h.evictOldest(0, 1+rng.Intn(n))
+		}
+		entries := h.entries(0)
+		for q := 0; q < 60; q++ {
+			lo, hi := rng.Intn(pos+4)-1, rng.Intn(pos+4)-1
+			var want []histEntry
+			for _, ent := range entries {
+				if p := ent.ev.ID.Index; p >= lo && p <= hi {
+					want = append(want, ent)
+				}
+			}
+			got := h.rangeEntries(0, lo, hi)
+			if len(got) != len(want) {
+				t.Fatalf("round %d: rangeEntries(%d,%d) has %d entries, want %d", round, lo, hi, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] || int(got[i].pos) != got[i].ev.ID.Index {
+					t.Fatalf("round %d: rangeEntries(%d,%d)[%d] = %+v, want %+v", round, lo, hi, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestHistEntrySize: the inline position must not grow the entry — the
+// history is the matcher's retained state, and the ledger's
+// retained_bytes_per_event is bounded on it.
+func TestHistEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(histEntry{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(histEntry{}) = %d, want 16", got)
 	}
 }
 

@@ -195,9 +195,10 @@ type Matcher struct {
 	// Cleared by Options.DisableCompiled (the interpreted oracle) and
 	// for patterns beyond pattern.MaxIndexLeaves.
 	compiled bool
-	// slots pools per-trigger search state (compiled path only).
-	slots sync.Pool
-	hist  []*history
+	// searches pools *search values between triggers (compiled path
+	// only; see pool.go).
+	searches sync.Pool
+	hist     []*history
 	// covered[leaf][trace] marks (leaf, trace) pairs already present in
 	// a reported match; the representative subset is complete when every
 	// pair that occurs in some match is covered.
@@ -616,7 +617,16 @@ type search struct {
 	topFilter func(tr int) bool
 	assigned  []*event.Event
 	env       *pattern.Env
-	matches   []Match
+	// confl[li] is the conflict buffer of backtracking level li: place(li)
+	// truncates it on entry, appends the level's empty-domain causes and
+	// hands it out as placeResult.conflicts. Ownership rule: confl[li] is
+	// rewritten only when place(li) is re-entered, and every reader of a
+	// placeResult — the candidate loop one level up, and the loops above
+	// it that a hopeless outcome is passed through — finishes its conflict
+	// analysis before it places another candidate, which is the only way
+	// back into place(li). So no buffer is read after it is reused.
+	confl   [][]conflict
+	matches []Match
 	// bud is the trigger's shared resource budget (nil = unlimited).
 	// Parallel workers and pinned sweeps all hold the same instance.
 	bud     *budget
@@ -669,34 +679,16 @@ type placeResult struct {
 	// returned conflicts, each of which holds while its cause level's
 	// event is unchanged. Only meaningful when !matched.
 	valid bool
-	// conflicts are the per-trace empty-domain causes.
+	// conflicts are the per-trace empty-domain causes. The slice is a
+	// level's search.confl buffer: read it before placing anything else.
 	conflicts []conflict
-}
-
-// newSearch builds a search, drawing levelLeaf/assigned/env from the
-// matcher's slot pool on the compiled path (release returns them; it
-// must run after the search's matches have been consumed or copied —
-// Match.Events is always a fresh copy, so returning s.matches is safe).
-// The interpreted oracle path allocates fresh state, as the original
-// implementation did.
-func (m *Matcher) newSearch() (s *search, release func()) {
-	s = &search{m: m, pinLeaf: -1}
-	if m.compiled {
-		slots := m.getSlots()
-		s.levelLeaf, s.assigned, s.env = slots.levelLeaf, slots.assigned, slots.env
-		return s, func() { m.putSlots(slots) }
-	}
-	s.levelLeaf = make([]int, m.pat.K())
-	s.assigned = make([]*event.Event, m.pat.K())
-	s.env = pattern.NewEnv()
-	return s, func() {}
 }
 
 // trigger runs the search with e fixed as the match's terminating event
 // at leaf index trig.
 func (m *Matcher) trigger(trig int, e *event.Event) []Match {
-	s, release := m.newSearch()
-	defer release()
+	s := m.newSearch()
+	defer m.release(s)
 	s.stats = &m.stats
 	s.bud = newBudget(m.opts)
 	if m.opts.StaticOrder {
@@ -763,8 +755,8 @@ func (m *Matcher) parallelTrigger(trig int, e *event.Event, bud *budget) []Match
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			ws, release := m.newSearch()
-			defer release()
+			ws := m.newSearch()
+			defer m.release(ws)
 			ws.stats = &deltas[w]
 			ws.bud = bud
 			ws.topFilter = func(tr int) bool { return tr%workers == w }
@@ -827,8 +819,8 @@ func (m *Matcher) pinnedSweep(trig int, e *event.Event, base *search) {
 // pair. ok is false when the trigger event no longer matches its leaf
 // under a fresh environment (the sweep stops entirely, as before).
 func (m *Matcher) pinnedOne(trig int, e *event.Event, bud *budget, leafIdx int, trace event.TraceID) (matches []Match, ok bool) {
-	s, release := m.newSearch()
-	defer release()
+	s := m.newSearch()
+	defer m.release(s)
 	s.pinLeaf = leafIdx
 	s.pinTrace = trace
 	s.stopFirst = true
@@ -904,6 +896,7 @@ func (s *search) place(li int) placeResult {
 	s.levelLeaf[li] = leafIdx
 	leaf := m.pat.Leaves[leafIdx]
 	res := placeResult{valid: true}
+	s.confl[li] = s.confl[li][:0]
 	n := m.store.NumTraces()
 	// Trace isolation (Section V-D): when the leaf's process attribute
 	// is an exact name or an already-bound variable, only that trace
@@ -924,8 +917,7 @@ func (s *search) place(li int) placeResult {
 		tid, known := m.store.TraceByName(name)
 		if !known {
 			// No such trace: no candidates anywhere under this prefix.
-			res.conflicts = append(res.conflicts, hintConflict)
-			return res
+			return s.explained(li, res, hintConflict)
 		}
 		pinned = int(tid)
 	}
@@ -940,13 +932,11 @@ func (s *search) place(li int) placeResult {
 		partner := s.assigned[placedLeaf].Partner
 		linkConflict := conflict{level: pj, hasBound: false}
 		if partner.IsZero() {
-			res.conflicts = append(res.conflicts, linkConflict)
-			return res
+			return s.explained(li, res, linkConflict)
 		}
 		if pinned >= 0 && pinned != int(partner.Trace) {
 			// Contradicts the process hint: empty everywhere.
-			res.conflicts = append(res.conflicts, hintConflict, linkConflict)
-			return res
+			return s.explained(li, res, hintConflict, linkConflict)
 		}
 		pinned = int(partner.Trace)
 		hintConflict = linkConflict
@@ -958,7 +948,7 @@ func (s *search) place(li int) placeResult {
 		// the scan).
 		first, last = pinned, pinned
 		if n > 1 {
-			res.conflicts = append(res.conflicts, hintConflict)
+			s.confl[li] = append(s.confl[li], hintConflict)
 		}
 	}
 	for tr := first; tr <= last; tr++ {
@@ -967,7 +957,7 @@ func (s *search) place(li int) placeResult {
 		}
 		if s.exhausted() {
 			res.valid = false
-			return res
+			return s.explained(li, res)
 		}
 		trace := event.TraceID(tr)
 		if s.pinLeaf == leafIdx && trace != s.pinTrace {
@@ -981,17 +971,16 @@ func (s *search) place(li int) placeResult {
 		cands, confl, structEmpty := s.domainOn(li, leafIdx, trace)
 		if len(cands) == 0 {
 			if structEmpty {
-				res.conflicts = append(res.conflicts, conflict{level: -1})
-			} else {
-				res.conflicts = append(res.conflicts, confl)
+				confl = conflict{level: -1}
 			}
+			s.confl[li] = append(s.confl[li], confl)
 			continue
 		}
 		traceRes := s.tryCandidates(li, leaf, leafIdx, trace, cands)
 		if traceRes.matched {
 			res.matched = true
 			if s.stopFirst {
-				return res
+				return s.explained(li, res)
 			}
 			continue // a complete match on this trace: move to the next
 		}
@@ -1004,6 +993,14 @@ func (s *search) place(li int) placeResult {
 		// summarized by a conflict on an earlier level.
 		res.valid = false
 	}
+	return s.explained(li, res)
+}
+
+// explained finishes place(li)'s result: the level's conflict buffer,
+// with any last causes appended, becomes res.conflicts.
+func (s *search) explained(li int, res placeResult, last ...conflict) placeResult {
+	s.confl[li] = append(s.confl[li], last...)
+	res.conflicts = s.confl[li]
 	return res
 }
 
@@ -1030,8 +1027,7 @@ func (s *search) tryCandidates(li int, leaf *pattern.Leaf, leafIdx int, trace ev
 			return traceOutcome{}
 		}
 		cand := cands[ci]
-		pos := cand.ev.ID.Index
-		if pos > jumpBound {
+		if int(cand.pos) > jumpBound {
 			s.stats.BackjumpSkips++
 			continue
 		}

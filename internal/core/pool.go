@@ -5,43 +5,60 @@ import (
 	"ocep/internal/pattern"
 )
 
-// searchSlots is the reusable allocation set of one search: the
-// level→leaf map, the per-leaf assignment vector and the binding
-// environment. On the compiled path a matcher draws these from a
-// sync.Pool instead of allocating three objects per trigger; with the
-// pooled slots, a trigger whose search finds nothing allocates only its
-// budget. The interpreted oracle path never pools, so its allocation
-// behaviour stays exactly as the reference implementation.
-type searchSlots struct {
-	levelLeaf []int
-	assigned  []*event.Event
-	env       *pattern.Env
-}
-
-// getSlots returns search state sized for the pattern, freshly zeroed.
-// Safe for concurrent use (parallel trigger workers share the pool).
-func (m *Matcher) getSlots() *searchSlots {
-	if v := m.slots.Get(); v != nil {
-		return v.(*searchSlots)
+// newSearch returns a search with scrubbed scratch sized for the
+// pattern: the level→leaf map, the per-leaf assignment vector, the
+// binding environment and one conflict buffer per backtracking level
+// (see search.confl for who may read and rewrite those). On the compiled
+// path the whole search — header and scratch — comes from the matcher's
+// pool, so a trigger that finds no match allocates nothing once the pool
+// and the buffers are warm; every search of a trigger (each parallel
+// worker, each pinned sweep) draws its own. The interpreted oracle path
+// never pools: it allocates fresh state per search, as the reference
+// implementation always did. Safe for concurrent use.
+//
+// Pair with release, after the search's matches have been taken:
+// Match.Events is a fresh copy, so the matches outlive the search.
+func (m *Matcher) newSearch() *search {
+	if m.compiled {
+		if v := m.searches.Get(); v != nil {
+			return v.(*search)
+		}
 	}
 	k := m.pat.K()
-	return &searchSlots{
+	return &search{
+		m:         m,
+		pinLeaf:   -1,
 		levelLeaf: make([]int, k),
 		assigned:  make([]*event.Event, k),
 		env:       pattern.NewEnv(),
+		confl:     make([][]conflict, k),
 	}
 }
 
-// putSlots scrubs the state and returns it to the pool. Scrubbing on
-// put (rather than get) drops the event pointers promptly so pooled
-// slots never pin evicted events against the garbage collector.
-func (m *Matcher) putSlots(s *searchSlots) {
-	for i := range s.levelLeaf {
-		s.levelLeaf[i] = 0
+// release scrubs s and returns it to the pool (compiled path; a no-op on
+// the interpreted one). Scrubbing on release rather than on reuse drops
+// the event pointers promptly, so a pooled search never pins evicted
+// events against the garbage collector, and nothing of one search — its
+// assignment, bindings, conflicts, budget or matches — is visible to the
+// next. The conflict buffers keep their capacity; conflicts hold no
+// pointers.
+func (m *Matcher) release(s *search) {
+	if !m.compiled {
+		return
 	}
-	for i := range s.assigned {
-		s.assigned[i] = nil
-	}
+	clear(s.levelLeaf)
+	clear(s.assigned)
 	s.env.Reset()
-	m.slots.Put(s)
+	for i := range s.confl {
+		s.confl[i] = s.confl[i][:0]
+	}
+	*s = search{
+		m:         m,
+		pinLeaf:   -1,
+		levelLeaf: s.levelLeaf,
+		assigned:  s.assigned,
+		env:       s.env,
+		confl:     s.confl,
+	}
+	m.searches.Put(s)
 }

@@ -1,9 +1,6 @@
 package event
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Store holds the events of a computation grouped by trace, in trace
 // order. It answers the greatest-predecessor and least-successor queries
@@ -19,9 +16,14 @@ type Store struct {
 	traces [][]*Event
 	// base[t] counts events compacted away from the front of trace t.
 	// nil until the first compaction, then sized like traces.
-	base   []int
-	names  []string // optional human-readable trace names
-	byName map[string]TraceID
+	base  []int
+	names []string // optional human-readable trace names
+	// fallback[t] is the "t<N>" name TraceName gives a trace nobody
+	// named, built once when the trace is created (not on first use: the
+	// matcher's parallel workers call TraceName concurrently). It is
+	// never entered in byName: a synthesized name is not a registration.
+	fallback []string
+	byName   map[string]TraceID
 	// comm[t] counts the communication events (non-internal kinds)
 	// appended to trace t so far. The duplicate-pruning rule of the
 	// matcher history (Section V-D) compares these counters to decide
@@ -41,11 +43,20 @@ func (s *Store) RegisterTrace(name string) TraceID {
 		return id
 	}
 	id := TraceID(len(s.traces))
-	s.traces = append(s.traces, nil)
-	s.names = append(s.names, name)
-	s.comm = append(s.comm, 0)
+	s.grow(int(id))
+	s.names[id] = name
 	s.byName[name] = id
 	return id
+}
+
+// grow extends the store so that trace t exists, unnamed and empty.
+func (s *Store) grow(t int) {
+	for t >= len(s.traces) {
+		s.fallback = append(s.fallback, fmt.Sprintf("t%d", len(s.traces)))
+		s.traces = append(s.traces, nil)
+		s.names = append(s.names, "")
+		s.comm = append(s.comm, 0)
+	}
 }
 
 // NameTrace records the name of an externally numbered trace, growing
@@ -54,11 +65,7 @@ func (s *Store) RegisterTrace(name string) TraceID {
 // clients) whose trace IDs are assigned by the collector and must be
 // mirrored exactly.
 func (s *Store) NameTrace(t TraceID, name string) {
-	for int(t) >= len(s.traces) {
-		s.traces = append(s.traces, nil)
-		s.names = append(s.names, "")
-		s.comm = append(s.comm, 0)
-	}
+	s.grow(int(t))
 	if s.names[t] == name {
 		return
 	}
@@ -67,12 +74,16 @@ func (s *Store) NameTrace(t TraceID, name string) {
 }
 
 // TraceName returns the registered name of t, or "t<N>" if it was never
-// named.
+// named. Neither case allocates for a trace the store holds.
 func (s *Store) TraceName(t TraceID) string {
-	if int(t) < len(s.names) && s.names[t] != "" {
-		return s.names[t]
+	ti := int(t)
+	if ti < 0 || ti >= len(s.names) {
+		return fmt.Sprintf("t%d", ti)
 	}
-	return fmt.Sprintf("t%d", int(t))
+	if s.names[ti] != "" {
+		return s.names[ti]
+	}
+	return s.fallback[ti]
 }
 
 // TraceByName returns the ID registered for name.
@@ -171,11 +182,7 @@ func (s *Store) Append(e *Event) error {
 	if t < 0 {
 		return fmt.Errorf("event %s: negative trace", e.ID)
 	}
-	for t >= len(s.traces) {
-		s.traces = append(s.traces, nil)
-		s.names = append(s.names, "")
-		s.comm = append(s.comm, 0)
-	}
+	s.grow(t)
 	if want := s.baseOf(t) + len(s.traces[t]) + 1; e.ID.Index != want {
 		return fmt.Errorf("event %s arrived out of trace order: want index %d", e.ID, want)
 	}
@@ -237,8 +244,28 @@ func (s *Store) GP(e *Event, t TraceID) int {
 // earliest event on t that e happens before. It returns 0 when no stored
 // event on t succeeds e (the successor may still arrive later). For an
 // event of trace t itself it is the within-trace successor if stored.
-// O(log |t|): entry trace(e) of the clocks along trace t is monotone
-// non-decreasing, so the first successor is found by binary search.
+// Over a compacted trace the answer is max(true least successor, first
+// retained index); see CompactTrace.
+//
+// Entry trace(e) of the clocks along trace t is monotone non-decreasing,
+// so the successors of e are a suffix of the trace, and that suffix
+// starts above GP(e, t) because no event both precedes and succeeds e.
+// The search works inward from those two anchors and never looks at the
+// trace's length:
+//
+//   - One probe of the newest retained event settles "no successor
+//     yet". Online this is the common answer — the matcher asks about
+//     events it has just placed, at the head of the linearization — and
+//     for the triggering event it is always the answer.
+//   - Otherwise it gallops in doubling steps from both anchors at once,
+//     back from the tail and forward from GP(e, t), until either side
+//     brackets the boundary, and binary-searches that bracket.
+//
+// The cost is O(log d) clock reads, d being the answer's distance from
+// the nearer anchor. Online the answer sits a few events from the tail;
+// in a replay over a store that already holds the whole computation it
+// sits a few events past the greatest predecessor (the width of e's
+// concurrency window on t). Neither distance grows with the trace.
 func (s *Store) LS(e *Event, t TraceID) int {
 	if e.ID.Trace == t {
 		if e.ID.Index+1 <= s.Len(t) {
@@ -249,11 +276,46 @@ func (s *Store) LS(e *Event, t TraceID) int {
 	tr := s.Events(t)
 	et := int(e.ID.Trace)
 	need := e.VC.Get(et)
-	i := sort.Search(len(tr), func(i int) bool {
-		return tr[i].VC.Get(et) >= need
-	})
-	if i == len(tr) {
+	succeeds := func(i int) bool { return tr[i].VC.Get(et) >= need }
+
+	// Invariant from here on: tr[hi] succeeds e; tr[lo] does not, or
+	// lo == -1 and the retained slice starts inside the suffix.
+	hi := len(tr) - 1
+	if hi < 0 || !succeeds(hi) {
 		return 0
 	}
-	return tr[i].ID.Index
+	base := s.baseOf(int(t))
+	lo := e.VC.Get(int(t)) - base - 1 // slice position of GP(e, t)
+	if lo < -1 {
+		lo = -1 // compacted away
+	}
+	for step := 1; ; step <<= 1 {
+		p := hi - step
+		if p <= lo {
+			break
+		}
+		if !succeeds(p) {
+			lo = p
+			break
+		}
+		hi = p
+		p = lo + step
+		if p >= hi {
+			break
+		}
+		if succeeds(p) {
+			hi = p
+			break
+		}
+		lo = p
+	}
+	for hi-lo > 1 {
+		mid := int(uint(lo+hi) >> 1)
+		if succeeds(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return base + hi + 1
 }

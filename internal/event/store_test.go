@@ -33,6 +33,35 @@ func TestRegisterTrace(t *testing.T) {
 	}
 }
 
+// TestTraceNameFallback: an unnamed trace answers "t<N>" without
+// allocating and without the synthesized name becoming a registration;
+// a later NameTrace replaces it.
+func TestTraceNameFallback(t *testing.T) {
+	s := NewStore()
+	if err := s.Append(&Event{ID: ID{2, 1}, Kind: KindInternal, VC: vclock.VC{0, 0, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.TraceName(2); got != "t2" {
+		t.Fatalf("unnamed TraceName = %q want t2", got)
+	}
+	if avg := testing.AllocsPerRun(100, func() { _ = s.TraceName(2) }); avg != 0 {
+		t.Fatalf("TraceName of an unnamed trace allocates %v times per call", avg)
+	}
+	if _, ok := s.TraceByName("t2"); ok {
+		t.Fatal("the synthesized name must not resolve through TraceByName")
+	}
+	if id := s.RegisterTrace("t2"); id != 3 {
+		t.Fatalf("RegisterTrace(t2) = %d: the synthesized name must not shadow a registration (want new ID 3)", id)
+	}
+	s.NameTrace(2, "worker")
+	if got := s.TraceName(2); got != "worker" {
+		t.Fatalf("TraceName after NameTrace = %q want worker", got)
+	}
+	if id, ok := s.TraceByName("worker"); !ok || id != 2 {
+		t.Fatalf("TraceByName(worker) = %d,%v want 2,true", id, ok)
+	}
+}
+
 func TestAppendOrdering(t *testing.T) {
 	s := NewStore()
 	e1 := &Event{ID: ID{0, 1}, Kind: KindInternal, VC: vclock.VC{1}}
