@@ -2,9 +2,11 @@ package ocep_test
 
 import (
 	"bufio"
+	"context"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -251,6 +253,76 @@ func TestFullPipelineCLI(t *testing.T) {
 	}
 }
 
+// TestPoetdRejectedFlagCombinations runs every flag combination poetd
+// still refuses and checks each exits non-zero, before listening, with a
+// message that names both flags. The -retain-events rows are refused by
+// the library (only the delivered-event index can trim: see
+// TestRetentionConflictsBothOrders in internal/poet); the rest are
+// poetd's own.
+func TestPoetdRejectedFlagCombinations(t *testing.T) {
+	poetd := proctest.BuildTool(t, "poetd")
+	dir := t.TempDir()
+	const tier = "127.0.0.1:1;127.0.0.1:2"
+	for _, tc := range []struct {
+		args  []string
+		wants []string
+	}{
+		{[]string{"-retain-events", "100", "-dump", filepath.Join(dir, "x.poet")}, []string{"-retain-events", "-dump", "incompatible with the journal"}},
+		{[]string{"-retain-events", "100", "-data-dir", filepath.Join(dir, "data")}, []string{"-retain-events", "-data-dir", "incompatible with the journal"}},
+		{[]string{"-retain-events", "100", "-shard-id", "0", "-peers", tier}, []string{"-retain-events", "-shard-id", "incompatible with sharding"}},
+		{[]string{"-follow", "127.0.0.1:1", "-reload", filepath.Join(dir, "x.poet")}, []string{"-follow is incompatible with -reload"}},
+		{[]string{"-shard-id", "0", "-peers", tier, "-reload", filepath.Join(dir, "x.poet")}, []string{"-shard-id is incompatible with -reload"}},
+		{[]string{"-mem-limit", "1G"}, []string{"-mem-limit", "-retain-events"}},
+		{[]string{"-peers", tier}, []string{"-peers", "-shard-id"}},
+		{[]string{"-shard-id", "0"}, []string{"-shard-id", "-peers"}},
+		{[]string{"-shard-id", "2", "-peers", tier}, []string{"-shard-id", "-peers"}},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			args := append([]string{"-listen", "127.0.0.1:0"}, tc.args...)
+			out, err := exec.CommandContext(ctx, poetd, args...).CombinedOutput()
+			if err == nil || ctx.Err() != nil {
+				t.Fatalf("poetd %v must exit non-zero on its own (err %v):\n%s", tc.args, err, out)
+			}
+			if strings.Contains(string(out), "listening on") {
+				t.Fatalf("poetd %v started serving before refusing:\n%s", tc.args, out)
+			}
+			for _, want := range tc.wants {
+				if !strings.Contains(string(out), want) {
+					t.Errorf("poetd %v: message does not name %q:\n%s", tc.args, want, out)
+				}
+			}
+			if _, err := os.Stat(filepath.Join(dir, "data")); err == nil {
+				t.Errorf("poetd %v created its data directory before refusing", tc.args)
+			}
+		})
+	}
+}
+
+// TestPoetdDependencySet pins what the daemon links from this module to
+// the collector tier, so the matcher, the baselines and the experiment
+// code cannot drift back into it unnoticed.
+func TestPoetdDependencySet(t *testing.T) {
+	cmd := exec.Command("go", "list", "-deps", "./cmd/poetd")
+	cmd.Dir = proctest.ModuleRoot(t)
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list -deps ./cmd/poetd: %v", err)
+	}
+	var got []string
+	for _, pkg := range strings.Fields(string(out)) {
+		if name, ok := strings.CutPrefix(pkg, "ocep/internal/"); ok {
+			got = append(got, name)
+		}
+	}
+	sort.Strings(got)
+	const want = "backoff event poet pool shard telemetry vclock wal"
+	if strings.Join(got, " ") != want {
+		t.Fatalf("cmd/poetd links internal packages [%s], want [%s]", strings.Join(got, " "), want)
+	}
+}
+
 func TestOcepbenchCLI(t *testing.T) {
 	bench := proctest.BuildTool(t, "ocepbench")
 
@@ -284,7 +356,9 @@ func TestOcepviewCLI(t *testing.T) {
 
 	// Build a small dump with a stale read in it.
 	collector := ocep.NewCollector()
-	collector.RetainLog()
+	if err := collector.EnableReplicationLog(); err != nil { // the journal Dump writes
+		t.Fatal(err)
+	}
 	raws := []ocep.RawEvent{
 		{Trace: "primary", Seq: 1, Kind: ocep.KindInternal, Type: "write", Text: "k"},
 		{Trace: "primary", Seq: 2, Kind: ocep.KindSend, Type: "replicate", Text: "k", MsgID: 1},

@@ -13,15 +13,14 @@
 //	ocepbench -ablation                 # matcher-variant ablations
 //	ocepbench -window                   # sliding-window omission study
 //	ocepbench -scaling                  # trace-isolation scaling study
-//	ocepbench -delivery                 # sync vs async monitor fan-out
-//	ocepbench -durability               # fsync-policy cost + recovery time
-//	ocepbench -telemetry                # metrics-overhead study + sample scrape
 //	ocepbench -governance               # search budgets + bounded-memory soak
 //	ocepbench -patternscale             # compiled dispatch vs interpreted fan-out
 //	ocepbench -tracescale               # dense vs delta/sparse timestamps at many traces
-//	ocepbench -shardscale               # ingest throughput across 1/2/4-shard collector tiers
-//	ocepbench -monitors 8               # fan-out width for -delivery
 //	ocepbench -events 1000000           # events per data point
+//
+// The cost of the layers around the matcher — delivery queues, the wire,
+// the WAL, telemetry, sharding — is measured by the ledger instead
+// (`bash benchmark/run.sh`, the stage.* and per-layer rows).
 //
 // Absolute numbers depend on the host; the shapes (which case is
 // slowest, how cost scales with traces, who wins against the baselines)
@@ -53,14 +52,9 @@ func run() error {
 		window       = flag.Bool("window", false, "sliding-window omission study")
 		scaling      = flag.Bool("scaling", false, "trace-isolation scaling study")
 		latticeCmp   = flag.Bool("lattice", false, "global-state-lattice vs OCEP motivation study")
-		delivery     = flag.Bool("delivery", false, "sync vs async monitor fan-out throughput")
-		durability   = flag.Bool("durability", false, "WAL fsync-policy ingestion cost and crash/snapshot recovery time")
-		telemetry    = flag.Bool("telemetry", false, "metrics overhead (instrumented vs disabled pipeline) and a sample registry dump")
 		governance   = flag.Bool("governance", false, "resource governance: adversarial-trigger budgets and bounded-memory soak")
 		patternscale = flag.Bool("patternscale", false, "attached-pattern scaling: compiled class-indexed dispatch vs interpreted fan-out")
 		tracescale   = flag.Bool("tracescale", false, "trace-count scaling: dense vs delta wire clocks and dense vs sparse in-memory timestamps")
-		shardscale   = flag.Bool("shardscale", false, "shard-count scaling: the same workload through 1/2/4-shard collector tiers over real TCP")
-		monitors     = flag.Int("monitors", 8, "concurrent monitors for -delivery")
 		events       = flag.Int("events", 100_000, "target events per data point (paper: >1e6)")
 		seed         = flag.Int64("seed", 1, "workload seed")
 		cycleLen     = flag.Int("cycle", 3, "deadlock cycle length")
@@ -118,15 +112,6 @@ func run() error {
 		if err := bench.LatticeComparison(out, cfg); err != nil {
 			return err
 		}
-		if err := bench.Delivery(out, cfg, *monitors); err != nil {
-			return err
-		}
-		if err := bench.Durability(out, cfg); err != nil {
-			return err
-		}
-		if err := bench.Telemetry(out, cfg); err != nil {
-			return err
-		}
 		if err := bench.Governance(out, cfg); err != nil {
 			return err
 		}
@@ -134,9 +119,6 @@ func run() error {
 			return err
 		}
 		if err := bench.TraceScale(out, cfg); err != nil {
-			return err
-		}
-		if err := bench.ShardScale(out, cfg); err != nil {
 			return err
 		}
 	}
@@ -179,24 +161,6 @@ func run() error {
 			return err
 		}
 	}
-	if *delivery && !*all {
-		any = true
-		if err := bench.Delivery(out, cfg, *monitors); err != nil {
-			return err
-		}
-	}
-	if *durability && !*all {
-		any = true
-		if err := bench.Durability(out, cfg); err != nil {
-			return err
-		}
-	}
-	if *telemetry && !*all {
-		any = true
-		if err := bench.Telemetry(out, cfg); err != nil {
-			return err
-		}
-	}
 	if *governance && !*all {
 		any = true
 		if err := bench.Governance(out, cfg); err != nil {
@@ -212,12 +176,6 @@ func run() error {
 	if *tracescale && !*all {
 		any = true
 		if err := bench.TraceScale(out, cfg); err != nil {
-			return err
-		}
-	}
-	if *shardscale && !*all {
-		any = true
-		if err := bench.ShardScale(out, cfg); err != nil {
 			return err
 		}
 	}

@@ -13,20 +13,24 @@
 //	      [-sparse-clocks] [-follow primaryaddr] [-drain-timeout d]
 //	      [-shard-id n -peers "s0a,s0b;s1;s2"]
 //
-// With -dump, the delivered raw-event log is written to the given file
-// on shutdown (SIGINT/SIGTERM), reusable later with -reload — POET's
-// dump and reload features. -reload also accepts a -data-dir directory,
+// The collector keeps one journal of what it ingested, in ingestion
+// order; -dump, -data-dir and replica sessions all read it.
+//
+// With -dump, the journal's raw events are written to the given file on
+// shutdown (SIGINT/SIGTERM), reusable later with -reload — POET's dump
+// and reload features. -reload also accepts a -data-dir directory,
 // replaying its recovered state (snapshot plus write-ahead log) into a
 // fresh collector.
 //
-// With -data-dir, the collector is crash-durable: every ingested event
-// is write-ahead-logged to the directory (fsync policy selected by
-// -fsync), a snapshot is written every -snapshot-every events (and on
-// clean shutdown) after which the redundant log prefix is truncated,
+// With -data-dir, the collector is crash-durable: the journal is
+// write-ahead-logged to the directory (fsync policy selected by
+// -fsync), a snapshot of it is written every -snapshot-every events (and
+// on clean shutdown) after which the redundant log prefix is truncated,
 // and a restart against the same directory recovers the collector —
-// event store, vector clocks, ack watermarks, and monitor stream
-// offsets — to the exact state peers expect, truncating the log at the
-// first torn or corrupt record rather than refusing to start. Under
+// event store, vector clocks, ack watermarks, monitor stream offsets
+// and a standby's replication offset — to the exact state peers expect,
+// truncating the log at the first torn or corrupt record rather than
+// refusing to start. Under
 // -fsync always an acknowledged event is never lost, so reconnecting
 // reporters and resuming monitors compose transparently with crash
 // recovery.
@@ -56,8 +60,9 @@
 // also answers 503 while the server is shedding load.
 //
 // Resource governance: -retain-events bounds the collector's memory by
-// evicting the oldest delivered events past the bound (incompatible
-// with -dump and -data-dir, which need the full log); -max-pending caps
+// evicting the oldest delivered events past the bound (such a daemon
+// keeps no journal, so not with -dump, -data-dir or -shard-id, whose
+// readers start from record zero); -max-pending caps
 // the out-of-order events buffered per trace, shedding the excess back
 // onto reporter buffers; -mem-limit sets a soft heap ceiling (bytes,
 // with optional K/M/G suffix) — the Go runtime GC target is set to it,
@@ -80,9 +85,8 @@
 // ("standby") until promotion, and poet_replica_lag_events on the
 // metrics listener tracks how far it trails the primary.
 //
-// Unless -retain-events is set (eviction is incompatible with replica
-// resume), every poetd keeps the replication log and serves replica
-// sessions, so a promoted standby can in turn be followed.
+// Unless -retain-events is set, every poetd keeps the journal and serves
+// replica sessions, so a promoted standby can in turn be followed.
 //
 // Horizontal sharding: with -shard-id and -peers, this poetd is one
 // shard of a collector tier. -peers names every shard in the tier,
@@ -98,7 +102,7 @@
 // its standby invisible here. A sharded standby (-follow plus -shard-id)
 // defers its peer followers until it is promoted: until then the
 // primary's replication stream is the only writer of its state.
-// Sharding is incompatible with -retain-events and -reload.
+// A sharded daemon refuses -reload and -retain-events.
 //
 // Shutdown: SIGTERM drains gracefully — new sessions are rejected,
 // connected peers receive a drain notice (pooled clients fail over
@@ -154,7 +158,7 @@ func run() error {
 	var (
 		listen    = flag.String("listen", "127.0.0.1:7524", "address to listen on")
 		reload    = flag.String("reload", "", "trace file to replay into the collector at startup")
-		dump      = flag.String("dump", "", "write the delivered raw-event log to this file on shutdown")
+		dump      = flag.String("dump", "", "write the journal's raw events, in ingestion order, to this file on shutdown")
 		monQueue  = flag.Int("monitor-queue", 0, "per-monitor delivery queue depth (0 = default 65536)")
 		monPolicy = flag.String("monitor-policy", "drop", "full-queue policy: drop (disconnect laggards) or block (throttle ingestion)")
 		ackEvery  = flag.Duration("ack-interval", poet.DefaultAckInterval, "cadence of ingestion acknowledgements to targets")
@@ -162,12 +166,12 @@ func run() error {
 		metrics   = flag.String("metrics-addr", "", "address for the telemetry listener (/metrics, /debug/vars, /debug/pprof); empty disables it")
 		quiet     = flag.Bool("quiet", false, "suppress per-connection diagnostics")
 
-		dataDir   = flag.String("data-dir", "", "directory for the write-ahead log and snapshots; enables crash-durable operation and recovery on restart")
+		dataDir   = flag.String("data-dir", "", "directory for the journal's write-ahead log and snapshots; enables crash-durable operation and recovery on restart")
 		fsyncMode = flag.String("fsync", "always", "WAL durability: always (fsync before acking), interval (periodic fsync), none (OS page cache only)")
 		fsyncInt  = flag.Duration("fsync-interval", 100*time.Millisecond, "flush/fsync cadence for -fsync interval and none")
 		snapEvery = flag.Int("snapshot-every", 0, "snapshot + WAL truncation every n ingested events (0 = default 8192, negative = only on shutdown)")
 
-		retain     = flag.Int("retain-events", 0, "bound the delivered-event log: evict the oldest events past this count (0 = keep everything; incompatible with -dump and -data-dir)")
+		retain     = flag.Int("retain-events", 0, "bound the delivered-event log: evict the oldest events past this count (0 = keep everything); such a daemon keeps no journal, so not with -dump, -data-dir or -shard-id")
 		maxPending = flag.Int("max-pending", 0, "cap the out-of-order events buffered per trace; excess reports are shed back onto reporter buffers (0 = unbounded)")
 		memLimit   = flag.String("mem-limit", "", "soft heap ceiling in bytes (K/M/G suffixes accepted); halves -retain-events each time the heap crosses 85% of it")
 
@@ -195,15 +199,6 @@ func run() error {
 	if memCeiling > 0 && *retain <= 0 {
 		return fmt.Errorf("-mem-limit needs -retain-events as its starting retention window")
 	}
-	if *retain > 0 && *dump != "" {
-		return fmt.Errorf("-retain-events is incompatible with -dump (the dump needs the full delivered log)")
-	}
-	if *retain > 0 && *dataDir != "" {
-		return fmt.Errorf("-retain-events is incompatible with -data-dir (snapshots need the full delivered log)")
-	}
-	if *follow != "" && *retain > 0 {
-		return fmt.Errorf("-follow is incompatible with -retain-events (a standby's replication log needs the full record stream)")
-	}
 	if *follow != "" && *reload != "" {
 		return fmt.Errorf("-follow is incompatible with -reload (the standby's state must be the primary's stream, nothing else)")
 	}
@@ -218,9 +213,6 @@ func run() error {
 		}
 		if *reload != "" {
 			return fmt.Errorf("-shard-id is incompatible with -reload (a reloaded trace is not striped for this tier)")
-		}
-		if *retain > 0 {
-			return fmt.Errorf("-shard-id is incompatible with -retain-events (peer followers re-stream the export log from zero)")
 		}
 	} else if *peers != "" {
 		return fmt.Errorf("-peers needs -shard-id")
@@ -241,33 +233,29 @@ func run() error {
 			return fmt.Errorf("-shard-id: %w", err)
 		}
 	}
-	if *dump != "" {
-		// Enable retention before any event can arrive, so the shutdown
-		// dump is complete. Dump refuses a late-enabled retention window
-		// rather than silently writing a partial file.
-		collector.RetainLog()
-	}
-	if *retain > 0 {
-		if err := collector.SetRetention(*retain); err != nil {
-			return fmt.Errorf("-retain-events: %w", err)
-		}
-	}
-	if *maxPending > 0 {
-		collector.SetAdmissionLimit(*maxPending)
-	}
-	if *retain == 0 {
-		// Every non-evicting poetd captures the replication record stream
-		// so warm standbys can attach — and so a promoted standby can in
-		// turn be followed. Before OpenDurable/-reload: a replica resuming
-		// from zero needs the stream complete from the first record.
+	if *dump != "" || *dataDir != "" || *retain == 0 {
+		// The journal: what the dump and the snapshots are written from and
+		// what warm standbys tail — every non-evicting poetd keeps it, so a
+		// promoted standby can in turn be followed. Before recovery/-reload:
+		// every reader needs it from the first record.
 		if err := collector.EnableReplicationLog(); err != nil {
-			return fmt.Errorf("enabling replication log: %w", err)
+			return fmt.Errorf("enabling the journal: %w", err)
 		}
 		// Withheld acks must still leave room for the empty frame to
 		// heartbeat the reporter within its peer timeout.
 		collector.SetReplicationAckWait(*heartbeat / 2)
-	} else if *follow == "" {
-		log.Printf("note: -retain-events disables the replication log; replica sessions will be rejected")
+	} else {
+		log.Printf("note: -retain-events keeps no journal; replica sessions will be rejected")
+	}
+	if *retain > 0 {
+		// The library refuses a collector whose journal or export log is
+		// on; these are the flags that turn them on.
+		if err := collector.SetRetention(*retain); err != nil {
+			return fmt.Errorf("-retain-events cannot be combined with -dump, -data-dir or -shard-id: %w", err)
+		}
+	}
+	if *maxPending > 0 {
+		collector.SetAdmissionLimit(*maxPending)
 	}
 
 	// The health/metrics listener starts before recovery: a poetd

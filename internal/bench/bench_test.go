@@ -213,18 +213,3 @@ func TestScalingSmall(t *testing.T) {
 		t.Fatalf("unexpected output:\n%s", buf.String())
 	}
 }
-
-func TestDeliverySmall(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := FigureConfig{TargetEvents: testEvents, Seed: 2}
-	// Delivery fails internally unless sync and async report identical
-	// match counts, so this doubles as a small differential.
-	if err := Delivery(&buf, cfg, 3); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "sync") || !strings.Contains(out, "async") ||
-		!strings.Contains(out, "ingest speedup") {
-		t.Fatalf("unexpected output:\n%s", out)
-	}
-}

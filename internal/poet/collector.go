@@ -99,14 +99,10 @@ type Collector struct {
 	// order is the delivery order of all events: the linearization of
 	// the partial order that clients observe.
 	order []*event.Event
-	// log accumulates delivered raw events for Dump when retention is
-	// enabled.
-	log       []RawEvent
-	retainLog bool
-	// retainedFrom is the delivered count when retention was enabled: a
-	// nonzero value means the log is a suffix and a dump of it would be
-	// silently incomplete, so Dump refuses.
-	retainedFrom int
+	// journal, when non-nil, is the ingestion-ordered log of every
+	// accepted record that dumps, snapshots and replica sessions read
+	// (see journal.go). nil until EnableReplicationLog.
+	journal *journal
 	// retain, when positive, bounds len(order): SetRetention trims the
 	// linearization log (and compacts the store) once it exceeds the
 	// bound by a quarter. 0 means keep everything.
@@ -121,18 +117,18 @@ type Collector struct {
 	// admission, when positive, caps the buffered out-of-order events per
 	// trace: a Report that would exceed it fails with ErrOverloaded.
 	admission int
-	// durable, when non-nil, write-ahead-logs every ingested event (see
-	// durable.go). Appends happen under mu so WAL order equals ingestion
-	// order; the durability barrier (fsync) runs after mu is released.
+	// durable, when non-nil, write-ahead-logs every journal record (see
+	// durable.go): the WAL is the journal's disk image. Appends happen
+	// under mu so the orders agree; the durability barrier (fsync) runs
+	// after mu is released.
 	durable *Durability
 	// ingests counts successfully ingested events (delivered + buffered
 	// pending): the event-record position replication offsets are
-	// expressed in.
+	// expressed in. Equals journal.events() when a journal is kept.
 	ingests int
-	// repl, when non-nil, captures the ingestion-ordered record stream
-	// for warm-standby replica sessions and tracks their confirmations
-	// (see replication.go). Appends happen under mu, mirroring the WAL.
-	repl *replState
+	// repl tracks what the attached replica sessions have confirmed (see
+	// replication.go).
+	repl replState
 	// replAckWait bounds how long acksFor waits for an attached replica
 	// to confirm the current ingest position before withholding the ack
 	// for one interval (reporters simply retry).
@@ -150,9 +146,11 @@ type Collector struct {
 	// remoteSends maps a MsgID to the identity and timestamp of a send
 	// delivered on a peer shard, supplied by SupplyRemoteSend.
 	remoteSends map[uint64]remoteSend
-	// shardX is the cross-shard export log peer shards tail; nil until
+	// shardX is the cross-shard export log peer shards tail — an index
+	// of the delivered sends, not a view of the journal: a record needs
+	// the send's stamp, which exists only after delivery. nil until
 	// EnableSharding.
-	shardX *shardExportState
+	shardX *tailLog[shardExport]
 	// tel holds the collector's telemetry instruments. All fields are
 	// nil until InstrumentMetrics attaches a registry; every write is a
 	// nil-safe no-op, so the uninstrumented hot path pays only nil
@@ -251,18 +249,6 @@ func NewCollector() *Collector {
 	}
 }
 
-// RetainLog makes the collector keep the delivered raw events so Dump can
-// write them out. Off by default: a million-event run should not retain
-// twice.
-func (c *Collector) RetainLog() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.retainLog {
-		c.retainLog = true
-		c.retainedFrom = c.delivered
-	}
-}
-
 // SetRetention bounds the collector's memory: once more than keepEvents
 // (plus a quarter, to amortize the trims) delivered events are held, the
 // oldest are evicted from the linearization log and released from the
@@ -273,10 +259,11 @@ func (c *Collector) RetainLog() {
 //
 // Consequences of eviction, all surfaced loudly rather than silently:
 // monitor resumes (SubscribeBatchReplayFrom) below the trim point are
-// rejected; queries for evicted events return "unknown event"; Dump and
-// snapshots need the full log, so retention refuses a collector with
-// RetainLog or durability enabled (and OpenDurable refuses a retaining
-// collector). keepEvents <= 0 disables retention.
+// rejected; queries for evicted events return "unknown event". Only the
+// delivery index can trim: the journal and the shard export log are read
+// from record zero, so retention refuses a collector that keeps either
+// (and EnableReplicationLog, OpenDurable and EnableSharding refuse a
+// retaining collector). keepEvents <= 0 disables retention.
 func (c *Collector) SetRetention(keepEvents int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -284,14 +271,11 @@ func (c *Collector) SetRetention(keepEvents int) error {
 		c.retain = 0
 		return nil
 	}
-	if c.retainLog {
-		return errors.New("poet: retention is incompatible with RetainLog (a dump of a trimmed log would be silently incomplete)")
-	}
-	if c.durable != nil {
-		return errors.New("poet: retention is incompatible with a durable collector (snapshots need the full delivered log)")
-	}
-	if c.repl != nil {
-		return errors.New("poet: retention is incompatible with the replication log (a replica resume needs the full record stream)")
+	switch {
+	case c.journal != nil:
+		return errors.New("poet: retention is incompatible with the journal (dumps, snapshots and replicas read it from record zero)")
+	case c.sharded:
+		return errors.New("poet: retention is incompatible with sharding (peer shards re-stream the export log from record zero)")
 	}
 	c.retain = keepEvents
 	// Drop already-matched sends from the map so it holds only open
@@ -489,26 +473,17 @@ func (c *Collector) RegisterTrace(name string) event.TraceID {
 	c.mu.Lock()
 	_, known := c.store.TraceByName(name)
 	id := c.ensureTrace(name)
-	d := c.durable
-	var seq int64 = -1
-	if !known && d != nil {
+	var w walTicket
+	if !known {
 		// Explicit registrations must be replayed in order relative to
 		// events, or trace numbering (and so vector-clock layout) would
-		// differ after recovery. Event-driven registrations are implied
-		// by the event records themselves.
-		seq = d.appendTraceLocked(name)
-		c.tel.walTraceRecs.Inc()
-	}
-	if !known && c.repl != nil {
-		// Same ordering requirement as the WAL trace record: replicas
-		// must register this trace at the same point of the record
-		// stream, or their trace numbering would diverge.
-		c.repl.appendLocked(repRecord{Trace: name})
+		// differ on a replica or after recovery. Event-driven
+		// registrations are implied by the event records themselves.
+		w = c.recordLocked(journalRecord{RawEvent: RawEvent{Trace: name}})
 	}
 	c.mu.Unlock()
-	if seq >= 0 {
-		_ = d.commit(seq)
-	}
+	// A WAL failure here resurfaces, sticky, at the next event's commit.
+	_ = w.commit()
 	return id
 }
 
@@ -648,7 +623,7 @@ func (c *Collector) acksFor(names []string) []traceAck {
 		walSeq = d.appendedLocked()
 	}
 	replPos := -1
-	if c.repl != nil && len(c.repl.confirmed) > 0 {
+	if len(c.repl.confirmed) > 0 {
 		replPos = c.ingests
 	}
 	c.mu.Unlock()
@@ -744,16 +719,10 @@ func (c *Collector) TraceStats() []TraceStat {
 func (c *Collector) Report(raw RawEvent) error {
 	c.mu.Lock()
 	err := c.reportLocked(raw)
+	var w walTicket
 	switch {
 	case err == nil:
-		c.ingests++
-		if c.repl != nil {
-			// Record order must equal ingestion order, exactly like the
-			// WAL: a replica applying this stream rebuilds the identical
-			// collector, which is what makes failover exact.
-			c.repl.appendLocked(repRecord{Event: raw})
-		}
-		c.tel.ingested.Inc()
+		w = c.recordLocked(journalRecord{RawEvent: raw})
 		c.maybeTrimLocked()
 	case errors.Is(err, ErrStaleEvent):
 		c.tel.stale.Inc()
@@ -761,18 +730,6 @@ func (c *Collector) Report(raw RawEvent) error {
 		c.tel.overloaded.Inc()
 	default:
 		c.tel.rejected.Inc()
-	}
-	d := c.durable
-	var walSeq int64 = -1
-	var walErr error
-	if err == nil && d != nil {
-		// Append under the collector lock: WAL order must equal ingestion
-		// order so recovery rebuilds the identical linearization. The
-		// write is buffered; the fsync barrier runs after unlock.
-		walSeq, walErr = d.appendEventLocked(raw)
-		if walErr == nil {
-			c.tel.walEventRecs.Inc()
-		}
 	}
 	var laggards []*queue
 	for _, q := range c.asyncs {
@@ -782,10 +739,7 @@ func (c *Collector) Report(raw RawEvent) error {
 	}
 	blockedNs := c.tel.blockedNs
 	c.mu.Unlock()
-	if walErr == nil && walSeq >= 0 {
-		walErr = d.commit(walSeq)
-	}
-	if walErr != nil {
+	if walErr := w.commit(); walErr != nil {
 		// The event is ingested in memory but its durability is not
 		// guaranteed; fail the Report so the reporter (and operator) see
 		// the broken disk instead of silently losing the tail on the
@@ -934,16 +888,13 @@ func (c *Collector) deliver(t event.TraceID, raw RawEvent) {
 			// Export every delivered send: the receive's home shard is
 			// unknowable here (its trace may not have reported yet), so
 			// peers filter on their side via SupplyRemoteSend idempotency.
-			c.shardX.appendLocked(shardExport{MsgID: raw.MsgID, ID: e.ID, VC: e.VC})
+			c.shardX.append(shardExport{MsgID: raw.MsgID, ID: e.ID, VC: e.VC})
 			c.tel.shardExports.Inc()
 		}
 	}
 	c.delivered++
 	c.tel.delivered.Inc()
 	c.order = append(c.order, e)
-	if c.retainLog {
-		c.log = append(c.log, raw)
-	}
 	for _, h := range c.handlers {
 		h(e)
 	}

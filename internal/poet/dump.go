@@ -7,10 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
-
-	"ocep/internal/event"
 )
 
 // dumpHeader identifies the on-disk trace-file format, shared by POET
@@ -18,18 +15,20 @@ import (
 type dumpHeader struct {
 	Magic   string
 	Version int
-	// Traces lists the trace names in registration order, so reload
+	// Traces lists the registered trace names in ID order, so reload
 	// reproduces the same trace numbering (and so the same vector-clock
 	// layout) regardless of event interleaving.
 	Traces []string
-	// Events is the number of delivered raw events that follow, in
-	// delivery order (a valid linearization: reload never buffers them).
+	// Events is the number of raw events that follow, in ingestion order.
+	// Replaying them in that order rebuilds the writer's linearization —
+	// and its journal, which is what keeps replica offsets valid across a
+	// restart. (Files written before the journal listed the delivered
+	// events in delivery order here: equally a valid replay order.)
 	Events int
-	// Pending (version >= 2) is the number of ingested-but-undelivered
-	// raw events that follow the delivered section — events buffered
-	// awaiting causal partners at dump time. They are part of the
-	// acknowledged state: a reporter may have pruned them, so a dump
-	// that dropped them would lose data. Version 1 files have none.
+	// Pending (version >= 2) counts further raw events after those: the
+	// section in which older writers put the ingested-but-undelivered
+	// events. Always written as 0 now — ingestion order places a buffered
+	// event where it arrived — but still read.
 	Pending int
 }
 
@@ -40,76 +39,46 @@ const (
 
 // snapshotState is one consistent cut of the collector's replayable
 // state, captured under the collector lock and encodable outside it
-// (the captured slices are immutable prefixes).
+// (the journal prefix is immutable).
 type snapshotState struct {
-	traces  []string
-	events  []RawEvent // delivered, in delivery order
-	pending []RawEvent // buffered, sorted by (trace name, seq)
+	hdr     dumpHeader
+	records []journalRecord
 }
 
-// snapshotStateLocked captures the current replayable state. The
-// collector must retain its log (and have retained it from the first
-// delivery, or the cut would be silently incomplete).
+// snapshotStateLocked captures the current replayable state: the
+// journal, which therefore must be on.
 func (c *Collector) snapshotStateLocked() (snapshotState, error) {
-	if !c.retainLog {
-		return snapshotState{}, fmt.Errorf("poet: dump requires RetainLog before collection")
+	if c.journal == nil {
+		return snapshotState{}, errors.New("poet: dump requires the journal (EnableReplicationLog before collection)")
 	}
-	if c.retainedFrom > 0 {
-		return snapshotState{}, fmt.Errorf(
-			"poet: retention was enabled after %d events were already delivered; a dump would silently miss them (call RetainLog before reporting begins)",
-			c.retainedFrom)
-	}
-	st := snapshotState{
-		traces: make([]string, c.store.NumTraces()),
-		events: c.log[:len(c.log):len(c.log)],
-	}
-	for i := range st.traces {
-		st.traces[i] = c.store.TraceName(event.TraceID(i))
-	}
-	for _, m := range c.pending {
-		for _, raw := range m {
-			st.pending = append(st.pending, raw)
-		}
-	}
-	sort.Slice(st.pending, func(i, j int) bool {
-		if st.pending[i].Trace != st.pending[j].Trace {
-			return st.pending[i].Trace < st.pending[j].Trace
-		}
-		return st.pending[i].Seq < st.pending[j].Seq
-	})
-	return st, nil
+	recs, _, _ := c.journal.from(0)
+	hdr := dumpHeader{Magic: dumpMagic, Version: dumpVersion, Traces: c.registeredTracesLocked(), Events: c.journal.events()}
+	return snapshotState{hdr, recs}, nil
 }
 
-// encodeSnapshot writes one state cut in the dump format.
+// encodeSnapshot writes one state cut in the dump format: the journal's
+// event records. Registrations are covered by the header; remote sends
+// come back from the peers.
 func encodeSnapshot(w io.Writer, st snapshotState) error {
 	enc := gob.NewEncoder(w)
-	if err := enc.Encode(dumpHeader{
-		Magic:   dumpMagic,
-		Version: dumpVersion,
-		Traces:  st.traces,
-		Events:  len(st.events),
-		Pending: len(st.pending),
-	}); err != nil {
+	if err := enc.Encode(st.hdr); err != nil {
 		return fmt.Errorf("poet: encoding dump header: %w", err)
 	}
-	for i := range st.events {
-		if err := enc.Encode(&st.events[i]); err != nil {
-			return fmt.Errorf("poet: encoding dump event %d: %w", i, err)
+	for i := range st.records {
+		if !st.records[i].isEvent() {
+			continue
 		}
-	}
-	for i := range st.pending {
-		if err := enc.Encode(&st.pending[i]); err != nil {
-			return fmt.Errorf("poet: encoding pending event %d: %w", i, err)
+		if err := enc.Encode(&st.records[i].RawEvent); err != nil {
+			return fmt.Errorf("poet: encoding dump event %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
-// Dump writes the collector's replayable state to w: the delivered
-// raw-event log in delivery order, plus any events buffered awaiting
-// causal partners. The collector must have been created with RetainLog
-// before events were reported; a retention window that misses the start
-// of the run is an error, not a silently partial dump.
+// Dump writes the collector's replayable state to w: every ingested raw
+// event — delivered or still buffered awaiting causal partners — in
+// ingestion order. The collector must keep its journal
+// (EnableReplicationLog before events are reported).
 func (c *Collector) Dump(w io.Writer) error {
 	c.mu.Lock()
 	st, err := c.snapshotStateLocked()
@@ -148,8 +117,8 @@ func (c *Collector) DumpFile(path string) (err error) {
 
 // Reload replays a dumped trace file into the collector via the same
 // Report interface used for live collection (POET's reload feature). It
-// accepts both the v1 format (delivered events only) and v2 (delivered
-// plus pending sections) and returns the number of events replayed.
+// accepts the v1 format (one section) and v2 (an optional pending
+// section after it) and returns the number of events replayed.
 func (c *Collector) Reload(r io.Reader) (int, error) {
 	n, _, err := c.reloadSnapshot(r, false)
 	return n, err

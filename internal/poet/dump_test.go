@@ -13,8 +13,7 @@ import (
 
 func TestDumpReloadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	c := NewCollector()
-	c.RetainLog()
+	c := journaled(t)
 	raws := randomRawComputation(rng, 3, 200)
 	for _, r := range raws {
 		if err := c.Report(r); err != nil {
@@ -58,19 +57,28 @@ func TestDumpReloadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDumpRequiresRetention(t *testing.T) {
+// journaled returns a fresh collector that keeps its journal.
+func journaled(t *testing.T) *Collector {
+	t.Helper()
+	c := NewCollector()
+	if err := c.EnableReplicationLog(); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func TestDumpRequiresJournal(t *testing.T) {
 	c := NewCollector()
 	var buf bytes.Buffer
-	if err := c.Dump(&buf); err == nil || !strings.Contains(err.Error(), "RetainLog") {
-		t.Fatalf("dump without retention must fail, got %v", err)
+	if err := c.Dump(&buf); err == nil || !strings.Contains(err.Error(), "EnableReplicationLog") {
+		t.Fatalf("dump without the journal must fail, got %v", err)
 	}
 }
 
 func TestDumpFileReloadFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "trace.poet")
-	c := NewCollector()
-	c.RetainLog()
+	c := journaled(t)
 	if err := c.Report(RawEvent{Trace: "p0", Seq: 1, Kind: event.KindInternal, Type: "x"}); err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +101,7 @@ func TestDumpFileGzip(t *testing.T) {
 	gz := filepath.Join(dir, "trace.poet.gz")
 
 	rng := rand.New(rand.NewSource(9))
-	c := NewCollector()
-	c.RetainLog()
+	c := journaled(t)
 	raws := randomRawComputation(rng, 3, 500)
 	for _, r := range raws {
 		if err := c.Report(r); err != nil {
@@ -140,8 +147,7 @@ func TestReloadRejectsGarbage(t *testing.T) {
 	}
 	// Wrong magic.
 	var buf bytes.Buffer
-	good := NewCollector()
-	good.RetainLog()
+	good := journaled(t)
 	if err := good.Dump(&buf); err != nil {
 		t.Fatal(err)
 	}

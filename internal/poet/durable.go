@@ -7,16 +7,18 @@
 //	<dir>/snapshot.poet   last complete snapshot (dump format, see dump.go)
 //	<dir>/NNNNNNNN.wal    write-ahead log segments (see internal/wal)
 //
-// Every ingested RawEvent — delivered or still buffered awaiting causal
-// partners — is appended to the WAL under the collector lock, so WAL
-// order equals ingestion order and recovery rebuilds the identical
-// linearization (the same delivery order, vector clocks, ack
-// watermarks, and monitor stream offsets). Explicitly registered trace
-// names are logged too, preserving trace numbering.
+// The WAL is the disk image of the collector's journal (journal.go):
+// every ingested RawEvent — delivered or still buffered awaiting causal
+// partners — and every explicit trace registration is appended to both
+// under the collector lock, so WAL order equals ingestion order and
+// recovery rebuilds the identical linearization (the same delivery
+// order, vector clocks, ack watermarks, and monitor stream offsets) and
+// the identical journal (so replica offsets survive a restart).
 //
 // Snapshots bound recovery time: every SnapshotEvery ingested events the
-// collector's state is written to snapshot.poet (temp file + fsync +
-// rename) and the WAL segments older than the rotation cut are removed.
+// journal's event records are written, in ingestion order, to
+// snapshot.poet (temp file + fsync + rename) and the WAL segments older
+// than the rotation cut are removed.
 // A crash anywhere in that protocol is safe: a stale snapshot plus a
 // longer WAL replays extra records that land as idempotent stale no-ops.
 package poet
@@ -72,8 +74,8 @@ const defaultSnapshotEvery = 8192
 
 // RecoveryStats describes what startup recovery found and rebuilt.
 type RecoveryStats struct {
-	// SnapshotEvents and SnapshotPending count events restored from the
-	// snapshot's delivered and pending sections.
+	// SnapshotEvents and SnapshotPending count the snapshot's events that
+	// were delivered on replay and those left buffered.
 	SnapshotEvents, SnapshotPending int
 	// SnapshotTruncated reports a snapshot cut short by a crash
 	// mid-write; the valid prefix was kept and the WAL filled the rest.
@@ -125,14 +127,14 @@ type Durability struct {
 // OpenDurable opens (or creates) a data directory, recovers its
 // snapshot and write-ahead log into c, and attaches write-ahead logging
 // to c's ingestion path. The collector must be fresh: recovery rebuilds
-// its entire state. Retention is enabled implicitly (snapshots need the
-// delivered log).
+// its entire state. The journal is turned on implicitly (snapshots are
+// written from it), so a retaining collector is refused.
 func OpenDurable(c *Collector, opts DurableOptions) (*Durability, error) {
 	if c.Delivered() > 0 || c.Pending() > 0 {
 		return nil, fmt.Errorf("poet: OpenDurable requires a fresh collector")
 	}
-	if c.RetentionStats().KeepEvents > 0 {
-		return nil, fmt.Errorf("poet: OpenDurable requires a collector without retention (snapshots need the full delivered log)")
+	if err := c.EnableReplicationLog(); err != nil {
+		return nil, err
 	}
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("poet: OpenDurable requires a data directory")
@@ -153,49 +155,15 @@ func OpenDurable(c *Collector, opts DurableOptions) (*Durability, error) {
 	if d.logf == nil {
 		d.logf = func(string, ...any) {}
 	}
-	c.RetainLog()
-
-	start := time.Now()
-	n, truncated, err := c.reloadSnapshotFile(filepath.Join(opts.Dir, SnapshotFile))
-	switch {
-	case err == errNoSnapshot:
-	case err != nil:
-		return nil, err
-	default:
-		d.recovery.SnapshotTruncated = truncated
-		d.recovery.SnapshotEvents = c.Delivered()
-		d.recovery.SnapshotPending = n - d.recovery.SnapshotEvents
-		if truncated {
-			d.logf("poet: snapshot torn mid-write; recovered %d-event prefix", n)
-		}
-	}
-
-	// Replay the WAL through the normal ingestion path. d is not yet
-	// attached to c, so replay does not re-log.
-	log, walStats, err := wal.Open(opts.Dir, wal.Options{Policy: opts.Fsync, Interval: opts.FsyncInterval}, func(p []byte) error {
-		d.recovery.WALRecords++
-		if err := d.replayRecord(p); err != nil {
-			// A record the collector refuses is a recovery observation,
-			// not a reason to refuse to start: staleness is the expected
-			// snapshot/WAL overlap, anything else is counted loudly.
-			if errors.Is(err, ErrStaleEvent) {
-				d.recovery.StaleRecords++
-			} else {
-				d.recovery.RejectedRecords++
-				d.logf("poet: recovery rejected WAL record %d: %v", d.recovery.WALRecords, err)
-			}
-		}
-		return nil
+	// Replay happens before d is attached to c, so it does not re-log.
+	var err error
+	d.recovery, err = recoverInto(c, opts.Dir, d.logf, func(fn func([]byte) error) (st wal.ReplayStats, err error) {
+		d.log, st, err = wal.Open(opts.Dir, wal.Options{Policy: opts.Fsync, Interval: opts.FsyncInterval}, fn)
+		return st, err
 	})
 	if err != nil {
-		return nil, fmt.Errorf("poet: opening write-ahead log: %w", err)
+		return nil, err
 	}
-	d.log = log
-	d.recovery.DiscardedRecords = int64(walStats.DiscardedRecords)
-	d.recovery.DiscardedBytes = walStats.DiscardedBytes
-	d.recovery.Delivered = c.Delivered()
-	d.recovery.Pending = c.Pending()
-	d.recovery.Elapsed = time.Since(start)
 	// The replayed backlog counts toward the next snapshot trigger, so a
 	// crash loop cannot grow the WAL without bound.
 	d.sinceSnap.Store(int64(d.recovery.WALRecords))
@@ -252,27 +220,19 @@ func (d *Durability) Snapshots() int64 { return d.snapshots.Load() }
 // weaker policies.
 func (d *Durability) Sync() error { return d.log.Sync() }
 
-// appendEventLocked logs one ingested event. Caller holds c.mu.
-func (d *Durability) appendEventLocked(raw RawEvent) (int64, error) {
-	d.rec = encodeEventRecord(d.rec[:0], &raw, nil)
-	seq, err := d.log.Append(d.rec)
-	if err != nil {
-		return -1, err
+// appendLocked logs one journal record — an ingested event, or an
+// explicit trace registration (Seq 0). Caller holds c.mu.
+func (d *Durability) appendLocked(raw *RawEvent) (int64, error) {
+	if raw.Seq == 0 {
+		d.rec = encodeTraceRecord(d.rec[:0], raw.Trace, nil)
+		return d.log.Append(d.rec)
 	}
-	d.sinceSnap.Add(1)
-	return seq, nil
-}
-
-// appendTraceLocked logs one explicit trace registration. Caller holds
-// c.mu. WAL failure here is deferred to the next commit (the sticky
-// error resurfaces); returns -1 so the caller skips the commit.
-func (d *Durability) appendTraceLocked(name string) int64 {
-	d.rec = encodeTraceRecord(d.rec[:0], name, nil)
+	d.rec = encodeEventRecord(d.rec[:0], raw, nil)
 	seq, err := d.log.Append(d.rec)
-	if err != nil {
-		return -1
+	if err == nil {
+		d.sinceSnap.Add(1)
 	}
-	return seq
+	return seq, err
 }
 
 // appendedLocked returns the WAL append position. Caller holds c.mu.
@@ -377,7 +337,7 @@ func (d *Durability) Snapshot() error {
 		return fmt.Errorf("poet: truncating WAL after snapshot: %w", err)
 	}
 	d.snapshots.Add(1)
-	d.logf("poet: snapshot: %d delivered + %d pending events, WAL truncated below segment %d", len(st.events), len(st.pending), cut)
+	d.logf("poet: snapshot: %d events, WAL truncated below segment %d", st.hdr.Events, cut)
 	return nil
 }
 
@@ -407,39 +367,53 @@ func (d *Durability) Close() error {
 // into a collector without attaching durability, for offline inspection
 // of a recovered state (`poetd -reload <datadir>`).
 func ReloadDir(c *Collector, dir string) (RecoveryStats, error) {
-	var stats RecoveryStats
+	return recoverInto(c, dir, func(string, ...any) {}, func(fn func([]byte) error) (wal.ReplayStats, error) {
+		return wal.Replay(dir, fn)
+	})
+}
+
+// recoverInto replays dir's snapshot and then its write-ahead log into
+// c through the normal ingestion path. replay is wal.Open for a
+// directory that will be appended to (it repairs a torn tail) and
+// wal.Replay for a read-only look.
+func recoverInto(c *Collector, dir string, logf func(string, ...any), replay func(func([]byte) error) (wal.ReplayStats, error)) (RecoveryStats, error) {
+	var st RecoveryStats
 	start := time.Now()
 	n, truncated, err := c.reloadSnapshotFile(filepath.Join(dir, SnapshotFile))
 	switch {
 	case err == errNoSnapshot:
 	case err != nil:
-		return stats, err
+		return st, err
 	default:
-		stats.SnapshotTruncated = truncated
-		stats.SnapshotEvents = c.Delivered()
-		stats.SnapshotPending = n - stats.SnapshotEvents
+		st.SnapshotTruncated = truncated
+		st.SnapshotEvents = c.Delivered()
+		st.SnapshotPending = n - st.SnapshotEvents
+		if truncated {
+			logf("poet: snapshot torn mid-write; recovered %d-event prefix", n)
+		}
 	}
-	d := &Durability{c: c} // decode context only; no log attached
-	walStats, err := wal.Replay(dir, func(p []byte) error {
-		stats.WALRecords++
-		if err := d.replayRecord(p); err != nil {
-			if errors.Is(err, ErrStaleEvent) {
-				stats.StaleRecords++
-			} else {
-				stats.RejectedRecords++
-			}
+	walStats, err := replay(func(p []byte) error {
+		st.WALRecords++
+		// A record the collector refuses is a recovery observation, not a
+		// reason to refuse to start: staleness is the expected
+		// snapshot/WAL overlap, anything else is counted loudly.
+		if err := c.replayRecord(p); errors.Is(err, ErrStaleEvent) {
+			st.StaleRecords++
+		} else if err != nil {
+			st.RejectedRecords++
+			logf("poet: recovery rejected WAL record %d: %v", st.WALRecords, err)
 		}
 		return nil
 	})
 	if err != nil {
-		return stats, fmt.Errorf("poet: replaying write-ahead log: %w", err)
+		return st, fmt.Errorf("poet: replaying write-ahead log: %w", err)
 	}
-	stats.DiscardedRecords = int64(walStats.DiscardedRecords)
-	stats.DiscardedBytes = walStats.DiscardedBytes
-	stats.Delivered = c.Delivered()
-	stats.Pending = c.Pending()
-	stats.Elapsed = time.Since(start)
-	return stats, nil
+	st.DiscardedRecords = int64(walStats.DiscardedRecords)
+	st.DiscardedBytes = walStats.DiscardedBytes
+	st.Delivered = c.Delivered()
+	st.Pending = c.Pending()
+	st.Elapsed = time.Since(start)
+	return st, nil
 }
 
 // Record encoding: one leading kind byte, then varint-framed fields.
@@ -576,7 +550,7 @@ func (r *recordReader) eventRecord() RawEvent {
 }
 
 // replayRecord decodes one WAL record and applies it to the collector.
-func (d *Durability) replayRecord(p []byte) error {
+func (c *Collector) replayRecord(p []byte) error {
 	if len(p) == 0 {
 		return fmt.Errorf("poet: empty WAL record")
 	}
@@ -587,13 +561,13 @@ func (d *Durability) replayRecord(p []byte) error {
 		if r.err != nil {
 			return fmt.Errorf("poet: malformed WAL event record")
 		}
-		return d.c.Report(raw)
+		return c.Report(raw)
 	case recTrace:
 		name := r.string()
 		if r.err != nil || name == "" {
 			return fmt.Errorf("poet: malformed WAL trace record")
 		}
-		d.c.RegisterTrace(name)
+		c.RegisterTrace(name)
 		return nil
 	default:
 		return fmt.Errorf("poet: unknown WAL record kind %d", p[0])

@@ -307,34 +307,31 @@ func TestDurableExplicitTraceOrderSurvives(t *testing.T) {
 	c1.RegisterTrace("zeta")
 	c1.RegisterTrace("mute")
 	reportAll(t, c1, durWorkload(5))
-	wantNames := make([]string, c1.Store().NumTraces())
-	for i := range wantNames {
-		wantNames[i] = c1.Store().TraceName(event.TraceID(i))
-	}
+	wantNames := traceNames(c1)
 	if err := d1.log.Close(); err != nil { // crash
 		t.Fatal(err)
 	}
 
 	c2, d2 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways, SnapshotEvery: -1})
 	defer d2.Close()
-	gotNames := make([]string, c2.Store().NumTraces())
-	for i := range gotNames {
-		gotNames[i] = c2.Store().TraceName(event.TraceID(i))
-	}
-	if !equalSlices(gotNames, wantNames) {
+	if gotNames := traceNames(c2); !equalSlices(gotNames, wantNames) {
 		t.Fatalf("trace numbering changed across recovery: want %v, got %v", wantNames, gotNames)
 	}
 }
 
-func TestDumpRefusesLateRetention(t *testing.T) {
+// A journal that misses the start of the run would make every dump
+// silently partial; the refusal comes when it is turned on, not at Dump.
+func TestDumpNeedsJournalFromTheStart(t *testing.T) {
 	c := NewCollector()
 	if err := c.Report(RawEvent{Trace: "a", Seq: 1, Kind: event.KindInternal, Type: "x"}); err != nil {
 		t.Fatal(err)
 	}
-	c.RetainLog() // too late: one event already delivered unretained
-	err := c.Dump(&strings.Builder{})
-	if err == nil || !strings.Contains(err.Error(), "retention was enabled after") {
-		t.Fatalf("late-retention dump must fail loudly, got %v", err)
+	err := c.EnableReplicationLog() // too late: one event already ingested unjournaled
+	if err == nil || !strings.Contains(err.Error(), "before any event is ingested") {
+		t.Fatalf("late journal must be refused loudly, got %v", err)
+	}
+	if err := c.Dump(&strings.Builder{}); err == nil {
+		t.Fatal("dump of an unjournaled collector must fail")
 	}
 }
 

@@ -7,6 +7,7 @@ package poet
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -114,27 +115,50 @@ func TestRetentionOpenSendPinsStore(t *testing.T) {
 	}
 }
 
-func TestRetentionIncompatibilities(t *testing.T) {
-	c := NewCollector()
-	c.RetainLog()
-	if err := c.SetRetention(10); err == nil {
-		t.Fatal("SetRetention accepted a RetainLog collector")
+// TestRetentionConflictsBothOrders: only the delivery index can trim, so
+// retention and each log that is read from record zero refuse each other
+// in whichever order they are asked for — the library-level mirror of
+// poetd's rejected flag combinations.
+func TestRetentionConflictsBothOrders(t *testing.T) {
+	logs := []struct {
+		name string
+		on   func(*Collector) error
+	}{
+		{"journal", (*Collector).EnableReplicationLog},
+		{"durable", func(c *Collector) error {
+			d, err := OpenDurable(c, DurableOptions{Dir: t.TempDir()})
+			if err == nil {
+				t.Cleanup(func() { _ = d.Close() })
+			}
+			return err
+		}},
+		{"sharding", func(c *Collector) error { return c.EnableSharding(0, 2) }},
 	}
-	c2 := NewCollector()
-	if err := c2.SetRetention(10); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenDurable(c2, DurableOptions{Dir: t.TempDir()}); err == nil {
-		t.Fatal("OpenDurable accepted a retaining collector")
-	}
-	c3 := NewCollector()
-	d, err := OpenDurable(c3, DurableOptions{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if err := c3.SetRetention(10); err == nil {
-		t.Fatal("SetRetention accepted a durable collector")
+	for _, l := range logs {
+		t.Run(l.name+"-then-retention", func(t *testing.T) {
+			c := NewCollector()
+			if err := l.on(c); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.SetRetention(10); err == nil || !strings.Contains(err.Error(), "retention is incompatible with") {
+				t.Fatalf("SetRetention on a collector with %s = %v, want an incompatibility", l.name, err)
+			}
+			if c.RetentionStats().KeepEvents != 0 {
+				t.Fatal("the refused SetRetention took effect")
+			}
+		})
+		t.Run("retention-then-"+l.name, func(t *testing.T) {
+			c := NewCollector()
+			if err := c.SetRetention(10); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.on(c); err == nil || !strings.Contains(err.Error(), "incompatible with SetRetention") {
+				t.Fatalf("%s on a retaining collector = %v, want an incompatibility", l.name, err)
+			}
+			if c.ReplicationStats().Enabled || c.Sharded() || c.Durable() != nil {
+				t.Fatalf("the refused %s took effect", l.name)
+			}
+		})
 	}
 }
 

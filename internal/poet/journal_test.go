@@ -1,0 +1,395 @@
+package poet
+
+import (
+	"bytes"
+	"encoding/gob"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"ocep/internal/event"
+)
+
+// journalEvents renders the journal's event records, in journal order.
+func journalEvents(c *Collector) []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []string
+	for i := range c.journal.recs {
+		if r := &c.journal.recs[i]; r.isEvent() {
+			out = append(out, fmt.Sprintf("%s/%d", r.Trace, r.Seq))
+		}
+	}
+	return out
+}
+
+func traceNames(c *Collector) []string {
+	st := c.Store()
+	names := make([]string, st.NumTraces())
+	for i := range names {
+		names[i] = st.TraceName(event.TraceID(i))
+	}
+	return names
+}
+
+// jumbledWorkload is durWorkload made hostile to any recovery that
+// replays in delivery order: besides the receives that precede their
+// sends, every fifth round reports a trace's events with the sequence
+// numbers ahead of the delivery head, so ingestion order and delivery
+// order differ both within and across traces.
+func jumbledWorkload(rounds int) []RawEvent {
+	evs := durWorkload(rounds)
+	for i := 0; i+2 < len(evs); i += 3 {
+		if (i/3)%5 == 2 {
+			// Round layout here is send, recv, note: report the note (alpha,
+			// seq 2r+2) before the send (alpha, seq 2r+1).
+			evs[i], evs[i+2] = evs[i+2], evs[i]
+		}
+	}
+	return evs
+}
+
+// TestRecoveryReproducesReplicaStream is the journal's contract: a
+// durable collector that restarts — from its final snapshot, or from a
+// mid-run snapshot plus the write-ahead log a crash left behind —
+// rebuilds not only its state but its record stream, so a replica that
+// had applied any strict prefix resumes at its offset, is sent exactly
+// the rest, and converges on the primary's linearization and trace
+// numbering. A snapshot in delivery order (or registrations replayed
+// out of place) permutes the stream and hands the lagging replica the
+// wrong suffix.
+func TestRecoveryReproducesReplicaStream(t *testing.T) {
+	evs := jumbledWorkload(30)
+	half := len(evs) / 2
+	// drive feeds the workload with an explicit registration mid-stream
+	// whose trace first reports only after a later-registered trace has,
+	// and calls mid (if any) at the halfway point.
+	drive := func(t *testing.T, c *Collector, mid func()) {
+		reportAll(t, c, evs[:half])
+		c.RegisterTrace("late")
+		reportAll(t, c, []RawEvent{{Trace: "later", Seq: 1, Kind: event.KindInternal, Type: "x"}})
+		if mid != nil {
+			mid()
+		}
+		reportAll(t, c, evs[half:])
+		reportAll(t, c, []RawEvent{
+			{Trace: "late", Seq: 2, Kind: event.KindInternal, Type: "ahead"},
+			{Trace: "late", Seq: 1, Kind: event.KindInternal, Type: "x"},
+		})
+	}
+	paths := []struct {
+		name    string
+		restart func(t *testing.T, dir string) (before *Collector)
+	}{
+		{"snapshot", func(t *testing.T, dir string) *Collector {
+			c, d := openDurable(t, dir, DurableOptions{Fsync: SyncAlways, SnapshotEvery: -1})
+			drive(t, c, nil)
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}},
+		{"snapshot+wal-crash", func(t *testing.T, dir string) *Collector {
+			c, d := openDurable(t, dir, DurableOptions{Fsync: SyncAlways, SnapshotEvery: -1})
+			drive(t, c, func() {
+				if err := d.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if err := d.log.Close(); err != nil { // crash: no final snapshot
+				t.Fatal(err)
+			}
+			return c
+		}},
+	}
+	for _, p := range paths {
+		t.Run(p.name, func(t *testing.T) {
+			dir := t.TempDir()
+			before := p.restart(t, dir)
+			wantStream, wantState, wantNames := journalEvents(before), stateSig(before), traceNames(before)
+
+			c1, d1 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways, SnapshotEvery: -1})
+			defer d1.Close()
+			if rec := d1.Recovery(); rec.RejectedRecords != 0 || rec.DiscardedRecords != 0 {
+				t.Fatalf("recovery lost records: %+v", rec)
+			}
+			if got := journalEvents(c1); !equalSlices(got, wantStream) {
+				t.Fatalf("recovered journal permutes the stream:\nwant %v\ngot  %v", wantStream, got)
+			}
+			if got := stateSig(c1); !equalSlices(got, wantState) {
+				t.Fatalf("recovered linearization differs:\nwant %v\ngot  %v", wantState, got)
+			}
+			if got := traceNames(c1); !equalSlices(got, wantNames) {
+				t.Fatalf("recovered trace numbering %v, want %v", got, wantNames)
+			}
+
+			s1 := NewServer(c1, t.Logf)
+			s1.SetWireTiming(10*time.Millisecond, 20*time.Millisecond, 2*time.Second)
+			addr, err := s1.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s1.Close()
+
+			// Replicas that stopped at every kind of place in the stream
+			// the primary produced before it restarted: before and after
+			// the mid-stream registration, with events still buffered.
+			before.mu.Lock()
+			stream := before.journal.recs
+			before.mu.Unlock()
+			total := len(wantStream)
+			for cut := 1; cut < len(stream); cut += 7 {
+				c2 := NewCollector()
+				applied := 0
+				for i := range stream[:cut] {
+					if r := &stream[i]; r.isEvent() {
+						if err := c2.Report(r.RawEvent); err != nil {
+							t.Fatal(err)
+						}
+						applied++
+					} else {
+						c2.RegisterTrace(r.Trace)
+					}
+				}
+				sent := s1.WireStats().ReplicaEvents
+				rep, err := FollowPrimary(addr, c2, WithReplicaHeartbeat(20*time.Millisecond), WithReplicaLog(t.Logf))
+				if err != nil {
+					t.Fatalf("replica at offset %d: %v", applied, err)
+				}
+				waitFor(t, func() bool { return c2.IngestCount() == total })
+				rep.Stop()
+				<-rep.Done()
+				if got := s1.WireStats().ReplicaEvents - sent; got != total-applied {
+					t.Fatalf("replica at offset %d was sent %d events, want exactly the %d it lacked", applied, got, total-applied)
+				}
+				if got := stateSig(c2); !equalSlices(got, wantState) {
+					t.Fatalf("replica resumed at offset %d (journal index %d) diverged:\nwant %v\ngot  %v", applied, cut, wantState, got)
+				}
+				if got := traceNames(c2); !equalSlices(got, wantNames) {
+					t.Fatalf("replica resumed at offset %d numbers its traces %v, want %v", applied, got, wantNames)
+				}
+			}
+		})
+	}
+}
+
+// TestShardedSnapshotRecoveryKeepsTraceIDs: a sharded collector's store
+// holds unnamed holes for the IDs homed on its peers. A snapshot header
+// that listed them would, on recovery, register each hole's fallback
+// name as a home trace and renumber every real one after it.
+func TestShardedSnapshotRecoveryKeepsTraceIDs(t *testing.T) {
+	dir := t.TempDir()
+	open := func() (*Collector, *Durability) {
+		c := NewCollector()
+		if err := c.EnableSharding(0, 2); err != nil {
+			t.Fatal(err)
+		}
+		d, err := OpenDurable(c, DurableOptions{Dir: dir, Fsync: SyncAlways, SnapshotEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, d
+	}
+	ids := func(c *Collector) []event.TraceID {
+		var out []event.TraceID
+		for _, name := range []string{"p0", "p2", "p4"} {
+			id, ok := c.Store().TraceByName(name)
+			if !ok {
+				t.Fatalf("trace %s not registered", name)
+			}
+			out = append(out, id)
+		}
+		return out
+	}
+	c1, d1 := open()
+	for _, name := range []string{"p0", "p2", "p4"} {
+		reportN(t, c1, name, 1, 3)
+	}
+	want, wantState := ids(c1), stateSig(c1)
+	if fmt.Sprint(want) != "[0 2 4]" {
+		t.Fatalf("shard 0 of 2 numbered its home traces %v, want [0 2 4]", want)
+	}
+	if err := d1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c2, d2 := open()
+	defer d2.Close()
+	if got := ids(c2); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("restart renumbered the home traces: %v, want %v", got, want)
+	}
+	if got := stateSig(c2); !equalSlices(got, wantState) {
+		t.Fatalf("restart changed the stamps:\nwant %v\ngot  %v", wantState, got)
+	}
+	if got := c2.ShardStats().HomeTraces; got != 3 {
+		t.Fatalf("restart left %d home traces, want 3", got)
+	}
+}
+
+// TestNoJournalUnlessAsked: an embedded collector with no dump, disk or
+// replica keeps no second copy of what it ingested.
+func TestNoJournalUnlessAsked(t *testing.T) {
+	c := NewCollector()
+	c.RegisterTrace("explicit")
+	reportAll(t, c, durWorkload(20))
+	if c.journal != nil {
+		t.Fatalf("a collector nobody asked keeps a journal of %d records", len(c.journal.recs))
+	}
+	if st := c.ReplicationStats(); st.Enabled || st.Records != 0 {
+		t.Fatalf("replication stats of a journal-less collector: %+v", st)
+	}
+	if c.IngestCount() != len(durWorkload(20)) {
+		t.Fatalf("ingest count %d must not depend on the journal", c.IngestCount())
+	}
+}
+
+// TestJournalIndexAfter checks the offset→index lookup against the scan
+// it replaced, over every offset of random record mixes.
+func TestJournalIndexAfter(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 50; round++ {
+		var j journal
+		for i, n := 0, rng.Intn(60); i < n; i++ {
+			switch rng.Intn(4) {
+			case 0:
+				j.append(journalRecord{RawEvent: RawEvent{Trace: "t"}})
+			case 1:
+				j.append(journalRecord{remote: &shardExport{MsgID: 1}})
+			default:
+				j.append(journalRecord{RawEvent: RawEvent{Trace: "t", Seq: i + 1}})
+			}
+		}
+		for events := 0; events <= j.events(); events++ {
+			want, seen := 0, 0
+			for i := range j.recs {
+				if seen == events {
+					break
+				}
+				if j.recs[i].isEvent() {
+					seen++
+				}
+				want = i + 1
+			}
+			if got := j.indexAfter(events); got != want {
+				t.Fatalf("round %d: indexAfter(%d) = %d, want %d (non-events at %v)", round, events, got, want, j.others)
+			}
+		}
+	}
+}
+
+// TestReloadAcceptsOlderDumpLayouts: files written before the journal
+// list the delivered events in delivery order and (version 2) the
+// buffered ones in a trailing pending section; version 1 has no such
+// section. Both must keep reloading.
+func TestReloadAcceptsOlderDumpLayouts(t *testing.T) {
+	delivered := []RawEvent{
+		{Trace: "a", Seq: 1, Kind: event.KindSend, Type: "s", MsgID: 1},
+		{Trace: "b", Seq: 1, Kind: event.KindReceive, Type: "r", MsgID: 1},
+	}
+	pending := []RawEvent{{Trace: "b", Seq: 2, Kind: event.KindReceive, Type: "r", MsgID: 2}}
+	for _, tc := range []struct {
+		hdr  dumpHeader
+		evs  []RawEvent
+		pend int
+	}{
+		{dumpHeader{Magic: dumpMagic, Version: 1, Traces: []string{"a", "b"}, Events: 2}, delivered, 0},
+		{dumpHeader{Magic: dumpMagic, Version: 2, Traces: []string{"a", "b"}, Events: 2, Pending: 1}, append(delivered[:2:2], pending...), 1},
+	} {
+		var buf bytes.Buffer
+		enc := gob.NewEncoder(&buf)
+		if err := enc.Encode(tc.hdr); err != nil {
+			t.Fatal(err)
+		}
+		for i := range tc.evs {
+			if err := enc.Encode(&tc.evs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c := NewCollector()
+		n, err := c.Reload(&buf)
+		if err != nil || n != len(tc.evs) {
+			t.Fatalf("v%d reload = %d, %v; want %d events", tc.hdr.Version, n, err, len(tc.evs))
+		}
+		if c.Delivered() != 2 || c.Pending() != tc.pend {
+			t.Fatalf("v%d reload left %d delivered + %d pending, want 2 + %d", tc.hdr.Version, c.Delivered(), c.Pending(), tc.pend)
+		}
+	}
+}
+
+// TestDumpIsIngestionOrdered: the dump carries the journal's events as
+// they arrived — buffered ones in place, no pending section — and a
+// snapshot is the same file.
+func TestDumpIsIngestionOrdered(t *testing.T) {
+	dir := t.TempDir()
+	c, d := openDurable(t, dir, DurableOptions{Fsync: SyncNone, SnapshotEvery: -1})
+	evs := jumbledWorkload(10)
+	evs = append(evs, RawEvent{Trace: "beta", Seq: 99, Kind: event.KindInternal, Type: "stranded"})
+	reportAll(t, c, evs)
+	if c.Pending() == 0 {
+		t.Fatal("workload should leave an event buffered")
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(filepath.Join(dir, SnapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	dec := gob.NewDecoder(f)
+	var hdr dumpHeader
+	if err := dec.Decode(&hdr); err != nil {
+		t.Fatal(err)
+	}
+	if hdr.Version != dumpVersion || hdr.Events != len(evs) || hdr.Pending != 0 {
+		t.Fatalf("snapshot header %+v, want version %d with %d events and no pending section", hdr, dumpVersion, len(evs))
+	}
+	for i, want := range evs {
+		var got RawEvent
+		if err := dec.Decode(&got); err != nil {
+			t.Fatalf("event %d: %v", i, err)
+		}
+		if got != want {
+			t.Fatalf("snapshot event %d is %+v, want the %d-th ingested %+v", i, got, i, want)
+		}
+	}
+}
+
+// TestReplicaWithRetentionConverges: a standby needs the primary's
+// journal, not one of its own — it resumes by ingest count — so it may
+// bound its memory (poetd -follow with -retain-events) and still apply
+// every event.
+func TestReplicaWithRetentionConverges(t *testing.T) {
+	c1 := journaled(t)
+	s1 := NewServer(c1, t.Logf)
+	s1.SetWireTiming(10*time.Millisecond, 20*time.Millisecond, 2*time.Second)
+	addr, err := s1.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s1.Close()
+	c2 := NewCollector()
+	if err := c2.SetRetention(64); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := FollowPrimary(addr, c2, WithReplicaHeartbeat(20*time.Millisecond), WithReplicaLog(t.Logf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Stop()
+	evs := durWorkload(200)
+	reportAll(t, c1, evs)
+	waitFor(t, func() bool { return c2.Delivered() == len(evs) })
+	rs := c2.RetentionStats()
+	if rs.Evicted == 0 || rs.Retained > 64+64/4 {
+		t.Fatalf("standby retention did not hold its bound: %+v", rs)
+	}
+	tail := c1.Ordered()[len(evs)-rs.Retained:]
+	for i, e := range c2.Ordered() {
+		if e.ID != tail[i].ID || !e.VC.Equal(tail[i].VC) {
+			t.Fatalf("standby's retained event %d is %s, primary delivered %s there", i, e, tail[i])
+		}
+	}
+}

@@ -11,12 +11,12 @@ import (
 	"ocep/internal/pool"
 )
 
-// Warm-standby replication. A primary collector with the replication
-// log enabled captures its ingestion-ordered record stream — every
-// successfully ingested raw event plus every explicit trace
-// registration, in exactly the order the WAL would log them — and
-// serves it to replica sessions (hello role "replica") over the normal
-// wire port. A standby runs a Replicator that applies the stream
+// Warm-standby replication. A primary collector that keeps its journal
+// (journal.go: every successfully ingested raw event, explicit trace
+// registration and applied peer-shard send, in exactly the order the WAL
+// logs them) serves it to replica sessions (hello role "replica") over
+// the normal wire port: a session is a cursor over the journal. A
+// standby runs a Replicator that applies the stream
 // to its own collector through the public Report/RegisterTrace path, so
 // the standby's delivery, ack watermarks, and monitor offsets are the
 // deterministic product of the same record order the primary ingested:
@@ -51,51 +51,14 @@ const defaultReplAckWait = 500 * time.Millisecond
 // replication): the standby should promote.
 var ErrPrimaryDrained = errors.New("poet: primary drained")
 
-// repRecord is one entry of the replication log: an explicit trace
-// registration (Trace non-empty), a peer-shard send record applied by
-// SupplyRemoteSend (Remote non-nil), or an ingested event. Remote
-// records matter on a sharded primary: delivery order depends on when
-// remote sends became available, so the standby must apply them at the
-// same position of the record stream to rebuild the identical
-// linearization.
-type repRecord struct {
-	Trace  string
-	Event  RawEvent
-	Remote *shardExport
-}
-
-// isEvent reports whether the record is an ingested event — the only
-// record kind replication offsets count.
-func (r repRecord) isEvent() bool { return r.Trace == "" && r.Remote == nil }
-
-// replState is the collector's replication bookkeeping, guarded by the
-// collector's mu.
+// replState is what the attached replica sessions have confirmed,
+// guarded by the collector's mu. A change wakes barrier waiters through
+// the growth signal of the journal the sessions tail.
 type replState struct {
-	// log is the append-only ingestion-ordered record stream.
-	log []repRecord
-	// events counts the event records in log (the offset currency).
-	events int
 	// confirmed maps attached replica session ids to the event-record
-	// count each has acknowledged applying.
+	// count each has acknowledged applying; made with the journal.
 	confirmed map[int]int
 	nextSess  int
-	// ch is closed and replaced whenever the log grows or a
-	// confirmation/attachment changes, waking record senders and
-	// barrier waiters (the channel-swap notification pattern).
-	ch chan struct{}
-}
-
-func (r *replState) appendLocked(rec repRecord) {
-	r.log = append(r.log, rec)
-	if rec.isEvent() {
-		r.events++
-	}
-	r.notifyLocked()
-}
-
-func (r *replState) notifyLocked() {
-	close(r.ch)
-	r.ch = make(chan struct{})
 }
 
 func (r *replState) minConfirmed() int {
@@ -111,28 +74,6 @@ func (r *replState) minConfirmed() int {
 	return min
 }
 
-// EnableReplicationLog makes the collector capture its ingestion-ordered
-// record stream so replica sessions can tail it. Must be called before
-// any event is ingested (a replica resuming from zero needs the stream
-// complete from the start — enable it before OpenDurable so the
-// recovered prefix is captured too), and is incompatible with
-// SetRetention. Idempotent.
-func (c *Collector) EnableReplicationLog() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.repl != nil {
-		return nil
-	}
-	if c.retain > 0 {
-		return errors.New("poet: replication log is incompatible with SetRetention (a replica resume needs the full record stream)")
-	}
-	if c.ingests > 0 {
-		return errors.New("poet: EnableReplicationLog must be called before any event is ingested")
-	}
-	c.repl = &replState{confirmed: make(map[int]int), ch: make(chan struct{})}
-	return nil
-}
-
 // SetReplicationAckWait bounds how long reporter-ack release waits for
 // an attached replica's confirmation before withholding the ack for one
 // interval. Zero restores the default.
@@ -144,7 +85,8 @@ func (c *Collector) SetReplicationAckWait(d time.Duration) {
 
 // ReplicationStats summarizes the primary side of replication.
 type ReplicationStats struct {
-	// Enabled reports whether the record stream is being captured.
+	// Enabled reports whether the collector keeps its journal, the record
+	// stream replica sessions tail.
 	Enabled bool
 	// Sessions is the number of currently attached replica sessions.
 	Sessions int
@@ -154,8 +96,8 @@ type ReplicationStats struct {
 	// Lag is the number of ingested events not yet confirmed by every
 	// attached session (0 with no sessions: there is no one to lag).
 	Lag int
-	// Records is the length of the captured record stream (events plus
-	// trace registrations).
+	// Records is the length of the journal (events, explicit trace
+	// registrations, applied peer-shard sends).
 	Records int
 }
 
@@ -163,12 +105,12 @@ type ReplicationStats struct {
 func (c *Collector) ReplicationStats() ReplicationStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := ReplicationStats{Enabled: c.repl != nil}
-	if c.repl == nil {
+	st := ReplicationStats{Enabled: c.journal != nil}
+	if c.journal == nil {
 		return st
 	}
 	st.Sessions = len(c.repl.confirmed)
-	st.Records = len(c.repl.log)
+	st.Records = len(c.journal.recs)
 	if st.Sessions > 0 {
 		st.Confirmed = c.repl.minConfirmed()
 		st.Lag = c.ingests - st.Confirmed
@@ -184,7 +126,7 @@ func (c *Collector) replAttach(applied int) int {
 	id := c.repl.nextSess
 	c.repl.nextSess++
 	c.repl.confirmed[id] = applied
-	c.repl.notifyLocked()
+	c.journal.wake()
 	return id
 }
 
@@ -194,7 +136,7 @@ func (c *Collector) replDetach(id int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.repl.confirmed, id)
-	c.repl.notifyLocked()
+	c.journal.wake()
 }
 
 // replConfirm records a replica's confirmation of the first `applied`
@@ -204,7 +146,7 @@ func (c *Collector) replConfirm(id, applied int) {
 	defer c.mu.Unlock()
 	if cur, ok := c.repl.confirmed[id]; ok && applied > cur {
 		c.repl.confirmed[id] = applied
-		c.repl.notifyLocked()
+		c.journal.wake()
 	}
 }
 
@@ -221,12 +163,11 @@ func (c *Collector) replWait(pos int, timeout time.Duration) bool {
 	}
 	for {
 		c.mu.Lock()
-		r := c.repl
-		if r == nil || len(r.confirmed) == 0 || r.minConfirmed() >= pos {
+		if len(c.repl.confirmed) == 0 || c.repl.minConfirmed() >= pos {
 			c.mu.Unlock()
 			return true
 		}
-		ch := r.ch
+		ch := c.journal.signal()
 		c.mu.Unlock()
 		select {
 		case <-ch:
@@ -245,53 +186,38 @@ func (c *Collector) replWait(pos int, timeout time.Duration) bool {
 // barrier.
 func (c *Collector) replBarrier() { c.replWait(c.IngestCount(), -1) }
 
-// replResumeIndex translates a replica's event-record offset into an
-// index of the record log: the position just past the offset-th event
-// record. Trace records inside the skipped prefix were applied by the
-// replica strictly in order (it could not have applied the offset-th
-// event otherwise), so nothing before the index needs replay.
-func (c *Collector) replResumeIndex(events int) (int, error) {
+// replAttachPoint translates a replica's event-record offset into the
+// journal index its session streams from, and lists the registered
+// traces the session sends first. The journal a recovery rebuilds has
+// the snapshot's registrations at its front, not where they happened,
+// so one the replica has yet to apply may sit in the prefix its offset
+// skips; registering every trace in ID order gives it the primary's
+// numbering wherever it stopped (the in-band ones are then no-ops).
+func (c *Collector) replAttachPoint(events int) (idx int, traces []string, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if events < 0 || events > c.repl.events {
-		return 0, fmt.Errorf("replica claims %d applied events, this collector ingested %d: it did not produce that stream", events, c.repl.events)
+	if head := c.journal.events(); events < 0 || events > head {
+		return 0, nil, fmt.Errorf("replica claims %d applied events, this collector ingested %d: it did not produce that stream", events, head)
 	}
-	if events == 0 {
-		return 0, nil
-	}
-	seen := 0
-	for i, rec := range c.repl.log {
-		if rec.isEvent() {
-			seen++
-			if seen == events {
-				return i + 1, nil
-			}
-		}
-	}
-	// Unreachable: events <= c.repl.events was checked above.
-	return len(c.repl.log), nil
+	return c.journal.indexAfter(events), c.registeredTracesLocked(), nil
 }
 
-// replRecordsFrom returns the record suffix starting at log index idx,
-// the index just past it, the current ingest head, and the channel that
-// signals growth (for an empty suffix). Records are immutable once
-// appended, so the returned slice is safe to read without copying.
-func (c *Collector) replRecordsFrom(idx int) (recs []repRecord, next, head int, ch <-chan struct{}) {
+// journalFrom returns the journal suffix starting at idx, the index
+// just past it, the current ingest head, and — for an empty suffix —
+// the growth signal.
+func (c *Collector) journalFrom(idx int) (recs []journalRecord, next, head int, grew <-chan struct{}) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r := c.repl
-	if idx < len(r.log) {
-		recs = r.log[idx:len(r.log):len(r.log)]
-	}
-	return recs, len(r.log), c.ingests, r.ch
+	recs, next, grew = c.journal.from(idx)
+	return recs, next, c.ingests, grew
 }
 
 // ---------------------------------------------------------------------
 // Server side: replica sessions, standby gating, drain.
 
-// handleReplica streams the collector's record log to one warm standby:
-// the suffix past the replica's confirmed offset first, then live
-// records as they are ingested, with idle heartbeats carrying the
+// handleReplica streams the collector's journal to one warm standby:
+// the registered traces, the suffix past the replica's confirmed offset,
+// then live records as they are ingested, with idle heartbeats carrying the
 // ingest head so the replica can compute its lag on a quiet stream. A
 // background reader consumes replicaAck frames and feeds the
 // confirmations that release the primary's ack and monitor-send
@@ -305,7 +231,7 @@ func (s *Server) handleReplica(conn *link, dec *gob.Decoder, h hello) error {
 		_ = sendHello(helloAck{Error: msg})
 		return fmt.Errorf("replica %s: %s", conn.RemoteAddr(), msg)
 	}
-	idx, err := c.replResumeIndex(h.ReplicaFrom)
+	idx, traces, err := c.replAttachPoint(h.ReplicaFrom)
 	if err != nil {
 		_ = sendHello(helloAck{Error: err.Error()})
 		return fmt.Errorf("replica %s: %v", conn.RemoteAddr(), err)
@@ -344,23 +270,26 @@ func (s *Server) handleReplica(conn *link, dec *gob.Decoder, h hello) error {
 		}
 	}()
 
+	for _, name := range traces {
+		fw.traceReg(name)
+	}
 	// No drain notice of its own: a replica takes Drain as the clean
 	// handoff, and that comes with the End frame.
 	err = s.streamLog(conn, fw, "replica", readerDone, nil, func() (int, int, <-chan struct{}) {
-		recs, next, head, ch := c.replRecordsFrom(idx)
+		recs, next, head, ch := c.journalFrom(idx)
 		if len(recs) > 0 {
 			fw.head(head)
 		}
 		events := 0
 		for i := range recs {
-			switch {
-			case recs[i].Trace != "":
-				fw.traceReg(recs[i].Trace)
-			case recs[i].Remote != nil:
-				fw.export(recs[i].Remote, false)
-			default:
-				fw.raw(&recs[i].Event)
+			switch rec := &recs[i]; {
+			case rec.remote != nil:
+				fw.export(rec.remote, false)
+			case rec.isEvent():
+				fw.raw(&rec.RawEvent)
 				events++
+			default:
+				fw.traceReg(rec.Trace)
 			}
 		}
 		s.replicaEvents.add(int64(events))

@@ -41,9 +41,9 @@ import (
 // so an offset-based resume could silently skip records. Re-streaming
 // the log is always correct; SupplyRemoteSend absorbs duplicates.
 //
-// Replication composes: a sharded primary appends every fresh remote
-// send to its replication record stream at the position it was applied
-// (repRecord.Remote), so a warm standby rebuilds the identical
+// Replication composes: a sharded primary journals every fresh remote
+// send at the position it was applied (journalRecord.remote), so a warm
+// standby rebuilds the identical
 // linearization without tailing the peers itself — it must not, or
 // remote-send arrival timing would make its delivery order diverge from
 // the primary's. The standby starts its own peer followers only at
@@ -64,25 +64,12 @@ type remoteSend struct {
 	vc vclock.Clock
 }
 
-// shardExportState is the export log plus its growth notification,
-// guarded by the collector's mu.
-type shardExportState struct {
-	log []shardExport
-	ch  chan struct{}
-}
-
-func (x *shardExportState) appendLocked(rec shardExport) {
-	x.log = append(x.log, rec)
-	close(x.ch)
-	x.ch = make(chan struct{})
-}
-
 // EnableSharding makes the collector shard shardID of a numShards-wide
 // tier: its home traces get striped global IDs and its delivered sends
 // are exported for peer shards. Must be called at wiring time, before
-// any trace is registered or event ingested, and is incompatible with
-// SetRetention (the export log and remote-send table need the full
-// stream). Idempotent for identical arguments.
+// any trace is registered or event ingested, and refuses a retaining
+// collector (peers read the export log from record zero). Idempotent
+// for identical arguments.
 func (c *Collector) EnableSharding(shardID, numShards int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -95,8 +82,8 @@ func (c *Collector) EnableSharding(shardID, numShards int) error {
 		}
 		return fmt.Errorf("poet: collector is already shard %d of %d", c.shardID, c.numShards)
 	}
-	if c.retain > 0 {
-		return errors.New("poet: sharding is incompatible with SetRetention (the export log and remote-send table need the full stream)")
+	if err := c.retainingLocked("sharding"); err != nil {
+		return err
 	}
 	if c.ingests > 0 || c.store.NumTraces() > 0 {
 		return errors.New("poet: EnableSharding must be called before any trace is registered")
@@ -106,7 +93,7 @@ func (c *Collector) EnableSharding(shardID, numShards int) error {
 	c.numShards = numShards
 	c.remoteSends = make(map[uint64]remoteSend)
 	c.heldRemote = make(map[uint64]time.Time)
-	c.shardX = &shardExportState{ch: make(chan struct{})}
+	c.shardX = &tailLog[shardExport]{}
 	return nil
 }
 
@@ -148,7 +135,7 @@ func (c *Collector) ShardStats() ShardStats {
 		return st
 	}
 	st.HomeTraces = c.shardLocals
-	st.Exports = len(c.shardX.log)
+	st.Exports = len(c.shardX.recs)
 	st.RemoteSends = len(c.remoteSends)
 	now := time.Now()
 	for m, since := range c.heldRemote {
@@ -183,9 +170,8 @@ func (c *Collector) hasSendLocked(msgID uint64) bool {
 // MsgID. Idempotent — duplicates (re-streamed logs, overlapping peer
 // sessions, a send that turns out to be local) are absorbed — so peers
 // may always re-stream from zero. A fresh record wakes any receives
-// that were gated on it, and on a replicating primary it is appended to
-// the record stream at this position so a standby applies it at the
-// same point of its rebuild.
+// that were gated on it, and it is journaled at this position so a
+// standby applies it at the same point of its rebuild.
 func (c *Collector) SupplyRemoteSend(msgID uint64, id event.ID, vc vclock.Clock) error {
 	if msgID == 0 {
 		return errors.New("poet: remote send has no message id")
@@ -213,10 +199,7 @@ func (c *Collector) SupplyRemoteSend(msgID uint64, id event.ID, vc vclock.Clock)
 		vc = vclock.DenseOf(vc)
 	}
 	c.remoteSends[msgID] = remoteSend{id: id, vc: vc}
-	if c.repl != nil {
-		c.repl.appendLocked(repRecord{Remote: &shardExport{MsgID: msgID, ID: id, VC: vc}})
-	}
-	c.tel.shardRemote.Inc()
+	c.recordLocked(journalRecord{remote: &shardExport{MsgID: msgID, ID: id, VC: vc}})
 	delete(c.heldRemote, msgID)
 	if waiters := c.recvWait[msgID]; len(waiters) > 0 {
 		delete(c.recvWait, msgID)
@@ -228,18 +211,12 @@ func (c *Collector) SupplyRemoteSend(msgID uint64, id event.ID, vc vclock.Clock)
 	return nil
 }
 
-// shardRecordsFrom returns the export-log suffix starting at idx, the
-// index just past it, and the growth channel (for an empty suffix).
-// Records are immutable once appended, so the slice is safe to read
-// without copying.
-func (c *Collector) shardRecordsFrom(idx int) (recs []shardExport, next int, ch <-chan struct{}) {
+// exportsFrom returns the export-log suffix starting at idx, the index
+// just past it, and — for an empty suffix — the growth signal.
+func (c *Collector) exportsFrom(idx int) (recs []shardExport, next int, grew <-chan struct{}) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	x := c.shardX
-	if idx < len(x.log) {
-		recs = x.log[idx:len(x.log):len(x.log)]
-	}
-	return recs, len(x.log), x.ch
+	return c.shardX.from(idx)
 }
 
 // ---------------------------------------------------------------------
@@ -261,7 +238,7 @@ func (s *Server) handleShard(conn *link, h hello) error {
 		_ = sendHello(helloAck{Error: msg})
 		return fmt.Errorf("shard peer %s: %s", conn.RemoteAddr(), msg)
 	}
-	_, head, _ := c.shardRecordsFrom(0)
+	_, head, _ := c.exportsFrom(0)
 	if h.ResumeFrom < 0 || h.ResumeFrom > head {
 		msg := fmt.Sprintf("cannot resume shard exchange from offset %d (exported %d): this shard did not produce that stream", h.ResumeFrom, head)
 		_ = sendHello(helloAck{Error: msg})
@@ -285,7 +262,7 @@ func (s *Server) handleShard(conn *link, h hello) error {
 	// order equals stream order — its invariant.
 	idx := h.ResumeFrom
 	return s.streamLog(conn, fw, "shard peer", done, s.drainCh, func() (int, int, <-chan struct{}) {
-		recs, next, ch := c.shardRecordsFrom(idx)
+		recs, next, ch := c.exportsFrom(idx)
 		if len(recs) > 0 {
 			fw.head(next)
 		}

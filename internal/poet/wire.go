@@ -72,9 +72,8 @@ type hello struct {
 	// connection on dense clocks.
 	DeltaVC bool
 	// ReplicaFrom (replica role) is the number of event records the
-	// replica has already applied; the server replays the record stream
-	// from just past that point (trace records in the skipped prefix
-	// were applied strictly in order, so they need no replay).
+	// replica has already applied; the server replays its journal from
+	// just past that point, after the registered traces.
 	ReplicaFrom int
 }
 

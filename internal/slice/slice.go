@@ -80,7 +80,9 @@ func (c Cut) Events(ordered []*event.Event) []*event.Event {
 // offline.
 func (c Cut) Replay(st *event.Store, ordered []*event.Event) (*poet.Collector, error) {
 	out := poet.NewCollector()
-	out.RetainLog()
+	if err := out.EnableReplicationLog(); err != nil { // the journal: the result can be dumped
+		return nil, err
+	}
 	for t := 0; t < st.NumTraces(); t++ {
 		out.RegisterTrace(st.TraceName(event.TraceID(t)))
 	}
