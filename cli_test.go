@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -430,5 +431,34 @@ func TestOcepmonBuiltinFlag(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "unknown built-in") {
 		t.Errorf("error output:\n%s", out)
+	}
+}
+
+// TestREADMENamesEveryFlag runs the two deployed tools' -h, takes the
+// flag names the flag package registered, and requires README.md to
+// mention each one: a flag added without a word of documentation, or
+// documented after it is gone from the help text, fails here.
+func TestREADMENamesEveryFlag(t *testing.T) {
+	readme, err := os.ReadFile(filepath.Join(proctest.ModuleRoot(t), "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flagLine := regexp.MustCompile(`(?m)^  -([a-z][a-z0-9-]*)`)
+	for _, tool := range []string{"poetd", "ocepmon"} {
+		// -h prints the registered flags and exits 0 (flag.ErrHelp).
+		out, err := exec.Command(proctest.BuildTool(t, tool), "-h").CombinedOutput()
+		if err != nil {
+			t.Fatalf("%s -h: %v\n%s", tool, err, out)
+		}
+		names := flagLine.FindAllStringSubmatch(string(out), -1)
+		if len(names) < 5 {
+			t.Fatalf("%s -h lists %d flags; the help format changed?\n%s", tool, len(names), out)
+		}
+		for _, m := range names {
+			mention := regexp.MustCompile(`(^|[^\w-])-` + regexp.QuoteMeta(m[1]) + `([^\w-]|$)`)
+			if !mention.Match(readme) {
+				t.Errorf("README.md never mentions %s -%s", tool, m[1])
+			}
+		}
 	}
 }

@@ -14,8 +14,6 @@
 //	ocepbench -window                   # sliding-window omission study
 //	ocepbench -scaling                  # trace-isolation scaling study
 //	ocepbench -governance               # search budgets + bounded-memory soak
-//	ocepbench -patternscale             # compiled dispatch vs interpreted fan-out
-//	ocepbench -tracescale               # dense vs delta/sparse timestamps at many traces
 //	ocepbench -events 1000000           # events per data point
 //
 // The cost of the layers around the matcher — delivery queues, the wire,
@@ -53,8 +51,6 @@ func run() error {
 		scaling      = flag.Bool("scaling", false, "trace-isolation scaling study")
 		latticeCmp   = flag.Bool("lattice", false, "global-state-lattice vs OCEP motivation study")
 		governance   = flag.Bool("governance", false, "resource governance: adversarial-trigger budgets and bounded-memory soak")
-		patternscale = flag.Bool("patternscale", false, "attached-pattern scaling: compiled class-indexed dispatch vs interpreted fan-out")
-		tracescale   = flag.Bool("tracescale", false, "trace-count scaling: dense vs delta wire clocks and dense vs sparse in-memory timestamps")
 		events       = flag.Int("events", 100_000, "target events per data point (paper: >1e6)")
 		seed         = flag.Int64("seed", 1, "workload seed")
 		cycleLen     = flag.Int("cycle", 3, "deadlock cycle length")
@@ -115,12 +111,6 @@ func run() error {
 		if err := bench.Governance(out, cfg); err != nil {
 			return err
 		}
-		if err := bench.PatternScale(out, cfg); err != nil {
-			return err
-		}
-		if err := bench.TraceScale(out, cfg); err != nil {
-			return err
-		}
 	}
 	if *completeness && !*all {
 		any = true
@@ -164,18 +154,6 @@ func run() error {
 	if *governance && !*all {
 		any = true
 		if err := bench.Governance(out, cfg); err != nil {
-			return err
-		}
-	}
-	if *patternscale && !*all {
-		any = true
-		if err := bench.PatternScale(out, cfg); err != nil {
-			return err
-		}
-	}
-	if *tracescale && !*all {
-		any = true
-		if err := bench.TraceScale(out, cfg); err != nil {
 			return err
 		}
 	}

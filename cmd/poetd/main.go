@@ -10,7 +10,7 @@
 //	      [-monitor-queue n] [-monitor-policy drop|block]
 //	      [-ack-interval d] [-heartbeat d] [-metrics-addr addr] [-quiet]
 //	      [-retain-events n] [-max-pending n] [-mem-limit bytes]
-//	      [-sparse-clocks] [-follow primaryaddr] [-drain-timeout d]
+//	      [-follow primaryaddr] [-drain-timeout d]
 //	      [-shard-id n -peers "s0a,s0b;s1;s2"]
 //
 // The collector keeps one journal of what it ingested, in ingestion
@@ -175,8 +175,6 @@ func run() error {
 		maxPending = flag.Int("max-pending", 0, "cap the out-of-order events buffered per trace; excess reports are shed back onto reporter buffers (0 = unbounded)")
 		memLimit   = flag.String("mem-limit", "", "soft heap ceiling in bytes (K/M/G suffixes accepted); halves -retain-events each time the heap crosses 85% of it")
 
-		sparseClocks = flag.Bool("sparse-clocks", false, "stamp events with sparse (trace, count)-pair vector clocks: O(causal-past) memory per event instead of O(#traces), same causal order")
-
 		follow       = flag.String("follow", "", "run as a warm standby replicating from the primary at this address; promoted when the primary drains or dies, or on SIGUSR1")
 		followBudget = flag.Duration("follow-reconnect", 0, "cumulative backoff budget before an unreachable primary is declared dead and the standby promotes itself (0 = default 10s)")
 		drainWait    = flag.Duration("drain-timeout", poet.DefaultDrainWait, "on SIGTERM, how long the graceful drain waits for targets to flush and replicas to catch up before closing")
@@ -219,13 +217,6 @@ func run() error {
 	}
 
 	collector := poet.NewCollector()
-	if *sparseClocks {
-		// Before recovery/reload: the representation must be fixed before
-		// any event (replayed or live) is stamped.
-		if err := collector.SetSparseClocks(true); err != nil {
-			return fmt.Errorf("-sparse-clocks: %w", err)
-		}
-	}
 	if *shardID >= 0 {
 		// Before recovery: the striped trace-ID space must be fixed before
 		// any event — replayed or live — is registered.

@@ -21,7 +21,7 @@ type RaceChecker struct {
 type sendStamp struct {
 	id    event.ID
 	trace event.TraceID
-	vc    vclock.Clock
+	vc    vclock.VC
 }
 
 // NewRaceChecker builds an empty checker.

@@ -60,11 +60,6 @@ type GenConfig struct {
 	// BugProb overrides the violation probability (default 0.01, the
 	// paper's 1%). Pass a negative value for a violation-free run.
 	BugProb float64
-	// Sparse stamps delivered events with sparse (trace, count)-pair
-	// timestamps instead of dense vectors. The causal order is
-	// identical; only the representation changes (the -tracescale
-	// differential relies on this).
-	Sparse bool
 }
 
 // Generate runs the case study's simulated application against a fresh
@@ -80,11 +75,6 @@ func Generate(cfg GenConfig) (*Workload, error) {
 		cfg.CycleLen = 2
 	}
 	c := poet.NewCollector()
-	if cfg.Sparse {
-		if err := c.SetSparseClocks(true); err != nil {
-			return nil, fmt.Errorf("bench: %w", err)
-		}
-	}
 	w := &Workload{Case: cfg.Case, Traces: cfg.Traces, Collector: c}
 	var err error
 	switch cfg.Case {

@@ -195,7 +195,7 @@ func governanceSoakRun(events, cap int) (soakRun, error) {
 	if err != nil {
 		return r, err
 	}
-	clocks := []vclock.Clock{vclock.New(2), vclock.New(2)}
+	clocks := []vclock.VC{vclock.New(2), vclock.New(2)}
 	m := core.NewMatcher(pat, core.Options{MaxHistoryPerTrace: cap})
 	m.RegisterTrace("p0")
 	m.RegisterTrace("p1")

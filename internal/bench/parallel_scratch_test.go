@@ -3,10 +3,26 @@ package bench
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ocep/internal/core"
 )
+
+// matchMultiset canonicalizes a match set, leaf assignment and
+// truncation flag included.
+func matchMultiset(ms []core.Match) map[string]int {
+	out := make(map[string]int, len(ms))
+	for _, m := range ms {
+		var b strings.Builder
+		for _, e := range m.Events {
+			fmt.Fprintf(&b, "%s;", e.ID)
+		}
+		fmt.Fprintf(&b, "trunc=%v", m.Truncated)
+		out[b.String()]++
+	}
+	return out
+}
 
 // TestParallelAndPinnedSearchesOwnTheirScratch runs the four case
 // studies with the top level split over parallel workers, and with the

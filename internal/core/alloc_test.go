@@ -3,7 +3,7 @@ package core_test
 import "testing"
 
 // TestTriggerNoMatchAllocatesNothing is the allocation regression guard
-// of the search kernel: on the compiled path, with named traces, feeding
+// of the search kernel: with named traces, feeding
 // a triggering event whose search completes no match performs zero heap
 // allocations — the search, its scratch and its per-level conflict
 // buffers all come from the matcher's pool. One run feeds one execution
@@ -22,9 +22,6 @@ func TestTriggerNoMatchAllocatesNothing(t *testing.T) {
 	)
 	evs := lockstepRounds(threads, (warm+8*(runs+1))/(8*threads)+1)
 	m := lockstepMatcher(t, mustParseCompile(t, lockstepPattern), threads+1, evs[:warm])
-	if !m.Compiled() {
-		t.Fatal("the guard must run the compiled path")
-	}
 	pos := warm
 	avg := testing.AllocsPerRun(runs, func() {
 		matches, err := m.FeedBatch(evs[pos : pos+8])

@@ -21,11 +21,9 @@ import (
 //
 // Members that must observe every event sit in an always-visit list:
 // matchers with a wildcard- or variable-typed leaf (any type can
-// match), matchers beyond pattern.MaxIndexLeaves or running the
-// interpreted path (no trigger index), and matchers with history
-// eviction enabled (eviction decisions are made per arriving event, so
-// skipping events would change eviction timing and, under
-// MaxHistoryPerTrace, the match set).
+// match) and matchers with history eviction enabled (eviction decisions
+// are made per arriving event, so skipping events would change eviction
+// timing and, under MaxHistoryPerTrace, the match set).
 //
 // The dispatcher owns the per-trace communication counts and the
 // stream validation its members would otherwise each repeat, and it
@@ -68,7 +66,7 @@ type DispatchStats struct {
 	Visited int64
 	// Skipped counts member feeds avoided by the class index: the sum
 	// over events of (members - visited members). Skipped/(Visited+
-	// Skipped) is the skip rate the -patternscale experiment reports.
+	// Skipped) is the skip rate (the ledger's dispatch.skip_ratio).
 	Skipped int64
 	// Members is the current member count.
 	Members int
@@ -132,7 +130,7 @@ func (d *Dispatcher) rebuild() {
 	d.always = d.always[:0]
 	for _, mem := range d.members {
 		prog := mem.m.Program()
-		indexed := mem.m.Compiled() && prog.AlwaysMask() == 0 && !mem.m.evictable
+		indexed := prog.AlwaysMask() == 0 && !mem.m.evictable
 		if !indexed {
 			d.always = append(d.always, mem)
 			continue

@@ -31,25 +31,24 @@ func dispatchFeed(t *testing.T, d *core.Dispatcher, ms []*core.Matcher, evs []*e
 
 // soloFeed replays evs through one matcher sharing the store, the
 // dispatcher-free reference path.
-func soloFeed(t *testing.T, pat *pattern.Compiled, st *event.Store, evs []*event.Event, opts core.Options) (*core.Matcher, int) {
+func soloFeed(t *testing.T, m *core.Matcher, evs []*event.Event) (*core.Matcher, []core.Match) {
 	t.Helper()
-	m := core.NewMatcherOn(pat, st, opts)
-	n := 0
+	var all []core.Match
 	for _, e := range evs {
 		got, err := m.Feed(e)
 		if err != nil {
 			t.Fatalf("solo feed %s: %v", e.ID, err)
 		}
-		n += len(got)
+		all = append(all, got...)
 	}
-	return m, n
+	return m, all
 }
 
 // TestDispatcherMatchesSoloFeed routes one random workload through a
 // dispatcher whose members cover every classification the index makes —
-// exact-typed compiled (indexed), wildcard-leaf compiled (always list),
-// interpreted (always list), and evictable (always list, so eviction
-// timing is unchanged) — and checks each member against a solo matcher
+// exact-typed (indexed), wildcard-leaf (always list) and evictable
+// (always list, so eviction timing is unchanged) — plus one running the
+// interpreted reference, and checks each member against a solo matcher
 // over the same store: identical match counts and identical Stats,
 // EventsSeen covering the whole stream even for members the index
 // mostly skipped.
@@ -60,33 +59,34 @@ func TestDispatcherMatchesSoloFeed(t *testing.T) {
 		Types: []string{"a", "b", "c"},
 	})
 	members := []struct {
-		name string
-		src  string
-		opts core.Options
+		name  string
+		src   string
+		opts  core.Options
+		build func(*pattern.Compiled, *event.Store, core.Options) *core.Matcher
 	}{
 		{"indexed", `A := [*, a, *]; B := [*, b, *]; pattern := A -> B;`,
-			core.Options{RepresentativeOnly: true}},
+			core.Options{RepresentativeOnly: true}, core.NewMatcherOn},
 		{"absent-type", `A := [*, x, *]; B := [*, y, *]; pattern := A -> B;`,
-			core.Options{RepresentativeOnly: true}},
+			core.Options{RepresentativeOnly: true}, core.NewMatcherOn},
 		{"wildcard-leaf", `A := [*, *, *]; B := [*, b, *]; pattern := A -> B;`,
-			core.Options{RepresentativeOnly: true}},
+			core.Options{RepresentativeOnly: true}, core.NewMatcherOn},
 		{"interpreted", `A := [*, a, *]; B := [*, b, *]; pattern := A -> B;`,
-			core.Options{RepresentativeOnly: true, DisableCompiled: true}},
+			core.Options{RepresentativeOnly: true}, core.NewInterpretedMatcherOn},
 		{"evictable", `A := [*, a, *]; B := [*, b, *]; pattern := A -> B;`,
-			core.Options{RepresentativeOnly: true, MaxHistoryPerTrace: 4}},
+			core.Options{RepresentativeOnly: true, MaxHistoryPerTrace: 4}, core.NewMatcherOn},
 	}
 	pats := make([]*pattern.Compiled, len(members))
 	ms := make([]*core.Matcher, len(members))
 	for i, mem := range members {
 		pats[i] = compile(t, mem.src)
-		ms[i] = core.NewMatcherOn(pats[i], st, mem.opts)
+		ms[i] = mem.build(pats[i], st, mem.opts)
 	}
 	d := core.NewDispatcher(st)
 	counts := dispatchFeed(t, d, ms, evs)
 	for i, mem := range members {
-		solo, soloCount := soloFeed(t, pats[i], st, evs, mem.opts)
-		if counts[i] != soloCount {
-			t.Errorf("%s: %d matches via dispatcher, %d solo", mem.name, counts[i], soloCount)
+		solo, soloMatches := soloFeed(t, mem.build(pats[i], st, mem.opts), evs)
+		if counts[i] != len(soloMatches) {
+			t.Errorf("%s: %d matches via dispatcher, %d solo", mem.name, counts[i], len(soloMatches))
 		}
 		ds, ss := ms[i].Stats(), solo.Stats()
 		if ds != ss {

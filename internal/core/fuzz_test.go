@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -58,9 +57,6 @@ func FuzzCompiledVsInterpreted(f *testing.F) {
 			return
 		}
 		prog := pattern.NewProgram(pat)
-		if !prog.Indexable() {
-			return // beyond the index width the compiled path is off by design
-		}
 		// Workload types: the pattern's own exact leaf types (triggers
 		// fire) plus padding types nothing subscribes to (skips happen),
 		// capped so domains stay dense enough to search.
@@ -81,18 +77,9 @@ func FuzzCompiledVsInterpreted(f *testing.F) {
 		// patterns while still letting truncation flags differ if the
 		// two paths ever diverged.
 		opts := core.Options{RepresentativeOnly: true, MaxTriggerSteps: 2_000}
-		iOpts := opts
-		iOpts.DisableCompiled = true
 		cm, cMatches := feedAll(t, pat, st, evs, opts)
-		im, iMatches := feedAll(t, pat, st, evs, iOpts)
-		ck := map[string]int{}
-		for _, m := range cMatches {
-			ck[matchKey(m)+fmt.Sprintf("trunc=%v", m.Truncated)]++
-		}
-		ik := map[string]int{}
-		for _, m := range iMatches {
-			ik[matchKey(m)+fmt.Sprintf("trunc=%v", m.Truncated)]++
-		}
+		im, iMatches := feedAllInterpreted(t, pat, st, evs, opts)
+		ck, ik := matchMultiset(cMatches), matchMultiset(iMatches)
 		if len(ck) != len(ik) {
 			t.Fatalf("distinct matches differ: compiled %d, interpreted %d\npattern:\n%s", len(ck), len(ik), src)
 		}

@@ -148,6 +148,15 @@ func TestHistEntrySize(t *testing.T) {
 	}
 }
 
+// TestEventSize: the stored event stays within the 96-byte allocator
+// size class (a slice-header VC makes it exactly 96), so a field added to
+// Event shows here before it shows in retained_bytes_per_event.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(event.Event{}); got > 96 {
+		t.Fatalf("unsafe.Sizeof(event.Event{}) = %d, want <= 96", got)
+	}
+}
+
 func TestHistoryAnyBetween(t *testing.T) {
 	// Build a -> x -> b across traces via messages; x same class as a.
 	st, evs := eventtest.Build(3, []eventtest.Op{

@@ -103,18 +103,6 @@ type Options struct {
 	// leaves whose process variable is already bound first; this flag
 	// reproduces the paper's behaviour for comparison.
 	StaticOrder bool
-	// DisableCompiled turns off the compiled execution form and runs
-	// the original interpreted path: the per-event leaf scan over the
-	// AST-derived classes, relation lookups through the Rel matrix, and
-	// per-trigger search-state allocation. The interpreted path is the
-	// reference implementation — the differential and fuzz harnesses
-	// check the compiled path (type-indexed dispatch, flattened
-	// constraint tables, pooled search state) against it. Matches,
-	// coverage, truncation flags and the path-independent Stats
-	// counters are identical either way; only speed differs. Patterns
-	// longer than pattern.MaxIndexLeaves fall back to the interpreted
-	// path automatically.
-	DisableCompiled bool
 }
 
 // Match is one reported pattern match: the matched event per pattern-tree
@@ -187,13 +175,13 @@ type Stats struct {
 type Matcher struct {
 	pat   *pattern.Compiled
 	store *event.Store
-	// prog is the compiled execution form of pat (always built; its
-	// flattened tables are read only when compiled is set).
+	// prog is the compiled execution form of pat.
 	prog *pattern.Program
-	// compiled selects the compiled hot path: type-indexed event
-	// dispatch, flattened constraint tables, pooled search state.
-	// Cleared by Options.DisableCompiled (the interpreted oracle) and
-	// for patterns beyond pattern.MaxIndexLeaves.
+	// compiled selects the compiled execution: type-indexed event
+	// dispatch, flattened constraint tables, pooled search state. Always
+	// set outside this package's tests; export_test.go clears it to run
+	// the interpreted advance/rel/checkLim, the reference the
+	// differential and fuzz suites compare the compiled execution with.
 	compiled bool
 	// searches pools *search values between triggers (compiled path
 	// only; see pool.go).
@@ -261,12 +249,12 @@ func newMatcher(pat *pattern.Compiled, st *event.Store, external bool, opts Opti
 		covered:  make([][]bool, pat.K()),
 		opts:     opts,
 		prune:    !opts.DisablePruning,
+		compiled: true,
 	}
 	for i := range m.hist {
 		m.hist[i] = newHistory()
 	}
 	m.prog = pattern.NewProgram(pat)
-	m.compiled = !opts.DisableCompiled && m.prog.Indexable()
 	// lim->'s completion check scans the class history; pruning or
 	// evicting entries would make it miss intervening events.
 	m.evictable = opts.MaxHistoryPerTrace > 0
@@ -276,10 +264,6 @@ func newMatcher(pat *pattern.Compiled, st *event.Store, external bool, opts Opti
 	}
 	return m
 }
-
-// Compiled reports whether the matcher runs the compiled execution form
-// (as opposed to the interpreted oracle path).
-func (m *Matcher) Compiled() bool { return m.compiled }
 
 // Program exposes the compiled execution form (immutable; a Dispatcher
 // reads its trigger index).

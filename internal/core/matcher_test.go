@@ -31,7 +31,18 @@ func compile(t *testing.T, src string) *pattern.Compiled {
 // with all reported matches.
 func feedAll(t *testing.T, pat *pattern.Compiled, st *event.Store, evs []*event.Event, opts core.Options) (*core.Matcher, []core.Match) {
 	t.Helper()
-	m := core.NewMatcher(pat, opts)
+	return feedInto(t, core.NewMatcher(pat, opts), st, evs)
+}
+
+// feedAllInterpreted is feedAll through the interpreted reference
+// execution.
+func feedAllInterpreted(t *testing.T, pat *pattern.Compiled, st *event.Store, evs []*event.Event, opts core.Options) (*core.Matcher, []core.Match) {
+	t.Helper()
+	return feedInto(t, core.NewInterpretedMatcher(pat, opts), st, evs)
+}
+
+func feedInto(t *testing.T, m *core.Matcher, st *event.Store, evs []*event.Event) (*core.Matcher, []core.Match) {
+	t.Helper()
 	for i := 0; i < st.NumTraces(); i++ {
 		m.RegisterTrace(st.TraceName(event.TraceID(i)))
 	}
@@ -633,7 +644,7 @@ func TestPruningBoundsHistory(t *testing.T) {
 			ID:   event.ID{Trace: 0, Index: i},
 			Kind: event.KindInternal,
 			Type: "a",
-			VC:   vclock.New(1).Set(0, int32(i)),
+			VC:   vclock.VC{int32(i)},
 		}
 		if _, err := m.Feed(e); err != nil {
 			t.Fatal(err)

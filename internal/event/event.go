@@ -91,11 +91,10 @@ type Event struct {
 	// Text is the free-form text attribute; patterns may match it
 	// exactly, ignore it, or bind it to a variable.
 	Text string
-	// VC is the event's vector timestamp, constructed by the collector.
-	// It may be the dense (vclock.VC) or sparse (vclock.Sparse)
-	// representation; both order events identically, so consumers only
-	// ever go through the Clock interface.
-	VC vclock.Clock
+	// VC is the event's vector timestamp, constructed by the collector:
+	// entry t counts the events of trace t that happen before or at the
+	// event.
+	VC vclock.VC
 	// Partner is the ID of the communication partner event (the matching
 	// receive of a send, the matching send of a receive, the release
 	// granted by an acquire). Zero when there is none or it is unknown.

@@ -36,7 +36,7 @@ func Build(nTraces int, ops []Op) (*event.Store, []*event.Event) {
 	for i := 0; i < nTraces; i++ {
 		st.RegisterTrace(fmt.Sprintf("p%d", i))
 	}
-	clocks := make([]vclock.Clock, nTraces)
+	clocks := make([]vclock.VC, nTraces)
 	for i := range clocks {
 		clocks[i] = vclock.New(nTraces)
 	}
@@ -108,7 +108,7 @@ func Random(rng *rand.Rand, cfg RandomConfig) (*event.Store, []*event.Event) {
 	for i := 0; i < cfg.Traces; i++ {
 		st.RegisterTrace(fmt.Sprintf("p%d", i))
 	}
-	clocks := make([]vclock.Clock, cfg.Traces)
+	clocks := make([]vclock.VC, cfg.Traces)
 	for i := range clocks {
 		clocks[i] = vclock.New(cfg.Traces)
 	}

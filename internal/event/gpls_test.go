@@ -6,7 +6,6 @@ import (
 
 	"ocep/internal/event"
 	"ocep/internal/event/eventtest"
-	"ocep/internal/vclock"
 )
 
 // bruteGP returns the index of the last event on trace t that happens
@@ -141,74 +140,58 @@ func TestLSOnlineShape(t *testing.T) {
 
 // TestLSUnderCompaction pins the contract CompactTrace documents: over a
 // compacted trace LS returns max(true least successor, first retained
-// index), and 0 when nothing retained succeeds the event — for dense,
-// sparse and mixed timestamps, for the oldest and the newest events, and
-// down to a fully compacted trace.
+// index), and 0 when nothing retained succeeds the event — for the
+// oldest and the newest events, and down to a fully compacted trace.
 func TestLSUnderCompaction(t *testing.T) {
-	clocks := map[string]func(i int, c vclock.Clock) vclock.Clock{
-		"dense":  func(_ int, c vclock.Clock) vclock.Clock { return c },
-		"sparse": func(_ int, c vclock.Clock) vclock.Clock { return vclock.SparseOf(c) },
-		"mixed": func(i int, c vclock.Clock) vclock.Clock {
-			if i%2 == 0 {
-				return vclock.SparseOf(c)
+	rng := rand.New(rand.NewSource(4321))
+	for round := 0; round < 12; round++ {
+		st, evs := eventtest.Random(rng, eventtest.RandomConfig{
+			Traces:   2 + rng.Intn(5),
+			Events:   120,
+			SendProb: 0.3,
+			RecvProb: 0.3,
+		})
+		n := st.NumTraces()
+		trueLS := make(map[*event.Event][]int, len(evs))
+		for _, e := range evs {
+			row := make([]int, n)
+			for tr := range row {
+				row[tr] = bruteLS(st, e, event.TraceID(tr))
 			}
-			return c
-		},
-	}
-	for name, convert := range clocks {
-		rng := rand.New(rand.NewSource(4321))
-		for round := 0; round < 12; round++ {
-			st, evs := eventtest.Random(rng, eventtest.RandomConfig{
-				Traces:   2 + rng.Intn(5),
-				Events:   120,
-				SendProb: 0.3,
-				RecvProb: 0.3,
-			})
-			for i, e := range evs {
-				e.VC = convert(i, e.VC)
+			trueLS[e] = row
+		}
+		// Compact in two waves so the second cut lands on an already
+		// compacted trace; it also drops trace 0 entirely.
+		for wave := 0; wave < 2; wave++ {
+			for tr := 0; tr < n; tr++ {
+				tid := event.TraceID(tr)
+				st.CompactTrace(tid, 1+rng.Intn(st.Len(tid)+1))
 			}
-			n := st.NumTraces()
-			trueLS := make(map[*event.Event][]int, len(evs))
+			if wave == 1 {
+				st.CompactTrace(0, st.Len(0)+1)
+			}
 			for _, e := range evs {
-				row := make([]int, n)
-				for tr := range row {
-					row[tr] = bruteLS(st, e, event.TraceID(tr))
-				}
-				trueLS[e] = row
-			}
-			// Compact in two waves so the second cut lands on an already
-			// compacted trace; it also drops trace 0 entirely.
-			for wave := 0; wave < 2; wave++ {
 				for tr := 0; tr < n; tr++ {
 					tid := event.TraceID(tr)
-					st.CompactTrace(tid, 1+rng.Intn(st.Len(tid)+1))
-				}
-				if wave == 1 {
-					st.CompactTrace(0, st.Len(0)+1)
-				}
-				for _, e := range evs {
-					for tr := 0; tr < n; tr++ {
-						tid := event.TraceID(tr)
-						if tid == e.ID.Trace {
-							continue // positional fast path: TestGPLSSameTrace
-						}
-						want := trueLS[e][tr]
-						first := st.CompactedBefore(tid) + 1
-						switch {
-						case len(st.Events(tid)) == 0:
-							want = 0
-						case want != 0 && want < first:
-							want = first
-						}
-						got := st.LS(e, tid)
-						if got != want {
-							t.Fatalf("%s round %d wave %d: LS(%s, t%d) = %d, want %d (true LS %d, first retained %d)",
-								name, round, wave, e.ID, tr, got, want, trueLS[e][tr], first)
-						}
-						if retained := bruteLS(st, e, tid); got != retained {
-							t.Fatalf("%s round %d wave %d: LS(%s, t%d) = %d, but the first retained successor is %d",
-								name, round, wave, e.ID, tr, got, retained)
-						}
+					if tid == e.ID.Trace {
+						continue // positional fast path: TestGPLSSameTrace
+					}
+					want := trueLS[e][tr]
+					first := st.CompactedBefore(tid) + 1
+					switch {
+					case len(st.Events(tid)) == 0:
+						want = 0
+					case want != 0 && want < first:
+						want = first
+					}
+					got := st.LS(e, tid)
+					if got != want {
+						t.Fatalf("round %d wave %d: LS(%s, t%d) = %d, want %d (true LS %d, first retained %d)",
+							round, wave, e.ID, tr, got, want, trueLS[e][tr], first)
+					}
+					if retained := bruteLS(st, e, tid); got != retained {
+						t.Fatalf("round %d wave %d: LS(%s, t%d) = %d, but the first retained successor is %d",
+							round, wave, e.ID, tr, got, retained)
 					}
 				}
 			}

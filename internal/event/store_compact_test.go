@@ -11,7 +11,7 @@ func compactFixture(t *testing.T, n int) *event.Store {
 	t.Helper()
 	st := event.NewStore()
 	st.RegisterTrace("p0")
-	var vc vclock.Clock = vclock.New(1)
+	vc := vclock.New(1)
 	for i := 1; i <= n; i++ {
 		vc = vc.Tick(0)
 		if err := st.Append(&event.Event{
@@ -55,7 +55,7 @@ func TestCompactTrace(t *testing.T) {
 		}
 	}
 	// Append still expects the next logical index.
-	var vc vclock.Clock = vclock.New(1)
+	vc := vclock.New(1)
 	for i := 0; i < 11; i++ {
 		vc = vc.Tick(0)
 	}
@@ -84,7 +84,7 @@ func TestLSAfterCompaction(t *testing.T) {
 	st := event.NewStore()
 	st.RegisterTrace("p0")
 	st.RegisterTrace("p1")
-	var c0, c1 vclock.Clock = vclock.New(2), vclock.New(2)
+	c0, c1 := vclock.New(2), vclock.New(2)
 	// p0#1 is a send; p1#1 receives it, then p1 runs internal events —
 	// every p1 event succeeds p0#1.
 	c0 = c0.Tick(0)

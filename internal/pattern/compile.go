@@ -142,6 +142,9 @@ func Compile(f *File) (*Compiled, error) {
 	if len(c.out.Leaves) == 0 {
 		return nil, fmt.Errorf("pattern has no event occurrences")
 	}
+	if k := len(c.out.Leaves); k > MaxIndexLeaves {
+		return nil, fmt.Errorf("pattern has %d event occurrences; the limit is %d", k, MaxIndexLeaves)
+	}
 	if err := c.closeBefore(); err != nil {
 		return nil, err
 	}

@@ -30,9 +30,8 @@ package pattern
 // The Program carries no matcher state: it is immutable after
 // NewProgram and safe to share between matchers and goroutines.
 
-// MaxIndexLeaves bounds the pattern length for which leaf bitmasks are
-// available. Patterns beyond it still compile and match — the matcher
-// falls back to the interpreted per-leaf scan — but no realistic pattern
+// MaxIndexLeaves bounds the pattern length: a LeafMask holds one bit per
+// leaf, and Compile refuses a longer pattern. No realistic pattern
 // approaches it (the paper's case studies use 2-6 leaves).
 const MaxIndexLeaves = 64
 
@@ -99,30 +98,19 @@ func NewProgram(c *Compiled) *Program {
 		}
 		cls := c.Leaves[i].Class
 		p.procs[i], p.types[i], p.texts[i] = cls.Proc, cls.Type, cls.Text
+		bit := LeafMask(1) << uint(i)
 		if c.Terminating[i] {
 			p.term = append(p.term, i)
+			p.termMask |= bit
 		}
-	}
-	if p.Indexable() {
-		for i := 0; i < k; i++ {
-			bit := LeafMask(1) << uint(i)
-			if c.Terminating[i] {
-				p.termMask |= bit
-			}
-			if p.types[i].Kind == AttrExact {
-				p.typeIndex[p.types[i].Value] |= bit
-			} else {
-				p.alwaysMask |= bit
-			}
+		if p.types[i].Kind == AttrExact {
+			p.typeIndex[p.types[i].Value] |= bit
+		} else {
+			p.alwaysMask |= bit
 		}
 	}
 	return p
 }
-
-// Indexable reports whether leaf bitmasks are available (K <= 64). A
-// non-indexable program still serves the flattened tables; the matcher
-// keeps the interpreted per-leaf scan for dispatch.
-func (p *Program) Indexable() bool { return p.k <= MaxIndexLeaves }
 
 // K returns the pattern length.
 func (p *Program) K() int { return p.k }
@@ -148,8 +136,7 @@ func (p *Program) HasLim() bool { return p.hasLim }
 // Callers must not modify it.
 func (p *Program) Terminating() []int { return p.term }
 
-// TermMask returns the bitmask of terminating leaves (zero when not
-// Indexable).
+// TermMask returns the bitmask of terminating leaves.
 func (p *Program) TermMask() LeafMask { return p.termMask }
 
 // AlwaysMask returns the leaves whose type attribute is not exact: they

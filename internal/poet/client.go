@@ -568,8 +568,6 @@ type monCfg struct {
 	// deltaVC advertises delta-encoded timestamps in the hello (on by
 	// default).
 	deltaVC bool
-	// sparse emits each event's timestamp in the sparse representation.
-	sparse bool
 }
 
 func defaultMonCfg() monCfg {
@@ -614,16 +612,6 @@ func WithMonitorLog(logf func(string, ...any)) MonitorOption {
 // delta path.
 func WithMonitorDeltaVC(on bool) MonitorOption {
 	return func(c *monCfg) { c.deltaVC = on }
-}
-
-// WithMonitorSparseClocks makes the client stamp received events with
-// the sparse timestamp representation (vclock.Sparse) instead of dense
-// vectors. The causal order is identical either way; sparse stamps keep
-// a long-lived monitor's memory proportional to each event's causal
-// past rather than the trace count. Works on both dense and
-// delta-negotiated sessions.
-func WithMonitorSparseClocks() MonitorOption {
-	return func(c *monCfg) { c.sparse = true }
 }
 
 // MonitorClientStats are a monitor client's cumulative wire counters.
@@ -725,7 +713,7 @@ func (m *MonitorClient) connect(addr string, resumeFrom int) error {
 	m.conn = s.link
 	m.curAddr = addr
 	m.mu.Unlock()
-	m.fr = &frameReader{br: s.br, sparse: m.cfg.sparse}
+	m.fr = &frameReader{br: s.br}
 	m.stats.DeltaNegotiated = s.ack.DeltaVC
 	return nil
 }

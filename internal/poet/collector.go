@@ -69,11 +69,10 @@ var ErrOverloaded = errors.New("poet: collector overloaded")
 type Collector struct {
 	mu    sync.Mutex
 	store *event.Store
-	// clocks[t] is the running vector clock of trace t, in the
-	// representation selected by SetSparseClocks (dense by default).
-	clocks []vclock.Clock
-	// sparse selects the sparse timestamp representation for stamping.
-	sparse bool
+	// clocks[t] is the running vector clock of trace t. A fresh trace
+	// starts at nil: Tick and Merge grow it on demand, so it costs
+	// nothing until it participates.
+	clocks []vclock.VC
 	// nextSeq[t] is the next sequence number trace t will deliver.
 	nextSeq []int
 	// pending[t] buffers raw events that arrived ahead of their trace's
@@ -506,7 +505,7 @@ func (c *Collector) ensureTrace(name string) event.TraceID {
 		id = c.store.RegisterTrace(name)
 	}
 	for int(id) >= len(c.clocks) {
-		c.clocks = append(c.clocks, c.newClockLocked())
+		c.clocks = append(c.clocks, nil)
 		c.nextSeq = append(c.nextSeq, 1)
 		c.pending = append(c.pending, nil)
 	}
@@ -514,55 +513,6 @@ func (c *Collector) ensureTrace(name string) event.TraceID {
 		c.pending[id] = make(map[int]RawEvent)
 	}
 	return id
-}
-
-// newClockLocked returns an empty running clock in the configured
-// representation. The dense zero value is VC(nil): Tick/Merge grow it on
-// demand, so a fresh trace costs nothing until it participates.
-func (c *Collector) newClockLocked() vclock.Clock {
-	if c.sparse {
-		return vclock.NewSparse()
-	}
-	return vclock.VC(nil)
-}
-
-// SetSparseClocks selects the timestamp representation used to stamp
-// delivered events: sparse (trace, count) pairs instead of dense
-// Fidge/Mattern vectors. Both order events identically — the dense form
-// remains the differential oracle — but sparse stamps cost O(causal
-// past) instead of O(#traces) each, which is what makes tens of
-// thousands of traces affordable (see internal/vclock).
-//
-// Call it at wiring time, before any event is delivered: switching
-// representations mid-stream would hand monitors a mix the tests could
-// not tell apart from a stamping bug. A durable collector restamps its
-// recovered events through the same path, so calling this before
-// OpenDurable yields sparse stamps for the recovered prefix too (the
-// WAL and snapshots store raw events, never encoded clocks).
-func (c *Collector) SetSparseClocks(on bool) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.sparse == on {
-		return nil
-	}
-	if c.delivered > 0 {
-		return errors.New("poet: SetSparseClocks must be called before any event is delivered")
-	}
-	c.sparse = on
-	// Traces registered before the switch have empty clocks; rebuild
-	// them in the new representation.
-	for i := range c.clocks {
-		c.clocks[i] = c.newClockLocked()
-	}
-	return nil
-}
-
-// SparseClocks reports whether the collector stamps events with the
-// sparse timestamp representation.
-func (c *Collector) SparseClocks() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sparse
 }
 
 // Delivered returns the number of events delivered so far.

@@ -13,9 +13,9 @@ import (
 )
 
 // sameEvent compares two delivered events field by field, with the
-// timestamps compared by value (Clock.Equal) rather than by
-// representation, so dense, sparse, and delta-decoded streams can be
-// checked against each other. Send-side partners are excluded: the
+// timestamps compared by value (zero padding ignored), so dense and
+// delta-decoded streams can be checked against each other. Send-side
+// partners are excluded: the
 // collector backfills a send's Partner when its receive is delivered,
 // which races with wire encoding, so a live stream may legitimately
 // carry a send before the backfill while the in-process oracle (read
@@ -72,12 +72,11 @@ func TestDeltaNegotiation(t *testing.T) {
 	}
 }
 
-// TestDeltaDenseSparseStreamEquivalence runs the same causally rich
-// stream through three concurrent monitor sessions — delta (default),
-// dense (delta disabled), and delta with sparse stamps — and requires
-// all three to reconstruct exactly the events the in-process collector
-// delivered.
-func TestDeltaDenseSparseStreamEquivalence(t *testing.T) {
+// TestDeltaDenseStreamEquivalence runs the same causally rich stream
+// through two concurrent monitor sessions — delta (default) and dense
+// (delta disabled) — and requires both to reconstruct exactly the
+// events the in-process collector delivered.
+func TestDeltaDenseStreamEquivalence(t *testing.T) {
 	c, _, addr := startServer(t)
 
 	delta, err := DialMonitor(addr)
@@ -90,18 +89,13 @@ func TestDeltaDenseSparseStreamEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dense.Close()
-	sparse, err := DialMonitor(addr, WithMonitorSparseClocks())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sparse.Close()
 
 	evs := durWorkload(60)
 	reportAll(t, c, evs)
 	waitFor(t, func() bool { return c.Delivered() == len(evs) })
 	oracle := c.Ordered()
 
-	for name, mon := range map[string]*MonitorClient{"delta": delta, "dense": dense, "sparse": sparse} {
+	for name, mon := range map[string]*MonitorClient{"delta": delta, "dense": dense} {
 		got := drainMonitor(t, mon, len(oracle))
 		for i, e := range got {
 			if !sameEvent(e, oracle[i]) {
@@ -109,41 +103,6 @@ func TestDeltaDenseSparseStreamEquivalence(t *testing.T) {
 					name, i, e.ID, e.VC, oracle[i].ID, oracle[i].VC)
 			}
 		}
-	}
-}
-
-// TestMonitorSparseClockRepresentation checks the sparse option's stamp
-// type and that sparse stamps order events identically to dense ones.
-func TestMonitorSparseClockRepresentation(t *testing.T) {
-	c, _, addr := startServer(t)
-	mon, err := DialMonitor(addr, WithMonitorSparseClocks())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mon.Close()
-
-	evs := durWorkload(10)
-	reportAll(t, c, evs)
-	waitFor(t, func() bool { return c.Delivered() == len(evs) })
-
-	got := drainMonitor(t, mon, len(evs))
-	var lastSend, lastRecv *event.Event
-	for _, e := range got {
-		if _, ok := e.VC.(*vclock.Sparse); !ok {
-			t.Fatalf("sparse session delivered a %T stamp", e.VC)
-		}
-		if e.Kind == event.KindSend {
-			lastSend = e
-		}
-		if e.Kind == event.KindReceive {
-			lastRecv = e
-		}
-	}
-	if lastSend == nil || lastRecv == nil {
-		t.Fatal("workload produced no send/receive pair")
-	}
-	if !got[0].Before(got[len(got)-1]) {
-		t.Fatal("sparse stamps lost the stream-order happens-before edge")
 	}
 }
 
@@ -209,7 +168,7 @@ func newDeltaPipe() *deltaPipe {
 }
 
 // export round-trips vc as a delta-encoded export frame.
-func (p *deltaPipe) export(t *testing.T, vc vclock.Clock) (vclock.Clock, error) {
+func (p *deltaPipe) export(t *testing.T, vc vclock.VC) (vclock.VC, error) {
 	t.Helper()
 	p.fw.export(&shardExport{MsgID: 1, ID: event.ID{Index: 1}, VC: vc}, true)
 	if err := p.fw.flush(); err != nil {
@@ -260,102 +219,6 @@ func TestDeltaCodecVanishedEntries(t *testing.T) {
 		}
 		if !got.Equal(vc) {
 			t.Fatalf("frame %d decoded to %v, want %v", i, got, vc)
-		}
-	}
-}
-
-// TestCollectorSparseClocks runs the same workload through a dense and
-// a sparse collector and requires identical delivery state.
-func TestCollectorSparseClocks(t *testing.T) {
-	dense := NewCollector()
-	sparse := NewCollector()
-	if err := sparse.SetSparseClocks(true); err != nil {
-		t.Fatal(err)
-	}
-	if !sparse.SparseClocks() {
-		t.Fatal("SparseClocks() = false after SetSparseClocks(true)")
-	}
-	evs := durWorkload(50)
-	reportAll(t, dense, evs)
-	reportAll(t, sparse, evs)
-	if dense.Delivered() != sparse.Delivered() {
-		t.Fatalf("delivered %d dense vs %d sparse", dense.Delivered(), sparse.Delivered())
-	}
-	do, so := dense.Ordered(), sparse.Ordered()
-	for i := range do {
-		if !sameEvent(do[i], so[i]) {
-			t.Fatalf("event %d: dense %v vc=%v, sparse %v vc=%v", i, do[i].ID, do[i].VC, so[i].ID, so[i].VC)
-		}
-		if _, ok := so[i].VC.(*vclock.Sparse); !ok {
-			t.Fatalf("sparse collector stamped event %d with %T", i, so[i].VC)
-		}
-	}
-
-	// Flipping the representation after delivery is refused...
-	if err := sparse.SetSparseClocks(false); err == nil {
-		t.Fatal("SetSparseClocks(false) after delivery succeeded")
-	}
-	// ...but restating the current representation stays a no-op.
-	if err := sparse.SetSparseClocks(true); err != nil {
-		t.Fatalf("no-op SetSparseClocks(true) = %v", err)
-	}
-}
-
-// TestDurableSparseCrashRecovery: the WAL stores raw events, so a
-// collector configured for sparse stamps before recovery restamps the
-// replayed stream in the sparse representation — and the recovered
-// state matches a dense recovery of the same directory.
-func TestDurableSparseCrashRecovery(t *testing.T) {
-	dir := t.TempDir()
-	evs := durWorkload(40)
-
-	c1 := NewCollector()
-	if err := c1.SetSparseClocks(true); err != nil {
-		t.Fatal(err)
-	}
-	d1, err := OpenDurable(c1, DurableOptions{Dir: dir, Fsync: SyncAlways, SnapshotEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reportAll(t, c1, evs)
-	wantDelivered := c1.Delivered()
-	oracle := c1.Ordered()
-	// Crash: close the log only, no snapshot, no clean shutdown.
-	if err := d1.log.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Recover sparse.
-	c2 := NewCollector()
-	if err := c2.SetSparseClocks(true); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := OpenDurable(c2, DurableOptions{Dir: dir, Fsync: SyncAlways, SnapshotEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	if c2.Delivered() != wantDelivered {
-		t.Fatalf("sparse recovery delivered %d, want %d", c2.Delivered(), wantDelivered)
-	}
-	for i, e := range c2.Ordered() {
-		if !sameEvent(e, oracle[i]) {
-			t.Fatalf("sparse recovery event %d = %v vc=%v, want %v vc=%v", i, e.ID, e.VC, oracle[i].ID, oracle[i].VC)
-		}
-		if _, ok := e.VC.(*vclock.Sparse); !ok {
-			t.Fatalf("recovered event %d stamped with %T, want sparse", i, e.VC)
-		}
-	}
-
-	// A dense recovery of the same directory agrees on everything but the
-	// representation.
-	c3 := NewCollector()
-	if _, err := ReloadDir(c3, dir); err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range c3.Ordered() {
-		if !sameEvent(e, oracle[i]) {
-			t.Fatalf("dense recovery event %d diverges from sparse oracle: %v vs %v", i, e.VC, oracle[i].VC)
 		}
 	}
 }

@@ -173,8 +173,7 @@ func (w *frameWriter) flags(delta bool) byte {
 
 // stamp appends vc to the frame b straight from the clock, advances the
 // delta baseline, and emits the frame.
-func (w *frameWriter) stamp(b []byte, vc vclock.Clock, delta bool) (entries int) {
-	v := denseView(vc)
+func (w *frameWriter) stamp(b []byte, v vclock.VC, delta bool) (entries int) {
 	if !delta {
 		for _, n := range v {
 			b = binary.AppendUvarint(b, uint64(n))
@@ -202,16 +201,6 @@ func (w *frameWriter) stamp(b []byte, vc vclock.Clock, delta bool) (entries int)
 	return entries
 }
 
-// denseView returns a dense read-only view of c: the clock itself when
-// it is already dense (stamps are immutable once delivered, so sharing
-// is safe for encoding), a dense copy otherwise.
-func denseView(c vclock.Clock) vclock.VC {
-	if v, ok := c.(vclock.VC); ok || c == nil {
-		return v
-	}
-	return vclock.DenseOf(c)
-}
-
 // frame is one decoded frame; kind says which fields are set.
 type frame struct {
 	kind byte
@@ -235,8 +224,6 @@ type frameReader struct {
 	// baseline frame arrived.
 	base vclock.VC
 	seen bool
-	// sparse selects the representation of the timestamps handed out.
-	sparse bool
 }
 
 // next decodes the next frame into f. io.EOF means the stream ended on a
@@ -326,8 +313,8 @@ func (r *recordReader) entry() int32 {
 }
 
 // stamp consumes the rest of the frame as a timestamp and returns it as
-// an independent clock in the configured representation.
-func (r *frameReader) stamp(c *recordReader, flags byte) vclock.Clock {
+// an independent clock.
+func (r *frameReader) stamp(c *recordReader, flags byte) vclock.VC {
 	if c.err != nil {
 		return nil
 	}
@@ -349,9 +336,6 @@ func (r *frameReader) stamp(c *recordReader, flags byte) vclock.Clock {
 		}
 		if len(c.p) > 0 {
 			c.fail(errFrameOverrun) // a last varint with no final byte
-		}
-		if r.sparse {
-			return vclock.SparseOf(vc)
 		}
 		return vc
 	}
@@ -375,9 +359,6 @@ func (r *frameReader) stamp(c *recordReader, flags byte) vclock.Clock {
 			r.base = append(r.base, make(vclock.VC, int(t)+1-len(r.base))...)
 		}
 		r.base[t] = n
-	}
-	if r.sparse {
-		return vclock.SparseOf(r.base)
 	}
 	return r.base.Clone()
 }

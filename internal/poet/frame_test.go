@@ -59,8 +59,9 @@ func sameFrame(a, b *frame) bool {
 	return true
 }
 
-// sampleFrames is one frame of every kind; clock builds the timestamps.
-func sampleFrames(clock func(...int32) vclock.Clock) []frame {
+// sampleFrames is one frame of every kind.
+func sampleFrames() []frame {
+	clock := func(ns ...int32) vclock.VC { return ns }
 	return []frame{
 		{kind: frameHeartbeat},
 		{kind: frameTraceReg, name: "alpha"},
@@ -80,57 +81,34 @@ func sampleFrames(clock func(...int32) vclock.Clock) []frame {
 	}
 }
 
-func denseClock(ns ...int32) vclock.Clock  { return vclock.VC(ns) }
-func sparseClock(ns ...int32) vclock.Clock { return vclock.SparseOf(vclock.VC(ns)) }
-
 // TestFrameCodecRoundTrip sends every frame kind through the codec in
-// both timestamp spellings, from both clock representations, into both
-// decoder representations, and compares against the source field by
+// both timestamp spellings and compares against the source field by
 // field.
 func TestFrameCodecRoundTrip(t *testing.T) {
-	for _, src := range []struct {
-		name  string
-		clock func(...int32) vclock.Clock
-	}{{"VC", denseClock}, {"Sparse", sparseClock}} {
-		for _, delta := range []bool{false, true} {
-			for _, sparseOut := range []bool{false, true} {
-				var buf bytes.Buffer
-				fw := newFrameWriter(&buf)
-				frames := sampleFrames(src.clock)
-				for i := range frames {
-					writeFrame(fw, &frames[i], delta)
-				}
-				if err := fw.flush(); err != nil {
-					t.Fatal(err)
-				}
-				fr := &frameReader{br: bufio.NewReader(&buf), sparse: sparseOut}
-				for i := range frames {
-					var got frame
-					if err := fr.next(&got); err != nil {
-						t.Fatalf("%s delta=%v sparseOut=%v frame %d: %v", src.name, delta, sparseOut, i, err)
-					}
-					if !sameFrame(&got, &frames[i]) {
-						t.Fatalf("%s delta=%v sparseOut=%v frame %d decoded to %+v, want %+v", src.name, delta, sparseOut, i, got, frames[i])
-					}
-					for _, vc := range []vclock.Clock{got.exp.VC, eventClock(got.ev)} {
-						if _, isSparse := vc.(*vclock.Sparse); vc != nil && isSparse != sparseOut {
-							t.Fatalf("%s delta=%v sparseOut=%v frame %d stamped with %T", src.name, delta, sparseOut, i, vc)
-						}
-					}
-				}
-				if err := fr.next(new(frame)); err != io.EOF {
-					t.Fatalf("after the last frame: %v, want io.EOF", err)
-				}
+	for _, delta := range []bool{false, true} {
+		var buf bytes.Buffer
+		fw := newFrameWriter(&buf)
+		frames := sampleFrames()
+		for i := range frames {
+			writeFrame(fw, &frames[i], delta)
+		}
+		if err := fw.flush(); err != nil {
+			t.Fatal(err)
+		}
+		fr := &frameReader{br: bufio.NewReader(&buf)}
+		for i := range frames {
+			var got frame
+			if err := fr.next(&got); err != nil {
+				t.Fatalf("delta=%v frame %d: %v", delta, i, err)
+			}
+			if !sameFrame(&got, &frames[i]) {
+				t.Fatalf("delta=%v frame %d decoded to %+v, want %+v", delta, i, got, frames[i])
 			}
 		}
+		if err := fr.next(new(frame)); err != io.EOF {
+			t.Fatalf("after the last frame: %v, want io.EOF", err)
+		}
 	}
-}
-
-func eventClock(e *event.Event) vclock.Clock {
-	if e == nil {
-		return nil
-	}
-	return e.VC
 }
 
 // TestFrameStringsSentOnce: a repeating trace name or event type is
@@ -190,7 +168,7 @@ func FuzzFrameDecode(f *testing.F) {
 	for _, delta := range []bool{false, true} {
 		var all bytes.Buffer
 		fw := newFrameWriter(&all)
-		frames := sampleFrames(denseClock)
+		frames := sampleFrames()
 		for i := range frames {
 			before := all.Len()
 			writeFrame(fw, &frames[i], delta)

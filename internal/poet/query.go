@@ -106,7 +106,7 @@ func (s *Server) handleQuery(conn net.Conn, dec *gob.Decoder) error {
 		switch req.Op {
 		case opGet:
 			if e, ok := s.collector.GetEvent(id); ok {
-				resp = queryResp{OK: true, Event: &queryEvent{ID: e.ID, Partner: e.Partner, Kind: e.Kind, Type: e.Type, Text: e.Text, VC: denseView(e.VC)}}
+				resp = queryResp{OK: true, Event: &queryEvent{ID: e.ID, Partner: e.Partner, Kind: e.Kind, Type: e.Type, Text: e.Text, VC: e.VC}}
 			} else {
 				resp = queryResp{Error: fmt.Sprintf("unknown event %s", id)}
 			}

@@ -54,14 +54,14 @@ import (
 type shardExport struct {
 	MsgID uint64
 	ID    event.ID
-	VC    vclock.Clock
+	VC    vclock.VC
 }
 
 // remoteSend is a peer shard's exported send, keyed by MsgID in
 // Collector.remoteSends.
 type remoteSend struct {
 	id event.ID
-	vc vclock.Clock
+	vc vclock.VC
 }
 
 // EnableSharding makes the collector shard shardID of a numShards-wide
@@ -172,7 +172,7 @@ func (c *Collector) hasSendLocked(msgID uint64) bool {
 // may always re-stream from zero. A fresh record wakes any receives
 // that were gated on it, and it is journaled at this position so a
 // standby applies it at the same point of its rebuild.
-func (c *Collector) SupplyRemoteSend(msgID uint64, id event.ID, vc vclock.Clock) error {
+func (c *Collector) SupplyRemoteSend(msgID uint64, id event.ID, vc vclock.VC) error {
 	if msgID == 0 {
 		return errors.New("poet: remote send has no message id")
 	}
@@ -191,13 +191,8 @@ func (c *Collector) SupplyRemoteSend(msgID uint64, id event.ID, vc vclock.Clock)
 		c.mu.Unlock()
 		return nil
 	}
-	// Normalize to the collector's stamping representation; both copy,
-	// so the stored clock never aliases a decoder baseline.
-	if c.sparse {
-		vc = vclock.SparseOf(vc)
-	} else {
-		vc = vclock.DenseOf(vc)
-	}
+	// Copy, so the stored clock never aliases a decoder baseline.
+	vc = vc.Clone()
 	c.remoteSends[msgID] = remoteSend{id: id, vc: vc}
 	c.recordLocked(journalRecord{remote: &shardExport{MsgID: msgID, ID: id, VC: vc}})
 	delete(c.heldRemote, msgID)
@@ -573,7 +568,7 @@ func (f *ShardFollower) session(conn *link) error {
 		f.connected = false
 		f.mu.Unlock()
 	}()
-	fr := &frameReader{br: conn.br, sparse: f.c.SparseClocks()}
+	fr := &frameReader{br: conn.br}
 	var fm frame
 	addr := conn.RemoteAddr().String()
 	for {

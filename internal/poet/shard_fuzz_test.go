@@ -14,9 +14,9 @@ import (
 // record (the exporting shard's advancing frontier) and each export is
 // pushed through the exact wire path a shard session uses — a
 // per-session frameWriter emitting a head count and a delta-encoded
-// export frame, and a per-connection frameReader on the far side, once
-// sparse and once dense. Any divergence between the decoded timestamp
-// and the encoder's input, or a lost MsgID/identity/head, fails.
+// export frame, and a per-connection frameReader on the far side. Any
+// divergence between the decoded timestamp and the encoder's input, or
+// a lost MsgID/identity/head, fails.
 //
 // Opcodes (byte pairs: op, operand), in the style of the delta-VC
 // corpus in internal/vclock:
@@ -32,43 +32,33 @@ func FuzzShardFrontierCodec(f *testing.F) {
 	f.Add([]byte{0, 63, 1, 0, 2, 9, 3, 3, 2, 10})
 	f.Add([]byte{3, 0})
 	f.Fuzz(func(t *testing.T, program []byte) {
-		var frontier vclock.Clock = vclock.VC(nil)
-		var wire, spBuf, dnBuf bytes.Buffer
+		var frontier vclock.VC
+		var wire bytes.Buffer
 		fw := newFrameWriter(&wire)
-		readers := map[string]*frameReader{
-			"sparse": {br: bufio.NewReader(&spBuf), sparse: true},
-			"dense":  {br: bufio.NewReader(&dnBuf)},
-		}
+		fr := &frameReader{br: bufio.NewReader(&wire)}
 		trace := 0
-		export := func(step int, msgID uint64, vc vclock.Clock) {
+		export := func(step int, msgID uint64, vc vclock.VC) {
 			id := event.ID{Trace: event.TraceID(trace % 64), Index: step + 1}
 			fw.head(step + 1)
 			fw.export(&shardExport{MsgID: msgID, ID: id, VC: vc}, true)
 			if err := fw.flush(); err != nil {
 				t.Fatalf("step %d: encode: %v", step, err)
 			}
-			// Exactly one decoder sees each frame in a real session; here
-			// each representation gets its own copy of the bytes.
-			spBuf.Write(wire.Bytes())
-			dnBuf.Write(wire.Bytes())
-			wire.Reset()
-			for name, fr := range readers {
-				var f frame
-				if err := fr.next(&f); err != nil || f.kind != frameHead || f.head != step+1 {
-					t.Fatalf("step %d: %s head frame = %+v, %v", step, name, f, err)
-				}
-				if err := fr.next(&f); err != nil || f.kind != frameExport {
-					t.Fatalf("step %d: %s decode: kind %d, %v", step, name, f.kind, err)
-				}
-				if f.exp.MsgID != msgID {
-					t.Fatalf("step %d: %s export frame lost its MsgID: %+v", step, name, f.exp)
-				}
-				if f.exp.ID != id {
-					t.Fatalf("step %d: %s identity mangled: %v, want %v", step, name, f.exp.ID, id)
-				}
-				if !f.exp.VC.Equal(vc) {
-					t.Fatalf("step %d: %s decoded %s, want %s", step, name, f.exp.VC, vc)
-				}
+			var f frame
+			if err := fr.next(&f); err != nil || f.kind != frameHead || f.head != step+1 {
+				t.Fatalf("step %d: head frame = %+v, %v", step, f, err)
+			}
+			if err := fr.next(&f); err != nil || f.kind != frameExport {
+				t.Fatalf("step %d: decode: kind %d, %v", step, f.kind, err)
+			}
+			if f.exp.MsgID != msgID {
+				t.Fatalf("step %d: export frame lost its MsgID: %+v", step, f.exp)
+			}
+			if f.exp.ID != id {
+				t.Fatalf("step %d: identity mangled: %v, want %v", step, f.exp.ID, id)
+			}
+			if !f.exp.VC.Equal(vc) {
+				t.Fatalf("step %d: decoded %s, want %s", step, f.exp.VC, vc)
 			}
 		}
 		for i := 0; i+1 < len(program); i += 2 {
@@ -83,7 +73,7 @@ func FuzzShardFrontierCodec(f *testing.F) {
 			case 2:
 				export(i, uint64(arg)+1, frontier.Clone())
 			case 3:
-				export(i, 1000+uint64(arg), vclock.VC(nil))
+				export(i, 1000+uint64(arg), nil)
 			}
 		}
 	})

@@ -2,17 +2,14 @@ package poet
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
 
 	"ocep/internal/backoff"
-	"ocep/internal/event"
 	"ocep/internal/pool"
 )
 
@@ -352,62 +349,4 @@ func redial(eps *pool.Pool, budget time.Duration, stop <-chan struct{}, try func
 			return ErrClientClosed
 		}
 	}
-}
-
-// byteCounter is an io.Writer that only counts.
-type byteCounter struct{ n int64 }
-
-func (b *byteCounter) Write(p []byte) (int, error) {
-	b.n += int64(len(p))
-	return len(p), nil
-}
-
-// MeasureWire frames evs exactly as one monitor session would — a trace
-// announcement before each trace's first event (named "t<id>": the
-// events do not carry names), then the events with dense or
-// delta-encoded timestamps — and reports the encoded bytes and the
-// number of timestamp entries shipped. The delta variant buffers its
-// stream, decodes it back, and verifies every reconstructed timestamp
-// against the original, so a measurement run doubles as a codec
-// differential; the dense variant streams into a pure counter (a dense
-// stream at tens of thousands of traces is too large to hold). Supports
-// the -tracescale experiment; not on the serving path.
-func MeasureWire(evs []*event.Event, delta bool) (wireBytes int64, vcEntries int, err error) {
-	var (
-		buf  bytes.Buffer
-		bc   byteCounter
-		sink io.Writer = &bc
-	)
-	if delta {
-		sink = &buf
-	}
-	fw := newFrameWriter(sink)
-	announced := make(map[event.TraceID]bool)
-	for _, e := range evs {
-		if !announced[e.ID.Trace] {
-			announced[e.ID.Trace] = true
-			fw.trace(e.ID.Trace, fmt.Sprintf("t%d", int(e.ID.Trace)))
-		}
-		vcEntries += fw.event(e, delta)
-	}
-	if err := fw.flush(); err != nil {
-		return 0, vcEntries, err
-	}
-	if !delta {
-		return bc.n, vcEntries, nil
-	}
-	wireBytes = int64(buf.Len())
-	fr := &frameReader{br: bufio.NewReader(&buf)}
-	var f frame
-	for _, e := range evs {
-		for f.kind = 0; f.kind != frameEvent; {
-			if err := fr.next(&f); err != nil {
-				return wireBytes, vcEntries, fmt.Errorf("poet: measure decode: %w", err)
-			}
-		}
-		if !f.ev.VC.Equal(e.VC) {
-			return wireBytes, vcEntries, fmt.Errorf("poet: delta codec diverged at %v: decoded %v, stamped %v", e.ID, f.ev.VC, e.VC)
-		}
-	}
-	return wireBytes, vcEntries, nil
 }

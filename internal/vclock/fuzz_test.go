@@ -1,76 +1,135 @@
 package vclock
 
 import (
+	"maps"
+	"math/rand"
 	"testing"
 )
 
-// FuzzDenseVsSparse interprets the fuzz input as a program of clock
-// operations applied simultaneously to a dense and a sparse clock (plus
-// one partner clock of each representation) and fails on any observable
-// divergence: Get, Equal, LessEqual, Before, Compare, Weight of the
-// sparse side vs the dense nonzero count, and DenseOf round-trips.
+// model is the reference clock the fuzz target holds VC to: the nonzero
+// entries in a map, every operation a fresh copy, so it can neither
+// mutate nor alias anything.
+type model map[int]int32
+
+func (m model) tick(t int) model { c := maps.Clone(m); c[t]++; return c }
+
+func (m model) merge(o model) model {
+	c := maps.Clone(m)
+	for t, n := range o {
+		c[t] = max(c[t], n)
+	}
+	return c
+}
+
+func (m model) lessEqual(o model) bool {
+	for t, n := range m {
+		if n > o[t] {
+			return false
+		}
+	}
+	return true
+}
+
+func (m model) before(ta int, o model, tb int) bool {
+	if ta == tb {
+		return m[ta] < o[tb]
+	}
+	return m[ta] <= o[ta]
+}
+
+func (m model) compare(ta int, o model, tb int) Relation {
+	switch {
+	case ta == tb && m[ta] == o[tb]:
+		return RelEqual
+	case m.before(ta, o, tb):
+		return RelBefore
+	case o.before(tb, m, ta):
+		return RelAfter
+	}
+	return RelConcurrent
+}
+
+// FuzzVCVsModel interprets the fuzz input as a program of clock
+// operations applied to a VC pair (main, partner) and to their models,
+// and fails on any observable divergence: the entries Range visits, Get,
+// Weight, Equal, LessEqual, Before, Concurrent and Compare. Both pairs
+// are checked after every step, so a Merge that mutated its argument, or
+// a Merge or Clone whose result shares storage with its source, shows at
+// the next Tick.
 //
 // Opcodes (byte pairs: op, operand):
 //
-//	0: Tick(operand % 64)
-//	1: Merge the partner into the main clock (cross-representation)
-//	2: snapshot the main clock as the new partner
+//	0: main.Tick(operand % 64)
+//	1: main = main.Merge(partner)
+//	2: partner = main.Clone()
 //	3: compare main vs partner at traces (operand%64, operand/4%64)
-func FuzzDenseVsSparse(f *testing.F) {
+//	4: swap main and partner
+func FuzzVCVsModel(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 1, 2, 0, 0, 5, 1, 0, 3, 9})
 	f.Add([]byte{0, 63, 0, 63, 2, 0, 0, 0, 1, 0, 3, 255})
 	f.Add([]byte{2, 0, 3, 0})
+	// Long random programs, so the seed corpus `go test` runs is a
+	// property test and not three examples.
+	rng := rand.New(rand.NewSource(123))
+	for i := 0; i < 8; i++ {
+		program := make([]byte, 400)
+		rng.Read(program)
+		f.Add(program)
+	}
 	f.Fuzz(func(t *testing.T, program []byte) {
-		var d Clock = VC(nil)
-		var s Clock = NewSparse()
-		var partD Clock = VC(nil)
-		var partS Clock = NewSparse()
-		check := func(step int) {
-			if !d.Equal(s) || !s.Equal(d) {
-				t.Fatalf("step %d: representations diverged: %s vs %s", step, d, s)
+		var v, part VC
+		m, mPart := model{}, model{}
+		same := func(step int, name string, v VC, m model) {
+			seen, prev, span := 0, -1, 0
+			v.Range(func(tr int, n int32) bool {
+				if tr <= prev || n == 0 || m[tr] != n {
+					t.Fatalf("step %d: %s visits (%d, %d) after trace %d; model %v", step, name, tr, n, prev, m)
+				}
+				seen, prev, span = seen+1, tr, tr+1
+				return true
+			})
+			if seen != len(m) || v.Weight() < span {
+				t.Fatalf("step %d: %s = %s (weight %d) holds %d entries, model %v", step, name, v, v.Weight(), seen, m)
 			}
-			if dd := DenseOf(s); !dd.Equal(d) {
-				t.Fatalf("step %d: DenseOf(sparse) = %s, want %s", step, dd, d)
-			}
-			nz := 0
-			d.Range(func(int, int32) bool { nz++; return true })
-			if s.Weight() != nz {
-				t.Fatalf("step %d: sparse weight %d, dense nonzero %d", step, s.Weight(), nz)
+			for _, tr := range []int{-1, 0, 7, 63, 64, 1000} {
+				if v.Get(tr) != int(m[tr]) {
+					t.Fatalf("step %d: %s.Get(%d) = %d, model %d", step, name, tr, v.Get(tr), m[tr])
+				}
 			}
 		}
 		for i := 0; i+1 < len(program); i += 2 {
 			op, arg := program[i], program[i+1]
-			switch op % 4 {
+			switch op % 5 {
 			case 0:
-				tr := int(arg % 64)
-				d = d.Tick(tr)
-				s = s.Tick(tr)
+				v, m = v.Tick(int(arg%64)), m.tick(int(arg%64))
 			case 1:
-				// Cross the representations on purpose: the dense main
-				// merges the sparse partner and vice versa.
-				d = d.Merge(partS)
-				s = s.Merge(partD)
+				v, m = v.Merge(part), m.merge(mPart)
 			case 2:
-				partD = DenseOf(d)
-				partS = SparseOf(s)
-				if !partD.Equal(partS) {
-					t.Fatalf("step %d: partner snapshots diverged", i)
-				}
+				part, mPart = v.Clone(), m
 			case 3:
-				ta := int(arg % 64)
-				tb := int(arg/4) % 64
-				if Before(d, ta, partD, tb) != Before(s, ta, partS, tb) ||
-					Before(partD, tb, d, ta) != Before(partS, tb, s, ta) {
-					t.Fatalf("step %d: Before diverged at (%d,%d)", i, ta, tb)
+				ta, tb := int(arg%64), int(arg/4)%64
+				if Before(v, ta, part, tb) != m.before(ta, mPart, tb) ||
+					Before(part, tb, v, ta) != mPart.before(tb, m, ta) {
+					t.Fatalf("step %d: Before diverged at (%d,%d): %s vs %s", i, ta, tb, v, part)
 				}
-				if Compare(d, ta, partD, tb) != Compare(s, ta, partS, tb) {
-					t.Fatalf("step %d: Compare diverged at (%d,%d)", i, ta, tb)
+				want := m.compare(ta, mPart, tb)
+				if got := Compare(v, ta, part, tb); got != want {
+					t.Fatalf("step %d: Compare(%s@%d, %s@%d) = %v, model %v", i, v, ta, part, tb, got, want)
 				}
-				if d.LessEqual(partD) != s.LessEqual(partS) {
-					t.Fatalf("step %d: LessEqual diverged", i)
+				if Concurrent(v, ta, part, tb) != (want == RelConcurrent) {
+					t.Fatalf("step %d: Concurrent(%s@%d, %s@%d) disagrees with %v", i, v, ta, part, tb, want)
 				}
+				if v.LessEqual(part) != m.lessEqual(mPart) || part.LessEqual(v) != mPart.lessEqual(m) {
+					t.Fatalf("step %d: LessEqual diverged: %s vs %s", i, v, part)
+				}
+				if v.Equal(part) != maps.Equal(m, mPart) {
+					t.Fatalf("step %d: Equal(%s, %s) = %v", i, v, part, v.Equal(part))
+				}
+			case 4:
+				v, part, m, mPart = part, v, mPart, m
 			}
-			check(i)
+			same(i, "main", v, m)
+			same(i, "partner", part, mPart)
 		}
 	})
 }

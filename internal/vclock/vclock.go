@@ -8,22 +8,11 @@
 // be decided with at most two integer comparisons, as the paper requires
 // (Section III-A).
 //
-// Two representations implement the same Clock contract:
-//
-//   - VC, the dense Fidge/Mattern vector: one entry per trace, O(1) Get.
-//     It is the reference ("oracle") form every other representation is
-//     differentially tested against.
-//   - Sparse (sparse.go), sorted (trace, count) pairs holding only the
-//     nonzero entries: O(log k) Get for k nonzero entries, O(k) memory.
-//     At tens of thousands of traces an event's causal past typically
-//     touches a handful of them, and the dense form wastes O(#traces)
-//     per stored event; the sparse form makes timestamp memory
-//     proportional to the causal past instead (cf. "Efficient Timestamps
-//     for Capturing Causality", Vaidya & Kulkarni).
-//
-// Both orders events identically: every comparison goes through Get, and
-// Get agrees between representations by construction, so dense and sparse
-// clocks mix freely in one comparison.
+// VC is the one representation: a dense vector, one 4-byte entry per
+// trace, O(1) Get. Every workload this repository measures runs tens to
+// low hundreds of densely connected traces, where the dense form is both
+// the smaller and the faster one (docs/ARCHITECTURE.md, "One clock, one
+// engine").
 package vclock
 
 import (
@@ -31,55 +20,26 @@ import (
 	"strings"
 )
 
-// Clock is the timestamp contract shared by the dense (VC) and sparse
-// (Sparse) representations. The mutating operations follow the append
-// contract: Tick and Merge return the updated clock, which may or may
-// not share storage with the receiver — the receiver value is considered
-// moved and must not be used afterwards except through the return value.
-// The Merge argument is never mutated, and its storage is never retained
-// by the result.
-type Clock interface {
-	// Get returns entry t, treating missing entries as zero.
-	Get(t int) int
-	// Tick increments entry t and returns the updated clock (append
-	// contract: use the return value, the receiver is moved).
-	Tick(t int) Clock
-	// Merge folds the component-wise maximum of other into the clock and
-	// returns the updated clock (append contract). other is never
-	// mutated and never aliased by the result.
-	Merge(other Clock) Clock
-	// Clone returns an independent copy.
-	Clone() Clock
-	// Equal reports component-wise equality, treating missing entries as
-	// zero; representations compare equal by value, not by layout.
-	Equal(other Clock) bool
-	// LessEqual reports whether the clock is <= other component-wise.
-	LessEqual(other Clock) bool
-	// Weight returns the number of stored entries — the clock's memory
-	// footprint in entries (len for dense, nonzero count for sparse).
-	Weight() int
-	// Range calls f for every nonzero entry in increasing trace order,
-	// stopping early if f returns false.
-	Range(f func(t int, n int32) bool)
-	// String renders the clock for logs and tests.
-	String() string
-}
-
 // VC is a dense vector timestamp. Index i holds the number of events of
 // trace i known to have happened before or at the stamped event. The zero
 // value (nil) is a valid timestamp that precedes nothing and is
 // concurrent with everything, which is convenient for uninitialized
 // placeholders; real events always carry a clock sized to the trace
 // count.
+//
+// The mutating operations follow the append contract: Tick and Merge
+// return the updated clock, which may or may not share storage with
+// the receiver — the receiver value is considered moved and must not be
+// used afterwards except through the return value.
 type VC []int32
 
 // New returns a zeroed dense clock for n traces.
 func New(n int) VC { return make(VC, n) }
 
 // Clone returns an independent copy of v.
-func (v VC) Clone() Clock {
+func (v VC) Clone() VC {
 	if v == nil {
-		return VC(nil)
+		return nil
 	}
 	c := make(VC, len(v))
 	copy(c, v)
@@ -97,7 +57,7 @@ func (v VC) Get(t int) int {
 
 // Tick increments entry t, growing the clock if necessary, and returns
 // the updated clock (append contract: the receiver is moved).
-func (v VC) Tick(t int) Clock {
+func (v VC) Tick(t int) VC {
 	v = v.grow(t + 1)
 	v[t]++
 	return v
@@ -107,42 +67,19 @@ func (v VC) Tick(t int) Clock {
 // v if necessary, and returns the updated clock. It is the receive-side
 // clock update of the Fidge/Mattern algorithm (before the local tick).
 //
-// Semantics (pinned; every representation must match them): the result
-// reuses the receiver's storage when it is large enough and reallocates
-// otherwise, so — like append — the receiver value is moved: callers
-// must use only the returned clock afterwards. The argument is never
-// mutated, and its storage is never aliased by the result, so callers
-// may retain other (e.g. another event's stamp) safely.
-func (v VC) Merge(other Clock) Clock {
-	if o, ok := other.(VC); ok {
-		v = v.grow(len(o))
-		for i, x := range o {
-			if x > v[i] {
-				v[i] = x
-			}
+// Semantics (pinned): the result reuses the receiver's storage when it
+// is large enough and reallocates otherwise, so — like append — the
+// receiver value is moved: callers must use only the returned clock
+// afterwards. The argument is never mutated, and its storage is never
+// aliased by the result, so callers may retain other (e.g. another
+// event's stamp) safely.
+func (v VC) Merge(other VC) VC {
+	v = v.grow(len(other))
+	for i, x := range other {
+		if x > v[i] {
+			v[i] = x
 		}
-		return v
 	}
-	if other == nil {
-		return v
-	}
-	other.Range(func(t int, n int32) bool {
-		v = v.grow(t + 1)
-		if n > v[t] {
-			v[t] = n
-		}
-		return true
-	})
-	return v
-}
-
-// Set writes entry t, growing the vector as needed, and returns the
-// updated vector (append contract, like Tick). It is not part of Clock:
-// random entry writes exist only for the wire delta codec, which
-// reconstructs a baseline vector from (trace, value) delta entries.
-func (v VC) Set(t int, n int32) VC {
-	v = v.grow(t + 1)
-	v[t] = n
 	return v
 }
 
@@ -155,10 +92,12 @@ func (v VC) grow(n int) VC {
 	return g
 }
 
-// Weight returns the number of stored entries (the dense length).
+// Weight returns the number of stored entries: the clock's memory
+// footprint, 4 bytes each.
 func (v VC) Weight() int { return len(v) }
 
-// Range calls f for every nonzero entry in increasing trace order.
+// Range calls f for every nonzero entry in increasing trace order,
+// stopping early if f returns false.
 func (v VC) Range(f func(t int, n int32) bool) {
 	for t, n := range v {
 		if n == 0 {
@@ -172,40 +111,26 @@ func (v VC) Range(f func(t int, n int32) bool) {
 
 // Equal reports whether the two clocks are component-wise equal, treating
 // missing entries as zero.
-func (v VC) Equal(other Clock) bool {
-	if o, ok := other.(VC); ok {
-		n := len(v)
-		if len(o) > n {
-			n = len(o)
+func (v VC) Equal(other VC) bool {
+	for i := 0; i < max(len(v), len(other)); i++ {
+		if v.Get(i) != other.Get(i) {
+			return false
 		}
-		for i := 0; i < n; i++ {
-			if v.Get(i) != o.Get(i) {
-				return false
-			}
-		}
-		return true
 	}
-	return clockEqual(v, other)
+	return true
 }
 
 // LessEqual reports whether v <= other component-wise (the classical
 // "causally precedes or equals" test for full vectors). It is O(n) and is
 // used by tests and by code paths that do not know the events' traces;
 // event-to-event causality should use Before, which is O(1).
-func (v VC) LessEqual(other Clock) bool {
-	if o, ok := other.(VC); ok {
-		n := len(v)
-		if len(o) > n {
-			n = len(o)
+func (v VC) LessEqual(other VC) bool {
+	for i := 0; i < max(len(v), len(other)); i++ {
+		if v.Get(i) > other.Get(i) {
+			return false
 		}
-		for i := 0; i < n; i++ {
-			if v.Get(i) > o.Get(i) {
-				return false
-			}
-		}
-		return true
 	}
-	return clockLessEqual(v, other)
+	return true
 }
 
 // String renders the clock as "[1 0 3]".
@@ -222,103 +147,6 @@ func (v VC) String() string {
 	return b.String()
 }
 
-// get is the nil-tolerant entry read shared by the comparison functions:
-// an untyped nil Clock is the empty timestamp.
-func get(c Clock, t int) int {
-	if c == nil {
-		return 0
-	}
-	return c.Get(t)
-}
-
-// clockEqual is the representation-generic equality: every nonzero entry
-// of each side must appear identically on the other.
-func clockEqual(a, b Clock) bool {
-	if a == nil || b == nil {
-		eq := true
-		for _, c := range []Clock{a, b} {
-			if c == nil {
-				continue
-			}
-			c.Range(func(int, int32) bool { eq = false; return false })
-		}
-		return eq
-	}
-	eq := true
-	a.Range(func(t int, n int32) bool {
-		if int32(b.Get(t)) != n {
-			eq = false
-		}
-		return eq
-	})
-	if !eq {
-		return false
-	}
-	b.Range(func(t int, n int32) bool {
-		if int32(a.Get(t)) != n {
-			eq = false
-		}
-		return eq
-	})
-	return eq
-}
-
-// clockLessEqual is the representation-generic component-wise <=: zero
-// entries are trivially <=, so only a's nonzero entries need checking.
-func clockLessEqual(a, b Clock) bool {
-	if a == nil {
-		return true
-	}
-	le := true
-	a.Range(func(t int, n int32) bool {
-		if int(n) > get(b, t) {
-			le = false
-		}
-		return le
-	})
-	return le
-}
-
-// DenseOf returns a dense copy of c, sized to its highest nonzero entry.
-// A dense input is cloned at its original length (trailing zeros kept).
-func DenseOf(c Clock) VC {
-	if c == nil {
-		return nil
-	}
-	if v, ok := c.(VC); ok {
-		return v.Clone().(VC)
-	}
-	span := 0
-	c.Range(func(t int, _ int32) bool { span = t + 1; return true })
-	out := make(VC, span)
-	c.Range(func(t int, n int32) bool { out[t] = n; return true })
-	return out
-}
-
-// Entries materializes the nonzero entries of c as parallel (trace,
-// count) slices in increasing trace order — the canonical form the wire
-// layer encodes. Nil for an empty clock.
-func Entries(c Clock) (ts, ns []int32) {
-	if c == nil {
-		return nil, nil
-	}
-	w := c.Weight()
-	if w == 0 {
-		return nil, nil
-	}
-	ts = make([]int32, 0, w)
-	ns = make([]int32, 0, w)
-	c.Range(func(t int, n int32) bool {
-		ts = append(ts, int32(t))
-		ns = append(ns, n)
-		return true
-	})
-	if len(ts) == 0 {
-		return nil, nil // dense all-zero: Weight counts stored, not nonzero
-	}
-	return ts, ns
-}
-
 // Before reports whether the event stamped va on trace ta happens before
 // the event stamped vb on trace tb. Events are identified by (trace,
 // index) where index is 1-based position within the trace; with the
@@ -327,19 +155,18 @@ func Entries(c Clock) (ts, ns []int32) {
 //	va[ta] <= vb[ta]   (and a != b),
 //
 // which costs at most two entry reads (one for the same-event check on
-// the same trace). Both representations answer an entry read in O(1) /
-// O(log k), so the test stays constant-time in the trace count.
-func Before(va Clock, ta int, vb Clock, tb int) bool {
+// the same trace), whatever the trace count.
+func Before(va VC, ta int, vb VC, tb int) bool {
 	if ta == tb {
-		return get(va, ta) < get(vb, tb)
+		return va.Get(ta) < vb.Get(tb)
 	}
-	return get(va, ta) <= get(vb, ta)
+	return va.Get(ta) <= vb.Get(ta)
 }
 
 // Concurrent reports whether the two stamped events are concurrent:
 // neither happens before the other and they are not the same event.
-func Concurrent(va Clock, ta int, vb Clock, tb int) bool {
-	if ta == tb && get(va, ta) == get(vb, tb) {
+func Concurrent(va VC, ta int, vb VC, tb int) bool {
+	if ta == tb && va.Get(ta) == vb.Get(tb) {
 		return false // same event
 	}
 	return !Before(va, ta, vb, tb) && !Before(vb, tb, va, ta)
@@ -379,21 +206,21 @@ func (r Relation) String() string {
 
 // Compare classifies the relation between the event stamped va on trace ta
 // and the event stamped vb on trace tb.
-func Compare(va Clock, ta int, vb Clock, tb int) Relation {
+func Compare(va VC, ta int, vb VC, tb int) Relation {
 	if ta == tb {
 		switch {
-		case get(va, ta) < get(vb, tb):
+		case va.Get(ta) < vb.Get(tb):
 			return RelBefore
-		case get(va, ta) > get(vb, tb):
+		case va.Get(ta) > vb.Get(tb):
 			return RelAfter
 		default:
 			return RelEqual
 		}
 	}
-	if get(va, ta) <= get(vb, ta) {
+	if va.Get(ta) <= vb.Get(ta) {
 		return RelBefore
 	}
-	if get(vb, tb) <= get(va, tb) {
+	if vb.Get(tb) <= va.Get(tb) {
 		return RelAfter
 	}
 	return RelConcurrent

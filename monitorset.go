@@ -14,7 +14,7 @@ import (
 // the deployment shape of a POET server watching a whole application
 // suite for different safety conditions at once.
 //
-// Attach folds the eligible members (synchronous, compiled, without
+// Attach folds the eligible members (synchronous, without
 // per-monitor timing or metrics — see Monitor.sharedDispatchEligible)
 // behind one shared class-indexed dispatcher: the collector delivers
 // each event once, and the dispatcher's per-event-type index routes it

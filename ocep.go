@@ -58,15 +58,8 @@ type (
 	TraceID = event.TraceID
 	// Kind classifies an event's communication role.
 	Kind = event.Kind
-	// Clock is the vector-timestamp contract shared by the dense and
-	// sparse representations; Event.VC holds one.
-	Clock = vclock.Clock
-	// VC is the dense Fidge/Mattern vector timestamp — the differential
-	// oracle representation.
+	// VC is the Fidge/Mattern vector timestamp Event.VC holds.
 	VC = vclock.VC
-	// SparseClock is the sparse (trace, count)-pair timestamp: O(causal
-	// past) memory instead of O(#traces); see Collector.SetSparseClocks.
-	SparseClock = vclock.Sparse
 	// RawEvent is an unstamped instrumented event as reported by targets.
 	RawEvent = poet.RawEvent
 	// Collector ingests raw events and delivers stamped events in a
@@ -283,10 +276,6 @@ var (
 	// connection). Pass false to force full dense vectors, e.g. against a
 	// server that predates the encoding.
 	WithMonitorDeltaVC = poet.WithMonitorDeltaVC
-	// WithMonitorSparseClocks makes the client stamp received events with
-	// sparse (trace, count)-pair clocks — O(causal past) memory per event
-	// instead of O(#traces), the same causal order.
-	WithMonitorSparseClocks = poet.WithMonitorSparseClocks
 )
 
 // Option configures a Monitor.
@@ -408,21 +397,6 @@ func WithoutCausalDomains() Option {
 // behaviour) instead of dynamic most-constrained-first ordering.
 func WithStaticOrder() Option {
 	return func(c *config) { c.opts.StaticOrder = true }
-}
-
-// WithCompiledMatching selects the matcher execution form. The default
-// (true) compiles each pattern once, at monitor construction and again
-// at every attach, into a specialized form: a per-event-type trigger
-// index, flattened constraint tables and pooled per-trigger search
-// state; eligible members of a MonitorSet additionally share one
-// class-indexed dispatcher so events skip whole non-matching patterns.
-// WithCompiledMatching(false) is the escape hatch that runs the
-// original interpreted path instead — the reference oracle the
-// differential test harness compares against. Matches, coverage,
-// truncation flags and path-independent statistics are identical in
-// both modes; only speed differs.
-func WithCompiledMatching(enabled bool) Option {
-	return func(c *config) { c.opts.DisableCompiled = !enabled }
 }
 
 // WithParallelTraces explores the top backtracking level's traces with n
@@ -669,11 +643,9 @@ func (m *Monitor) Attach(c *Collector) {
 // (they own a private store and queue), WithTiming (per-event wall
 // clock must cover every event, not just dispatched ones), WithMetrics
 // (ocep_monitor_events_total counts per-monitor feeds, which dispatch
-// deliberately avoids), the interpreted escape hatch, and patterns too
-// long for a trigger index.
+// deliberately avoids).
 func (m *Monitor) sharedDispatchEligible() bool {
-	return !m.cfg.async && !m.cfg.measure && m.cfg.reg == nil &&
-		!m.cfg.opts.DisableCompiled && m.pat.K() <= pattern.MaxIndexLeaves
+	return !m.cfg.async && !m.cfg.measure && m.cfg.reg == nil
 }
 
 // joinDispatcher rebuilds the matcher on the collector's store and

@@ -1,6 +1,7 @@
 package ocep_test
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -200,5 +201,57 @@ func TestCheckPattern(t *testing.T) {
 	}
 	if _, err := ocep.CheckPattern("x"); err == nil {
 		t.Fatalf("CheckPattern must propagate errors")
+	}
+}
+
+// TestPatternLengthLimit: the matcher indexes a pattern's leaves in one
+// 64-bit mask, so a 64-leaf pattern compiles and matches and a 65-leaf
+// one is refused by name, with its leaf count and the limit — it does not
+// run on some other, slower engine.
+func TestPatternLengthLimit(t *testing.T) {
+	// One class and one occurrence per leaf, ordered pairwise: every
+	// candidate domain holds one event, so the search is linear.
+	chain := func(leaves int) string {
+		var b strings.Builder
+		for i := 0; i < leaves; i++ {
+			fmt.Fprintf(&b, "C%d := [*, t%d, *];\nC%d $x%d;\n", i, i, i, i)
+		}
+		b.WriteString("pattern := ($x0 -> $x1)")
+		for i := 2; i < leaves; i++ {
+			fmt.Fprintf(&b, " && ($x%d -> $x%d)", i-1, i)
+		}
+		b.WriteString(";\n")
+		return b.String()
+	}
+	for _, tc := range []struct {
+		leaves  int
+		refused bool
+	}{{64, false}, {65, true}} {
+		mon, err := ocep.NewMonitor(chain(tc.leaves))
+		if tc.refused {
+			if err == nil || !strings.Contains(err.Error(), "65") || !strings.Contains(err.Error(), "64") {
+				t.Fatalf("%d leaves: err = %v, want a refusal naming 65 leaves and the limit 64", tc.leaves, err)
+			}
+			if _, err := ocep.CheckPattern(chain(tc.leaves)); err == nil {
+				t.Fatalf("%d leaves: CheckPattern accepted what NewMonitor refuses", tc.leaves)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%d leaves: %v", tc.leaves, err)
+		}
+		collector := ocep.NewCollector()
+		mon.Attach(collector)
+		for seq := 1; seq <= tc.leaves; seq++ {
+			if err := collector.Report(ocep.RawEvent{Trace: "p", Seq: seq, Kind: ocep.KindInternal, Type: fmt.Sprintf("t%d", seq-1)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := mon.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if st := mon.Stats(); mon.PatternLength() != tc.leaves || st.Reported != 1 {
+			t.Fatalf("%d leaves: pattern length %d, stats %+v; want one match of the whole trace", tc.leaves, mon.PatternLength(), st)
+		}
 	}
 }
