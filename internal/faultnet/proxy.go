@@ -334,15 +334,19 @@ func (p *Proxy) forward(l *link, dst net.Conn, b []byte) bool {
 				l.budget.Store(budget - int64(len(w)))
 			}
 		}
+		// Count an effect before a peer can observe it — a client that has
+		// read the bytes, or seen the reset, must find them in Stats — and
+		// take the bytes back if the write fails.
 		if len(w) > 0 {
+			p.bytes.Add(int64(len(w)))
 			if _, err := dst.Write(w); err != nil {
+				p.bytes.Add(-int64(len(w)))
 				return false
 			}
-			p.bytes.Add(int64(len(w)))
 		}
 		if killing {
-			l.reset()
 			p.resets.Add(1)
+			l.reset()
 			return false
 		}
 		b = b[len(w):]

@@ -11,6 +11,7 @@ package poet
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -46,8 +47,9 @@ func isRecvLike(k event.Kind) bool {
 }
 
 // Handler consumes delivered events. Handlers are invoked in delivery
-// order while the collector's lock is held: they must be fast and must
-// not call back into the Collector. Use SubscribeBatch for a handler
+// order — for one event, in subscription order — while the collector's
+// lock is held: they must be fast and must not call back into the
+// Collector. Use SubscribeBatch for a handler
 // that runs off the delivery path (its own goroutine, batched, with a
 // bounded queue and a backpressure policy).
 type Handler func(*event.Event)
@@ -80,8 +82,10 @@ type Collector struct {
 	pending []map[int]RawEvent
 	// sends maps a delivered send-like event's MsgID to its ID.
 	sends map[uint64]event.ID
-	// recvWait maps a MsgID to traces whose delivery head waits for it.
+	// recvWait maps a MsgID to traces whose delivery head waits for it;
+	// waitFree holds the lists woken sends emptied, for the next waiter.
 	recvWait map[uint64][]event.TraceID
+	waitFree [][]event.TraceID
 	// heldRemote records when a sharded collector first held a receive
 	// on a MsgID no local sender has claimed — the send should arrive
 	// via the cross-shard exchange, so its age measures exchange health
@@ -89,12 +93,13 @@ type Collector struct {
 	heldRemote map[uint64]time.Time
 	// sendersSeen guards against duplicate MsgIDs on the send side.
 	sendersSeen map[uint64]bool
-	handlers    map[int]Handler
-	// asyncs holds the batch subscribers' bounded delivery queues, keyed
-	// by the same id space as handlers (see delivery.go).
-	asyncs      map[int]*queue
+	// subs lists the subscribers in subscription order, the order one
+	// event reaches them in.
+	subs        []subscriber
 	nextHandler int
 	delivered   int
+	// slab backs every delivered event and its stamp.
+	slab event.Slab
 	// order is the delivery order of all events: the linearization of
 	// the partial order that clients observe.
 	order []*event.Event
@@ -244,7 +249,6 @@ func NewCollector() *Collector {
 		sends:       make(map[uint64]event.ID),
 		recvWait:    make(map[uint64][]event.TraceID),
 		sendersSeen: make(map[uint64]bool),
-		handlers:    make(map[int]Handler),
 	}
 }
 
@@ -384,13 +388,18 @@ func (c *Collector) Durable() *Durability {
 // after Drained).
 func (c *Collector) Store() *event.Store { return c.store }
 
+// subscriber is one delivery target: a synchronous handler, or the
+// bounded queue of a batch subscription (see delivery.go).
+type subscriber struct {
+	id int
+	h  Handler
+	q  *queue
+}
+
 // Subscription identifies a registered handler so it can be cancelled.
 type Subscription struct {
-	c  *Collector
-	id int
-	// q is the bounded delivery queue of a batch subscription; nil for
-	// synchronous subscriptions.
-	q *queue
+	c *Collector
+	subscriber
 }
 
 // Cancel removes the handler. For a batch subscription it also drains
@@ -399,8 +408,7 @@ type Subscription struct {
 // Safe to call more than once.
 func (s *Subscription) Cancel() {
 	s.c.mu.Lock()
-	delete(s.c.handlers, s.id)
-	delete(s.c.asyncs, s.id)
+	s.c.subs = slices.DeleteFunc(s.c.subs, func(x subscriber) bool { return x.id == s.id })
 	s.c.mu.Unlock()
 	if s.q != nil {
 		s.q.close()
@@ -432,14 +440,15 @@ func (s *Subscription) Stats() DeliveryStats {
 func (c *Collector) Subscribe(h Handler) *Subscription {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.subscribeLocked(h)
+	return c.subscribeLocked(h, nil)
 }
 
-func (c *Collector) subscribeLocked(h Handler) *Subscription {
-	id := c.nextHandler
+// subscribeLocked appends a subscriber: a handler, or a queue.
+func (c *Collector) subscribeLocked(h Handler, q *queue) *Subscription {
+	s := subscriber{id: c.nextHandler, h: h, q: q}
 	c.nextHandler++
-	c.handlers[id] = h
-	return &Subscription{c: c, id: id}
+	c.subs = append(c.subs, s)
+	return &Subscription{c: c, subscriber: s}
 }
 
 // SubscribeReplay atomically replays every already-delivered event to h
@@ -452,7 +461,7 @@ func (c *Collector) SubscribeReplay(h Handler) *Subscription {
 	for _, e := range c.order {
 		h(e)
 	}
-	return c.subscribeLocked(h)
+	return c.subscribeLocked(h, nil)
 }
 
 // Ordered returns the delivered events in delivery order (the retained
@@ -682,9 +691,9 @@ func (c *Collector) Report(raw RawEvent) error {
 		c.tel.rejected.Inc()
 	}
 	var laggards []*queue
-	for _, q := range c.asyncs {
-		if q.overDepth() {
-			laggards = append(laggards, q)
+	for _, s := range c.subs {
+		if s.q != nil && s.q.overDepth() {
+			laggards = append(laggards, s.q)
 		}
 	}
 	blockedNs := c.tel.blockedNs
@@ -742,47 +751,67 @@ func (c *Collector) reportLocked(raw RawEvent) error {
 		// on it is waiting on local delivery order, not a peer shard.
 		delete(c.heldRemote, raw.MsgID)
 	}
-	c.pending[t][raw.Seq] = raw
-	c.drain(t)
+	head := &raw
+	if raw.Seq != c.nextSeq[t] || isRecvLike(raw.Kind) && !c.hasSendLocked(raw.MsgID) {
+		// Not deliverable on arrival: only such an event is buffered.
+		c.pending[t][raw.Seq], head = raw, nil
+	}
+	c.drain(t, head)
 	return nil
 }
 
-// drain delivers everything deliverable starting from trace t.
-func (c *Collector) drain(t event.TraceID) {
-	work := []event.TraceID{t}
+// drain delivers everything deliverable starting from trace t. head,
+// when non-nil, is t's next event and deliverable now: it is delivered
+// as if it had just been read from pending[t], so the linearization does
+// not depend on which way an event entered.
+func (c *Collector) drain(t event.TraceID, head *RawEvent) {
+	var buf [8]event.TraceID
+	work := append(buf[:0], t)
 	for len(work) > 0 {
 		tr := work[len(work)-1]
 		work = work[:len(work)-1]
 		for {
-			raw, ok := c.pending[tr][c.nextSeq[tr]]
-			if !ok {
-				break
-			}
-			if isRecvLike(raw.Kind) {
-				if !c.hasSendLocked(raw.MsgID) {
-					if ws := c.recvWait[raw.MsgID]; len(ws) == 0 || ws[len(ws)-1] != tr {
-						c.recvWait[raw.MsgID] = append(ws, tr)
-					}
-					if c.sharded && !c.sendersSeen[raw.MsgID] {
-						// No local sender claims this message: the send must
-						// arrive from a peer shard. Stamp the first-held time
-						// so the watchdog gauges can age it.
-						if _, ok := c.heldRemote[raw.MsgID]; !ok {
-							c.heldRemote[raw.MsgID] = time.Now()
-						}
-					}
+			var raw RawEvent
+			if head != nil {
+				raw, head = *head, nil
+			} else {
+				var ok bool
+				if raw, ok = c.pending[tr][c.nextSeq[tr]]; !ok {
 					break
 				}
+				if isRecvLike(raw.Kind) && !c.hasSendLocked(raw.MsgID) {
+					c.awaitSendLocked(tr, raw.MsgID)
+					break
+				}
+				delete(c.pending[tr], raw.Seq)
 			}
-			delete(c.pending[tr], raw.Seq)
 			c.deliver(tr, raw)
 			if isSendLike(raw.Kind) && raw.MsgID != 0 {
 				if waiters := c.recvWait[raw.MsgID]; len(waiters) > 0 {
 					work = append(work, waiters...)
 					delete(c.recvWait, raw.MsgID)
+					c.waitFree = append(c.waitFree, waiters[:0])
 				}
 			}
 		}
+	}
+}
+
+// awaitSendLocked parks trace tr, whose head is a receive, on the send
+// of msgID.
+func (c *Collector) awaitSendLocked(tr event.TraceID, msgID uint64) {
+	ws := c.recvWait[msgID]
+	if len(ws) == 0 || ws[len(ws)-1] != tr {
+		if n := len(c.waitFree); ws == nil && n > 0 {
+			ws, c.waitFree = c.waitFree[n-1], c.waitFree[:n-1]
+		}
+		c.recvWait[msgID] = append(ws, tr)
+	}
+	// No local sender claims this message: the send must arrive from a
+	// peer shard. Stamp the first-held time so the watchdog gauges can
+	// age it.
+	if _, held := c.heldRemote[msgID]; c.sharded && !held && !c.sendersSeen[msgID] {
+		c.heldRemote[msgID] = time.Now()
 	}
 }
 
@@ -814,12 +843,13 @@ func (c *Collector) deliver(t event.TraceID, raw RawEvent) {
 	}
 	clock = clock.Tick(int(t))
 	c.clocks[t] = clock
-	e := &event.Event{
+	e := c.slab.New()
+	*e = event.Event{
 		ID:      event.ID{Trace: t, Index: c.nextSeq[t]},
 		Kind:    raw.Kind,
 		Type:    raw.Type,
 		Text:    raw.Text,
-		VC:      clock.Clone(),
+		VC:      c.slab.Clone(clock),
 		Partner: partner,
 	}
 	if !partner.IsZero() {
@@ -845,13 +875,11 @@ func (c *Collector) deliver(t event.TraceID, raw RawEvent) {
 	c.delivered++
 	c.tel.delivered.Inc()
 	c.order = append(c.order, e)
-	for _, h := range c.handlers {
-		h(e)
-	}
-	if len(c.asyncs) > 0 {
-		name := c.store.TraceName(t)
-		for _, q := range c.asyncs {
-			q.push(e, name)
+	for i := range c.subs {
+		if s := &c.subs[i]; s.q == nil {
+			s.h(e)
+		} else {
+			s.q.push(e, c.store.TraceName(t))
 		}
 	}
 }

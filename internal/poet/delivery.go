@@ -2,6 +2,7 @@ package poet
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"ocep/internal/event"
@@ -154,6 +155,7 @@ type queue struct {
 	mu   sync.Mutex
 	cond *sync.Cond // broadcast on enqueue, batch completion, and close
 	buf  []*event.Event
+	slab event.Slab // backs the private copies in buf
 	anns []traceAnn
 	// announced[t] marks traces whose announcement is queued or done.
 	announced []bool
@@ -214,8 +216,9 @@ func (q *queue) push(e *event.Event, name string) {
 		}
 		return
 	}
-	cp := *e
-	q.buf = append(q.buf, &cp)
+	cp := q.slab.New()
+	*cp = *e
+	q.buf = append(q.buf, cp)
 	q.enqueued++
 	q.tel.enqueued.Inc()
 	if len(q.buf) > q.maxQueued {
@@ -396,14 +399,8 @@ func (c *Collector) subscribeBatchLocked(h BatchHandler, opts AsyncOptions, repl
 		}
 		q.policy = saved
 	}
-	id := c.nextHandler
-	c.nextHandler++
-	if c.asyncs == nil {
-		c.asyncs = make(map[int]*queue)
-	}
-	c.asyncs[id] = q
 	go q.run()
-	return &Subscription{c: c, id: id, q: q}
+	return c.subscribeLocked(nil, q)
 }
 
 // Flush blocks until every async subscriber has handled everything
@@ -421,11 +418,13 @@ func (c *Collector) Flush() {
 // Idempotent.
 func (c *Collector) Close() {
 	c.mu.Lock()
-	queues := make([]*queue, 0, len(c.asyncs))
-	for id, q := range c.asyncs {
-		queues = append(queues, q)
-		delete(c.asyncs, id)
-	}
+	var queues []*queue
+	c.subs = slices.DeleteFunc(c.subs, func(s subscriber) bool {
+		if s.q != nil {
+			queues = append(queues, s.q)
+		}
+		return s.q != nil
+	})
 	c.mu.Unlock()
 	for _, q := range queues {
 		q.close()
@@ -436,9 +435,11 @@ func (c *Collector) Close() {
 func (c *Collector) asyncQueues() []*queue {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]*queue, 0, len(c.asyncs))
-	for _, q := range c.asyncs {
-		out = append(out, q)
+	var out []*queue
+	for _, s := range c.subs {
+		if s.q != nil {
+			out = append(out, s.q)
+		}
 	}
 	return out
 }

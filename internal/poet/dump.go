@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 )
 
@@ -41,8 +42,8 @@ const (
 // state, captured under the collector lock and encodable outside it
 // (the journal prefix is immutable).
 type snapshotState struct {
-	hdr     dumpHeader
-	records []journalRecord
+	hdr    dumpHeader
+	chunks [][]journalRecord
 }
 
 // snapshotStateLocked captures the current replayable state: the
@@ -51,9 +52,8 @@ func (c *Collector) snapshotStateLocked() (snapshotState, error) {
 	if c.journal == nil {
 		return snapshotState{}, errors.New("poet: dump requires the journal (EnableReplicationLog before collection)")
 	}
-	recs, _, _ := c.journal.from(0)
 	hdr := dumpHeader{Magic: dumpMagic, Version: dumpVersion, Traces: c.registeredTracesLocked(), Events: c.journal.events()}
-	return snapshotState{hdr, recs}, nil
+	return snapshotState{hdr, slices.Clone(c.journal.chunks)}, nil
 }
 
 // encodeSnapshot writes one state cut in the dump format: the journal's
@@ -64,12 +64,14 @@ func encodeSnapshot(w io.Writer, st snapshotState) error {
 	if err := enc.Encode(st.hdr); err != nil {
 		return fmt.Errorf("poet: encoding dump header: %w", err)
 	}
-	for i := range st.records {
-		if !st.records[i].isEvent() {
-			continue
-		}
-		if err := enc.Encode(&st.records[i].RawEvent); err != nil {
-			return fmt.Errorf("poet: encoding dump event %d: %w", i, err)
+	for _, recs := range st.chunks {
+		for i := range recs {
+			if !recs[i].isEvent() {
+				continue
+			}
+			if err := enc.Encode(&recs[i].RawEvent); err != nil {
+				return fmt.Errorf("poet: encoding dump event %q/%d: %w", recs[i].Trace, recs[i].Seq, err)
+			}
 		}
 	}
 	return nil

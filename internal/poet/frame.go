@@ -224,6 +224,8 @@ type frameReader struct {
 	// baseline frame arrived.
 	base vclock.VC
 	seen bool
+	// slab backs the decoded events and timestamps.
+	slab event.Slab
 }
 
 // next decodes the next frame into f. io.EOF means the stream ended on a
@@ -274,7 +276,8 @@ func (r *frameReader) next(f *frame) error {
 		}
 	case frameEvent:
 		flags := byte(c.uvarint())
-		e := &event.Event{ID: c.id()}
+		e := r.slab.New()
+		e.ID = c.id()
 		e.Kind = event.Kind(c.uvarint())
 		e.Type, e.Text = c.interned(), c.string()
 		e.Partner = c.id()
@@ -330,7 +333,7 @@ func (r *frameReader) stamp(c *recordReader, flags byte) vclock.VC {
 			c.fail(fmt.Errorf("%w: %d-entry timestamp, limit %d", errFrameMalformed, width, maxClockWidth))
 			return nil
 		}
-		vc := make(vclock.VC, width)
+		vc := r.slab.Clock(width)
 		for i := range vc {
 			vc[i] = c.entry()
 		}
@@ -360,5 +363,5 @@ func (r *frameReader) stamp(c *recordReader, flags byte) vclock.VC {
 		}
 		r.base[t] = n
 	}
-	return r.base.Clone()
+	return r.slab.Clone(r.base)
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"unsafe"
 
 	"ocep/internal/event"
 )
@@ -25,14 +26,33 @@ import (
 // tailLog is an append-only log that consumers tail by index: the
 // journal and the shard export log, both guarded by the collector's mu.
 type tailLog[T any] struct {
-	recs []T
+	// chunks holds the records in order. Every chunk but the last is full
+	// and none is ever reallocated: a record is written once, not copied
+	// again as the log grows.
+	chunks [][]T
+	n      int
 	// grew is closed by the next append or wake. It exists only while
 	// someone holds it, so an untailed log pays no channel per record.
 	grew chan struct{}
 }
 
+// chunkLen is the records per chunk: as many as fit the 32 KiB size
+// class beside the 8-byte header Go's allocator puts on a pointerful
+// object.
+func (l *tailLog[T]) chunkLen() int {
+	var rec T
+	return (32<<10 - 8) / int(unsafe.Sizeof(rec))
+}
+
+func (l *tailLog[T]) len() int { return l.n }
+
 func (l *tailLog[T]) append(rec T) {
-	l.recs = append(l.recs, rec)
+	if l.n%l.chunkLen() == 0 {
+		l.chunks = append(l.chunks, make([]T, 0, l.chunkLen()))
+	}
+	last := &l.chunks[len(l.chunks)-1]
+	*last = append(*last, rec)
+	l.n++
 	l.wake()
 }
 
@@ -52,16 +72,18 @@ func (l *tailLog[T]) signal() <-chan struct{} {
 	return l.grew
 }
 
-// from returns the suffix starting at idx and the index just past it,
-// or — when there is nothing to read yet — the growth signal to park on.
-// Records are immutable once appended, so the suffix stays safe to read
-// after the lock is released.
+// from returns the records from idx to the end of idx's chunk and the
+// index just past them (a reader iterates), or — when there is nothing
+// to read yet — the growth signal to park on. Records are immutable and
+// an append writes only past every slice handed out, so the records stay
+// safe to read after the lock is released.
 func (l *tailLog[T]) from(idx int) (recs []T, next int, grew <-chan struct{}) {
-	n := len(l.recs)
-	if idx < n {
-		return l.recs[idx:n:n], n, nil
+	if idx >= l.n {
+		return nil, l.n, l.signal()
 	}
-	return nil, n, l.signal()
+	k := l.chunkLen()
+	chunk := l.chunks[idx/k]
+	return chunk[idx%k : len(chunk) : len(chunk)], idx - idx%k + len(chunk), nil
 }
 
 // journalRecord is one accepted input: an ingested event (Seq >= 1), an
@@ -87,14 +109,14 @@ type journal struct {
 
 func (j *journal) append(rec journalRecord) {
 	if !rec.isEvent() {
-		j.others = append(j.others, len(j.recs))
+		j.others = append(j.others, j.len())
 	}
 	j.tailLog.append(rec)
 }
 
 // events is the number of event records: the head replica offsets are
 // measured against.
-func (j *journal) events() int { return len(j.recs) - len(j.others) }
+func (j *journal) events() int { return j.len() - len(j.others) }
 
 // indexAfter translates an event offset into the journal index just
 // past the offset-th event record.

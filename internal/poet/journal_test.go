@@ -13,13 +13,22 @@ import (
 	"ocep/internal/event"
 )
 
+// all flattens the log's chunks into one slice, oldest record first.
+func (l *tailLog[T]) all() []T {
+	out := make([]T, 0, l.len())
+	for _, chunk := range l.chunks {
+		out = append(out, chunk...)
+	}
+	return out
+}
+
 // journalEvents renders the journal's event records, in journal order.
 func journalEvents(c *Collector) []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var out []string
-	for i := range c.journal.recs {
-		if r := &c.journal.recs[i]; r.isEvent() {
+	for _, r := range c.journal.all() {
+		if r.isEvent() {
 			out = append(out, fmt.Sprintf("%s/%d", r.Trace, r.Seq))
 		}
 	}
@@ -62,7 +71,7 @@ func jumbledWorkload(rounds int) []RawEvent {
 // out of place) permutes the stream and hands the lagging replica the
 // wrong suffix.
 func TestRecoveryReproducesReplicaStream(t *testing.T) {
-	evs := jumbledWorkload(30)
+	evs := jumbledWorkload(350) // > 1 000 records: the journal spans three chunks
 	half := len(evs) / 2
 	// drive feeds the workload with an explicit registration mid-stream
 	// whose trace first reports only after a later-registered trace has,
@@ -138,10 +147,22 @@ func TestRecoveryReproducesReplicaStream(t *testing.T) {
 			// the primary produced before it restarted: before and after
 			// the mid-stream registration, with events still buffered.
 			before.mu.Lock()
-			stream := before.journal.recs
+			stream := before.journal.all()
 			before.mu.Unlock()
 			total := len(wantStream)
-			for cut := 1; cut < len(stream); cut += 7 {
+			// Every 97th position, and both sides of every chunk boundary.
+			k := before.journal.chunkLen()
+			var cuts []int
+			for cut := 1; cut < len(stream); cut += 97 {
+				cuts = append(cuts, cut)
+			}
+			for b := k; b < len(stream); b += k {
+				cuts = append(cuts, b-1, b, b+1)
+			}
+			if len(stream) < 1000 || len(cuts) < 15 {
+				t.Fatalf("a stream of %d records, %d cuts: the test no longer spans chunks", len(stream), len(cuts))
+			}
+			for _, cut := range cuts {
 				c2 := NewCollector()
 				applied := 0
 				for i := range stream[:cut] {
@@ -235,7 +256,7 @@ func TestNoJournalUnlessAsked(t *testing.T) {
 	c.RegisterTrace("explicit")
 	reportAll(t, c, durWorkload(20))
 	if c.journal != nil {
-		t.Fatalf("a collector nobody asked keeps a journal of %d records", len(c.journal.recs))
+		t.Fatalf("a collector nobody asked keeps a journal of %d records", c.journal.len())
 	}
 	if st := c.ReplicationStats(); st.Enabled || st.Records != 0 {
 		t.Fatalf("replication stats of a journal-less collector: %+v", st)
@@ -263,11 +284,11 @@ func TestJournalIndexAfter(t *testing.T) {
 		}
 		for events := 0; events <= j.events(); events++ {
 			want, seen := 0, 0
-			for i := range j.recs {
+			for i, rec := range j.all() {
 				if seen == events {
 					break
 				}
-				if j.recs[i].isEvent() {
+				if rec.isEvent() {
 					seen++
 				}
 				want = i + 1
@@ -324,8 +345,8 @@ func TestReloadAcceptsOlderDumpLayouts(t *testing.T) {
 func TestDumpIsIngestionOrdered(t *testing.T) {
 	dir := t.TempDir()
 	c, d := openDurable(t, dir, DurableOptions{Fsync: SyncNone, SnapshotEvery: -1})
-	evs := jumbledWorkload(10)
-	evs = append(evs, RawEvent{Trace: "beta", Seq: 99, Kind: event.KindInternal, Type: "stranded"})
+	evs := jumbledWorkload(350) // > 1 000 records: the snapshot walks three journal chunks
+	evs = append(evs, RawEvent{Trace: "beta", Seq: 999, Kind: event.KindInternal, Type: "stranded"})
 	reportAll(t, c, evs)
 	if c.Pending() == 0 {
 		t.Fatal("workload should leave an event buffered")
@@ -391,5 +412,75 @@ func TestReplicaWithRetentionConverges(t *testing.T) {
 		if e.ID != tail[i].ID || !e.VC.Equal(tail[i].VC) {
 			t.Fatalf("standby's retained event %d is %s, primary delivered %s there", i, e, tail[i])
 		}
+	}
+}
+
+// TestTailLogChunks is the chunked log's contract, over more than three
+// chunk boundaries: from(idx) returns exactly the records from idx to
+// the end of idx's chunk, its next index chains to the head, a slice
+// taken before later appends reads the same after them, and the growth
+// signal exists only while a reader is parked on it.
+func TestTailLogChunks(t *testing.T) {
+	var l tailLog[journalRecord]
+	k := l.chunkLen()
+	if k != 409 || (&tailLog[shardExport]{}).chunkLen() != 682 {
+		t.Fatalf("chunks of %d journal records and %d exports, want 409 and 682 (32 KiB less the malloc header)",
+			k, (&tailLog[shardExport]{}).chunkLen())
+	}
+	total := 3*k + k/2
+	var early [][]journalRecord // one slice per append, taken right after it
+	for i := 0; i < total; i++ {
+		if recs, next, grew := l.from(i); recs != nil || next != i || grew == nil {
+			t.Fatalf("from(%d) at the head returned %d records, next %d, signal %v", i, len(recs), next, grew)
+		}
+		if l.grew == nil {
+			t.Fatalf("no growth signal while a reader is parked at %d", i)
+		}
+		parked := l.grew
+		l.append(journalRecord{RawEvent: RawEvent{Seq: i + 1}})
+		select {
+		case <-parked:
+		default:
+			t.Fatalf("append %d did not wake the parked reader", i)
+		}
+		if l.grew != nil {
+			t.Fatalf("append %d left a growth signal nobody holds", i)
+		}
+		recs, _, _ := l.from(i - i%k)
+		early = append(early, recs)
+	}
+	if l.len() != total || len(l.chunks) != 4 {
+		t.Fatalf("log of %d records in %d chunks, want %d in 4", l.len(), len(l.chunks), total)
+	}
+	for idx := 0; idx < total; idx++ {
+		recs, next, grew := l.from(idx)
+		wantNext := min(idx-idx%k+k, total)
+		if grew != nil || next != wantNext || len(recs) != wantNext-idx || cap(recs) != len(recs) {
+			t.Fatalf("from(%d): %d records (cap %d), next %d, want %d up to %d", idx, len(recs), cap(recs), next, wantNext-idx, wantNext)
+		}
+		for i := range recs {
+			if recs[i].Seq != idx+i+1 {
+				t.Fatalf("from(%d)[%d] is record %d", idx, i, recs[i].Seq-1)
+			}
+		}
+		// Chaining next reaches the head in as many steps as chunks remain.
+		steps := 0
+		for at := idx; at < total; steps++ {
+			_, at, _ = l.from(at)
+		}
+		if want := (total-1)/k - idx/k + 1; steps != want {
+			t.Fatalf("from(%d) chains to the head in %d steps, want %d", idx, steps, want)
+		}
+	}
+	for i, recs := range early {
+		if len(recs) != i%k+1 || cap(recs) != len(recs) {
+			t.Fatalf("the slice taken after append %d has grown to %d records (cap %d)", i, len(recs), cap(recs))
+		}
+		if recs[len(recs)-1].Seq != i+1 || recs[0].Seq != i-i%k+1 {
+			t.Fatalf("the slice taken after append %d changed under later appends", i)
+		}
+	}
+	if got := l.all(); len(got) != total || got[total-1].Seq != total {
+		t.Fatalf("the chunks hold %d records", len(got))
 	}
 }

@@ -110,7 +110,7 @@ func (c *Collector) ReplicationStats() ReplicationStats {
 		return st
 	}
 	st.Sessions = len(c.repl.confirmed)
-	st.Records = len(c.journal.recs)
+	st.Records = c.journal.len()
 	if st.Sessions > 0 {
 		st.Confirmed = c.repl.minConfirmed()
 		st.Lag = c.ingests - st.Confirmed
@@ -202,9 +202,9 @@ func (c *Collector) replAttachPoint(events int) (idx int, traces []string, err e
 	return c.journal.indexAfter(events), c.registeredTracesLocked(), nil
 }
 
-// journalFrom returns the journal suffix starting at idx, the index
-// just past it, the current ingest head, and — for an empty suffix —
-// the growth signal.
+// journalFrom returns the journal records from idx to the end of its
+// chunk, the index just past them, the current ingest head, and — when
+// there is nothing to read — the growth signal.
 func (c *Collector) journalFrom(idx int) (recs []journalRecord, next, head int, grew <-chan struct{}) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

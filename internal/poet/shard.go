@@ -135,7 +135,7 @@ func (c *Collector) ShardStats() ShardStats {
 		return st
 	}
 	st.HomeTraces = c.shardLocals
-	st.Exports = len(c.shardX.recs)
+	st.Exports = c.shardX.len()
 	st.RemoteSends = len(c.remoteSends)
 	now := time.Now()
 	for m, since := range c.heldRemote {
@@ -199,19 +199,22 @@ func (c *Collector) SupplyRemoteSend(msgID uint64, id event.ID, vc vclock.VC) er
 	if waiters := c.recvWait[msgID]; len(waiters) > 0 {
 		delete(c.recvWait, msgID)
 		for _, t := range waiters {
-			c.drain(t)
+			c.drain(t, nil)
 		}
+		c.waitFree = append(c.waitFree, waiters[:0])
 	}
 	c.mu.Unlock()
 	return nil
 }
 
-// exportsFrom returns the export-log suffix starting at idx, the index
-// just past it, and — for an empty suffix — the growth signal.
-func (c *Collector) exportsFrom(idx int) (recs []shardExport, next int, grew <-chan struct{}) {
+// exportsFrom returns the export records from idx to the end of its
+// chunk, the index just past them, the export-log length, and — when
+// there is nothing to read — the growth signal.
+func (c *Collector) exportsFrom(idx int) (recs []shardExport, next, head int, grew <-chan struct{}) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.shardX.from(idx)
+	recs, next, grew = c.shardX.from(idx)
+	return recs, next, c.shardX.len(), grew
 }
 
 // ---------------------------------------------------------------------
@@ -233,7 +236,7 @@ func (s *Server) handleShard(conn *link, h hello) error {
 		_ = sendHello(helloAck{Error: msg})
 		return fmt.Errorf("shard peer %s: %s", conn.RemoteAddr(), msg)
 	}
-	_, head, _ := c.exportsFrom(0)
+	_, _, head, _ := c.exportsFrom(0)
 	if h.ResumeFrom < 0 || h.ResumeFrom > head {
 		msg := fmt.Sprintf("cannot resume shard exchange from offset %d (exported %d): this shard did not produce that stream", h.ResumeFrom, head)
 		_ = sendHello(helloAck{Error: msg})
@@ -257,9 +260,9 @@ func (s *Server) handleShard(conn *link, h hello) error {
 	// order equals stream order — its invariant.
 	idx := h.ResumeFrom
 	return s.streamLog(conn, fw, "shard peer", done, s.drainCh, func() (int, int, <-chan struct{}) {
-		recs, next, ch := c.exportsFrom(idx)
+		recs, next, head, ch := c.exportsFrom(idx)
 		if len(recs) > 0 {
-			fw.head(next)
+			fw.head(head)
 		}
 		entries := 0
 		for i := range recs {
@@ -268,7 +271,7 @@ func (s *Server) handleShard(conn *link, h hello) error {
 		s.shardVCEntries.add(int64(entries))
 		s.shardRecords.add(int64(len(recs)))
 		idx = next
-		return len(recs), next, ch
+		return len(recs), head, ch
 	})
 }
 

@@ -90,6 +90,7 @@ func runShardedTier(t *testing.T, tc failoverCase, events []ocep.RawEvent, pools
 	defer merged.Close()
 
 	var mu sync.Mutex
+	collected := sync.NewCond(&mu) // a match was appended, or the wait below timed out
 	var matches []ocep.Match
 	reg := ocep.NewRegistry()
 	mon, err := ocep.NewMonitor(tc.pattern,
@@ -98,6 +99,7 @@ func runShardedTier(t *testing.T, tc failoverCase, events []ocep.RawEvent, pools
 		ocep.WithMatchHandler(func(m ocep.Match) {
 			mu.Lock()
 			matches = append(matches, m)
+			collected.Broadcast()
 			mu.Unlock()
 		}))
 	if err != nil {
@@ -144,10 +146,27 @@ func runShardedTier(t *testing.T, tc failoverCase, events []ocep.RawEvent, pools
 		return n
 	}
 	// The counter wait above guarantees the stream is fully consumed, so
-	// the signatures and stats below are final even though Run is still
-	// blocked waiting for the shards' End frames.
+	// the match count and the stats below are final even though Run is
+	// still blocked waiting for the shards' End frames. The monitor counts
+	// an event, and its matches, before it hands the matches to the
+	// handler: wait for the handler to have collected them all.
+	want := reg.FindCounter("ocep_monitor_matches_total").Value()
+	timedOut := false
+	timer := time.AfterFunc(15*time.Second, func() {
+		mu.Lock()
+		timedOut = true
+		collected.Broadcast()
+		mu.Unlock()
+	})
+	defer timer.Stop()
 	mu.Lock()
 	defer mu.Unlock()
+	for int64(len(matches)) < want && !timedOut {
+		collected.Wait()
+	}
+	if int64(len(matches)) != want {
+		t.Fatalf("the match handler collected %d of the %d matches the monitor counted", len(matches), want)
+	}
 	return matchSignatures(matches, name), coverageSignatures(mon.Coverage(), name), mon.Stats()
 }
 
