@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"runtime"
 	"testing"
 
 	"ocep/internal/event"
+	"ocep/internal/vclock"
 )
 
 // mallocsPer runs f n times and returns the heap allocations per call,
@@ -180,6 +182,40 @@ func TestFrameDecodeAllocs(t *testing.T) {
 	t.Logf("allocs per decoded event: %.4f", per)
 	if per > 1.1 {
 		t.Fatalf("decoding a delivered event costs %.4f allocations, want <= 1.1 (its Text)", per)
+	}
+}
+
+// TestFrameEncodeAllocs: framing allocates nothing once the string table
+// and the frame body have warmed — not the length prefix, which escaped
+// through the buffered writer as a local, one allocation per frame on
+// every reporter, monitor, replica and export stream.
+func TestFrameEncodeAllocs(t *testing.T) {
+	const n = 20000
+	fw := newFrameWriter(io.Discard)
+	evs := make([]*event.Event, 64)
+	raws := make([]RawEvent, len(evs))
+	for i := range evs {
+		vc := make(vclock.VC, 32)
+		vc[i%32] = int32(i)
+		evs[i] = &event.Event{ID: event.ID{Trace: event.TraceID(i % 32), Index: i + 1}, Kind: event.KindSend, Type: "step", Text: "payload", VC: vc}
+		raws[i] = RawEvent{Trace: fmt.Sprintf("p%d", i%32), Seq: i + 1, Kind: event.KindSend, Type: "step", Text: "payload", MsgID: uint64(i + 1)}
+	}
+	frame := func(i int) {
+		fw.event(evs[i%len(evs)], true)
+		fw.raw(&raws[i%len(raws)])
+		fw.export(&shardExport{MsgID: uint64(i), ID: evs[i%len(evs)].ID, VC: evs[i%len(evs)].VC}, true)
+	}
+	for i := range evs {
+		frame(i)
+	}
+	i := 0
+	per := mallocsPer(t, n, func() { frame(i); i++ }) / 3
+	if err := fw.flush(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("allocs per frame: %.4f", per)
+	if per > 0.01 {
+		t.Fatalf("framing costs %.4f allocations per frame, want <= 0.01", per)
 	}
 }
 

@@ -77,9 +77,12 @@ type Collector struct {
 	clocks []vclock.VC
 	// nextSeq[t] is the next sequence number trace t will deliver.
 	nextSeq []int
-	// pending[t] buffers raw events that arrived ahead of their trace's
-	// delivery point, keyed by Seq.
-	pending []map[int]RawEvent
+	// pending[t] holds the raw events that arrived ahead of trace t's
+	// delivery point, in Seq order (see held.go).
+	pending []heldQueue
+	// registered[t] marks a trace registered here: a sharded store leaves
+	// holes for the IDs its peers home.
+	registered []bool
 	// sends maps a delivered send-like event's MsgID to its ID.
 	sends map[uint64]event.ID
 	// recvWait maps a MsgID to traces whose delivery head waits for it;
@@ -516,11 +519,10 @@ func (c *Collector) ensureTrace(name string) event.TraceID {
 	for int(id) >= len(c.clocks) {
 		c.clocks = append(c.clocks, nil)
 		c.nextSeq = append(c.nextSeq, 1)
-		c.pending = append(c.pending, nil)
+		c.pending = append(c.pending, heldQueue{})
+		c.registered = append(c.registered, false)
 	}
-	if c.pending[id] == nil {
-		c.pending[id] = make(map[int]RawEvent)
-	}
+	c.registered[id] = true
 	return id
 }
 
@@ -547,13 +549,7 @@ func (c *Collector) ackForLocked(name string) int {
 	if !ok || int(t) >= len(c.nextSeq) {
 		return 0
 	}
-	ack := c.nextSeq[t] - 1
-	for {
-		if _, buffered := c.pending[t][ack+1]; !buffered {
-			return ack
-		}
-		ack++
-	}
+	return c.nextSeq[t] - 1 + c.pending[t].run(c.nextSeq[t])
 }
 
 // acksFor snapshots the ack positions of the named traces in one
@@ -625,8 +621,8 @@ func (c *Collector) Pending() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
-	for _, p := range c.pending {
-		n += len(p)
+	for i := range c.pending {
+		n += c.pending[i].len()
 	}
 	return n
 }
@@ -659,7 +655,7 @@ func (c *Collector) TraceStats() []TraceStat {
 			Comm:      c.store.CommCount(tid),
 		}
 		if t < len(c.pending) {
-			out[t].Buffered = len(c.pending[t])
+			out[t].Buffered = c.pending[t].len()
 		}
 	}
 	return out
@@ -731,16 +727,16 @@ func (c *Collector) reportLocked(raw RawEvent) error {
 	if raw.Seq < c.nextSeq[t] {
 		return fmt.Errorf("poet: event %q/%d already delivered: %w", raw.Trace, raw.Seq, ErrStaleEvent)
 	}
-	if _, dup := c.pending[t][raw.Seq]; dup {
+	if _, dup := c.pending[t].search(raw.Seq); dup {
 		return fmt.Errorf("poet: event %q/%d already buffered: %w", raw.Trace, raw.Seq, ErrStaleEvent)
 	}
 	// Admission control: never refuse the trace's delivery head (it is
 	// what drains the backlog — refusing it would wedge the trace), but
 	// an out-of-order event beyond the per-trace buffer cap is shed back
 	// to the reporter, which retains and retransmits it.
-	if c.admission > 0 && raw.Seq != c.nextSeq[t] && len(c.pending[t]) >= c.admission {
+	if c.admission > 0 && raw.Seq != c.nextSeq[t] && c.pending[t].len() >= c.admission {
 		return fmt.Errorf("poet: trace %q has %d buffered events awaiting causal predecessors: %w",
-			raw.Trace, len(c.pending[t]), ErrOverloaded)
+			raw.Trace, c.pending[t].len(), ErrOverloaded)
 	}
 	if isSendLike(raw.Kind) && raw.MsgID != 0 {
 		if c.sendersSeen[raw.MsgID] {
@@ -754,7 +750,8 @@ func (c *Collector) reportLocked(raw RawEvent) error {
 	head := &raw
 	if raw.Seq != c.nextSeq[t] || isRecvLike(raw.Kind) && !c.hasSendLocked(raw.MsgID) {
 		// Not deliverable on arrival: only such an event is buffered.
-		c.pending[t][raw.Seq], head = raw, nil
+		c.pending[t].insert(raw)
+		head = nil
 	}
 	c.drain(t, head)
 	return nil
@@ -776,14 +773,14 @@ func (c *Collector) drain(t event.TraceID, head *RawEvent) {
 				raw, head = *head, nil
 			} else {
 				var ok bool
-				if raw, ok = c.pending[tr][c.nextSeq[tr]]; !ok {
+				if raw, ok = c.pending[tr].front(c.nextSeq[tr]); !ok {
 					break
 				}
 				if isRecvLike(raw.Kind) && !c.hasSendLocked(raw.MsgID) {
 					c.awaitSendLocked(tr, raw.MsgID)
 					break
 				}
-				delete(c.pending[tr], raw.Seq)
+				c.pending[tr].pop()
 			}
 			c.deliver(tr, raw)
 			if isSendLike(raw.Kind) && raw.MsgID != 0 {

@@ -1,6 +1,7 @@
 package poet
 
 import (
+	"bufio"
 	"compress/gzip"
 	"encoding/gob"
 	"errors"
@@ -58,9 +59,12 @@ func (c *Collector) snapshotStateLocked() (snapshotState, error) {
 
 // encodeSnapshot writes one state cut in the dump format: the journal's
 // event records. Registrations are covered by the header; remote sends
-// come back from the peers.
+// come back from the peers. gob writes each value as it is encoded, so
+// it writes into a buffer: to a bare file that would be a write(2) per
+// event.
 func encodeSnapshot(w io.Writer, st snapshotState) error {
-	enc := gob.NewEncoder(w)
+	bw := bufio.NewWriterSize(w, 64<<10)
+	enc := gob.NewEncoder(bw)
 	if err := enc.Encode(st.hdr); err != nil {
 		return fmt.Errorf("poet: encoding dump header: %w", err)
 	}
@@ -73,6 +77,9 @@ func encodeSnapshot(w io.Writer, st snapshotState) error {
 				return fmt.Errorf("poet: encoding dump event %q/%d: %w", recs[i].Trace, recs[i].Seq, err)
 			}
 		}
+	}
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("poet: writing dump: %w", err)
 	}
 	return nil
 }

@@ -75,6 +75,40 @@ func TestDumpRequiresJournal(t *testing.T) {
 	}
 }
 
+// writeCounter counts the writes it is handed, as a file would count
+// write(2) calls.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestDumpWritesInBlocks: a dump — and so a snapshot, and an uncompressed
+// DumpFile — reaches its writer in 64 KiB blocks, not one write per
+// encoded event.
+func TestDumpWritesInBlocks(t *testing.T) {
+	const n = 20000
+	c := journaled(t)
+	reportN(t, c, "p0", 1, n)
+	var w writeCounter
+	if err := c.Dump(&w); err != nil {
+		t.Fatal(err)
+	}
+	blocks := w.Len()/(64<<10) + 1
+	t.Logf("%d events, %d bytes, %d writes", n, w.Len(), w.writes)
+	if w.writes > blocks {
+		t.Fatalf("a dump of %d events (%d bytes) took %d writes, want at most %d", n, w.Len(), w.writes, blocks)
+	}
+	got, err := NewCollector().Reload(&w)
+	if err != nil || got != n {
+		t.Fatalf("reload = %d, %v", got, err)
+	}
+}
+
 func TestDumpFileReloadFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "trace.poet")

@@ -77,6 +77,7 @@ type frameWriter struct {
 	// that there was one.
 	base vclock.VC
 	sent bool
+	hdr  [binary.MaxVarintLen32]byte // emit's; a local escapes via bw.Write
 }
 
 func newFrameWriter(w io.Writer) *frameWriter {
@@ -105,8 +106,7 @@ func (w *frameWriter) emit() {
 		w.err = fmt.Errorf("%w: %d bytes, limit %d", errFrameTooLong, len(w.body), maxFrameLen)
 		return
 	}
-	var hdr [binary.MaxVarintLen32]byte
-	_, _ = w.bw.Write(hdr[:binary.PutUvarint(hdr[:], uint64(len(w.body)))]) // sticky; flush reports it
+	_, _ = w.bw.Write(w.hdr[:binary.PutUvarint(w.hdr[:], uint64(len(w.body)))]) // sticky; flush reports it
 	_, _ = w.bw.Write(w.body)
 }
 

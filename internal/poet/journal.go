@@ -208,12 +208,11 @@ func (c *Collector) recordLocked(rec journalRecord) (t walTicket) {
 // registeredTracesLocked lists the registered trace names in ID order:
 // what a dump header and a replica attach replay to reproduce the trace
 // numbering. The holes a sharded store leaves for peer-homed IDs are
-// skipped (only a registered trace has a pending buffer): replaying a
-// hole's fallback name would claim a home ID for it.
+// skipped: replaying a hole's fallback name would claim a home ID for it.
 func (c *Collector) registeredTracesLocked() []string {
-	names := make([]string, 0, len(c.pending))
-	for t, buf := range c.pending {
-		if buf != nil {
+	names := make([]string, 0, len(c.registered))
+	for t, home := range c.registered {
+		if home {
 			names = append(names, c.store.TraceName(event.TraceID(t)))
 		}
 	}

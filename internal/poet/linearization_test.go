@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -155,10 +156,24 @@ func perturb(rng *rand.Rand, base []poet.RawEvent) []poet.RawEvent {
 	return raws
 }
 
-// ingest is how one side of the differential takes an order in.
+// ingest is how one side of the differential takes an order in, and
+// reads back what it holds.
 type ingest struct {
-	report func(poet.RawEvent) error
-	supply func(uint64, event.ID, vclock.VC) error
+	report  func(poet.RawEvent) error
+	supply  func(uint64, event.ID, vclock.VC) error
+	pending func() int
+	ackFor  func(string) int
+}
+
+func collectorSide(c *poet.Collector) ingest {
+	return ingest{c.Report, c.SupplyRemoteSend, c.Pending, c.AckFor}
+}
+
+func refSide(waitersFirst bool) func(*poet.Collector) ingest {
+	return func(c *poet.Collector) ingest {
+		r := poet.NewRef(c)
+		return ingest{func(raw poet.RawEvent) error { return r.Report(raw, waitersFirst) }, r.SupplyRemoteSend, r.Pending, r.AckFor}
+	}
 }
 
 const (
@@ -168,9 +183,10 @@ const (
 	numModes
 )
 
-// run feeds one order to a fresh collector through in and returns the
-// collector with the per-call log: every call and the error it returned.
-func run(t *testing.T, mode int, order []poet.RawEvent, side func(*poet.Collector) ingest) (*poet.Collector, []string) {
+// run feeds one order to a fresh collector through side and returns the
+// collector, the side, and the per-call log: every call and the error it
+// returned.
+func run(t *testing.T, mode int, order []poet.RawEvent, side func(*poet.Collector) ingest) (*poet.Collector, ingest, []string) {
 	t.Helper()
 	c := poet.NewCollector()
 	var log []string
@@ -244,20 +260,20 @@ func run(t *testing.T, mode int, order []poet.RawEvent, side func(*poet.Collecto
 			}
 		}
 	}
-	return c, log
+	return c, in, log
 }
 
 // state renders everything the issue's contract names: the linearization
 // with stamps and partners, what is still buffered, the ack position of
 // every trace, the ingest count.
-func state(c *poet.Collector) []string {
+func state(c *poet.Collector, in ingest) []string {
 	var out []string
 	for _, e := range c.Ordered() {
 		out = append(out, fmt.Sprintf("%v k%d vc=%v p=%v", e.ID, e.Kind, e.VC, e.Partner))
 	}
-	out = append(out, fmt.Sprintf("pending %d ingested %d", c.Pending(), c.IngestCount()))
+	out = append(out, fmt.Sprintf("pending %d ingested %d", in.pending(), c.IngestCount()))
 	for _, ts := range c.TraceStats() {
-		out = append(out, fmt.Sprintf("ack %s=%d", ts.Name, c.AckFor(ts.Name)))
+		out = append(out, fmt.Sprintf("ack %s=%d", ts.Name, in.ackFor(ts.Name)))
 	}
 	return out
 }
@@ -287,9 +303,7 @@ func differential(t *testing.T, orders int, other func(*poet.Collector) ingest) 
 	t.Helper()
 	coverage = map[string]int{"<nil>": 0, "overloaded": 0, "supply": 0, "already delivered": 0,
 		"already buffered": 0, "has sequence 0": 0, "duplicate message id": 0, "no message id": 0}
-	reference := func(c *poet.Collector) ingest {
-		return ingest{func(r poet.RawEvent) error { return c.RefReport(r, false) }, c.RefSupplyRemoteSend}
-	}
+	reference := refSide(false)
 	bases := caseStudyStreams(t)
 	for seed := 0; ran < orders; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
@@ -299,8 +313,8 @@ func differential(t *testing.T, orders int, other func(*poet.Collector) ingest) 
 		}
 		order := perturb(rng, base)
 		for mode := 0; mode < numModes; mode++ {
-			wantC, wantLog := run(t, mode, order, reference)
-			gotC, gotLog := run(t, mode, order, other)
+			wantC, wantIn, wantLog := run(t, mode, order, reference)
+			gotC, gotIn, gotLog := run(t, mode, order, other)
 			ran++
 			for _, line := range wantLog {
 				for what := range coverage {
@@ -311,7 +325,7 @@ func differential(t *testing.T, orders int, other func(*poet.Collector) ingest) 
 			}
 			d := firstDiff(wantLog, gotLog)
 			if d == "" {
-				d = firstDiff(state(wantC), state(gotC))
+				d = firstDiff(state(wantC, wantIn), state(gotC, gotIn))
 			}
 			if d != "" {
 				// The case-study recordings differ from run to run: keep
@@ -331,21 +345,88 @@ func differential(t *testing.T, orders int, other func(*poet.Collector) ingest) 
 // synthetic scripts, plain, under admission control with retries, and
 // sharded with peer sends supplied.
 func TestLinearizationMatchesReference(t *testing.T) {
-	const orders = 2400
-	ran, coverage, diff := differential(t, orders, func(c *poet.Collector) ingest {
-		return ingest{c.Report, c.SupplyRemoteSend}
-	})
-	if diff != "" {
-		t.Fatal(diff)
-	}
-	if ran < orders {
-		t.Fatalf("ran %d orders, want %d", ran, orders)
-	}
-	t.Logf("%d orders; calls by outcome: %v", ran, coverage)
-	for what, n := range coverage {
-		if n < 100 {
-			t.Errorf("only %d calls of %d orders ended in %q: the orders no longer provoke it", n, ran, what)
+	t.Run("orders", func(t *testing.T) {
+		const orders = 2400
+		ran, coverage, diff := differential(t, orders, collectorSide)
+		if diff != "" {
+			t.Fatal(diff)
 		}
+		if ran < orders {
+			t.Fatalf("ran %d orders, want %d", ran, orders)
+		}
+		t.Logf("%d orders; calls by outcome: %v", ran, coverage)
+		for what, n := range coverage {
+			if n < 100 {
+				t.Errorf("only %d calls of %d orders ended in %q: the orders no longer provoke it", n, ran, what)
+			}
+		}
+	})
+	t.Run("deep backlog/plain", func(t *testing.T) { deepBacklog(t, modePlain) })
+	t.Run("deep backlog/sharded", func(t *testing.T) { deepBacklog(t, modeSharded) })
+}
+
+// deepBacklog holds trace p1 backlogDepth deep behind its first event, a
+// receive whose send p0/1 is reported last — after p0's receives of
+// p1's sends, which wait behind it in turn. Sharded, p0 lives on the peer
+// shard and the release is its export record. Both sides must agree
+// while held and once released; then the queue must have let go of the
+// backlog: the collector retains what one whose receive was released at
+// once does.
+func deepBacklog(t *testing.T, mode int) {
+	const backlogDepth = 3000
+	var held []poet.RawEvent
+	for seq := 1; seq <= backlogDepth; seq++ {
+		r := poet.RawEvent{Trace: "p1", Seq: seq, Kind: event.KindInternal, Type: "e"}
+		switch {
+		case seq == 1:
+			r.Kind, r.MsgID = event.KindReceive, 1
+		case seq%10 == 0:
+			r.Kind, r.MsgID = event.KindSend, uint64(1000+seq)
+		}
+		held = append(held, r)
+	}
+	sends := backlogDepth / 10
+	for j := 1; j <= sends; j++ {
+		held = append(held, poet.RawEvent{Trace: "p0", Seq: j + 1, Kind: event.KindReceive, Type: "e", MsgID: uint64(1000 + 10*j)})
+	}
+	release := poet.RawEvent{Trace: "p0", Seq: 1, Kind: event.KindSend, Type: "e", MsgID: 1}
+	full := append(append([]poet.RawEvent(nil), held...), release)
+	// Sharded, p0's events never reach this collector: its receives are
+	// not reported, its send is supplied.
+	wantHeld, wantDelivered := backlogDepth, backlogDepth
+	if mode == modePlain {
+		wantHeld, wantDelivered = backlogDepth+sends, backlogDepth+sends+1
+	}
+	for _, tc := range []struct {
+		order              []poet.RawEvent
+		pending, delivered int
+	}{{held, wantHeld, 0}, {full, 0, wantDelivered}} {
+		wantC, wantIn, wantLog := run(t, mode, tc.order, refSide(false))
+		gotC, gotIn, gotLog := run(t, mode, tc.order, collectorSide)
+		if d := firstDiff(append(wantLog, state(wantC, wantIn)...), append(gotLog, state(gotC, gotIn)...)); d != "" {
+			t.Fatalf("%d events in, the sides diverge %s", len(tc.order), d)
+		}
+		if n, ack, got := gotIn.pending(), gotIn.ackFor("p1"), len(gotC.Ordered()); n != tc.pending || ack != backlogDepth || got != tc.delivered {
+			t.Fatalf("%d events in: %d pending, p1 acked to %d, %d delivered; want %d, %d, %d",
+				len(tc.order), n, ack, got, tc.pending, backlogDepth, tc.delivered)
+		}
+	}
+	retained := func(order []poet.RawEvent) int64 {
+		before, _ := poet.LiveHeap()
+		c, _, _ := run(t, mode, order, collectorSide)
+		after, _ := poet.LiveHeap()
+		runtime.KeepAlive(c)
+		return after - before
+	}
+	if _, ok := poet.LiveHeap(); !ok {
+		return
+	}
+	// p1 first, so the sharded run homes the same trace here.
+	released := append([]poet.RawEvent{held[0], release}, held[1:]...)
+	backlogged, inOrder := retained(full), retained(released)
+	t.Logf("retained after the backlog drained: %d B, released at once: %d B", backlogged, inOrder)
+	if backlogged > inOrder+16<<10 {
+		t.Fatalf("a drained %d-deep backlog leaves %d B more live than one released at once", backlogDepth, backlogged-inOrder)
 	}
 }
 
@@ -354,9 +435,7 @@ func TestLinearizationMatchesReference(t *testing.T) {
 // the sender's buffered successors is the plausible way to build it
 // wrong, and must not pass.
 func TestLinearizationDifferentialCatchesWaitersFirst(t *testing.T) {
-	ran, _, diff := differential(t, 2400, func(c *poet.Collector) ingest {
-		return ingest{func(r poet.RawEvent) error { return c.RefReport(r, true) }, c.RefSupplyRemoteSend}
-	})
+	ran, _, diff := differential(t, 2400, refSide(true))
 	if diff == "" {
 		t.Fatalf("%d orders do not tell a waiters-first fast path from the reference", ran)
 	}

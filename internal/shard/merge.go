@@ -10,6 +10,7 @@ import (
 	"ocep/internal/event"
 	"ocep/internal/poet"
 	"ocep/internal/telemetry"
+	"ocep/internal/vclock"
 )
 
 // Stream is the slice of a monitor client the merge layer consumes;
@@ -177,7 +178,7 @@ type MergedClient struct {
 	done    []bool  // pump i finished (EOF or error)
 	errs    []error // pump i's terminal error, if any
 	lost    []bool  // shard i declared lost by DegradeAfter
-	emitted map[event.TraceID]int32
+	emitted []int32 // [t]: trace t's highest index emitted; covers every queued clock
 	names   map[event.TraceID]string
 	total   int
 	closed  bool
@@ -215,7 +216,6 @@ func NewMergedClient(streams []Stream, opts ...MergeOption) (*MergedClient, erro
 		done:    make([]bool, len(streams)),
 		errs:    make([]error, len(streams)),
 		lost:    make([]bool, len(streams)),
-		emitted: make(map[event.TraceID]int32),
 		names:   make(map[event.TraceID]string),
 	}
 	if cfg.reg != nil {
@@ -261,64 +261,46 @@ func (m *MergedClient) pump(i int) {
 			m.telLost.Set(int64(m.lostCountLocked()))
 			m.cfg.logf("shard merge: shard %d recovered; resuming causal holds on it", i)
 		}
+		if n := max(len(e.VC), int(e.ID.Trace)+1); n > len(m.emitted) {
+			m.emitted = append(m.emitted, make([]int32, n-len(m.emitted))...)
+		}
 		m.queues[i] = append(m.queues[i], item{e: e, name: name, ok: ok})
 		m.cond.Broadcast()
 		m.mu.Unlock()
 	}
 }
 
-// readyLocked reports whether e, at the head of shard i's queue, may be
-// emitted: every vector-timestamp entry owned by another shard is
-// already covered by the emitted prefix. waived reports that readiness
-// rests on at least one dependency waived because its owner is lost —
-// the event's causal past is incomplete.
-func (m *MergedClient) readyLocked(i int, e *event.Event) (ready, waived bool) {
-	n := len(m.streams)
-	ready = true
-	e.VC.Range(func(t int, k int32) bool {
-		owner := t % n
-		if owner == i {
-			return true // same shard: per-stream order covers it
-		}
-		if m.emitted[event.TraceID(t)] >= k {
-			return true
-		}
-		if m.lost[owner] {
+// blockerLocked walks the entries of vc, at the head of shard i's queue,
+// that other shards own, in trace order, and returns the first the
+// emitted prefix does not cover and whose owner is not lost: -1 means the
+// head may be emitted, and waived then says its causal past is
+// incomplete. Readiness and the wedge diagnosis both read it.
+func (m *MergedClient) blockerLocked(i int, vc vclock.VC) (blocker int, waived bool) {
+	for t, owner := 0, 0; t < len(vc); t++ {
+		if owner != i && vc[t] > m.emitted[t] {
+			if !m.lost[owner] {
+				return t, false
+			}
 			waived = true
-			return true
 		}
-		ready = false
-		return false
-	})
-	if !ready {
-		waived = false
+		if owner++; owner == len(m.streams) {
+			owner = 0
+		}
 	}
-	return ready, waived
+	return -1, waived
 }
 
 // diagnoseLocked finds the first blocked queue head in shard order and
 // names its blocking frontier entry; nil when nothing queued is blocked
 // (empty queues or every head ready).
 func (m *MergedClient) diagnoseLocked() *WedgeError {
-	n := len(m.streams)
 	for i := range m.queues {
 		if len(m.queues[i]) == 0 {
 			continue
 		}
-		e := m.queues[i][0].e
-		var w *WedgeError
-		e.VC.Range(func(t int, k int32) bool {
-			owner := t % n
-			if owner == i || m.lost[owner] {
-				return true
-			}
-			if have := m.emitted[event.TraceID(t)]; have < k {
-				w = &WedgeError{Shard: owner, Trace: event.TraceID(t), Need: k, Have: have}
-				return false
-			}
-			return true
-		})
-		if w != nil {
+		vc := m.queues[i][0].e.VC
+		if t, _ := m.blockerLocked(i, vc); t >= 0 {
+			w := &WedgeError{Shard: t % len(m.streams), Trace: event.TraceID(t), Need: vc[t], Have: m.emitted[t]}
 			w.QueueDepths = make([]int, len(m.queues))
 			for j := range m.queues {
 				w.QueueDepths[j] = len(m.queues[j])
@@ -399,15 +381,13 @@ func (m *MergedClient) Next() (*event.Event, error) {
 				continue
 			}
 			it := m.queues[i][0]
-			ready, waived := m.readyLocked(i, it.e)
-			if !ready {
+			blocker, waived := m.blockerLocked(i, it.e.VC)
+			if blocker >= 0 {
 				continue
 			}
 			m.queues[i] = m.queues[i][1:]
 			t := it.e.ID.Trace
-			if int32(it.e.ID.Index) > m.emitted[t] {
-				m.emitted[t] = int32(it.e.ID.Index)
-			}
+			m.emitted[t] = max(m.emitted[t], int32(it.e.ID.Index))
 			if it.ok {
 				m.names[t] = it.name
 			}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -389,5 +391,98 @@ func TestMergeSingleShardPassThrough(t *testing.T) {
 	}
 	if _, err := m.Next(); err != io.EOF {
 		t.Fatalf("tail = %v, want io.EOF", err)
+	}
+}
+
+// mapReady and mapBlocker are the readiness test and the wedge diagnosis
+// of one queue head as they stood with the emitted frontier in a map
+// keyed by trace, read through VC.Range.
+func mapReady(n, i int, vc vclock.VC, emitted map[event.TraceID]int32, lost []bool) (ready, waived bool) {
+	ready = true
+	vc.Range(func(t int, k int32) bool {
+		owner := t % n
+		if owner == i {
+			return true
+		}
+		if emitted[event.TraceID(t)] >= k {
+			return true
+		}
+		if lost[owner] {
+			waived = true
+			return true
+		}
+		ready = false
+		return false
+	})
+	if !ready {
+		waived = false
+	}
+	return ready, waived
+}
+
+func mapBlocker(n, i int, vc vclock.VC, emitted map[event.TraceID]int32, lost []bool) (w *WedgeError) {
+	vc.Range(func(t int, k int32) bool {
+		owner := t % n
+		if owner == i || lost[owner] {
+			return true
+		}
+		if have := emitted[event.TraceID(t)]; have < k {
+			w = &WedgeError{Shard: owner, Trace: event.TraceID(t), Need: k, Have: have}
+			return false
+		}
+		return true
+	})
+	return w
+}
+
+// TestMergeReadinessMatchesMapFrontier: over random clocks, emitted
+// frontiers and lost sets, the slice
+// frontier's walk decides readiness and waiver as the map did, and
+// diagnoseLocked names a blocking entry exactly when the head is not
+// ready — the same entry the map-based diagnosis named.
+func TestMergeReadinessMatchesMapFrontier(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	blocked, waived := 0, 0
+	for iter := 0; iter < 20000; iter++ {
+		n := 1 + rng.Intn(4)
+		vc := make(vclock.VC, rng.Intn(12))
+		for t := range vc {
+			if rng.Intn(3) > 0 {
+				vc[t] = int32(rng.Intn(6))
+			}
+		}
+		// pump keeps the frontier as wide as every queued clock
+		frontier := make([]int32, len(vc)+rng.Intn(3))
+		emitted := make(map[event.TraceID]int32)
+		for t := range frontier {
+			frontier[t] = int32(rng.Intn(6))
+			emitted[event.TraceID(t)] = frontier[t]
+		}
+		lost := make([]bool, n)
+		for j := range lost {
+			lost[j] = rng.Intn(4) == 0
+		}
+		i := rng.Intn(n)
+		m := &MergedClient{streams: make([]Stream, n), queues: make([][]item, n), lost: lost, emitted: slices.Clone(frontier)}
+		b, w := m.blockerLocked(i, vc)
+		ready, wantWaived := mapReady(n, i, vc, emitted, lost)
+		if (b < 0) != ready || w != wantWaived {
+			t.Fatalf("iter %d: n=%d i=%d vc=%v emitted=%v lost=%v: blocker %d waived %v, map ready %v waived %v",
+				iter, n, i, vc, frontier, lost, b, w, ready, wantWaived)
+		}
+		m.queues[i] = []item{{e: &event.Event{VC: vc}}}
+		got, want := m.diagnoseLocked(), mapBlocker(n, i, vc, emitted, lost)
+		if (got == nil) != ready || got != nil && (got.Shard != want.Shard || got.Trace != want.Trace || got.Need != want.Need || got.Have != want.Have) {
+			t.Fatalf("iter %d: n=%d i=%d vc=%v emitted=%v lost=%v: diagnosis %+v, map %+v, ready %v",
+				iter, n, i, vc, frontier, lost, got, want, ready)
+		}
+		if !ready {
+			blocked++
+		} else if wantWaived {
+			waived++
+		}
+	}
+	if blocked < 1000 || waived < 1000 {
+		t.Fatalf("only %d blocked and %d waived heads: the cases no longer cover both", blocked, waived)
 	}
 }

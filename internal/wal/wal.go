@@ -173,10 +173,11 @@ type Log struct {
 	mu      sync.Mutex
 	f       *os.File
 	w       *bufio.Writer
-	seg     uint64   // current segment index
-	seq     int64    // records appended this process lifetime
-	err     error    // sticky write failure
-	metrics *Metrics // nil when uninstrumented; read under mu
+	seg     uint64              // current segment index
+	seq     int64               // records appended this process lifetime
+	err     error               // sticky write failure
+	metrics *Metrics            // nil when uninstrumented; read under mu
+	rh      [recHeaderSize]byte // Append's header; a local escapes via w.Write
 
 	// Group-commit state: synced is the highest seq known durable,
 	// syncing marks an fsync in flight whose completion waiters share.
@@ -535,10 +536,9 @@ func (l *Log) Append(payload []byte) (int64, error) {
 	if l.metrics != nil {
 		start = time.Now()
 	}
-	var rh [recHeaderSize]byte
-	binary.LittleEndian.PutUint32(rh[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(rh[4:8], crc32.Checksum(payload, crcTable))
-	if _, err := l.w.Write(rh[:]); err != nil {
+	binary.LittleEndian.PutUint32(l.rh[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(l.rh[4:8], crc32.Checksum(payload, crcTable))
+	if _, err := l.w.Write(l.rh[:]); err != nil {
 		l.err = fmt.Errorf("wal: append: %w", err)
 		return 0, l.err
 	}

@@ -80,6 +80,25 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendAllocs: appending a record allocates nothing — not its
+// header, which escaped through the buffered writer as a local, one
+// allocation per record.
+func TestAppendAllocs(t *testing.T) {
+	l, _, err := Open(t.TempDir(), Options{Policy: SyncNone}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	payload := []byte("record-0000")
+	if allocs := testing.AllocsPerRun(10000, func() {
+		if _, err := l.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Append costs %v allocations per record, want 0", allocs)
+	}
+}
+
 func TestGroupCommitConcurrent(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := Open(dir, Options{Policy: SyncAlways}, nil)
