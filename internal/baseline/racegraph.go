@@ -19,9 +19,8 @@ type RaceChecker struct {
 }
 
 type sendStamp struct {
-	id    event.ID
-	trace event.TraceID
-	vc    vclock.VC
+	id event.ID
+	vc vclock.Stamp
 }
 
 // NewRaceChecker builds an empty checker.
@@ -42,15 +41,11 @@ func (r *RaceChecker) Feed(st *event.Store, e *event.Event) []event.ID {
 	}
 	var racy []event.ID
 	for _, prev := range r.recvs[e.ID.Trace] {
-		if vclock.Concurrent(prev.vc, int(prev.trace), send.VC, int(send.ID.Trace)) {
+		if vclock.Concurrent(prev.vc, send.VC) {
 			racy = append(racy, prev.id)
 		}
 	}
-	r.recvs[e.ID.Trace] = append(r.recvs[e.ID.Trace], sendStamp{
-		id:    send.ID,
-		trace: send.ID.Trace,
-		vc:    send.VC,
-	})
+	r.recvs[e.ID.Trace] = append(r.recvs[e.ID.Trace], sendStamp{id: send.ID, vc: send.VC})
 	r.Races += len(racy)
 	return racy
 }

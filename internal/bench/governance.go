@@ -195,7 +195,7 @@ func governanceSoakRun(events, cap int) (soakRun, error) {
 	if err != nil {
 		return r, err
 	}
-	clocks := []vclock.VC{vclock.New(2), vclock.New(2)}
+	var stamps [2]vclock.Stamp
 	m := core.NewMatcher(pat, core.Options{MaxHistoryPerTrace: cap})
 	m.RegisterTrace("p0")
 	m.RegisterTrace("p1")
@@ -216,18 +216,18 @@ func governanceSoakRun(events, cap int) (soakRun, error) {
 	}
 	start := time.Now()
 	for w := 0; w < waves; w++ {
-		clocks[0] = clocks[0].Tick(0)
+		stamps[0] = stamps[0].Tick(0)
 		send := &event.Event{
-			ID:   event.ID{Trace: 0, Index: clocks[0].Get(0)},
-			Kind: event.KindSend, Type: "a", VC: clocks[0].Clone(),
+			ID:   event.ID{Trace: 0, Index: stamps[0].Get(0)},
+			Kind: event.KindSend, Type: "a", VC: stamps[0],
 		}
 		if err := feed(send); err != nil {
 			return r, fmt.Errorf("bench: governance soak: %w", err)
 		}
-		clocks[1] = clocks[1].Merge(send.VC).Tick(1)
+		stamps[1] = stamps[1].Join(send.VC, 1, nil)
 		recv := &event.Event{
-			ID:   event.ID{Trace: 1, Index: clocks[1].Get(1)},
-			Kind: event.KindReceive, Type: "b", VC: clocks[1].Clone(),
+			ID:   event.ID{Trace: 1, Index: stamps[1].Get(1)},
+			Kind: event.KindReceive, Type: "b", VC: stamps[1],
 			Partner: send.ID,
 		}
 		send.Partner = recv.ID

@@ -17,7 +17,7 @@ func ev(trace event.TraceID, index int, kind event.Kind) *event.Event {
 		ID:   event.ID{Trace: trace, Index: index},
 		Kind: kind,
 		Type: "x",
-		VC:   vc,
+		VC:   vc.Stamp(int(trace)),
 	}
 }
 
@@ -148,12 +148,13 @@ func TestHistEntrySize(t *testing.T) {
 	}
 }
 
-// TestEventSize: the stored event stays within the 96-byte allocator
-// size class (a slice-header VC makes it exactly 96), so a field added to
-// Event shows here before it shows in retained_bytes_per_event.
+// TestEventSize: the stored event is 88 bytes — the 16-byte shared
+// stamp took the place of a 24-byte slice-header clock — and 93 of them
+// fill an 8 KiB slab chunk, so a field added to Event shows here before
+// it shows in retained_bytes_per_event.
 func TestEventSize(t *testing.T) {
-	if got := unsafe.Sizeof(event.Event{}); got > 96 {
-		t.Fatalf("unsafe.Sizeof(event.Event{}) = %d, want <= 96", got)
+	if got := unsafe.Sizeof(event.Event{}); got > 88 {
+		t.Fatalf("unsafe.Sizeof(event.Event{}) = %d, want <= 88", got)
 	}
 }
 

@@ -49,7 +49,7 @@ func feedInto(t *testing.T, m *core.Matcher, st *event.Store, evs []*event.Event
 	var all []core.Match
 	for _, e := range evs {
 		copied := *e
-		copied.VC = e.VC.Clone()
+		copied.VC = e.VC.Dense().Stamp(e.VC.Trace())
 		got, err := m.Feed(&copied)
 		if err != nil {
 			t.Fatalf("feed %s: %v", e.ID, err)
@@ -644,7 +644,7 @@ func TestPruningBoundsHistory(t *testing.T) {
 			ID:   event.ID{Trace: 0, Index: i},
 			Kind: event.KindInternal,
 			Type: "a",
-			VC:   vclock.VC{int32(i)},
+			VC:   vclock.VC{int32(i)}.Stamp(0),
 		}
 		if _, err := m.Feed(e); err != nil {
 			t.Fatal(err)

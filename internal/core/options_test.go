@@ -143,8 +143,8 @@ func TestLimDisablesPruning(t *testing.T) {
 	}
 }
 
-func vclockAt(i int) vclock.VC {
-	return []int32{int32(i)}
+func vclockAt(i int) vclock.Stamp {
+	return vclock.VC{int32(i)}.Stamp(0)
 }
 
 func TestLinkPinningSkipsForeignTraces(t *testing.T) {

@@ -93,8 +93,8 @@ type Event struct {
 	Text string
 	// VC is the event's vector timestamp, constructed by the collector:
 	// entry t counts the events of trace t that happen before or at the
-	// event.
-	VC vclock.VC
+	// event. It shares its trace's last join clock (see vclock.Stamp).
+	VC vclock.Stamp
 	// Partner is the ID of the communication partner event (the matching
 	// receive of a send, the matching send of a receive, the release
 	// granted by an acquire). Zero when there is none or it is unknown.
@@ -103,17 +103,17 @@ type Event struct {
 
 // Before reports whether e happens before other.
 func (e *Event) Before(other *Event) bool {
-	return vclock.Before(e.VC, int(e.ID.Trace), other.VC, int(other.ID.Trace))
+	return vclock.Before(e.VC, other.VC)
 }
 
 // Concurrent reports whether e and other are causally unrelated.
 func (e *Event) Concurrent(other *Event) bool {
-	return vclock.Concurrent(e.VC, int(e.ID.Trace), other.VC, int(other.ID.Trace))
+	return vclock.Concurrent(e.VC, other.VC)
 }
 
 // Relation classifies the causal relation between e and other.
 func (e *Event) Relation(other *Event) vclock.Relation {
-	return vclock.Compare(e.VC, int(e.ID.Trace), other.VC, int(other.ID.Trace))
+	return vclock.Compare(e.VC, other.VC)
 }
 
 // String renders a compact single-line description for logs and tests.

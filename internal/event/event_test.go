@@ -46,9 +46,9 @@ func TestKindString(t *testing.T) {
 
 func TestEventRelations(t *testing.T) {
 	// a on trace 0 sends to b on trace 1; c on trace 2 is concurrent.
-	a := &Event{ID: ID{0, 1}, Kind: KindSend, VC: vclock.VC{1, 0, 0}}
-	b := &Event{ID: ID{1, 1}, Kind: KindReceive, VC: vclock.VC{1, 1, 0}, Partner: a.ID}
-	c := &Event{ID: ID{2, 1}, Kind: KindInternal, VC: vclock.VC{0, 0, 1}}
+	a := &Event{ID: ID{0, 1}, Kind: KindSend, VC: vclock.VC{1, 0, 0}.Stamp(0)}
+	b := &Event{ID: ID{1, 1}, Kind: KindReceive, VC: vclock.VC{1, 1, 0}.Stamp(1), Partner: a.ID}
+	c := &Event{ID: ID{2, 1}, Kind: KindInternal, VC: vclock.VC{0, 0, 1}.Stamp(2)}
 
 	if !a.Before(b) || b.Before(a) {
 		t.Fatalf("want a -> b only")
@@ -71,7 +71,7 @@ func TestEventRelations(t *testing.T) {
 }
 
 func TestEventString(t *testing.T) {
-	e := &Event{ID: ID{1, 3}, Kind: KindSend, Type: "mpi_send", Text: "to 2", VC: vclock.VC{0, 3}}
+	e := &Event{ID: ID{1, 3}, Kind: KindSend, Type: "mpi_send", Text: "to 2", VC: vclock.VC{0, 3}.Stamp(1)}
 	s := e.String()
 	for _, want := range []string{"t1#3", "send", `"mpi_send"`, `"to 2"`, "[0 3]"} {
 		if !strings.Contains(s, want) {

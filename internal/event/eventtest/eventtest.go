@@ -50,7 +50,7 @@ func Build(nTraces int, ops []Op) (*event.Store, []*event.Event) {
 			if !ok {
 				panic(fmt.Sprintf("op %d: unknown From label %q", i, op.From))
 			}
-			clocks[t] = clocks[t].Merge(src.VC)
+			clocks[t] = clocks[t].Merge(src.VC.Dense())
 			partner = src.ID
 		}
 		clocks[t] = clocks[t].Tick(t)
@@ -59,7 +59,7 @@ func Build(nTraces int, ops []Op) (*event.Store, []*event.Event) {
 			Kind:    op.Kind,
 			Type:    op.Type,
 			Text:    op.Text,
-			VC:      clocks[t].Clone(),
+			VC:      clocks[t].Stamp(t),
 			Partner: partner,
 		}
 		if partner.Index != 0 {
@@ -77,6 +77,74 @@ func Build(nTraces int, ops []Op) (*event.Store, []*event.Event) {
 		out = append(out, e)
 	}
 	return st, out
+}
+
+// CheckStamps holds a delivered stream's stamps to dense Fidge/Mattern
+// clocks replayed from the stream's own structure — each event's trace
+// and kind, each receive's Partner — by value, through Get and Range,
+// and checks what a linearization owes a stamp: its own entry is the
+// event's Index, and no foreign entry counts more events of a trace than
+// the stream delivered before it. events is a whole stream.
+func CheckStamps(events []*event.Event) error {
+	var clocks []vclock.VC
+	var delivered []int
+	sent := make(map[event.ID]vclock.VC)
+	for k, e := range events {
+		t := int(e.ID.Trace)
+		for t >= len(clocks) {
+			clocks, delivered = append(clocks, nil), append(delivered, 0)
+		}
+		if e.Kind == event.KindReceive || e.Kind == event.KindSyncAcquire {
+			s, ok := sent[e.Partner]
+			if !ok {
+				return fmt.Errorf("event %d (%s): partner %s was not delivered before it", k, e.ID, e.Partner)
+			}
+			clocks[t] = clocks[t].Merge(s)
+		}
+		c := clocks[t].Tick(t)
+		clocks[t] = c
+		if e.Kind == event.KindSend || e.Kind == event.KindSyncRelease {
+			sent[e.ID] = c.Clone()
+		}
+		if err := checkStamp(e, c, delivered); err != nil {
+			return fmt.Errorf("event %d (%s %s): stamp %s, replayed %s: %w", k, e.ID, e.Kind, e.VC, c, err)
+		}
+		delivered[t]++
+	}
+	return nil
+}
+
+// checkStamp holds e's stamp to its replayed clock c.
+func checkStamp(e *event.Event, c vclock.VC, delivered []int) error {
+	t := int(e.ID.Trace)
+	if c.Get(t) != e.ID.Index {
+		return fmt.Errorf("own entry %d is not the event's index", c.Get(t))
+	}
+	nonzero := 0
+	for u := 0; u < max(len(c), e.VC.Width()); u++ {
+		n := c.Get(u)
+		switch {
+		case e.VC.Get(u) != n:
+			return fmt.Errorf("Get(%d) = %d", u, e.VC.Get(u))
+		case n > 0 && u != t && n > delivered[u]:
+			return fmt.Errorf("entry %d counts %d events, %d were delivered", u, n, delivered[u])
+		case n > 0:
+			nonzero++
+		}
+	}
+	var err error
+	ranged, prev := 0, -1
+	e.VC.Range(func(u int, n int32) bool {
+		if ranged++; u <= prev || int(n) != c.Get(u) {
+			err = fmt.Errorf("Range yields (%d, %d) after trace %d", u, n, prev)
+		}
+		prev = u
+		return err == nil
+	})
+	if err == nil && ranged != nonzero {
+		err = fmt.Errorf("Range yields %d entries, %d are nonzero", ranged, nonzero)
+	}
+	return err
 }
 
 // RandomConfig controls Random.
@@ -120,7 +188,7 @@ func Random(rng *rand.Rand, cfg RandomConfig) (*event.Store, []*event.Event) {
 			ID:      event.ID{Trace: event.TraceID(t), Index: clocks[t].Get(t)},
 			Kind:    kind,
 			Type:    typ,
-			VC:      clocks[t].Clone(),
+			VC:      clocks[t].Stamp(t),
 			Partner: partner,
 		}
 		if err := st.Append(e); err != nil {
@@ -146,7 +214,7 @@ func Random(rng *rand.Rand, cfg RandomConfig) (*event.Store, []*event.Event) {
 			ps := pending[0]
 			pending = pending[1:]
 			d := ps.dst
-			clocks[d] = clocks[d].Merge(ps.ev.VC)
+			clocks[d] = clocks[d].Merge(ps.ev.VC.Dense())
 			e := emit(d, event.KindReceive, typ, ps.ev.ID)
 			ps.ev.Partner = e.ID
 		default:

@@ -4,8 +4,9 @@ import "ocep/internal/vclock"
 
 // Slab hands out events and timestamp storage carved from chunks, so
 // that whoever materialises a stream of stamped events pays one
-// allocation per chunk, not two per event. Nothing is ever reused: a
-// chunk is garbage once every event or clock carved from it is, so a
+// allocation per chunk, not one per event or join clock; it is the
+// vclock.Allocator join clocks are carved from. Nothing is ever reused:
+// a chunk is garbage once every event or clock carved from it is, so a
 // stream consumed in carving order frees whole chunks. The zero value is
 // ready; a Slab is not safe for concurrent use.
 type Slab struct {
@@ -19,8 +20,8 @@ type Slab struct {
 
 const (
 	// eventChunkLen events plus the 8-byte header Go's allocator puts on
-	// a pointerful object fill the 8 KiB size class: 85*96+8 = 8168.
-	eventChunkLen = 85
+	// a pointerful object fill the 8 KiB size class: 93*88+8 = 8192.
+	eventChunkLen = 93
 	// Clock chunks hold no pointers, carry no header, and are exact
 	// power-of-two size classes.
 	minClockChunk  = 8 << 10 / 4
@@ -53,15 +54,5 @@ func (s *Slab) Clock(n int) vclock.VC {
 	}
 	c := s.clocks[:n:n]
 	s.clocks = s.clocks[n:]
-	return c
-}
-
-// Clone returns an independent copy of v, stored like a Clock.
-func (s *Slab) Clone(v vclock.VC) vclock.VC {
-	if v == nil {
-		return nil
-	}
-	c := s.Clock(len(v))
-	copy(c, v)
 	return c
 }

@@ -12,9 +12,9 @@ import (
 // the clock carved next keeps its entries.
 func TestSlabClocksDoNotOverlap(t *testing.T) {
 	var s Slab
-	a := s.Clock(3)
-	b := s.Clone(vclock.VC{7, 8, 9})
-	c := s.Clone(vclock.VC{1, 2})
+	a, b, c := s.Clock(3), s.Clock(3), s.Clock(2)
+	copy(b, vclock.VC{7, 8, 9})
+	copy(c, vclock.VC{1, 2})
 	for _, v := range []vclock.VC{a, b, c} {
 		if cap(v) != len(v) {
 			t.Fatalf("slab clock has len %d, cap %d: growing it would write into its neighbour", len(v), cap(v))
@@ -27,9 +27,6 @@ func TestSlabClocksDoNotOverlap(t *testing.T) {
 	}
 	if !grownTick.Equal(vclock.VC{0, 0, 0, 1}) || !grownMerge.Equal(vclock.VC{7, 8, 9, 5, 6}) {
 		t.Fatalf("grown clocks are %v and %v", grownTick, grownMerge)
-	}
-	if s.Clone(nil) != nil {
-		t.Fatal("the clone of no clock is a clock")
 	}
 }
 

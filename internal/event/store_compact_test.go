@@ -17,7 +17,7 @@ func compactFixture(t *testing.T, n int) *event.Store {
 		if err := st.Append(&event.Event{
 			ID:   event.ID{Trace: 0, Index: i},
 			Kind: event.KindInternal,
-			VC:   vc.Clone(),
+			VC:   vc.Stamp(0),
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -59,10 +59,10 @@ func TestCompactTrace(t *testing.T) {
 	for i := 0; i < 11; i++ {
 		vc = vc.Tick(0)
 	}
-	if err := st.Append(&event.Event{ID: event.ID{Trace: 0, Index: 11}, Kind: event.KindInternal, VC: vc}); err != nil {
+	if err := st.Append(&event.Event{ID: event.ID{Trace: 0, Index: 11}, Kind: event.KindInternal, VC: vc.Stamp(0)}); err != nil {
 		t.Fatalf("append after compaction: %v", err)
 	}
-	if err := st.Append(&event.Event{ID: event.ID{Trace: 0, Index: 11}, Kind: event.KindInternal, VC: vc}); err == nil {
+	if err := st.Append(&event.Event{ID: event.ID{Trace: 0, Index: 11}, Kind: event.KindInternal, VC: vc.Stamp(0)}); err == nil {
 		t.Fatal("duplicate logical index accepted after compaction")
 	}
 	// Compacting below the current base or beyond the end is clamped.
@@ -88,17 +88,17 @@ func TestLSAfterCompaction(t *testing.T) {
 	// p0#1 is a send; p1#1 receives it, then p1 runs internal events —
 	// every p1 event succeeds p0#1.
 	c0 = c0.Tick(0)
-	send := &event.Event{ID: event.ID{Trace: 0, Index: 1}, Kind: event.KindSend, VC: c0.Clone()}
+	send := &event.Event{ID: event.ID{Trace: 0, Index: 1}, Kind: event.KindSend, VC: c0.Stamp(0)}
 	if err := st.Append(send); err != nil {
 		t.Fatal(err)
 	}
 	c1 = c1.Merge(c0).Tick(1)
-	if err := st.Append(&event.Event{ID: event.ID{Trace: 1, Index: 1}, Kind: event.KindReceive, VC: c1.Clone()}); err != nil {
+	if err := st.Append(&event.Event{ID: event.ID{Trace: 1, Index: 1}, Kind: event.KindReceive, VC: c1.Stamp(1)}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 2; i <= 6; i++ {
 		c1 = c1.Tick(1)
-		if err := st.Append(&event.Event{ID: event.ID{Trace: 1, Index: i}, Kind: event.KindInternal, VC: c1.Clone()}); err != nil {
+		if err := st.Append(&event.Event{ID: event.ID{Trace: 1, Index: i}, Kind: event.KindInternal, VC: c1.Stamp(1)}); err != nil {
 			t.Fatal(err)
 		}
 	}

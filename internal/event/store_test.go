@@ -38,7 +38,7 @@ func TestRegisterTrace(t *testing.T) {
 // a later NameTrace replaces it.
 func TestTraceNameFallback(t *testing.T) {
 	s := NewStore()
-	if err := s.Append(&Event{ID: ID{2, 1}, Kind: KindInternal, VC: vclock.VC{0, 0, 1}}); err != nil {
+	if err := s.Append(&Event{ID: ID{2, 1}, Kind: KindInternal, VC: vclock.VC{0, 0, 1}.Stamp(2)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.TraceName(2); got != "t2" {
@@ -64,7 +64,7 @@ func TestTraceNameFallback(t *testing.T) {
 
 func TestAppendOrdering(t *testing.T) {
 	s := NewStore()
-	e1 := &Event{ID: ID{0, 1}, Kind: KindInternal, VC: vclock.VC{1}}
+	e1 := &Event{ID: ID{0, 1}, Kind: KindInternal, VC: vclock.VC{1}.Stamp(0)}
 	if err := s.Append(e1); err != nil {
 		t.Fatalf("append: %v", err)
 	}
@@ -77,7 +77,7 @@ func TestAppendOrdering(t *testing.T) {
 		t.Fatalf("negative trace must fail")
 	}
 	// Appending to an unseen high trace grows the store.
-	if err := s.Append(&Event{ID: ID{4, 1}, Kind: KindSend, VC: vclock.VC{0, 0, 0, 0, 1}}); err != nil {
+	if err := s.Append(&Event{ID: ID{4, 1}, Kind: KindSend, VC: vclock.VC{0, 0, 0, 0, 1}.Stamp(4)}); err != nil {
 		t.Fatalf("append to new trace: %v", err)
 	}
 	if s.NumTraces() != 5 {
@@ -90,7 +90,7 @@ func TestAppendOrdering(t *testing.T) {
 
 func TestGetAndLen(t *testing.T) {
 	s := NewStore()
-	e := &Event{ID: ID{0, 1}, Kind: KindInternal, VC: vclock.VC{1}}
+	e := &Event{ID: ID{0, 1}, Kind: KindInternal, VC: vclock.VC{1}.Stamp(0)}
 	if err := s.Append(e); err != nil {
 		t.Fatal(err)
 	}
@@ -114,10 +114,10 @@ func TestCommCount(t *testing.T) {
 	s := NewStore()
 	s.RegisterTrace("p0")
 	evs := []*Event{
-		{ID: ID{0, 1}, Kind: KindInternal, VC: vclock.VC{1}},
-		{ID: ID{0, 2}, Kind: KindSend, VC: vclock.VC{2}},
-		{ID: ID{0, 3}, Kind: KindInternal, VC: vclock.VC{3}},
-		{ID: ID{0, 4}, Kind: KindSyncRelease, VC: vclock.VC{4}},
+		{ID: ID{0, 1}, Kind: KindInternal, VC: vclock.VC{1}.Stamp(0)},
+		{ID: ID{0, 2}, Kind: KindSend, VC: vclock.VC{2}.Stamp(0)},
+		{ID: ID{0, 3}, Kind: KindInternal, VC: vclock.VC{3}.Stamp(0)},
+		{ID: ID{0, 4}, Kind: KindSyncRelease, VC: vclock.VC{4}.Stamp(0)},
 	}
 	wants := []int{0, 1, 1, 2}
 	for i, e := range evs {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ocep/internal/event"
+	"ocep/internal/event/eventtest"
 	"ocep/internal/vclock"
 )
 
@@ -197,7 +198,7 @@ func TestFrameEncodeAllocs(t *testing.T) {
 	for i := range evs {
 		vc := make(vclock.VC, 32)
 		vc[i%32] = int32(i)
-		evs[i] = &event.Event{ID: event.ID{Trace: event.TraceID(i % 32), Index: i + 1}, Kind: event.KindSend, Type: "step", Text: "payload", VC: vc}
+		evs[i] = &event.Event{ID: event.ID{Trace: event.TraceID(i % 32), Index: i + 1}, Kind: event.KindSend, Type: "step", Text: "payload", VC: vc.Stamp(i % 32)}
 		raws[i] = RawEvent{Trace: fmt.Sprintf("p%d", i%32), Seq: i + 1, Kind: event.KindSend, Type: "step", Text: "payload", MsgID: uint64(i + 1)}
 	}
 	frame := func(i int) {
@@ -234,6 +235,81 @@ func TestQueuePushAllocs(t *testing.T) {
 	if len(q.buf) != n || q.buf[0] == q.buf[1] || q.buf[0] == e || q.buf[n-1].ID != e.ID {
 		t.Fatalf("the queue holds %d events, want %d private copies", len(q.buf), n)
 	}
+}
+
+// TestStampHeapPerEvent pins what stamps cost where a 128-trace ring
+// materialises them: in the collector, and in a delta decoder whose
+// events a monitor keeps. One event in ten is a receive; the nine
+// between share their trace's join clock on both sides (290 B per event
+// retained, Linux amd64, Go 1.24). Before stamps were shared both sides
+// held a full clock per event, the decoder's as wide as the widest clock
+// on its connection: 1 139.9 B; the budget is 60 % of that.
+func TestStampHeapPerEvent(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes heap sizes")
+	}
+	const (
+		traces = 128
+		rounds = 100
+		n      = traces * rounds * 10
+		budget = 0.6 * 1139.9
+	)
+	var wire bytes.Buffer
+	before := liveHeap()
+	c := NewCollector()
+	fw := newFrameWriter(&wire)
+	c.Subscribe(func(e *event.Event) {
+		if e.ID.Index == 1 {
+			fw.trace(e.ID.Trace, c.Store().TraceName(e.ID.Trace))
+		}
+		fw.event(e, true)
+	})
+	msg := func(round, tr int) uint64 { return uint64(round*traces+tr) + 1 }
+	for r := 0; r < rounds; r++ {
+		for tr := 0; tr < traces; tr++ {
+			name, seq := fmt.Sprintf("p%d", tr), r*10
+			report := func(kind event.Kind, m uint64) {
+				seq++
+				if err := c.Report(RawEvent{Trace: name, Seq: seq, Kind: kind, Type: "work", MsgID: m}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if r == 0 {
+				report(event.KindInternal, 0) // nothing to receive yet
+			} else {
+				report(event.KindReceive, msg(r-1, (tr+traces-1)%traces))
+			}
+			for k := 0; k < 8; k++ {
+				report(event.KindInternal, 0)
+			}
+			report(event.KindSend, msg(r, tr))
+		}
+	}
+	if err := fw.flush(); err != nil {
+		t.Fatal(err)
+	}
+	fr := &frameReader{br: bufio.NewReaderSize(bytes.NewReader(wire.Bytes()), frameBufSize)}
+	decoded := make([]*event.Event, 0, n)
+	for len(decoded) < n {
+		var f frame
+		if err := fr.next(&f); err != nil {
+			t.Fatal(err)
+		}
+		if f.kind == frameEvent {
+			decoded = append(decoded, f.ev)
+		}
+	}
+	fr, fw, wire = nil, nil, bytes.Buffer{}
+	per := float64(liveHeap()-before) / n
+	t.Logf("%.1f B retained per event by the collector and the decoded stream together", per)
+	if err := eventtest.CheckStamps(decoded); err != nil {
+		t.Fatal(err)
+	}
+	if per > budget {
+		t.Errorf("%.1f B retained per event, budget %.1f", per, budget)
+	}
+	runtime.KeepAlive(c)
+	runtime.KeepAlive(decoded)
 }
 
 // TestCollectorHeapPerEvent pins the bytes a collector with no journal

@@ -71,10 +71,12 @@ var ErrOverloaded = errors.New("poet: collector overloaded")
 type Collector struct {
 	mu    sync.Mutex
 	store *event.Store
-	// clocks[t] is the running vector clock of trace t. A fresh trace
-	// starts at nil: Tick and Merge grow it on demand, so it costs
-	// nothing until it participates.
-	clocks []vclock.VC
+	// stamps[t] is the stamp of trace t's latest delivered event, the
+	// zero Stamp before its first. Its join clock is the trace's last
+	// receive's: the next event shares it unless it joins again, so a
+	// trace pins at most one join clock (and the slab chunk it was carved
+	// from) beyond what retention keeps.
+	stamps []vclock.Stamp
 	// nextSeq[t] is the next sequence number trace t will deliver.
 	nextSeq []int
 	// pending[t] holds the raw events that arrived ahead of trace t's
@@ -179,6 +181,7 @@ type collectorMetrics struct {
 	blockedNs    *telemetry.Counter
 	shardExports *telemetry.Counter
 	shardRemote  *telemetry.Counter
+	stampBases   *telemetry.Counter
 	queues       queueMetrics
 }
 
@@ -204,6 +207,7 @@ func (c *Collector) InstrumentMetrics(reg *telemetry.Registry) {
 		blockedNs:    reg.Counter("poet_delivery_blocked_ns_total", "Nanoseconds Report spent blocked on full subscriber queues (BackpressureBlock)."),
 		shardExports: reg.Counter("poet_shard_exports_total", "Send events appended to the cross-shard export log."),
 		shardRemote:  reg.Counter("poet_shard_remote_sends_total", "Fresh peer-shard send records applied by SupplyRemoteSend."),
+		stampBases:   reg.Counter("poet_stamp_bases_total", "Join clocks materialised: one per delivered receive or acquire; every other event shares its trace's."),
 		queues: queueMetrics{
 			enqueued:  reg.Counter("poet_delivery_enqueued_total", "Events accepted into subscriber delivery queues (summed over subscribers)."),
 			handled:   reg.Counter("poet_delivery_handled_total", "Events consumed by batch subscriber handlers."),
@@ -516,8 +520,8 @@ func (c *Collector) ensureTrace(name string) event.TraceID {
 	} else {
 		id = c.store.RegisterTrace(name)
 	}
-	for int(id) >= len(c.clocks) {
-		c.clocks = append(c.clocks, nil)
+	for int(id) >= len(c.stamps) {
+		c.stamps = append(c.stamps, vclock.Stamp{})
 		c.nextSeq = append(c.nextSeq, 1)
 		c.pending = append(c.pending, heldQueue{})
 		c.registered = append(c.registered, false)
@@ -815,12 +819,12 @@ func (c *Collector) awaitSendLocked(tr event.TraceID, msgID uint64) {
 // deliver stamps and publishes one raw event whose causal predecessors
 // are all delivered.
 func (c *Collector) deliver(t event.TraceID, raw RawEvent) {
-	clock := c.clocks[t]
+	stamp := c.stamps[t]
 	var partner event.ID
 	if isRecvLike(raw.Kind) {
+		var sent vclock.Stamp
 		if sendID, ok := c.sends[raw.MsgID]; ok {
-			sendEv := c.store.Get(sendID)
-			clock = clock.Merge(sendEv.VC)
+			sent = c.store.Get(sendID).VC
 			partner = sendID
 			if c.retain > 0 {
 				// Under retention the sends map holds only open (unmatched)
@@ -834,19 +838,22 @@ func (c *Collector) deliver(t event.TraceID, raw RawEvent) {
 			// the remote identity — the local store holds no event for it,
 			// so the back-patch below finds nil and skips.
 			rs := c.remoteSends[raw.MsgID]
-			clock = clock.Merge(rs.vc)
-			partner = rs.id
+			sent, partner = rs.vc, rs.id
 		}
+		// A join: the one place a clock is materialised.
+		stamp = stamp.Join(sent, int(t), &c.slab)
+		c.tel.stampBases.Inc()
+	} else {
+		stamp = stamp.Tick(int(t))
 	}
-	clock = clock.Tick(int(t))
-	c.clocks[t] = clock
+	c.stamps[t] = stamp
 	e := c.slab.New()
 	*e = event.Event{
 		ID:      event.ID{Trace: t, Index: c.nextSeq[t]},
 		Kind:    raw.Kind,
 		Type:    raw.Type,
 		Text:    raw.Text,
-		VC:      c.slab.Clone(clock),
+		VC:      stamp,
 		Partner: partner,
 	}
 	if !partner.IsZero() {

@@ -34,10 +34,10 @@ func TestCollectorBasicDelivery(t *testing.T) {
 		t.Fatalf("partners not linked: %s / %s", send, recv)
 	}
 	// Clocks grow as traces join; compare with zero-padding semantics.
-	if !send.VC.Equal(vclock.VC{1, 0}) {
+	if !send.VC.Equal(vclock.VC{1, 0}.Stamp(0)) {
 		t.Fatalf("send VC = %s want [1 0]", send.VC)
 	}
-	if !recv.VC.Equal(vclock.VC{1, 1}) {
+	if !recv.VC.Equal(vclock.VC{1, 1}.Stamp(1)) {
 		t.Fatalf("recv VC = %s want [1 1]", recv.VC)
 	}
 }

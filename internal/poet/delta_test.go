@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ocep/internal/event"
+	"ocep/internal/event/eventtest"
 	"ocep/internal/vclock"
 )
 
@@ -106,50 +107,100 @@ func TestDeltaDenseStreamEquivalence(t *testing.T) {
 	}
 }
 
-// TestDeltaResumeBaselineReset cuts a delta-encoded monitor session
-// mid-replay several times and requires the resumed stream to carry
-// exactly the oracle's timestamps: the handshake must reset both the
-// encoder's and the decoder's baselines, or the first post-resume delta
-// would be applied to a stale vector and every subsequent stamp would
-// be wrong.
+// TestDeltaResumeBaselineReset cuts a monitor session mid-replay several
+// times and requires the resumed stream to carry exactly the oracle's
+// timestamps: the handshake must reset both the encoder's and the
+// decoder's baselines, or the first post-resume delta would be applied
+// to a stale vector and every subsequent stamp would be wrong. The
+// stamps the decoder shares across the cuts must also pass the
+// independent replay of eventtest.CheckStamps; the dense spelling, which
+// never shares, is held to the same.
 func TestDeltaResumeBaselineReset(t *testing.T) {
-	c, _, p := startFaultServer(t)
+	for _, delta := range []bool{true, false} {
+		t.Run(map[bool]string{true: "delta", false: "dense"}[delta], func(t *testing.T) {
+			c, _, p := startFaultServer(t)
 
-	const rounds = 1200
-	evs := durWorkload(rounds)
-	reportAll(t, c, evs)
-	waitFor(t, func() bool { return c.Delivered() == len(evs) })
-	oracle := c.Ordered()
+			const rounds = 1200
+			evs := durWorkload(rounds)
+			reportAll(t, c, evs)
+			waitFor(t, func() bool { return c.Delivered() == len(evs) })
+			oracle := c.Ordered()
 
-	// Throttle so the replay is still in flight when the cuts land.
-	p.SetChunk(256, 200*time.Microsecond)
-	mon, err := DialMonitor(p.Addr(),
-		WithMonitorReconnect(10*time.Second),
-		WithMonitorBackoff(2*time.Millisecond, 50*time.Millisecond),
-		WithMonitorLog(t.Logf))
-	if err != nil {
-		t.Fatal(err)
+			// Throttle so the replay is still in flight when the cuts land.
+			p.SetChunk(256, 200*time.Microsecond)
+			mon, err := DialMonitor(p.Addr(),
+				WithMonitorDeltaVC(delta),
+				WithMonitorReconnect(10*time.Second),
+				WithMonitorBackoff(2*time.Millisecond, 50*time.Millisecond),
+				WithMonitorLog(t.Logf))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mon.Close()
+			if mon.Stats().DeltaNegotiated != delta {
+				t.Fatalf("fault-proxy session negotiated delta %v, want %v", !delta, delta)
+			}
+
+			got := make([]*event.Event, len(oracle))
+			for i := range oracle {
+				e, err := mon.Next()
+				if err != nil {
+					t.Fatalf("next %d: %v", i, err)
+				}
+				if got[i] = e; !sameEvent(e, oracle[i]) {
+					t.Fatalf("post-resume stream diverged at %d: got %v vc=%v, want %v vc=%v",
+						i, e.ID, e.VC, oracle[i].ID, oracle[i].VC)
+				}
+				if i == 700 || i == 1800 || i == 2900 {
+					p.CutAll()
+				}
+			}
+			if st := mon.Stats(); st.Reconnects == 0 {
+				t.Fatalf("stats = %+v: the cuts never forced a resume (test proved nothing)", st)
+			}
+			if err := eventtest.CheckStamps(got); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	defer mon.Close()
-	if !mon.Stats().DeltaNegotiated {
-		t.Fatal("fault-proxy session did not negotiate delta")
-	}
+}
 
-	for i := 0; i < len(oracle); i++ {
-		e, err := mon.Next()
+// TestDecodedStampsPrintAsCollected: a decoded stamp is as wide as the
+// collector made it, not as wide as the widest clock its connection
+// carried. p0's events stay one entry wide after p2's three-entry clock
+// has crossed the connection, and print as [n], never [n 0 0].
+func TestDecodedStampsPrintAsCollected(t *testing.T) {
+	c, _, addr := startServer(t)
+	var mons []*MonitorClient
+	for _, delta := range []bool{true, false} {
+		mon, err := DialMonitor(addr, WithMonitorDeltaVC(delta))
 		if err != nil {
-			t.Fatalf("next %d: %v", i, err)
+			t.Fatal(err)
 		}
-		if !sameEvent(e, oracle[i]) {
-			t.Fatalf("post-resume stream diverged at %d: got %v vc=%v, want %v vc=%v",
-				i, e.ID, e.VC, oracle[i].ID, oracle[i].VC)
-		}
-		if i == 700 || i == 1800 || i == 2900 {
-			p.CutAll()
-		}
+		defer mon.Close()
+		mons = append(mons, mon)
 	}
-	if st := mon.Stats(); st.Reconnects == 0 {
-		t.Fatalf("stats = %+v: the cuts never forced a resume (test proved nothing)", st)
+	reportAll(t, c, []RawEvent{
+		{Trace: "p0", Seq: 1, Kind: event.KindInternal, Type: "step"},
+		{Trace: "p1", Seq: 1, Kind: event.KindSend, Type: "req", MsgID: 1},
+		{Trace: "p2", Seq: 1, Kind: event.KindReceive, Type: "resp", MsgID: 1},
+		{Trace: "p0", Seq: 2, Kind: event.KindInternal, Type: "step"},
+		{Trace: "p2", Seq: 2, Kind: event.KindSend, Type: "req", MsgID: 2},
+		{Trace: "p0", Seq: 3, Kind: event.KindReceive, Type: "resp", MsgID: 2},
+		{Trace: "p1", Seq: 2, Kind: event.KindInternal, Type: "step"},
+		{Trace: "p0", Seq: 4, Kind: event.KindInternal, Type: "step"},
+	})
+	oracle := c.Ordered()
+	for _, mon := range mons {
+		got := drainMonitor(t, mon, len(oracle))
+		for i, e := range got {
+			if e.String() != oracle[i].String() {
+				t.Fatalf("delta %v: event %d decoded as %s, collected as %s", mon.Stats().DeltaNegotiated, i, e, oracle[i])
+			}
+		}
+		if err := eventtest.CheckStamps(got); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -168,9 +219,9 @@ func newDeltaPipe() *deltaPipe {
 }
 
 // export round-trips vc as a delta-encoded export frame.
-func (p *deltaPipe) export(t *testing.T, vc vclock.VC) (vclock.VC, error) {
+func (p *deltaPipe) export(t *testing.T, vc vclock.VC) (vclock.Stamp, error) {
 	t.Helper()
-	p.fw.export(&shardExport{MsgID: 1, ID: event.ID{Index: 1}, VC: vc}, true)
+	p.fw.export(&shardExport{MsgID: 1, ID: event.ID{Index: 1}, VC: vc.Stamp(0)}, true)
 	if err := p.fw.flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +243,7 @@ func TestDeltaDecoderRejectsMissingBaseline(t *testing.T) {
 		t.Fatalf("decode without baseline = %v, want out-of-sync error", err)
 	}
 	// A baseline frame recovers it.
-	p.fw.sent, p.fw.base = false, nil
+	p.fw.sent, p.fw.base, p.fw.last = false, nil, vclock.Stamp{}
 	vc, err := p.export(t, vclock.VC{1})
 	if err != nil || vc.Get(0) != 1 {
 		t.Fatalf("decode of baseline frame = %v, %v", vc, err)
@@ -217,7 +268,7 @@ func TestDeltaCodecVanishedEntries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if !got.Equal(vc) {
+		if !got.Equal(vc.Stamp(0)) {
 			t.Fatalf("frame %d decoded to %v, want %v", i, got, vc)
 		}
 	}

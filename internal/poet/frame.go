@@ -73,9 +73,10 @@ type frameWriter struct {
 	body []byte
 	err  error
 	strs stringTable
-	// base is the previous timestamp sent delta-encoded; sent reports
-	// that there was one.
+	// base is the previous timestamp sent delta-encoded, dense, and last
+	// the same timestamp as stamped; sent reports that there was one.
 	base vclock.VC
+	last vclock.Stamp
 	sent bool
 	hdr  [binary.MaxVarintLen32]byte // emit's; a local escapes via bw.Write
 }
@@ -171,30 +172,33 @@ func (w *frameWriter) flags(delta bool) byte {
 	return flagDelta
 }
 
-// stamp appends vc to the frame b straight from the clock, advances the
+// stamp appends v to the frame b straight from the stamp, advances the
 // delta baseline, and emits the frame.
-func (w *frameWriter) stamp(b []byte, v vclock.VC, delta bool) (entries int) {
+func (w *frameWriter) stamp(b []byte, v vclock.Stamp, delta bool) (entries int) {
 	if !delta {
-		for _, n := range v {
-			b = binary.AppendUvarint(b, uint64(n))
+		entries = v.Width()
+		for t := 0; t < entries; t++ {
+			b = binary.AppendUvarint(b, uint64(v.Get(t)))
 		}
-		entries = len(v)
 	} else {
 		w.sent = true
-		if len(v) > len(w.base) {
-			w.base = append(w.base, make(vclock.VC, len(v)-len(w.base))...)
+		if n := v.Width(); n > len(w.base) {
+			w.base = append(w.base, make(vclock.VC, n-len(w.base))...)
 		}
-		for t := range w.base {
-			var n int32
-			if t < len(v) {
-				n = v[t]
-			}
-			if w.base[t] != n {
+		lo, hi := 0, len(w.base)
+		if v.Shares(w.last) {
+			// Only the own entry can differ from the previous stamp's.
+			lo = v.Trace()
+			hi = min(lo+1, hi)
+		}
+		for t := lo; t < hi; t++ {
+			if n := int32(v.Get(t)); w.base[t] != n {
 				w.base[t] = n
 				b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(t)), uint64(n))
 				entries++
 			}
 		}
+		w.last = v
 	}
 	w.body = b
 	w.emit()
@@ -220,10 +224,14 @@ type frameReader struct {
 	strs []string
 	// announced marks the trace IDs announced on this connection.
 	announced []bool
-	// base is the previous delta-decoded timestamp; seen reports that a
-	// baseline frame arrived.
+	// base is the previous delta-decoded timestamp, dense, and last the
+	// same timestamp as decoded; seen reports that a baseline frame
+	// arrived.
 	base vclock.VC
+	last vclock.Stamp
 	seen bool
+	// dense is the scratch clock a dense frame decodes into.
+	dense vclock.VC
 	// slab backs the decoded events and timestamps.
 	slab event.Slab
 }
@@ -284,12 +292,12 @@ func (r *frameReader) next(f *frame) error {
 		if t := int(e.ID.Trace); c.err == nil && (t >= len(r.announced) || !r.announced[t]) {
 			c.fail(fmt.Errorf("%w: trace %d", errTraceRef, t))
 		}
-		e.VC = r.stamp(&c, flags)
+		e.VC = r.stamp(&c, flags, int(e.ID.Trace), true)
 		f.ev = e
 	case frameExport:
 		flags := byte(c.uvarint())
 		f.exp = shardExport{MsgID: c.uvarint(), ID: c.id()}
-		f.exp.VC = r.stamp(&c, flags)
+		f.exp.VC = r.stamp(&c, flags, int(f.exp.ID.Trace), false)
 	case frameHead:
 		f.head = c.int()
 	case frameHeartbeat, frameDrain, frameEnd:
@@ -315,11 +323,19 @@ func (r *recordReader) entry() int32 {
 	return int32(n)
 }
 
-// stamp consumes the rest of the frame as a timestamp and returns it as
-// an independent clock.
-func (r *frameReader) stamp(c *recordReader, flags byte) vclock.VC {
+// stamp consumes the rest of the frame as the timestamp of an event on
+// trace t. A delta frame of an event (share) whose one pair moves t one
+// past the previous timestamp's own entry, when that timestamp was t's
+// too, shares the previous join clock: the frame itself proves the two
+// clocks differ in entry t alone. Every other timestamp — dense, a trace
+// switch, a receive, an export — is materialised, trimmed to its last
+// nonzero entry: the width the collector stamped it with.
+func (r *frameReader) stamp(c *recordReader, flags byte, t int, share bool) vclock.Stamp {
+	if c.err == nil && t >= maxClockWidth {
+		c.fail(fmt.Errorf("%w: timestamp of trace %d, limit %d", errFrameMalformed, t, maxClockWidth))
+	}
 	if c.err != nil {
-		return nil
+		return vclock.Stamp{}
 	}
 	if flags&flagDelta == 0 {
 		// One pass to size the vector by the varints actually present.
@@ -331,37 +347,52 @@ func (r *frameReader) stamp(c *recordReader, flags byte) vclock.VC {
 		}
 		if width > maxClockWidth {
 			c.fail(fmt.Errorf("%w: %d-entry timestamp, limit %d", errFrameMalformed, width, maxClockWidth))
-			return nil
+			return vclock.Stamp{}
 		}
-		vc := r.slab.Clock(width)
-		for i := range vc {
-			vc[i] = c.entry()
+		r.dense = append(r.dense[:0], make(vclock.VC, width)...)
+		for i := range r.dense {
+			r.dense[i] = c.entry()
 		}
 		if len(c.p) > 0 {
 			c.fail(errFrameOverrun) // a last varint with no final byte
 		}
-		return vc
+		return r.materialise(r.dense, t)
 	}
 	switch {
 	case flags&flagBaseline != 0:
-		r.base, r.seen = r.base[:0], true
+		r.base, r.last, r.seen = r.base[:0], vclock.Stamp{}, true
 	case !r.seen:
 		c.fail(errNoBaseline)
-		return nil
+		return vclock.Stamp{}
 	}
-	for len(c.p) > 0 {
-		t, n := c.uvarint(), c.entry()
-		if c.err != nil {
-			return nil
+	pairs, u := 0, uint64(0)
+	for ; len(c.p) > 0; pairs++ {
+		var n int32
+		if u, n = c.uvarint(), c.entry(); c.err != nil {
+			return vclock.Stamp{}
 		}
-		if t >= maxClockWidth {
-			c.fail(fmt.Errorf("%w: timestamp entry for trace %d, limit %d", errFrameMalformed, t, maxClockWidth))
-			return nil
+		if u >= maxClockWidth {
+			c.fail(fmt.Errorf("%w: timestamp entry for trace %d, limit %d", errFrameMalformed, u, maxClockWidth))
+			return vclock.Stamp{}
 		}
-		if int(t) >= len(r.base) {
-			r.base = append(r.base, make(vclock.VC, int(t)+1-len(r.base))...)
+		if int(u) >= len(r.base) {
+			r.base = append(r.base, make(vclock.VC, int(u)+1-len(r.base))...)
 		}
-		r.base[t] = n
+		r.base[u] = n
 	}
-	return r.slab.Clone(r.base)
+	if share && pairs == 1 && int(u) == t && r.last.Trace() == t && int(r.base[t]) == r.last.Get(t)+1 {
+		r.last = r.last.Tick(t)
+	} else {
+		r.last = r.materialise(r.base, t)
+	}
+	return r.last
+}
+
+// materialise stamps an event of trace t with a copy of v carved from
+// the reader's slab, trailing zeros trimmed.
+func (r *frameReader) materialise(v vclock.VC, t int) vclock.Stamp {
+	for len(v) > 0 && v[len(v)-1] == 0 {
+		v = v[:len(v)-1]
+	}
+	return vclock.NewStamp(v, t, &r.slab)
 }

@@ -61,7 +61,7 @@ func sameFrame(a, b *frame) bool {
 
 // sampleFrames is one frame of every kind.
 func sampleFrames() []frame {
-	clock := func(ns ...int32) vclock.VC { return ns }
+	clock := func(t int, ns ...int32) vclock.Stamp { return vclock.VC(ns).Stamp(t) }
 	return []frame{
 		{kind: frameHeartbeat},
 		{kind: frameTraceReg, name: "alpha"},
@@ -69,13 +69,13 @@ func sampleFrames() []frame {
 		{kind: frameRaw, raw: RawEvent{Trace: "alpha", Seq: 300, Kind: event.KindInternal, Type: "req"}},
 		{kind: frameTrace, id: 0, name: "alpha"},
 		{kind: frameTrace, id: 2, name: "beta"},
-		{kind: frameEvent, ev: &event.Event{ID: event.ID{Trace: 0, Index: 1}, Kind: event.KindSend, Type: "req", Text: "r0", VC: clock(1)}},
+		{kind: frameEvent, ev: &event.Event{ID: event.ID{Trace: 0, Index: 1}, Kind: event.KindSend, Type: "req", Text: "r0", VC: clock(0, 1)}},
 		{kind: frameEvent, ev: &event.Event{ID: event.ID{Trace: 2, Index: 200}, Kind: event.KindReceive, Type: "resp",
-			Partner: event.ID{Trace: 0, Index: 1}, VC: clock(1, 0, 200)}},
-		{kind: frameEvent, ev: &event.Event{ID: event.ID{Trace: 0, Index: 2}, Kind: event.KindInternal, Type: "req", VC: clock(2)}},
+			Partner: event.ID{Trace: 0, Index: 1}, VC: clock(2, 1, 0, 200)}},
+		{kind: frameEvent, ev: &event.Event{ID: event.ID{Trace: 0, Index: 2}, Kind: event.KindInternal, Type: "req", VC: clock(0, 2)}},
 		{kind: frameHead, head: 1 << 40},
-		{kind: frameExport, exp: shardExport{MsgID: 1 << 50, ID: event.ID{Trace: 5, Index: 9}, VC: clock(0, 3, 0, 0, 0, 9)}},
-		{kind: frameExport, exp: shardExport{MsgID: 2, ID: event.ID{Trace: 5, Index: 10}, VC: clock()}},
+		{kind: frameExport, exp: shardExport{MsgID: 1 << 50, ID: event.ID{Trace: 5, Index: 9}, VC: clock(5, 0, 3, 0, 0, 0, 9)}},
+		{kind: frameExport, exp: shardExport{MsgID: 2, ID: event.ID{Trace: 5, Index: 10}, VC: clock(5)}},
 		{kind: frameDrain},
 		{kind: frameEnd},
 	}
@@ -259,7 +259,7 @@ func TestHandshakeAndFramesInOneSegment(t *testing.T) {
 			_ = gob.NewEncoder(&seg).Encode(&helloAck{OK: true, DeltaVC: h.DeltaVC})
 			fw.trace(0, "p0")
 			for i := 1; i <= n; i++ {
-				fw.event(&event.Event{ID: event.ID{Index: i}, Kind: event.KindInternal, Type: "x", VC: vclock.VC{int32(i)}}, h.DeltaVC)
+				fw.event(&event.Event{ID: event.ID{Index: i}, Kind: event.KindInternal, Type: "x", VC: vclock.VC{int32(i)}.Stamp(0)}, h.DeltaVC)
 			}
 			fw.signal(frameEnd)
 			_ = fw.flush()

@@ -423,8 +423,8 @@ func TestReplicaWithRetentionConverges(t *testing.T) {
 func TestTailLogChunks(t *testing.T) {
 	var l tailLog[journalRecord]
 	k := l.chunkLen()
-	if k != 409 || (&tailLog[shardExport]{}).chunkLen() != 682 {
-		t.Fatalf("chunks of %d journal records and %d exports, want 409 and 682 (32 KiB less the malloc header)",
+	if k != 409 || (&tailLog[shardExport]{}).chunkLen() != 819 {
+		t.Fatalf("chunks of %d journal records and %d exports, want 409 and 819 (32 KiB less the malloc header)",
 			k, (&tailLog[shardExport]{}).chunkLen())
 	}
 	total := 3*k + k/2

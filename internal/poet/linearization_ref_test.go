@@ -166,7 +166,7 @@ func (r *Ref) drain(t event.TraceID, waitersFirst bool) {
 
 // SupplyRemoteSend is Collector.SupplyRemoteSend waking its receives
 // through the reference drain.
-func (r *Ref) SupplyRemoteSend(msgID uint64, id event.ID, vc vclock.VC) error {
+func (r *Ref) SupplyRemoteSend(msgID uint64, id event.ID, vc vclock.Stamp) error {
 	c := r.c
 	if msgID == 0 {
 		return errors.New("poet: remote send has no message id")
@@ -179,7 +179,7 @@ func (r *Ref) SupplyRemoteSend(msgID uint64, id event.ID, vc vclock.VC) error {
 	if _, ok := c.remoteSends[msgID]; ok || c.sendersSeen[msgID] {
 		return nil
 	}
-	vc = vc.Clone()
+	vc = vclock.NewStamp(vc.Dense(), vc.Trace(), nil)
 	c.remoteSends[msgID] = remoteSend{id: id, vc: vc}
 	c.recordLocked(journalRecord{remote: &shardExport{MsgID: msgID, ID: id, VC: vc}})
 	delete(c.heldRemote, msgID)

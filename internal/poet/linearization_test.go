@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"ocep/internal/event"
+	"ocep/internal/event/eventtest"
 	"ocep/internal/poet"
 	"ocep/internal/vclock"
 	"ocep/internal/workload"
@@ -160,7 +161,7 @@ func perturb(rng *rand.Rand, base []poet.RawEvent) []poet.RawEvent {
 // reads back what it holds.
 type ingest struct {
 	report  func(poet.RawEvent) error
-	supply  func(uint64, event.ID, vclock.VC) error
+	supply  func(uint64, event.ID, vclock.Stamp) error
 	pending func() int
 	ackFor  func(string) int
 }
@@ -256,7 +257,7 @@ func run(t *testing.T, mode int, order []poet.RawEvent, side func(*poet.Collecto
 			case r.MsgID != 0 && (r.Kind == event.KindSend || r.Kind == event.KindSyncRelease):
 				exported++
 				id := event.ID{Trace: 1, Index: exported}
-				_ = call(fmt.Sprintf("supply m%d", r.MsgID), in.supply(r.MsgID, id, vclock.VC{0, int32(exported)}))
+				_ = call(fmt.Sprintf("supply m%d", r.MsgID), in.supply(r.MsgID, id, vclock.VC{0, int32(exported)}.Stamp(1)))
 			}
 		}
 	}
@@ -326,6 +327,14 @@ func differential(t *testing.T, orders int, other func(*poet.Collector) ingest) 
 			d := firstDiff(wantLog, gotLog)
 			if d == "" {
 				d = firstDiff(state(wantC, wantIn), state(gotC, gotIn))
+			}
+			if d == "" && mode != modeSharded {
+				// The two sides share deliver: hold the stamps to a replay
+				// that shares nothing with it. (Sharded, the partners of the
+				// supplied sends are not in the stream.)
+				if err := eventtest.CheckStamps(gotC.Ordered()); err != nil {
+					d = err.Error()
+				}
 			}
 			if d != "" {
 				// The case-study recordings differ from run to run: keep
@@ -428,6 +437,36 @@ func deepBacklog(t *testing.T, mode int) {
 	if backlogged > inOrder+16<<10 {
 		t.Fatalf("a drained %d-deep backlog leaves %d B more live than one released at once", backlogDepth, backlogged-inOrder)
 	}
+}
+
+// TestCheckStampsCatchesSharedJoin is the stamp oracle's own check: a
+// collector that shares its trace's join clock across a receive — every
+// stamp its trace predecessor's, ticked — is the plausible way to build
+// shared stamps wrong, and CheckStamps must refuse the stream it
+// delivers at seed 0 of the differential's synthetic orders.
+func TestCheckStampsCatchesSharedJoin(t *testing.T) {
+	rng := rand.New(rand.NewSource(0))
+	c, _, _ := run(t, modePlain, perturb(rng, syntheticStream(rng)), collectorSide)
+	if err := eventtest.CheckStamps(c.Ordered()); err != nil {
+		t.Fatalf("the collector's own stream: %v", err)
+	}
+	var last []vclock.Stamp
+	var mutant []*event.Event
+	for _, e := range c.Ordered() {
+		tr := int(e.ID.Trace)
+		for tr >= len(last) {
+			last = append(last, vclock.Stamp{})
+		}
+		cp := *e
+		cp.VC = last[tr].Tick(tr)
+		last[tr] = cp.VC
+		mutant = append(mutant, &cp)
+	}
+	err := eventtest.CheckStamps(mutant)
+	if err == nil {
+		t.Fatal("a stream whose receives share their trace's join clock passed CheckStamps")
+	}
+	t.Logf("caught: %v", err)
 }
 
 // TestLinearizationDifferentialCatchesWaitersFirst is the differential's

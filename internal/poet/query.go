@@ -106,7 +106,7 @@ func (s *Server) handleQuery(conn net.Conn, dec *gob.Decoder) error {
 		switch req.Op {
 		case opGet:
 			if e, ok := s.collector.GetEvent(id); ok {
-				resp = queryResp{OK: true, Event: &queryEvent{ID: e.ID, Partner: e.Partner, Kind: e.Kind, Type: e.Type, Text: e.Text, VC: e.VC}}
+				resp = queryResp{OK: true, Event: &queryEvent{ID: e.ID, Partner: e.Partner, Kind: e.Kind, Type: e.Type, Text: e.Text, VC: e.VC.Dense()}}
 			} else {
 				resp = queryResp{Error: fmt.Sprintf("unknown event %s", id)}
 			}
@@ -177,7 +177,7 @@ func (q *QueryClient) Get(id event.ID) (*event.Event, error) {
 		return nil, err
 	}
 	w := resp.Event
-	return &event.Event{ID: w.ID, Partner: w.Partner, Kind: w.Kind, Type: w.Type, Text: w.Text, VC: w.VC}, nil
+	return &event.Event{ID: w.ID, Partner: w.Partner, Kind: w.Kind, Type: w.Type, Text: w.Text, VC: w.VC.Stamp(int(w.ID.Trace))}, nil
 }
 
 // GP returns the greatest-predecessor index of id on trace t.

@@ -49,19 +49,37 @@ func TestQueryOverTCP(t *testing.T) {
 	raws := []RawEvent{
 		{Trace: "p0", Seq: 1, Kind: event.KindSend, Type: "s", Text: "x", MsgID: 1},
 		{Trace: "p1", Seq: 1, Kind: event.KindReceive, Type: "r", MsgID: 1},
+		{Trace: "p1", Seq: 2, Kind: event.KindInternal, Type: "i"},
 	}
 	for _, r := range raws {
 		if err := rep.Report(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, func() bool { return c.Delivered() == 2 })
+	waitFor(t, func() bool { return c.Delivered() == len(raws) })
 
 	q, err := DialQuery(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer q.Close()
+
+	// gob drops a stamp's unexported fields, so the query role ships the
+	// dense clock: a trace's first event, a receive, and an internal event
+	// sharing that receive's join clock must all arrive whole.
+	for _, tc := range []struct {
+		id   event.ID
+		want string
+	}{{event.ID{Trace: 0, Index: 1}, "[1]"}, {event.ID{Trace: 1, Index: 1}, "[1 1]"}, {event.ID{Trace: 1, Index: 2}, "[1 2]"}} {
+		e, err := q.Get(tc.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		local, _ := c.GetEvent(tc.id)
+		if e.VC.String() != tc.want || !e.VC.Equal(local.VC) || e.VC.Get(int(tc.id.Trace)) != tc.id.Index {
+			t.Fatalf("queried %v has clock %s, want %s (the collector holds %s)", tc.id, e.VC, tc.want, local.VC)
+		}
+	}
 
 	send := event.ID{Trace: 0, Index: 1}
 	e, err := q.Get(send)

@@ -54,14 +54,14 @@ import (
 type shardExport struct {
 	MsgID uint64
 	ID    event.ID
-	VC    vclock.VC
+	VC    vclock.Stamp
 }
 
 // remoteSend is a peer shard's exported send, keyed by MsgID in
 // Collector.remoteSends.
 type remoteSend struct {
 	id event.ID
-	vc vclock.VC
+	vc vclock.Stamp
 }
 
 // EnableSharding makes the collector shard shardID of a numShards-wide
@@ -172,7 +172,7 @@ func (c *Collector) hasSendLocked(msgID uint64) bool {
 // may always re-stream from zero. A fresh record wakes any receives
 // that were gated on it, and it is journaled at this position so a
 // standby applies it at the same point of its rebuild.
-func (c *Collector) SupplyRemoteSend(msgID uint64, id event.ID, vc vclock.VC) error {
+func (c *Collector) SupplyRemoteSend(msgID uint64, id event.ID, vc vclock.Stamp) error {
 	if msgID == 0 {
 		return errors.New("poet: remote send has no message id")
 	}
@@ -191,8 +191,9 @@ func (c *Collector) SupplyRemoteSend(msgID uint64, id event.ID, vc vclock.VC) er
 		c.mu.Unlock()
 		return nil
 	}
-	// Copy, so the stored clock never aliases a decoder baseline.
-	vc = vc.Clone()
+	// The one materialising copy: the stored stamp pins none of the
+	// decoder's slab.
+	vc = vclock.NewStamp(vc.Dense(), vc.Trace(), nil)
 	c.remoteSends[msgID] = remoteSend{id: id, vc: vc}
 	c.recordLocked(journalRecord{remote: &shardExport{MsgID: msgID, ID: id, VC: vc}})
 	delete(c.heldRemote, msgID)

@@ -101,11 +101,11 @@ func TestSupplyRemoteSendGatesReceives(t *testing.T) {
 	if err := c.EnableSharding(1, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SupplyRemoteSend(7, event.ID{}, vclock.VC{1}); err == nil {
+	if err := c.SupplyRemoteSend(7, event.ID{}, vclock.VC{1}.Stamp(0)); err == nil {
 		// allowed: sharded collector; but a zero MsgID is not
 		t.Log("ok")
 	}
-	if err := c.SupplyRemoteSend(0, event.ID{}, vclock.VC{1}); err == nil {
+	if err := c.SupplyRemoteSend(0, event.ID{}, vclock.VC{1}.Stamp(0)); err == nil {
 		t.Fatal("zero MsgID accepted")
 	}
 
@@ -119,7 +119,7 @@ func TestSupplyRemoteSendGatesReceives(t *testing.T) {
 
 	// The peer's export: trace 0 (homed on shard 0), send stamped [3].
 	sendID := event.ID{Trace: 0, Index: 3}
-	if err := c.SupplyRemoteSend(42, sendID, vclock.VC{3}); err != nil {
+	if err := c.SupplyRemoteSend(42, sendID, vclock.VC{3}.Stamp(0)); err != nil {
 		t.Fatal(err)
 	}
 	waitShard(t, "gated receive", func() bool { return c.Delivered() == 1 })
@@ -137,7 +137,7 @@ func TestSupplyRemoteSendGatesReceives(t *testing.T) {
 	}
 
 	// Duplicates are absorbed.
-	if err := c.SupplyRemoteSend(42, sendID, vclock.VC{3}); err != nil {
+	if err := c.SupplyRemoteSend(42, sendID, vclock.VC{3}.Stamp(0)); err != nil {
 		t.Fatalf("duplicate remote send rejected: %v", err)
 	}
 	if st := c.ShardStats(); st.RemoteSends != 2 {
@@ -150,7 +150,7 @@ func TestSupplyRemoteSendGatesReceives(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitShard(t, "local send", func() bool { return c.Delivered() == 2 })
-	if err := c.SupplyRemoteSend(99, event.ID{Trace: 0, Index: 9}, vclock.VC{9}); err != nil {
+	if err := c.SupplyRemoteSend(99, event.ID{Trace: 0, Index: 9}, vclock.VC{9}.Stamp(0)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.remoteSendFor(99); ok {
@@ -172,7 +172,7 @@ func (c *Collector) remoteSendFor(msgID uint64) (remoteSend, bool) {
 
 func TestSupplyRemoteSendRequiresSharding(t *testing.T) {
 	c := NewCollector()
-	if err := c.SupplyRemoteSend(1, event.ID{Trace: 0, Index: 1}, vclock.VC{1}); err == nil {
+	if err := c.SupplyRemoteSend(1, event.ID{Trace: 0, Index: 1}, vclock.VC{1}.Stamp(0)); err == nil {
 		t.Fatal("unsharded collector accepted a remote send")
 	}
 }
@@ -289,7 +289,7 @@ func TestShardedReplicationReplaysRemoteSends(t *testing.T) {
 	if err := primary.Report(RawEvent{Trace: "b", Seq: 1, Kind: event.KindReceive, Type: "recv", MsgID: 5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := primary.SupplyRemoteSend(5, event.ID{Trace: 0, Index: 2}, vclock.VC{2}); err != nil {
+	if err := primary.SupplyRemoteSend(5, event.ID{Trace: 0, Index: 2}, vclock.VC{2}.Stamp(0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := primary.Report(RawEvent{Trace: "b", Seq: 2, Kind: event.KindInternal, Type: "step"}); err != nil {
@@ -492,7 +492,7 @@ func TestShardStatsCountsHeldReceives(t *testing.T) {
 	if st.OldestHeld <= 0 {
 		t.Fatalf("OldestHeld = %v, want > 0", st.OldestHeld)
 	}
-	if err := c.SupplyRemoteSend(42, event.ID{Trace: 0, Index: 1}, vclock.VC{1}); err != nil {
+	if err := c.SupplyRemoteSend(42, event.ID{Trace: 0, Index: 1}, vclock.VC{1}.Stamp(0)); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.ShardStats(); st.HeldEvents != 0 || st.OldestHeld != 0 {

@@ -261,7 +261,7 @@ func (m *MergedClient) pump(i int) {
 			m.telLost.Set(int64(m.lostCountLocked()))
 			m.cfg.logf("shard merge: shard %d recovered; resuming causal holds on it", i)
 		}
-		if n := max(len(e.VC), int(e.ID.Trace)+1); n > len(m.emitted) {
+		if n := max(e.VC.Width(), int(e.ID.Trace)+1); n > len(m.emitted) {
 			m.emitted = append(m.emitted, make([]int32, n-len(m.emitted))...)
 		}
 		m.queues[i] = append(m.queues[i], item{e: e, name: name, ok: ok})
@@ -275,9 +275,9 @@ func (m *MergedClient) pump(i int) {
 // emitted prefix does not cover and whose owner is not lost: -1 means the
 // head may be emitted, and waived then says its causal past is
 // incomplete. Readiness and the wedge diagnosis both read it.
-func (m *MergedClient) blockerLocked(i int, vc vclock.VC) (blocker int, waived bool) {
-	for t, owner := 0, 0; t < len(vc); t++ {
-		if owner != i && vc[t] > m.emitted[t] {
+func (m *MergedClient) blockerLocked(i int, vc vclock.Stamp) (blocker int, waived bool) {
+	for t, owner, w := 0, 0, vc.Width(); t < w; t++ {
+		if owner != i && int32(vc.Get(t)) > m.emitted[t] {
 			if !m.lost[owner] {
 				return t, false
 			}
@@ -300,7 +300,7 @@ func (m *MergedClient) diagnoseLocked() *WedgeError {
 		}
 		vc := m.queues[i][0].e.VC
 		if t, _ := m.blockerLocked(i, vc); t >= 0 {
-			w := &WedgeError{Shard: t % len(m.streams), Trace: event.TraceID(t), Need: vc[t], Have: m.emitted[t]}
+			w := &WedgeError{Shard: t % len(m.streams), Trace: event.TraceID(t), Need: int32(vc.Get(t)), Have: m.emitted[t]}
 			w.QueueDepths = make([]int, len(m.queues))
 			for j := range m.queues {
 				w.QueueDepths[j] = len(m.queues[j])

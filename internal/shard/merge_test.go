@@ -52,7 +52,7 @@ func ev(trace, index int, vc ...int32) *event.Event {
 		ID:   event.ID{Trace: event.TraceID(trace), Index: index},
 		Kind: event.KindInternal,
 		Type: fmt.Sprintf("e%d-%d", trace, index),
-		VC:   vclock.VC(vc),
+		VC:   vclock.VC(vc).Stamp(trace),
 	}
 }
 
@@ -464,13 +464,13 @@ func TestMergeReadinessMatchesMapFrontier(t *testing.T) {
 		}
 		i := rng.Intn(n)
 		m := &MergedClient{streams: make([]Stream, n), queues: make([][]item, n), lost: lost, emitted: slices.Clone(frontier)}
-		b, w := m.blockerLocked(i, vc)
+		b, w := m.blockerLocked(i, vc.Stamp(0))
 		ready, wantWaived := mapReady(n, i, vc, emitted, lost)
 		if (b < 0) != ready || w != wantWaived {
 			t.Fatalf("iter %d: n=%d i=%d vc=%v emitted=%v lost=%v: blocker %d waived %v, map ready %v waived %v",
 				iter, n, i, vc, frontier, lost, b, w, ready, wantWaived)
 		}
-		m.queues[i] = []item{{e: &event.Event{VC: vc}}}
+		m.queues[i] = []item{{e: &event.Event{VC: vc.Stamp(0)}}}
 		got, want := m.diagnoseLocked(), mapBlocker(n, i, vc, emitted, lost)
 		if (got == nil) != ready || got != nil && (got.Shard != want.Shard || got.Trace != want.Trace || got.Need != want.Need || got.Have != want.Have) {
 			t.Fatalf("iter %d: n=%d i=%d vc=%v emitted=%v lost=%v: diagnosis %+v, map %+v, ready %v",

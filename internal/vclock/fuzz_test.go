@@ -3,6 +3,7 @@ package vclock
 import (
 	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -49,10 +50,88 @@ func (m model) compare(ta int, o model, tb int) Relation {
 	return RelConcurrent
 }
 
+// FuzzStampVsDense interprets the fuzz input as a program over at most
+// 16 traces, each step an event of one trace, and stamps every event two
+// ways: with Tick and Join, as the collector does, and with a dense
+// Fidge/Mattern clock per trace, the model. Every stamp's Get, Range,
+// Weight and String must equal the model's, and Before and Compare of
+// the new event against every earlier one must agree with the dense
+// clocks'.
+//
+// Opcodes (byte triples: op, trace, operand):
+//
+//	0: internal event
+//	1: send (2: sync release), recorded as message number len(sent)
+//	3: receive (4: sync acquire) of sent message operand % len(sent)
+func FuzzStampVsDense(f *testing.F) {
+	f.Add([]byte{1, 0, 0, 3, 1, 0, 0, 1, 0, 1, 1, 0, 3, 0, 1})
+	f.Add([]byte{2, 15, 0, 4, 0, 0, 0, 0, 0, 4, 15, 0})
+	rng := rand.New(rand.NewSource(321))
+	for i := 0; i < 8; i++ {
+		program := make([]byte, 600)
+		rng.Read(program)
+		f.Add(program)
+	}
+	f.Fuzz(func(t *testing.T, program []byte) {
+		type stamped struct {
+			st    Stamp
+			dense VC
+			m     model
+			trace int
+			join  bool
+		}
+		var stamps [16]Stamp
+		var clocks [16]VC
+		var sent, events []stamped
+		for i := 0; i+2 < len(program); i += 3 {
+			op, tr := program[i]%5, int(program[i+1]%16)
+			e := stamped{trace: tr, join: op >= 3 && len(sent) > 0}
+			if e.join {
+				from := sent[int(program[i+2])%len(sent)]
+				stamps[tr] = stamps[tr].Join(from.st, tr, nil)
+				clocks[tr] = clocks[tr].Merge(from.dense)
+			} else {
+				stamps[tr] = stamps[tr].Tick(tr)
+			}
+			clocks[tr] = clocks[tr].Tick(tr)
+			e.st, e.dense = stamps[tr], clocks[tr].Clone()
+			if op == 1 || op == 2 {
+				sent = append(sent, e)
+			}
+			var ranged []int32
+			e.st.Range(func(u int, n int32) bool { ranged = append(ranged, int32(u), n); return true })
+			var want []int32
+			e.dense.Range(func(u int, n int32) bool { want = append(want, int32(u), n); return true })
+			weight := 1
+			if e.join {
+				weight = len(e.dense)
+			}
+			if e.st.String() != e.dense.String() || !slices.Equal(ranged, want) || e.st.Weight() != weight {
+				t.Fatalf("step %d: stamp %s ranges %v weighs %d; dense %s ranges %v weighs %d",
+					i, e.st, ranged, e.st.Weight(), e.dense, want, weight)
+			}
+			for _, u := range []int{-1, 0, tr, 15, 16, 1000} {
+				if e.st.Get(u) != e.dense.Get(u) {
+					t.Fatalf("step %d: %s.Get(%d) = %d, dense %s", i, e.st, u, e.st.Get(u), e.dense)
+				}
+			}
+			e.m = model{}
+			e.dense.Range(func(u int, n int32) bool { e.m[u] = n; return true })
+			for _, o := range events {
+				if Before(o.st, e.st) != o.m.before(o.trace, e.m, tr) || Before(e.st, o.st) != e.m.before(tr, o.m, o.trace) ||
+					Compare(o.st, e.st) != o.m.compare(o.trace, e.m, tr) {
+					t.Fatalf("step %d: %s@%d vs %s@%d: Before/Compare disagree with the dense clocks", i, o.st, o.trace, e.st, tr)
+				}
+			}
+			events = append(events, e)
+		}
+	})
+}
+
 // FuzzVCVsModel interprets the fuzz input as a program of clock
 // operations applied to a VC pair (main, partner) and to their models,
 // and fails on any observable divergence: the entries Range visits, Get,
-// Weight, Equal, LessEqual, Before, Concurrent and Compare. Both pairs
+// width, Equal, LessEqual, Before, Concurrent and Compare. Both pairs
 // are checked after every step, so a Merge that mutated its argument, or
 // a Merge or Clone whose result shares storage with its source, shows at
 // the next Tick.
@@ -88,8 +167,8 @@ func FuzzVCVsModel(f *testing.F) {
 				seen, prev, span = seen+1, tr, tr+1
 				return true
 			})
-			if seen != len(m) || v.Weight() < span {
-				t.Fatalf("step %d: %s = %s (weight %d) holds %d entries, model %v", step, name, v, v.Weight(), seen, m)
+			if seen != len(m) || len(v) < span {
+				t.Fatalf("step %d: %s = %s (width %d) holds %d entries, model %v", step, name, v, len(v), seen, m)
 			}
 			for _, tr := range []int{-1, 0, 7, 63, 64, 1000} {
 				if v.Get(tr) != int(m[tr]) {
@@ -108,15 +187,15 @@ func FuzzVCVsModel(f *testing.F) {
 				part, mPart = v.Clone(), m
 			case 3:
 				ta, tb := int(arg%64), int(arg/4)%64
-				if Before(v, ta, part, tb) != m.before(ta, mPart, tb) ||
-					Before(part, tb, v, ta) != mPart.before(tb, m, ta) {
+				a, b := v.Stamp(ta), part.Stamp(tb)
+				if Before(a, b) != m.before(ta, mPart, tb) || Before(b, a) != mPart.before(tb, m, ta) {
 					t.Fatalf("step %d: Before diverged at (%d,%d): %s vs %s", i, ta, tb, v, part)
 				}
 				want := m.compare(ta, mPart, tb)
-				if got := Compare(v, ta, part, tb); got != want {
+				if got := Compare(a, b); got != want {
 					t.Fatalf("step %d: Compare(%s@%d, %s@%d) = %v, model %v", i, v, ta, part, tb, got, want)
 				}
-				if Concurrent(v, ta, part, tb) != (want == RelConcurrent) {
+				if Concurrent(a, b) != (want == RelConcurrent) {
 					t.Fatalf("step %d: Concurrent(%s@%d, %s@%d) disagrees with %v", i, v, ta, part, tb, want)
 				}
 				if v.LessEqual(part) != m.lessEqual(mPart) || part.LessEqual(v) != mPart.lessEqual(m) {

@@ -8,11 +8,13 @@
 // be decided with at most two integer comparisons, as the paper requires
 // (Section III-A).
 //
-// VC is the one representation: a dense vector, one 4-byte entry per
-// trace, O(1) Get. Every workload this repository measures runs tens to
-// low hundreds of densely connected traces, where the dense form is both
-// the smaller and the faster one (docs/ARCHITECTURE.md, "One clock, one
-// engine").
+// An event carries a Stamp: a reference to its trace's last join clock
+// plus its own count. VC, a dense vector with one 4-byte entry per trace,
+// is the storage a join clock is built in, and the form timestamps take
+// on the wire and in tests. Every workload this repository measures runs
+// tens to low hundreds of densely connected traces, where the dense form
+// is both the smaller and the faster one (docs/ARCHITECTURE.md, "One
+// clock, one engine").
 package vclock
 
 import (
@@ -92,10 +94,6 @@ func (v VC) grow(n int) VC {
 	return g
 }
 
-// Weight returns the number of stored entries: the clock's memory
-// footprint, 4 bytes each.
-func (v VC) Weight() int { return len(v) }
-
 // Range calls f for every nonzero entry in increasing trace order,
 // stopping early if f returns false.
 func (v VC) Range(f func(t int, n int32) bool) {
@@ -147,29 +145,29 @@ func (v VC) String() string {
 	return b.String()
 }
 
-// Before reports whether the event stamped va on trace ta happens before
-// the event stamped vb on trace tb. Events are identified by (trace,
-// index) where index is 1-based position within the trace; with the
-// convention that va[ta] == index(a), a -> b holds iff
+// Before reports whether the event stamped a happens before the event
+// stamped b. Events are identified by (trace, index) where index is
+// 1-based position within the trace; with the convention that
+// a[trace(a)] == index(a), a -> b holds iff
 //
-//	va[ta] <= vb[ta]   (and a != b),
+//	a[trace(a)] <= b[trace(a)]   (and a != b),
 //
-// which costs at most two entry reads (one for the same-event check on
-// the same trace), whatever the trace count.
-func Before(va VC, ta int, vb VC, tb int) bool {
-	if ta == tb {
-		return va.Get(ta) < vb.Get(tb)
+// which costs one read of b's join clock and one branch, whatever the
+// trace count: a's own entry is in the stamp.
+func Before(a, b Stamp) bool {
+	if a.trace == b.trace {
+		return a.n < b.n
 	}
-	return va.Get(ta) <= vb.Get(ta)
+	return int(a.n) <= b.base().Get(int(a.trace))
 }
 
 // Concurrent reports whether the two stamped events are concurrent:
 // neither happens before the other and they are not the same event.
-func Concurrent(va VC, ta int, vb VC, tb int) bool {
-	if ta == tb && va.Get(ta) == vb.Get(tb) {
+func Concurrent(a, b Stamp) bool {
+	if a.trace == b.trace && a.n == b.n {
 		return false // same event
 	}
-	return !Before(va, ta, vb, tb) && !Before(vb, tb, va, ta)
+	return !Before(a, b) && !Before(b, a)
 }
 
 // Relation is the outcome of comparing two stamped events.
@@ -204,23 +202,14 @@ func (r Relation) String() string {
 	}
 }
 
-// Compare classifies the relation between the event stamped va on trace ta
-// and the event stamped vb on trace tb.
-func Compare(va VC, ta int, vb VC, tb int) Relation {
-	if ta == tb {
-		switch {
-		case va.Get(ta) < vb.Get(tb):
-			return RelBefore
-		case va.Get(ta) > vb.Get(tb):
-			return RelAfter
-		default:
-			return RelEqual
-		}
-	}
-	if va.Get(ta) <= vb.Get(ta) {
+// Compare classifies the relation between the events stamped a and b.
+func Compare(a, b Stamp) Relation {
+	switch {
+	case a.trace == b.trace && a.n == b.n:
+		return RelEqual
+	case Before(a, b):
 		return RelBefore
-	}
-	if vb.Get(tb) <= va.Get(tb) {
+	case Before(b, a):
 		return RelAfter
 	}
 	return RelConcurrent

@@ -63,7 +63,7 @@ func TestNilZeroValues(t *testing.T) {
 		// va[ta] == index convention it trivially precedes any real
 		// event and nothing precedes it.
 		real := New(2).Tick(1)
-		if Before(a, 0, a, 0) || !Before(a, 0, real, 1) || Before(real, 1, a, 0) {
+		if Before(a.Stamp(0), a.Stamp(0)) || !Before(a.Stamp(0), real.Stamp(1)) || Before(real.Stamp(1), a.Stamp(0)) {
 			t.Fatalf("zero clock %d: Before on nil broke", i)
 		}
 	}
@@ -165,6 +165,7 @@ func TestMergeSelf(t *testing.T) {
 type stampedEvent struct {
 	trace, index int // 1-based index within trace
 	vc           VC
+	st           Stamp           // built by Tick and Join, as the collector does
 	ancestors    map[[2]int]bool // set of (trace,index) that happen before
 }
 
@@ -172,6 +173,7 @@ type stampedEvent struct {
 // returns events with both vector clocks and ground-truth ancestor sets.
 func newHistory(rng *rand.Rand, nTraces, steps int) []stampedEvent {
 	clocks := make([]VC, nTraces)
+	stamps := make([]Stamp, nTraces)
 	anc := make([]map[[2]int]bool, nTraces) // ancestors known to each trace
 	counts := make([]int, nTraces)
 	for i := range clocks {
@@ -187,17 +189,22 @@ func newHistory(rng *rand.Rand, nTraces, steps int) []stampedEvent {
 		}
 		if kind == 2 {
 			clocks[tr] = clocks[tr].Merge(lastSend.vc)
+			stamps[tr] = stamps[tr].Join(lastSend.st, tr, nil)
 			for k := range lastSend.ancestors {
 				anc[tr][k] = true
 			}
 			anc[tr][[2]int{lastSend.trace, lastSend.index}] = true
 		}
 		clocks[tr] = clocks[tr].Tick(tr)
+		if kind != 2 {
+			stamps[tr] = stamps[tr].Tick(tr)
+		}
 		counts[tr]++
 		ev := stampedEvent{
 			trace:     tr,
 			index:     counts[tr],
 			vc:        clocks[tr].Clone(),
+			st:        stamps[tr],
 			ancestors: make(map[[2]int]bool, len(anc[tr])),
 		}
 		for k := range anc[tr] {
@@ -226,10 +233,10 @@ func TestBeforeMatchesGroundTruth(t *testing.T) {
 						continue
 					}
 					want := b.ancestors[[2]int{a.trace, a.index}]
-					got := Before(a.vc, a.trace, b.vc, b.trace)
+					got := Before(a.st, b.st)
 					if got != want {
 						t.Fatalf("round %d: Before(%v@%d, %v@%d) = %v, want %v",
-							round, a.vc, a.trace, b.vc, b.trace, got, want)
+							round, a.st, a.trace, b.st, b.trace, got, want)
 					}
 				}
 			}
@@ -244,9 +251,12 @@ func TestIndexConvention(t *testing.T) {
 		rng := rand.New(rand.NewSource(17))
 		events := newHistory(rng, 4, 120)
 		for _, e := range events {
-			if got := e.vc.Get(e.trace); got != e.index {
-				t.Fatalf("stamp entry %d for trace %d, want index %d (vc=%s)",
-					got, e.trace, e.index, e.vc)
+			if got := e.vc.Get(e.trace); got != e.index || e.st.Get(e.trace) != e.index {
+				t.Fatalf("stamp entry %d (%d shared) for trace %d, want index %d (vc=%s)",
+					got, e.st.Get(e.trace), e.trace, e.index, e.vc)
+			}
+			if !e.st.Equal(e.vc.Stamp(e.trace)) || e.st.String() != e.vc.String() {
+				t.Fatalf("shared stamp %s, dense clock %s", e.st, e.vc)
 			}
 		}
 	})
@@ -259,27 +269,27 @@ func TestPartialOrderLaws(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		events := newHistory(rng, 4, 80)
 		for _, a := range events {
-			if Before(a.vc, a.trace, a.vc, a.trace) {
+			if Before(a.st, a.st) {
 				t.Fatalf("Before must be irreflexive: %v", a)
 			}
-			if Concurrent(a.vc, a.trace, a.vc, a.trace) {
+			if Concurrent(a.st, a.st) {
 				t.Fatalf("an event is not concurrent with itself: %v", a)
 			}
 		}
 		for _, a := range events {
 			for _, b := range events {
-				ab := Before(a.vc, a.trace, b.vc, b.trace)
-				ba := Before(b.vc, b.trace, a.vc, a.trace)
+				ab := Before(a.st, b.st)
+				ba := Before(b.st, a.st)
 				if ab && ba {
 					t.Fatalf("antisymmetry violated: %v <-> %v", a, b)
 				}
-				if got, want := Concurrent(a.vc, a.trace, b.vc, b.trace),
-					Concurrent(b.vc, b.trace, a.vc, a.trace); got != want {
+				if got, want := Concurrent(a.st, b.st),
+					Concurrent(b.st, a.st); got != want {
 					t.Fatalf("concurrency must be symmetric")
 				}
 				for _, c := range events {
-					if ab && Before(b.vc, b.trace, c.vc, c.trace) {
-						if !Before(a.vc, a.trace, c.vc, c.trace) {
+					if ab && Before(b.st, c.st) {
+						if !Before(a.st, c.st) {
 							t.Fatalf("transitivity violated: %v -> %v -> %v", a, b, c)
 						}
 					}
@@ -297,17 +307,17 @@ func TestCompareConsistent(t *testing.T) {
 		events := newHistory(rng, 3, 60)
 		for _, a := range events {
 			for _, b := range events {
-				r := Compare(a.vc, a.trace, b.vc, b.trace)
+				r := Compare(a.st, b.st)
 				switch {
 				case a.trace == b.trace && a.index == b.index:
 					if r != RelEqual {
 						t.Fatalf("want equal, got %v", r)
 					}
-				case Before(a.vc, a.trace, b.vc, b.trace):
+				case Before(a.st, b.st):
 					if r != RelBefore {
 						t.Fatalf("want before, got %v", r)
 					}
-				case Before(b.vc, b.trace, a.vc, a.trace):
+				case Before(b.st, a.st):
 					if r != RelAfter {
 						t.Fatalf("want after, got %v", r)
 					}
@@ -332,15 +342,15 @@ func TestSameTraceCompare(t *testing.T) {
 		return c
 	}
 	t.Run("dense", func(t *testing.T) {
-		a := mk(2)
-		b := mk(5)
-		if Compare(a, 1, b, 1) != RelBefore || Compare(b, 1, a, 1) != RelAfter {
+		a := mk(2).Stamp(1)
+		b := mk(5).Stamp(1)
+		if Compare(a, b) != RelBefore || Compare(b, a) != RelAfter {
 			t.Fatalf("same-trace before/after broken")
 		}
-		if Compare(a, 1, a.Clone(), 1) != RelEqual {
+		if Compare(a, a.Dense().Stamp(1)) != RelEqual {
 			t.Fatalf("same-trace equal broken")
 		}
-		if !Before(a, 1, b, 1) || Before(b, 1, a, 1) || Before(a, 1, a, 1) {
+		if !Before(a, b) || Before(b, a) || Before(a, a) {
 			t.Fatalf("same-trace Before broken")
 		}
 	})
@@ -410,11 +420,11 @@ func TestStringFormat(t *testing.T) {
 }
 
 func BenchmarkBefore(b *testing.B) {
-	va := VC{5, 3, 8, 1, 9, 2, 7, 4}
-	vb := VC{6, 3, 9, 1, 9, 2, 8, 4}
+	va := VC{5, 3, 8, 1, 9, 2, 7, 4}.Stamp(2)
+	vb := VC{6, 3, 9, 1, 9, 2, 8, 4}.Stamp(5)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Before(va, 2, vb, 5)
+		Before(va, vb)
 	}
 }
 

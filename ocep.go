@@ -58,7 +58,9 @@ type (
 	TraceID = event.TraceID
 	// Kind classifies an event's communication role.
 	Kind = event.Kind
-	// VC is the Fidge/Mattern vector timestamp Event.VC holds.
+	// Stamp is the Fidge/Mattern vector timestamp Event.VC holds.
+	Stamp = vclock.Stamp
+	// VC is a dense vector timestamp; VC.Stamp makes an event's Stamp.
 	VC = vclock.VC
 	// RawEvent is an unstamped instrumented event as reported by targets.
 	RawEvent = poet.RawEvent

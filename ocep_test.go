@@ -89,7 +89,7 @@ func TestMonitorFeedDirect(t *testing.T) {
 		ID:   ocep.EventID{Trace: tid, Index: 1},
 		Kind: ocep.KindInternal,
 		Type: "ping",
-		VC:   ocep.VC{1},
+		VC:   ocep.VC{1}.Stamp(int(tid)),
 	})
 	if err != nil {
 		t.Fatal(err)

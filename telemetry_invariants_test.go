@@ -83,6 +83,19 @@ func TestTelemetryInvariantsInProcess(t *testing.T) {
 	metricEq(t, reg, "poet_delivered_events_total", n)
 	metricEq(t, reg, "poet_pending_events", 0)
 
+	// Stamp accounting: a join clock is materialised at every delivered
+	// receive or acquire and nowhere else; every other event shares one.
+	var joins int64
+	for _, e := range collector.Ordered() {
+		if e.Kind == ocep.KindReceive || e.Kind == ocep.KindSyncAcquire {
+			joins++
+		}
+	}
+	metricEq(t, reg, "poet_stamp_bases_total", joins)
+	if joins == 0 || joins > reg.Value("poet_delivered_events_total") {
+		t.Errorf("%d join clocks for %d delivered events", joins, reg.Value("poet_delivered_events_total"))
+	}
+
 	// Delivery-queue accounting: one async subscriber, block policy, so
 	// at quiescence enqueued == handled == delivered and nothing dropped.
 	metricEq(t, reg, "poet_delivery_enqueued_total", n)
