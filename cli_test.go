@@ -303,7 +303,8 @@ func TestPoetdRejectedFlagCombinations(t *testing.T) {
 
 // TestPoetdDependencySet pins what the daemon links from this module to
 // the collector tier, so the matcher, the baselines and the experiment
-// code cannot drift back into it unnoticed.
+// code cannot drift back into it unnoticed — and keeps encoding/gob out:
+// the wire and the disk speak one encoding, the frame/record codec.
 func TestPoetdDependencySet(t *testing.T) {
 	cmd := exec.Command("go", "list", "-deps", "./cmd/poetd")
 	cmd.Dir = proctest.ModuleRoot(t)
@@ -313,6 +314,9 @@ func TestPoetdDependencySet(t *testing.T) {
 	}
 	var got []string
 	for _, pkg := range strings.Fields(string(out)) {
+		if pkg == "encoding/gob" {
+			t.Errorf("cmd/poetd links encoding/gob")
+		}
 		if name, ok := strings.CutPrefix(pkg, "ocep/internal/"); ok {
 			got = append(got, name)
 		}

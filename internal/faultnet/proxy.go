@@ -139,7 +139,7 @@ func (p *Proxy) SetLatencyDir(dir Direction, d time.Duration) {
 
 // SetChunk caps downstream writes at n bytes, splitting every relayed
 // buffer into n-byte TCP writes with gap between them. This lands
-// application-level messages (e.g. one gob frame) across multiple
+// application-level messages (e.g. one wire frame) across multiple
 // segments, exercising peers against partial reads. n <= 0 restores
 // unlimited writes.
 func (p *Proxy) SetChunk(n int, gap time.Duration) {

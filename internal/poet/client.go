@@ -1,7 +1,6 @@
 package poet
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -187,9 +186,9 @@ type Reporter struct {
 	done chan struct{}
 }
 
-// repConn is one reporter connection: frames go out through fw, gob
-// serverAcks come back to the reader goroutine, which closes broken when
-// the connection dies.
+// repConn is one reporter connection: frames go out through fw, acks
+// frames come back to the reader goroutine, which closes broken when the
+// connection dies.
 type repConn struct {
 	net.Conn
 	fw     *frameWriter
@@ -238,8 +237,8 @@ func DialReporter(addr string, opts ...ReporterOption) (*Reporter, error) {
 }
 
 // handshake dials one endpoint, sends the hello (naming the traces with
-// unacked events), reads the helloAck, and spawns the ack reader. Called
-// from DialReporter and, on the sender goroutine, from reconnect.
+// unacked events), reads the answering acks, and spawns the ack reader.
+// Called from DialReporter and, on the sender goroutine, from reconnect.
 func (r *Reporter) handshake(addr string) (*repConn, error) {
 	r.mu.Lock()
 	names := make([]string, 0, 4)
@@ -251,19 +250,19 @@ func (r *Reporter) handshake(addr string) (*repConn, error) {
 		}
 	}
 	r.mu.Unlock()
-	s, err := dialSession(addr, hello{Magic: wireMagic, Role: roleTarget, Traces: names},
+	s, err := dialSession(addr, hello{role: roleTarget, traces: names},
 		&r.cfg.clientCfg, max(r.cfg.peerTimeout, minHandshakeTimeout))
 	if err != nil {
 		return nil, err
 	}
 	r.mu.Lock()
-	r.applyAcksLocked(s.ack.Acks)
+	r.applyAcksLocked(s.acks)
 	// Everything on the new connection is unsent; the sender prunes
 	// acked entries and retransmits the remainder.
 	r.sent = 0
 	r.mu.Unlock()
-	c := &repConn{Conn: s.link, fw: newFrameWriter(s.link), broken: make(chan struct{})}
-	go r.reader(c, addr, s.dec)
+	c := &repConn{Conn: s.link, fw: s.fw, broken: make(chan struct{})}
+	go r.reader(c, addr, s.fr)
 	return c, nil
 }
 
@@ -282,46 +281,50 @@ func (r *Reporter) applyAcksLocked(acks []traceAck) {
 // reader consumes server acks on one connection, pruning is left to the
 // sender (the only goroutine that mutates the buffer indices). Exits
 // when the connection dies; the peer timeout makes a silent server
-// indistinguishable from a dead one, on purpose.
-func (r *Reporter) reader(conn *repConn, addr string, dec *gob.Decoder) {
+// indistinguishable from a dead one, on purpose. An acks frame doubles
+// as the server's heartbeat.
+func (r *Reporter) reader(conn *repConn, addr string, fr *frameReader) {
 	defer close(conn.broken)
+	var f frame
 	for {
-		var ack serverAck
-		if err := dec.Decode(&ack); err != nil {
+		err := fr.next(&f)
+		switch {
+		case err != nil:
 			if isTimeout(err) {
 				r.cfg.logf("poet reporter: no ack or heartbeat from %s in %v; reconnecting", addr, r.cfg.peerTimeout)
 			}
-			_ = conn.Close()
-			r.signal()
-			return
-		}
-		if ack.Err != "" {
+		case f.kind == frameError:
 			// Hard rejection: the server refused an event as malformed and
 			// is closing. Retransmitting it forever would be a livelock;
 			// surface the error instead.
-			r.fail(fmt.Errorf("poet reporter: server rejected event: %s", ack.Err))
+			r.fail(fmt.Errorf("poet reporter: server rejected event: %s", f.reason))
 			_ = conn.Close()
 			return
-		}
-		r.mu.Lock()
-		r.applyAcksLocked(ack.Acks)
-		r.mu.Unlock()
-		r.signal()
-		if ack.Drain && r.eps.HealthyAlternative(addr) {
+		case f.kind == frameAcks:
+			r.mu.Lock()
+			r.applyAcksLocked(f.acks)
+			r.mu.Unlock()
+			r.signal()
+			continue
+		case f.kind == frameDrain && !r.eps.HealthyAlternative(addr):
+			// With no alternative currently believed healthy (single
+			// endpoint, or every peer mid-failure-streak) the notice is
+			// ignored — the draining server keeps serving this session
+			// until its deadline, which beats spinning on dead endpoints.
+			continue
+		case f.kind == frameDrain:
 			// The server is draining: move to a healthy peer now rather
-			// than riding the session to its forced end. The acks above
-			// were applied first, so the reconnect retransmits only what
-			// the draining server never ingested. With no alternative
-			// currently believed healthy (single endpoint, or every peer
-			// mid-failure-streak) the notice is ignored — the draining
-			// server keeps serving this session until its deadline, which
-			// beats spinning on dead endpoints.
+			// than riding the session to its forced end. The acks frame
+			// ahead of the notice was applied first, so the reconnect
+			// retransmits only what the draining server never ingested.
 			r.cfg.logf("poet reporter: %s is draining; failing over", addr)
 			r.eps.Demote(addr)
-			_ = conn.Close()
-			r.signal()
-			return
+		default:
+			r.cfg.logf("poet reporter: unexpected kind-%d frame from %s; reconnecting", f.kind, addr)
 		}
+		_ = conn.Close()
+		r.signal()
+		return
 	}
 }
 
@@ -561,31 +564,20 @@ func (r *Reporter) Close() error {
 // MonitorClient
 
 // MonitorOption configures DialMonitor.
-type MonitorOption func(*monCfg)
-
-type monCfg struct {
-	clientCfg
-	// deltaVC advertises delta-encoded timestamps in the hello (on by
-	// default).
-	deltaVC bool
-}
-
-func defaultMonCfg() monCfg {
-	return monCfg{clientCfg: defaultClientCfg(), deltaVC: true}
-}
+type MonitorOption func(*clientCfg)
 
 // WithMonitorReconnect bounds the cumulative backoff spent redialing per
 // outage. 0 disables reconnection: Next surfaces ErrStreamInterrupted at
 // the first transport failure.
 func WithMonitorReconnect(budget time.Duration) MonitorOption {
-	return func(c *monCfg) { c.reconnectBudget = budget }
+	return func(c *clientCfg) { c.reconnectBudget = budget }
 }
 
 // WithMonitorReadTimeout sets how long Next waits for a frame (events or
 // the server's idle heartbeats) before declaring the server dead. It
 // must exceed the server's heartbeat interval.
 func WithMonitorReadTimeout(d time.Duration) MonitorOption {
-	return func(c *monCfg) {
+	return func(c *clientCfg) {
 		if d > 0 {
 			c.peerTimeout = d
 		}
@@ -594,24 +586,16 @@ func WithMonitorReadTimeout(d time.Duration) MonitorOption {
 
 // WithMonitorBackoff overrides the reconnect backoff schedule.
 func WithMonitorBackoff(base, max time.Duration) MonitorOption {
-	return func(c *monCfg) { c.backoffBase, c.backoffMax = base, max }
+	return func(c *clientCfg) { c.backoffBase, c.backoffMax = base, max }
 }
 
 // WithMonitorLog routes reconnect diagnostics to logf.
 func WithMonitorLog(logf func(string, ...any)) MonitorOption {
-	return func(c *monCfg) {
+	return func(c *clientCfg) {
 		if logf != nil {
 			c.logf = logf
 		}
 	}
-}
-
-// WithMonitorDeltaVC controls whether the client asks for delta-encoded
-// vector timestamps at the handshake (on by default). Turning it off
-// forces dense timestamps — useful as a differential oracle against the
-// delta path.
-func WithMonitorDeltaVC(on bool) MonitorOption {
-	return func(c *monCfg) { c.deltaVC = on }
 }
 
 // MonitorClientStats are a monitor client's cumulative wire counters.
@@ -624,9 +608,6 @@ type MonitorClientStats struct {
 	// Failovers counts moves to a different endpoint in the pool
 	// (connection failures on the current endpoint and drain notices).
 	Failovers int
-	// DeltaNegotiated reports whether the current connection carries
-	// delta-encoded timestamps (the server confirmed the offer).
-	DeltaNegotiated bool
 }
 
 // MonitorClient receives the linearized event stream from a POET server,
@@ -648,7 +629,7 @@ type MonitorClient struct {
 	// tracks the individual endpoints and failover rotation.
 	addr  string
 	eps   *pool.Pool
-	cfg   monCfg
+	cfg   clientCfg
 	names map[event.TraceID]string
 
 	mu      sync.Mutex // guards conn swaps and closed, for cross-goroutine Close
@@ -674,7 +655,7 @@ type MonitorClient struct {
 // resuming the stream at its exact offset so the observed sequence
 // stays gap-free and duplicate-free across the move.
 func DialMonitor(addr string, opts ...MonitorOption) (*MonitorClient, error) {
-	cfg := defaultMonCfg()
+	cfg := defaultClientCfg()
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -696,11 +677,10 @@ func DialMonitor(addr string, opts ...MonitorOption) (*MonitorClient, error) {
 	return m, nil
 }
 
-// connect dials one endpoint and performs the hello/helloAck handshake,
-// resuming from the given linearization offset.
+// connect dials one endpoint and performs the handshake, resuming from
+// the given linearization offset.
 func (m *MonitorClient) connect(addr string, resumeFrom int) error {
-	s, err := dialSession(addr, hello{Magic: wireMagic, Role: roleMonitor, ResumeFrom: resumeFrom, DeltaVC: m.cfg.deltaVC},
-		&m.cfg.clientCfg, m.cfg.peerTimeout)
+	s, err := dialSession(addr, hello{role: roleMonitor, from: resumeFrom}, &m.cfg, m.cfg.peerTimeout)
 	if err != nil {
 		return err
 	}
@@ -713,8 +693,7 @@ func (m *MonitorClient) connect(addr string, resumeFrom int) error {
 	m.conn = s.link
 	m.curAddr = addr
 	m.mu.Unlock()
-	m.fr = &frameReader{br: s.br}
-	m.stats.DeltaNegotiated = s.ack.DeltaVC
+	m.fr = s.fr
 	return nil
 }
 

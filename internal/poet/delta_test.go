@@ -46,37 +46,29 @@ func drainMonitor(t *testing.T, mon *MonitorClient, n int) []*event.Event {
 	return out
 }
 
-func TestDeltaNegotiation(t *testing.T) {
-	_, srv, addr := startServer(t)
-
-	mon, err := DialMonitor(addr)
+// queryAll fetches every event of evs again over a query connection,
+// whose answers spell timestamps dense.
+func queryAll(t *testing.T, addr string, evs []*event.Event) []*event.Event {
+	t.Helper()
+	q, err := DialQuery(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mon.Close()
-	if !mon.Stats().DeltaNegotiated {
-		t.Fatal("default monitor session did not negotiate delta timestamps")
+	defer q.Close()
+	out := make([]*event.Event, len(evs))
+	for i, e := range evs {
+		if out[i], err = q.Get(e.ID); err != nil {
+			t.Fatalf("query %v: %v", e.ID, err)
+		}
 	}
-
-	dense, err := DialMonitor(addr, WithMonitorDeltaVC(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dense.Close()
-	if dense.Stats().DeltaNegotiated {
-		t.Fatal("WithMonitorDeltaVC(false) session negotiated delta anyway")
-	}
-
-	waitFor(t, func() bool { return srv.WireStats().DeltaSessions == 1 })
-	if st := srv.WireStats(); st.DeltaSessions != 1 {
-		t.Fatalf("DeltaSessions = %d, want 1 (one delta + one dense monitor)", st.DeltaSessions)
-	}
+	return out
 }
 
-// TestDeltaDenseStreamEquivalence runs the same causally rich stream
-// through two concurrent monitor sessions — delta (default) and dense
-// (delta disabled) — and requires both to reconstruct exactly the
-// events the in-process collector delivered.
+// TestDeltaDenseStreamEquivalence runs one causally rich stream through
+// a monitor session, whose timestamps are delta-encoded, and fetches
+// every event again over a query connection, whose timestamps are
+// dense; both spellings must reconstruct exactly the events the
+// in-process collector delivered.
 func TestDeltaDenseStreamEquivalence(t *testing.T) {
 	c, _, addr := startServer(t)
 
@@ -85,22 +77,17 @@ func TestDeltaDenseStreamEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer delta.Close()
-	dense, err := DialMonitor(addr, WithMonitorDeltaVC(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dense.Close()
 
 	evs := durWorkload(60)
 	reportAll(t, c, evs)
 	waitFor(t, func() bool { return c.Delivered() == len(evs) })
 	oracle := c.Ordered()
 
-	for name, mon := range map[string]*MonitorClient{"delta": delta, "dense": dense} {
-		got := drainMonitor(t, mon, len(oracle))
+	streamed := drainMonitor(t, delta, len(oracle))
+	for name, got := range map[string][]*event.Event{"delta": streamed, "dense": queryAll(t, addr, streamed)} {
 		for i, e := range got {
 			if !sameEvent(e, oracle[i]) {
-				t.Fatalf("%s stream event %d = %v vc=%v, oracle %v vc=%v",
+				t.Fatalf("%s spelling of event %d = %v vc=%v, oracle %v vc=%v",
 					name, i, e.ID, e.VC, oracle[i].ID, oracle[i].VC)
 			}
 		}
@@ -113,73 +100,63 @@ func TestDeltaDenseStreamEquivalence(t *testing.T) {
 // decoder's baselines, or the first post-resume delta would be applied
 // to a stale vector and every subsequent stamp would be wrong. The
 // stamps the decoder shares across the cuts must also pass the
-// independent replay of eventtest.CheckStamps; the dense spelling, which
-// never shares, is held to the same.
+// independent replay of eventtest.CheckStamps.
 func TestDeltaResumeBaselineReset(t *testing.T) {
-	for _, delta := range []bool{true, false} {
-		t.Run(map[bool]string{true: "delta", false: "dense"}[delta], func(t *testing.T) {
-			c, _, p := startFaultServer(t)
+	t.Run("delta", func(t *testing.T) {
+		c, _, p := startFaultServer(t)
 
-			const rounds = 1200
-			evs := durWorkload(rounds)
-			reportAll(t, c, evs)
-			waitFor(t, func() bool { return c.Delivered() == len(evs) })
-			oracle := c.Ordered()
+		const rounds = 1200
+		evs := durWorkload(rounds)
+		reportAll(t, c, evs)
+		waitFor(t, func() bool { return c.Delivered() == len(evs) })
+		oracle := c.Ordered()
 
-			// Throttle so the replay is still in flight when the cuts land.
-			p.SetChunk(256, 200*time.Microsecond)
-			mon, err := DialMonitor(p.Addr(),
-				WithMonitorDeltaVC(delta),
-				WithMonitorReconnect(10*time.Second),
-				WithMonitorBackoff(2*time.Millisecond, 50*time.Millisecond),
-				WithMonitorLog(t.Logf))
+		// Throttle so the replay is still in flight when the cuts land.
+		p.SetChunk(256, 200*time.Microsecond)
+		mon, err := DialMonitor(p.Addr(),
+			WithMonitorReconnect(10*time.Second),
+			WithMonitorBackoff(2*time.Millisecond, 50*time.Millisecond),
+			WithMonitorLog(t.Logf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mon.Close()
+
+		got := make([]*event.Event, len(oracle))
+		for i := range oracle {
+			e, err := mon.Next()
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("next %d: %v", i, err)
 			}
-			defer mon.Close()
-			if mon.Stats().DeltaNegotiated != delta {
-				t.Fatalf("fault-proxy session negotiated delta %v, want %v", !delta, delta)
+			if got[i] = e; !sameEvent(e, oracle[i]) {
+				t.Fatalf("post-resume stream diverged at %d: got %v vc=%v, want %v vc=%v",
+					i, e.ID, e.VC, oracle[i].ID, oracle[i].VC)
 			}
-
-			got := make([]*event.Event, len(oracle))
-			for i := range oracle {
-				e, err := mon.Next()
-				if err != nil {
-					t.Fatalf("next %d: %v", i, err)
-				}
-				if got[i] = e; !sameEvent(e, oracle[i]) {
-					t.Fatalf("post-resume stream diverged at %d: got %v vc=%v, want %v vc=%v",
-						i, e.ID, e.VC, oracle[i].ID, oracle[i].VC)
-				}
-				if i == 700 || i == 1800 || i == 2900 {
-					p.CutAll()
-				}
+			if i == 700 || i == 1800 || i == 2900 {
+				p.CutAll()
 			}
-			if st := mon.Stats(); st.Reconnects == 0 {
-				t.Fatalf("stats = %+v: the cuts never forced a resume (test proved nothing)", st)
-			}
-			if err := eventtest.CheckStamps(got); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+		}
+		if st := mon.Stats(); st.Reconnects == 0 {
+			t.Fatalf("stats = %+v: the cuts never forced a resume (test proved nothing)", st)
+		}
+		if err := eventtest.CheckStamps(got); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestDecodedStampsPrintAsCollected: a decoded stamp is as wide as the
 // collector made it, not as wide as the widest clock its connection
 // carried. p0's events stay one entry wide after p2's three-entry clock
-// has crossed the connection, and print as [n], never [n 0 0].
+// has crossed the connection, and print as [n], never [n 0 0] — in the
+// monitor stream's delta spelling and in a query answer's dense one.
 func TestDecodedStampsPrintAsCollected(t *testing.T) {
 	c, _, addr := startServer(t)
-	var mons []*MonitorClient
-	for _, delta := range []bool{true, false} {
-		mon, err := DialMonitor(addr, WithMonitorDeltaVC(delta))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer mon.Close()
-		mons = append(mons, mon)
+	mon, err := DialMonitor(addr)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer mon.Close()
 	reportAll(t, c, []RawEvent{
 		{Trace: "p0", Seq: 1, Kind: event.KindInternal, Type: "step"},
 		{Trace: "p1", Seq: 1, Kind: event.KindSend, Type: "req", MsgID: 1},
@@ -191,11 +168,11 @@ func TestDecodedStampsPrintAsCollected(t *testing.T) {
 		{Trace: "p0", Seq: 4, Kind: event.KindInternal, Type: "step"},
 	})
 	oracle := c.Ordered()
-	for _, mon := range mons {
-		got := drainMonitor(t, mon, len(oracle))
+	streamed := drainMonitor(t, mon, len(oracle))
+	for name, got := range map[string][]*event.Event{"delta": streamed, "dense": queryAll(t, addr, streamed)} {
 		for i, e := range got {
 			if e.String() != oracle[i].String() {
-				t.Fatalf("delta %v: event %d decoded as %s, collected as %s", mon.Stats().DeltaNegotiated, i, e, oracle[i])
+				t.Fatalf("%s: event %d decoded as %s, collected as %s", name, i, e, oracle[i])
 			}
 		}
 		if err := eventtest.CheckStamps(got); err != nil {
@@ -291,7 +268,7 @@ func TestWireStatsDeltaCounters(t *testing.T) {
 	}
 	waitFor(t, func() bool {
 		st := srv.WireStats()
-		return st.MonitorBytes > 0 && st.VCEntriesSent > 0 && st.DeltaSessions == 1
+		return st.MonitorBytes > 0 && st.VCEntriesSent > 0
 	})
 	st := srv.WireStats()
 	// Dense would ship >= one entry per event per trace; the delta stream

@@ -2,48 +2,45 @@ package poet
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
+
+	"ocep/internal/wal"
 )
 
-// dumpHeader identifies the on-disk trace-file format, shared by POET
-// dumps and the durability subsystem's snapshots.
-type dumpHeader struct {
-	Magic   string
-	Version int
-	// Traces lists the registered trace names in ID order, so reload
-	// reproduces the same trace numbering (and so the same vector-clock
-	// layout) regardless of event interleaving.
-	Traces []string
-	// Events is the number of raw events that follow, in ingestion order.
-	// Replaying them in that order rebuilds the writer's linearization —
-	// and its journal, which is what keeps replica offsets valid across a
-	// restart. (Files written before the journal listed the delivered
-	// events in delivery order here: equally a valid replay order.)
-	Events int
-	// Pending (version >= 2) counts further raw events after those: the
-	// section in which older writers put the ingested-but-undelivered
-	// events. Always written as 0 now — ingestion order places a buffered
-	// event where it arrived — but still read.
-	Pending int
-}
+// A dump — and a snapshot, which is the same file — is one standalone
+// write-ahead-log segment (see internal/wal): the segment header, then
+// CRC-framed records in the WAL's own record encoding, read back by the
+// WAL's own reader and applied through replayRecord, as recovery applies
+// the log. The registered traces' records come first, in ID order, so a
+// reload reproduces the writer's trace numbering (and so its
+// vector-clock layout) whatever the event interleaving. The journal's
+// event records follow in ingestion order: replaying them rebuilds the
+// writer's linearization and its journal, which keeps replica offsets
+// valid across a restart. An end record counting the records before it
+// closes the file, so a dump cut at any record boundary is told from a
+// whole one.
 
-const (
-	dumpMagic   = "OCEP-POET-DUMP"
-	dumpVersion = 2
-)
+// gobDumpMagic opened the gob dumps of earlier builds; it is recognized
+// only to reject them by name.
+const gobDumpMagic = "OCEP-POET-DUMP"
+
+var errGobDump = errors.New("poet: gob-era dump (" + gobDumpMagic + " v1/v2) rejected: dumps and snapshots are now write-ahead-log segments (OCEPWAL1 header, CRC-framed records), and this build reads no other format")
 
 // snapshotState is one consistent cut of the collector's replayable
 // state, captured under the collector lock and encodable outside it
 // (the journal prefix is immutable).
 type snapshotState struct {
-	hdr    dumpHeader
+	traces []string
+	events int
 	chunks [][]journalRecord
 }
 
@@ -53,32 +50,28 @@ func (c *Collector) snapshotStateLocked() (snapshotState, error) {
 	if c.journal == nil {
 		return snapshotState{}, errors.New("poet: dump requires the journal (EnableReplicationLog before collection)")
 	}
-	hdr := dumpHeader{Magic: dumpMagic, Version: dumpVersion, Traces: c.registeredTracesLocked(), Events: c.journal.events()}
-	return snapshotState{hdr, slices.Clone(c.journal.chunks)}, nil
+	return snapshotState{c.registeredTracesLocked(), c.journal.events(), slices.Clone(c.journal.chunks)}, nil
 }
 
-// encodeSnapshot writes one state cut in the dump format: the journal's
-// event records. Registrations are covered by the header; remote sends
-// come back from the peers. gob writes each value as it is encoded, so
-// it writes into a buffer: to a bare file that would be a write(2) per
-// event.
+// encodeSnapshot writes one state cut as a dump. Remote sends stay out:
+// the peers re-stream them.
 func encodeSnapshot(w io.Writer, st snapshotState) error {
-	bw := bufio.NewWriterSize(w, 64<<10)
-	enc := gob.NewEncoder(bw)
-	if err := enc.Encode(st.hdr); err != nil {
-		return fmt.Errorf("poet: encoding dump header: %w", err)
+	sw := wal.NewWriter(w)
+	var rec []byte
+	for _, name := range st.traces {
+		rec = encodeTraceRecord(rec[:0], name, nil)
+		sw.Append(rec)
 	}
 	for _, recs := range st.chunks {
 		for i := range recs {
-			if !recs[i].isEvent() {
-				continue
-			}
-			if err := enc.Encode(&recs[i].RawEvent); err != nil {
-				return fmt.Errorf("poet: encoding dump event %q/%d: %w", recs[i].Trace, recs[i].Seq, err)
+			if recs[i].isEvent() {
+				rec = encodeEventRecord(rec[:0], &recs[i].RawEvent, nil)
+				sw.Append(rec)
 			}
 		}
 	}
-	if err := bw.Flush(); err != nil {
+	sw.Append(binary.AppendUvarint(append(rec[:0], recEnd), uint64(len(st.traces)+st.events)))
+	if err := sw.Flush(); err != nil {
 		return fmt.Errorf("poet: writing dump: %w", err)
 	}
 	return nil
@@ -100,77 +93,100 @@ func (c *Collector) Dump(w io.Writer) error {
 
 // DumpFile dumps to a file path. A ".gz" suffix selects gzip
 // compression (a million-event dump compresses well; the raw events are
-// highly repetitive).
-func (c *Collector) DumpFile(path string) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("poet: creating dump file: %w", err)
-	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("poet: closing dump file: %w", cerr)
+// highly repetitive). A failed dump leaves the file as it was.
+func (c *Collector) DumpFile(path string) error {
+	return writeFileAtomic(path, func(w io.Writer) error {
+		if !strings.HasSuffix(path, ".gz") {
+			return c.Dump(w)
 		}
-	}()
-	if strings.HasSuffix(path, ".gz") {
-		zw := gzip.NewWriter(f)
+		zw := gzip.NewWriter(w)
 		if err := c.Dump(zw); err != nil {
 			return err
 		}
-		if err := zw.Close(); err != nil {
-			return fmt.Errorf("poet: finishing compressed dump: %w", err)
-		}
-		return nil
-	}
-	return c.Dump(f)
+		return zw.Close()
+	})
 }
 
-// Reload replays a dumped trace file into the collector via the same
-// Report interface used for live collection (POET's reload feature). It
-// accepts the v1 format (one section) and v2 (an optional pending
-// section after it) and returns the number of events replayed.
+// writeFileAtomic writes path by way of path.tmp — write, fsync, rename,
+// fsync the directory — so a failed or interrupted write leaves whatever
+// path held before.
+func writeFileAtomic(path string, write func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	if err = write(f); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp)
+		return err
+	}
+	if dir, err := os.Open(filepath.Dir(path)); err == nil {
+		_ = dir.Sync()
+		_ = dir.Close()
+	}
+	return nil
+}
+
+// Reload replays a dump into the collector (POET's reload feature) and
+// returns the number of events replayed. A dump cut short or corrupt
+// fails, after replaying the prefix before the damage.
 func (c *Collector) Reload(r io.Reader) (int, error) {
 	n, _, err := c.reloadSnapshot(r, false)
 	return n, err
 }
 
-// reloadSnapshot decodes a dump/snapshot stream and reports every event
-// into the collector. With lenient set, a stream that ends early (a
-// snapshot torn by a crash mid-write) yields the longest valid prefix
-// and truncated=true instead of an error; a malformed header still
-// fails — there is nothing to salvage before the trace table.
+// reloadSnapshot replays a dump or snapshot into c. With lenient set, a
+// stream that is cut short or corrupt (a snapshot torn by a crash
+// mid-write) yields the longest valid prefix and truncated=true instead
+// of an error; input that is not a dump at all still fails.
 func (c *Collector) reloadSnapshot(r io.Reader, lenient bool) (n int, truncated bool, err error) {
-	dec := gob.NewDecoder(r)
-	var hdr dumpHeader
-	if err := dec.Decode(&hdr); err != nil {
-		return 0, false, fmt.Errorf("poet: decoding dump header: %w", err)
-	}
-	if hdr.Magic != dumpMagic {
-		return 0, false, fmt.Errorf("poet: not a POET dump file (magic %q)", hdr.Magic)
-	}
-	if hdr.Version < 1 || hdr.Version > dumpVersion {
-		return 0, false, fmt.Errorf("poet: unsupported dump version %d", hdr.Version)
-	}
-	for _, name := range hdr.Traces {
-		c.RegisterTrace(name)
-	}
-	total := hdr.Events + hdr.Pending
-	for i := 0; i < total; i++ {
-		var raw RawEvent
-		if err := dec.Decode(&raw); err != nil {
-			if lenient {
-				return n, true, nil
-			}
-			return n, false, fmt.Errorf("poet: decoding dump event %d: %w", i, err)
+	br := bufio.NewReader(r)
+	head, _ := br.Peek(512)
+	gobEra := bytes.Contains(head, []byte(gobDumpMagic))
+	records, ended := 0, false
+	st, err := wal.Read(br, func(p []byte) error {
+		if ended {
+			return errors.New("a record follows the end record")
 		}
-		if err := c.Report(raw); err != nil {
-			if lenient {
-				return n, true, nil
+		if p[0] == recEnd {
+			rd := recordReader{p: p[1:]}
+			if want := rd.int(); rd.err != nil || len(rd.p) > 0 || want != records {
+				return fmt.Errorf("the end record does not count the %d records before it", records)
 			}
-			return n, false, fmt.Errorf("poet: replaying dump event %d: %w", i, err)
+			ended = true
+			return nil
 		}
-		n++
+		if err := c.replayRecord(p); err != nil {
+			return err
+		}
+		records++
+		if p[0] == recEvent {
+			n++
+		}
+		return nil
+	})
+	switch {
+	case errors.Is(err, wal.ErrNoHeader) && gobEra:
+		return 0, false, errGobDump
+	case errors.Is(err, wal.ErrNoHeader):
+		return 0, false, fmt.Errorf("poet: not a dump: %w", err)
+	case err == nil && !st.Truncated && ended:
+		return n, false, nil
+	case lenient:
+		return n, true, nil
+	case err != nil:
+		return n, false, fmt.Errorf("poet: replaying dump: %w", err)
 	}
-	return n, false, nil
+	return n, false, fmt.Errorf("poet: dump cut short or corrupt after %d events (%d bytes discarded)", n, st.DiscardedBytes)
 }
 
 // ReloadFile reloads from a file path, transparently decompressing
@@ -185,39 +201,12 @@ func (c *Collector) ReloadFile(path string) (n int, err error) {
 	if err != nil {
 		return 0, fmt.Errorf("poet: opening dump file: %w", err)
 	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("poet: closing dump file: %w", cerr)
-		}
-	}()
+	defer f.Close()
+	var r io.Reader = f
 	if strings.HasSuffix(path, ".gz") {
-		zr, err := gzip.NewReader(f)
-		if err != nil {
+		if r, err = gzip.NewReader(f); err != nil {
 			return 0, fmt.Errorf("poet: opening compressed dump: %w", err)
 		}
-		defer func() {
-			if cerr := zr.Close(); cerr != nil && err == nil {
-				err = fmt.Errorf("poet: closing compressed dump: %w", cerr)
-			}
-		}()
-		return c.Reload(zr)
 	}
-	return c.Reload(f)
-}
-
-// errNoSnapshot distinguishes "no snapshot yet" from a read failure.
-var errNoSnapshot = errors.New("poet: no snapshot")
-
-// reloadSnapshotFile lenient-reloads a snapshot file into c. Returns
-// errNoSnapshot when the file does not exist.
-func (c *Collector) reloadSnapshotFile(path string) (n int, truncated bool, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, false, errNoSnapshot
-		}
-		return 0, false, fmt.Errorf("poet: opening snapshot: %w", err)
-	}
-	defer f.Close()
-	return c.reloadSnapshot(f, true)
+	return c.Reload(r)
 }

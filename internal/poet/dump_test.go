@@ -2,9 +2,11 @@ package poet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -187,11 +189,137 @@ func TestReloadRejectsGarbage(t *testing.T) {
 	}
 	// Corrupt the magic bytes.
 	data := buf.Bytes()
-	idx := bytes.Index(data, []byte(dumpMagic))
-	if idx >= 0 {
-		data[idx] = 'X'
-	}
+	data[0] = 'X'
 	if _, err := c.Reload(bytes.NewReader(data)); err == nil {
 		t.Fatalf("corrupted magic must be rejected")
 	}
+}
+
+// TestDumpFileKeepsTargetOnFailure: a dump that fails — here for want of
+// the journal — leaves the file it was asked to replace as it was, and
+// no temporary beside it.
+func TestDumpFileKeepsTargetOnFailure(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.poet")
+	good := journaled(t)
+	reportN(t, good, "p0", 1, 10)
+	if err := good.DumpFile(path); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := NewCollector().DumpFile(path); err == nil || !strings.Contains(err.Error(), "journal") {
+		t.Fatalf("dumping a journal-less collector: %v, want the journal error", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("the failed dump left %d bytes (%v) where a %d-byte dump was", len(after), err, len(before))
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("the failed dump left its temporary behind: %v", err)
+	}
+	if n, err := NewCollector().ReloadFile(path); err != nil || n != 10 {
+		t.Fatalf("reloading the kept dump = %d, %v", n, err)
+	}
+}
+
+// cutDump is a dump of rounds rounds of durWorkload with an explicit
+// registration, receives held for their sends, and a stranded event:
+// every record kind and both delivery paths.
+func cutDump(t testing.TB, rounds int) []byte {
+	c := NewCollector()
+	if err := c.EnableReplicationLog(); err != nil {
+		t.Fatal(err)
+	}
+	c.RegisterTrace("explicit")
+	for _, e := range append(durWorkload(rounds), RawEvent{Trace: "beta", Seq: 99, Kind: event.KindInternal, Type: "stranded"}) {
+		if err := c.Report(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := c.Dump(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// eventsBefore walks a dump's framing independently of the reader and
+// counts the event records that end at or before cut.
+func eventsBefore(dump []byte, cut int) int {
+	n := 0
+	for off := 16; off+8 <= len(dump); {
+		end := off + 8 + int(binary.LittleEndian.Uint32(dump[off:]))
+		if end > cut {
+			break
+		}
+		if dump[off+8] == recEvent {
+			n++
+		}
+		off = end
+	}
+	return n
+}
+
+// checkCut holds Reload and the lenient snapshot path to a dump cut at
+// one offset: a strict reload of anything short of the whole fails, and
+// the lenient one keeps exactly the events whose records are whole —
+// except inside the segment header, where there is nothing to keep and
+// both fail.
+func checkCut(t *testing.T, dump []byte, cut int) {
+	t.Helper()
+	whole := eventsBefore(dump, len(dump))
+	n, err := NewCollector().Reload(bytes.NewReader(dump[:cut]))
+	switch {
+	case cut == len(dump) && (err != nil || n != whole):
+		t.Fatalf("reloading the whole dump = %d, %v; want %d", n, err, whole)
+	case cut < len(dump) && err == nil:
+		t.Fatalf("a dump cut at byte %d of %d reloaded without error (%d events)", cut, len(dump), n)
+	}
+	n, truncated, err := NewCollector().reloadSnapshot(bytes.NewReader(dump[:cut]), true)
+	switch {
+	case cut < 16:
+		if err == nil {
+			t.Fatalf("a dump cut inside its header (byte %d) recovered %d events", cut, n)
+		}
+	case err != nil || n != eventsBefore(dump, cut) || truncated != (cut < len(dump)):
+		t.Fatalf("lenient reload of a dump cut at byte %d of %d = %d events, truncated %v, %v; want %d, %v",
+			cut, len(dump), n, truncated, err, eventsBefore(dump, cut), cut < len(dump))
+	}
+}
+
+// TestReloadDetectsEveryCut: a dump cut at any byte — on a record
+// boundary or inside a record — is told from a whole one.
+func TestReloadDetectsEveryCut(t *testing.T) {
+	dump := cutDump(t, 6)
+	for cut := 0; cut <= len(dump); cut++ {
+		checkCut(t, dump, cut)
+	}
+}
+
+// FuzzReload feeds arbitrary bytes to Reload and to the lenient snapshot
+// path: neither may panic, nor allocate more than a fixed slack plus a
+// bounded multiple of the bytes it was given, whatever lengths those
+// bytes claim. The same target cuts a valid dump at an arbitrary offset
+// and holds both paths to it (checkCut). The arbitrary bytes are seeded
+// small: the engine minimizes an interesting input in time quadratic in
+// its length.
+func FuzzReload(f *testing.F) {
+	dump, small := cutDump(f, 6), cutDump(f, 1)
+	f.Add(small, uint(len(dump)))
+	f.Add(small[:len(small)-3], uint(len(dump)/2))
+	f.Add([]byte(gobDumpMagic), uint(17))
+	// A record that claims 64 MiB, on 24 bytes of input.
+	f.Add(append(append([]byte(nil), small[:16]...), 0, 0, 0, 4, 0, 0, 0, 0, 1, 2, 3, 4), uint(20))
+	f.Fuzz(func(t *testing.T, in []byte, cut uint) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _ = NewCollector().Reload(bytes.NewReader(in))
+		_, _, _ = NewCollector().reloadSnapshot(bytes.NewReader(in), true)
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(2<<20+256*len(in)); got > limit {
+			t.Fatalf("reloading %d bytes allocated %d bytes, over the %d limit", len(in), got, limit)
+		}
+		checkCut(t, dump, int(cut%uint(len(dump)+1)))
+	})
 }

@@ -4,7 +4,7 @@
 //
 // Layout of a data directory:
 //
-//	<dir>/snapshot.poet   last complete snapshot (dump format, see dump.go)
+//	<dir>/snapshot.poet   last complete snapshot: a dump (see dump.go)
 //	<dir>/NNNNNNNN.wal    write-ahead log segments (see internal/wal)
 //
 // The WAL is the disk image of the collector's journal (journal.go):
@@ -16,9 +16,11 @@
 // the identical journal (so replica offsets survive a restart).
 //
 // Snapshots bound recovery time: every SnapshotEvery ingested events the
-// journal's event records are written, in ingestion order, to
-// snapshot.poet (temp file + fsync + rename) and the WAL segments older
-// than the rotation cut are removed.
+// registered traces and the journal's event records are written, in
+// ingestion order, to snapshot.poet (temp file + fsync + rename) and the
+// WAL segments older than the rotation cut are removed. A snapshot is a
+// standalone WAL segment in the same record encoding, read by the same
+// reader and applied through the same replayRecord as the log itself.
 // A crash anywhere in that protocol is safe: a stale snapshot plus a
 // longer WAL replays extra records that land as idempotent stale no-ops.
 package poet
@@ -27,6 +29,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -303,33 +306,9 @@ func (d *Durability) Snapshot() error {
 		return err
 	}
 
-	path := filepath.Join(d.dir, SnapshotFile)
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	err = writeFileAtomic(filepath.Join(d.dir, SnapshotFile), func(w io.Writer) error { return encodeSnapshot(w, st) })
 	if err != nil {
-		return fmt.Errorf("poet: creating snapshot: %w", err)
-	}
-	if err := encodeSnapshot(f, st); err != nil {
-		f.Close()
-		os.Remove(tmp)
 		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("poet: syncing snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("poet: closing snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("poet: publishing snapshot: %w", err)
-	}
-	if dirf, err := os.Open(d.dir); err == nil {
-		_ = dirf.Sync()
-		dirf.Close()
 	}
 	// Only now is the pre-cut WAL redundant. A crash before this line
 	// replays those segments as stale no-ops against the new snapshot.
@@ -337,7 +316,7 @@ func (d *Durability) Snapshot() error {
 		return fmt.Errorf("poet: truncating WAL after snapshot: %w", err)
 	}
 	d.snapshots.Add(1)
-	d.logf("poet: snapshot: %d events, WAL truncated below segment %d", st.hdr.Events, cut)
+	d.logf("poet: snapshot: %d events, WAL truncated below segment %d", st.events, cut)
 	return nil
 }
 
@@ -379,18 +358,20 @@ func ReloadDir(c *Collector, dir string) (RecoveryStats, error) {
 func recoverInto(c *Collector, dir string, logf func(string, ...any), replay func(func([]byte) error) (wal.ReplayStats, error)) (RecoveryStats, error) {
 	var st RecoveryStats
 	start := time.Now()
-	n, truncated, err := c.reloadSnapshotFile(filepath.Join(dir, SnapshotFile))
-	switch {
-	case err == errNoSnapshot:
-	case err != nil:
-		return st, err
-	default:
+	if f, err := os.Open(filepath.Join(dir, SnapshotFile)); err == nil {
+		n, truncated, err := c.reloadSnapshot(f, true)
+		f.Close()
+		if err != nil {
+			return st, err
+		}
 		st.SnapshotTruncated = truncated
 		st.SnapshotEvents = c.Delivered()
 		st.SnapshotPending = n - st.SnapshotEvents
 		if truncated {
 			logf("poet: snapshot torn mid-write; recovered %d-event prefix", n)
 		}
+	} else if !os.IsNotExist(err) {
+		return st, fmt.Errorf("poet: opening snapshot: %w", err)
 	}
 	walStats, err := replay(func(p []byte) error {
 		st.WALRecords++
@@ -417,15 +398,15 @@ func recoverInto(c *Collector, dir string, logf func(string, ...any), replay fun
 }
 
 // Record encoding: one leading kind byte, then varint-framed fields.
-// Manual encoding instead of gob: records are written on the ingestion
-// hot path, and gob's per-encoder type preamble would bloat every
-// record. The WAL, the replica stream, and the target stream share it
-// (see frame.go); the only difference is how the repeating strings are
-// spelled — literally on disk, where every record must stand alone,
-// through the connection's string table on the wire.
+// The WAL, dumps and snapshots, the replica stream, and the target
+// stream share it (see frame.go); the only difference is how the
+// repeating strings are spelled — literally on disk, where every record
+// must stand alone, through the connection's string table on the wire.
+// Only the first two kinds double as frame kinds.
 const (
 	recEvent = 1 // trace, seq, kind, msgid, type, text
 	recTrace = 2 // name
+	recEnd   = 3 // the count of records before it: a dump's last record, never in the log
 )
 
 func appendString(b []byte, s string) []byte {

@@ -140,7 +140,7 @@ func TestMonitorResumesGapAndDuplicateFree(t *testing.T) {
 	}
 }
 
-// TestWireSurvivesPartialWrites forces every gob frame to cross the
+// TestWireSurvivesPartialWrites forces every frame to cross the
 // proxy in 3-byte fragments — each message split over dozens of TCP
 // writes — in both directions, and requires full fidelity end to end.
 func TestWireSurvivesPartialWrites(t *testing.T) {
@@ -258,7 +258,7 @@ func TestServerDetectsDeadTarget(t *testing.T) {
 	t.Cleanup(func() { _ = s.Close() })
 
 	// A raw connection that completes the handshake and then plays dead.
-	conn, err := dialRaw(addr, hello{Magic: wireMagic, Role: roleTarget})
+	conn, err := dialRaw(addr, hello{magic: wireMagic, role: roleTarget})
 	if err != nil {
 		t.Fatal(err)
 	}

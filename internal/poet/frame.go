@@ -3,7 +3,6 @@ package poet
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -13,13 +12,13 @@ import (
 	"ocep/internal/vclock"
 )
 
-// The frame codec: what the data direction of every streaming role
-// speaks after the gob handshake. A frame is a uvarint body length, a
-// kind byte, and that kind's fields — uvarints, strings as uvarint
-// length plus bytes. Three things are per-connection state, reset by
-// every handshake: the string table (repeating strings are spelled
-// once, then referenced), the set of announced trace IDs, and the
-// baseline of the delta-encoded timestamps.
+// The frame codec: all a connection speaks, in both directions, from
+// its first byte. A frame is a uvarint body length, a kind byte, and
+// that kind's fields — uvarints, strings as uvarint length plus bytes,
+// lists as a uvarint count plus items. Three things are per-connection
+// state, reset by every handshake: the string table (repeating strings
+// are spelled once, then referenced), the set of announced trace IDs,
+// and the baseline of the delta-encoded timestamps.
 //
 // A timestamp is always the last field and runs to the end of its
 // frame, in one of two spellings named by the frame's flags byte: dense
@@ -40,6 +39,10 @@ const (
 	frameHeartbeat = 7        // idle keep-alive
 	frameDrain     = 8        // orderly shutdown ahead: pooled peers fail over now
 	frameEnd       = 9        // graceful end of stream
+	frameHello     = 10       // a session's first frame: magic, role, resume offset, traces
+	frameAcks      = 11       // per-trace ingest positions: (trace, seq) pairs
+	frameError     = 12       // refusal: retry bit, reason
+	frameQuery     = 13       // query request: op, id, argument trace
 
 	flagDelta    = 1 // the timestamp is delta-encoded
 	flagBaseline = 2 // ...against the all-zero vector: the first delta frame of a connection
@@ -85,15 +88,6 @@ func newFrameWriter(w io.Writer) *frameWriter {
 	return &frameWriter{bw: bufio.NewWriterSize(w, frameBufSize), strs: make(stringTable)}
 }
 
-// gob sends a handshake message ahead of the frames, through the same
-// buffer (and so the same byte accounting).
-func (w *frameWriter) gob(v any) error {
-	if err := gob.NewEncoder(w.bw).Encode(v); err != nil {
-		return err
-	}
-	return w.flush()
-}
-
 func (w *frameWriter) flush() error {
 	if w.err != nil {
 		return w.err
@@ -119,6 +113,44 @@ func (w *frameWriter) signal(kind byte) {
 
 func (w *frameWriter) head(n int) {
 	w.body = binary.AppendUvarint(append(w.body[:0], frameHead), uint64(n))
+	w.emit()
+}
+
+func (w *frameWriter) hello(h *hello) {
+	b := appendString(appendString(append(w.body[:0], frameHello), h.magic), h.role)
+	b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(h.from)), uint64(len(h.traces)))
+	for _, name := range h.traces {
+		b = w.strs.append(b, name)
+	}
+	w.body = b
+	w.emit()
+}
+
+// acks accepts a session, and carries a target's ack positions.
+func (w *frameWriter) acks(acks []traceAck) {
+	b := binary.AppendUvarint(append(w.body[:0], frameAcks), uint64(len(acks)))
+	for _, a := range acks {
+		b = binary.AppendUvarint(w.strs.append(b, a.Trace), uint64(a.Seq))
+	}
+	w.body = b
+	w.emit()
+}
+
+// refuse sends an error frame; retry marks the refusal as one the same
+// hello may overcome later (a standby awaiting promotion, a draining
+// server).
+func (w *frameWriter) refuse(reason string, retry bool) {
+	flag := byte(0)
+	if retry {
+		flag = 1
+	}
+	w.body = appendString(append(w.body[:0], frameError, flag), reason)
+	w.emit()
+}
+
+func (w *frameWriter) query(q *queryReq) {
+	b := appendID(binary.AppendUvarint(append(w.body[:0], frameQuery), uint64(q.op)), q.id)
+	w.body = binary.AppendUvarint(b, uint64(q.arg))
 	w.emit()
 }
 
@@ -207,13 +239,18 @@ func (w *frameWriter) stamp(b []byte, v vclock.Stamp, delta bool) (entries int) 
 
 // frame is one decoded frame; kind says which fields are set.
 type frame struct {
-	kind byte
-	raw  RawEvent      // frameRaw
-	id   event.TraceID // frameTrace
-	name string        // frameTrace, frameTraceReg
-	ev   *event.Event  // frameEvent
-	exp  shardExport   // frameExport
-	head int           // frameHead
+	kind   byte
+	raw    RawEvent      // frameRaw
+	id     event.TraceID // frameTrace
+	name   string        // frameTrace, frameTraceReg
+	ev     *event.Event  // frameEvent
+	exp    shardExport   // frameExport
+	head   int           // frameHead
+	hello  hello         // frameHello
+	acks   []traceAck    // frameAcks
+	reason string        // frameError
+	retry  bool          // frameError
+	query  queryReq      // frameQuery
 }
 
 // frameReader decodes frames from a connection's inbound buffer. Every
@@ -254,8 +291,14 @@ func (r *frameReader) next(f *frame) error {
 			defer r.br.Discard(int(n))
 		}
 	} else {
-		p = make([]byte, n)
-		_, err = io.ReadFull(r.br, p)
+		// A longer one is assembled as its bytes arrive: a length prefix
+		// alone commits no memory.
+		for len(p) < int(n) && err == nil {
+			var q []byte
+			q, err = r.br.Peek(min(int(n)-len(p), r.br.Size()))
+			p = append(p, q...)
+			_, _ = r.br.Discard(len(q))
+		}
 	}
 	if err != nil {
 		if err == io.EOF {
@@ -300,6 +343,21 @@ func (r *frameReader) next(f *frame) error {
 		f.exp.VC = r.stamp(&c, flags, int(f.exp.ID.Trace), false)
 	case frameHead:
 		f.head = c.int()
+	case frameHello:
+		f.hello = hello{magic: c.string(), role: c.string(), from: c.int()}
+		for n := c.count(); n > 0; n-- {
+			f.hello.traces = append(f.hello.traces, c.interned())
+		}
+	case frameAcks:
+		f.acks = f.acks[:0]
+		for n := c.count(); n > 0; n-- {
+			f.acks = append(f.acks, traceAck{Trace: c.interned(), Seq: c.int()})
+		}
+	case frameError:
+		f.retry = c.uvarint() != 0
+		f.reason = c.string()
+	case frameQuery:
+		f.query = queryReq{op: queryOp(c.int()), id: c.id(), arg: c.int()}
 	case frameHeartbeat, frameDrain, frameEnd:
 	default:
 		return fmt.Errorf("%w: %d", errFrameKind, f.kind)
@@ -312,6 +370,18 @@ func (r *frameReader) next(f *frame) error {
 
 func (r *recordReader) id() event.ID {
 	return event.ID{Trace: event.TraceID(r.int()), Index: r.int()}
+}
+
+// count reads a list length. A list names at most as many traces as a
+// clock holds, and at most one item per byte left in the frame, so no
+// list grows past what arrived.
+func (r *recordReader) count() int {
+	n := r.uvarint()
+	if n > uint64(len(r.p)) || n > maxClockWidth {
+		r.fail(fmt.Errorf("%w: a %d-item list", errFrameMalformed, n))
+		return 0
+	}
+	return int(n)
 }
 
 // entry reads one timestamp value.

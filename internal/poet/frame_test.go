@@ -4,10 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"io"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -31,6 +31,14 @@ func writeFrame(fw *frameWriter, f *frame, delta bool) {
 		fw.export(&f.exp, delta)
 	case frameHead:
 		fw.head(f.head)
+	case frameHello:
+		fw.hello(&f.hello)
+	case frameAcks:
+		fw.acks(f.acks)
+	case frameError:
+		fw.refuse(f.reason, f.retry)
+	case frameQuery:
+		fw.query(&f.query)
 	default:
 		fw.signal(f.kind)
 	}
@@ -55,6 +63,15 @@ func sameFrame(a, b *frame) bool {
 		return a.exp.MsgID == b.exp.MsgID && a.exp.ID == b.exp.ID && a.exp.VC.Equal(b.exp.VC)
 	case frameHead:
 		return a.head == b.head
+	case frameHello:
+		return a.hello.magic == b.hello.magic && a.hello.role == b.hello.role && a.hello.from == b.hello.from &&
+			slices.Equal(a.hello.traces, b.hello.traces)
+	case frameAcks:
+		return slices.Equal(a.acks, b.acks)
+	case frameError:
+		return a.reason == b.reason && a.retry == b.retry
+	case frameQuery:
+		return a.query == b.query
 	}
 	return true
 }
@@ -63,6 +80,13 @@ func sameFrame(a, b *frame) bool {
 func sampleFrames() []frame {
 	clock := func(t int, ns ...int32) vclock.Stamp { return vclock.VC(ns).Stamp(t) }
 	return []frame{
+		{kind: frameHello, hello: hello{magic: wireMagic, role: roleTarget, traces: []string{"alpha", "beta"}}},
+		{kind: frameAcks, acks: []traceAck{{Trace: "alpha", Seq: 3}, {Trace: "gamma", Seq: 1 << 33}}},
+		{kind: frameAcks},
+		{kind: frameError, reason: "standby awaiting promotion", retry: true},
+		{kind: frameError, reason: "unknown event t0#9"},
+		{kind: frameQuery, query: queryReq{op: opGP, id: event.ID{Trace: 2, Index: 300}, arg: 1}},
+		{kind: frameHello, hello: hello{magic: wireMagic, role: roleMonitor, from: 1 << 20}},
 		{kind: frameHeartbeat},
 		{kind: frameTraceReg, name: "alpha"},
 		{kind: frameRaw, raw: RawEvent{Trace: "alpha", Seq: 1, Kind: event.KindSend, Type: "req", Text: "r0", MsgID: 7}},
@@ -151,6 +175,10 @@ func TestFrameDecoderBounds(t *testing.T) {
 			append(binary.AppendUvarint(nil, maxClockWidth), 1)...)...), errFrameMalformed},
 		{"bytes past the last field", frameOf(frameHeartbeat, 0), errFrameMalformed},
 		{"cut mid-frame", frameOf(frameHead, 1)[:2], io.ErrUnexpectedEOF},
+		{"long frame cut short", append(binary.AppendUvarint(nil, 1<<20), frameHead, 1), io.ErrUnexpectedEOF},
+		{"acks list longer than its frame", frameOf(frameAcks, 5, 0, 1, 'a', 1), errFrameMalformed},
+		{"hello trace list longer than its frame", frameOf(append([]byte{frameHello, 0, 0, 0},
+			binary.AppendUvarint(nil, maxClockWidth+1)...)...), errFrameMalformed},
 	}
 	for _, tc := range cases {
 		fr := &frameReader{br: bufio.NewReader(bytes.NewReader(tc.in))}
@@ -208,9 +236,9 @@ func FuzzFrameDecode(f *testing.F) {
 	})
 }
 
-// TestHandshakeAndFramesInOneSegment: the gob handshake and the first
-// frames may arrive in one TCP segment, in either direction. Whatever
-// decodes the handshake must not swallow the frames behind it.
+// TestHandshakeAndFramesInOneSegment: the handshake and the first frames
+// may arrive in one TCP segment, in either direction. Whatever decodes
+// the handshake must not swallow the frames behind it.
 func TestHandshakeAndFramesInOneSegment(t *testing.T) {
 	t.Run("server side", func(t *testing.T) {
 		c, _, addr := startServer(t)
@@ -220,10 +248,8 @@ func TestHandshakeAndFramesInOneSegment(t *testing.T) {
 		}
 		defer conn.Close()
 		var seg bytes.Buffer
-		if err := gob.NewEncoder(&seg).Encode(hello{Magic: wireMagic, Role: roleTarget}); err != nil {
-			t.Fatal(err)
-		}
 		fw := newFrameWriter(&seg)
+		fw.hello(&hello{magic: wireMagic, role: roleTarget, traces: []string{"p0"}})
 		const n = 50
 		for i := 1; i <= n; i++ {
 			fw.raw(&RawEvent{Trace: "p0", Seq: i, Kind: event.KindInternal, Type: "x"})
@@ -250,16 +276,16 @@ func TestHandshakeAndFramesInOneSegment(t *testing.T) {
 				return
 			}
 			defer conn.Close()
-			var h hello
-			if err := gob.NewDecoder(conn).Decode(&h); err != nil {
+			var h frame
+			if err := (&frameReader{br: bufio.NewReader(conn)}).next(&h); err != nil || h.kind != frameHello {
 				return
 			}
 			var seg bytes.Buffer
 			fw := newFrameWriter(&seg)
-			_ = gob.NewEncoder(&seg).Encode(&helloAck{OK: true, DeltaVC: h.DeltaVC})
+			fw.acks(nil)
 			fw.trace(0, "p0")
 			for i := 1; i <= n; i++ {
-				fw.event(&event.Event{ID: event.ID{Index: i}, Kind: event.KindInternal, Type: "x", VC: vclock.VC{int32(i)}.Stamp(0)}, h.DeltaVC)
+				fw.event(&event.Event{ID: event.ID{Index: i}, Kind: event.KindInternal, Type: "x", VC: vclock.VC{int32(i)}.Stamp(0)}, true)
 			}
 			fw.signal(frameEnd)
 			_ = fw.flush()
@@ -411,17 +437,18 @@ func TestTrickleCutsFramesMidHeaderAndMidVarint(t *testing.T) {
 	}
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(30 * time.Second))
-	if err := gob.NewEncoder(conn).Encode(hello{Magic: wireMagic, Role: roleMonitor, DeltaVC: true}); err != nil {
+	fw := newFrameWriter(conn)
+	fw.hello(&hello{magic: wireMagic, role: roleMonitor})
+	if err := fw.flush(); err != nil {
 		t.Fatal(err)
 	}
 	rec := &boundaryRecorder{r: conn, cuts: make(map[int]bool)}
 	br := bufio.NewReaderSize(rec, frameBufSize)
-	var ack helloAck
-	if err := gob.NewDecoder(br).Decode(&ack); err != nil || !ack.OK {
-		t.Fatalf("hello ack = %+v, %v", ack, err)
-	}
-	pos := rec.all.Len() - br.Buffered() // where the frames begin
 	fr := &frameReader{br: br}
+	if err := fr.next(new(frame)); err != nil {
+		t.Fatalf("hello answer: %v", err)
+	}
+	pos := rec.all.Len() - br.Buffered() // where the stream begins
 	for i := 0; i < len(oracle); {
 		var f frame
 		if err := fr.next(&f); err != nil {
@@ -536,14 +563,15 @@ func TestShardFollowerStopRacesInitialDial(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	var h hello
-	if err := gob.NewDecoder(conn).Decode(&h); err != nil {
+	if err := (&frameReader{br: bufio.NewReader(conn)}).next(new(frame)); err != nil {
 		t.Fatal(err)
 	}
-	// The follower is now inside its handshake, waiting for the ack, with
-	// no connection published yet: Stop finds nothing to close.
+	// The follower is now inside its handshake, waiting for the answer,
+	// with no connection published yet: Stop finds nothing to close.
 	f.Stop()
-	if err := gob.NewEncoder(conn).Encode(&helloAck{OK: true, DeltaVC: true}); err != nil {
+	fw := newFrameWriter(conn)
+	fw.acks(nil)
+	if err := fw.flush(); err != nil {
 		t.Fatal(err)
 	}
 	select {

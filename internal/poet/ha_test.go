@@ -6,7 +6,6 @@ package poet
 // primary crash (Server.abort, the in-process SIGKILL stand-in).
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -202,7 +201,7 @@ func TestAcksWithheldUntilReplicaConfirms(t *testing.T) {
 	t.Cleanup(func() { _ = s.Close() })
 
 	// A mute replica: completes the handshake, then never acks.
-	mute, err := dialRaw(addr, hello{Magic: wireMagic, Role: roleReplica})
+	mute, err := dialRaw(addr, hello{magic: wireMagic, role: roleReplica})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,23 +410,17 @@ func TestStandbyRejectsSessionsRetriably(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = s.Close() })
 
-	conn, err := net.Dial("tcp", addr)
+	conn, err := dialRaw(addr, hello{magic: wireMagic, role: roleMonitor})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := gob.NewEncoder(conn).Encode(hello{Magic: wireMagic, Role: roleMonitor}); err != nil {
-		t.Fatal(err)
-	}
-	var ack helloAck
-	if err := gob.NewDecoder(conn).Decode(&ack); err != nil {
-		t.Fatal(err)
-	}
-	if ack.OK {
+	ans := conn.answer(t)
+	if ans.kind != frameError {
 		t.Fatalf("standby accepted a monitor session before promotion")
 	}
-	if !ack.Retry {
-		t.Fatalf("standby rejection is terminal (%q); pooled clients would give up on this endpoint", ack.Error)
+	if !ans.retry {
+		t.Fatalf("standby rejection is terminal (%q); pooled clients would give up on this endpoint", ans.reason)
 	}
 
 	// After promotion the same hello succeeds.

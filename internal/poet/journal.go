@@ -206,9 +206,10 @@ func (c *Collector) recordLocked(rec journalRecord) (t walTicket) {
 }
 
 // registeredTracesLocked lists the registered trace names in ID order:
-// what a dump header and a replica attach replay to reproduce the trace
-// numbering. The holes a sharded store leaves for peer-homed IDs are
-// skipped: replaying a hole's fallback name would claim a home ID for it.
+// what a dump's leading trace records and a replica attach replay to
+// reproduce the trace numbering. The holes a sharded store leaves for
+// peer-homed IDs are skipped: replaying a hole's fallback name would
+// claim a home ID for it.
 func (c *Collector) registeredTracesLocked() []string {
 	names := make([]string, 0, len(c.registered))
 	for t, home := range c.registered {

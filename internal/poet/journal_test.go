@@ -3,14 +3,18 @@ package poet
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"ocep/internal/event"
+	"ocep/internal/wal"
 )
 
 // all flattens the log's chunks into one slice, oldest record first.
@@ -300,48 +304,42 @@ func TestJournalIndexAfter(t *testing.T) {
 	}
 }
 
-// TestReloadAcceptsOlderDumpLayouts: files written before the journal
-// list the delivered events in delivery order and (version 2) the
-// buffered ones in a trailing pending section; version 1 has no such
-// section. Both must keep reloading.
-func TestReloadAcceptsOlderDumpLayouts(t *testing.T) {
-	delivered := []RawEvent{
-		{Trace: "a", Seq: 1, Kind: event.KindSend, Type: "s", MsgID: 1},
-		{Trace: "b", Seq: 1, Kind: event.KindReceive, Type: "r", MsgID: 1},
+// TestReloadRejectsGobDump: the gob dumps of earlier builds (header
+// magic OCEP-POET-DUMP, versions 1 and 2) are no longer read. Reload and
+// snapshot recovery each refuse one with the error that names the
+// format dumps are now written in, rather than a generic decode failure.
+func TestReloadRejectsGobDump(t *testing.T) {
+	type gobDumpHeader struct {
+		Magic           string
+		Version         int
+		Traces          []string
+		Events, Pending int
 	}
-	pending := []RawEvent{{Trace: "b", Seq: 2, Kind: event.KindReceive, Type: "r", MsgID: 2}}
-	for _, tc := range []struct {
-		hdr  dumpHeader
-		evs  []RawEvent
-		pend int
-	}{
-		{dumpHeader{Magic: dumpMagic, Version: 1, Traces: []string{"a", "b"}, Events: 2}, delivered, 0},
-		{dumpHeader{Magic: dumpMagic, Version: 2, Traces: []string{"a", "b"}, Events: 2, Pending: 1}, append(delivered[:2:2], pending...), 1},
-	} {
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		if err := enc.Encode(tc.hdr); err != nil {
-			t.Fatal(err)
-		}
-		for i := range tc.evs {
-			if err := enc.Encode(&tc.evs[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		c := NewCollector()
-		n, err := c.Reload(&buf)
-		if err != nil || n != len(tc.evs) {
-			t.Fatalf("v%d reload = %d, %v; want %d events", tc.hdr.Version, n, err, len(tc.evs))
-		}
-		if c.Delivered() != 2 || c.Pending() != tc.pend {
-			t.Fatalf("v%d reload left %d delivered + %d pending, want 2 + %d", tc.hdr.Version, c.Delivered(), c.Pending(), tc.pend)
-		}
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	if err := enc.Encode(gobDumpHeader{Magic: gobDumpMagic, Version: 2, Traces: []string{"a"}, Events: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Encode(RawEvent{Trace: "a", Seq: 1, Kind: event.KindInternal, Type: "x"}); err != nil {
+		t.Fatal(err)
+	}
+	gobDump := buf.Bytes()
+	if _, err := NewCollector().Reload(bytes.NewReader(gobDump)); !errors.Is(err, errGobDump) || !strings.Contains(err.Error(), "OCEPWAL1") {
+		t.Fatalf("reloading a gob-era dump: %v, want the error naming the segment format", err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, SnapshotFile), gobDump, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenDurable(NewCollector(), DurableOptions{Dir: dir}); !errors.Is(err, errGobDump) {
+		t.Fatalf("recovering from a gob-era snapshot: %v, want the targeted rejection", err)
 	}
 }
 
-// TestDumpIsIngestionOrdered: the dump carries the journal's events as
-// they arrived — buffered ones in place, no pending section — and a
-// snapshot is the same file.
+// TestDumpIsIngestionOrdered: a snapshot is a dump, and a dump is one
+// write-ahead-log segment — the registered traces, then the journal's
+// events as they arrived (buffered ones in place), then the end record
+// counting them — that the WAL's own reader reads.
 func TestDumpIsIngestionOrdered(t *testing.T) {
 	dir := t.TempDir()
 	c, d := openDurable(t, dir, DurableOptions{Fsync: SyncNone, SnapshotEvery: -1})
@@ -351,6 +349,7 @@ func TestDumpIsIngestionOrdered(t *testing.T) {
 	if c.Pending() == 0 {
 		t.Fatal("workload should leave an event buffered")
 	}
+	wantTraces := traceNames(c)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -359,22 +358,29 @@ func TestDumpIsIngestionOrdered(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	dec := gob.NewDecoder(f)
-	var hdr dumpHeader
-	if err := dec.Decode(&hdr); err != nil {
-		t.Fatal(err)
-	}
-	if hdr.Version != dumpVersion || hdr.Events != len(evs) || hdr.Pending != 0 {
-		t.Fatalf("snapshot header %+v, want version %d with %d events and no pending section", hdr, dumpVersion, len(evs))
-	}
-	for i, want := range evs {
-		var got RawEvent
-		if err := dec.Decode(&got); err != nil {
-			t.Fatalf("event %d: %v", i, err)
+	var traces []string
+	var got []RawEvent
+	end := -1
+	st, err := wal.Read(f, func(p []byte) error {
+		r := &recordReader{p: p[1:]}
+		switch p[0] {
+		case recTrace:
+			traces = append(traces, r.string())
+		case recEvent:
+			got = append(got, r.eventRecord())
+		case recEnd:
+			end = r.int()
 		}
-		if got != want {
-			t.Fatalf("snapshot event %d is %+v, want the %d-th ingested %+v", i, got, i, want)
-		}
+		return r.err
+	})
+	if err != nil || st.Truncated {
+		t.Fatalf("reading the snapshot as a segment: %+v, %v", st, err)
+	}
+	if !equalSlices(traces, wantTraces) || end != len(traces)+len(evs) {
+		t.Fatalf("snapshot registers %v and ends counting %d records, want %v and %d", traces, end, wantTraces, len(wantTraces)+len(evs))
+	}
+	if !slices.Equal(got, evs) {
+		t.Fatalf("snapshot holds %d events out of ingestion order, want the %d ingested", len(got), len(evs))
 	}
 }
 

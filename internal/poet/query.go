@@ -1,14 +1,12 @@
 package poet
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 
 	"ocep/internal/event"
-	"ocep/internal/vclock"
 )
 
 // This file implements the "future plugin" of the paper's Section VI: a
@@ -22,10 +20,8 @@ import (
 
 // GetEvent returns a delivered event by ID.
 func (c *Collector) GetEvent(id event.ID) (*event.Event, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e := c.store.Get(id)
-	return e, e != nil
+	e, _, ok := c.getEventNamed(id)
+	return e, ok
 }
 
 // QueryGP returns the greatest-predecessor index of the identified event
@@ -52,7 +48,10 @@ func (c *Collector) QueryLS(id event.ID, t event.TraceID) (int, error) {
 	return c.store.LS(e, t), nil
 }
 
-// Wire protocol for the query role.
+// Wire protocol for the query role: after the hello, each query frame is
+// answered by the monitor stream's own frames — the event's trace
+// announcement and the event, its timestamp dense, for opGet; a head
+// frame with the position for opGP/opLS — or by an error frame.
 
 const roleQuery = "query"
 
@@ -66,137 +65,136 @@ const (
 )
 
 type queryReq struct {
-	Op           queryOp
-	Trace, Index int
-	// Arg is the second trace for GP/LS queries.
-	Arg int
-}
-
-type queryResp struct {
-	OK    bool
-	Error string
-	// Event is set for opGet.
-	Event *queryEvent
-	// Pos is set for opGP/opLS.
-	Pos int
-}
-
-// queryEvent is a delivered event in a gob query response, its timestamp
-// as a dense vector.
-type queryEvent struct {
-	ID, Partner event.ID
-	Kind        event.Kind
-	Type, Text  string
-	VC          vclock.VC
+	op  queryOp
+	id  event.ID
+	arg int // the second trace of GP/LS queries
 }
 
 // handleQuery serves one query connection.
-func (s *Server) handleQuery(conn net.Conn, dec *gob.Decoder) error {
-	enc := gob.NewEncoder(conn)
+func (s *Server) handleQuery(fr *frameReader, fw *frameWriter) error {
+	if err := acceptHello(fw, nil); err != nil {
+		return err
+	}
+	var f frame
 	for {
-		var req queryReq
-		if err := dec.Decode(&req); err != nil {
+		if err := fr.next(&f); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
 				return nil
 			}
-			return fmt.Errorf("decoding query: %w", err)
+			return fmt.Errorf("reading query: %w", err)
 		}
-		id := event.ID{Trace: event.TraceID(req.Trace), Index: req.Index}
-		var resp queryResp
-		switch req.Op {
+		if f.kind != frameQuery {
+			return fmt.Errorf("kind-%d frame on a query connection", f.kind)
+		}
+		q := f.query
+		var pos int
+		var err error
+		switch q.op {
 		case opGet:
-			if e, ok := s.collector.GetEvent(id); ok {
-				resp = queryResp{OK: true, Event: &queryEvent{ID: e.ID, Partner: e.Partner, Kind: e.Kind, Type: e.Type, Text: e.Text, VC: e.VC.Dense()}}
-			} else {
-				resp = queryResp{Error: fmt.Sprintf("unknown event %s", id)}
+			e, name, ok := s.collector.getEventNamed(q.id)
+			if !ok {
+				err = fmt.Errorf("unknown event %s", q.id)
+				break
 			}
+			fw.trace(e.ID.Trace, name)
+			fw.event(e, false)
 		case opGP:
-			pos, err := s.collector.QueryGP(id, event.TraceID(req.Arg))
-			if err != nil {
-				resp = queryResp{Error: err.Error()}
-			} else {
-				resp = queryResp{OK: true, Pos: pos}
-			}
+			pos, err = s.collector.QueryGP(q.id, event.TraceID(q.arg))
 		case opLS:
-			pos, err := s.collector.QueryLS(id, event.TraceID(req.Arg))
-			if err != nil {
-				resp = queryResp{Error: err.Error()}
-			} else {
-				resp = queryResp{OK: true, Pos: pos}
-			}
+			pos, err = s.collector.QueryLS(q.id, event.TraceID(q.arg))
 		default:
-			resp = queryResp{Error: fmt.Sprintf("unknown query op %d", req.Op)}
+			err = fmt.Errorf("unknown query op %d", q.op)
 		}
-		if err := enc.Encode(&resp); err != nil {
-			return fmt.Errorf("encoding query response: %w", err)
+		switch {
+		case err != nil:
+			fw.refuse(err.Error(), false)
+		case q.op != opGet:
+			fw.head(pos)
+		}
+		if err := fw.flush(); err != nil {
+			return fmt.Errorf("answering query: %w", err)
 		}
 	}
+}
+
+// getEventNamed is GetEvent plus the name of the event's trace.
+func (c *Collector) getEventNamed(id event.ID) (*event.Event, string, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.store.Get(id)
+	if e == nil {
+		return nil, "", false
+	}
+	return e, c.store.TraceName(id.Trace), true
 }
 
 // QueryClient retrieves event timestamps and causality positions from a
 // POET server. Not safe for concurrent use (requests are pipelined
 // one at a time).
 type QueryClient struct {
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	s *session
 }
 
 // DialQuery connects to a POET server as a query client.
 func DialQuery(addr string) (*QueryClient, error) {
-	conn, err := net.Dial("tcp", addr)
+	cfg := defaultClientCfg()
+	s, err := dialSession(addr, hello{role: roleQuery}, &cfg, cfg.peerTimeout)
 	if err != nil {
-		return nil, fmt.Errorf("poet query: dial: %w", err)
+		return nil, fmt.Errorf("poet query: %w", err)
 	}
-	enc := gob.NewEncoder(conn)
-	if err := enc.Encode(hello{Magic: wireMagic, Role: roleQuery}); err != nil {
-		_ = conn.Close()
-		return nil, fmt.Errorf("poet query: hello: %w", err)
-	}
-	return &QueryClient{conn: conn, enc: enc, dec: gob.NewDecoder(conn)}, nil
+	return &QueryClient{s: s}, nil
 }
 
-func (q *QueryClient) roundTrip(req queryReq) (queryResp, error) {
-	if err := q.enc.Encode(&req); err != nil {
-		return queryResp{}, fmt.Errorf("poet query: send: %w", err)
+// roundTrip sends q and reads frames up to its answer: the event frame
+// for opGet, the head frame for opGP/opLS.
+func (c *QueryClient) roundTrip(q queryReq) (*frame, error) {
+	c.s.fw.query(&q)
+	if err := c.s.fw.flush(); err != nil {
+		return nil, fmt.Errorf("poet query: send: %w", err)
 	}
-	var resp queryResp
-	if err := q.dec.Decode(&resp); err != nil {
-		return queryResp{}, fmt.Errorf("poet query: receive: %w", err)
+	var f frame
+	for {
+		if err := c.s.fr.next(&f); err != nil {
+			return nil, fmt.Errorf("poet query: receive: %w", err)
+		}
+		switch f.kind {
+		case frameTrace:
+			continue
+		case frameError:
+			return nil, fmt.Errorf("poet query: %s", f.reason)
+		case frameEvent, frameHead:
+			return &f, nil
+		}
+		return nil, fmt.Errorf("poet query: unexpected kind-%d frame", f.kind)
 	}
-	if !resp.OK {
-		return resp, fmt.Errorf("poet query: %s", resp.Error)
-	}
-	return resp, nil
 }
 
 // Get retrieves a delivered event by ID.
-func (q *QueryClient) Get(id event.ID) (*event.Event, error) {
-	resp, err := q.roundTrip(queryReq{Op: opGet, Trace: int(id.Trace), Index: id.Index})
+func (c *QueryClient) Get(id event.ID) (*event.Event, error) {
+	f, err := c.roundTrip(queryReq{op: opGet, id: id})
 	if err != nil {
 		return nil, err
 	}
-	w := resp.Event
-	return &event.Event{ID: w.ID, Partner: w.Partner, Kind: w.Kind, Type: w.Type, Text: w.Text, VC: w.VC.Stamp(int(w.ID.Trace))}, nil
+	return f.ev, nil
 }
 
 // GP returns the greatest-predecessor index of id on trace t.
-func (q *QueryClient) GP(id event.ID, t event.TraceID) (int, error) {
-	resp, err := q.roundTrip(queryReq{Op: opGP, Trace: int(id.Trace), Index: id.Index, Arg: int(t)})
+func (c *QueryClient) GP(id event.ID, t event.TraceID) (int, error) {
+	f, err := c.roundTrip(queryReq{op: opGP, id: id, arg: int(t)})
 	if err != nil {
 		return 0, err
 	}
-	return resp.Pos, nil
+	return f.head, nil
 }
 
 // LS returns the least-successor index of id on trace t.
-func (q *QueryClient) LS(id event.ID, t event.TraceID) (int, error) {
-	resp, err := q.roundTrip(queryReq{Op: opLS, Trace: int(id.Trace), Index: id.Index, Arg: int(t)})
+func (c *QueryClient) LS(id event.ID, t event.TraceID) (int, error) {
+	f, err := c.roundTrip(queryReq{op: opLS, id: id, arg: int(t)})
 	if err != nil {
 		return 0, err
 	}
-	return resp.Pos, nil
+	return f.head, nil
 }
 
 // Close closes the connection.
-func (q *QueryClient) Close() error { return q.conn.Close() }
+func (c *QueryClient) Close() error { return c.s.Close() }

@@ -64,9 +64,9 @@ func TestQueryOverTCP(t *testing.T) {
 	}
 	defer q.Close()
 
-	// gob drops a stamp's unexported fields, so the query role ships the
-	// dense clock: a trace's first event, a receive, and an internal event
-	// sharing that receive's join clock must all arrive whole.
+	// The query role spells the clock dense: a trace's first event, a
+	// receive, and an internal event sharing that receive's join clock
+	// must all arrive whole.
 	for _, tc := range []struct {
 		id   event.ID
 		want string

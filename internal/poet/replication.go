@@ -1,7 +1,6 @@
 package poet
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -219,33 +218,28 @@ func (c *Collector) journalFrom(idx int) (recs []journalRecord, next, head int, 
 // the registered traces, the suffix past the replica's confirmed offset,
 // then live records as they are ingested, with idle heartbeats carrying the
 // ingest head so the replica can compute its lag on a quiet stream. A
-// background reader consumes replicaAck frames and feeds the
-// confirmations that release the primary's ack and monitor-send
-// barriers.
-func (s *Server) handleReplica(conn *link, dec *gob.Decoder, h hello) error {
+// background reader consumes the replica's head frames (its applied
+// count) and feeds the confirmations that release the primary's ack and
+// monitor-send barriers.
+func (s *Server) handleReplica(conn *link, fr *frameReader, fw *frameWriter, h hello) error {
 	c := s.collector
-	fw := newFrameWriter(conn)
-	sendHello := func(ack helloAck) error { return fw.gob(&ack) }
 	if !c.ReplicationStats().Enabled {
-		msg := "replication log not enabled on this collector"
-		_ = sendHello(helloAck{Error: msg})
-		return fmt.Errorf("replica %s: %s", conn.RemoteAddr(), msg)
+		return refuseHello(fw, roleReplica, "replication log not enabled on this collector", false)
 	}
-	idx, traces, err := c.replAttachPoint(h.ReplicaFrom)
+	idx, traces, err := c.replAttachPoint(h.from)
 	if err != nil {
-		_ = sendHello(helloAck{Error: err.Error()})
-		return fmt.Errorf("replica %s: %v", conn.RemoteAddr(), err)
+		return refuseHello(fw, roleReplica, err.Error(), false)
 	}
-	if err := sendHello(helloAck{OK: true}); err != nil {
-		return fmt.Errorf("replica hello ack: %w", err)
+	if err := acceptHello(fw, nil); err != nil {
+		return err
 	}
 	s.replicaSessions.add(1)
-	if h.ReplicaFrom > 0 {
+	if h.from > 0 {
 		s.targetResumes.Add(1) // WireStats only: the metric counts reporters
 	}
-	sess := c.replAttach(h.ReplicaFrom)
+	sess := c.replAttach(h.from)
 	defer c.replDetach(sess)
-	s.logf("poet server: replica %s attached at offset %d", conn.RemoteAddr(), h.ReplicaFrom)
+	s.logf("poet server: replica %s attached at offset %d", conn.RemoteAddr(), h.from)
 
 	// Confirmation reader. The peer timeout applies: a replica that
 	// stops acking (hung, partitioned) is declared dead, detaching the
@@ -254,9 +248,9 @@ func (s *Server) handleReplica(conn *link, dec *gob.Decoder, h hello) error {
 	readerDone := make(chan struct{})
 	go func() {
 		defer close(readerDone)
+		var f frame
 		for {
-			var ack replicaAck
-			if err := dec.Decode(&ack); err != nil {
+			if err := fr.next(&f); err != nil {
 				if isTimeout(err) {
 					s.peerTimeouts.add(1)
 					s.logf("poet server: replica %s silent for %v; presumed dead", conn.RemoteAddr(), s.peerTimeout)
@@ -264,8 +258,8 @@ func (s *Server) handleReplica(conn *link, dec *gob.Decoder, h hello) error {
 				_ = conn.Close()
 				return
 			}
-			if !ack.Heartbeat || ack.Applied > 0 {
-				c.replConfirm(sess, ack.Applied)
+			if f.kind == frameHead {
+				c.replConfirm(sess, f.head)
 			}
 		}
 	}()
@@ -561,7 +555,7 @@ func FollowPrimary(addr string, c *Collector, opts ...ReplicaOption) (*Replicato
 // connect dials the primary and completes the replica handshake,
 // resuming from the local collector's ingest count.
 func (r *Replicator) connect() (*link, error) {
-	s, err := dialSession(r.addr, hello{Magic: wireMagic, Role: roleReplica, ReplicaFrom: r.c.IngestCount()},
+	s, err := dialSession(r.addr, hello{role: roleReplica, from: r.c.IngestCount()},
 		&r.cfg.clientCfg, max(r.cfg.peerTimeout, minHandshakeTimeout))
 	if err != nil {
 		return nil, err
@@ -576,7 +570,7 @@ func (r *Replicator) connect() (*link, error) {
 	}
 	// Confirmation sender for this connection: an ack immediately after
 	// each applied burst (the barrier's latency), heartbeats when idle.
-	go r.acker(s.link, s.enc, wake)
+	go r.acker(s.link, s.fw, wake)
 	return s.link, nil
 }
 
@@ -592,8 +586,10 @@ func (r *Replicator) signalAck() {
 	}
 }
 
-// acker streams replicaAck frames on one connection until it dies.
-func (r *Replicator) acker(conn net.Conn, enc *gob.Encoder, wake chan struct{}) {
+// acker confirms on one connection until it dies: a head frame with the
+// applied count when it advanced, a heartbeat frame when the timer fires
+// on an unchanged one.
+func (r *Replicator) acker(conn net.Conn, fw *frameWriter, wake chan struct{}) {
 	t := time.NewTimer(r.cfg.heartbeat)
 	defer t.Stop()
 	last := -1
@@ -608,10 +604,15 @@ func (r *Replicator) acker(conn net.Conn, enc *gob.Encoder, wake chan struct{}) 
 			return
 		}
 		applied := r.c.IngestCount()
-		if applied == last && !hb {
+		switch {
+		case applied != last:
+			fw.head(applied)
+		case hb:
+			fw.signal(frameHeartbeat)
+		default:
 			continue
 		}
-		if err := enc.Encode(&replicaAck{Applied: applied, Heartbeat: hb && applied == last}); err != nil {
+		if err := fw.flush(); err != nil {
 			_ = conn.Close()
 			return
 		}

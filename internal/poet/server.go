@@ -1,7 +1,6 @@
 package poet
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -58,7 +57,7 @@ type Server struct {
 	// The wire counters: WireStats reads them, InstrumentMetrics mirrors
 	// them into a registry. The last five are metrics only.
 	stale, acksSent, heartbeats, targetResumes, monitorResumes, loadSheds,
-	monitorBytes, monitorFlushes, targetReads, vcEntriesSent, deltaSessions,
+	monitorBytes, monitorFlushes, targetReads, vcEntriesSent,
 	replicaSessions, replicaEvents, shardSessions, shardRecords, shardVCEntries, drains,
 	targetConns, monitorConns, targetEvents, peerTimeouts, monOverflows wireCounter
 	// sheddingConns counts target handlers currently parked in the
@@ -147,7 +146,7 @@ type WireStats struct {
 	// StaleEvents counts retransmitted events ignored as idempotent
 	// no-ops (ErrStaleEvent from the collector on the wire path).
 	StaleEvents int
-	// AcksSent counts serverAck frames sent to targets.
+	// AcksSent counts acks frames sent to targets past the hello's answer.
 	AcksSent int
 	// Heartbeats counts idle keep-alive frames sent to monitors.
 	Heartbeats int
@@ -168,14 +167,10 @@ type WireStats struct {
 	// frame buffers achieve on that leg.
 	MonitorFlushes, TargetReads int
 	// VCEntriesSent counts vector-timestamp entries put on the wire to
-	// monitors: the full dense length per event on dense connections,
-	// only the changed entries on delta-negotiated ones. Divide by the
-	// event count for the per-event timestamp cost the delta encoding
-	// is there to shrink.
+	// monitors: only the entries that changed since the connection's
+	// previous timestamp. Divide by the event count for the per-event
+	// timestamp cost the delta encoding is there to shrink.
 	VCEntriesSent int
-	// DeltaSessions counts monitor sessions that negotiated
-	// delta-encoded timestamps at the handshake.
-	DeltaSessions int
 	// RecoveryDiscarded counts WAL records discarded as torn or corrupt
 	// by startup recovery (0 for a non-durable or cleanly started
 	// server). See RecoveryStats.DiscardedRecords.
@@ -229,7 +224,7 @@ func (s *Server) InstrumentMetrics(reg *telemetry.Registry) {
 		{&s.targetConns, "poet_wire_target_conns_total", "Accepted target (reporter) connections."},
 		{&s.monitorConns, "poet_wire_monitor_conns_total", "Accepted monitor connections."},
 		{&s.targetEvents, "poet_wire_target_events_total", "Event frames received from targets (before ingestion; includes stale retransmits)."},
-		{&s.acksSent, "poet_wire_acks_sent_total", "serverAck frames sent to targets."},
+		{&s.acksSent, "poet_wire_acks_sent_total", "Acks frames sent to targets."},
 		{&s.heartbeats, "poet_wire_heartbeats_sent_total", "Idle keep-alive frames sent to monitors, replicas, and shard peers."},
 		{&s.stale, "poet_wire_stale_retransmits_total", "Retransmitted events absorbed as idempotent no-ops."},
 		{&s.targetResumes, "poet_wire_target_resumes_total", "Target hellos that named resumed traces."},
@@ -240,8 +235,7 @@ func (s *Server) InstrumentMetrics(reg *telemetry.Registry) {
 		{&s.monitorBytes, "poet_wire_monitor_bytes_total", "Bytes written to monitor connections (events, announcements, heartbeats, handshakes)."},
 		{&s.monitorFlushes, "poet_wire_monitor_flushes_total", "write(2) calls on monitor connections; events per flush is the batching of the outbound leg."},
 		{&s.targetReads, "poet_wire_target_reads_total", "read(2) calls that returned data on target connections; events per read is the batching of the inbound leg."},
-		{&s.vcEntriesSent, "poet_wire_vc_entries_total", "Vector-timestamp entries sent to monitors (full vectors on dense connections, changed entries on delta connections)."},
-		{&s.deltaSessions, "poet_wire_delta_sessions_total", "Monitor sessions that negotiated delta-encoded timestamps."},
+		{&s.vcEntriesSent, "poet_wire_vc_entries_total", "Vector-timestamp entries sent to monitors (the entries that changed since the previous timestamp)."},
 		{&s.replicaSessions, "poet_wire_replica_sessions_total", "Accepted replica (warm-standby) sessions."},
 		{&s.replicaEvents, "poet_wire_replica_events_total", "Event records streamed to replica sessions."},
 		{&s.shardSessions, "poet_wire_shard_sessions_total", "Accepted peer-shard (cross-shard exchange) sessions."},
@@ -278,7 +272,6 @@ func (s *Server) WireStats() WireStats {
 		MonitorFlushes:  int(s.monitorFlushes.Load()),
 		TargetReads:     int(s.targetReads.Load()),
 		VCEntriesSent:   int(s.vcEntriesSent.Load()),
-		DeltaSessions:   int(s.deltaSessions.Load()),
 		ReplicaSessions: int(s.replicaSessions.Load()),
 		ReplicaEvents:   int(s.replicaEvents.Load()),
 		ReplicationLag:  s.collector.ReplicationStats().Lag,
@@ -423,27 +416,43 @@ func (s *Server) handle(conn net.Conn) error {
 	// A connection that never completes its hello must not pin a handler
 	// goroutine forever.
 	l := newLink(conn, s.peerTimeout, s.writeTimeout)
-	dec := gob.NewDecoder(l.br)
-	var h hello
-	if err := dec.Decode(&h); err != nil {
+	fr := &frameReader{br: l.br}
+	var f frame
+	if err := fr.next(&f); errors.Is(err, errFrameKind) || errors.Is(err, errFrameTooLong) {
+		// A gob stream opens with a type definition: its length, then a
+		// negative type id spelled 0x7F, or 0xFF and a byte. Behind a
+		// one-byte length — every earlier hello's — the id reads as an
+		// unknown kind; behind a longer one, length and id run on as one
+		// oversized varint.
+		return fmt.Errorf("gob-era hello (OCEP-POET-1, -2 or -3) rejected: this server speaks %s, which opens with a hello frame; rebuild the peer from the same checkout (%v)", wireMagic, err)
+	} else if err != nil {
 		return fmt.Errorf("reading hello: %w", err)
+	}
+	if f.kind != frameHello {
+		return fmt.Errorf("kind-%d frame where the hello belongs", f.kind)
+	}
+	h := f.hello
+	if h.magic != wireMagic {
+		return fmt.Errorf("bad magic %q", h.magic)
 	}
 	// Past the hello only the roles that hear from their peer keep a read
 	// deadline; they re-arm it themselves.
 	l.readTimeout = 0
 	_ = conn.SetReadDeadline(time.Time{})
-	switch h.Magic {
-	case wireMagic:
-	case wireMagicV1, wireMagicV2:
-		return fmt.Errorf("%s peer rejected: this server speaks %s (v2 added acks, resume, and heartbeats to the handshake; v3 streams binary frames, not gob messages, after it)", h.Magic, wireMagic)
-	default:
-		return fmt.Errorf("bad magic %q", h.Magic)
+	var out io.Writer = l
+	if h.role == roleMonitor {
+		// All monitor-bound bytes go through a counting writer so the wire
+		// cost of the stream — and of the timestamp encoding in particular
+		// — is observable (WireStats.MonitorBytes,
+		// poet_wire_monitor_bytes_total).
+		out = countingWriter{w: l, s: s}
 	}
+	fw := newFrameWriter(out)
 	// An unpromoted standby or a draining server takes no new sessions;
-	// the rejection is marked retriable so endpoint pools rotate to the
-	// live peer (or keep probing until promotion) instead of treating it
-	// as terminal. Query sessions pass: read-only state stays readable.
-	if h.Role == roleTarget || h.Role == roleMonitor || h.Role == roleReplica || h.Role == roleShard {
+	// the refusal is marked retriable so endpoint pools rotate to the live
+	// peer (or keep probing until promotion) instead of treating it as
+	// terminal. Query sessions pass: read-only state stays readable.
+	if h.role != roleQuery {
 		reason := ""
 		if s.Draining() {
 			reason = "server is draining; no new sessions"
@@ -451,24 +460,40 @@ func (s *Server) handle(conn net.Conn) error {
 			reason = "standby awaiting promotion; not serving yet"
 		}
 		if reason != "" {
-			_ = gob.NewEncoder(l).Encode(&helloAck{Error: reason, Retry: true})
-			return fmt.Errorf("rejected %s session: %s", h.Role, reason)
+			return refuseHello(fw, h.role, reason, true)
 		}
 	}
-	switch h.Role {
+	switch h.role {
 	case roleTarget:
-		return s.handleTarget(l, dec, h)
+		return s.handleTarget(l, fr, fw, h)
 	case roleMonitor:
-		return s.handleMonitor(l, h)
+		return s.handleMonitor(l, fw, h)
 	case roleReplica:
-		return s.handleReplica(l, dec, h)
+		return s.handleReplica(l, fr, fw, h)
 	case roleShard:
-		return s.handleShard(l, h)
+		return s.handleShard(l, fw, h)
 	case roleQuery:
-		return s.handleQuery(l, dec)
+		return s.handleQuery(fr, fw)
 	default:
-		return fmt.Errorf("unknown role %q", h.Role)
+		return fmt.Errorf("unknown role %q", h.role)
 	}
+}
+
+// refuseHello answers a hello with an error frame and returns the
+// refusal as the session's error.
+func refuseHello(fw *frameWriter, role, reason string, retry bool) error {
+	fw.refuse(reason, retry)
+	_ = fw.flush()
+	return fmt.Errorf("%s session refused: %s", role, reason)
+}
+
+// acceptHello answers a hello with the acks frame that opens the session.
+func acceptHello(fw *frameWriter, acks []traceAck) error {
+	fw.acks(acks)
+	if err := fw.flush(); err != nil {
+		return fmt.Errorf("answering the hello: %w", err)
+	}
+	return nil
 }
 
 // handleTarget ingests raw events until the connection closes or the
@@ -479,37 +504,37 @@ func (s *Server) handle(conn net.Conn) error {
 // as idempotent no-ops; genuinely malformed events still hard-fail the
 // connection, with the reason reported to the peer so it stops
 // retransmitting the poison event.
-func (s *Server) handleTarget(conn *link, dec *gob.Decoder, h hello) error {
+func (s *Server) handleTarget(conn *link, fr *frameReader, fw *frameWriter, h hello) error {
 	s.targetConns.add(1)
 	s.targetConnCount.Add(1)
 	defer s.targetConnCount.Add(-1)
-	// The reverse direction is cold (one ack per interval) and stays gob,
-	// unbuffered: every ack is its own write.
-	enc := gob.NewEncoder(conn)
-	var encMu sync.Mutex
-	writeAck := func(ack any) error {
-		encMu.Lock()
-		defer encMu.Unlock()
-		return enc.Encode(ack)
+	// The return leg is cold (one acks frame per interval); the ack pump
+	// and the read loop share it, each write its own flush.
+	var fwMu sync.Mutex
+	send := func(write func()) error {
+		fwMu.Lock()
+		defer fwMu.Unlock()
+		write()
+		return fw.flush()
 	}
 
-	// The handshake ack tells a resuming reporter what it may prune
-	// before retransmitting.
-	if err := writeAck(&helloAck{OK: true, Acks: s.collector.acksFor(h.Traces)}); err != nil {
-		return fmt.Errorf("hello ack: %w", err)
+	// The accepting acks frame tells a resuming reporter what it may
+	// prune before retransmitting.
+	if err := acceptHello(fw, s.collector.acksFor(h.traces)); err != nil {
+		return err
 	}
-	if len(h.Traces) > 0 {
+	if len(h.traces) > 0 {
 		s.targetResumes.add(1)
 	}
 
 	// Traces this connection has reported: seen is the read loop's own,
 	// names is what the ack pump shares.
 	var namesMu sync.Mutex
-	seen := make(map[string]bool, len(h.Traces))
-	for _, n := range h.Traces {
+	seen := make(map[string]bool, len(h.traces))
+	for _, n := range h.traces {
 		seen[n] = true
 	}
-	names := append([]string(nil), h.Traces...)
+	names := h.traces
 	acks := func() []traceAck {
 		namesMu.Lock()
 		cur := names[:len(names):len(names)]
@@ -524,26 +549,31 @@ func (s *Server) handleTarget(conn *link, dec *gob.Decoder, h hello) error {
 		defer t.Stop()
 		drain := s.drainCh
 		for {
-			ack := serverAck{}
+			drained := false
 			select {
 			case <-stop:
 				return
 			case <-drain:
-				// Orderly shutdown: tell the reporter now, with the
+				// Orderly shutdown: tell the reporter now, behind the
 				// current acks, so a pooled client peels off immediately
 				// instead of waiting for the connection to die. Acks keep
 				// flowing below while single-endpoint reporters flush.
 				drain = nil
-				ack.Drain = true
+				drained = true
 			case <-t.C:
 			}
-			ack.Acks = acks()
+			cur := acks()
 			// Counted before it is written: the reporter may act on the ack
 			// (and someone scrape the counter) before this goroutine runs
 			// again.
 			s.acksSent.add(1)
-			if err := writeAck(&ack); err != nil {
-				_ = conn.Close() // unblock the decode loop
+			if err := send(func() {
+				fw.acks(cur)
+				if drained {
+					fw.signal(frameDrain)
+				}
+			}); err != nil {
+				_ = conn.Close() // unblock the read loop
 				return
 			}
 		}
@@ -553,7 +583,6 @@ func (s *Server) handleTarget(conn *link, dec *gob.Decoder, h hello) error {
 	conn.onRead = func() {
 		s.targetReads.add(1)
 	}
-	fr := &frameReader{br: conn.br}
 	var f frame
 	for {
 		if err := fr.next(&f); err != nil {
@@ -604,7 +633,7 @@ func (s *Server) handleTarget(conn *link, dec *gob.Decoder, h hello) error {
 			if errors.Is(err, ErrOverloaded) {
 				// The backlog never drained: a causal predecessor is likely
 				// missing for good. Tell the peer before hanging up.
-				_ = writeAck(&serverAck{Err: err.Error()})
+				_ = send(func() { fw.refuse(err.Error(), false) })
 				return fmt.Errorf("shedding %s/%d: collector still overloaded after %v: %w",
 					raw.Trace, raw.Seq, s.overloadWait, err)
 			}
@@ -620,7 +649,7 @@ func (s *Server) handleTarget(conn *link, dec *gob.Decoder, h hello) error {
 			}
 			// Malformed beyond repair: tell the peer why before hanging up,
 			// so it fails its Report instead of retransmitting forever.
-			_ = writeAck(&serverAck{Err: err.Error()})
+			_ = send(func() { fw.refuse(err.Error(), false) })
 			return fmt.Errorf("reporting: %w", err)
 		}
 	}
@@ -637,17 +666,13 @@ func (s *Server) handleTarget(conn *link, dec *gob.Decoder, h hello) error {
 // its own offset); under BackpressureBlock ingestion throttles to the
 // monitor instead. On server Close the queue is drained and an End
 // frame marks the clean end of stream.
-func (s *Server) handleMonitor(conn *link, h hello) error {
+func (s *Server) handleMonitor(conn *link, fw *frameWriter, h hello) error {
 	s.monitorConns.add(1)
 	s.monWG.Add(1)
 	defer s.monWG.Done()
 
-	// All monitor-bound bytes go through a counting writer so the wire
-	// cost of the stream — and of the timestamp encoding in particular —
-	// is observable (WireStats.MonitorBytes, poet_wire_monitor_bytes_total).
 	// fwMu serializes the batch handler, the heartbeat ticker, and the
 	// drain/end frames; each holds it from first frame to flush.
-	fw := newFrameWriter(countingWriter{w: conn, s: s})
 	var fwMu sync.Mutex
 	var lastWrite atomic.Int64
 	flush := func() error {
@@ -661,21 +686,18 @@ func (s *Server) handleMonitor(conn *link, h hello) error {
 		fw.signal(kind)
 		return flush()
 	}
-	sendHello := func(ack helloAck) error { return fw.gob(&ack) }
 
 	// Validate the resume offset before subscribing. Delivered and the
 	// retention trim point only grow; an offset rejected here would be
 	// rejected by the subscription too, so check the trim first for the
 	// better error message.
-	if trimmed := s.collector.RetentionStats().TrimmedFrom; h.ResumeFrom >= 0 && h.ResumeFrom < trimmed {
-		msg := fmt.Sprintf("cannot resume from offset %d: retention evicted events below %d; the requested suffix no longer exists",
-			h.ResumeFrom, trimmed)
-		_ = sendHello(helloAck{Error: msg})
-		return fmt.Errorf("monitor %s: %s", conn.RemoteAddr(), msg)
+	if trimmed := s.collector.RetentionStats().TrimmedFrom; h.from < trimmed {
+		return refuseHello(fw, roleMonitor, fmt.Sprintf("cannot resume from offset %d: retention evicted events below %d; the requested suffix no longer exists",
+			h.from, trimmed), false)
 	}
-	if h.ResumeFrom < 0 || h.ResumeFrom > s.collector.Delivered() {
+	if h.from > s.collector.Delivered() {
 		msg := fmt.Sprintf("cannot resume from offset %d (delivered %d): this collector did not produce that stream",
-			h.ResumeFrom, s.collector.Delivered())
+			h.from, s.collector.Delivered())
 		if d := s.collector.Durable(); d != nil {
 			rec := d.Recovery()
 			if rec.DiscardedRecords > 0 || rec.SnapshotTruncated {
@@ -683,25 +705,19 @@ func (s *Server) handleMonitor(conn *link, h hello) error {
 				// that outlived it: say so, instead of implying the
 				// client is confused.
 				msg = fmt.Sprintf("cannot resume from offset %d: crash recovery rebuilt only %d events (%d WAL records discarded); the requested suffix no longer exists",
-					h.ResumeFrom, s.collector.Delivered(), rec.DiscardedRecords)
+					h.from, s.collector.Delivered(), rec.DiscardedRecords)
 			}
 		}
-		_ = sendHello(helloAck{Error: msg})
-		return fmt.Errorf("monitor %s: %s", conn.RemoteAddr(), msg)
+		return refuseHello(fw, roleMonitor, msg, false)
 	}
-	// Timestamp-encoding negotiation: the client advertised DeltaVC and
-	// the echo in the ack seals it. The delta baseline starts at zero on
-	// both sides at this handshake, so reconnects and resumed replays
-	// are re-encoded from scratch — retransmitted suffixes never depend
-	// on state from a dead connection.
-	deltaVC := h.DeltaVC
-	if err := sendHello(helloAck{OK: true, DeltaVC: deltaVC}); err != nil {
-		return fmt.Errorf("hello ack: %w", err)
+	// Timestamps are delta-encoded. The baseline starts at zero on both
+	// sides at this handshake, so reconnects and resumed replays are
+	// re-encoded from scratch — retransmitted suffixes never depend on
+	// state from a dead connection.
+	if err := acceptHello(fw, nil); err != nil {
+		return err
 	}
-	if deltaVC {
-		s.deltaSessions.add(1)
-	}
-	if h.ResumeFrom > 0 {
+	if h.from > 0 {
 		s.monitorResumes.add(1)
 	}
 
@@ -770,7 +786,7 @@ func (s *Server) handleMonitor(conn *link, h hello) error {
 		pending = pending[:0]
 		entries := 0
 		for _, e := range batch {
-			entries += fw.event(e, deltaVC)
+			entries += fw.event(e, true)
 		}
 		err := flush()
 		fwMu.Unlock()
@@ -781,7 +797,7 @@ func (s *Server) handleMonitor(conn *link, h hello) error {
 		}
 		dropCheck()
 	}
-	sub, err := s.collector.SubscribeBatchReplayFrom(h.ResumeFrom, handler, AsyncOptions{
+	sub, err := s.collector.SubscribeBatchReplayFrom(h.from, handler, AsyncOptions{
 		QueueDepth: s.monQueue,
 		Policy:     s.monPolicy,
 		OnTrace: func(t event.TraceID, name string) {

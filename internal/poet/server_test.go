@@ -1,6 +1,7 @@
 package poet
 
 import (
+	"bufio"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -248,7 +249,7 @@ func TestServerRejectsBadHello(t *testing.T) {
 	}
 	defer conn.Close()
 	// Direct bad-magic connection.
-	bad, err := dialRaw(addr, hello{Magic: "WRONG", Role: roleTarget})
+	bad, err := dialRaw(addr, hello{magic: "WRONG", role: roleTarget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,6 +261,65 @@ func TestServerRejectsBadHello(t *testing.T) {
 	}
 	if _, err := bad.Read(buf); err == nil {
 		t.Fatalf("expected close or deadline on bad-magic connection")
+	}
+}
+
+// TestServerRejectsGobHello: a peer of an earlier build opens with a gob
+// hello (OCEP-POET-1, -2 or -3). The server hangs up on it at once and
+// logs why, naming the protocol it speaks, instead of reading gob bytes
+// as frames or waiting for more of them.
+func TestServerRejectsGobHello(t *testing.T) {
+	logs := make(chan string, 16)
+	s := NewServer(NewCollector(), func(format string, args ...any) {
+		select {
+		case logs <- fmt.Sprintf(format, args...):
+		default:
+		}
+	})
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	type v3Hello struct {
+		Magic, Role string
+		ResumeFrom  int
+		Traces      []string
+		DeltaVC     bool
+		ReplicaFrom int
+	}
+	type v1Hello struct{ Magic, Role string }
+	// A type definition longer than 127 bytes takes a two-byte gob length;
+	// encoded third, its type id is spelled 0xFF and a byte.
+	type longHello struct {
+		MagicOfAnEarlierBuildSpelledAtLength, RoleOfThePeerSpelledAtLength    string
+		ResumeOffsetOfTheStreamSpelledAtLength, AppliedRecordsSpelledAtLength int
+	}
+	for _, h := range []any{
+		v3Hello{Magic: "OCEP-POET-3", Role: roleMonitor, Traces: []string{"p0"}, DeltaVC: true},
+		v1Hello{Magic: "OCEP-POET-1", Role: roleTarget},
+		longHello{MagicOfAnEarlierBuildSpelledAtLength: "OCEP-POET-2", RoleOfThePeerSpelledAtLength: roleReplica},
+	} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The type definition and the value are two writes; the server may
+		// hang up between them, so the second can fail.
+		_ = gob.NewEncoder(conn).Encode(h)
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Read(make([]byte, 1)); err == nil || isTimeout(err) {
+			t.Fatalf("%T: the server kept the connection open (read: %v)", h, err)
+		}
+		_ = conn.Close()
+		select {
+		case line := <-logs:
+			if !strings.Contains(line, "gob-era hello") || !strings.Contains(line, wireMagic) {
+				t.Fatalf("%T: logged %q, want the gob-era rejection naming %s", h, line, wireMagic)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%T: no rejection logged", h)
+		}
 	}
 }
 
@@ -287,20 +347,18 @@ func TestServerToleratesStaleDuplicates(t *testing.T) {
 
 	// A raw target connection, so we can inject the duplicate without the
 	// Reporter's own dedup machinery getting in the way.
-	conn, err := dialRaw(addr, hello{Magic: wireMagic, Role: roleTarget})
+	conn, err := dialRaw(addr, hello{magic: wireMagic, role: roleTarget})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	var ack helloAck
-	if err := gob.NewDecoder(conn).Decode(&ack); err != nil || !ack.OK {
-		t.Fatalf("hello ack = %+v, %v", ack, err)
+	if f := conn.answer(t); f.kind != frameAcks {
+		t.Fatalf("hello answered by a kind-%d frame (%q)", f.kind, f.reason)
 	}
-	fw := newFrameWriter(conn)
 	send := func(r RawEvent) {
 		t.Helper()
-		fw.raw(&r)
-		if err := fw.flush(); err != nil {
+		conn.fw.raw(&r)
+		if err := conn.fw.flush(); err != nil {
 			t.Fatalf("send: %v", err)
 		}
 	}
@@ -361,7 +419,7 @@ func TestServerRejectsMalformedEvent(t *testing.T) {
 // hello close that connection without harming the server.
 func TestServerGarbageAfterHello(t *testing.T) {
 	c, _, addr := startServer(t)
-	conn, err := dialRaw(addr, hello{Magic: wireMagic, Role: roleTarget})
+	conn, err := dialRaw(addr, hello{magic: wireMagic, role: roleTarget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,17 +439,38 @@ func TestServerGarbageAfterHello(t *testing.T) {
 	waitFor(t, func() bool { return c.Delivered() == 1 })
 }
 
+// rawSession is a hand-driven client connection: the frame writer that
+// sent its hello carries the rest of what the test sends, and the frame
+// reader what comes back.
+type rawSession struct {
+	net.Conn
+	fw *frameWriter
+	fr *frameReader
+}
+
 // dialRaw opens a connection and sends an arbitrary hello.
-func dialRaw(addr string, h hello) (net.Conn, error) {
+func dialRaw(addr string, h hello) (*rawSession, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	if err := gob.NewEncoder(conn).Encode(h); err != nil {
+	s := &rawSession{Conn: conn, fw: newFrameWriter(conn), fr: &frameReader{br: bufio.NewReader(conn)}}
+	s.fw.hello(&h)
+	if err := s.fw.flush(); err != nil {
 		_ = conn.Close()
 		return nil, err
 	}
-	return conn, nil
+	return s, nil
+}
+
+// answer reads the frame that answers the hello.
+func (s *rawSession) answer(t *testing.T) frame {
+	t.Helper()
+	var f frame
+	if err := s.fr.next(&f); err != nil {
+		t.Fatalf("reading the hello's answer: %v", err)
+	}
+	return f
 }
 
 func waitFor(t *testing.T, cond func() bool) {

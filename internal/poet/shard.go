@@ -224,30 +224,23 @@ func (c *Collector) exportsFrom(idx int) (recs []shardExport, next, head int, gr
 // handleShard streams the collector's export log to one peer shard: the
 // suffix past the peer's offset first, then live records as sends are
 // delivered, with idle heartbeats carrying the export head. Timestamps
-// are delta-encoded when the peer negotiated DeltaVC, so an idle or
-// slowly-changing frontier costs a handful of entries per record. The
-// peer never writes after its hello; a background read doubles as the
-// close detector.
-func (s *Server) handleShard(conn *link, h hello) error {
+// are delta-encoded, so an idle or slowly-changing frontier costs a
+// handful of entries per record. The peer never writes after its hello;
+// a background read doubles as the close detector.
+func (s *Server) handleShard(conn *link, fw *frameWriter, h hello) error {
 	c := s.collector
-	fw := newFrameWriter(conn)
-	sendHello := func(ack helloAck) error { return fw.gob(&ack) }
 	if !c.Sharded() {
-		msg := "sharding not enabled on this collector"
-		_ = sendHello(helloAck{Error: msg})
-		return fmt.Errorf("shard peer %s: %s", conn.RemoteAddr(), msg)
+		return refuseHello(fw, roleShard, "sharding not enabled on this collector", false)
 	}
 	_, _, head, _ := c.exportsFrom(0)
-	if h.ResumeFrom < 0 || h.ResumeFrom > head {
-		msg := fmt.Sprintf("cannot resume shard exchange from offset %d (exported %d): this shard did not produce that stream", h.ResumeFrom, head)
-		_ = sendHello(helloAck{Error: msg})
-		return fmt.Errorf("shard peer %s: %s", conn.RemoteAddr(), msg)
+	if h.from > head {
+		return refuseHello(fw, roleShard, fmt.Sprintf("cannot resume shard exchange from offset %d (exported %d): this shard did not produce that stream", h.from, head), false)
 	}
-	if err := sendHello(helloAck{OK: true, DeltaVC: h.DeltaVC}); err != nil {
-		return fmt.Errorf("shard hello ack: %w", err)
+	if err := acceptHello(fw, nil); err != nil {
+		return err
 	}
 	s.shardSessions.add(1)
-	s.logf("poet server: shard peer %s attached at export offset %d", conn.RemoteAddr(), h.ResumeFrom)
+	s.logf("poet server: shard peer %s attached at export offset %d", conn.RemoteAddr(), h.from)
 
 	// Shard peers never send after the hello; a background read doubles
 	// as a close detector.
@@ -259,7 +252,7 @@ func (s *Server) handleShard(conn *link, h hello) error {
 
 	// The delta baseline is touched only inside this loop, so encoding
 	// order equals stream order — its invariant.
-	idx := h.ResumeFrom
+	idx := h.from
 	return s.streamLog(conn, fw, "shard peer", done, s.drainCh, func() (int, int, <-chan struct{}) {
 		recs, next, head, ch := c.exportsFrom(idx)
 		if len(recs) > 0 {
@@ -267,7 +260,7 @@ func (s *Server) handleShard(conn *link, h hello) error {
 		}
 		entries := 0
 		for i := range recs {
-			entries += fw.export(&recs[i], h.DeltaVC)
+			entries += fw.export(&recs[i], true)
 		}
 		s.shardVCEntries.add(int64(entries))
 		s.shardRecords.add(int64(len(recs)))
@@ -544,7 +537,7 @@ func (f *ShardFollower) connect() (conn *link, err error) {
 // bookkeeping: the handshake counts as peer contact, and per-session
 // counters restart. Returns a nil conn when Stop raced the dial.
 func (f *ShardFollower) handshake(addr string) (*link, error) {
-	s, err := dialSession(addr, hello{Magic: wireMagic, Role: roleShard, DeltaVC: true},
+	s, err := dialSession(addr, hello{role: roleShard},
 		&f.cfg.clientCfg, max(f.cfg.peerTimeout, minHandshakeTimeout))
 	if err != nil {
 		return nil, err

@@ -2,7 +2,6 @@ package poet
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -13,16 +12,16 @@ import (
 	"ocep/internal/pool"
 )
 
-// Wire protocol v3 ("OCEP-POET-3"); docs/ARCHITECTURE.md has the frame
-// layout table. Every connection opens with a gob hello naming its role,
-// answered (for every role but query) by a gob helloAck. After that the
-// data direction of the four streaming roles speaks the binary frame
-// codec of frame.go — target→server raw events, server→monitor
-// delivered events, server→replica records, server→shard exports, each
-// with its in-band heartbeat/drain/end/head frames — while the cold
-// reverse direction (serverAck at the ack interval, replicaAck per
-// applied burst) and the query role stay gob: their structs grow fields
-// without a format change, and none of it shows in a profile.
+// Wire protocol v4 ("OCEP-POET-4"); docs/ARCHITECTURE.md has the frame
+// layout table. Every connection speaks the frame codec of frame.go in
+// both directions, from its first byte: a hello frame naming the role,
+// answered by an acks frame (the target's per-trace acks; empty for the
+// other roles) or an error frame (the reason, and whether retrying may
+// help). After it, target→server raw events with acks, drain and error
+// frames coming back; server→monitor delivered events; server→replica
+// records with the replica's head (applied count) and heartbeat frames
+// coming back; server→shard exports; and query requests answered by the
+// monitor stream's own trace and event frames, or a head frame.
 //
 // A writer buffers every record its producer already has in hand — the
 // delivery batch, the reporter's unsent window, the record-log suffix —
@@ -30,15 +29,15 @@ import (
 // write(2) per burst, no timer, so a lone event leaves at once.
 //
 // Reconnecting peers resume: a target hello names the traces it is
-// retransmitting (the helloAck returns the server's ack for each, so
-// already-ingested events are pruned before replay), and a monitor hello
-// carries ResumeFrom, the number of linearized events already received,
-// so the server replays only the suffix. All per-connection codec state
-// restarts with the handshake.
+// retransmitting (the accepting acks frame returns the server's ack for
+// each, so already-ingested events are pruned before replay), and a
+// monitor hello carries the number of linearized events already
+// received, so the server replays only the suffix. All per-connection
+// codec state restarts with the handshake.
 //
-// Compatibility: v3 replaces the gob data messages of v2 outright, as v2
-// replaced v1's ack-less stream; the server rejects both older magics at
-// the handshake instead of desynchronizing mid-stream.
+// Compatibility: v1–v3 opened with a gob hello; the server recognizes
+// one by its first frame failing to parse and rejects it with a message
+// naming v4, instead of desynchronizing mid-stream.
 
 // Connection roles.
 const (
@@ -54,52 +53,20 @@ const (
 	roleShard = "shard"
 )
 
+// hello is a session's first frame.
 type hello struct {
-	Magic string
-	Role  string
-	// ResumeFrom (monitor role) is the number of linearized events the
-	// client has already received; the server replays from that offset.
-	ResumeFrom int
-	// Traces (target role) names the traces the reporter has unacked
-	// events for; the helloAck returns the server's ack for each.
-	Traces []string
-	// DeltaVC (monitor role) advertises that the client can decode
-	// delta-encoded vector timestamps. The server echoes it in the
-	// helloAck when it agrees; either side left at false keeps the
-	// connection on dense clocks.
-	DeltaVC bool
-	// ReplicaFrom (replica role) is the number of event records the
-	// replica has already applied; the server replays its journal from
-	// just past that point, after the registered traces.
-	ReplicaFrom int
+	magic, role string
+	// from is where the session resumes: the linearized events a monitor
+	// has received, the event records a replica has applied, the export
+	// records a shard peer has.
+	from int
+	// traces (target role) names the traces the reporter has unacked
+	// events for; the accepting acks frame returns the server's ack for
+	// each.
+	traces []string
 }
 
-const wireMagic = "OCEP-POET-3"
-
-// The older magics are recognized only to produce a targeted rejection.
-const (
-	wireMagicV1 = "OCEP-POET-1"
-	wireMagicV2 = "OCEP-POET-2"
-)
-
-// helloAck is the server's handshake response to target and monitor
-// hellos.
-type helloAck struct {
-	OK    bool
-	Error string
-	// Acks (target role) is the server's contiguous ingest position for
-	// each trace named in the hello.
-	Acks []traceAck
-	// DeltaVC confirms delta-encoded timestamps for this monitor or
-	// shard session.
-	DeltaVC bool
-	// Retry marks a rejection as retriable: the server is a standby
-	// awaiting promotion or is draining, so the same hello may succeed
-	// later (or at another endpoint of the pool). Terminal rejections —
-	// a resume offset the collector cannot honor — leave it false, and
-	// clients surface those instead of rotating endpoints past them.
-	Retry bool
-}
+const wireMagic = "OCEP-POET-4"
 
 // traceAck is the highest seq s such that events 1..s of the trace have
 // all been ingested (delivered or buffered awaiting causal partners).
@@ -108,38 +75,10 @@ type traceAck struct {
 	Seq   int
 }
 
-// serverAck is one server-to-target frame. A frame with unchanged Acks
-// doubles as a heartbeat. A non-empty Err reports a hard event rejection
-// (the event is malformed, not merely stale); the server closes the
-// connection after sending it, and the reporter surfaces the error
-// instead of retransmitting the poison event forever.
-type serverAck struct {
-	Acks []traceAck
-	Err  string
-	// Drain announces an orderly shutdown: the server keeps acking what
-	// it has but wants no new sessions. A reporter with alternative
-	// endpoints fails over immediately instead of waiting for the
-	// connection to die; a single-endpoint reporter ignores the notice.
-	Drain bool
-}
-
-// replicaAck is one replica-to-server frame: the number of event
-// records the replica has durably applied (a bare heartbeat when
-// nothing advanced). The server's replication barrier releases reporter
-// acks and monitor sends only up to the confirmed position.
-type replicaAck struct {
-	Applied   int
-	Heartbeat bool
-}
-
 // link is one end of a wire connection. It moves each deadline onto the
 // syscall it guards — a fresh one is armed before every read(2) and
 // write(2), not before every message — and owns the connection's one
-// inbound buffer: the gob handshake decoder and the frameReader both
-// read through br, so bytes that arrive in the same segment as the
-// handshake are never stranded in a decoder's private read-ahead
-// (gob.NewDecoder wraps anything that is not an io.ByteReader in a
-// bufio.Reader of its own).
+// inbound buffer, br.
 type link struct {
 	net.Conn
 	// readTimeout and writeTimeout arm the deadlines when positive. Each
@@ -198,18 +137,17 @@ func defaultClientCfg() clientCfg {
 	}
 }
 
-// session is the client end of a freshly handshaken connection.
+// session is the client end of a freshly handshaken connection: the
+// frame writer and reader that carried the hello and its answer carry
+// the rest of the session, and acks is what the answer held.
 type session struct {
 	*link
-	// enc and dec carried the hello and the helloAck; a role whose cold
-	// reverse direction stays gob keeps using the same pair (a second
-	// encoder on the stream would resend type definitions).
-	enc *gob.Encoder
-	dec *gob.Decoder
-	ack helloAck
+	fw   *frameWriter
+	fr   *frameReader
+	acks []traceAck
 }
 
-// dialSession dials addr, sends h, and reads the helloAck under
+// dialSession dials addr, sends h, and reads the answer under
 // ackTimeout (see minHandshakeTimeout); the peer timeout guards the
 // reads after it. A refused session closes the connection: a retriable
 // refusal (standby awaiting promotion, draining server) reads like a
@@ -220,23 +158,27 @@ func dialSession(addr string, h hello, cfg *clientCfg, ackTimeout time.Duration)
 	if err != nil {
 		return nil, fmt.Errorf("dial: %w", err)
 	}
-	s := &session{link: newLink(conn, ackTimeout, cfg.writeTimeout)}
-	s.enc, s.dec = gob.NewEncoder(s.link), gob.NewDecoder(s.br)
-	if err := s.enc.Encode(h); err != nil {
-		_ = conn.Close()
-		return nil, fmt.Errorf("hello: %w", err)
+	l := newLink(conn, ackTimeout, cfg.writeTimeout)
+	s := &session{link: l, fw: newFrameWriter(l), fr: &frameReader{br: l.br}}
+	h.magic = wireMagic
+	s.fw.hello(&h)
+	var f frame
+	if err = s.fw.flush(); err != nil {
+		err = fmt.Errorf("hello: %w", err)
+	} else if err = s.fr.next(&f); err != nil {
+		err = fmt.Errorf("hello answer: %w", err)
+	} else if f.kind == frameError && f.retry {
+		err = fmt.Errorf("session deferred: %s", f.reason)
+	} else if f.kind == frameError {
+		err = fmt.Errorf("%w: %s", ErrSessionRejected, f.reason)
+	} else if f.kind != frameAcks {
+		err = fmt.Errorf("hello answered by a kind-%d frame", f.kind)
 	}
-	if err := s.dec.Decode(&s.ack); err != nil {
+	if err != nil {
 		_ = conn.Close()
-		return nil, fmt.Errorf("hello ack: %w", err)
+		return nil, err
 	}
-	if !s.ack.OK {
-		_ = conn.Close()
-		if s.ack.Retry {
-			return nil, fmt.Errorf("session deferred: %s", s.ack.Error)
-		}
-		return nil, fmt.Errorf("%w: %s", ErrSessionRejected, s.ack.Error)
-	}
+	s.acks = f.acks
 	s.readTimeout = cfg.peerTimeout
 	return s, nil
 }

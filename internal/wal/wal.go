@@ -20,6 +20,10 @@
 // instead of refusing to start. Everything after the corruption point is
 // counted, never silently dropped.
 //
+// A standalone segment (header index 0) written by Writer to any
+// io.Writer is the poet collector's dump and snapshot format; Read scans
+// one from any io.Reader with the same code that replays the log.
+//
 // Durability is a policy, not a promise: SyncAlways fsyncs before an
 // append commits (group commit — concurrent committers share one fsync),
 // SyncInterval fsyncs on a timer, SyncNone leaves flushing to the OS.
@@ -104,10 +108,65 @@ const (
 	recHeaderSize = 8
 	// MaxRecord bounds a single payload; a longer length prefix marks a
 	// corrupt frame.
-	MaxRecord = 1 << 26
+	MaxRecord   = 1 << 26
+	readBufSize = 1 << 18
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// ErrNoHeader reports input that does not open with a segment header.
+var ErrNoHeader = errors.New("wal: input does not open with a segment header (" + segMagic + ")")
+
+// segHeader is the header of segment idx.
+func segHeader(idx uint64) (hdr [segHeaderSize]byte) {
+	copy(hdr[:8], segMagic)
+	binary.LittleEndian.PutUint64(hdr[8:], idx)
+	return hdr
+}
+
+// writeRecord frames one payload into w: its length and CRC, then the
+// bytes. rh is the caller's header scratch (a local escapes via w.Write).
+// A bufio.Writer's error sticks, so the last write reports any.
+func writeRecord(w *bufio.Writer, rh *[recHeaderSize]byte, payload []byte) error {
+	binary.LittleEndian.PutUint32(rh[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rh[4:8], crc32.Checksum(payload, crcTable))
+	_, _ = w.Write(rh[:])
+	_, err := w.Write(payload)
+	return err
+}
+
+// Writer writes one standalone segment — a dump or a snapshot — to an
+// io.Writer: the header, then one framed record per Append, in 64 KiB
+// writes. Errors stick and surface at Flush. Read reads it back.
+type Writer struct {
+	w   *bufio.Writer
+	rh  [recHeaderSize]byte
+	err error
+}
+
+// NewWriter starts a standalone segment on w.
+func NewWriter(w io.Writer) *Writer {
+	sw := &Writer{w: bufio.NewWriterSize(w, 64<<10)}
+	hdr := segHeader(0)
+	_, _ = sw.w.Write(hdr[:])
+	return sw
+}
+
+// Append frames one record.
+func (w *Writer) Append(payload []byte) {
+	if len(payload) == 0 || len(payload) > MaxRecord {
+		w.err = fmt.Errorf("wal: payload size %d out of range", len(payload))
+	}
+	_ = writeRecord(w.w, &w.rh, payload)
+}
+
+// Flush writes what the buffer holds and reports the first error.
+func (w *Writer) Flush() error {
+	if w.err != nil {
+		return w.err
+	}
+	return w.w.Flush()
+}
 
 // ReplayStats summarizes one recovery scan of a log directory.
 type ReplayStats struct {
@@ -244,7 +303,8 @@ func syncDir(dir string) {
 // first torn or corrupt record, and leaves the log ready for appends at
 // the end of the valid prefix. A nil fn skips replay but still
 // validates and truncates. If fn returns an error the scan aborts and
-// Open fails; fn must swallow errors it wants to survive.
+// Open fails; fn must swallow errors it wants to survive. The payload is
+// valid only until fn returns.
 func Open(dir string, opts Options, fn func(payload []byte) error) (*Log, ReplayStats, error) {
 	opts = opts.norm()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -288,9 +348,10 @@ func Open(dir string, opts Options, fn func(payload []byte) error) (*Log, Replay
 }
 
 // Replay reads the log in dir without modifying it: every intact record
-// is passed to fn; corruption ends the scan and is reported in the
-// stats, never repaired. Use it to inspect a log another process owns,
-// or to reload a data directory as a read-only trace source.
+// is passed to fn (valid until it returns); corruption ends the scan and
+// is reported in the stats, never repaired. Use it to inspect a log
+// another process owns, or to reload a data directory as a read-only
+// trace source.
 func Replay(dir string, fn func(payload []byte) error) (ReplayStats, error) {
 	stats, _, _, err := scanDir(dir, fn, false)
 	return stats, err
@@ -318,8 +379,8 @@ func scanDir(dir string, fn func([]byte) error, truncate bool) (ReplayStats, uin
 		if corrupt {
 			// A later segment after a corrupt one: its records sit past a
 			// hole in the log and cannot be replayed. Count, then drop.
-			n, _ := countRecords(path)
-			stats.DiscardedRecords += n
+			lost, _, _ := scanSegment(path, nil)
+			stats.DiscardedRecords += lost.Records + lost.DiscardedRecords
 			if truncate {
 				_ = os.Remove(path)
 			}
@@ -350,150 +411,119 @@ func scanDir(dir string, fn func([]byte) error, truncate bool) (ReplayStats, uin
 	return stats, lastSeg, appendOff, nil
 }
 
-// scanSegment replays one segment through fn. It returns the offset of
-// the end of the last intact record (the truncation point when the
-// segment is corrupt) and per-segment stats. An error from fn aborts
-// the scan; I/O framing problems are reported in the stats instead.
+// scanSegment replays one segment file through fn; see scan.
 func scanSegment(path string, fn func([]byte) error) (ReplayStats, int64, error) {
-	var stats ReplayStats
 	f, err := os.Open(path)
 	if err != nil {
-		return stats, 0, fmt.Errorf("wal: opening %s: %w", path, err)
+		return ReplayStats{}, 0, fmt.Errorf("wal: opening %s: %w", path, err)
 	}
 	defer f.Close()
-	size, err := f.Seek(0, io.SeekEnd)
-	if err != nil {
-		return stats, 0, err
+	stats, good, err := scan(f, fn)
+	if err != nil && !errors.Is(err, ErrNoHeader) { // header-less: garbage from byte 0, counted
+		return stats, good, fmt.Errorf("wal: replaying %s: %w", path, err)
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return stats, 0, err
-	}
-	r := bufio.NewReaderSize(f, 1<<18)
-	var hdr [segHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		// A header-less (or empty) segment: everything is garbage.
-		stats.Truncated = size > 0
-		stats.DiscardedBytes = size
-		return stats, 0, nil
-	}
-	if string(hdr[:8]) != segMagic {
-		stats.Truncated = true
-		stats.DiscardedBytes = size
-		return stats, 0, nil
-	}
-	off := int64(segHeaderSize)
-	discarding := false
-	for {
-		var rh [recHeaderSize]byte
-		if _, err := io.ReadFull(r, rh[:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				break // clean end of segment
-			}
-			// Torn record header.
-			stats.Truncated = true
-			stats.DiscardedRecords++
-			stats.DiscardedBytes += size - off
-			break
-		}
-		length := binary.LittleEndian.Uint32(rh[0:4])
-		sum := binary.LittleEndian.Uint32(rh[4:8])
-		if length == 0 || length > MaxRecord || off+recHeaderSize+int64(length) > size {
-			// Implausible frame: either garbage or a record torn mid-payload.
-			stats.Truncated = true
-			stats.DiscardedRecords++
-			stats.DiscardedBytes += size - off
-			break
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			stats.Truncated = true
-			stats.DiscardedRecords++
-			stats.DiscardedBytes += size - off
-			break
-		}
-		if crc32.Checksum(payload, crcTable) != sum {
-			// Corrupt record: stop replaying, keep parsing frames so the
-			// loss is counted precisely rather than reported as raw bytes.
-			stats.Truncated = true
-			discarding = true
-		}
-		if discarding {
-			stats.DiscardedRecords++
-			off += recHeaderSize + int64(length)
-			continue
-		}
-		if fn != nil {
-			if err := fn(payload); err != nil {
-				return stats, off, fmt.Errorf("wal: replaying %s at offset %d: %w", path, off, err)
-			}
-		}
-		stats.Records++
-		off += recHeaderSize + int64(length)
-	}
-	if discarding {
-		// The truncation point is the end of the last good record, before
-		// the corrupt one.
-		return stats, goodOffsetBeforeDiscard(path, stats.Records), nil
-	}
-	return stats, off, nil
+	return stats, good, nil
 }
 
-// goodOffsetBeforeDiscard re-walks a segment to find the byte offset
-// just past the n-th record. Only used on the corruption path, where
-// the scan loop has advanced past the truncation point while counting.
-func goodOffsetBeforeDiscard(path string, n int) int64 {
-	f, err := os.Open(path)
-	if err != nil {
-		return segHeaderSize
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	if _, err := io.ReadFull(r, make([]byte, segHeaderSize)); err != nil {
-		return segHeaderSize
-	}
-	off := int64(segHeaderSize)
-	for i := 0; i < n; i++ {
-		var rh [recHeaderSize]byte
-		if _, err := io.ReadFull(r, rh[:]); err != nil {
-			return off
-		}
-		length := binary.LittleEndian.Uint32(rh[0:4])
-		if _, err := io.CopyN(io.Discard, r, int64(length)); err != nil {
-			return off
-		}
-		off += recHeaderSize + int64(length)
-	}
-	return off
+// Read replays one segment — a dump or snapshot NewWriter wrote, or a
+// log segment — from r through fn, as Replay does a directory: a torn
+// or corrupt record ends the scan and is reported in the stats, never
+// as an error. Input without a segment header is ErrNoHeader. The
+// payload is valid only until fn returns.
+func Read(r io.Reader, fn func(payload []byte) error) (ReplayStats, error) {
+	stats, _, err := scan(r, fn)
+	return stats, err
 }
 
-// countRecords counts structurally intact frames in a segment without
-// verifying checksums or replaying.
-func countRecords(path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// scan reads one segment from r, replaying every intact record through
+// fn. It returns per-segment stats and the offset just past the last
+// intact record — the truncation point when the segment is torn or
+// corrupt. An error from fn aborts the scan; framing problems are
+// reported in the stats instead.
+func scan(r io.Reader, fn func([]byte) error) (stats ReplayStats, good int64, err error) {
+	cr := &countingReader{r: r}
+	br := bufio.NewReaderSize(cr, readBufSize)
+	// discard ends the scan at off: nothing from there on parses.
+	discard := func(off int64) {
+		_, _ = io.Copy(io.Discard, br)
+		stats.Truncated = cr.n > off
+		stats.DiscardedBytes += cr.n - off
 	}
-	defer f.Close()
-	r := bufio.NewReader(f)
 	var hdr [segHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil || string(hdr[:8]) != segMagic {
-		return 0, nil
+	if _, err := io.ReadFull(br, hdr[:]); err != nil || string(hdr[:8]) != segMagic {
+		discard(0)
+		return stats, 0, ErrNoHeader
 	}
-	n := 0
+	if fn == nil {
+		fn = func([]byte) error { return nil }
+	}
+	off, good := int64(segHeaderSize), int64(-1)
+	var rh [recHeaderSize]byte
 	for {
-		var rh [recHeaderSize]byte
-		if _, err := io.ReadFull(r, rh[:]); err != nil {
-			return n, nil
+		if _, err = io.ReadFull(br, rh[:]); err == io.EOF {
+			break // clean end of segment
 		}
-		length := binary.LittleEndian.Uint32(rh[0:4])
-		if length == 0 || length > MaxRecord {
-			return n, nil
+		n := binary.LittleEndian.Uint32(rh[0:4])
+		var payload []byte
+		if err == nil && (n == 0 || n > MaxRecord) {
+			err = errors.New("implausible record length")
+		} else if err == nil {
+			payload, err = readPayload(br, int(n))
 		}
-		if _, err := io.CopyN(io.Discard, r, int64(length)); err != nil {
-			return n, nil
+		if err != nil {
+			// A torn record header or payload, or garbage.
+			stats.DiscardedRecords++
+			discard(off)
+			break
 		}
-		n++
+		if good < 0 && crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(rh[4:8]) {
+			// Corrupt record: the log is good up to here. Stop replaying,
+			// keep parsing frames so the loss is counted precisely rather
+			// than reported as raw bytes.
+			stats.Truncated, good = true, off
+		}
+		if good >= 0 {
+			stats.DiscardedRecords++
+		} else if err = fn(payload); err != nil {
+			return stats, off, fmt.Errorf("record at offset %d: %w", off, err)
+		} else {
+			stats.Records++
+		}
+		off += recHeaderSize + int64(n)
 	}
+	if good < 0 {
+		good = off
+	}
+	return stats, good, nil
+}
+
+// readPayload reads an n-byte record: in place when it fits the read
+// buffer (valid until the next read), else assembled as its bytes
+// arrive, so a corrupt length costs no more memory than the input holds.
+func readPayload(br *bufio.Reader, n int) (b []byte, err error) {
+	for len(b) < n && err == nil {
+		var p []byte
+		p, err = br.Peek(min(n-len(b), br.Size()))
+		if len(p) == n {
+			_, _ = br.Discard(n)
+			return p, nil
+		}
+		b = append(b, p...)
+		_, _ = br.Discard(len(p))
+	}
+	return b, err
 }
 
 // openSegment creates segment idx and makes it current. Caller holds no
@@ -503,9 +533,7 @@ func (l *Log) openSegment(idx uint64) error {
 	if err != nil {
 		return fmt.Errorf("wal: creating segment %d: %w", idx, err)
 	}
-	var hdr [segHeaderSize]byte
-	copy(hdr[:8], segMagic)
-	binary.LittleEndian.PutUint64(hdr[8:], idx)
+	hdr := segHeader(idx)
 	if _, err := f.Write(hdr[:]); err != nil {
 		_ = f.Close()
 		return fmt.Errorf("wal: writing segment header: %w", err)
@@ -536,13 +564,7 @@ func (l *Log) Append(payload []byte) (int64, error) {
 	if l.metrics != nil {
 		start = time.Now()
 	}
-	binary.LittleEndian.PutUint32(l.rh[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(l.rh[4:8], crc32.Checksum(payload, crcTable))
-	if _, err := l.w.Write(l.rh[:]); err != nil {
-		l.err = fmt.Errorf("wal: append: %w", err)
-		return 0, l.err
-	}
-	if _, err := l.w.Write(payload); err != nil {
+	if err := writeRecord(l.w, &l.rh, payload); err != nil {
 		l.err = fmt.Errorf("wal: append: %w", err)
 		return 0, l.err
 	}

@@ -2,11 +2,14 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -362,5 +365,54 @@ func TestAppendRejectsBadPayloads(t *testing.T) {
 	defer l.Close()
 	if _, err := l.Append(nil); err == nil {
 		t.Error("empty payload must be rejected")
+	}
+}
+
+// TestWriterReadRoundTrip: a standalone segment written to an
+// io.Writer reads back through Read from a reader that hands over one
+// byte at a time, a record longer than the read buffer included.
+func TestWriterReadRoundTrip(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	want := [][]byte{[]byte("first"), bytes.Repeat([]byte("long"), readBufSize), []byte("last")}
+	for _, p := range want {
+		w.Append(p)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var got [][]byte
+	stats, err := Read(iotest.OneByteReader(&buf), func(p []byte) error {
+		got = append(got, bytes.Clone(p))
+		return nil
+	})
+	if err != nil || stats.Records != len(want) || stats.Truncated {
+		t.Fatalf("read %+v, %v", stats, err)
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("record %d read back as %d bytes, want %d", i, len(got[i]), len(want[i]))
+		}
+	}
+	if _, err := Read(bytes.NewReader([]byte("not a segment")), nil); !errors.Is(err, ErrNoHeader) {
+		t.Fatalf("reading a header-less input: %v, want ErrNoHeader", err)
+	}
+}
+
+// TestReadAllocatesWhatArrives: a record that claims the largest payload
+// on a few bytes of input is a torn record, found without allocating
+// the length it claims.
+func TestReadAllocatesWhatArrives(t *testing.T) {
+	hdr := segHeader(0)
+	in := append(hdr[:], 0, 0, 0, 4, 0, 0, 0, 0, 'a', 'b', 'c', 'd') // MaxRecord bytes claimed
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	stats, err := Read(bytes.NewReader(in), nil)
+	runtime.ReadMemStats(&after)
+	if err != nil || !stats.Truncated || stats.DiscardedRecords != 1 || stats.DiscardedBytes != 12 {
+		t.Fatalf("read %+v, %v; want one torn record of 12 bytes", stats, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("a %d-byte input claiming %d bytes allocated %d", len(in), MaxRecord, got)
 	}
 }

@@ -272,12 +272,6 @@ var (
 	WithMonitorBackoff = poet.WithMonitorBackoff
 	// WithMonitorLog routes reconnect diagnostics to a log function.
 	WithMonitorLog = poet.WithMonitorLog
-	// WithMonitorDeltaVC controls whether the client offers delta-encoded
-	// vector timestamps at the handshake (on by default: each event ships
-	// only the clock entries that changed since the previous one on the
-	// connection). Pass false to force full dense vectors, e.g. against a
-	// server that predates the encoding.
-	WithMonitorDeltaVC = poet.WithMonitorDeltaVC
 )
 
 // Option configures a Monitor.
