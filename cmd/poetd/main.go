@@ -41,11 +41,13 @@
 // the collector; with block, ingestion throttles to the slowest monitor
 // and no monitor is ever disconnected for lagging.
 //
-// The wire layer is fault-tolerant (v2 protocol): target connections
-// are acknowledged every -ack-interval so reporters can prune their
-// retransmit buffers, idle monitor streams carry a keep-alive frame
-// every -heartbeat, and a target silent for 8x the heartbeat interval
-// (minimum 2s) is declared dead and its connection reclaimed.
+// The wire layer is fault-tolerant: target connections are acknowledged
+// after every burst the server ingests, so reporters release their
+// retransmit windows as fast as the server works, and at least every
+// -ack-interval, which doubles as their heartbeat; idle monitor streams
+// carry a keep-alive frame every -heartbeat, and a target silent for 8x
+// the heartbeat interval (minimum 2s) is declared dead and its
+// connection reclaimed.
 // Reconnecting peers resume their sessions: reporters replay only what
 // was never acknowledged, monitors continue from the exact event index
 // they had reached.
@@ -161,7 +163,7 @@ func run() error {
 		dump      = flag.String("dump", "", "write the journal's raw events, in ingestion order, to this file on shutdown")
 		monQueue  = flag.Int("monitor-queue", 0, "per-monitor delivery queue depth (0 = default 65536)")
 		monPolicy = flag.String("monitor-policy", "drop", "full-queue policy: drop (disconnect laggards) or block (throttle ingestion)")
-		ackEvery  = flag.Duration("ack-interval", poet.DefaultAckInterval, "cadence of ingestion acknowledgements to targets")
+		ackEvery  = flag.Duration("ack-interval", poet.DefaultAckInterval, "idle floor of ingestion acknowledgements to targets (acks also follow every ingested burst)")
 		heartbeat = flag.Duration("heartbeat", poet.DefaultHeartbeat, "idle keep-alive cadence on monitor streams; targets silent for 8x this (min 2s) are declared dead")
 		metrics   = flag.String("metrics-addr", "", "address for the telemetry listener (/metrics, /debug/vars, /debug/pprof); empty disables it")
 		quiet     = flag.Bool("quiet", false, "suppress per-connection diagnostics")

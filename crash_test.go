@@ -32,6 +32,9 @@ func startPoetd(t *testing.T, bin, addr, dataDir string, out *proctest.SyncBuffe
 		"-data-dir", dataDir,
 		"-fsync", "always",
 		"-snapshot-every", "64",
+		// Acks follow every burst; the ticker is the server's heartbeat to
+		// an idle reporter, which must beat inside the reporters' 100 ms
+		// peer timeout (5 × their 20 ms heartbeat).
 		"-ack-interval", "5ms",
 		"-heartbeat", "25ms",
 		"-quiet")

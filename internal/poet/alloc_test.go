@@ -226,14 +226,15 @@ func TestQueuePushAllocs(t *testing.T) {
 	const n = 20000
 	q := newQueue(func([]*event.Event) {}, AsyncOptions{QueueDepth: n}, queueMetrics{})
 	e := &event.Event{ID: event.ID{Trace: 0, Index: 1}, Kind: event.KindInternal, Type: "step"}
-	q.buf = make([]*event.Event, 0, n) // no consumer runs: the buffer holds every push
+	// No consumer runs: the buffer holds every push.
 	per := mallocsPer(t, n, func() { q.push(e, "p0") })
 	t.Logf("allocs per push: %.4f", per)
 	if per > 0.1 {
 		t.Fatalf("queue.push costs %.4f allocations per event, want <= 0.1", per)
 	}
-	if len(q.buf) != n || q.buf[0] == q.buf[1] || q.buf[0] == e || q.buf[n-1].ID != e.ID {
-		t.Fatalf("the queue holds %d events, want %d private copies", len(q.buf), n)
+	at := func(i int) *event.Event { return q.buf.span(i)[0] }
+	if q.buf.len() != n || at(0) == at(1) || at(0) == e || at(n-1).ID != e.ID {
+		t.Fatalf("the queue holds %d events, want %d private copies", q.buf.len(), n)
 	}
 }
 

@@ -143,8 +143,9 @@ type ReporterStats struct {
 // processes create one per trace (or share one) and stream raw events.
 //
 // The reporter is fault-tolerant: Report appends to a bounded
-// unacked-event buffer and returns, a background sender streams the
-// buffer to the server, and the server's periodic acks prune it. When
+// unacked-event window and returns, a background sender streams the
+// window to the server, and the acks the server sends after each burst
+// it ingests release the window from the front. When
 // the connection dies (error, reset, or no ack/heartbeat within the
 // peer timeout) the sender redials with exponential backoff and jitter,
 // prunes everything the server already ingested (learned from the
@@ -163,16 +164,15 @@ type Reporter struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	// unacked holds reported events not yet acked, in report order.
-	// unacked[:sent] have been transmitted on the current connection.
-	unacked []RawEvent
-	sent    int
-	// acks is the latest per-trace contiguous ack from the server;
-	// ackGen counts the times one advanced, pruned is the ackGen the
-	// buffer was last pruned at (sender-only).
+	// window holds reported events not yet pruned as acked, in report
+	// order; its first sent went out on the current connection. Report
+	// pushes, and only the sender prunes.
+	window fifo[RawEvent]
+	sent   int
+	// acks is the latest per-trace contiguous ack from the server; moved
+	// says one advanced since the sender last pruned.
 	acks   map[string]int
-	ackGen int
-	pruned int
+	moved  bool
 	closed bool
 	// failed is the permanent failure, if any; Report and Flush return it.
 	failed error
@@ -226,7 +226,7 @@ func DialReporter(addr string, opts ...ReporterOption) (*Reporter, error) {
 	// healthy endpoint.
 	var conn *repConn
 	err := redial(r.eps, 0, nil, func(ep string) (err error) {
-		conn, err = r.handshake(ep)
+		conn, _, err = r.handshake(ep)
 		return err
 	})
 	if err != nil {
@@ -236,44 +236,52 @@ func DialReporter(addr string, opts ...ReporterOption) (*Reporter, error) {
 	return r, nil
 }
 
-// handshake dials one endpoint, sends the hello (naming the traces with
-// unacked events), reads the answering acks, and spawns the ack reader.
-// Called from DialReporter and, on the sender goroutine, from reconnect.
-func (r *Reporter) handshake(addr string) (*repConn, error) {
+// handshake dials one endpoint, sends the hello (naming the traces in
+// the window), reads the answering acks, and spawns the ack reader. It
+// returns how many events the reconnect retransmits. Called from
+// DialReporter and, on the sender goroutine, from reconnect.
+func (r *Reporter) handshake(addr string) (*repConn, int, error) {
 	r.mu.Lock()
-	names := make([]string, 0, 4)
+	var names []string
 	seen := make(map[string]bool)
-	for _, ev := range r.unacked {
-		if !seen[ev.Trace] {
-			seen[ev.Trace] = true
-			names = append(names, ev.Trace)
+	covered := r.window.len()
+	for i := 0; i < covered; i++ {
+		if tr := r.window.at(i).Trace; !seen[tr] {
+			seen[tr] = true
+			names = append(names, tr)
 		}
 	}
 	r.mu.Unlock()
 	s, err := dialSession(addr, hello{role: roleTarget, traces: names},
 		&r.cfg.clientCfg, max(r.cfg.peerTimeout, minHandshakeTimeout))
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	r.mu.Lock()
 	r.applyAcksLocked(s.acks)
 	// Everything on the new connection is unsent; the sender prunes
-	// acked entries and retransmits the remainder.
+	// acked entries and retransmits the remainder. Only entries the hello
+	// covered count, so a reconnect that retransmits has named traces.
 	r.sent = 0
+	retrans := 0
+	for i := 0; i < covered; i++ {
+		if ev := r.window.at(i); ev.Seq > r.acks[ev.Trace] {
+			retrans++
+		}
+	}
 	r.mu.Unlock()
 	c := &repConn{Conn: s.link, fw: s.fw, broken: make(chan struct{})}
 	go r.reader(c, addr, s.fr)
-	return c, nil
+	return c, retrans, nil
 }
 
-// applyAcksLocked folds a server ack into r.acks, bumping ackGen for
-// every trace that advanced so the sender knows a prune pass will find
-// work.
+// applyAcksLocked folds a server ack into r.acks, noting whether one
+// advanced so the sender knows a prune pass will find work.
 func (r *Reporter) applyAcksLocked(acks []traceAck) {
 	for _, ta := range acks {
 		if ta.Seq > r.acks[ta.Trace] {
 			r.acks[ta.Trace] = ta.Seq
-			r.ackGen++
+			r.moved = true
 		}
 	}
 }
@@ -345,32 +353,52 @@ func (r *Reporter) fail(err error) {
 	r.signal()
 }
 
-// pruneLocked drops acked entries from the buffer, if an ack advanced
-// since the last pass — the scan is O(window), and the window may hold
-// hundreds of thousands of events. Sender-only (it adjusts sent).
+// pruneLocked drops acked entries from the window, if an ack advanced
+// since the last pass. Acks are contiguous per trace and the window goes
+// out in order, so the acked entries are a prefix, released from the
+// front — unless the front's trace lacks an earlier Seq, reported after
+// it or not yet: acked entries may then sit behind it, so the pass
+// rotates the whole window through, dropping them, and no acked entry
+// counts toward the bound or goes out again. Sender-only.
 func (r *Reporter) pruneLocked() {
-	if r.pruned == r.ackGen {
+	if !r.moved {
 		return
 	}
-	r.pruned = r.ackGen
-	kept := 0
-	newSent := 0
-	for i := range r.unacked {
-		if r.unacked[i].Seq <= r.acks[r.unacked[i].Trace] {
-			r.stats.Acked++
-			continue
+	r.moved = false
+	before := r.window.len()
+	n := 0
+	for ; n < before; n++ {
+		if ev := r.window.at(n); ev.Seq > r.acks[ev.Trace] {
+			break
 		}
-		if i < r.sent {
-			newSent++
+	}
+	r.window.pop(n)
+	r.sent = max(r.sent-n, 0)
+	if m := r.window.len(); m > 0 {
+		if front := r.window.at(0); front.Seq > r.acks[front.Trace]+1 {
+			for i, sent := 0, r.sent; i < m; i++ {
+				ev := *r.window.at(0)
+				if r.window.pop(1); ev.Seq > r.acks[ev.Trace] {
+					r.window.push(ev)
+				} else if i < sent {
+					r.sent--
+				}
+			}
 		}
-		r.unacked[kept] = r.unacked[i]
-		kept++
 	}
-	if kept != len(r.unacked) {
-		r.unacked = r.unacked[:kept]
-		r.sent = newSent
-		r.cond.Broadcast()
+	r.stats.Acked += before - r.window.len()
+	r.cond.Broadcast()
+}
+
+// claimLocked hands the sender the unsent entries to the end of their
+// chunk, and how many were unsent. Without a connection it is void: the
+// handshake resets sent.
+func (r *Reporter) claimLocked() (claim []RawEvent, unsent int) {
+	if unsent = r.window.len() - r.sent; unsent > 0 {
+		claim = r.window.span(r.sent)
+		r.sent += len(claim)
 	}
+	return claim, unsent
 }
 
 // sender owns the connection: it streams unsent events, heartbeats when
@@ -388,24 +416,21 @@ func (r *Reporter) sender(conn *repConn) {
 	hb := time.NewTimer(r.cfg.heartbeat)
 	defer hb.Stop()
 	for {
-		// One lock per pass: prune, then claim everything unsent. The
-		// claimed entries stay put while they are encoded — Report only
-		// appends past them, and only this goroutine compacts — and
-		// counting them sent before the flush is safe because a failed
-		// flush ends in a handshake, which resets sent.
+		// One lock per pass: prune, then claim one chunk's unsent
+		// entries. They stay put while they are encoded — Report only
+		// pushes past them, and only this goroutine prunes — and counting
+		// them sent before the flush is safe because a failed flush ends
+		// in a handshake, which resets sent. The claim dies with the pass,
+		// so it never pins a chunk the next prune releases.
 		r.mu.Lock()
 		r.pruneLocked()
-		failed := r.failed
-		closed := r.closed
-		pending := r.unacked[r.sent:]
-		if conn != nil {
-			r.sent = len(r.unacked)
-		}
+		failed, closed := r.failed, r.closed
+		claim, unsent := r.claimLocked()
 		r.mu.Unlock()
 		if failed != nil {
 			return
 		}
-		if closed && (len(pending) == 0 || conn == nil) {
+		if closed && (unsent == 0 || conn == nil) {
 			// Drained (or unsendable): exit. Close does not redial.
 			return
 		}
@@ -421,9 +446,12 @@ func (r *Reporter) sender(conn *repConn) {
 			backoff.ResetTimer(hb, r.cfg.heartbeat)
 			continue // re-prune with the handshake acks before sending
 		}
-		if len(pending) > 0 {
-			for i := range pending {
-				conn.fw.raw(&pending[i])
+		if len(claim) > 0 {
+			for i := range claim {
+				conn.fw.raw(&claim[i])
+			}
+			if len(claim) < unsent {
+				continue // claim the rest before the flush
 			}
 			if err := conn.fw.flush(); err != nil {
 				r.cfg.logf("poet reporter: send to %s failed: %v", r.addr, err)
@@ -458,17 +486,12 @@ func (r *Reporter) reconnect() (conn *repConn, err error) {
 		if r.Err() != nil {
 			return ErrClientClosed
 		}
-		if conn, err = r.handshake(ep); err != nil {
+		var retrans int
+		if conn, retrans, err = r.handshake(ep); err != nil {
 			return err
 		}
 		r.mu.Lock()
 		r.stats.Reconnects++
-		retrans := 0
-		for i := range r.unacked {
-			if r.unacked[i].Seq > r.acks[r.unacked[i].Trace] {
-				retrans++
-			}
-		}
 		r.stats.Retransmits += retrans
 		r.mu.Unlock()
 		r.cfg.logf("poet reporter: reconnected to %s (retransmitting %d unacked events)", ep, retrans)
@@ -478,12 +501,12 @@ func (r *Reporter) reconnect() (conn *repConn, err error) {
 }
 
 // Report buffers one raw event for transmission. It blocks only when the
-// unacked buffer is full, and returns an error only when the reporter
+// unacked window is full, and returns an error only when the reporter
 // has permanently failed (reconnection disabled or exhausted, or the
 // server rejected an event as malformed) or been closed.
 func (r *Reporter) Report(raw RawEvent) error {
 	r.mu.Lock()
-	for r.failed == nil && !r.closed && len(r.unacked) >= r.cfg.buffer {
+	for r.failed == nil && !r.closed && r.window.len() >= r.cfg.buffer {
 		r.cond.Wait()
 	}
 	if r.failed != nil {
@@ -499,7 +522,7 @@ func (r *Reporter) Report(raw RawEvent) error {
 		r.mu.Unlock()
 		return fmt.Errorf("poet reporter: event %s/%d carries %d bytes of strings, more than one frame holds", raw.Trace, raw.Seq, n)
 	}
-	r.unacked = append(r.unacked, raw)
+	r.window.push(raw)
 	r.stats.Reported++
 	r.mu.Unlock()
 	r.signal()
@@ -513,14 +536,14 @@ func (r *Reporter) Flush() error {
 	r.signal()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for r.failed == nil && !r.closed && len(r.unacked) > 0 {
+	for r.failed == nil && !r.closed && r.window.len() > 0 {
 		r.cond.Wait()
 	}
 	if r.failed != nil {
 		return r.failed
 	}
-	if len(r.unacked) > 0 {
-		return fmt.Errorf("poet reporter: closed with %d unacked events", len(r.unacked))
+	if r.window.len() > 0 {
+		return fmt.Errorf("poet reporter: closed with %d unacked events", r.window.len())
 	}
 	return nil
 }

@@ -154,7 +154,7 @@ type queue struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond // broadcast on enqueue, batch completion, and close
-	buf  []*event.Event
+	buf  fifo[*event.Event]
 	slab event.Slab // backs the private copies in buf
 	anns []traceAnn
 	// announced[t] marks traces whose announcement is queued or done.
@@ -206,7 +206,7 @@ func (q *queue) push(e *event.Event, name string) {
 			annAdded = true
 		}
 	}
-	if q.policy == BackpressureDrop && len(q.buf) >= q.depth {
+	if q.policy == BackpressureDrop && q.buf.len() >= q.depth {
 		q.dropped++
 		q.tel.dropped.Inc()
 		if annAdded {
@@ -218,11 +218,11 @@ func (q *queue) push(e *event.Event, name string) {
 	}
 	cp := q.slab.New()
 	*cp = *e
-	q.buf = append(q.buf, cp)
+	q.buf.push(cp)
 	q.enqueued++
 	q.tel.enqueued.Inc()
-	if len(q.buf) > q.maxQueued {
-		q.maxQueued = len(q.buf)
+	if q.buf.len() > q.maxQueued {
+		q.maxQueued = q.buf.len()
 	}
 	q.cond.Broadcast()
 }
@@ -232,7 +232,7 @@ func (q *queue) push(e *event.Event, name string) {
 func (q *queue) overDepth() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.policy == BackpressureBlock && !q.closed && len(q.buf) > q.depth
+	return q.policy == BackpressureBlock && !q.closed && q.buf.len() > q.depth
 }
 
 // waitSpace blocks until the queue is back at or under its depth (or
@@ -240,7 +240,7 @@ func (q *queue) overDepth() bool {
 func (q *queue) waitSpace() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for !q.closed && len(q.buf) > q.depth {
+	for !q.closed && q.buf.len() > q.depth {
 		q.cond.Wait()
 	}
 }
@@ -256,24 +256,20 @@ func (q *queue) run() {
 	defer close(q.done)
 	for {
 		q.mu.Lock()
-		for len(q.buf) == 0 && len(q.anns) == 0 && !q.closed {
+		for q.buf.len() == 0 && len(q.anns) == 0 && !q.closed {
 			q.cond.Wait()
 		}
-		if len(q.buf) == 0 && len(q.anns) == 0 && q.closed {
+		if q.buf.len() == 0 && len(q.anns) == 0 && q.closed {
 			q.mu.Unlock()
 			return
 		}
-		n := len(q.buf)
-		if n > q.maxBatch {
-			n = q.maxBatch
-		}
+		// A cut copies out the batch and pops it; the rest stays put.
+		n := min(q.buf.len(), q.maxBatch)
 		batch := make([]*event.Event, n)
-		copy(batch, q.buf[:n])
-		rest := copy(q.buf, q.buf[n:])
-		for i := rest; i < len(q.buf); i++ {
-			q.buf[i] = nil
+		for i := 0; i < n; {
+			i += copy(batch[i:], q.buf.span(i))
 		}
-		q.buf = q.buf[:rest]
+		q.buf.pop(n)
 		anns := q.anns
 		q.anns = nil
 		q.mu.Unlock()
@@ -330,7 +326,7 @@ func (q *queue) stats() DeliveryStats {
 		Handled:   q.handled,
 		Dropped:   q.dropped,
 		Batches:   q.batches,
-		Queued:    len(q.buf),
+		Queued:    q.buf.len(),
 		MaxQueued: q.maxQueued,
 	}
 }

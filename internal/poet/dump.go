@@ -10,7 +10,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 
 	"ocep/internal/wal"
@@ -39,9 +38,9 @@ var errGobDump = errors.New("poet: gob-era dump (" + gobDumpMagic + " v1/v2) rej
 // state, captured under the collector lock and encodable outside it
 // (the journal prefix is immutable).
 type snapshotState struct {
-	traces []string
-	events int
-	chunks [][]journalRecord
+	traces  []string
+	events  int
+	journal fifo[journalRecord]
 }
 
 // snapshotStateLocked captures the current replayable state: the
@@ -50,7 +49,7 @@ func (c *Collector) snapshotStateLocked() (snapshotState, error) {
 	if c.journal == nil {
 		return snapshotState{}, errors.New("poet: dump requires the journal (EnableReplicationLog before collection)")
 	}
-	return snapshotState{c.registeredTracesLocked(), c.journal.events(), slices.Clone(c.journal.chunks)}, nil
+	return snapshotState{c.registeredTracesLocked(), c.journal.events(), c.journal.fifo}, nil
 }
 
 // encodeSnapshot writes one state cut as a dump. Remote sends stay out:
@@ -62,12 +61,10 @@ func encodeSnapshot(w io.Writer, st snapshotState) error {
 		rec = encodeTraceRecord(rec[:0], name, nil)
 		sw.Append(rec)
 	}
-	for _, recs := range st.chunks {
-		for i := range recs {
-			if recs[i].isEvent() {
-				rec = encodeEventRecord(rec[:0], &recs[i].RawEvent, nil)
-				sw.Append(rec)
-			}
+	for i := 0; i < st.journal.len(); i++ {
+		if r := st.journal.at(i); r.isEvent() {
+			rec = encodeEventRecord(rec[:0], &r.RawEvent, nil)
+			sw.Append(rec)
 		}
 	}
 	sw.Append(binary.AppendUvarint(append(rec[:0], recEnd), uint64(len(st.traces)+st.events)))

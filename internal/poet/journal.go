@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"unsafe"
 
 	"ocep/internal/event"
 )
@@ -25,34 +24,17 @@ import (
 
 // tailLog is an append-only log that consumers tail by index: the
 // journal and the shard export log, both guarded by the collector's mu.
+// It is a fifo nobody pops, so a record is written once and never
+// copied again as the log grows.
 type tailLog[T any] struct {
-	// chunks holds the records in order. Every chunk but the last is full
-	// and none is ever reallocated: a record is written once, not copied
-	// again as the log grows.
-	chunks [][]T
-	n      int
+	fifo[T]
 	// grew is closed by the next append or wake. It exists only while
 	// someone holds it, so an untailed log pays no channel per record.
 	grew chan struct{}
 }
 
-// chunkLen is the records per chunk: as many as fit the 32 KiB size
-// class beside the 8-byte header Go's allocator puts on a pointerful
-// object.
-func (l *tailLog[T]) chunkLen() int {
-	var rec T
-	return (32<<10 - 8) / int(unsafe.Sizeof(rec))
-}
-
-func (l *tailLog[T]) len() int { return l.n }
-
 func (l *tailLog[T]) append(rec T) {
-	if l.n%l.chunkLen() == 0 {
-		l.chunks = append(l.chunks, make([]T, 0, l.chunkLen()))
-	}
-	last := &l.chunks[len(l.chunks)-1]
-	*last = append(*last, rec)
-	l.n++
+	l.push(rec)
 	l.wake()
 }
 
@@ -81,9 +63,8 @@ func (l *tailLog[T]) from(idx int) (recs []T, next int, grew <-chan struct{}) {
 	if idx >= l.n {
 		return nil, l.n, l.signal()
 	}
-	k := l.chunkLen()
-	chunk := l.chunks[idx/k]
-	return chunk[idx%k : len(chunk) : len(chunk)], idx - idx%k + len(chunk), nil
+	recs = l.span(idx)
+	return recs, idx + len(recs), nil
 }
 
 // journalRecord is one accepted input: an ingested event (Seq >= 1), an

@@ -20,8 +20,8 @@ import (
 // all flattens the log's chunks into one slice, oldest record first.
 func (l *tailLog[T]) all() []T {
 	out := make([]T, 0, l.len())
-	for _, chunk := range l.chunks {
-		out = append(out, chunk...)
+	for i := 0; i < l.len(); i++ {
+		out = append(out, *l.at(i))
 	}
 	return out
 }
@@ -155,7 +155,7 @@ func TestRecoveryReproducesReplicaStream(t *testing.T) {
 			before.mu.Unlock()
 			total := len(wantStream)
 			// Every 97th position, and both sides of every chunk boundary.
-			k := before.journal.chunkLen()
+			k := chunkCap[journalRecord]()
 			var cuts []int
 			for cut := 1; cut < len(stream); cut += 97 {
 				cuts = append(cuts, cut)
@@ -428,10 +428,10 @@ func TestReplicaWithRetentionConverges(t *testing.T) {
 // signal exists only while a reader is parked on it.
 func TestTailLogChunks(t *testing.T) {
 	var l tailLog[journalRecord]
-	k := l.chunkLen()
-	if k != 409 || (&tailLog[shardExport]{}).chunkLen() != 819 {
+	k := chunkCap[journalRecord]()
+	if k != 409 || chunkCap[shardExport]() != 819 {
 		t.Fatalf("chunks of %d journal records and %d exports, want 409 and 819 (32 KiB less the malloc header)",
-			k, (&tailLog[shardExport]{}).chunkLen())
+			k, chunkCap[shardExport]())
 	}
 	total := 3*k + k/2
 	var early [][]journalRecord // one slice per append, taken right after it

@@ -18,8 +18,8 @@ import (
 // report raw events, monitor clients connect to receive the linearized
 // stream (the POET server role of Section V-A).
 //
-// The wire layer is fault-tolerant: target connections are
-// periodically acknowledged (highest contiguous ingested (trace, seq)),
+// The wire layer is fault-tolerant: target connections are acknowledged
+// after every burst (highest contiguous ingested (trace, seq)),
 // stale retransmissions after a reporter reconnect are idempotent
 // no-ops, monitor connections carry idle heartbeats and can resume a
 // session from any linearization offset, and all reads and writes run
@@ -107,11 +107,11 @@ func (s *Server) SetMonitorQueue(depth int, policy BackpressurePolicy) {
 }
 
 // SetWireTiming tunes the fault-tolerance timers (zero keeps a
-// default): ackInterval is the cadence of target acknowledgements
-// (which double as server-to-target heartbeats), heartbeat is the idle
-// keep-alive cadence on monitor streams, and peerTimeout is how long a
-// target connection may stay silent (no event, no heartbeat) before it
-// is declared dead. Call before Listen.
+// default): ackInterval is the idle floor of target acknowledgements
+// (which follow every burst, and double as heartbeats), heartbeat is the
+// idle keep-alive cadence on monitor streams, and peerTimeout is how
+// long a target connection may stay silent (no event, no heartbeat)
+// before it is declared dead. Call before Listen.
 func (s *Server) SetWireTiming(ackInterval, heartbeat, peerTimeout time.Duration) {
 	if ackInterval > 0 {
 		s.ackInterval = ackInterval
@@ -498,7 +498,8 @@ func acceptHello(fw *frameWriter, acks []traceAck) error {
 
 // handleTarget ingests raw events until the connection closes or the
 // peer times out. A background pump acknowledges the highest contiguous
-// ingested (trace, seq) on every ack interval — the acks double as
+// ingested (trace, seq) after every burst the read loop applies, and on
+// every ack interval, the idle floor — those acks double as
 // server-to-target heartbeats. Stale retransmissions (the product of a
 // reporter replaying its unacked buffer after a reconnect) are ignored
 // as idempotent no-ops; genuinely malformed events still hard-fail the
@@ -508,8 +509,8 @@ func (s *Server) handleTarget(conn *link, fr *frameReader, fw *frameWriter, h he
 	s.targetConns.add(1)
 	s.targetConnCount.Add(1)
 	defer s.targetConnCount.Add(-1)
-	// The return leg is cold (one acks frame per interval); the ack pump
-	// and the read loop share it, each write its own flush.
+	// The return leg is cold (one acks frame per burst); the ack pump and
+	// the read loop share it, each write its own flush.
 	var fwMu sync.Mutex
 	send := func(write func()) error {
 		fwMu.Lock()
@@ -520,7 +521,8 @@ func (s *Server) handleTarget(conn *link, fr *frameReader, fw *frameWriter, h he
 
 	// The accepting acks frame tells a resuming reporter what it may
 	// prune before retransmitting.
-	if err := acceptHello(fw, s.collector.acksFor(h.traces)); err != nil {
+	sentAcks := s.collector.acksFor(h.traces)
+	if err := acceptHello(fw, sentAcks); err != nil {
 		return err
 	}
 	if len(h.traces) > 0 {
@@ -542,6 +544,16 @@ func (s *Server) handleTarget(conn *link, fr *frameReader, fw *frameWriter, h he
 		return s.collector.acksFor(cur)
 	}
 
+	// The pump also wakes just before the read loop's next read(2), once
+	// it has applied all it buffered (on arrival, a burst's tail would
+	// wait for the ticker). acksFor may block the pump, not the loop.
+	applied := make(chan struct{}, 1)
+	conn.beforeRead = func() {
+		select {
+		case applied <- struct{}{}:
+		default:
+		}
+	}
 	stop := make(chan struct{})
 	defer close(stop)
 	go func() {
@@ -549,7 +561,9 @@ func (s *Server) handleTarget(conn *link, fr *frameReader, fw *frameWriter, h he
 		defer t.Stop()
 		drain := s.drainCh
 		for {
-			drained := false
+			// A tick or a drain always sends (the ticker is the reporter's
+			// heartbeat); a wake sends only if some trace's ack moved.
+			drained, moved := false, true
 			select {
 			case <-stop:
 				return
@@ -561,8 +575,20 @@ func (s *Server) handleTarget(conn *link, fr *frameReader, fw *frameWriter, h he
 				drain = nil
 				drained = true
 			case <-t.C:
+			case <-applied:
+				moved = false
 			}
+			// cur lists the traces in the order sentAcks does, and more.
 			cur := acks()
+			for i := 0; i < len(cur) && !moved; i++ {
+				moved = i >= len(sentAcks) || cur[i].Seq > sentAcks[i].Seq
+			}
+			if !moved {
+				continue
+			}
+			if cur != nil {
+				sentAcks = cur
+			}
 			// Counted before it is written: the reporter may act on the ack
 			// (and someone scrape the counter) before this goroutine runs
 			// again.

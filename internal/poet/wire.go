@@ -85,8 +85,9 @@ type link struct {
 	// is touched only by the goroutine doing that direction's I/O.
 	readTimeout, writeTimeout time.Duration
 	br                        *bufio.Reader
-	// onRead, when set, is told of every read(2) that returned data.
-	onRead func()
+	// beforeRead, when set, is told before every read(2), when br holds no
+	// whole frame; onRead of every read(2) that returned data.
+	beforeRead, onRead func()
 }
 
 func newLink(conn net.Conn, readTimeout, writeTimeout time.Duration) *link {
@@ -96,6 +97,9 @@ func newLink(conn net.Conn, readTimeout, writeTimeout time.Duration) *link {
 }
 
 func (l *link) Read(p []byte) (int, error) {
+	if l.beforeRead != nil {
+		l.beforeRead()
+	}
 	if l.readTimeout > 0 {
 		_ = l.Conn.SetReadDeadline(time.Now().Add(l.readTimeout))
 	}

@@ -30,7 +30,6 @@ func TestPoetdMetricsEndpoint(t *testing.T) {
 	cmd := exec.Command(poetd,
 		"-listen", addr,
 		"-metrics-addr", metricsAddr,
-		"-ack-interval", "5ms",
 		"-heartbeat", "25ms",
 		"-quiet")
 	cmd.Stdout = out

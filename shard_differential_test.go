@@ -36,6 +36,7 @@ func startPoetdShard(t *testing.T, bin, addr, metricsAddr string, shardID int, p
 		"-metrics-addr", metricsAddr,
 		"-shard-id", strconv.Itoa(shardID),
 		"-peers", peers,
+		// The idle reporters' heartbeat, as in startPoetd.
 		"-ack-interval", "5ms",
 		"-heartbeat", "25ms",
 		"-quiet",

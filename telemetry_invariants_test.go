@@ -11,6 +11,8 @@ package ocep_test
 // code path fails loudly against an independent source of truth.
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -176,10 +178,25 @@ func TestTelemetryInvariantsFaultyWire(t *testing.T) {
 	defer proxy.Close()
 	proxy.SetChunk(16, 20*time.Microsecond)
 
+	// Count the reconnects that retransmitted, from the reporter's log:
+	// only their hellos must name traces.
+	var logMu sync.Mutex
+	retransmitted := 0
+	logf := func(format string, args ...any) {
+		msg := fmt.Sprintf(format, args...)
+		var ep string
+		var n int
+		if _, err := fmt.Sscanf(msg, "poet reporter: reconnected to %s (retransmitting %d unacked events)", &ep, &n); err == nil && n > 0 {
+			logMu.Lock()
+			retransmitted++
+			logMu.Unlock()
+		}
+	}
 	rep, err := ocep.DialReporter(proxy.Addr(),
 		ocep.WithReporterBackoff(2*time.Millisecond, 50*time.Millisecond),
 		ocep.WithReporterHeartbeat(20*time.Millisecond),
-		ocep.WithReporterReconnect(15*time.Second))
+		ocep.WithReporterReconnect(15*time.Second),
+		ocep.WithReporterLog(logf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,16 +238,23 @@ func TestTelemetryInvariantsFaultyWire(t *testing.T) {
 		t.Errorf("server absorbed %d stale frames but the reporter only retransmitted %d",
 			stale, repStats.Retransmits)
 	}
-	// Each reconnect landed one more target connection and announced its
-	// resumed traces in its hello.
+	// Each reconnect landed one more target connection. A resume is a
+	// hello that names traces, which a reporter whose window is empty at
+	// the reconnect has none of; one that retransmits always names some.
 	conns := reg.Value("poet_wire_target_conns_total")
 	if conns < int64(repStats.Reconnects)+1 {
 		t.Errorf("target connections %d < reporter reconnects %d + 1", conns, repStats.Reconnects)
 	}
 	resumes := reg.Value("poet_wire_target_resumes_total")
-	if resumes < int64(repStats.Reconnects) {
-		t.Errorf("target resumes %d < reporter reconnects %d", resumes, repStats.Reconnects)
+	if resumes > int64(repStats.Reconnects) {
+		t.Errorf("target resumes %d > reporter reconnects %d", resumes, repStats.Reconnects)
 	}
+	logMu.Lock()
+	t.Logf("%d reconnects, %d of them retransmitting, %d resumes", repStats.Reconnects, retransmitted, resumes)
+	if resumes < int64(retransmitted) {
+		t.Errorf("target resumes %d < reporter reconnects that retransmitted %d", resumes, retransmitted)
+	}
+	logMu.Unlock()
 	if reg.Value("poet_wire_acks_sent_total") == 0 {
 		t.Error("no acks were ever sent, yet the reporter flushed")
 	}
