@@ -3,9 +3,12 @@ package poet
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"ocep/internal/event"
@@ -345,5 +348,138 @@ func TestCollectorHeapPerEvent(t *testing.T) {
 			t.Errorf("%d traces: %.1f B retained per event, budget %.1f", tc.traces, per, tc.budget)
 		}
 		runtime.KeepAlive(c)
+	}
+}
+
+// ringStream is n events (rounded up to whole rounds) on a ring of
+// traces: each round every trace receives its predecessor's last send,
+// logs eight internal events and sends.
+func ringStream(traces, n int) []RawEvent {
+	var evs []RawEvent
+	for r := 0; len(evs) < n; r++ {
+		for tr := 0; tr < traces; tr++ {
+			name, seq := fmt.Sprintf("p%d", tr), r*10
+			add := func(kind event.Kind, msg uint64) {
+				seq++
+				evs = append(evs, RawEvent{Trace: name, Seq: seq, Kind: kind, Type: "work", MsgID: msg})
+			}
+			if r == 0 {
+				add(event.KindInternal, 0)
+			} else {
+				add(event.KindReceive, uint64((r-1)*traces+(tr+traces-1)%traces)+1)
+			}
+			for k := 0; k < 8; k++ {
+				add(event.KindInternal, 0)
+			}
+			add(event.KindSend, uint64(r*traces+tr)+1)
+		}
+	}
+	return evs
+}
+
+// TestJournalBytesPerEvent pins what the journal holds per record: the
+// record as the WAL writes it, its length prefix, and the slack at a
+// chunk's end. On a 100 000-event ring that is at most the WAL's record
+// bytes plus 4 B a record plus one chunk, both as the journal counts
+// itself (ReplicationStats.JournalBytes) and as the live heap sees it
+// beside a collector that keeps none. A journal of RawEvent structs held
+// 80 B a record.
+func TestJournalBytesPerEvent(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes heap sizes")
+	}
+	evs := ringStream(32, 100000)
+	wal := 0
+	for i := range evs {
+		wal += len(encodeEventRecord(nil, &evs[i], nil))
+	}
+	budget := wal + 4*len(evs) + chunkBytes
+	held := func(journal bool) (int64, ReplicationStats) {
+		before := liveHeap()
+		c := NewCollector()
+		if journal {
+			if err := c.EnableReplicationLog(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, e := range evs {
+			if err := c.Report(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		heap := liveHeap() - before
+		runtime.KeepAlive(c)
+		return heap, c.ReplicationStats()
+	}
+	withJournal, st := held(true)
+	without, _ := held(false)
+	runtime.KeepAlive(evs) // or the second collector's heap is net of the stream's
+	n := float64(len(evs))
+	t.Logf("%d events: WAL records %.1f B each; the journal counts %.1f B and the heap %.1f B per record, budget %.1f",
+		len(evs), float64(wal)/n, float64(st.JournalBytes)/n, float64(withJournal-without)/n, float64(budget)/n)
+	if st.Records != len(evs) || st.JournalBytes < wal || st.JournalBytes > budget {
+		t.Errorf("the journal of %d records counts %d bytes, want between the WAL's %d and %d", st.Records, st.JournalBytes, wal, budget)
+	}
+	if withJournal-without > int64(budget) {
+		t.Errorf("the journal holds %d bytes of heap, budget %d", withJournal-without, budget)
+	}
+}
+
+// TestReplicaTranscodeAllocs: streaming journal records to a replica
+// through a warm frameWriter allocates nothing per record — no RawEvent
+// is built and no string copied — and frames them byte for byte as the
+// RawEvent path did (raw, traceReg and export frames on a twin writer).
+func TestReplicaTranscodeAllocs(t *testing.T) {
+	const n = 10000
+	rng := rand.New(rand.NewSource(5))
+	var j journal
+	model := make([]jrec, n)
+	for i := range model {
+		r := jrec{RawEvent: RawEvent{Trace: fmt.Sprintf("p%d", i%32), Seq: i/32 + 1, Kind: event.Kind(i % 3), Type: "step", Text: fmt.Sprintf("payload-%d", rng.Intn(1000)), MsgID: uint64(i)}}
+		switch {
+		case i%500 == 7:
+			r = jrec{RawEvent: RawEvent{Trace: fmt.Sprintf("reg%d", i)}}
+		case i%100 == 3:
+			r = jrec{remote: true, x: shardExport{MsgID: uint64(i), ID: event.ID{Trace: 1, Index: i}, VC: vclock.VC{int32(i), 2}.Stamp(1)}}
+		case i%1000 == 11:
+			r.Type = strings.Repeat("t", 300) // past the table: spelled out every time
+		}
+		model[i] = r
+		j.add(r)
+	}
+	stream := func(fw *frameWriter) (recs int) {
+		for sp, cur := j.span(journalCursor{}); len(sp.b) > 0; sp, cur = j.span(cur) {
+			k, _ := fw.replicate(sp)
+			recs += k
+		}
+		return recs
+	}
+	var got, want bytes.Buffer
+	fw, twin := newFrameWriter(&got), newFrameWriter(&want)
+	if recs := stream(fw); recs != n {
+		t.Fatalf("streamed %d records of %d", recs, n)
+	}
+	for i := range model {
+		switch r := &model[i]; {
+		case r.remote:
+			twin.export(&r.x, false)
+		case r.Seq > 0:
+			twin.raw(&r.RawEvent)
+		default:
+			twin.traceReg(r.Trace)
+		}
+	}
+	if err := errors.Join(fw.flush(), twin.flush()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("the transcoded stream (%d bytes) differs from the RawEvent path's (%d bytes)", got.Len(), want.Len())
+	}
+	warm := newFrameWriter(io.Discard)
+	stream(warm)
+	per := mallocsPer(t, 1, func() { stream(warm) }) / n
+	t.Logf("allocs per streamed record: %.4f", per)
+	if per > 0.01 {
+		t.Fatalf("streaming a journal record to a replica costs %.4f allocations, want <= 0.01", per)
 	}
 }

@@ -112,6 +112,7 @@ type Collector struct {
 	// accepted record that dumps, snapshots and replica sessions read
 	// (see journal.go). nil until EnableReplicationLog.
 	journal *journal
+	rec     []byte // recordLocked's encoding of the last record; its readers copy it
 	// retain, when positive, bounds len(order): SetRetention trims the
 	// linearization log (and compacts the store) once it exceeds the
 	// bound by a quarter. 0 means keep everything.
@@ -246,6 +247,9 @@ func (c *Collector) InstrumentMetrics(reg *telemetry.Registry) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		return int64(len(c.order))
+	})
+	reg.GaugeFunc("poet_journal_bytes", "Bytes the journal holds: every accepted record as the WAL encodes it, in 32 KiB chunks (0 without a journal).", func() int64 {
+		return int64(c.ReplicationStats().JournalBytes)
 	})
 }
 
@@ -494,7 +498,7 @@ func (c *Collector) RegisterTrace(name string) event.TraceID {
 		// events, or trace numbering (and so vector-clock layout) would
 		// differ on a replica or after recovery. Event-driven
 		// registrations are implied by the event records themselves.
-		w = c.recordLocked(journalRecord{RawEvent: RawEvent{Trace: name}})
+		w = c.recordLocked(&RawEvent{Trace: name}, nil)
 	}
 	c.mu.Unlock()
 	// A WAL failure here resurfaces, sticky, at the next event's commit.
@@ -681,7 +685,7 @@ func (c *Collector) Report(raw RawEvent) error {
 	var w walTicket
 	switch {
 	case err == nil:
-		w = c.recordLocked(journalRecord{RawEvent: raw})
+		w = c.recordLocked(&raw, nil)
 		c.maybeTrimLocked()
 	case errors.Is(err, ErrStaleEvent):
 		c.tel.stale.Inc()

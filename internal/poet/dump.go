@@ -39,8 +39,7 @@ var errGobDump = errors.New("poet: gob-era dump (" + gobDumpMagic + " v1/v2) rej
 // (the journal prefix is immutable).
 type snapshotState struct {
 	traces  []string
-	events  int
-	journal fifo[journalRecord]
+	journal journal
 }
 
 // snapshotStateLocked captures the current replayable state: the
@@ -49,11 +48,11 @@ func (c *Collector) snapshotStateLocked() (snapshotState, error) {
 	if c.journal == nil {
 		return snapshotState{}, errors.New("poet: dump requires the journal (EnableReplicationLog before collection)")
 	}
-	return snapshotState{c.registeredTracesLocked(), c.journal.events(), c.journal.fifo}, nil
+	return snapshotState{c.registeredTracesLocked(), *c.journal}, nil
 }
 
-// encodeSnapshot writes one state cut as a dump. Remote sends stay out:
-// the peers re-stream them.
+// encodeSnapshot writes one state cut as a dump, copying the journal's
+// event records as they stand. Remote sends stay out: peers re-stream them.
 func encodeSnapshot(w io.Writer, st snapshotState) error {
 	sw := wal.NewWriter(w)
 	var rec []byte
@@ -61,13 +60,14 @@ func encodeSnapshot(w io.Writer, st snapshotState) error {
 		rec = encodeTraceRecord(rec[:0], name, nil)
 		sw.Append(rec)
 	}
-	for i := 0; i < st.journal.len(); i++ {
-		if r := st.journal.at(i); r.isEvent() {
-			rec = encodeEventRecord(rec[:0], &r.RawEvent, nil)
-			sw.Append(rec)
+	for sp, cur := st.journal.span(journalCursor{}); len(sp.b) > 0; sp, cur = st.journal.span(cur) {
+		for p := sp.next(); p != nil; p = sp.next() {
+			if p[0] == recEvent {
+				sw.Append(p)
+			}
 		}
 	}
-	sw.Append(binary.AppendUvarint(append(rec[:0], recEnd), uint64(len(st.traces)+st.events)))
+	sw.Append(binary.AppendUvarint(append(rec[:0], recEnd), uint64(len(st.traces)+st.journal.events())))
 	if err := sw.Flush(); err != nil {
 		return fmt.Errorf("poet: writing dump: %w", err)
 	}

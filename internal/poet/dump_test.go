@@ -2,7 +2,9 @@ package poet
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -11,6 +13,7 @@ import (
 	"testing"
 
 	"ocep/internal/event"
+	"ocep/internal/vclock"
 )
 
 func TestDumpReloadRoundTrip(t *testing.T) {
@@ -74,6 +77,46 @@ func TestDumpRequiresJournal(t *testing.T) {
 	var buf bytes.Buffer
 	if err := c.Dump(&buf); err == nil || !strings.Contains(err.Error(), "EnableReplicationLog") {
 		t.Fatalf("dump without the journal must fail, got %v", err)
+	}
+}
+
+// TestDumpGolden: the dump of a fixed seeded workload hashes to the value
+// recorded while dumps still re-encoded every event at dump time, so the
+// verbatim copy of the journal's records keeps the format byte for byte.
+// The workload has every record kind a journal holds: a sharded
+// collector's explicit registration, receives held for their sends, a
+// peer's remote send applied mid-stream (which a dump leaves out), empty,
+// long and 255+-byte texts, and a stranded event.
+func TestDumpGolden(t *testing.T) {
+	const want = "261d94d29a9504e6e34647654069f5cccfe54a3f864e9bb896659de347687fa7"
+	c := NewCollector()
+	if err := c.EnableSharding(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.EnableReplicationLog(); err != nil {
+		t.Fatal(err)
+	}
+	c.RegisterTrace("explicit")
+	raws := randomRawComputation(rand.New(rand.NewSource(29)), 3, 1500)
+	for i, r := range raws {
+		if i%7 == 0 {
+			r.Text = strings.Repeat("x", i%300)
+		}
+		if i == 700 {
+			if err := c.SupplyRemoteSend(1<<40, event.ID{Trace: 1, Index: 1}, vclock.VC{0, 1}.Stamp(1)); err != nil {
+				t.Fatal(err)
+			}
+			reportAll(t, c, []RawEvent{{Trace: "peer-rx", Seq: 1, Kind: event.KindReceive, Type: "r", MsgID: 1 << 40}})
+		}
+		reportAll(t, c, []RawEvent{r})
+	}
+	reportAll(t, c, []RawEvent{{Trace: "p1", Seq: 9999, Kind: event.KindInternal, Type: "stranded"}})
+	var buf bytes.Buffer
+	if err := c.Dump(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Fatalf("the dump of %d bytes hashes to %s, want %s", buf.Len(), got, want)
 	}
 }
 

@@ -7,22 +7,22 @@
 //	<dir>/snapshot.poet   last complete snapshot: a dump (see dump.go)
 //	<dir>/NNNNNNNN.wal    write-ahead log segments (see internal/wal)
 //
-// The WAL is the disk image of the collector's journal (journal.go):
-// every ingested RawEvent — delivered or still buffered awaiting causal
-// partners — and every explicit trace registration is appended to both
-// under the collector lock, so WAL order equals ingestion order and
-// recovery rebuilds the identical linearization (the same delivery
-// order, vector clocks, ack watermarks, and monitor stream offsets) and
-// the identical journal (so replica offsets survive a restart).
+// The WAL is the collector's journal (journal.go) on disk: every
+// ingested RawEvent — delivered or still buffered awaiting causal
+// partners — and every explicit trace registration is encoded once under
+// the collector lock, and the WAL appends the bytes the journal stores.
+// So WAL order is ingestion order, and recovery rebuilds the identical
+// linearization (delivery order, vector clocks, ack watermarks, monitor
+// stream offsets) and the identical journal (replica offsets survive).
 //
 // Snapshots bound recovery time: every SnapshotEvery ingested events the
-// registered traces and the journal's event records are written, in
-// ingestion order, to snapshot.poet (temp file + fsync + rename) and the
-// WAL segments older than the rotation cut are removed. A snapshot is a
-// standalone WAL segment in the same record encoding, read by the same
-// reader and applied through the same replayRecord as the log itself.
-// A crash anywhere in that protocol is safe: a stale snapshot plus a
-// longer WAL replays extra records that land as idempotent stale no-ops.
+// registered traces and a verbatim copy of the journal's event records
+// go, in ingestion order, to snapshot.poet (temp file + fsync + rename)
+// and the WAL segments older than the rotation cut are removed. A
+// snapshot is a standalone WAL segment in the same record encoding, read
+// and applied as the log itself is. A crash anywhere in that protocol is
+// safe: a stale snapshot plus a longer WAL replays extra records that
+// land as idempotent stale no-ops.
 package poet
 
 import (
@@ -108,10 +108,6 @@ type Durability struct {
 	c   *Collector
 	log *wal.Log
 	dir string
-
-	// rec is the record being appended; the log copies it. Guarded by
-	// the collector's mu, like the appends themselves.
-	rec []byte
 
 	policy        SyncPolicy
 	snapshotEvery int
@@ -223,16 +219,11 @@ func (d *Durability) Snapshots() int64 { return d.snapshots.Load() }
 // weaker policies.
 func (d *Durability) Sync() error { return d.log.Sync() }
 
-// appendLocked logs one journal record — an ingested event, or an
-// explicit trace registration (Seq 0). Caller holds c.mu.
-func (d *Durability) appendLocked(raw *RawEvent) (int64, error) {
-	if raw.Seq == 0 {
-		d.rec = encodeTraceRecord(d.rec[:0], raw.Trace, nil)
-		return d.log.Append(d.rec)
-	}
-	d.rec = encodeEventRecord(d.rec[:0], raw, nil)
-	seq, err := d.log.Append(d.rec)
-	if err == nil {
+// appendLocked logs one record — an ingested event, or an explicit trace
+// registration — in the journal's bytes. Caller holds c.mu.
+func (d *Durability) appendLocked(rec []byte) (int64, error) {
+	seq, err := d.log.Append(rec)
+	if err == nil && rec[0] == recEvent {
 		d.sinceSnap.Add(1)
 	}
 	return seq, err
@@ -316,7 +307,7 @@ func (d *Durability) Snapshot() error {
 		return fmt.Errorf("poet: truncating WAL after snapshot: %w", err)
 	}
 	d.snapshots.Add(1)
-	d.logf("poet: snapshot: %d events, WAL truncated below segment %d", st.events, cut)
+	d.logf("poet: snapshot: %d events, WAL truncated below segment %d", st.journal.events(), cut)
 	return nil
 }
 
@@ -409,7 +400,7 @@ const (
 	recEnd   = 3 // the count of records before it: a dump's last record, never in the log
 )
 
-func appendString(b []byte, s string) []byte {
+func appendString[S string | []byte](b []byte, s S) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
 }
@@ -423,15 +414,18 @@ type stringTable map[string]uint64
 // reference 0 plus the literal otherwise. The literal enters the table
 // on both sides when it is short and the table has room — the same test
 // recordReader.interned applies, so the two halves never disagree.
-func (t stringTable) append(b []byte, s string) []byte {
+func (t stringTable) append(b []byte, s string) []byte { return appendRef(t, b, s) }
+
+// appendRef is append for a string or its bytes, copied only if kept.
+func appendRef[S string | []byte](t stringTable, b []byte, s S) []byte {
 	if t == nil {
 		return appendString(b, s)
 	}
-	if ref, ok := t[s]; ok {
+	if ref, ok := t[string(s)]; ok {
 		return binary.AppendUvarint(b, ref)
 	}
 	if len(s) <= maxInternLen && len(t) < maxInterned {
-		t[s] = uint64(len(t) + 1)
+		t[string(s)] = uint64(len(t) + 1)
 	}
 	return appendString(append(b, 0), s)
 }
@@ -448,6 +442,33 @@ func encodeEventRecord(b []byte, raw *RawEvent, t stringTable) []byte {
 
 func encodeTraceRecord(b []byte, name string, t stringTable) []byte {
 	return t.append(append(b, recTrace), name)
+}
+
+// replicate frames a journal span for a replica and counts its records
+// and event records: a remote send as its export, the rest as the
+// RawEvent path spells them through this connection's string table, but
+// with no RawEvent built and no string allocated once the table is warm.
+func (w *frameWriter) replicate(sp journalSpan) (recs, events int) {
+	for p := sp.next(); p != nil; p = sp.next() {
+		recs++
+		r := recordReader{p: p[1:]}
+		if p[0] == recRemote {
+			w.export(sp.remotes.at(r.int()), false)
+			continue
+		}
+		w.body = appendRef(w.strs, append(w.body[:0], p[0]), r.bytes()) // the trace, or the registered name
+		if p[0] == recEvent {
+			events++
+			ints := r.p
+			r.uvarint() // seq
+			r.uvarint() // kind
+			r.uvarint() // msgid
+			w.body = append(w.body, ints[:len(ints)-len(r.p)]...)
+			w.body = append(appendRef(w.strs, w.body, r.bytes()), r.p...) // the type, then the text
+		}
+		w.emit()
+	}
+	return recs, events
 }
 
 // recordReader cursors over one record payload (a WAL record or a wire
@@ -488,13 +509,16 @@ func (r *recordReader) int() int {
 	return int(v)
 }
 
-func (r *recordReader) string() string {
+func (r *recordReader) string() string { return string(r.bytes()) }
+
+// bytes reads a string's bytes in place, aliasing the payload.
+func (r *recordReader) bytes() []byte {
 	n := r.uvarint()
 	if n > uint64(len(r.p)) {
 		r.fail(errFrameOverrun)
-		return ""
+		return nil
 	}
-	s := string(r.p[:n])
+	s := r.p[:n]
 	r.p = r.p[n:]
 	return s
 }

@@ -2,11 +2,13 @@ package poet
 
 import "unsafe"
 
+const chunkBytes = 32 << 10 // the size class the chunked logs allocate in
+
 // chunkCap is how many Ts fill the 32 KiB size class beside the 8-byte
 // header Go's allocator puts on a pointerful object.
 func chunkCap[T any]() int {
 	var v T
-	return (32<<10 - 8) / int(unsafe.Sizeof(v))
+	return (chunkBytes - 8) / int(unsafe.Sizeof(v))
 }
 
 // fifo is a queue in fixed-size chunks: push writes past the tail, pop

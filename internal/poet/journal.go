@@ -1,6 +1,7 @@
 package poet
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -9,49 +10,50 @@ import (
 )
 
 // The ingestion journal: one in-memory log of every input the collector
-// accepted, in the order it accepted them. Everything replayable is a
-// view of it — the write-ahead log is its disk image (recordLocked
-// appends to both under one lock), Dump and Snapshot write its event
-// records in ingestion order, and a replica session is a cursor over it
-// whose resume offset counts its event records. The collector is a
-// deterministic function of that order, so replaying any view rebuilds
-// the same linearization and the same journal: an offset taken before a
-// restart names the same prefix after it.
+// accepted, in the order it accepted them, in the WAL's record encoding.
+// Everything replayable is a view of it — the WAL appends the bytes it
+// stores (recordLocked encodes each record once, under one lock), Dump
+// and Snapshot copy its event records in ingestion order, and a replica
+// session is a cursor over it whose resume offset counts its event
+// records. The collector is a deterministic function of that order, so
+// replaying any view rebuilds the same linearization and the same
+// journal: an offset taken before a restart names the same prefix after.
 //
 // It is never truncated — a reader that starts past record zero would
 // need a checkpoint of the collector's state, which no format carries
 // yet — so the journal and retention refuse each other.
 
-// tailLog is an append-only log that consumers tail by index: the
-// journal and the shard export log, both guarded by the collector's mu.
-// It is a fifo nobody pops, so a record is written once and never
-// copied again as the log grows.
+// growth is an append-only log's signal to the readers parked at its
+// head; its channel exists only while held, so an untailed log pays none.
+type growth struct{ grew chan struct{} }
+
+// wake releases everyone parked on the growth signal.
+func (g *growth) wake() {
+	if g.grew != nil {
+		close(g.grew)
+		g.grew = nil
+	}
+}
+
+// signal returns the channel the next append or wake closes.
+func (g *growth) signal() <-chan struct{} {
+	if g.grew == nil {
+		g.grew = make(chan struct{})
+	}
+	return g.grew
+}
+
+// tailLog is an append-only log that consumers tail by index: the shard
+// export log, guarded by the collector's mu. It is a fifo nobody pops,
+// so a record is written once and never copied again as the log grows.
 type tailLog[T any] struct {
 	fifo[T]
-	// grew is closed by the next append or wake. It exists only while
-	// someone holds it, so an untailed log pays no channel per record.
-	grew chan struct{}
+	growth
 }
 
 func (l *tailLog[T]) append(rec T) {
 	l.push(rec)
 	l.wake()
-}
-
-// wake releases everyone parked on the growth signal.
-func (l *tailLog[T]) wake() {
-	if l.grew != nil {
-		close(l.grew)
-		l.grew = nil
-	}
-}
-
-// signal returns the channel the next append or wake closes.
-func (l *tailLog[T]) signal() <-chan struct{} {
-	if l.grew == nil {
-		l.grew = make(chan struct{})
-	}
-	return l.grew
 }
 
 // from returns the records from idx to the end of idx's chunk and the
@@ -67,37 +69,61 @@ func (l *tailLog[T]) from(idx int) (recs []T, next int, grew <-chan struct{}) {
 	return recs, idx + len(recs), nil
 }
 
-// journalRecord is one accepted input: an ingested event (Seq >= 1), an
-// explicit trace registration (Seq 0, Trace the name), or a peer-shard
-// send applied by SupplyRemoteSend (remote non-nil) — delivery order
-// depends on when a remote send became available, so a standby must
-// apply it at the same position of the stream.
-type journalRecord struct {
-	RawEvent
-	remote *shardExport
-}
+// recRemote is the journal-only record of a peer-shard send, which a
+// standby must apply at the same position of the stream: its index in
+// the journal's side log. It never reaches the disk or the wire.
+const recRemote = 4
 
-// isEvent reports whether the record is an ingested event — the only
-// kind replica offsets count and dumps carry.
-func (r *journalRecord) isEvent() bool { return r.Seq > 0 }
-
+// journal stores each record once, as a uvarint length and the bytes
+// recordLocked encoded, in chunks of chunkBytes that no record straddles
+// (a longer record gets a chunk of its own). A chunk is never moved or
+// resliced, and its bytes past its last record stay zero — a length no
+// record has — so a copy of the journal taken under mu is an immutable
+// prefix, and a span cut from it stays valid outside the lock.
 type journal struct {
-	tailLog[journalRecord]
+	growth
+	chunks  [][]byte
+	fill    int               // bytes written into the last chunk
+	firsts  []int             // firsts[k] is the index of chunk k's first record
+	n       int               // records
+	size    int               // bytes in chunks
+	remotes fifo[shardExport] // the applied peer-shard sends, by value
 	// others lists the indices of the non-event records, ascending: it
 	// turns an event offset into a journal index without a scan.
 	others []int
 }
 
-func (j *journal) append(rec journalRecord) {
-	if !rec.isEvent() {
-		j.others = append(j.others, j.len())
+// journalCursor is a reader's place in the journal: a record boundary.
+type journalCursor struct{ chunk, off int }
+
+// journalSpan is a run of whole records and the side log as of the cut.
+type journalSpan struct {
+	b       []byte
+	remotes fifo[shardExport]
+}
+
+// append copies one encoded record to the journal's head.
+func (j *journal) append(rec []byte) {
+	if rec[0] != recEvent {
+		j.others = append(j.others, j.n)
 	}
-	j.tailLog.append(rec)
+	var hdr [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(hdr[:], uint64(len(rec)))
+	if len(j.chunks) == 0 || j.fill+w+len(rec) > len(j.chunks[len(j.chunks)-1]) {
+		c := make([]byte, max(chunkBytes, w+len(rec)))
+		j.chunks, j.firsts = append(j.chunks, c), append(j.firsts, j.n)
+		j.fill, j.size = 0, j.size+len(c)
+	}
+	c := j.chunks[len(j.chunks)-1]
+	j.fill += copy(c[j.fill:], hdr[:w])
+	j.fill += copy(c[j.fill:], rec)
+	j.n++
+	j.wake()
 }
 
 // events is the number of event records: the head replica offsets are
 // measured against.
-func (j *journal) events() int { return j.len() - len(j.others) }
+func (j *journal) events() int { return j.n - len(j.others) }
 
 // indexAfter translates an event offset into the journal index just
 // past the offset-th event record.
@@ -109,6 +135,42 @@ func (j *journal) indexAfter(events int) int {
 	// non-event record, and never decreases with k.
 	k := sort.Search(len(j.others), func(k int) bool { return j.others[k]-k >= events })
 	return events + k
+}
+
+// seek returns the cursor at record idx: a search for its chunk, then a
+// walk over the records before it in that chunk.
+func (j *journal) seek(idx int) (cur journalCursor) {
+	if cur.chunk = sort.Search(len(j.firsts), func(k int) bool { return j.firsts[k] > idx }) - 1; cur.chunk < 0 {
+		return journalCursor{}
+	}
+	for skip := idx - j.firsts[cur.chunk]; skip > 0; skip-- {
+		n, w := binary.Uvarint(j.chunks[cur.chunk][cur.off:])
+		cur.off += w + int(n)
+	}
+	return cur
+}
+
+// span returns the records from cur to the end of its chunk (the fill,
+// in the last one), cut with cap == len, and the cursor past them; an
+// empty span and cur when cur is at the head.
+func (j *journal) span(cur journalCursor) (journalSpan, journalCursor) {
+	for ; cur.chunk < len(j.chunks)-1; cur = (journalCursor{chunk: cur.chunk + 1}) {
+		if c := j.chunks[cur.chunk]; cur.off < len(c) && c[cur.off] != 0 {
+			return journalSpan{c[cur.off:], j.remotes}, journalCursor{chunk: cur.chunk + 1}
+		}
+	}
+	if cur.chunk == len(j.chunks)-1 && cur.off < j.fill {
+		return journalSpan{j.chunks[cur.chunk][cur.off:j.fill:j.fill], j.remotes}, journalCursor{cur.chunk, j.fill}
+	}
+	return journalSpan{}, cur
+}
+
+// next returns the span's next record, or nil at its end.
+func (s *journalSpan) next() (rec []byte) {
+	if n, w := binary.Uvarint(s.b); n > 0 {
+		rec, s.b = s.b[w:w+int(n)], s.b[w+int(n):]
+	}
+	return rec
 }
 
 // EnableReplicationLog turns the journal on (the name is its oldest
@@ -159,27 +221,39 @@ func (t walTicket) commit() error {
 }
 
 // recordLocked is the one place an accepted input enters the
-// collector's history: Report, RegisterTrace and SupplyRemoteSend call
-// it in the critical section that applies the input. It counts the
-// record and appends it to the journal, when one is kept, and to the
-// WAL, when the collector is durable — under mu, so the orders agree.
-// Remote sends stay off the disk: peers re-stream them after a restart.
-func (c *Collector) recordLocked(rec journalRecord) (t walTicket) {
-	if c.journal != nil {
-		c.journal.append(rec)
-	}
+// collector's history: Report, RegisterTrace (Seq 0) and
+// SupplyRemoteSend call it in the critical section that applies the
+// input. It counts the record and, when something keeps it, encodes it
+// once: the journal stores those bytes and the WAL appends them, under
+// mu, so the orders agree. Remote sends stay off the disk (peers
+// re-stream them after a restart); the journal keeps them by value.
+func (c *Collector) recordLocked(raw *RawEvent, remote *shardExport) (t walTicket) {
 	logged := c.tel.walTraceRecs
 	switch {
-	case rec.remote != nil:
+	case remote != nil:
 		c.tel.shardRemote.Inc()
+		if c.journal != nil {
+			c.journal.remotes.push(*remote)
+			c.rec = binary.AppendUvarint(append(c.rec[:0], recRemote), uint64(c.journal.remotes.len()-1))
+			c.journal.append(c.rec)
+		}
 		return t
-	case rec.isEvent():
+	case raw.Seq > 0:
 		c.ingests++
 		c.tel.ingested.Inc()
+		if c.journal == nil && c.durable == nil {
+			return t
+		}
 		logged = c.tel.walEventRecs
+		c.rec = encodeEventRecord(c.rec[:0], raw, nil)
+	default:
+		c.rec = encodeTraceRecord(c.rec[:0], raw.Trace, nil)
+	}
+	if c.journal != nil {
+		c.journal.append(c.rec)
 	}
 	if t.d = c.durable; t.d != nil {
-		if t.seq, t.err = t.d.appendLocked(&rec.RawEvent); t.err == nil {
+		if t.seq, t.err = t.d.appendLocked(c.rec); t.err == nil {
 			logged.Inc()
 		}
 	}

@@ -2,6 +2,7 @@ package poet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -10,12 +11,78 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"ocep/internal/event"
+	"ocep/internal/vclock"
 	"ocep/internal/wal"
 )
+
+// jrec is one journal record decoded: an ingested event (Seq >= 1), an
+// explicit trace registration (Seq 0, Trace the name), or an applied
+// peer-shard send (remote set, x the send).
+type jrec struct {
+	RawEvent
+	remote bool
+	x      shardExport
+}
+
+func (r *jrec) isEvent() bool { return !r.remote && r.Seq > 0 }
+
+// encode is the record as recordLocked hands it to the journal.
+func (r *jrec) encode() []byte {
+	if r.Seq > 0 {
+		return encodeEventRecord(nil, &r.RawEvent, nil)
+	}
+	return encodeTraceRecord(nil, r.Trace, nil)
+}
+
+// add appends r to the journal as recordLocked does.
+func (j *journal) add(r jrec) {
+	if r.remote {
+		j.remotes.push(r.x)
+		j.append(binary.AppendUvarint([]byte{recRemote}, uint64(j.remotes.len()-1)))
+	} else {
+		j.append(r.encode())
+	}
+}
+
+// same reports whether two records say the same thing.
+func same(a, b jrec) bool {
+	if a.remote || b.remote {
+		return a.remote && b.remote && a.x.MsgID == b.x.MsgID && a.x.ID == b.x.ID && a.x.VC.Equal(b.x.VC)
+	}
+	return a.RawEvent == b.RawEvent
+}
+
+// decode reads the span's next record, false at its end.
+func (sp *journalSpan) decode() (jrec, bool) {
+	p := sp.next()
+	if p == nil {
+		return jrec{}, false
+	}
+	r := recordReader{p: p[1:]}
+	switch p[0] {
+	case recEvent:
+		return jrec{RawEvent: r.eventRecord()}, true
+	case recTrace:
+		return jrec{RawEvent: RawEvent{Trace: r.string()}}, true
+	}
+	return jrec{remote: true, x: *sp.remotes.at(r.int())}, true
+}
+
+// all decodes the log, oldest record first.
+func (l *journal) all() []jrec {
+	var out []jrec
+	for sp, cur := l.span(journalCursor{}); len(sp.b) > 0; sp, cur = l.span(cur) {
+		for r, ok := sp.decode(); ok; r, ok = sp.decode() {
+			out = append(out, r)
+		}
+	}
+	return out
+}
 
 // all flattens the log's chunks into one slice, oldest record first.
 func (l *tailLog[T]) all() []T {
@@ -37,6 +104,15 @@ func journalEvents(c *Collector) []string {
 		}
 	}
 	return out
+}
+
+// chunkStarts lists the index of the first record of every chunk of c's
+// journal but the first: where a reader crosses from one chunk to the
+// next.
+func chunkStarts(c *Collector) []int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]int(nil), c.journal.firsts[1:]...)
 }
 
 func traceNames(c *Collector) []string {
@@ -75,7 +151,7 @@ func jumbledWorkload(rounds int) []RawEvent {
 // out of place) permutes the stream and hands the lagging replica the
 // wrong suffix.
 func TestRecoveryReproducesReplicaStream(t *testing.T) {
-	evs := jumbledWorkload(350) // > 1 000 records: the journal spans three chunks
+	evs := jumbledWorkload(2000) // ~120 KB of records: the journal spans four chunks
 	half := len(evs) / 2
 	// drive feeds the workload with an explicit registration mid-stream
 	// whose trace first reports only after a later-registered trace has,
@@ -154,17 +230,62 @@ func TestRecoveryReproducesReplicaStream(t *testing.T) {
 			stream := before.journal.all()
 			before.mu.Unlock()
 			total := len(wantStream)
-			// Every 97th position, and both sides of every chunk boundary.
-			k := chunkCap[journalRecord]()
+			// cutAt is the stream position just past its events-th event.
+			cutAt := func(events int) int {
+				for i := range stream {
+					if events == 0 {
+						return i
+					}
+					if stream[i].isEvent() {
+						events--
+					}
+				}
+				return len(stream)
+			}
+			// Every 397th position, and both sides of every chunk boundary
+			// of the journal the recovered primary serves from.
 			var cuts []int
-			for cut := 1; cut < len(stream); cut += 97 {
+			for cut := 1; cut < len(stream); cut += 397 {
 				cuts = append(cuts, cut)
 			}
-			for b := k; b < len(stream); b += k {
-				cuts = append(cuts, b-1, b, b+1)
+			c1.mu.Lock()
+			served := c1.journal.all()
+			c1.mu.Unlock()
+			starts := chunkStarts(c1)
+			for _, b := range starts {
+				events := 0
+				for _, r := range served[:b] {
+					if r.isEvent() {
+						events++
+					}
+				}
+				cuts = append(cuts, cutAt(events-1), cutAt(events), cutAt(events+1))
 			}
-			if len(stream) < 1000 || len(cuts) < 15 {
-				t.Fatalf("a stream of %d records, %d cuts: the test no longer spans chunks", len(stream), len(cuts))
+			// A boundary is straddled when replicas resume on both sides of
+			// it, a few records away.
+			straddled := 0
+			for _, b := range starts {
+				below, above := false, false
+				for _, cut := range cuts {
+					applied := 0
+					for _, r := range stream[:cut] {
+						if r.isEvent() {
+							applied++
+						}
+					}
+					c1.mu.Lock()
+					at := c1.journal.indexAfter(applied)
+					c1.mu.Unlock()
+					below = below || at < b && at >= b-3
+					above = above || at >= b && at <= b+3
+				}
+				if below && above {
+					straddled++
+				}
+			}
+			t.Logf("%d records, chunks from %v: %d cuts straddle %d boundaries", len(served), starts, len(cuts), straddled)
+			if straddled < 2 {
+				t.Fatalf("a stream of %d records in chunks starting at %v: the cuts straddle %d boundaries, want at least 2", len(stream), starts, straddled)
 			}
 			for _, cut := range cuts {
 				c2 := NewCollector()
@@ -260,7 +381,7 @@ func TestNoJournalUnlessAsked(t *testing.T) {
 	c.RegisterTrace("explicit")
 	reportAll(t, c, durWorkload(20))
 	if c.journal != nil {
-		t.Fatalf("a collector nobody asked keeps a journal of %d records", c.journal.len())
+		t.Fatalf("a collector nobody asked keeps a journal of %d records", c.journal.n)
 	}
 	if st := c.ReplicationStats(); st.Enabled || st.Records != 0 {
 		t.Fatalf("replication stats of a journal-less collector: %+v", st)
@@ -279,11 +400,11 @@ func TestJournalIndexAfter(t *testing.T) {
 		for i, n := 0, rng.Intn(60); i < n; i++ {
 			switch rng.Intn(4) {
 			case 0:
-				j.append(journalRecord{RawEvent: RawEvent{Trace: "t"}})
+				j.add(jrec{RawEvent: RawEvent{Trace: "t"}})
 			case 1:
-				j.append(journalRecord{remote: &shardExport{MsgID: 1}})
+				j.add(jrec{remote: true, x: shardExport{MsgID: 1}})
 			default:
-				j.append(journalRecord{RawEvent: RawEvent{Trace: "t", Seq: i + 1}})
+				j.add(jrec{RawEvent: RawEvent{Trace: "t", Seq: i + 1}})
 			}
 		}
 		for events := 0; events <= j.events(); events++ {
@@ -427,14 +548,13 @@ func TestReplicaWithRetentionConverges(t *testing.T) {
 // taken before later appends reads the same after them, and the growth
 // signal exists only while a reader is parked on it.
 func TestTailLogChunks(t *testing.T) {
-	var l tailLog[journalRecord]
-	k := chunkCap[journalRecord]()
-	if k != 409 || chunkCap[shardExport]() != 819 {
-		t.Fatalf("chunks of %d journal records and %d exports, want 409 and 819 (32 KiB less the malloc header)",
-			k, chunkCap[shardExport]())
+	var l tailLog[shardExport]
+	k := chunkCap[shardExport]()
+	if k != 819 {
+		t.Fatalf("chunks of %d exports, want 819 (32 KiB less the malloc header)", k)
 	}
 	total := 3*k + k/2
-	var early [][]journalRecord // one slice per append, taken right after it
+	var early [][]shardExport // one slice per append, taken right after it
 	for i := 0; i < total; i++ {
 		if recs, next, grew := l.from(i); recs != nil || next != i || grew == nil {
 			t.Fatalf("from(%d) at the head returned %d records, next %d, signal %v", i, len(recs), next, grew)
@@ -443,7 +563,7 @@ func TestTailLogChunks(t *testing.T) {
 			t.Fatalf("no growth signal while a reader is parked at %d", i)
 		}
 		parked := l.grew
-		l.append(journalRecord{RawEvent: RawEvent{Seq: i + 1}})
+		l.append(shardExport{MsgID: uint64(i + 1)})
 		select {
 		case <-parked:
 		default:
@@ -465,8 +585,8 @@ func TestTailLogChunks(t *testing.T) {
 			t.Fatalf("from(%d): %d records (cap %d), next %d, want %d up to %d", idx, len(recs), cap(recs), next, wantNext-idx, wantNext)
 		}
 		for i := range recs {
-			if recs[i].Seq != idx+i+1 {
-				t.Fatalf("from(%d)[%d] is record %d", idx, i, recs[i].Seq-1)
+			if recs[i].MsgID != uint64(idx+i+1) {
+				t.Fatalf("from(%d)[%d] is record %d", idx, i, recs[i].MsgID-1)
 			}
 		}
 		// Chaining next reaches the head in as many steps as chunks remain.
@@ -482,11 +602,156 @@ func TestTailLogChunks(t *testing.T) {
 		if len(recs) != i%k+1 || cap(recs) != len(recs) {
 			t.Fatalf("the slice taken after append %d has grown to %d records (cap %d)", i, len(recs), cap(recs))
 		}
-		if recs[len(recs)-1].Seq != i+1 || recs[0].Seq != i-i%k+1 {
+		if recs[len(recs)-1].MsgID != uint64(i+1) || recs[0].MsgID != uint64(i-i%k+1) {
 			t.Fatalf("the slice taken after append %d changed under later appends", i)
 		}
 	}
-	if got := l.all(); len(got) != total || got[total-1].Seq != total {
+	if got := l.all(); len(got) != total || got[total-1].MsgID != uint64(total) {
 		t.Fatalf("the chunks hold %d records", len(got))
+	}
+}
+
+// TestJournalMatchesRecordModel holds the byte journal to a plain list of
+// the records it was handed, over seeded random streams with empty
+// strings, strings past the string table's 255 bytes, one record longer
+// than a chunk, and registrations and remote sends among the events:
+// the span at every record index reads the model from there, indexAfter
+// agrees at every event offset, a snapshot taken mid-stream still encodes
+// the model's prefix after 10 000 more appends, and a reader consuming
+// spans outside the lock while a writer appends sees exactly the model.
+func TestJournalMatchesRecordModel(t *testing.T) {
+	str := func(rng *rand.Rand) string {
+		switch rng.Intn(8) {
+		case 0:
+			return ""
+		case 1:
+			return strings.Repeat("l", 255+rng.Intn(300))
+		}
+		return fmt.Sprintf("s%d", rng.Intn(40))
+	}
+	stream := func(seed int64, n int) []jrec {
+		rng := rand.New(rand.NewSource(seed))
+		big := rng.Intn(n)
+		model := make([]jrec, n)
+		for i := range model {
+			switch rng.Intn(10) {
+			case 0:
+				model[i] = jrec{RawEvent: RawEvent{Trace: str(rng)}}
+			case 1:
+				id := event.ID{Trace: event.TraceID(rng.Intn(9)), Index: rng.Intn(1000)}
+				model[i] = jrec{remote: true, x: shardExport{MsgID: rng.Uint64(), ID: id, VC: vclock.VC{int32(i), 1, 2}.Stamp(int(id.Trace) % 3)}}
+			default:
+				model[i] = jrec{RawEvent: RawEvent{Trace: str(rng), Seq: 1 + rng.Intn(1<<20), Kind: event.Kind(rng.Intn(5)), MsgID: rng.Uint64(), Type: str(rng), Text: str(rng)}}
+			}
+			if i == big {
+				model[i] = jrec{RawEvent: RawEvent{Trace: "big", Seq: 1, Text: strings.Repeat("b", chunkBytes+100)}}
+			}
+		}
+		return model
+	}
+	// events lists the model's event records.
+	events := func(model []jrec) (out []RawEvent) {
+		for _, r := range model {
+			if r.isEvent() {
+				out = append(out, r.RawEvent)
+			}
+		}
+		return out
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		model := stream(seed, 3000)
+		more := stream(seed+100, 10000)
+		all := append(append([]jrec(nil), model...), more...)
+		// The writer appends under mu while a reader cuts spans under it
+		// and decodes them outside it.
+		var (
+			mu   sync.Mutex
+			j    journal
+			snap snapshotState
+		)
+		read := make(chan []jrec)
+		go func() {
+			var got []jrec
+			var cur journalCursor
+			for len(got) < len(all) {
+				mu.Lock()
+				sp, next := j.span(cur)
+				grew := j.signal()
+				mu.Unlock()
+				if len(sp.b) == 0 {
+					<-grew
+					continue
+				}
+				for r, ok := sp.decode(); ok; r, ok = sp.decode() {
+					got = append(got, r)
+				}
+				cur = next
+			}
+			read <- got
+		}()
+		half := len(model) / 2
+		for i, r := range all {
+			mu.Lock()
+			if i == half {
+				snap = snapshotState{journal: j}
+			}
+			j.add(r)
+			mu.Unlock()
+		}
+		if got := <-read; !slices.EqualFunc(got, all, same) {
+			t.Fatalf("seed %d: a reader running beside the writer read %d records unlike the %d appended", seed, len(got), len(all))
+		}
+		// The span from every record index opens with that record and ends
+		// where the cursor it returns begins.
+		for i := 0; i <= len(all); i++ {
+			sp, next := j.span(j.seek(i))
+			if i == len(all) {
+				if len(sp.b) != 0 || next != j.seek(i) {
+					t.Fatalf("seed %d: the span at the head holds %d bytes and moves the cursor to %v", seed, len(sp.b), next)
+				}
+				break
+			}
+			if r, ok := sp.decode(); !ok || !same(r, all[i]) {
+				t.Fatalf("seed %d: span(seek(%d)) opens with %+v, want %+v", seed, i, r, all[i])
+			}
+			k := i + 1
+			for sp.next() != nil {
+				k++
+			}
+			if want := j.seek(k); k < len(all) && next != want {
+				t.Fatalf("seed %d: span(seek(%d)) holds %d records and ends at %v, want seek(%d) = %v", seed, i, k-i, next, k, want)
+			}
+		}
+		// indexAfter at every event offset, against a scan of the model.
+		for ev, seen, want := 0, 0, 0; ev <= j.events(); ev++ {
+			for seen < ev {
+				if all[want].isEvent() {
+					seen++
+				}
+				want++
+			}
+			if got := j.indexAfter(ev); got != want {
+				t.Fatalf("seed %d: indexAfter(%d) = %d, want %d", seed, ev, got, want)
+			}
+		}
+		// The mid-stream snapshot encodes the model's prefix, however far
+		// the journal has grown since.
+		var buf bytes.Buffer
+		if err := encodeSnapshot(&buf, snap); err != nil {
+			t.Fatal(err)
+		}
+		var got []RawEvent
+		if _, err := wal.Read(&buf, func(p []byte) error {
+			r := &recordReader{p: p[1:]}
+			if p[0] == recEvent {
+				got = append(got, r.eventRecord())
+			}
+			return r.err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if want := events(model[:half]); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: a snapshot taken at record %d encodes %d events after %d more appends, want the %d before it", seed, half, len(got), len(all)-half, len(want))
+		}
 	}
 }

@@ -41,7 +41,7 @@ func (r *Ref) Report(raw RawEvent, waitersFirst bool) error {
 	defer c.mu.Unlock()
 	err := r.reportLocked(raw, waitersFirst)
 	if err == nil {
-		c.recordLocked(journalRecord{RawEvent: raw})
+		c.recordLocked(&raw, nil)
 		c.maybeTrimLocked()
 	}
 	return err
@@ -181,7 +181,7 @@ func (r *Ref) SupplyRemoteSend(msgID uint64, id event.ID, vc vclock.Stamp) error
 	}
 	vc = vclock.NewStamp(vc.Dense(), vc.Trace(), nil)
 	c.remoteSends[msgID] = remoteSend{id: id, vc: vc}
-	c.recordLocked(journalRecord{remote: &shardExport{MsgID: msgID, ID: id, VC: vc}})
+	c.recordLocked(nil, &shardExport{MsgID: msgID, ID: id, VC: vc})
 	delete(c.heldRemote, msgID)
 	if waiters := c.recvWait[msgID]; len(waiters) > 0 {
 		delete(c.recvWait, msgID)

@@ -98,6 +98,9 @@ type ReplicationStats struct {
 	// Records is the length of the journal (events, explicit trace
 	// registrations, applied peer-shard sends).
 	Records int
+	// JournalBytes is the memory the journal holds: its records as the
+	// WAL encodes them, and the peer-shard sends kept beside them.
+	JournalBytes int
 }
 
 // ReplicationStats returns the primary-side replication counters.
@@ -109,7 +112,8 @@ func (c *Collector) ReplicationStats() ReplicationStats {
 		return st
 	}
 	st.Sessions = len(c.repl.confirmed)
-	st.Records = c.journal.len()
+	st.Records = c.journal.n
+	st.JournalBytes = c.journal.size + len(c.journal.remotes.chunks)*chunkBytes
 	if st.Sessions > 0 {
 		st.Confirmed = c.repl.minConfirmed()
 		st.Lag = c.ingests - st.Confirmed
@@ -192,23 +196,26 @@ func (c *Collector) replBarrier() { c.replWait(c.IngestCount(), -1) }
 // so one the replica has yet to apply may sit in the prefix its offset
 // skips; registering every trace in ID order gives it the primary's
 // numbering wherever it stopped (the in-band ones are then no-ops).
-func (c *Collector) replAttachPoint(events int) (idx int, traces []string, err error) {
+func (c *Collector) replAttachPoint(events int) (cur journalCursor, traces []string, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if head := c.journal.events(); events < 0 || events > head {
-		return 0, nil, fmt.Errorf("replica claims %d applied events, this collector ingested %d: it did not produce that stream", events, head)
+		return cur, nil, fmt.Errorf("replica claims %d applied events, this collector ingested %d: it did not produce that stream", events, head)
 	}
-	return c.journal.indexAfter(events), c.registeredTracesLocked(), nil
+	return c.journal.seek(c.journal.indexAfter(events)), c.registeredTracesLocked(), nil
 }
 
-// journalFrom returns the journal records from idx to the end of its
-// chunk, the index just past them, the current ingest head, and — when
-// there is nothing to read — the growth signal.
-func (c *Collector) journalFrom(idx int) (recs []journalRecord, next, head int, grew <-chan struct{}) {
+// journalFrom returns the journal records from cur to the end of its
+// chunk, the cursor past them, the ingest head, and — when there is
+// nothing to read — the growth signal. An append writes only past every
+// span handed out, so a span stays safe to read outside the lock.
+func (c *Collector) journalFrom(cur journalCursor) (sp journalSpan, next journalCursor, head int, grew <-chan struct{}) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	recs, next, grew = c.journal.from(idx)
-	return recs, next, c.ingests, grew
+	if sp, next = c.journal.span(cur); len(sp.b) == 0 {
+		grew = c.journal.signal()
+	}
+	return sp, next, c.ingests, grew
 }
 
 // ---------------------------------------------------------------------
@@ -226,7 +233,7 @@ func (s *Server) handleReplica(conn *link, fr *frameReader, fw *frameWriter, h h
 	if !c.ReplicationStats().Enabled {
 		return refuseHello(fw, roleReplica, "replication log not enabled on this collector", false)
 	}
-	idx, traces, err := c.replAttachPoint(h.from)
+	cur, traces, err := c.replAttachPoint(h.from)
 	if err != nil {
 		return refuseHello(fw, roleReplica, err.Error(), false)
 	}
@@ -270,25 +277,14 @@ func (s *Server) handleReplica(conn *link, fr *frameReader, fw *frameWriter, h h
 	// No drain notice of its own: a replica takes Drain as the clean
 	// handoff, and that comes with the End frame.
 	err = s.streamLog(conn, fw, "replica", readerDone, nil, func() (int, int, <-chan struct{}) {
-		recs, next, head, ch := c.journalFrom(idx)
-		if len(recs) > 0 {
+		sp, next, head, ch := c.journalFrom(cur)
+		if len(sp.b) > 0 {
 			fw.head(head)
 		}
-		events := 0
-		for i := range recs {
-			switch rec := &recs[i]; {
-			case rec.remote != nil:
-				fw.export(rec.remote, false)
-			case rec.isEvent():
-				fw.raw(&rec.RawEvent)
-				events++
-			default:
-				fw.traceReg(rec.Trace)
-			}
-		}
+		recs, events := fw.replicate(sp)
 		s.replicaEvents.add(int64(events))
-		idx = next
-		return len(recs), head, ch
+		cur = next
+		return recs, head, ch
 	})
 	_ = conn.Close()
 	<-readerDone

@@ -42,7 +42,7 @@ import (
 // the log is always correct; SupplyRemoteSend absorbs duplicates.
 //
 // Replication composes: a sharded primary journals every fresh remote
-// send at the position it was applied (journalRecord.remote), so a warm
+// send at the position it was applied (a recRemote record), so a warm
 // standby rebuilds the identical
 // linearization without tailing the peers itself — it must not, or
 // remote-send arrival timing would make its delivery order diverge from
@@ -195,7 +195,7 @@ func (c *Collector) SupplyRemoteSend(msgID uint64, id event.ID, vc vclock.Stamp)
 	// decoder's slab.
 	vc = vclock.NewStamp(vc.Dense(), vc.Trace(), nil)
 	c.remoteSends[msgID] = remoteSend{id: id, vc: vc}
-	c.recordLocked(journalRecord{remote: &shardExport{MsgID: msgID, ID: id, VC: vc}})
+	c.recordLocked(nil, &shardExport{MsgID: msgID, ID: id, VC: vc})
 	delete(c.heldRemote, msgID)
 	if waiters := c.recvWait[msgID]; len(waiters) > 0 {
 		delete(c.recvWait, msgID)

@@ -104,6 +104,11 @@ func TestPoetdMetricsEndpoint(t *testing.T) {
 	if m["poet_wire_acks_sent_total"] < 1 {
 		t.Error("no acks counted, yet the reporter flushed")
 	}
+	// poetd keeps a journal: after ingest it holds at least a byte a
+	// record, and the gauge tells its growth from the events'.
+	if got, ok := m["poet_journal_bytes"]; !ok || got < n {
+		t.Errorf("poet_journal_bytes = %v (scraped %v) after %v events, want at least a byte each", got, ok, n)
+	}
 
 	// /debug/vars serves the same registry as valid JSON.
 	var vars map[string]any
