@@ -322,7 +322,7 @@ func TestPoetdDependencySet(t *testing.T) {
 		}
 	}
 	sort.Strings(got)
-	const want = "backoff event poet pool shard telemetry vclock wal"
+	const want = "backoff event fifo poet pool shard telemetry vclock wal"
 	if strings.Join(got, " ") != want {
 		t.Fatalf("cmd/poetd links internal packages [%s], want [%s]", strings.Join(got, " "), want)
 	}

@@ -2,6 +2,8 @@ package ocep_test
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -567,4 +569,182 @@ func TestMonitorSetAsyncReentrancy(t *testing.T) {
 		t.Fatalf("async member reported %d matches, sync member %d", asyncSeen, syncSeen)
 	}
 	set.Detach()
+}
+
+// cursorStream is what one batch subscriber was handed, from delivery
+// position start on; got is touched only by its consumer goroutine until
+// the subscription is flushed or cancelled.
+type cursorStream struct {
+	start int
+	got   []*event.Event
+	sub   *poet.Subscription
+}
+
+// TestDeliveryCursorsUnderConcurrency feeds one seeded stream with
+// send/receive back-patches, under retention, to five batch subscribers
+// at once: three BackpressureBlock cursors (one from the start, one
+// resuming mid-stream, one cancelled mid-stream), a WithAsyncDelivery
+// monitor and a raw BackpressureDrop cursor. Each Block stream must be
+// the matching slice of the linearization a synchronous handler
+// recorded, the async monitor must report the synchronous monitor's
+// matches, coverage and Stats (its search counters aside), the Drop stream must be an in-order
+// subsequence with Enqueued + Dropped equal to the total, and no
+// handler may ever see retention trim past the event it is handed. Run
+// it with -race -count=10.
+func TestDeliveryCursorsUnderConcurrency(t *testing.T) {
+	pat := workload.DeadlockPattern(2)
+	raws := recordWorkload(t, deliveryCase{name: "deadlock", generate: func(sink *recordingSink) error {
+		_, err := workload.GenDeadlock(workload.DeadlockConfig{
+			Ranks: 6, CycleLen: 2, Rounds: 150, BugProb: 0.1, Seed: 11, Sink: sink,
+		})
+		return err
+	}})
+	want := runDeliveryMode(t, raws, pat, false)
+
+	c := ocep.NewCollector()
+	if err := c.SetRetention(64); err != nil {
+		t.Fatal(err)
+	}
+	var lin []*event.Event // appended under the collector's lock, by Report
+	c.Subscribe(func(e *event.Event) { lin = append(lin, e) })
+
+	block := func(s *cursorStream) poet.BatchHandler {
+		return func(batch []*event.Event) {
+			if trimmed := c.RetentionStats().TrimmedFrom; trimmed > s.start+len(s.got) {
+				t.Errorf("retention trimmed below %d while a cursor was handed event %d", trimmed, s.start+len(s.got))
+			}
+			s.got = append(s.got, batch...)
+		}
+	}
+	blockOpts := poet.AsyncOptions{QueueDepth: 16, MaxBatch: 4, Policy: poet.BackpressureBlock}
+	full, cancelled, resumed := &cursorStream{}, &cursorStream{}, &cursorStream{}
+	full.sub = c.SubscribeBatch(block(full), blockOpts)
+	cancelled.sub = c.SubscribeBatch(block(cancelled), blockOpts)
+	dropped := &cursorStream{}
+	dropped.sub = c.SubscribeBatch(func(batch []*event.Event) {
+		for range batch {
+			runtime.Gosched() // lag behind the reporter
+		}
+		dropped.got = append(dropped.got, batch...)
+	}, poet.AsyncOptions{QueueDepth: 4, MaxBatch: 2, Policy: poet.BackpressureDrop})
+
+	var mu sync.Mutex
+	var matches []ocep.Match
+	mon, err := ocep.NewMonitor(pat, ocep.WithGuaranteedCoverage(), ocep.WithAsyncDelivery(),
+		ocep.WithQueueDepth(32), ocep.WithMaxBatch(8), ocep.WithMatchHandler(func(m ocep.Match) {
+			mu.Lock()
+			matches = append(matches, m)
+			mu.Unlock()
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon.Attach(c)
+
+	// Resume and cancel from other goroutines while reporting goes on.
+	third, half := make(chan struct{}), make(chan struct{})
+	atCancel := 0
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		<-third
+		for {
+			resumed.start = max(c.RetentionStats().TrimmedFrom, c.Delivered()-20)
+			sub, err := c.SubscribeBatchReplayFrom(resumed.start, block(resumed), blockOpts)
+			if err == nil {
+				resumed.sub = sub
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		<-half
+		atCancel = c.Delivered()
+		cancelled.sub.Cancel()
+	}()
+	for i, raw := range raws {
+		switch i {
+		case len(raws) / 3:
+			close(third)
+		case len(raws) / 2:
+			close(half)
+		}
+		if err := c.Report(raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	c.Flush()
+	if err := mon.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.RetentionStats(); st.Evicted == 0 {
+		t.Fatalf("retention never trimmed: %+v", st)
+	}
+	total := len(raws)
+	if len(lin) != total {
+		t.Fatalf("the synchronous handler recorded %d events, want %d", len(lin), total)
+	}
+	sameSlice := func(name string, s *cursorStream, want []*event.Event) {
+		t.Helper()
+		if len(s.got) != len(want) {
+			t.Fatalf("%s cursor was handed %d events, want %d", name, len(s.got), len(want))
+		}
+		for i := range want {
+			if s.got[i] != want[i] {
+				t.Fatalf("%s cursor's event %d is %v, the linearization's %v", name, s.start+i, s.got[i], want[i])
+			}
+		}
+	}
+	sameSlice("the full", full, lin)
+	if resumed.start == 0 || resumed.start >= total {
+		t.Fatalf("resumed at %d of %d: not mid-stream", resumed.start, total)
+	}
+	sameSlice("the resumed", resumed, lin[resumed.start:])
+	if n := len(cancelled.got); n < atCancel || n >= total {
+		t.Fatalf("the cancelled cursor was handed %d events: want at least the %d delivered before Cancel, and not all %d", n, atCancel, total)
+	}
+	sameSlice("the cancelled", cancelled, lin[:len(cancelled.got)])
+
+	pos := make(map[*event.Event]int, total)
+	for i, e := range lin {
+		pos[e] = i
+	}
+	last := -1
+	for _, e := range dropped.got {
+		i, ok := pos[e]
+		if !ok || i <= last {
+			t.Fatalf("the Drop stream is not an in-order subsequence: event %v at %d after %d", e, i, last)
+		}
+		last = i
+	}
+	if st := dropped.sub.Stats(); st.Enqueued+st.Dropped != total || st.Handled != st.Enqueued || st.Handled != len(dropped.got) {
+		t.Fatalf("Drop cursor stats %+v: want enqueued + dropped = %d and %d handled", st, total, len(dropped.got))
+	}
+
+	t.Logf("%d events, %d matches; the Drop cursor was handed %d, the cancelled one %d; retention %+v",
+		total, len(want.matches), len(dropped.got), len(cancelled.got), c.RetentionStats())
+	mu.Lock()
+	got := deliveryRun{matches: matches, coverage: mon.Coverage(), stats: mon.Stats()}
+	mu.Unlock()
+	if !slices.Equal(got.keys(), want.keys()) {
+		t.Fatalf("the async monitor reported %d matches, the synchronous %d, or different ones", len(got.matches), len(want.matches))
+	}
+	if !coverageEqual(coverageSet(got.coverage), coverageSet(want.coverage)) {
+		t.Fatal("the async monitor's coverage differs from the synchronous monitor's")
+	}
+	// DomainsComputed is search work, not a result: on some recorded
+	// streams a monitor on the collector's store and one on a private
+	// store compute a few domains more or less (seen before cursors too).
+	got.stats.DomainsComputed = want.stats.DomainsComputed
+	if got.stats != want.stats {
+		t.Fatalf("async monitor stats %+v, synchronous %+v", got.stats, want.stats)
+	}
+	mon.Detach()
+	for _, s := range []*cursorStream{full, resumed, dropped} {
+		s.sub.Cancel()
+	}
+	c.Close()
 }

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"sync"
@@ -79,7 +80,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := rep.Close(); err != nil {
+	if err := errors.Join(rep.Flush(), rep.Close()); err != nil {
 		log.Fatal(err)
 	}
 

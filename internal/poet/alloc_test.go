@@ -13,6 +13,7 @@ import (
 
 	"ocep/internal/event"
 	"ocep/internal/event/eventtest"
+	"ocep/internal/fifo"
 	"ocep/internal/vclock"
 )
 
@@ -148,7 +149,7 @@ func TestFrameDecodeAllocs(t *testing.T) {
 			announced[e.ID.Trace] = true
 			fw.trace(e.ID.Trace, c.Store().TraceName(e.ID.Trace))
 		}
-		fw.event(e, true)
+		fw.event(e, e.Partner, true)
 	})
 	for i := 0; i < n; i++ {
 		tr := i % traces
@@ -205,7 +206,7 @@ func TestFrameEncodeAllocs(t *testing.T) {
 		raws[i] = RawEvent{Trace: fmt.Sprintf("p%d", i%32), Seq: i + 1, Kind: event.KindSend, Type: "step", Text: "payload", MsgID: uint64(i + 1)}
 	}
 	frame := func(i int) {
-		fw.event(evs[i%len(evs)], true)
+		fw.event(evs[i%len(evs)], evs[i%len(evs)].Partner, true)
 		fw.raw(&raws[i%len(raws)])
 		fw.export(&shardExport{MsgID: uint64(i), ID: evs[i%len(evs)].ID, VC: evs[i%len(evs)].VC}, true)
 	}
@@ -223,21 +224,101 @@ func TestFrameEncodeAllocs(t *testing.T) {
 	}
 }
 
-// TestQueuePushAllocs: the delivery queue's private copy of an event
-// comes from the queue's slab.
-func TestQueuePushAllocs(t *testing.T) {
-	const n = 20000
-	q := newQueue(func([]*event.Event) {}, AsyncOptions{QueueDepth: n}, queueMetrics{})
-	e := &event.Event{ID: event.ID{Trace: 0, Index: 1}, Kind: event.KindInternal, Type: "step"}
-	// No consumer runs: the buffer holds every push.
-	per := mallocsPer(t, n, func() { q.push(e, "p0") })
-	t.Logf("allocs per push: %.4f", per)
-	if per > 0.1 {
-		t.Fatalf("queue.push costs %.4f allocations per event, want <= 0.1", per)
+// ringReporter reports a ring of send/receive pairs over traces, one
+// pair per call, each receive naming the previous send.
+func ringReporter(t *testing.T, c *Collector, traces int) func() {
+	seqs, names := make([]int, traces), make([]string, traces)
+	for tr := range names {
+		names[tr] = fmt.Sprintf("p%d", tr)
 	}
-	at := func(i int) *event.Event { return q.buf.span(i)[0] }
-	if q.buf.len() != n || at(0) == at(1) || at(0) == e || at(n-1).ID != e.ID {
-		t.Fatalf("the queue holds %d events, want %d private copies", q.buf.len(), n)
+	i := 0
+	report := func(tr int, kind event.Kind) {
+		seqs[tr]++
+		r := RawEvent{Trace: names[tr], Seq: seqs[tr], Kind: kind, Type: "step", MsgID: uint64(i + 1)}
+		if err := c.Report(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return func() {
+		report(i%traces, event.KindSend)
+		report((i+1)%traces, event.KindReceive)
+		i++
+	}
+}
+
+// TestCursorDeliveryAllocs: a batch subscriber framing every event for
+// the wire, as a monitor connection does, adds no allocation per event
+// to what Report makes alone. The handler is handed the collector's own
+// events, cut from its delivery log: no private copy, no queue slot, no
+// batch slice. (The queue it replaces copied every event into a slab and
+// made a slice per cut.)
+func TestCursorDeliveryAllocs(t *testing.T) {
+	const (
+		traces = 8
+		warm   = 4096
+		rounds = 200
+		pairs  = 100 // per round
+	)
+	perEvent := func(subscribe bool) float64 {
+		c := NewCollector()
+		defer c.Close()
+		pair := ringReporter(t, c, traces)
+		flush := func() {}
+		if subscribe {
+			fw := newFrameWriter(io.Discard)
+			sub := c.SubscribeBatch(func(batch []*event.Event) {
+				for _, e := range batch {
+					fw.event(e, readablePartner(e), true)
+				}
+			}, AsyncOptions{OnTrace: func(id event.TraceID, name string) { fw.trace(id, name) }})
+			flush = sub.Flush
+		}
+		for i := 0; i < warm; i++ {
+			pair()
+		}
+		flush()
+		return mallocsPer(t, rounds, func() {
+			for i := 0; i < pairs; i++ {
+				pair()
+			}
+			flush()
+		}) / (2 * pairs)
+	}
+	alone, subscribed := perEvent(false), perEvent(true)
+	t.Logf("allocs per event: Report alone %.4f, with a framing batch subscriber %.4f", alone, subscribed)
+	if subscribed-alone > 0.01 {
+		t.Fatalf("a batch subscriber adds %.4f allocations per event, want <= 0.01", subscribed-alone)
+	}
+}
+
+// TestSubscribeReplayFromAllocs: resuming a batch subscriber at offset 0
+// costs the same allocations on a collector holding 100 k events as on
+// one holding 1 k, drain included — the subscriber is a position in the
+// delivery log, not a copy of it made under the ingest lock.
+func TestSubscribeReplayFromAllocs(t *testing.T) {
+	per := func(events int) float64 {
+		c := NewCollector()
+		pair := ringReporter(t, c, 8)
+		for i := 0; i < events/2; i++ {
+			pair()
+		}
+		handled := 0
+		got := mallocsPer(t, 20, func() {
+			sub, err := c.SubscribeBatchReplayFrom(0, func(b []*event.Event) { handled += len(b) }, AsyncOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sub.Cancel() // drains the whole history
+		})
+		if handled != 20*events {
+			t.Fatalf("the subscribers handled %d events, want %d", handled, 20*events)
+		}
+		return got
+	}
+	small, large := per(1000), per(100_000)
+	t.Logf("allocs per replaying subscription: 1 k events %.2f, 100 k events %.2f", small, large)
+	if large > small+0.5 {
+		t.Fatalf("subscribing at offset 0 to 100 k events costs %.2f allocations, to 1 k events %.2f: the history is copied", large, small)
 	}
 }
 
@@ -266,7 +347,7 @@ func TestStampHeapPerEvent(t *testing.T) {
 		if e.ID.Index == 1 {
 			fw.trace(e.ID.Trace, c.Store().TraceName(e.ID.Trace))
 		}
-		fw.event(e, true)
+		fw.event(e, e.Partner, true)
 	})
 	msg := func(round, tr int) uint64 { return uint64(round*traces+tr) + 1 }
 	for r := 0; r < rounds; r++ {
@@ -393,7 +474,7 @@ func TestJournalBytesPerEvent(t *testing.T) {
 	for i := range evs {
 		wal += len(encodeEventRecord(nil, &evs[i], nil))
 	}
-	budget := wal + 4*len(evs) + chunkBytes
+	budget := wal + 4*len(evs) + fifo.ChunkBytes
 	held := func(journal bool) (int64, ReplicationStats) {
 		before := liveHeap()
 		c := NewCollector()

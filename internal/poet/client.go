@@ -11,6 +11,7 @@ import (
 
 	"ocep/internal/backoff"
 	"ocep/internal/event"
+	"ocep/internal/fifo"
 	"ocep/internal/pool"
 )
 
@@ -167,7 +168,7 @@ type Reporter struct {
 	// window holds reported events not yet pruned as acked, in report
 	// order; its first sent went out on the current connection. Report
 	// pushes, and only the sender prunes.
-	window fifo[RawEvent]
+	window fifo.Queue[RawEvent]
 	sent   int
 	// acks is the latest per-trace contiguous ack from the server; moved
 	// says one advanced since the sender last pruned.
@@ -244,9 +245,9 @@ func (r *Reporter) handshake(addr string) (*repConn, int, error) {
 	r.mu.Lock()
 	var names []string
 	seen := make(map[string]bool)
-	covered := r.window.len()
+	covered := r.window.Len()
 	for i := 0; i < covered; i++ {
-		if tr := r.window.at(i).Trace; !seen[tr] {
+		if tr := r.window.At(i).Trace; !seen[tr] {
 			seen[tr] = true
 			names = append(names, tr)
 		}
@@ -265,7 +266,7 @@ func (r *Reporter) handshake(addr string) (*repConn, int, error) {
 	r.sent = 0
 	retrans := 0
 	for i := 0; i < covered; i++ {
-		if ev := r.window.at(i); ev.Seq > r.acks[ev.Trace] {
+		if ev := r.window.At(i); ev.Seq > r.acks[ev.Trace] {
 			retrans++
 		}
 	}
@@ -365,28 +366,28 @@ func (r *Reporter) pruneLocked() {
 		return
 	}
 	r.moved = false
-	before := r.window.len()
+	before := r.window.Len()
 	n := 0
 	for ; n < before; n++ {
-		if ev := r.window.at(n); ev.Seq > r.acks[ev.Trace] {
+		if ev := r.window.At(n); ev.Seq > r.acks[ev.Trace] {
 			break
 		}
 	}
-	r.window.pop(n)
+	r.window.Pop(n)
 	r.sent = max(r.sent-n, 0)
-	if m := r.window.len(); m > 0 {
-		if front := r.window.at(0); front.Seq > r.acks[front.Trace]+1 {
+	if m := r.window.Len(); m > 0 {
+		if front := r.window.At(0); front.Seq > r.acks[front.Trace]+1 {
 			for i, sent := 0, r.sent; i < m; i++ {
-				ev := *r.window.at(0)
-				if r.window.pop(1); ev.Seq > r.acks[ev.Trace] {
-					r.window.push(ev)
+				ev := *r.window.At(0)
+				if r.window.Pop(1); ev.Seq > r.acks[ev.Trace] {
+					r.window.Push(ev)
 				} else if i < sent {
 					r.sent--
 				}
 			}
 		}
 	}
-	r.stats.Acked += before - r.window.len()
+	r.stats.Acked += before - r.window.Len()
 	r.cond.Broadcast()
 }
 
@@ -394,8 +395,8 @@ func (r *Reporter) pruneLocked() {
 // chunk, and how many were unsent. Without a connection it is void: the
 // handshake resets sent.
 func (r *Reporter) claimLocked() (claim []RawEvent, unsent int) {
-	if unsent = r.window.len() - r.sent; unsent > 0 {
-		claim = r.window.span(r.sent)
+	if unsent = r.window.Len() - r.sent; unsent > 0 {
+		claim = r.window.Span(r.sent)
 		r.sent += len(claim)
 	}
 	return claim, unsent
@@ -506,7 +507,7 @@ func (r *Reporter) reconnect() (conn *repConn, err error) {
 // server rejected an event as malformed) or been closed.
 func (r *Reporter) Report(raw RawEvent) error {
 	r.mu.Lock()
-	for r.failed == nil && !r.closed && r.window.len() >= r.cfg.buffer {
+	for r.failed == nil && !r.closed && r.window.Len() >= r.cfg.buffer {
 		r.cond.Wait()
 	}
 	if r.failed != nil {
@@ -522,7 +523,7 @@ func (r *Reporter) Report(raw RawEvent) error {
 		r.mu.Unlock()
 		return fmt.Errorf("poet reporter: event %s/%d carries %d bytes of strings, more than one frame holds", raw.Trace, raw.Seq, n)
 	}
-	r.window.push(raw)
+	r.window.Push(raw)
 	r.stats.Reported++
 	r.mu.Unlock()
 	r.signal()
@@ -536,14 +537,14 @@ func (r *Reporter) Flush() error {
 	r.signal()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for r.failed == nil && !r.closed && r.window.len() > 0 {
+	for r.failed == nil && !r.closed && r.window.Len() > 0 {
 		r.cond.Wait()
 	}
 	if r.failed != nil {
 		return r.failed
 	}
-	if r.window.len() > 0 {
-		return fmt.Errorf("poet reporter: closed with %d unacked events", r.window.len())
+	if r.window.Len() > 0 {
+		return fmt.Errorf("poet reporter: closed with %d unacked events", r.window.Len())
 	}
 	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ocep/internal/event"
@@ -51,7 +52,7 @@ func isRecvLike(k event.Kind) bool {
 // lock is held: they must be fast and must not call back into the
 // Collector. Use SubscribeBatch for a handler
 // that runs off the delivery path (its own goroutine, batched, with a
-// bounded queue and a backpressure policy).
+// bounded lag and a backpressure policy).
 type Handler func(*event.Event)
 
 // ErrStaleEvent reports a raw event at or before an already-delivered or
@@ -98,15 +99,20 @@ type Collector struct {
 	heldRemote map[uint64]time.Time
 	// sendersSeen guards against duplicate MsgIDs on the send side.
 	sendersSeen map[uint64]bool
-	// subs lists the subscribers in subscription order, the order one
-	// event reaches them in.
+	// subs lists the synchronous handlers in subscription order, the
+	// order one event reaches them in.
 	subs        []subscriber
 	nextHandler int
 	delivered   int
+	// cursors are the batch subscribers (delivery.go); fresh wakes them,
+	// drained their waiters, and head is delivered for DeliveryStats.
+	cursors        []*cursor
+	fresh, drained sync.Cond
+	head           atomic.Int64
 	// slab backs every delivered event and its stamp.
 	slab event.Slab
 	// order is the delivery order of all events: the linearization of
-	// the partial order that clients observe.
+	// the partial order that clients (and cursors) read.
 	order []*event.Event
 	// journal, when non-nil, is the ingestion-ordered log of every
 	// accepted record that dumps, snapshots and replica sessions read
@@ -169,7 +175,7 @@ type Collector struct {
 }
 
 // collectorMetrics groups the collector's instruments so they can be
-// snapshotted into each delivery queue at subscription time.
+// snapshotted into each batch subscription when it is created.
 type collectorMetrics struct {
 	ingested     *telemetry.Counter
 	stale        *telemetry.Counter
@@ -188,8 +194,8 @@ type collectorMetrics struct {
 
 // InstrumentMetrics registers the collector's metrics with reg and
 // turns instrumentation on. Call it once, at wiring time — before
-// reporting begins and before subscriptions are created (each delivery
-// queue snapshots the instruments when it is registered). A nil
+// reporting begins and before subscriptions are created (each batch
+// subscription snapshots the instruments when it is created). A nil
 // registry leaves the collector uninstrumented.
 func (c *Collector) InstrumentMetrics(reg *telemetry.Registry) {
 	if reg == nil {
@@ -205,14 +211,14 @@ func (c *Collector) InstrumentMetrics(reg *telemetry.Registry) {
 		evicted:      reg.Counter("poet_retention_evicted_total", "Delivered events evicted from the linearization log by SetRetention."),
 		walEventRecs: reg.Counter("poet_wal_event_records_total", "Event records appended to the write-ahead log."),
 		walTraceRecs: reg.Counter("poet_wal_trace_records_total", "Trace-registration records appended to the write-ahead log."),
-		blockedNs:    reg.Counter("poet_delivery_blocked_ns_total", "Nanoseconds Report spent blocked on full subscriber queues (BackpressureBlock)."),
+		blockedNs:    reg.Counter("poet_delivery_blocked_ns_total", "Nanoseconds Report spent blocked on lagging batch subscribers (BackpressureBlock)."),
 		shardExports: reg.Counter("poet_shard_exports_total", "Send events appended to the cross-shard export log."),
 		shardRemote:  reg.Counter("poet_shard_remote_sends_total", "Fresh peer-shard send records applied by SupplyRemoteSend."),
 		stampBases:   reg.Counter("poet_stamp_bases_total", "Join clocks materialised: one per delivered receive or acquire; every other event shares its trace's."),
 		queues: queueMetrics{
-			enqueued:  reg.Counter("poet_delivery_enqueued_total", "Events accepted into subscriber delivery queues (summed over subscribers)."),
+			enqueued:  reg.Counter("poet_delivery_enqueued_total", "Events cut into batches for subscriber handlers (summed over subscribers)."),
 			handled:   reg.Counter("poet_delivery_handled_total", "Events consumed by batch subscriber handlers."),
-			dropped:   reg.Counter("poet_delivery_dropped_total", "Events discarded by full queues under BackpressureDrop."),
+			dropped:   reg.Counter("poet_delivery_dropped_total", "Events lagging subscribers skipped under BackpressureDrop."),
 			batches:   reg.Counter("poet_delivery_batches_total", "Batch handler invocations."),
 			batchSize: reg.Histogram("poet_delivery_batch_size", "Events per cut batch handed to subscriber handlers."),
 		},
@@ -236,12 +242,14 @@ func (c *Collector) InstrumentMetrics(reg *telemetry.Registry) {
 		defer c.mu.Unlock()
 		return int64(c.store.NumTraces())
 	})
-	reg.GaugeFunc("poet_delivery_queue_depth", "Current depth summed over subscriber delivery queues.", func() int64 {
-		var n int64
-		for _, q := range c.asyncQueues() {
-			n += int64(q.stats().Queued)
+	reg.GaugeFunc("poet_delivery_queue_depth", "Delivered events not yet handed to batch subscribers, summed over subscribers (their lag).", func() int64 {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		n := 0
+		for _, cur := range c.cursors {
+			n += cur.headLocked() - cur.next
 		}
-		return n
+		return int64(n)
 	})
 	reg.GaugeFunc("poet_retained_events", "Delivered events currently retained in the linearization log (equals delivered when retention is off).", func() int64 {
 		c.mu.Lock()
@@ -255,12 +263,14 @@ func (c *Collector) InstrumentMetrics(reg *telemetry.Registry) {
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	return &Collector{
+	c := &Collector{
 		store:       event.NewStore(),
 		sends:       make(map[uint64]event.ID),
 		recvWait:    make(map[uint64][]event.TraceID),
 		sendersSeen: make(map[uint64]bool),
 	}
+	c.fresh.L, c.drained.L = &c.mu, &c.mu
+	return c
 }
 
 // SetRetention bounds the collector's memory: once more than keepEvents
@@ -350,14 +360,28 @@ func (c *Collector) RetentionStats() RetentionStats {
 
 // maybeTrimLocked evicts the oldest delivered events once the
 // linearization log exceeds the retention bound by a quarter (the
-// hysteresis keeps trims amortized instead of per-delivery). The store
-// is compacted along with the log, clamped per trace so no unmatched
-// send — still needed to stamp its future receive — is released.
+// hysteresis keeps trims amortized instead of per-delivery), never past
+// a cursor's floor; a Drop cursor holds back at most its depth, and one
+// lagging further skips the evicted events (see skipEvictedLocked). The
+// store is compacted along with the log, clamped per trace so no
+// unmatched send — still needed to stamp its future receive — is
+// released.
 func (c *Collector) maybeTrimLocked() {
 	if c.retain <= 0 || len(c.order) <= c.retain+c.retain/4 {
 		return
 	}
 	drop := len(c.order) - c.retain
+	for _, cur := range c.cursors {
+		floor := cur.floor
+		if cur.policy == BackpressureDrop {
+			floor = max(floor, c.delivered-cur.depth)
+		}
+		drop = min(drop, floor-c.trimmedFrom)
+	}
+	if drop <= c.retain/4 {
+		return
+	}
+	defer c.skipEvictedLocked()
 	// The linearization holds each trace's events in trace order, so the
 	// dropped prefix covers a per-trace prefix: the highest index per
 	// trace tells the store how far it may compact.
@@ -399,50 +423,53 @@ func (c *Collector) Durable() *Durability {
 // after Drained).
 func (c *Collector) Store() *event.Store { return c.store }
 
-// subscriber is one delivery target: a synchronous handler, or the
-// bounded queue of a batch subscription (see delivery.go).
+// subscriber is a synchronous handler and its subscription ID.
 type subscriber struct {
 	id int
 	h  Handler
-	q  *queue
 }
 
-// Subscription identifies a registered handler so it can be cancelled.
+// Subscription identifies a registered handler, or the cursor of a batch
+// subscription (see delivery.go), so it can be cancelled.
 type Subscription struct {
-	c *Collector
-	subscriber
+	c   *Collector
+	id  int
+	cur *cursor
 }
 
 // Cancel removes the handler. For a batch subscription it also drains
-// the queue and stops the consumer goroutine before returning, so the
-// handler has observed every event accepted before the cancellation.
+// the cursor and stops the consumer goroutine before returning, so the
+// handler has observed every event delivered before the cancellation.
 // Safe to call more than once.
 func (s *Subscription) Cancel() {
+	if s.cur != nil {
+		s.cur.close()
+		return
+	}
 	s.c.mu.Lock()
 	s.c.subs = slices.DeleteFunc(s.c.subs, func(x subscriber) bool { return x.id == s.id })
 	s.c.mu.Unlock()
-	if s.q != nil {
-		s.q.close()
-	}
 }
 
 // Flush blocks until the subscription's handler has consumed every event
-// enqueued before the call. A no-op for synchronous subscriptions (their
+// delivered before the call. A no-op for synchronous subscriptions (their
 // handlers run on the delivery path). Must not be called from the
 // handler itself.
 func (s *Subscription) Flush() {
-	if s.q != nil {
-		s.q.flush()
+	if s.cur != nil {
+		s.c.mu.Lock()
+		s.cur.flushLocked(s.c.delivered)
+		s.c.mu.Unlock()
 	}
 }
 
 // Stats returns the delivery counters of a batch subscription (zero for
 // a synchronous one).
 func (s *Subscription) Stats() DeliveryStats {
-	if s.q == nil {
+	if s.cur == nil {
 		return DeliveryStats{}
 	}
-	return s.q.stats()
+	return s.cur.stats()
 }
 
 // Subscribe registers a delivery handler. Events delivered before the
@@ -451,15 +478,15 @@ func (s *Subscription) Stats() DeliveryStats {
 func (c *Collector) Subscribe(h Handler) *Subscription {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.subscribeLocked(h, nil)
+	return c.subscribeLocked(h)
 }
 
-// subscribeLocked appends a subscriber: a handler, or a queue.
-func (c *Collector) subscribeLocked(h Handler, q *queue) *Subscription {
-	s := subscriber{id: c.nextHandler, h: h, q: q}
+// subscribeLocked appends a synchronous handler.
+func (c *Collector) subscribeLocked(h Handler) *Subscription {
+	s := subscriber{id: c.nextHandler, h: h}
 	c.nextHandler++
 	c.subs = append(c.subs, s)
-	return &Subscription{c: c, subscriber: s}
+	return &Subscription{c: c, id: s.id}
 }
 
 // SubscribeReplay atomically replays every already-delivered event to h
@@ -472,7 +499,7 @@ func (c *Collector) SubscribeReplay(h Handler) *Subscription {
 	for _, e := range c.order {
 		h(e)
 	}
-	return c.subscribeLocked(h, nil)
+	return c.subscribeLocked(h)
 }
 
 // Ordered returns the delivered events in delivery order (the retained
@@ -674,13 +701,13 @@ func (c *Collector) TraceStats() []TraceStat {
 // it. Delivery cascades: everything the new event unblocks is delivered
 // before Report returns.
 //
-// When a batch subscriber with BackpressureBlock has fallen behind its
-// queue depth, Report waits — after releasing the collector lock, so
-// concurrent readers and the subscribers themselves keep running — until
-// the laggard drains, throttling ingestion to the slowest blocking
-// subscriber.
+// When a BackpressureBlock batch subscriber lags past its depth, Report
+// waits — after releasing the collector lock, so readers and subscribers
+// keep running — until it catches up, throttling ingestion to the
+// slowest blocking subscriber.
 func (c *Collector) Report(raw RawEvent) error {
 	c.mu.Lock()
+	before := c.delivered
 	err := c.reportLocked(raw)
 	var w walTicket
 	switch {
@@ -694,13 +721,7 @@ func (c *Collector) Report(raw RawEvent) error {
 	default:
 		c.tel.rejected.Inc()
 	}
-	var laggards []*queue
-	for _, s := range c.subs {
-		if s.q != nil && s.q.overDepth() {
-			laggards = append(laggards, s.q)
-		}
-	}
-	blockedNs := c.tel.blockedNs
+	lagging := c.paceLocked(before)
 	c.mu.Unlock()
 	if walErr := w.commit(); walErr != nil {
 		// The event is ingested in memory but its durability is not
@@ -709,17 +730,8 @@ func (c *Collector) Report(raw RawEvent) error {
 		// next crash. Acks are withheld too (see acksFor).
 		return fmt.Errorf("poet: write-ahead log: %w", walErr)
 	}
-	if len(laggards) > 0 {
-		var start time.Time
-		if blockedNs != nil {
-			start = time.Now()
-		}
-		for _, q := range laggards {
-			q.waitSpace()
-		}
-		if blockedNs != nil {
-			blockedNs.Add(time.Since(start).Nanoseconds())
-		}
+	if lagging {
+		c.awaitCursors()
 	}
 	return err
 }
@@ -883,11 +895,7 @@ func (c *Collector) deliver(t event.TraceID, raw RawEvent) {
 	c.delivered++
 	c.tel.delivered.Inc()
 	c.order = append(c.order, e)
-	for i := range c.subs {
-		if s := &c.subs[i]; s.q == nil {
-			s.h(e)
-		} else {
-			s.q.push(e, c.store.TraceName(t))
-		}
+	for _, s := range c.subs {
+		s.h(e)
 	}
 }

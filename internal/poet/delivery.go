@@ -1,54 +1,57 @@
 package poet
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
+	"time"
 
 	"ocep/internal/event"
 	"ocep/internal/telemetry"
 )
 
-// This file implements the asynchronous fan-out delivery pipeline: each
-// batch subscriber owns a bounded queue fed by the collector's delivery
-// loop and drained, in batches, by a dedicated consumer goroutine. The
-// linearization order is preserved per subscriber (the queue is FIFO and
-// has a single consumer), so every monitor still observes a causally
-// consistent stream; only the coupling between ingestion and monitor
-// evaluation is removed.
+// Asynchronous delivery. A batch subscriber is a cursor: a position in
+// the collector's delivery log (Collector.order). Ingestion only appends
+// to the log and wakes the subscribers once per Report; each consumer
+// goroutine cuts its next span of the log under the collector lock, once
+// per batch, and hands the collector's own events to its handler outside
+// the lock. Every subscriber reads the one linearization, and a resume is
+// a position, not a copy of history. Two rules make that safe:
 //
-// Because consumers run outside the collector's lock, they must never
-// observe collector-side mutation of published events. Two consequences
-// shape the implementation:
-//
-//   - The queue stores a private shallow copy of every event. The vector
-//     clock is immutable after delivery and stays shared; the copy exists
-//     because the collector back-patches a send's Partner field when the
-//     matching receive is delivered, which would race with a concurrent
-//     reader of the original.
-//   - A receive-like copy carries its Partner (assigned before
-//     publication); consumers that need the send side's Partner re-apply
-//     the back-patch against their own copies (core.Matcher.Feed does
-//     this when it owns its store, as does the TCP wire client).
+//   - A span of the log stays valid: an append writes past every span,
+//     and a regrowth or a retention trim builds a new array. A trim never
+//     passes a cursor's floor, but a Drop cursor holds back no more than
+//     its depth: one lagging further skips to the oldest retained event,
+//     so a stuck Drop handler pins at most depth events.
+//   - A delivered event is immutable but for a send-like event's Partner,
+//     which the collector writes under its lock when the receive is
+//     delivered: outside the lock only readablePartner reads it, and
+//     consumers re-apply the back-patch (core.Matcher.Feed, MonitorClient).
+
+// readablePartner is e.Partner as read outside the collector's lock.
+func readablePartner(e *event.Event) event.ID {
+	if isSendLike(e.Kind) {
+		return event.ID{}
+	}
+	return e.Partner
+}
 
 // BackpressurePolicy selects what the collector does when a batch
-// subscriber's queue is full.
+// subscriber lags more than its depth behind the delivery head.
 type BackpressurePolicy int
 
 const (
-	// BackpressureBlock makes Report wait (after releasing the collector
-	// lock, so handlers and other readers keep running) until the slow
-	// subscriber drains back under its queue depth. No event is lost;
+	// BackpressureBlock makes Report wait (without the collector lock)
+	// until the subscriber is back within its depth. No event is lost;
 	// ingestion is throttled to the slowest blocking subscriber.
 	BackpressureBlock BackpressurePolicy = iota
-	// BackpressureDrop discards the event for that subscriber and
-	// increments its Dropped counter. Ingestion never stalls; the
-	// subscriber's stream has gaps, so this policy is only for consumers
-	// that tolerate a gapped stream. A matcher-backed monitor is not one
-	// of them — its store requires each trace's events to arrive
-	// gap-free, so ocep.NewMonitor rejects this policy, and the TCP
-	// server disconnects a monitor connection at the first drop rather
-	// than stream past the gap.
+	// BackpressureDrop skips a subscriber that lags more than its depth
+	// ahead to within depth of the head, counting the skipped (oldest
+	// unhanded) events in Dropped; retention holds back no more of the
+	// log for it. Ingestion never stalls, but the stream has gaps: a matcher-backed monitor cannot take them, so
+	// ocep.NewMonitor rejects this policy, and the TCP server disconnects
+	// a monitor connection at its first drop.
 	BackpressureDrop
 )
 
@@ -62,7 +65,7 @@ func (p BackpressurePolicy) String() string {
 	return "unknown"
 }
 
-// Default queue sizing; see AsyncOptions.
+// Default subscription sizing; see AsyncOptions.
 const (
 	DefaultQueueDepth = 1024
 	DefaultMaxBatch   = 256
@@ -70,372 +73,335 @@ const (
 
 // AsyncOptions configures one batch subscription.
 type AsyncOptions struct {
-	// QueueDepth bounds the subscriber's delivery queue (default
-	// DefaultQueueDepth). Under BackpressureBlock the bound is soft: a
-	// Report that finds the queue full still enqueues (delivery cascades
-	// are atomic) and then waits for the drain, so the instantaneous
-	// depth can exceed QueueDepth by the cascade length.
+	// QueueDepth bounds the subscriber's lag, the delivered events not yet
+	// handed over (default DefaultQueueDepth). Under BackpressureBlock the
+	// bound is soft: a Report's cascade is delivered whole, then it waits.
 	QueueDepth int
 	// MaxBatch caps the events handed to the handler per call (default
-	// DefaultMaxBatch). Larger batches amortize handoff overhead; smaller
-	// ones bound handler latency.
+	// DefaultMaxBatch): larger amortizes handoff, smaller bounds latency.
 	MaxBatch int
-	// Policy selects the full-queue behaviour.
+	// Policy selects what happens past the depth.
 	Policy BackpressurePolicy
 	// OnTrace, when non-nil, is called on the consumer goroutine before
-	// the first event of each trace is handed over, with the trace's
-	// collector ID and registered name — the in-process analogue of the
-	// wire protocol's trace announcements. Replayed traces are announced
-	// too.
+	// the first event of each trace is handed over (or skipped, unless
+	// retention evicted it first), with the trace's ID and name: the
+	// wire's trace announcements.
 	OnTrace func(t event.TraceID, name string)
 }
 
-func (o AsyncOptions) norm() AsyncOptions {
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = DefaultQueueDepth
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = DefaultMaxBatch
-	}
-	return o
-}
-
 // BatchHandler consumes one cut batch of the delivery stream, in
-// linearization order. It runs on the subscription's own goroutine, never
-// under the collector's lock: unlike a synchronous Handler it may call
-// the collector's and its monitor's read methods freely.
+// linearization order, on the subscription's own goroutine and outside
+// the collector's lock: it may call the collector's read methods. The
+// events are the collector's own: it must not modify them, nor read a
+// send-like event's Partner (see CopyBatch).
 type BatchHandler func(batch []*event.Event)
 
 // DeliveryStats are one batch subscription's cumulative counters.
 type DeliveryStats struct {
-	// Enqueued counts events accepted into the queue.
+	// Enqueued counts the events delivered since the subscription's start
+	// (a replayed backlog included), less the skipped ones.
 	Enqueued int
 	// Handled counts events the handler has consumed.
 	Handled int
-	// Dropped counts events discarded under BackpressureDrop.
+	// Dropped counts events skipped under BackpressureDrop.
 	Dropped int
 	// Batches counts handler invocations.
 	Batches int
-	// Queued is the current queue depth (Enqueued - Handled).
+	// Queued is the current lag: delivered events not yet handed over.
 	Queued int
-	// MaxQueued is the high-water mark of the queue depth.
+	// MaxQueued is the high-water mark of the lag.
 	MaxQueued int
 }
 
-// traceAnn is a pending trace announcement for one queue.
+// traceAnn is a trace announcement: its ID and registered name.
 type traceAnn struct {
 	id   event.TraceID
 	name string
 }
 
-// queueMetrics are the delivery-pipeline instruments shared by every
-// queue of one collector (the counters aggregate over subscribers;
-// per-subscriber numbers remain available via DeliveryStats). All nil
-// when the collector is uninstrumented — each write is a nil-safe
-// no-op. A queue copies the struct at creation, so instrument before
-// subscribing.
+// queueMetrics are the delivery instruments, summed over subscriptions
+// (nil, a no-op, when uninstrumented); each subscription copies them.
 type queueMetrics struct {
-	enqueued  *telemetry.Counter
-	handled   *telemetry.Counter
-	dropped   *telemetry.Counter
-	batches   *telemetry.Counter
-	batchSize *telemetry.Histogram
+	enqueued, handled, dropped, batches *telemetry.Counter
+	batchSize                           *telemetry.Histogram
 }
 
-// queue is one subscriber's bounded delivery queue: multiple producers
-// (Report calls, under the collector lock), one consumer goroutine.
-type queue struct {
+// cursor is one batch subscriber's position in the delivery log,
+// counted in delivered events from the first, as resume offsets are.
+type cursor struct {
+	c        *Collector
 	handler  BatchHandler
 	onTrace  func(event.TraceID, string)
 	depth    int
 	maxBatch int
 	policy   BackpressurePolicy
 	tel      queueMetrics
+	done     chan struct{}
 
-	mu   sync.Mutex
-	cond *sync.Cond // broadcast on enqueue, batch completion, and close
-	buf  fifo[*event.Event]
-	slab event.Slab // backs the private copies in buf
-	anns []traceAnn
-	// announced[t] marks traces whose announcement is queued or done.
+	// Under the collector's mu: seen ends the last cut (below next after a
+	// skip); floor is the first event the consumer may still read.
+	seen, floor int
+	// Written under the collector's mu and mu, read under either: Stats
+	// takes only mu, as a synchronous handler calling it holds the other.
+	// next is the next event to hand over, stop the head at close.
+	mu                                sync.Mutex
+	start, next, stop                 int
+	closed                            bool
+	handled, dropped, batches, maxLag int
+	// The consumer's own: the traces announced, and a cut's new ones.
 	announced []bool
-	enqueued  int
-	handled   int
-	dropped   int
-	batches   int
-	maxQueued int
-	closed    bool
-	done      chan struct{}
+	anns      []traceAnn
 }
 
-func newQueue(h BatchHandler, opts AsyncOptions, tel queueMetrics) *queue {
-	opts = opts.norm()
-	q := &queue{
-		handler:  h,
-		onTrace:  opts.OnTrace,
-		depth:    opts.QueueDepth,
-		maxBatch: opts.MaxBatch,
-		policy:   opts.Policy,
-		tel:      tel,
-		done:     make(chan struct{}),
+// headLocked is the end of the cursor's stream.
+func (cur *cursor) headLocked() int {
+	if cur.closed {
+		return cur.stop
 	}
-	q.cond = sync.NewCond(&q.mu)
-	return q
+	return cur.c.delivered
 }
 
-// push enqueues a private copy of e. Called with the collector lock held
-// (name lookups on the collector store are only safe there); the queue
-// has its own lock, so the critical section is short and never blocks.
-func (q *queue) push(e *event.Event, name string) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return
-	}
-	// Announce the trace even when the event itself is dropped: names are
-	// metadata, and a later surviving event of the trace must match
-	// process attributes correctly.
-	annAdded := false
-	if t := int(e.ID.Trace); q.onTrace != nil {
-		for t >= len(q.announced) {
-			q.announced = append(q.announced, false)
-		}
-		if !q.announced[t] {
-			q.announced[t] = true
-			q.anns = append(q.anns, traceAnn{e.ID.Trace, name})
-			annAdded = true
-		}
-	}
-	if q.policy == BackpressureDrop && q.buf.len() >= q.depth {
-		q.dropped++
-		q.tel.dropped.Inc()
-		if annAdded {
-			// The announcement must still reach the consumer even though
-			// its event was dropped.
-			q.cond.Broadcast()
-		}
-		return
-	}
-	cp := q.slab.New()
-	*cp = *e
-	q.buf.push(cp)
-	q.enqueued++
-	q.tel.enqueued.Inc()
-	if q.buf.len() > q.maxQueued {
-		q.maxQueued = q.buf.len()
-	}
-	q.cond.Broadcast()
-}
-
-// overDepth reports whether a blocking producer should wait for this
-// queue. Called under q.mu's own locking.
-func (q *queue) overDepth() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.policy == BackpressureBlock && !q.closed && q.buf.len() > q.depth
-}
-
-// waitSpace blocks until the queue is back at or under its depth (or
-// closed). Must be called WITHOUT the collector lock held.
-func (q *queue) waitSpace() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for !q.closed && q.buf.len() > q.depth {
-		q.cond.Wait()
-	}
-}
-
-// run is the consumer loop: cut a batch, hand it over, repeat. On close
-// it drains the remaining buffer — and any pending trace announcements —
-// before exiting, so Close is a deterministic end state: every accepted
-// event has been handled and every announced trace has reached OnTrace.
-// Announcements also wake the consumer on their own: a trace whose first
-// event was dropped under BackpressureDrop must not wait for an
-// unrelated later event (or the close) to be announced.
-func (q *queue) run() {
-	defer close(q.done)
+// run is the consumer loop: cut a span, announce its new traces, hand
+// the batch over. Closed, it drains up to stop first, so Cancel is a
+// deterministic end state.
+func (cur *cursor) run() {
+	c := cur.c
+	defer close(cur.done)
+	c.mu.Lock()
 	for {
-		q.mu.Lock()
-		for q.buf.len() == 0 && len(q.anns) == 0 && !q.closed {
-			q.cond.Wait()
+		for cur.seen == cur.headLocked() && !cur.closed {
+			c.fresh.Wait()
 		}
-		if q.buf.len() == 0 && len(q.anns) == 0 && q.closed {
-			q.mu.Unlock()
+		head := cur.headLocked()
+		if cur.seen == head {
+			c.cursors = slices.DeleteFunc(c.cursors, func(x *cursor) bool { return x == cur })
+			c.mu.Unlock()
 			return
 		}
-		// A cut copies out the batch and pops it; the rest stays put.
-		n := min(q.buf.len(), q.maxBatch)
-		batch := make([]*event.Event, n)
-		for i := 0; i < n; {
-			i += copy(batch[i:], q.buf.span(i))
-		}
-		q.buf.pop(n)
-		anns := q.anns
-		q.anns = nil
-		q.mu.Unlock()
+		end := min(head, cur.next+cur.maxBatch)
+		span := c.order[cur.seen-c.trimmedFrom : end-c.trimmedFrom]
+		batch := span[cur.next-cur.seen:]
+		anns := cur.newTracesLocked(span)
+		cur.seen = end
+		cur.mu.Lock()
+		cur.next = end
+		cur.mu.Unlock()
+		c.mu.Unlock()
 
 		for _, a := range anns {
-			q.onTrace(a.id, a.name)
+			cur.onTrace(a.id, a.name)
 		}
-		if n > 0 {
-			q.handler(batch)
-			q.tel.handled.Add(int64(n))
-			q.tel.batches.Inc()
-			q.tel.batchSize.Observe(int64(n))
-		}
+		n := int64(len(batch)) // > 0: seen < head keeps next < head
+		cur.tel.enqueued.Add(n)
+		cur.handler(batch)
+		cur.tel.handled.Add(n)
+		cur.tel.batches.Inc()
+		cur.tel.batchSize.Observe(n)
 
-		q.mu.Lock()
-		q.handled += n
-		if n > 0 {
-			q.batches++
-		}
-		q.cond.Broadcast()
-		q.mu.Unlock()
+		c.mu.Lock()
+		cur.mu.Lock()
+		cur.handled += len(batch)
+		cur.batches++
+		cur.mu.Unlock()
+		cur.floor = cur.seen
+		c.drained.Broadcast()
 	}
 }
 
-// flush blocks until every event enqueued before the call has been
-// handled. Must not be called from the subscription's own handler.
-func (q *queue) flush() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	target := q.enqueued
-	for q.handled < target {
-		q.cond.Wait()
+// newTracesLocked names, for OnTrace, the traces span shows the
+// subscriber first: the cut's lock hold does every lookup.
+func (cur *cursor) newTracesLocked(span []*event.Event) []traceAnn {
+	cur.anns = cur.anns[:0]
+	for _, e := range span {
+		t := int(e.ID.Trace)
+		if cur.onTrace == nil || t < len(cur.announced) && cur.announced[t] {
+			continue
+		}
+		cur.announced = append(cur.announced, make([]bool, max(0, t+1-len(cur.announced)))...)
+		cur.announced[t] = true
+		cur.anns = append(cur.anns, traceAnn{e.ID.Trace, cur.c.store.TraceName(e.ID.Trace)})
+	}
+	return cur.anns
+}
+
+// flushLocked waits until the handler has consumed everything before
+// target, or everything the cursor will hand over if it closes first.
+func (cur *cursor) flushLocked(target int) {
+	for cur.floor < min(target, cur.headLocked()) {
+		cur.c.drained.Wait()
 	}
 }
 
-// close stops the queue: no further events are accepted, the consumer
-// drains what is buffered and exits. Idempotent; blocks until the
-// consumer goroutine has finished.
-func (q *queue) close() {
-	q.mu.Lock()
-	if !q.closed {
-		q.closed = true
-		q.cond.Broadcast()
+// close stops the cursor at the current head and waits for the consumer
+// to drain up to it. Idempotent.
+func (cur *cursor) close() {
+	c := cur.c
+	c.mu.Lock()
+	if !cur.closed {
+		cur.mu.Lock()
+		cur.closed, cur.stop = true, c.delivered
+		cur.mu.Unlock()
+		c.fresh.Broadcast()
+		c.drained.Broadcast() // a Report waiting on this cursor
 	}
-	q.mu.Unlock()
-	<-q.done
+	c.mu.Unlock()
+	<-cur.done
 }
 
-func (q *queue) stats() DeliveryStats {
-	q.mu.Lock()
-	defer q.mu.Unlock()
+// stats reads the counters without the collector's lock.
+func (cur *cursor) stats() DeliveryStats {
+	cur.mu.Lock()
+	defer cur.mu.Unlock()
+	head := cur.stop
+	if !cur.closed {
+		head = int(cur.c.head.Load())
+	}
 	return DeliveryStats{
-		Enqueued:  q.enqueued,
-		Handled:   q.handled,
-		Dropped:   q.dropped,
-		Batches:   q.batches,
-		Queued:    q.buf.len(),
-		MaxQueued: q.maxQueued,
+		Enqueued:  head - cur.start - cur.dropped,
+		Handled:   cur.handled,
+		Dropped:   cur.dropped,
+		Batches:   cur.batches,
+		Queued:    head - cur.next,
+		MaxQueued: cur.maxLag,
 	}
 }
 
-// SubscribeBatch registers an asynchronous batch subscriber: deliveries
-// are enqueued (as private event copies) and consumed by a dedicated
-// goroutine that invokes h with batches cut from the queue. Events
-// delivered before the subscription are not replayed; use
-// SubscribeBatchReplay for a complete linearization. Cancel the
-// subscription (or Close the collector) to stop the goroutine; both drain
-// the queue first.
+// paceLocked ends each ingesting call: it wakes the consumers if the head
+// moved past before, skips each Drop cursor lagging past its depth, and
+// reports whether a Block cursor does.
+func (c *Collector) paceLocked(before int) (lagging bool) {
+	if len(c.cursors) == 0 {
+		return false
+	}
+	if c.delivered > before {
+		c.head.Store(int64(c.delivered)) // before any next moves past it
+		c.fresh.Broadcast()
+	}
+	for _, cur := range c.cursors {
+		if cur.closed {
+			continue
+		}
+		lag := c.delivered - cur.next
+		skip := 0
+		if lag > cur.depth && cur.policy == BackpressureDrop {
+			skip, lag = lag-cur.depth, cur.depth
+		}
+		if skip > 0 || lag > cur.maxLag {
+			cur.skipLocked(skip, lag)
+		}
+		lagging = lagging || lag > cur.depth
+	}
+	return lagging
+}
+
+// skipEvictedLocked moves each Drop cursor a retention trim passed (it
+// lagged past its depth) to the oldest retained event.
+func (c *Collector) skipEvictedLocked() {
+	for _, cur := range c.cursors {
+		if cur.seen < c.trimmedFrom {
+			cur.seen = c.trimmedFrom
+			cur.skipLocked(max(0, c.trimmedFrom-cur.next), 0)
+		}
+	}
+}
+
+// skipLocked moves the cursor n events ahead, counting them dropped, and
+// raises its lag's high-water mark to lag.
+func (cur *cursor) skipLocked(n, lag int) {
+	cur.tel.dropped.Add(int64(n))
+	cur.mu.Lock()
+	cur.next += n
+	cur.dropped += n
+	cur.maxLag = max(cur.maxLag, lag)
+	cur.mu.Unlock()
+}
+
+// awaitCursors blocks until no Block cursor lags past its depth.
+func (c *Collector) awaitCursors() {
+	start := time.Now()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for slices.ContainsFunc(c.cursors, func(cur *cursor) bool {
+		return !cur.closed && cur.policy == BackpressureBlock && c.delivered-cur.next > cur.depth
+	}) {
+		c.drained.Wait()
+	}
+	c.tel.blockedNs.Add(time.Since(start).Nanoseconds())
+}
+
+// SubscribeBatch registers an asynchronous batch subscriber: a cursor at
+// the delivery head whose goroutine invokes h with batches cut from the
+// delivery log. Use SubscribeBatchReplay to see earlier events too.
+// Cancel (or Close the collector) to stop the goroutine; both drain it.
 func (c *Collector) SubscribeBatch(h BatchHandler, opts AsyncOptions) *Subscription {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.subscribeBatchLocked(h, opts, -1)
+	return c.subscribeBatchLocked(h, opts, c.delivered)
 }
 
-// SubscribeBatchReplay atomically seeds the queue with every
-// already-delivered event and then registers the subscription, so the
-// consumer observes one complete, gap-free linearization no matter when
-// it joins. The replayed backlog is exempt from the queue depth (it is
-// enqueued in one atomic step); backpressure applies from the first live
-// delivery on. Under SetRetention only the retained suffix is replayed —
-// consumers that need the full stream from event 0 (a matcher store
-// does) must use SubscribeBatchReplayFrom, which rejects an evicted
-// offset instead of handing over a gapped stream.
+// SubscribeBatchReplay is SubscribeBatch with the cursor at the first
+// retained event, so the consumer observes one gap-free linearization
+// whenever it joins. Nothing is copied: the backlog is the cursor's lag,
+// subject to backpressure from the next Report on. Under SetRetention
+// that is only the retained suffix; a consumer that needs event 0 uses
+// SubscribeBatchReplayFrom, which rejects an evicted offset.
 func (c *Collector) SubscribeBatchReplay(h BatchHandler, opts AsyncOptions) *Subscription {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.subscribeBatchLocked(h, opts, 0)
+	return c.subscribeBatchLocked(h, opts, c.trimmedFrom)
 }
 
 // SubscribeBatchReplayFrom is SubscribeBatchReplay for a resuming
-// consumer: only the linearization suffix from offset on (the number of
-// events the consumer has already observed) is replayed. It fails when
-// offset exceeds the delivered count — the consumer is ahead of this
-// collector, which means it is talking to a different (e.g. restarted)
-// instance and must not be handed a stream with a silent gap — and when
-// offset falls below the retention trim point (SetRetention evicted the
-// requested suffix; replaying past the hole would be an equally silent
-// gap).
+// consumer: the cursor starts at offset, the events it already observed.
+// It fails when offset exceeds the delivered count (the consumer saw a
+// different, e.g. restarted, collector) or falls below the retention
+// trim point: either would be a silent gap.
 func (c *Collector) SubscribeBatchReplayFrom(offset int, h BatchHandler, opts AsyncOptions) (*Subscription, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if offset < 0 || offset > c.trimmedFrom+len(c.order) {
-		return nil, fmt.Errorf("poet: resume offset %d out of range (delivered %d)", offset, c.trimmedFrom+len(c.order))
+	if offset < 0 || offset > c.delivered {
+		return nil, fmt.Errorf("poet: resume offset %d out of range (delivered %d)", offset, c.delivered)
 	}
 	if offset < c.trimmedFrom {
 		return nil, fmt.Errorf("poet: resume offset %d was evicted by retention (oldest retained event is %d)", offset, c.trimmedFrom)
 	}
-	return c.subscribeBatchLocked(h, opts, offset-c.trimmedFrom), nil
+	return c.subscribeBatchLocked(h, opts, offset), nil
 }
 
-// subscribeBatchLocked registers a batch subscription, replaying the
-// linearization from replayFrom (replayFrom == delivered count means no
-// replay; use a negative value to skip replay entirely).
-func (c *Collector) subscribeBatchLocked(h BatchHandler, opts AsyncOptions, replayFrom int) *Subscription {
-	q := newQueue(h, opts, c.tel.queues)
-	if replayFrom >= 0 {
-		// Seeding bypasses the drop policy: the backlog is part of the
-		// atomic replay contract.
-		saved := q.policy
-		q.policy = BackpressureBlock
-		for _, e := range c.order[replayFrom:] {
-			q.push(e, c.store.TraceName(e.ID.Trace))
-		}
-		q.policy = saved
+// subscribeBatchLocked registers a cursor at delivery position from.
+func (c *Collector) subscribeBatchLocked(h BatchHandler, opts AsyncOptions, from int) *Subscription {
+	cur := &cursor{
+		c: c, handler: h, onTrace: opts.OnTrace, policy: opts.Policy, tel: c.tel.queues,
+		depth: cmp.Or(max(opts.QueueDepth, 0), DefaultQueueDepth), done: make(chan struct{}),
+		start: from, next: from, seen: from, floor: from, maxLag: c.delivered - from,
+		maxBatch: cmp.Or(max(opts.MaxBatch, 0), DefaultMaxBatch),
 	}
-	go q.run()
-	return c.subscribeLocked(nil, q)
+	c.cursors = append(c.cursors, cur)
+	c.head.Store(int64(c.delivered))
+	go cur.run()
+	return &Subscription{c: c, cur: cur}
 }
 
 // Flush blocks until every async subscriber has handled everything
 // delivered before the call. Synchronous handlers need no flushing (they
 // run on the delivery path). Must not be called from a handler.
 func (c *Collector) Flush() {
-	for _, q := range c.asyncQueues() {
-		q.flush()
-	}
-}
-
-// Close cancels every async subscription, draining each queue and
-// stopping its consumer goroutine. Synchronous subscriptions and the
-// collector's ingestion state are untouched; reporting may continue.
-// Idempotent.
-func (c *Collector) Close() {
-	c.mu.Lock()
-	var queues []*queue
-	c.subs = slices.DeleteFunc(c.subs, func(s subscriber) bool {
-		if s.q != nil {
-			queues = append(queues, s.q)
-		}
-		return s.q != nil
-	})
-	c.mu.Unlock()
-	for _, q := range queues {
-		q.close()
-	}
-}
-
-// asyncQueues snapshots the registered queues outside the collector lock.
-func (c *Collector) asyncQueues() []*queue {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var out []*queue
-	for _, s := range c.subs {
-		if s.q != nil {
-			out = append(out, s.q)
-		}
+	target := c.delivered
+	for _, cur := range slices.Clone(c.cursors) {
+		cur.flushLocked(target)
 	}
-	return out
+}
+
+// Close cancels every async subscription, draining each cursor and
+// stopping its goroutine. Synchronous subscriptions and ingestion are
+// untouched. Idempotent.
+func (c *Collector) Close() {
+	c.mu.Lock()
+	cursors := slices.Clone(c.cursors)
+	c.mu.Unlock()
+	for _, cur := range cursors {
+		cur.close()
+	}
 }

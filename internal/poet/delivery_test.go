@@ -1,7 +1,14 @@
 package poet
 
 import (
+	"bufio"
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"io"
+	"math/rand"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -132,22 +139,35 @@ func TestSubscribeBatchReplaySeesHistory(t *testing.T) {
 	sub.Cancel()
 }
 
-func TestBatchEventsAreCopies(t *testing.T) {
+// TestBatchEventsAreTheCollectors: a batch subscriber is handed the
+// collector's own events, and CopyBatch makes the private copies a
+// mutating consumer needs — every field but a send's Partner, which the
+// collector writes under its lock when the receive is delivered.
+func TestBatchEventsAreTheCollectors(t *testing.T) {
 	c := NewCollector()
 	sink := newBatchSink()
 	sub := c.SubscribeBatch(sink.handler, AsyncOptions{})
 	defer sub.Cancel()
-	if err := c.Report(internalRaw("p0", 1)); err != nil {
-		t.Fatal(err)
+	for _, raw := range []RawEvent{
+		{Trace: "a", Seq: 1, Kind: event.KindSend, Type: "s", Text: "x", MsgID: 7},
+		{Trace: "b", Seq: 1, Kind: event.KindReceive, Type: "r", MsgID: 7},
+	} {
+		if err := c.Report(raw); err != nil {
+			t.Fatal(err)
+		}
 	}
 	sub.Flush()
-	got := sink.snapshot()
-	orig := c.Ordered()[0]
-	if got[0] == orig {
-		t.Fatal("batch subscriber received the collector's own event pointer; wants a private copy")
+	got, orig := sink.snapshot(), c.Ordered()
+	if len(got) != 2 || got[0] != orig[0] || got[1] != orig[1] {
+		t.Fatal("batch subscriber was not handed the collector's own events")
 	}
-	if got[0].ID != orig.ID || !got[0].VC.Equal(orig.VC) {
-		t.Fatalf("copy diverges from original: %+v vs %+v", got[0], orig)
+	var slab event.Slab
+	cp := CopyBatch(nil, got, &slab)
+	if cp[0] == orig[0] || cp[0].ID != orig[0].ID || cp[0].Text != "x" || !cp[0].VC.Equal(orig[0].VC) {
+		t.Fatalf("copy %+v diverges from %+v", cp[0], orig[0])
+	}
+	if !cp[0].Partner.IsZero() || cp[1].Partner != orig[0].ID {
+		t.Fatalf("copied partners: send %v, receive %v; want none, then %v", cp[0].Partner, cp[1].Partner, orig[0].ID)
 	}
 }
 
@@ -219,6 +239,66 @@ func TestDropPolicyCountsAndRecovers(t *testing.T) {
 			t.Fatalf("out-of-order or duplicated survivor %d after %d", e.ID.Index, last)
 		}
 		last = e.ID.Index
+	}
+}
+
+// TestStuckDropCursorDoesNotPinRetention: retention keeps trimming past
+// a BackpressureDrop subscriber whose handler is stuck, holding back no
+// more than the subscriber's depth (as the per-subscriber queue it
+// replaces held no more copies). The cursor counts what it never handed
+// over as dropped; released, it goes on from the retained suffix.
+func TestStuckDropCursorDoesNotPinRetention(t *testing.T) {
+	const keep, depth, total = 100, 300, 5000
+	c := NewCollector()
+	if err := c.SetRetention(keep); err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	var entered sync.Once
+	started := make(chan struct{})
+	sink := newBatchSink()
+	sub := c.SubscribeBatch(func(batch []*event.Event) {
+		entered.Do(func() { close(started) })
+		<-gate
+		sink.handler(batch)
+	}, AsyncOptions{QueueDepth: depth, MaxBatch: 8, Policy: BackpressureDrop})
+	defer sub.Cancel()
+	var released sync.Once
+	release := func() { released.Do(func() { close(gate) }) }
+	defer release() // before Cancel, which waits for the handler
+
+	if err := c.Report(internalRaw("p0", 1)); err != nil {
+		t.Fatal(err)
+	}
+	<-started // the consumer now holds the first event
+	for i := 2; i <= total; i++ {
+		if err := c.Report(internalRaw("p0", i)); err != nil {
+			t.Fatal(err)
+		}
+		// A trim waits for a quarter of keep past the depth.
+		if st := c.RetentionStats(); st.Retained > depth+keep/4+1 {
+			t.Fatalf("retention %+v holds more than the stuck Drop cursor's depth %d", st, depth)
+		}
+	}
+	release()
+	sub.Flush()
+	st := sub.Stats()
+	if st.Dropped == 0 || st.Enqueued+st.Dropped != total || st.Handled != st.Enqueued || st.Queued != 0 {
+		t.Fatalf("stats %+v: want drops, enqueued + dropped = %d, all enqueued handled", st, total)
+	}
+	got := sink.snapshot()
+	if len(got) != st.Handled {
+		t.Fatalf("handled %d events, stats say %d", len(got), st.Handled)
+	}
+	last := 0
+	for _, e := range got {
+		if e.ID.Index <= last {
+			t.Fatalf("out-of-order or duplicated event %d after %d", e.ID.Index, last)
+		}
+		last = e.ID.Index
+	}
+	if last != total {
+		t.Fatalf("the cursor ended at event %d, want the head %d", last, total)
 	}
 }
 
@@ -488,5 +568,161 @@ func TestSubscribeBatchReplayFrom(t *testing.T) {
 	}
 	if _, err := c.SubscribeBatchReplayFrom(n+2, sink.handler, AsyncOptions{}); err == nil {
 		t.Fatal("resume offset past the delivered count accepted")
+	}
+}
+
+// liveStreamGolden is the SHA-256 of what TestResumedStreamIsLiveSuffix's
+// live monitor connection receives: the same bytes the per-connection
+// queue of copies sent before subscribers became cursors.
+const liveStreamGolden = "361c4267ad67bcc0d0507a2feba463090af803a058771019d6f5785d4b313479"
+
+// monitorReader decodes one raw monitor connection, keeping every byte
+// the server sent.
+type monitorReader struct {
+	conn   net.Conn
+	fr     *frameReader
+	wire   bytes.Buffer
+	events []*event.Event
+}
+
+func dialMonitorReader(t *testing.T, addr string, from int) *monitorReader {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &monitorReader{conn: conn}
+	m.fr = &frameReader{br: bufio.NewReader(io.TeeReader(conn, &m.wire))}
+	fw := newFrameWriter(conn)
+	fw.hello(&hello{magic: wireMagic, role: roleMonitor, from: from})
+	if err := fw.flush(); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// readEvents decodes frames until the connection has carried n events.
+func (m *monitorReader) readEvents(t *testing.T, n int) {
+	t.Helper()
+	var f frame
+	for len(m.events) < n {
+		if err := m.fr.next(&f); err != nil {
+			t.Fatalf("after %d of %d events: %v", len(m.events), n, err)
+		}
+		switch f.kind {
+		case frameEvent:
+			m.events = append(m.events, f.ev)
+		case frameError:
+			t.Fatalf("monitor refused: %s", f.reason)
+		}
+	}
+}
+
+// TestResumedStreamIsLiveSuffix: a monitor resuming at offset k decodes
+// exactly what a monitor attached before the first Report decoded from
+// its k-th event on — ID, kind, type, text, partner and stamp — on a
+// seeded stream of sends, receives, held receives and a mid-stream trace
+// registration. A resumed or late monitor is handed the live stream, not
+// one whose sends carry partners back-patched after they went out live.
+// The live connection's bytes are pinned too: cursors changed how events
+// reach the wire, not what the wire says.
+func TestResumedStreamIsLiveSuffix(t *testing.T) {
+	c := NewCollector()
+	s := NewServer(c, t.Logf)
+	s.SetWireTiming(0, time.Hour, 0) // no heartbeat in the pinned bytes
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	live := dialMonitorReader(t, addr, 0)
+	defer live.conn.Close()
+	var ans frame
+	if err := live.fr.next(&ans); err != nil || ans.kind != frameAcks {
+		t.Fatalf("hello answered with kind %d: %v", ans.kind, err)
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	var names []string
+	seq := map[string]int{}
+	raw := func(tr string, kind event.Kind, msg uint64) RawEvent {
+		seq[tr]++
+		return RawEvent{Trace: tr, Seq: seq[tr], Kind: kind, Type: kind.String(), Text: fmt.Sprintf("%s-%d", tr, seq[tr]), MsgID: msg}
+	}
+	report := func(evs ...RawEvent) {
+		for _, ev := range evs {
+			if err := c.Report(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// A trace's first event goes out alone, after everything before it
+	// was read back: where its announcement lands in the live stream then
+	// does not depend on how the server cut its batches.
+	join := func(tr string) {
+		names = append(names, tr)
+		live.readEvents(t, c.Delivered())
+		report(raw(tr, event.KindInternal, 0))
+		live.readEvents(t, c.Delivered())
+	}
+	for i := 0; i < 6; i++ {
+		join(fmt.Sprintf("p%d", i))
+	}
+	var msg uint64
+	type recv struct {
+		tr  string
+		msg uint64
+	}
+	var open []recv // sends out, receives not yet reported
+	for step := 0; step < 1500; step++ {
+		if step == 700 {
+			c.RegisterTrace("late")
+			join("late")
+		}
+		ia := rng.Intn(len(names))
+		a, b := names[ia], names[(ia+1+rng.Intn(len(names)-1))%len(names)] // two traces
+		switch r := rng.Intn(10); {
+		case r < 2:
+			report(raw(a, event.KindInternal, 0))
+		case r < 5:
+			msg++
+			report(raw(a, event.KindSend, msg))
+			open = append(open, recv{b, msg})
+		case r < 7 && len(open) > 0:
+			i := rng.Intn(len(open))
+			report(raw(open[i].tr, event.KindReceive, open[i].msg))
+			open = append(open[:i], open[i+1:]...)
+		default:
+			// A receive ahead of its send: held until the send cascades it.
+			msg++
+			r := raw(b, event.KindReceive, msg)
+			report(r, raw(a, event.KindSend, msg))
+		}
+	}
+	for _, r := range open {
+		report(raw(r.tr, event.KindReceive, r.msg))
+	}
+	if c.Pending() != 0 {
+		t.Fatalf("%d events still held", c.Pending())
+	}
+	n := c.Delivered()
+	live.readEvents(t, n)
+	sum := sha256.Sum256(live.wire.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != liveStreamGolden {
+		t.Errorf("the live monitor connection's %d bytes hash to %s, want %s", live.wire.Len(), got, liveStreamGolden)
+	}
+
+	for _, k := range []int{0, 1, n / 3, n / 2, n - 1, n} {
+		resumed := dialMonitorReader(t, addr, k)
+		resumed.readEvents(t, n-k)
+		resumed.conn.Close()
+		for i, got := range resumed.events {
+			want := live.events[k+i]
+			if got.ID != want.ID || got.Kind != want.Kind || got.Type != want.Type || got.Text != want.Text ||
+				got.Partner != want.Partner || !got.VC.Equal(want.VC) {
+				t.Fatalf("resumed at %d, event %d is %v partner %v, the live stream's %v partner %v",
+					k, k+i, got, got.Partner, want, want.Partner)
+			}
+		}
 	}
 }

@@ -453,7 +453,7 @@ func (w *frameWriter) replicate(sp journalSpan) (recs, events int) {
 		recs++
 		r := recordReader{p: p[1:]}
 		if p[0] == recRemote {
-			w.export(sp.remotes.at(r.int()), false)
+			w.export(sp.remotes.At(r.int()), false)
 			continue
 		}
 		w.body = appendRef(w.strs, append(w.body[:0], p[0]), r.bytes()) // the trace, or the registered name

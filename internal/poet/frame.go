@@ -170,15 +170,16 @@ func (w *frameWriter) trace(id event.TraceID, name string) {
 	w.emit()
 }
 
-// event sends a delivered event and returns the number of timestamp
-// entries it put on the wire.
-func (w *frameWriter) event(e *event.Event, delta bool) int {
+// event sends a delivered event with the given partner (the caller reads
+// e.Partner under the rule its context allows; see readablePartner) and
+// returns the number of timestamp entries it put on the wire.
+func (w *frameWriter) event(e *event.Event, partner event.ID, delta bool) int {
 	b := append(w.body[:0], frameEvent, w.flags(delta))
 	b = appendID(b, e.ID)
 	b = binary.AppendUvarint(b, uint64(e.Kind))
 	b = w.strs.append(b, e.Type)
 	b = appendString(b, e.Text)
-	b = appendID(b, e.Partner)
+	b = appendID(b, partner)
 	return w.stamp(b, e.VC, delta)
 }
 

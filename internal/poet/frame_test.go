@@ -26,7 +26,7 @@ func writeFrame(fw *frameWriter, f *frame, delta bool) {
 	case frameTrace:
 		fw.trace(f.id, f.name)
 	case frameEvent:
-		fw.event(f.ev, delta)
+		fw.event(f.ev, f.ev.Partner, delta)
 	case frameExport:
 		fw.export(&f.exp, delta)
 	case frameHead:
@@ -285,7 +285,7 @@ func TestHandshakeAndFramesInOneSegment(t *testing.T) {
 			fw.acks(nil)
 			fw.trace(0, "p0")
 			for i := 1; i <= n; i++ {
-				fw.event(&event.Event{ID: event.ID{Index: i}, Kind: event.KindInternal, Type: "x", VC: vclock.VC{int32(i)}.Stamp(0)}, true)
+				fw.event(&event.Event{ID: event.ID{Index: i}, Kind: event.KindInternal, Type: "x", VC: vclock.VC{int32(i)}.Stamp(0)}, event.ID{}, true)
 			}
 			fw.signal(frameEnd)
 			_ = fw.flush()

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"ocep/internal/event"
+	"ocep/internal/fifo"
 )
 
 // The ingestion journal: one in-memory log of every input the collector
@@ -47,12 +48,12 @@ func (g *growth) signal() <-chan struct{} {
 // export log, guarded by the collector's mu. It is a fifo nobody pops,
 // so a record is written once and never copied again as the log grows.
 type tailLog[T any] struct {
-	fifo[T]
+	fifo.Queue[T]
 	growth
 }
 
 func (l *tailLog[T]) append(rec T) {
-	l.push(rec)
+	l.Push(rec)
 	l.wake()
 }
 
@@ -62,10 +63,10 @@ func (l *tailLog[T]) append(rec T) {
 // an append writes only past every slice handed out, so the records stay
 // safe to read after the lock is released.
 func (l *tailLog[T]) from(idx int) (recs []T, next int, grew <-chan struct{}) {
-	if idx >= l.n {
-		return nil, l.n, l.signal()
+	if idx >= l.Len() {
+		return nil, l.Len(), l.signal()
 	}
-	recs = l.span(idx)
+	recs = l.Span(idx)
 	return recs, idx + len(recs), nil
 }
 
@@ -75,7 +76,7 @@ func (l *tailLog[T]) from(idx int) (recs []T, next int, grew <-chan struct{}) {
 const recRemote = 4
 
 // journal stores each record once, as a uvarint length and the bytes
-// recordLocked encoded, in chunks of chunkBytes that no record straddles
+// recordLocked encoded, in chunks of fifo.ChunkBytes that no record straddles
 // (a longer record gets a chunk of its own). A chunk is never moved or
 // resliced, and its bytes past its last record stay zero — a length no
 // record has — so a copy of the journal taken under mu is an immutable
@@ -83,11 +84,11 @@ const recRemote = 4
 type journal struct {
 	growth
 	chunks  [][]byte
-	fill    int               // bytes written into the last chunk
-	firsts  []int             // firsts[k] is the index of chunk k's first record
-	n       int               // records
-	size    int               // bytes in chunks
-	remotes fifo[shardExport] // the applied peer-shard sends, by value
+	fill    int                     // bytes written into the last chunk
+	firsts  []int                   // firsts[k] is the index of chunk k's first record
+	n       int                     // records
+	size    int                     // bytes in chunks
+	remotes fifo.Queue[shardExport] // the applied peer-shard sends, by value
 	// others lists the indices of the non-event records, ascending: it
 	// turns an event offset into a journal index without a scan.
 	others []int
@@ -99,7 +100,7 @@ type journalCursor struct{ chunk, off int }
 // journalSpan is a run of whole records and the side log as of the cut.
 type journalSpan struct {
 	b       []byte
-	remotes fifo[shardExport]
+	remotes fifo.Queue[shardExport]
 }
 
 // append copies one encoded record to the journal's head.
@@ -110,7 +111,7 @@ func (j *journal) append(rec []byte) {
 	var hdr [binary.MaxVarintLen64]byte
 	w := binary.PutUvarint(hdr[:], uint64(len(rec)))
 	if len(j.chunks) == 0 || j.fill+w+len(rec) > len(j.chunks[len(j.chunks)-1]) {
-		c := make([]byte, max(chunkBytes, w+len(rec)))
+		c := make([]byte, max(fifo.ChunkBytes, w+len(rec)))
 		j.chunks, j.firsts = append(j.chunks, c), append(j.firsts, j.n)
 		j.fill, j.size = 0, j.size+len(c)
 	}
@@ -233,8 +234,8 @@ func (c *Collector) recordLocked(raw *RawEvent, remote *shardExport) (t walTicke
 	case remote != nil:
 		c.tel.shardRemote.Inc()
 		if c.journal != nil {
-			c.journal.remotes.push(*remote)
-			c.rec = binary.AppendUvarint(append(c.rec[:0], recRemote), uint64(c.journal.remotes.len()-1))
+			c.journal.remotes.Push(*remote)
+			c.rec = binary.AppendUvarint(append(c.rec[:0], recRemote), uint64(c.journal.remotes.Len()-1))
 			c.journal.append(c.rec)
 		}
 		return t

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"ocep/internal/event"
+	"ocep/internal/fifo"
 	"ocep/internal/vclock"
 	"ocep/internal/wal"
 )
@@ -42,8 +43,8 @@ func (r *jrec) encode() []byte {
 // add appends r to the journal as recordLocked does.
 func (j *journal) add(r jrec) {
 	if r.remote {
-		j.remotes.push(r.x)
-		j.append(binary.AppendUvarint([]byte{recRemote}, uint64(j.remotes.len()-1)))
+		j.remotes.Push(r.x)
+		j.append(binary.AppendUvarint([]byte{recRemote}, uint64(j.remotes.Len()-1)))
 	} else {
 		j.append(r.encode())
 	}
@@ -70,7 +71,7 @@ func (sp *journalSpan) decode() (jrec, bool) {
 	case recTrace:
 		return jrec{RawEvent: RawEvent{Trace: r.string()}}, true
 	}
-	return jrec{remote: true, x: *sp.remotes.at(r.int())}, true
+	return jrec{remote: true, x: *sp.remotes.At(r.int())}, true
 }
 
 // all decodes the log, oldest record first.
@@ -86,9 +87,9 @@ func (l *journal) all() []jrec {
 
 // all flattens the log's chunks into one slice, oldest record first.
 func (l *tailLog[T]) all() []T {
-	out := make([]T, 0, l.len())
-	for i := 0; i < l.len(); i++ {
-		out = append(out, *l.at(i))
+	out := make([]T, 0, l.Len())
+	for i := 0; i < l.Len(); i++ {
+		out = append(out, *l.At(i))
 	}
 	return out
 }
@@ -549,7 +550,7 @@ func TestReplicaWithRetentionConverges(t *testing.T) {
 // signal exists only while a reader is parked on it.
 func TestTailLogChunks(t *testing.T) {
 	var l tailLog[shardExport]
-	k := chunkCap[shardExport]()
+	k := fifo.ChunkCap[shardExport]()
 	if k != 819 {
 		t.Fatalf("chunks of %d exports, want 819 (32 KiB less the malloc header)", k)
 	}
@@ -575,8 +576,8 @@ func TestTailLogChunks(t *testing.T) {
 		recs, _, _ := l.from(i - i%k)
 		early = append(early, recs)
 	}
-	if l.len() != total || len(l.chunks) != 4 {
-		t.Fatalf("log of %d records in %d chunks, want %d in 4", l.len(), len(l.chunks), total)
+	if l.Len() != total || l.Chunks() != 4 {
+		t.Fatalf("log of %d records in %d chunks, want %d in 4", l.Len(), l.Chunks(), total)
 	}
 	for idx := 0; idx < total; idx++ {
 		recs, next, grew := l.from(idx)
@@ -644,7 +645,7 @@ func TestJournalMatchesRecordModel(t *testing.T) {
 				model[i] = jrec{RawEvent: RawEvent{Trace: str(rng), Seq: 1 + rng.Intn(1<<20), Kind: event.Kind(rng.Intn(5)), MsgID: rng.Uint64(), Type: str(rng), Text: str(rng)}}
 			}
 			if i == big {
-				model[i] = jrec{RawEvent: RawEvent{Trace: "big", Seq: 1, Text: strings.Repeat("b", chunkBytes+100)}}
+				model[i] = jrec{RawEvent: RawEvent{Trace: "big", Seq: 1, Text: strings.Repeat("b", fifo.ChunkBytes+100)}}
 			}
 		}
 		return model

@@ -20,7 +20,7 @@ import (
 
 // GetEvent returns a delivered event by ID.
 func (c *Collector) GetEvent(id event.ID) (*event.Event, bool) {
-	e, _, ok := c.getEventNamed(id)
+	e, _, _, ok := c.getEventNamed(id)
 	return e, ok
 }
 
@@ -91,13 +91,13 @@ func (s *Server) handleQuery(fr *frameReader, fw *frameWriter) error {
 		var err error
 		switch q.op {
 		case opGet:
-			e, name, ok := s.collector.getEventNamed(q.id)
+			e, partner, name, ok := s.collector.getEventNamed(q.id)
 			if !ok {
 				err = fmt.Errorf("unknown event %s", q.id)
 				break
 			}
 			fw.trace(e.ID.Trace, name)
-			fw.event(e, false)
+			fw.event(e, partner, false)
 		case opGP:
 			pos, err = s.collector.QueryGP(q.id, event.TraceID(q.arg))
 		case opLS:
@@ -117,15 +117,17 @@ func (s *Server) handleQuery(fr *frameReader, fw *frameWriter) error {
 	}
 }
 
-// getEventNamed is GetEvent plus the name of the event's trace.
-func (c *Collector) getEventNamed(id event.ID) (*event.Event, string, bool) {
+// getEventNamed is GetEvent plus the event's partner, read under the lock
+// (a send's is written when its receive is delivered), and the name of
+// its trace.
+func (c *Collector) getEventNamed(id event.ID) (*event.Event, event.ID, string, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.store.Get(id)
 	if e == nil {
-		return nil, "", false
+		return nil, event.ID{}, "", false
 	}
-	return e, c.store.TraceName(id.Trace), true
+	return e, e.Partner, c.store.TraceName(id.Trace), true
 }
 
 // QueryClient retrieves event timestamps and causality positions from a

@@ -89,6 +89,14 @@ func TestQueryOverTCP(t *testing.T) {
 	if e.Type != "s" || e.Text != "x" || e.VC.Get(0) != 1 {
 		t.Fatalf("queried event wrong: %s", e)
 	}
+	// A query reads the collector's event under its lock, so a send names
+	// the receive delivered since (the monitor stream never does).
+	if recv := (event.ID{Trace: 1, Index: 1}); e.Partner != recv {
+		t.Fatalf("queried send has partner %v, want its receive %v", e.Partner, recv)
+	}
+	if r, err := q.Get(event.ID{Trace: 1, Index: 1}); err != nil || r.Partner != send {
+		t.Fatalf("queried receive = %v, %v; want partner %v", r, err, send)
+	}
 	if pos, err := q.LS(send, 1); err != nil || pos != 1 {
 		t.Fatalf("remote LS = %d, %v", pos, err)
 	}

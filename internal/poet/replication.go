@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ocep/internal/backoff"
+	"ocep/internal/fifo"
 	"ocep/internal/pool"
 )
 
@@ -113,7 +114,7 @@ func (c *Collector) ReplicationStats() ReplicationStats {
 	}
 	st.Sessions = len(c.repl.confirmed)
 	st.Records = c.journal.n
-	st.JournalBytes = c.journal.size + len(c.journal.remotes.chunks)*chunkBytes
+	st.JournalBytes = c.journal.size + c.journal.remotes.Chunks()*fifo.ChunkBytes
 	if st.Sessions > 0 {
 		st.Confirmed = c.repl.minConfirmed()
 		st.Lag = c.ingests - st.Confirmed

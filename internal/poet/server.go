@@ -39,7 +39,7 @@ type Server struct {
 	writeTimeout time.Duration
 
 	// closing is closed at the start of Close: monitor handlers drain
-	// their queues, send the End frame, and exit before connections are
+	// their cursors, send the End frame, and exit before connections are
 	// torn down, so a graceful shutdown is distinguishable from a crash.
 	closing chan struct{}
 	// drainCh is closed at the start of Drain: handlers push a drain
@@ -74,7 +74,7 @@ type Server struct {
 	serveWG sync.WaitGroup
 }
 
-// monitorQueueSize is the default per-monitor delivery-queue depth. Under
+// monitorQueueSize is the default per-monitor lag bound (its depth). Under
 // the default BackpressureDrop policy a monitor that falls this far
 // behind the stream is disconnected rather than allowed to stall the
 // collector; under BackpressureBlock ingestion throttles instead.
@@ -94,9 +94,9 @@ const (
 	overloadPoll = 5 * time.Millisecond
 )
 
-// SetMonitorQueue configures the per-monitor-connection delivery queue:
-// depth bounds the queue (0 keeps the default), policy selects what a
-// full queue does (BackpressureDrop, the default, disconnects the
+// SetMonitorQueue configures the per-monitor-connection delivery cursor:
+// depth bounds how far it may lag behind the delivery head (0 keeps the
+// default), policy selects what lagging further does (BackpressureDrop, the default, disconnects the
 // lagging monitor so its stream never has silent gaps; BackpressureBlock
 // throttles ingestion until the monitor catches up). Call before Listen.
 func (s *Server) SetMonitorQueue(depth int, policy BackpressurePolicy) {
@@ -230,7 +230,7 @@ func (s *Server) InstrumentMetrics(reg *telemetry.Registry) {
 		{&s.targetResumes, "poet_wire_target_resumes_total", "Target hellos that named resumed traces."},
 		{&s.monitorResumes, "poet_wire_monitor_resumes_total", "Monitor hellos with a nonzero resume offset."},
 		{&s.peerTimeouts, "poet_wire_peer_timeouts_total", "Target connections declared dead after peer-timeout silence."},
-		{&s.monOverflows, "poet_wire_monitor_overflow_disconnects_total", "Monitors disconnected for overflowing their delivery queue."},
+		{&s.monOverflows, "poet_wire_monitor_overflow_disconnects_total", "Monitors disconnected for lagging past their delivery depth."},
 		{&s.loadSheds, "poet_wire_load_sheds_total", "Events shed back onto reporter buffers after an ErrOverloaded refusal."},
 		{&s.monitorBytes, "poet_wire_monitor_bytes_total", "Bytes written to monitor connections (events, announcements, heartbeats, handshakes)."},
 		{&s.monitorFlushes, "poet_wire_monitor_flushes_total", "write(2) calls on monitor connections; events per flush is the batching of the outbound leg."},
@@ -365,7 +365,7 @@ func (s *Server) untrack(conn net.Conn) {
 
 // Close stops the listener and tears down every live connection, waiting
 // for the handlers to finish. Monitor connections end gracefully: their
-// queues are drained and an explicit End frame is sent, so clients see a
+// cursors are drained and an explicit End frame is sent, so clients see a
 // clean end of stream instead of an interruption.
 func (s *Server) Close() error {
 	s.mu.Lock()
@@ -681,16 +681,16 @@ func (s *Server) handleTarget(conn *link, fr *frameReader, fw *frameWriter, h he
 	}
 }
 
-// handleMonitor streams the linearization to one client over the
-// collector's batch delivery pipeline: an atomic replay of everything
-// past the client's resume offset, then live deliveries in batches, with
+// handleMonitor streams the linearization to one client through a batch
+// subscription whose cursor starts at the client's resume offset: the
+// collector's own events, cut from its delivery log in batches, with
 // trace announcements interleaved before first use and idle heartbeats
 // so the client can tell a quiet stream from a dead server. Under
 // BackpressureDrop (the default) a monitor that falls monQueue events
 // behind is disconnected — a wire stream must never have silent gaps
 // (a reconnecting client heals the gap by resuming, which replays from
 // its own offset); under BackpressureBlock ingestion throttles to the
-// monitor instead. On server Close the queue is drained and an End
+// monitor instead. On server Close the cursor is drained and an End
 // frame marks the clean end of stream.
 func (s *Server) handleMonitor(conn *link, fw *frameWriter, h hello) error {
 	s.monitorConns.add(1)
@@ -755,9 +755,7 @@ func (s *Server) handleMonitor(conn *link, fw *frameWriter, h hello) error {
 		}
 		_ = conn.Close() // unblock pending encodes
 	}
-	// pending and stats are touched only on the subscription's consumer
-	// goroutine: announcements arrive before the batch that needs them.
-	var pending []traceAnn
+	// stats is touched only on the subscription's consumer goroutine.
 	statsCh := make(chan func() DeliveryStats, 1)
 	var stats func() DeliveryStats
 	// dropCheck disconnects the client at the first dropped event. It
@@ -806,13 +804,9 @@ func (s *Server) handleMonitor(conn *link, fw *frameWriter, h hello) error {
 		// subscription's consumer goroutine, so encoding order equals
 		// stream order — which the baseline depends on.
 		fwMu.Lock()
-		for _, a := range pending {
-			fw.trace(a.id, a.name)
-		}
-		pending = pending[:0]
 		entries := 0
 		for _, e := range batch {
-			entries += fw.event(e, true)
+			entries += fw.event(e, readablePartner(e), true)
 		}
 		err := flush()
 		fwMu.Unlock()
@@ -827,7 +821,9 @@ func (s *Server) handleMonitor(conn *link, fw *frameWriter, h hello) error {
 		QueueDepth: s.monQueue,
 		Policy:     s.monPolicy,
 		OnTrace: func(t event.TraceID, name string) {
-			pending = append(pending, traceAnn{t, name})
+			fwMu.Lock()
+			fw.trace(t, name)
+			fwMu.Unlock()
 		},
 	})
 	if err != nil {
@@ -892,7 +888,7 @@ func (s *Server) handleMonitor(conn *link, fw *frameWriter, h hello) error {
 				return fmt.Errorf("drain frame: %w", err)
 			}
 		case <-s.closing:
-			// Graceful shutdown: drain the queue (Cancel flushes the handler)
+			// Graceful shutdown: drain the cursor (Cancel flushes the handler)
 			// and mark the clean end of stream.
 			sub.Cancel()
 			select {

@@ -135,7 +135,7 @@ func (c *Collector) ShardStats() ShardStats {
 		return st
 	}
 	st.HomeTraces = c.shardLocals
-	st.Exports = c.shardX.len()
+	st.Exports = c.shardX.Len()
 	st.RemoteSends = len(c.remoteSends)
 	now := time.Now()
 	for m, since := range c.heldRemote {
@@ -199,10 +199,12 @@ func (c *Collector) SupplyRemoteSend(msgID uint64, id event.ID, vc vclock.Stamp)
 	delete(c.heldRemote, msgID)
 	if waiters := c.recvWait[msgID]; len(waiters) > 0 {
 		delete(c.recvWait, msgID)
+		before := c.delivered
 		for _, t := range waiters {
 			c.drain(t, nil)
 		}
 		c.waitFree = append(c.waitFree, waiters[:0])
+		c.paceLocked(before)
 	}
 	c.mu.Unlock()
 	return nil
@@ -215,7 +217,7 @@ func (c *Collector) exportsFrom(idx int) (recs []shardExport, next, head int, gr
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	recs, next, grew = c.shardX.from(idx)
-	return recs, next, c.shardX.len(), grew
+	return recs, next, c.shardX.Len(), grew
 }
 
 // ---------------------------------------------------------------------

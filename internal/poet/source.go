@@ -13,3 +13,16 @@ type EventSource interface {
 }
 
 var _ EventSource = (*MonitorClient)(nil)
+
+// CopyBatch appends to dst a private copy of each event of batch, carved
+// from slab, for a batch subscriber that must mutate what it keeps: a
+// matcher owning its store back-patches send partners. A send-like
+// event's Partner stays zero; the collector may still be writing it.
+func CopyBatch(dst, batch []*event.Event, slab *event.Slab) []*event.Event {
+	for _, e := range batch {
+		cp := slab.New()
+		*cp = event.Event{ID: e.ID, Kind: e.Kind, Type: e.Type, Text: e.Text, VC: e.VC, Partner: readablePartner(e)}
+		dst = append(dst, cp)
+	}
+	return dst
+}

@@ -13,45 +13,8 @@ import (
 	"unsafe"
 
 	"ocep/internal/event"
+	"ocep/internal/fifo"
 )
-
-// TestFifoMatchesSlice drives the chunked queue and a plain slice with
-// the same seeded pushes and pops: they hold the same elements, and the
-// queue holds no chunk beyond those its elements occupy (one, when it
-// is empty).
-func TestFifoMatchesSlice(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var f fifo[int]
-	var model []int
-	k := chunkCap[int]()
-	next := 0
-	for step := 0; step < 2000; step++ {
-		if rng.Intn(3) > 0 {
-			for m := rng.Intn(k / 2); m > 0; m-- {
-				f.push(next)
-				model = append(model, next)
-				next++
-			}
-		} else {
-			m := rng.Intn(len(model) + 1)
-			f.pop(m)
-			model = model[m:]
-		}
-		var got, spans []int
-		for i := 0; i < f.len(); i++ {
-			got = append(got, *f.at(i))
-		}
-		for i := 0; i < f.len(); i += len(f.span(i)) {
-			spans = append(spans, f.span(i)...)
-		}
-		if !slices.Equal(got, model) || !slices.Equal(spans, model) {
-			t.Fatalf("step %d: queue holds %d elements (%d by span), slice %d", step, len(got), len(spans), len(model))
-		}
-		if limit := max(1, (f.head+f.n+k-1)/k); len(f.chunks) > limit {
-			t.Fatalf("step %d: %d chunks for %d elements from offset %d", step, len(f.chunks), f.n, f.head)
-		}
-	}
-}
 
 // windowModel is the reporter's window as one plain slice, pruned the
 // way the window was before it was chunked: on every pass after an ack
@@ -204,7 +167,7 @@ func windowScript(rng *rand.Rand, traces, perTrace int) []RawEvent {
 // runs the same kind of input through a real server whose link is cut
 // mid-stream, concurrently, for the race detector.
 func TestReporterWindowMatchesModel(t *testing.T) {
-	bound := 3 * chunkCap[RawEvent]() / 2 // spans chunks, and the scripts fill it
+	bound := 3 * fifo.ChunkCap[RawEvent]() / 2 // spans chunks, and the scripts fill it
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		events := windowScript(rng, 1+rng.Intn(5), 300+rng.Intn(300))
@@ -223,8 +186,8 @@ func TestReporterWindowMatchesModel(t *testing.T) {
 			r.mu.Lock()
 			defer r.mu.Unlock()
 			var got []RawEvent
-			for i := 0; i < r.window.len(); i++ {
-				got = append(got, *r.window.at(i))
+			for i := 0; i < r.window.Len(); i++ {
+				got = append(got, *r.window.At(i))
 			}
 			if !slices.Equal(got, m.evs) || r.sent != m.sent {
 				fail(step, "window holds %d entries (%d sent), model %d (%d sent)", len(got), r.sent, len(m.evs), m.sent)
@@ -514,7 +477,7 @@ func TestReporterWindowHeap(t *testing.T) {
 		t.Fatal(err)
 	}
 	held := liveHeap() - fresh
-	chunk := int64(chunkCap[RawEvent]()) * int64(unsafe.Sizeof(RawEvent{}))
+	chunk := int64(fifo.ChunkCap[RawEvent]()) * int64(unsafe.Sizeof(RawEvent{}))
 	t.Logf("after Flush the reporter holds %d B more than fresh (one chunk is %d B; the peak window was %d B)",
 		held, chunk, n*int64(unsafe.Sizeof(RawEvent{})))
 	if held > chunk+8<<10 {

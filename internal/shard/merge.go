@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ocep/internal/event"
+	"ocep/internal/fifo"
 	"ocep/internal/poet"
 	"ocep/internal/telemetry"
 	"ocep/internal/vclock"
@@ -174,7 +175,7 @@ type MergedClient struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	queues  [][]item
+	queues  []fifo.Queue[item]
 	done    []bool  // pump i finished (EOF or error)
 	errs    []error // pump i's terminal error, if any
 	lost    []bool  // shard i declared lost by DegradeAfter
@@ -212,7 +213,7 @@ func NewMergedClient(streams []Stream, opts ...MergeOption) (*MergedClient, erro
 	m := &MergedClient{
 		streams: streams,
 		cfg:     cfg,
-		queues:  make([][]item, len(streams)),
+		queues:  make([]fifo.Queue[item], len(streams)),
 		done:    make([]bool, len(streams)),
 		errs:    make([]error, len(streams)),
 		lost:    make([]bool, len(streams)),
@@ -247,7 +248,7 @@ func (m *MergedClient) pump(i int) {
 		}
 		name, ok := s.TraceName(e.ID.Trace)
 		m.mu.Lock()
-		for len(m.queues[i]) >= mergeQueueMax && !m.closed {
+		for m.queues[i].Len() >= mergeQueueMax && !m.closed {
 			m.cond.Wait()
 		}
 		if m.closed {
@@ -264,7 +265,7 @@ func (m *MergedClient) pump(i int) {
 		if n := max(e.VC.Width(), int(e.ID.Trace)+1); n > len(m.emitted) {
 			m.emitted = append(m.emitted, make([]int32, n-len(m.emitted))...)
 		}
-		m.queues[i] = append(m.queues[i], item{e: e, name: name, ok: ok})
+		m.queues[i].Push(item{e: e, name: name, ok: ok})
 		m.cond.Broadcast()
 		m.mu.Unlock()
 	}
@@ -295,15 +296,15 @@ func (m *MergedClient) blockerLocked(i int, vc vclock.Stamp) (blocker int, waive
 // (empty queues or every head ready).
 func (m *MergedClient) diagnoseLocked() *WedgeError {
 	for i := range m.queues {
-		if len(m.queues[i]) == 0 {
+		if m.queues[i].Len() == 0 {
 			continue
 		}
-		vc := m.queues[i][0].e.VC
+		vc := m.queues[i].At(0).e.VC
 		if t, _ := m.blockerLocked(i, vc); t >= 0 {
 			w := &WedgeError{Shard: t % len(m.streams), Trace: event.TraceID(t), Need: int32(vc.Get(t)), Have: m.emitted[t]}
 			w.QueueDepths = make([]int, len(m.queues))
 			for j := range m.queues {
-				w.QueueDepths[j] = len(m.queues[j])
+				w.QueueDepths[j] = m.queues[j].Len()
 			}
 			return w
 		}
@@ -377,18 +378,18 @@ func (m *MergedClient) Next() (*event.Event, error) {
 			return nil, io.EOF
 		}
 		for i := range m.queues {
-			if len(m.queues[i]) == 0 {
+			if m.queues[i].Len() == 0 {
 				continue
 			}
-			it := m.queues[i][0]
+			it := *m.queues[i].At(0)
 			blocker, waived := m.blockerLocked(i, it.e.VC)
 			if blocker >= 0 {
 				continue
 			}
-			m.queues[i] = m.queues[i][1:]
+			m.queues[i].Pop(1)
 			t := it.e.ID.Trace
 			m.emitted[t] = max(m.emitted[t], int32(it.e.ID.Index))
-			if it.ok {
+			if name, named := m.names[t]; it.ok && (!named || name != it.name) {
 				m.names[t] = it.name
 			}
 			m.total++

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ocep/internal/event"
+	"ocep/internal/fifo"
 	"ocep/internal/vclock"
 )
 
@@ -463,14 +464,14 @@ func TestMergeReadinessMatchesMapFrontier(t *testing.T) {
 			lost[j] = rng.Intn(4) == 0
 		}
 		i := rng.Intn(n)
-		m := &MergedClient{streams: make([]Stream, n), queues: make([][]item, n), lost: lost, emitted: slices.Clone(frontier)}
+		m := &MergedClient{streams: make([]Stream, n), queues: make([]fifo.Queue[item], n), lost: lost, emitted: slices.Clone(frontier)}
 		b, w := m.blockerLocked(i, vc.Stamp(0))
 		ready, wantWaived := mapReady(n, i, vc, emitted, lost)
 		if (b < 0) != ready || w != wantWaived {
 			t.Fatalf("iter %d: n=%d i=%d vc=%v emitted=%v lost=%v: blocker %d waived %v, map ready %v waived %v",
 				iter, n, i, vc, frontier, lost, b, w, ready, wantWaived)
 		}
-		m.queues[i] = []item{{e: &event.Event{VC: vc.Stamp(0)}}}
+		m.queues[i].Push(item{e: &event.Event{VC: vc.Stamp(0)}})
 		got, want := m.diagnoseLocked(), mapBlocker(n, i, vc, emitted, lost)
 		if (got == nil) != ready || got != nil && (got.Shard != want.Shard || got.Trace != want.Trace || got.Need != want.Need || got.Have != want.Have) {
 			t.Fatalf("iter %d: n=%d i=%d vc=%v emitted=%v lost=%v: diagnosis %+v, map %+v, ready %v",

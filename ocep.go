@@ -76,10 +76,10 @@ type (
 	// DispatchStats are a MonitorSet's shared class-index dispatcher
 	// counters; see MonitorSet.DispatchStats.
 	DispatchStats = core.DispatchStats
-	// BackpressurePolicy selects what a full asynchronous delivery queue
-	// does: block ingestion or drop for that monitor.
+	// BackpressurePolicy selects what an asynchronous subscriber lagging
+	// past its depth does: block ingestion, or skip that subscriber ahead.
 	BackpressurePolicy = poet.BackpressurePolicy
-	// DeliveryStats are one async monitor's delivery-queue counters.
+	// DeliveryStats are one async monitor's delivery counters.
 	DeliveryStats = poet.DeliveryStats
 	// Reporter streams raw events to a POET server with acknowledged,
 	// exactly-once ingestion and automatic reconnection.
@@ -119,11 +119,11 @@ type (
 // Wire one registry through the components of a deployment:
 //
 //	reg := ocep.NewRegistry()
-//	collector.InstrumentMetrics(reg)   // ingest, WAL, delivery queues
+//	collector.InstrumentMetrics(reg)   // ingest, WAL, delivery
 //	server.InstrumentMetrics(reg)      // wire protocol counters
 //	mon, _ := ocep.NewMonitor(src, ocep.WithMetrics(reg), ...)
 //
-// Instrument at wiring time, before traffic flows: delivery queues
+// Instrument at wiring time, before traffic flows: batch subscriptions
 // snapshot their instruments when a monitor attaches.
 type (
 	// Registry holds named metrics and renders them. A nil *Registry is
@@ -202,8 +202,8 @@ const (
 	// BackpressureBlock throttles Report to the slowest monitor; no
 	// event is lost.
 	BackpressureBlock = poet.BackpressureBlock
-	// BackpressureDrop discards events for a monitor whose queue is
-	// full, counting them in DeliveryStats.Dropped.
+	// BackpressureDrop skips a subscriber lagging past its depth ahead,
+	// counting the skipped events in DeliveryStats.Dropped.
 	BackpressureDrop = poet.BackpressureDrop
 )
 
@@ -315,20 +315,19 @@ func WithMatchHandler(fn func(Match)) Option {
 }
 
 // WithAsyncDelivery decouples this monitor from the collector's delivery
-// path: Attach registers a bounded queue fed in batches by the
-// collector and drained by a dedicated goroutine, so one slow pattern no
-// longer stalls ingestion or its sibling monitors. The monitor observes
-// the same linearization as a synchronous attachment (causal delivery
-// order is preserved per monitor) and matches on a private store of
-// shallow event copies (vector timestamps remain shared with the
-// collector). Use Flush to wait for the queue to drain before reading
+// path: Attach registers a cursor over the collector's delivery log read
+// by a dedicated goroutine, so one slow pattern no longer stalls
+// ingestion or its sibling monitors. The monitor observes the same
+// linearization as a synchronous attachment and matches on a private
+// store of shallow event copies, made on that goroutine (timestamps stay
+// shared with the collector). Use Flush to wait for it before reading
 // end-state results, and Detach to stop the delivery goroutine.
 func WithAsyncDelivery() Option {
 	return func(c *config) { c.async = true }
 }
 
-// WithQueueDepth bounds the async delivery queue (default
-// poet.DefaultQueueDepth). Only meaningful with WithAsyncDelivery.
+// WithQueueDepth bounds the async monitor's lag behind the delivery head
+// (default poet.DefaultQueueDepth). Only meaningful with WithAsyncDelivery.
 func WithQueueDepth(n int) Option {
 	return func(c *config) { c.queueDepth = n }
 }
@@ -339,17 +338,18 @@ func WithMaxBatch(n int) Option {
 	return func(c *config) { c.maxBatch = n }
 }
 
-// WithBackpressure selects the full-queue policy. Only BackpressureBlock
-// (the default: ingestion throttles to the slowest monitor, nothing is
-// lost) is valid for a Monitor: NewMonitor rejects BackpressureDrop
-// combined with WithAsyncDelivery, because the matcher's store requires
+// WithBackpressure selects what lagging past the depth does. Only
+// BackpressureBlock (the default: ingestion throttles to the slowest
+// monitor) is valid for a Monitor: NewMonitor rejects BackpressureDrop
+// with WithAsyncDelivery, because the matcher's store requires
 // every trace's events to arrive gap-free — a dropped event would not
 // merely cost some matches, it would wedge its whole trace (each later
 // event rejected as out of trace order). Dropping remains available
-// where a gapped stream is handled: raw batch subscribers
-// (Collector.SubscribeBatch) count gaps in DeliveryStats.Dropped, and
-// the TCP server disconnects an overflowing monitor connection rather
-// than stream past a gap. Only meaningful with WithAsyncDelivery.
+// where a gapped stream is handled: a raw batch subscriber
+// (Collector.SubscribeBatch) skips ahead to within its depth of the head
+// (losing the oldest unhanded events, not the newest) and counts the gap
+// in DeliveryStats.Dropped; the TCP server disconnects a lagging monitor
+// connection at its first drop. Only meaningful with WithAsyncDelivery.
 func WithBackpressure(p BackpressurePolicy) Option {
 	return func(c *config) { c.policy = p }
 }
@@ -598,13 +598,13 @@ func (m *Monitor) emit(matches []Match) {
 //
 // By default the feed is synchronous, on the collector's delivery path,
 // and the monitor shares the collector's store (no second copy of any
-// vector timestamp). With WithAsyncDelivery the monitor instead drains a
-// bounded queue on its own goroutine, matching over a private store of
-// shallow event copies (timestamps still shared); see Flush, Detach and
-// DeliveryStats. Check Err after the run in both modes.
+// vector timestamp). With WithAsyncDelivery the monitor instead reads a
+// cursor over the delivery log on its own goroutine, matching over a
+// private store of event copies; see Flush, Detach and DeliveryStats.
+// Check Err after the run in both modes.
 //
 // Attaching an already-attached monitor detaches it first: the previous
-// subscription is cancelled (an async queue is drained and its delivery
+// subscription is cancelled (an async cursor is drained and its delivery
 // goroutine stopped), and the matcher and any recorded Err are reset
 // before the new replay begins.
 func (m *Monitor) Attach(c *Collector) {
@@ -636,7 +636,7 @@ func (m *Monitor) Attach(c *Collector) {
 
 // sharedDispatchEligible reports whether the monitor can be served by a
 // MonitorSet's shared class-indexed dispatcher. Excluded: async members
-// (they own a private store and queue), WithTiming (per-event wall
+// (they own a private store and cursor), WithTiming (per-event wall
 // clock must cover every event, not just dispatched ones), WithMetrics
 // (ocep_monitor_events_total counts per-monitor feeds, which dispatch
 // deliberately avoids).
@@ -676,15 +676,15 @@ func (m *Monitor) recordErr(err error) {
 	m.mu.Unlock()
 }
 
-// attachAsync registers the monitor's bounded delivery queue. The
-// matcher owns a private store fed with the queue's event copies; trace
-// names arrive as announcements so the store mirrors the collector's
-// trace numbering exactly.
+// attachAsync registers the monitor's batch subscription. Its matcher
+// owns a store, which back-patches send partners, so it is fed copies;
+// trace announcements make it mirror the collector's trace numbering.
 func (m *Monitor) attachAsync(c *Collector) {
 	m.mu.Lock()
 	m.matcher = core.NewMatcher(m.pat, m.cfg.opts)
 	m.matcher.SetDomainHistogram(m.tel.domains)
 	m.mu.Unlock()
+	slab, copies := new(event.Slab), []*Event(nil)
 	opts := poet.AsyncOptions{
 		QueueDepth: m.cfg.queueDepth,
 		MaxBatch:   m.cfg.maxBatch,
@@ -696,6 +696,8 @@ func (m *Monitor) attachAsync(c *Collector) {
 		},
 	}
 	sub := c.SubscribeBatchReplay(func(batch []*Event) {
+		copies = poet.CopyBatch(copies[:0], batch, slab)
+		batch = copies
 		m.mu.Lock()
 		var matches []Match
 		var err error
@@ -742,7 +744,7 @@ func (m *Monitor) Flush() {
 }
 
 // Detach cancels the collector subscription. For an async attachment the
-// queue is drained and the delivery goroutine stopped before Detach
+// cursor is drained and the delivery goroutine stopped before Detach
 // returns; a shared-dispatch member is deregistered from the set's
 // dispatcher (dropping its class-index entries). Safe to call more than
 // once.
@@ -762,9 +764,9 @@ func (m *Monitor) Detach() {
 	}
 }
 
-// DeliveryStats returns the async delivery-queue counters: events
-// enqueued, handled and dropped, batches cut, and the current and peak
-// queue depth. Zero for synchronous or unattached monitors.
+// DeliveryStats returns the async delivery counters: events enqueued,
+// handled and dropped, batches cut, and the current and peak lag. Zero
+// for synchronous or unattached monitors.
 func (m *Monitor) DeliveryStats() DeliveryStats {
 	m.mu.Lock()
 	sub := m.sub
