@@ -35,11 +35,12 @@
 // reporters and resuming monitors compose transparently with crash
 // recovery.
 //
-// Each monitor connection drains its own bounded delivery queue
-// (-monitor-queue events deep). With -monitor-policy drop (the default)
-// a monitor that overflows its queue is disconnected so it cannot stall
-// the collector; with block, ingestion throttles to the slowest monitor
-// and no monitor is ever disconnected for lagging.
+// Each monitor connection reads the delivery log through its own cursor,
+// with a bounded lag (-monitor-queue events). With -monitor-policy drop
+// (the default) a monitor that lags past it is evicted and disconnected,
+// to resume from its offset, so it cannot stall the collector; with
+// block, ingestion throttles to the slowest monitor and no monitor is
+// ever disconnected for lagging.
 //
 // The wire layer is fault-tolerant: target connections are acknowledged
 // after every burst the server ingests, so reporters release their
@@ -371,6 +372,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	// Handle the signals before reporting ready: a SIGTERM sent the moment
+	// /readyz answers 200 must drain, not kill, the daemon.
+	sig := make(chan os.Signal, 2)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM, syscall.SIGUSR1)
 	ready.Store(true)
 	log.Printf("listening on %s", addr)
 
@@ -526,8 +531,6 @@ func run() error {
 		return nil
 	}
 
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM, syscall.SIGUSR1)
 	drain := false
 waitLoop:
 	for {

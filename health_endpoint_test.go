@@ -191,3 +191,47 @@ func TestPoetdReadyzDuringRecovery(t *testing.T) {
 		t.Fatalf("poetd shutdown: %v\noutput:\n%s", err, out.String())
 	}
 }
+
+// TestPoetdSIGTERMAtFirstReadyDrains signals poetd the moment /readyz
+// first answers 200: the daemon must already handle SIGTERM, draining
+// and exiting 0, rather than die of the signal.
+func TestPoetdSIGTERMAtFirstReadyDrains(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: skipping process-spawning test")
+	}
+	poetd := proctest.BuildTool(t, "poetd")
+	metricsAddr := proctest.FreePort(t)
+	out := &proctest.SyncBuffer{}
+	cmd := exec.Command(poetd, "-listen", proctest.FreePort(t), "-metrics-addr", metricsAddr,
+		"-data-dir", t.TempDir(), "-drain-timeout", "1s")
+	cmd.Stdout = out
+	cmd.Stderr = out
+	if err := cmd.Start(); err != nil {
+		t.Fatalf("starting poetd: %v", err)
+	}
+	defer proctest.KillIfAlive(cmd)
+
+	readyz := "http://" + metricsAddr + "/readyz"
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	deadline := time.After(20 * time.Second)
+	for {
+		if code, _, err := proctest.ProbeURL(readyz); err == nil && code == http.StatusOK {
+			break
+		}
+		select {
+		case <-tick.C:
+		case <-deadline:
+			t.Fatalf("/readyz never answered 200; output:\n%s", out.String())
+		}
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("poetd exit after SIGTERM at first ready: %v\noutput:\n%s", err, out.String())
+	}
+	if got := out.String(); !strings.Contains(got, "draining") || !strings.Contains(got, "final snapshot written") {
+		t.Fatalf("poetd did not drain and snapshot on SIGTERM; output:\n%s", got)
+	}
+}

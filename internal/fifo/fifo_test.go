@@ -43,3 +43,33 @@ func TestFifoMatchesSlice(t *testing.T) {
 		}
 	}
 }
+
+// TestSpanStaysValid holds the contract a reader outside the owner's
+// lock relies on: a span is cut with cap == len, so nothing appended
+// through it can reach the queue, and later Pushes leave what it shows
+// unchanged, across chunk boundaries.
+func TestSpanStaysValid(t *testing.T) {
+	var f Queue[int]
+	k := ChunkCap[int]()
+	type cut struct {
+		at   int
+		span []int
+	}
+	var cuts []cut
+	for i := 0; i < 3*k+k/2; i++ {
+		f.Push(i)
+		at := i - i%k // the chunk's first element: the span grows with it
+		s := f.Span(at)
+		if cap(s) != len(s) || len(s) != i%k+1 {
+			t.Fatalf("Span(%d) after %d pushes: len %d cap %d, want len %d == cap", at, i+1, len(s), cap(s), i%k+1)
+		}
+		cuts = append(cuts, cut{at, s})
+	}
+	for _, c := range cuts {
+		for j, v := range c.span {
+			if v != c.at+j {
+				t.Fatalf("span cut at %d reads %d at %d after later pushes, want %d", c.at, v, j, c.at+j)
+			}
+		}
+	}
+}

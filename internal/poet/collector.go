@@ -9,6 +9,7 @@
 package poet
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"ocep/internal/event"
+	"ocep/internal/fifo"
 	"ocep/internal/telemetry"
 	"ocep/internal/vclock"
 )
@@ -104,8 +106,10 @@ type Collector struct {
 	subs        []subscriber
 	nextHandler int
 	delivered   int
-	// cursors are the batch subscribers (delivery.go); fresh wakes them,
-	// drained their waiters, and head is delivered for DeliveryStats.
+	// cursors are the batch subscribers (delivery.go). fresh wakes every
+	// cursor when a log grows, and the stable-watermark waiters when it
+	// moves; drained wakes a cursor's waiters when its consumer moves.
+	// head is delivered, for DeliveryStats.
 	cursors        []*cursor
 	fresh, drained sync.Cond
 	head           atomic.Int64
@@ -145,9 +149,9 @@ type Collector struct {
 	// repl tracks what the attached replica sessions have confirmed (see
 	// replication.go).
 	repl replState
-	// replAckWait bounds how long acksFor waits for an attached replica
-	// to confirm the current ingest position before withholding the ack
-	// for one interval (reporters simply retry).
+	// replAckWait bounds how long acksFor waits for the stable watermark
+	// before withholding the ack for one interval (reporters simply
+	// retry); zero means defaultReplAckWait.
 	replAckWait time.Duration
 	// sharded, when true, makes this collector one shard of a tier:
 	// trace IDs are striped across shards (a trace homed here gets a
@@ -162,11 +166,11 @@ type Collector struct {
 	// remoteSends maps a MsgID to the identity and timestamp of a send
 	// delivered on a peer shard, supplied by SupplyRemoteSend.
 	remoteSends map[uint64]remoteSend
-	// shardX is the cross-shard export log peer shards tail — an index
+	// exports is the cross-shard export log peer shards tail — an index
 	// of the delivered sends, not a view of the journal: a record needs
-	// the send's stamp, which exists only after delivery. nil until
-	// EnableSharding.
-	shardX *tailLog[shardExport]
+	// the send's stamp, which exists only after delivery. A fifo nobody
+	// pops, so a record is written once and never copied as it grows.
+	exports fifo.Queue[shardExport]
 	// tel holds the collector's telemetry instruments. All fields are
 	// nil until InstrumentMetrics attaches a registry; every write is a
 	// nil-safe no-op, so the uninstrumented hot path pays only nil
@@ -218,7 +222,7 @@ func (c *Collector) InstrumentMetrics(reg *telemetry.Registry) {
 		queues: queueMetrics{
 			enqueued:  reg.Counter("poet_delivery_enqueued_total", "Events cut into batches for subscriber handlers (summed over subscribers)."),
 			handled:   reg.Counter("poet_delivery_handled_total", "Events consumed by batch subscriber handlers."),
-			dropped:   reg.Counter("poet_delivery_dropped_total", "Events lagging subscribers skipped under BackpressureDrop."),
+			dropped:   reg.Counter("poet_delivery_dropped_total", "Delivered events BackpressureDrop subscribers lagged behind when they were evicted."),
 			batches:   reg.Counter("poet_delivery_batches_total", "Batch handler invocations."),
 			batchSize: reg.Histogram("poet_delivery_batch_size", "Events per cut batch handed to subscriber handlers."),
 		},
@@ -247,7 +251,7 @@ func (c *Collector) InstrumentMetrics(reg *telemetry.Registry) {
 		defer c.mu.Unlock()
 		n := 0
 		for _, cur := range c.cursors {
-			n += cur.headLocked() - cur.next
+			n += cur.endLocked() - cur.seen
 		}
 		return int64(n)
 	})
@@ -361,27 +365,20 @@ func (c *Collector) RetentionStats() RetentionStats {
 // maybeTrimLocked evicts the oldest delivered events once the
 // linearization log exceeds the retention bound by a quarter (the
 // hysteresis keeps trims amortized instead of per-delivery), never past
-// a cursor's floor; a Drop cursor holds back at most its depth, and one
-// lagging further skips the evicted events (see skipEvictedLocked). The
-// store is compacted along with the log, clamped per trace so no
-// unmatched send — still needed to stamp its future receive — is
-// released.
+// a subscriber's floor (an evicted one no longer counts). The store is
+// compacted along with the log, clamped per trace so no unmatched send —
+// still needed to stamp its future receive — is released.
 func (c *Collector) maybeTrimLocked() {
 	if c.retain <= 0 || len(c.order) <= c.retain+c.retain/4 {
 		return
 	}
 	drop := len(c.order) - c.retain
 	for _, cur := range c.cursors {
-		floor := cur.floor
-		if cur.policy == BackpressureDrop {
-			floor = max(floor, c.delivered-cur.depth)
-		}
-		drop = min(drop, floor-c.trimmedFrom)
+		drop = min(drop, cur.floor-c.trimmedFrom)
 	}
 	if drop <= c.retain/4 {
 		return
 	}
-	defer c.skipEvictedLocked()
 	// The linearization holds each trace's events in trace order, so the
 	// dropped prefix covers a per-trace prefix: the highest index per
 	// trace tells the store how far it may compact.
@@ -526,6 +523,7 @@ func (c *Collector) RegisterTrace(name string) event.TraceID {
 		// differ on a replica or after recovery. Event-driven
 		// registrations are implied by the event records themselves.
 		w = c.recordLocked(&RawEvent{Trace: name}, nil)
+		c.fresh.Broadcast() // the journal grew
 	}
 	c.mu.Unlock()
 	// A WAL failure here resurfaces, sticky, at the next event's commit.
@@ -588,16 +586,13 @@ func (c *Collector) ackForLocked(name string) int {
 }
 
 // acksFor snapshots the ack positions of the named traces in one
-// critical section. When the collector is durable, the snapshot is
-// taken together with the WAL position it depends on, and the ack is
-// released only once that position is durable under the configured
-// policy — under `-fsync always` a reporter therefore never prunes an
-// event a crash could lose. When a replica session is attached, the ack
-// is likewise released only once the replica has confirmed the ingest
-// position the snapshot depends on, so a promoted standby always holds
-// every event a reporter was told to prune; if the replica lags past
-// replAckWait, the ack is withheld for this interval (the empty frame
-// still heartbeats the reporter) and retried on the next tick.
+// critical section, marking the record stream there, and releases them
+// once that mark is stable (delivery.go): under `-fsync always` a
+// reporter never prunes an event a crash could lose, and a promoted
+// standby holds every event a reporter was told to prune. If the mark is
+// not stable within replAckWait, or the WAL is broken, the acks are
+// withheld for this interval (the empty frame still heartbeats the
+// reporter, which retains and retransmits) and retried on the next tick.
 func (c *Collector) acksFor(names []string) []traceAck {
 	if len(names) == 0 {
 		return nil
@@ -607,37 +602,12 @@ func (c *Collector) acksFor(names []string) []traceAck {
 	for _, n := range names {
 		out = append(out, traceAck{Trace: n, Seq: c.ackForLocked(n)})
 	}
-	d := c.durable
-	var walSeq int64
-	if d != nil {
-		walSeq = d.appendedLocked()
-	}
-	replPos := -1
-	if len(c.repl.confirmed) > 0 {
-		replPos = c.ingests
-	}
+	m, wait := c.markLocked(), cmp.Or(c.replAckWait, defaultReplAckWait)
 	c.mu.Unlock()
-	if d != nil {
-		if err := d.waitDurable(walSeq); err != nil {
-			// The WAL is broken: acking would promise durability the disk
-			// cannot deliver. Withhold the acks; reporters retain and
-			// retransmit, and ingestion surfaces the error loudly.
-			return nil
-		}
-	}
-	if replPos >= 0 && !c.replWait(replPos, c.replAckWaitLocked()) {
+	if ok, err := c.awaitStable(m, wait); !ok || err != nil {
 		return nil
 	}
 	return out
-}
-
-func (c *Collector) replAckWaitLocked() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.replAckWait > 0 {
-		return c.replAckWait
-	}
-	return defaultReplAckWait
 }
 
 // IngestCount returns the number of events successfully ingested
@@ -655,6 +625,10 @@ func (c *Collector) IngestCount() int {
 func (c *Collector) Pending() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.pendingLocked()
+}
+
+func (c *Collector) pendingLocked() int {
 	n := 0
 	for i := range c.pending {
 		n += c.pending[i].len()
@@ -707,7 +681,6 @@ func (c *Collector) TraceStats() []TraceStat {
 // slowest blocking subscriber.
 func (c *Collector) Report(raw RawEvent) error {
 	c.mu.Lock()
-	before := c.delivered
 	err := c.reportLocked(raw)
 	var w walTicket
 	switch {
@@ -721,7 +694,7 @@ func (c *Collector) Report(raw RawEvent) error {
 	default:
 		c.tel.rejected.Inc()
 	}
-	lagging := c.paceLocked(before)
+	lagging := c.paceLocked()
 	c.mu.Unlock()
 	if walErr := w.commit(); walErr != nil {
 		// The event is ingested in memory but its durability is not
@@ -888,7 +861,7 @@ func (c *Collector) deliver(t event.TraceID, raw RawEvent) {
 			// Export every delivered send: the receive's home shard is
 			// unknowable here (its trace may not have reported yet), so
 			// peers filter on their side via SupplyRemoteSend idempotency.
-			c.shardX.append(shardExport{MsgID: raw.MsgID, ID: e.ID, VC: e.VC})
+			c.exports.Push(shardExport{MsgID: raw.MsgID, ID: e.ID, VC: e.VC})
 			c.tel.shardExports.Inc()
 		}
 	}

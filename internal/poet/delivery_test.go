@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -196,7 +197,30 @@ func TestBatchPartnerVisibleToConsumer(t *testing.T) {
 	}
 }
 
-func TestDropPolicyCountsAndRecovers(t *testing.T) {
+// checkEvicted holds an evicted Drop subscriber to its contract: it was
+// handed a gap-free prefix of the stream from event 1, nothing after it,
+// and it ended with the lag error, counting what it lagged behind by.
+func checkEvicted(t *testing.T, sub *Subscription, got []*event.Event, depth int) {
+	t.Helper()
+	for i, e := range got {
+		if e.ID.Index != i+1 {
+			t.Fatalf("evicted subscriber's event %d is %s: the prefix has a gap", i, e.ID)
+		}
+	}
+	st := sub.Stats()
+	if !errors.Is(sub.cur.err, errLagging) || st.Dropped <= depth {
+		t.Fatalf("stats %+v, error %v: want an eviction for lagging past depth %d", st, sub.cur.err, depth)
+	}
+	if st.Enqueued != len(got) || st.Handled != len(got) || st.Queued != 0 {
+		t.Fatalf("stats %+v: want the %d events handed over enqueued and handled, none queued", st, len(got))
+	}
+}
+
+// TestDropPolicyEvictsLaggard: a Drop subscriber whose consumer stalls is
+// evicted once it lags past its depth, not skipped ahead, and ingestion
+// never waits for it.
+func TestDropPolicyEvictsLaggard(t *testing.T) {
+	const depth = 4
 	c := NewCollector()
 	gate := make(chan struct{})
 	var entered sync.Once
@@ -206,47 +230,27 @@ func TestDropPolicyCountsAndRecovers(t *testing.T) {
 		entered.Do(func() { close(started) })
 		<-gate
 		sink.handler(batch)
-	}, AsyncOptions{QueueDepth: 4, MaxBatch: 1, Policy: BackpressureDrop})
+	}, AsyncOptions{QueueDepth: depth, MaxBatch: 1, Policy: BackpressureDrop})
 	defer sub.Cancel()
 
 	if err := c.Report(internalRaw("p0", 1)); err != nil {
 		t.Fatal(err)
 	}
 	<-started // consumer now blocked holding the first event
-	const total = 50
-	for i := 2; i <= total; i++ {
+	for i := 2; i <= 50; i++ {
 		if err := c.Report(internalRaw("p0", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := sub.Stats()
-	if st.Dropped == 0 {
-		t.Fatalf("stats %+v: expected drops with a blocked consumer and depth 4", st)
-	}
-	if st.Enqueued+st.Dropped != total {
-		t.Fatalf("stats %+v: enqueued+dropped = %d, want %d", st, st.Enqueued+st.Dropped, total)
-	}
 	close(gate)
 	sub.Flush()
-	st = sub.Stats()
-	if st.Handled != st.Enqueued || st.Queued != 0 {
-		t.Fatalf("stats %+v: queue did not drain after unblocking", st)
-	}
-	// The survivors are a subsequence in order (gaps allowed under drop).
-	last := 0
-	for _, e := range sink.snapshot() {
-		if e.ID.Index <= last {
-			t.Fatalf("out-of-order or duplicated survivor %d after %d", e.ID.Index, last)
-		}
-		last = e.ID.Index
-	}
+	checkEvicted(t, sub, sink.snapshot(), depth)
 }
 
 // TestStuckDropCursorDoesNotPinRetention: retention keeps trimming past
-// a BackpressureDrop subscriber whose handler is stuck, holding back no
-// more than the subscriber's depth (as the per-subscriber queue it
-// replaces held no more copies). The cursor counts what it never handed
-// over as dropped; released, it goes on from the retained suffix.
+// a BackpressureDrop subscriber whose handler is stuck: the subscriber
+// holds back no more than its depth before it is evicted, and nothing
+// after. Released, the handler finishes its batch and gets no more.
 func TestStuckDropCursorDoesNotPinRetention(t *testing.T) {
 	const keep, depth, total = 100, 300, 5000
 	c := NewCollector()
@@ -280,26 +284,12 @@ func TestStuckDropCursorDoesNotPinRetention(t *testing.T) {
 			t.Fatalf("retention %+v holds more than the stuck Drop cursor's depth %d", st, depth)
 		}
 	}
+	if st := c.RetentionStats(); st.Retained > keep+keep/4 {
+		t.Fatalf("retention %+v still holds events back for the evicted subscriber", st)
+	}
 	release()
 	sub.Flush()
-	st := sub.Stats()
-	if st.Dropped == 0 || st.Enqueued+st.Dropped != total || st.Handled != st.Enqueued || st.Queued != 0 {
-		t.Fatalf("stats %+v: want drops, enqueued + dropped = %d, all enqueued handled", st, total)
-	}
-	got := sink.snapshot()
-	if len(got) != st.Handled {
-		t.Fatalf("handled %d events, stats say %d", len(got), st.Handled)
-	}
-	last := 0
-	for _, e := range got {
-		if e.ID.Index <= last {
-			t.Fatalf("out-of-order or duplicated event %d after %d", e.ID.Index, last)
-		}
-		last = e.ID.Index
-	}
-	if last != total {
-		t.Fatalf("the cursor ended at event %d, want the head %d", last, total)
-	}
+	checkEvicted(t, sub, sink.snapshot(), depth)
 }
 
 func TestBlockPolicyBoundsQueue(t *testing.T) {
@@ -476,11 +466,10 @@ func TestAsyncStress(t *testing.T) {
 }
 
 // TestCancelDeliversPendingAnnouncements pins the drain contract for
-// trace announcements: an announcement whose carrying event was dropped
-// (BackpressureDrop, full queue) must still reach OnTrace by the time
-// Cancel returns, even when the subscription is torn down while the
-// handler is mid-flight — a pending announcement must never die with
-// the queue.
+// trace announcements: an announcement whose carrying event is still
+// queued behind a wedged handler must reach OnTrace by the time Cancel
+// returns, even when the subscription is torn down while the handler is
+// mid-flight — a pending announcement must never die with the cursor.
 func TestCancelDeliversPendingAnnouncements(t *testing.T) {
 	c := NewCollector()
 	block := make(chan struct{})
@@ -491,7 +480,7 @@ func TestCancelDeliversPendingAnnouncements(t *testing.T) {
 		started.Add(1)
 		<-block
 	}, AsyncOptions{
-		QueueDepth: 1, MaxBatch: 1, Policy: BackpressureDrop,
+		QueueDepth: 4, MaxBatch: 1, Policy: BackpressureBlock,
 		OnTrace: func(_ event.TraceID, name string) {
 			mu.Lock()
 			names = append(names, name)
@@ -504,16 +493,16 @@ func TestCancelDeliversPendingAnnouncements(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return started.Load() == 1 })
-	// Fill the 1-slot queue behind the wedged handler, then report a new
-	// trace whose event is dropped on the full queue: only its
-	// announcement survives.
+	// Queue an event and a new trace's first behind the wedged handler.
 	if err := c.Report(internalRaw("p0", 2)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Report(internalRaw("p1", 1)); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return sub.Stats().Dropped >= 1 })
+	if st := sub.Stats(); st.Queued != 2 {
+		t.Fatalf("stats %+v: want the two later events queued", st)
+	}
 
 	close(block)
 	sub.Cancel()

@@ -229,31 +229,6 @@ func (d *Durability) appendLocked(rec []byte) (int64, error) {
 	return seq, err
 }
 
-// appendedLocked returns the WAL append position. Caller holds c.mu.
-func (d *Durability) appendedLocked() int64 { return d.log.Appended() }
-
-// waitDurable blocks until the given WAL position is durable under the
-// configured policy. Under SyncAlways that means fsynced; the weaker
-// policies explicitly trade this barrier away, so it is a no-op.
-func (d *Durability) waitDurable(seq int64) error {
-	if d.policy != SyncAlways || seq == 0 {
-		return nil
-	}
-	return d.log.Commit(seq)
-}
-
-// barrier blocks until every append so far is durable under SyncAlways
-// (a no-op on the weaker policies, which trade this guarantee away).
-// The monitor send path uses it so an event is never on the wire to a
-// monitor before it is on disk — otherwise a crash could leave a
-// resuming monitor ahead of the recovered stream.
-func (d *Durability) barrier() error {
-	if d.policy != SyncAlways {
-		return nil
-	}
-	return d.log.Commit(d.log.Appended())
-}
-
 // commit makes the given append durable per policy and triggers a
 // background snapshot when the interval has elapsed.
 func (d *Durability) commit(seq int64) error {

@@ -24,52 +24,6 @@ import (
 // need a checkpoint of the collector's state, which no format carries
 // yet — so the journal and retention refuse each other.
 
-// growth is an append-only log's signal to the readers parked at its
-// head; its channel exists only while held, so an untailed log pays none.
-type growth struct{ grew chan struct{} }
-
-// wake releases everyone parked on the growth signal.
-func (g *growth) wake() {
-	if g.grew != nil {
-		close(g.grew)
-		g.grew = nil
-	}
-}
-
-// signal returns the channel the next append or wake closes.
-func (g *growth) signal() <-chan struct{} {
-	if g.grew == nil {
-		g.grew = make(chan struct{})
-	}
-	return g.grew
-}
-
-// tailLog is an append-only log that consumers tail by index: the shard
-// export log, guarded by the collector's mu. It is a fifo nobody pops,
-// so a record is written once and never copied again as the log grows.
-type tailLog[T any] struct {
-	fifo.Queue[T]
-	growth
-}
-
-func (l *tailLog[T]) append(rec T) {
-	l.Push(rec)
-	l.wake()
-}
-
-// from returns the records from idx to the end of idx's chunk and the
-// index just past them (a reader iterates), or — when there is nothing
-// to read yet — the growth signal to park on. Records are immutable and
-// an append writes only past every slice handed out, so the records stay
-// safe to read after the lock is released.
-func (l *tailLog[T]) from(idx int) (recs []T, next int, grew <-chan struct{}) {
-	if idx >= l.Len() {
-		return nil, l.Len(), l.signal()
-	}
-	recs = l.Span(idx)
-	return recs, idx + len(recs), nil
-}
-
 // recRemote is the journal-only record of a peer-shard send, which a
 // standby must apply at the same position of the stream: its index in
 // the journal's side log. It never reaches the disk or the wire.
@@ -82,7 +36,6 @@ const recRemote = 4
 // record has — so a copy of the journal taken under mu is an immutable
 // prefix, and a span cut from it stays valid outside the lock.
 type journal struct {
-	growth
 	chunks  [][]byte
 	fill    int                     // bytes written into the last chunk
 	firsts  []int                   // firsts[k] is the index of chunk k's first record
@@ -94,8 +47,9 @@ type journal struct {
 	others []int
 }
 
-// journalCursor is a reader's place in the journal: a record boundary.
-type journalCursor struct{ chunk, off int }
+// journalCursor is a reader's place in the journal: a record boundary,
+// and the index of the record there.
+type journalCursor struct{ chunk, off, idx int }
 
 // journalSpan is a run of whole records and the side log as of the cut.
 type journalSpan struct {
@@ -119,7 +73,6 @@ func (j *journal) append(rec []byte) {
 	j.fill += copy(c[j.fill:], hdr[:w])
 	j.fill += copy(c[j.fill:], rec)
 	j.n++
-	j.wake()
 }
 
 // events is the number of event records: the head replica offsets are
@@ -144,6 +97,7 @@ func (j *journal) seek(idx int) (cur journalCursor) {
 	if cur.chunk = sort.Search(len(j.firsts), func(k int) bool { return j.firsts[k] > idx }) - 1; cur.chunk < 0 {
 		return journalCursor{}
 	}
+	cur.idx = idx
 	for skip := idx - j.firsts[cur.chunk]; skip > 0; skip-- {
 		n, w := binary.Uvarint(j.chunks[cur.chunk][cur.off:])
 		cur.off += w + int(n)
@@ -155,13 +109,13 @@ func (j *journal) seek(idx int) (cur journalCursor) {
 // in the last one), cut with cap == len, and the cursor past them; an
 // empty span and cur when cur is at the head.
 func (j *journal) span(cur journalCursor) (journalSpan, journalCursor) {
-	for ; cur.chunk < len(j.chunks)-1; cur = (journalCursor{chunk: cur.chunk + 1}) {
+	for ; cur.chunk < len(j.chunks)-1; cur = (journalCursor{cur.chunk + 1, 0, j.firsts[cur.chunk+1]}) {
 		if c := j.chunks[cur.chunk]; cur.off < len(c) && c[cur.off] != 0 {
-			return journalSpan{c[cur.off:], j.remotes}, journalCursor{chunk: cur.chunk + 1}
+			return journalSpan{c[cur.off:], j.remotes}, journalCursor{cur.chunk + 1, 0, j.firsts[cur.chunk+1]}
 		}
 	}
 	if cur.chunk == len(j.chunks)-1 && cur.off < j.fill {
-		return journalSpan{j.chunks[cur.chunk][cur.off:j.fill:j.fill], j.remotes}, journalCursor{cur.chunk, j.fill}
+		return journalSpan{j.chunks[cur.chunk][cur.off:j.fill:j.fill], j.remotes}, journalCursor{cur.chunk, j.fill, j.n}
 	}
 	return journalSpan{}, cur
 }

@@ -85,15 +85,6 @@ func (l *journal) all() []jrec {
 	return out
 }
 
-// all flattens the log's chunks into one slice, oldest record first.
-func (l *tailLog[T]) all() []T {
-	out := make([]T, 0, l.Len())
-	for i := 0; i < l.Len(); i++ {
-		out = append(out, *l.At(i))
-	}
-	return out
-}
-
 // journalEvents renders the journal's event records, in journal order.
 func journalEvents(c *Collector) []string {
 	c.mu.Lock()
@@ -426,6 +417,15 @@ func TestJournalIndexAfter(t *testing.T) {
 	}
 }
 
+// TestExportChunkSize pins the export index's chunk to the 32 KiB size
+// class beside the allocator's 8-byte header; internal/fifo's tests hold
+// the spans a shard session cuts from it to their contract.
+func TestExportChunkSize(t *testing.T) {
+	if k := fifo.ChunkCap[shardExport](); k != 819 {
+		t.Fatalf("chunks of %d exports, want 819 (32 KiB less the malloc header)", k)
+	}
+}
+
 // TestReloadRejectsGobDump: the gob dumps of earlier builds (header
 // magic OCEP-POET-DUMP, versions 1 and 2) are no longer read. Reload and
 // snapshot recovery each refuse one with the error that names the
@@ -543,75 +543,6 @@ func TestReplicaWithRetentionConverges(t *testing.T) {
 	}
 }
 
-// TestTailLogChunks is the chunked log's contract, over more than three
-// chunk boundaries: from(idx) returns exactly the records from idx to
-// the end of idx's chunk, its next index chains to the head, a slice
-// taken before later appends reads the same after them, and the growth
-// signal exists only while a reader is parked on it.
-func TestTailLogChunks(t *testing.T) {
-	var l tailLog[shardExport]
-	k := fifo.ChunkCap[shardExport]()
-	if k != 819 {
-		t.Fatalf("chunks of %d exports, want 819 (32 KiB less the malloc header)", k)
-	}
-	total := 3*k + k/2
-	var early [][]shardExport // one slice per append, taken right after it
-	for i := 0; i < total; i++ {
-		if recs, next, grew := l.from(i); recs != nil || next != i || grew == nil {
-			t.Fatalf("from(%d) at the head returned %d records, next %d, signal %v", i, len(recs), next, grew)
-		}
-		if l.grew == nil {
-			t.Fatalf("no growth signal while a reader is parked at %d", i)
-		}
-		parked := l.grew
-		l.append(shardExport{MsgID: uint64(i + 1)})
-		select {
-		case <-parked:
-		default:
-			t.Fatalf("append %d did not wake the parked reader", i)
-		}
-		if l.grew != nil {
-			t.Fatalf("append %d left a growth signal nobody holds", i)
-		}
-		recs, _, _ := l.from(i - i%k)
-		early = append(early, recs)
-	}
-	if l.Len() != total || l.Chunks() != 4 {
-		t.Fatalf("log of %d records in %d chunks, want %d in 4", l.Len(), l.Chunks(), total)
-	}
-	for idx := 0; idx < total; idx++ {
-		recs, next, grew := l.from(idx)
-		wantNext := min(idx-idx%k+k, total)
-		if grew != nil || next != wantNext || len(recs) != wantNext-idx || cap(recs) != len(recs) {
-			t.Fatalf("from(%d): %d records (cap %d), next %d, want %d up to %d", idx, len(recs), cap(recs), next, wantNext-idx, wantNext)
-		}
-		for i := range recs {
-			if recs[i].MsgID != uint64(idx+i+1) {
-				t.Fatalf("from(%d)[%d] is record %d", idx, i, recs[i].MsgID-1)
-			}
-		}
-		// Chaining next reaches the head in as many steps as chunks remain.
-		steps := 0
-		for at := idx; at < total; steps++ {
-			_, at, _ = l.from(at)
-		}
-		if want := (total-1)/k - idx/k + 1; steps != want {
-			t.Fatalf("from(%d) chains to the head in %d steps, want %d", idx, steps, want)
-		}
-	}
-	for i, recs := range early {
-		if len(recs) != i%k+1 || cap(recs) != len(recs) {
-			t.Fatalf("the slice taken after append %d has grown to %d records (cap %d)", i, len(recs), cap(recs))
-		}
-		if recs[len(recs)-1].MsgID != uint64(i+1) || recs[0].MsgID != uint64(i-i%k+1) {
-			t.Fatalf("the slice taken after append %d changed under later appends", i)
-		}
-	}
-	if got := l.all(); len(got) != total || got[total-1].MsgID != uint64(total) {
-		t.Fatalf("the chunks hold %d records", len(got))
-	}
-}
-
 // TestJournalMatchesRecordModel holds the byte journal to a plain list of
 // the records it was handed, over seeded random streams with empty
 // strings, strings past the string table's 255 bytes, one record longer
@@ -670,6 +601,7 @@ func TestJournalMatchesRecordModel(t *testing.T) {
 			j    journal
 			snap snapshotState
 		)
+		grew := sync.NewCond(&mu)
 		read := make(chan []jrec)
 		go func() {
 			var got []jrec
@@ -677,12 +609,13 @@ func TestJournalMatchesRecordModel(t *testing.T) {
 			for len(got) < len(all) {
 				mu.Lock()
 				sp, next := j.span(cur)
-				grew := j.signal()
-				mu.Unlock()
-				if len(sp.b) == 0 {
-					<-grew
-					continue
+				for ; len(sp.b) == 0; sp, next = j.span(cur) {
+					grew.Wait()
 				}
+				if next.idx <= cur.idx || next != j.seek(next.idx) {
+					t.Errorf("seed %d: the span from record %d ends at %+v", seed, cur.idx, next)
+				}
+				mu.Unlock()
 				for r, ok := sp.decode(); ok; r, ok = sp.decode() {
 					got = append(got, r)
 				}
@@ -697,6 +630,7 @@ func TestJournalMatchesRecordModel(t *testing.T) {
 				snap = snapshotState{journal: j}
 			}
 			j.add(r)
+			grew.Broadcast()
 			mu.Unlock()
 		}
 		if got := <-read; !slices.EqualFunc(got, all, same) {

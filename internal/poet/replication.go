@@ -24,21 +24,18 @@ import (
 // prefix mean the same thing on the standby that they meant on the
 // primary.
 //
-// Two barriers make the failover exact while a replica is attached:
-//
-//   - reporter acks are released only once the replica has confirmed
-//     the ingest position the ack snapshot was taken at (acksFor), so a
-//     reporter never prunes an event the promoted standby might lack;
-//   - monitor sends wait for the same confirmation (replBarrier), so a
-//     monitor's resume offset never runs ahead of what the standby can
-//     replay.
-//
-// Both barriers lift the moment no replica session is attached — a dead
-// or detached standby must not take the primary's availability with it.
-// The window this opens (events acked while no replica was attached are
-// lost if the primary then dies before the replica catches up) is the
-// standard warm-standby trade; the replication lag gauge and the
-// standby's /readyz check are there to keep it observable.
+// One watermark makes the failover exact: a record is stable once it is
+// durable under the fsync policy and every attached replica has
+// confirmed it (delivery.go). A reporter is acked, a monitor sent an
+// event and a peer shard an export only behind it, so nothing a client
+// acts on runs ahead of what the promoted standby replays. Replica
+// sessions read the journal head: their confirmations are what move the
+// watermark. It stops waiting for replicas the moment none is attached —
+// a dead or detached standby must not take the primary's availability
+// with it. The window this opens (events acked while no replica was
+// attached are lost if the primary then dies before the replica catches
+// up) is the standard warm-standby trade; the replication lag gauge and
+// the standby's /readyz check are there to keep it observable.
 
 // defaultReplAckWait bounds how long an ack release waits for a lagging
 // replica before the ack is withheld for one interval; poetd lowers it
@@ -52,8 +49,8 @@ const defaultReplAckWait = 500 * time.Millisecond
 var ErrPrimaryDrained = errors.New("poet: primary drained")
 
 // replState is what the attached replica sessions have confirmed,
-// guarded by the collector's mu. A change wakes barrier waiters through
-// the growth signal of the journal the sessions tail.
+// guarded by the collector's mu. A change moves the stable watermark, so
+// it broadcasts the collector's fresh cond.
 type replState struct {
 	// confirmed maps attached replica session ids to the event-record
 	// count each has acknowledged applying; made with the journal.
@@ -123,24 +120,36 @@ func (c *Collector) ReplicationStats() ReplicationStats {
 }
 
 // replAttach registers a replica session whose hello confirmed applying
-// the first `applied` event records, returning its session id.
-func (c *Collector) replAttach(applied int) int {
+// the first `applied` event records. It returns the session's id, the
+// journal cursor its stream starts at, and the registered traces it
+// sends first: the journal a recovery rebuilds has the snapshot's
+// registrations at its front, not where they happened, so one the
+// replica has yet to apply may sit in the prefix its offset skips;
+// registering every trace in ID order gives it the primary's numbering
+// wherever it stopped (the in-band ones are then no-ops).
+func (c *Collector) replAttach(applied int) (id int, jc journalCursor, traces []string, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	id := c.repl.nextSess
+	switch {
+	case c.journal == nil:
+		return 0, jc, nil, errors.New("replication log not enabled on this collector")
+	case applied < 0 || applied > c.journal.events():
+		return 0, jc, nil, fmt.Errorf("replica claims %d applied events, this collector ingested %d: it did not produce that stream", applied, c.journal.events())
+	}
+	id = c.repl.nextSess
 	c.repl.nextSess++
 	c.repl.confirmed[id] = applied
-	c.journal.wake()
-	return id
+	c.fresh.Broadcast()
+	return id, c.journal.seek(c.journal.indexAfter(applied)), c.registeredTracesLocked(), nil
 }
 
-// replDetach removes a replica session; barriers that were waiting on
-// it lift (the availability-over-durability choice documented above).
+// replDetach removes a replica session; the watermark stops waiting for
+// it (the availability-over-durability choice documented above).
 func (c *Collector) replDetach(id int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.repl.confirmed, id)
-	c.journal.wake()
+	c.fresh.Broadcast()
 }
 
 // replConfirm records a replica's confirmation of the first `applied`
@@ -150,73 +159,8 @@ func (c *Collector) replConfirm(id, applied int) {
 	defer c.mu.Unlock()
 	if cur, ok := c.repl.confirmed[id]; ok && applied > cur {
 		c.repl.confirmed[id] = applied
-		c.journal.wake()
+		c.fresh.Broadcast()
 	}
-}
-
-// replWait blocks until every attached replica session has confirmed
-// pos event records, no session remains attached, or the timeout
-// expires (a negative timeout never does); it reports whether the
-// confirmation condition held.
-func (c *Collector) replWait(pos int, timeout time.Duration) bool {
-	var expired <-chan time.Time
-	if timeout >= 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		expired = t.C
-	}
-	for {
-		c.mu.Lock()
-		if len(c.repl.confirmed) == 0 || c.repl.minConfirmed() >= pos {
-			c.mu.Unlock()
-			return true
-		}
-		ch := c.journal.signal()
-		c.mu.Unlock()
-		select {
-		case <-ch:
-		case <-expired:
-			return false
-		}
-	}
-}
-
-// replBarrier blocks until every attached replica session has confirmed
-// the current ingest position, or no session remains attached. The
-// monitor send path runs behind it: an event is never on a monitor wire
-// before the standby that would serve the monitor's resume has it. The
-// wait is unbounded on purpose — a hung replica is evicted by the
-// server's peer timeout, which detaches the session and lifts the
-// barrier.
-func (c *Collector) replBarrier() { c.replWait(c.IngestCount(), -1) }
-
-// replAttachPoint translates a replica's event-record offset into the
-// journal index its session streams from, and lists the registered
-// traces the session sends first. The journal a recovery rebuilds has
-// the snapshot's registrations at its front, not where they happened,
-// so one the replica has yet to apply may sit in the prefix its offset
-// skips; registering every trace in ID order gives it the primary's
-// numbering wherever it stopped (the in-band ones are then no-ops).
-func (c *Collector) replAttachPoint(events int) (cur journalCursor, traces []string, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if head := c.journal.events(); events < 0 || events > head {
-		return cur, nil, fmt.Errorf("replica claims %d applied events, this collector ingested %d: it did not produce that stream", events, head)
-	}
-	return c.journal.seek(c.journal.indexAfter(events)), c.registeredTracesLocked(), nil
-}
-
-// journalFrom returns the journal records from cur to the end of its
-// chunk, the cursor past them, the ingest head, and — when there is
-// nothing to read — the growth signal. An append writes only past every
-// span handed out, so a span stays safe to read outside the lock.
-func (c *Collector) journalFrom(cur journalCursor) (sp journalSpan, next journalCursor, head int, grew <-chan struct{}) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if sp, next = c.journal.span(cur); len(sp.b) == 0 {
-		grew = c.journal.signal()
-	}
-	return sp, next, c.ingests, grew
 }
 
 // ---------------------------------------------------------------------
@@ -224,20 +168,18 @@ func (c *Collector) journalFrom(cur journalCursor) (sp journalSpan, next journal
 
 // handleReplica streams the collector's journal to one warm standby:
 // the registered traces, the suffix past the replica's confirmed offset,
-// then live records as they are ingested, with idle heartbeats carrying the
+// then live records as they are ingested, each span behind a head frame
+// with the ingest count at its cut, and idle heartbeats carrying the
 // ingest head so the replica can compute its lag on a quiet stream. A
 // background reader consumes the replica's head frames (its applied
-// count) and feeds the confirmations that release the primary's ack and
-// monitor-send barriers.
+// count): the confirmations that move the stable watermark.
 func (s *Server) handleReplica(conn *link, fr *frameReader, fw *frameWriter, h hello) error {
 	c := s.collector
-	if !c.ReplicationStats().Enabled {
-		return refuseHello(fw, roleReplica, "replication log not enabled on this collector", false)
-	}
-	cur, traces, err := c.replAttachPoint(h.from)
+	sess, jc, traces, err := c.replAttach(h.from)
 	if err != nil {
 		return refuseHello(fw, roleReplica, err.Error(), false)
 	}
+	defer c.replDetach(sess)
 	if err := acceptHello(fw, nil); err != nil {
 		return err
 	}
@@ -245,106 +187,44 @@ func (s *Server) handleReplica(conn *link, fr *frameReader, fw *frameWriter, h h
 	if h.from > 0 {
 		s.targetResumes.Add(1) // WireStats only: the metric counts reporters
 	}
-	sess := c.replAttach(h.from)
-	defer c.replDetach(sess)
 	s.logf("poet server: replica %s attached at offset %d", conn.RemoteAddr(), h.from)
 
-	// Confirmation reader. The peer timeout applies: a replica that
-	// stops acking (hung, partitioned) is declared dead, detaching the
-	// session so the barriers lift instead of stalling the primary.
+	// The replica's confirmations. The peer timeout applies: a replica
+	// that stops acking (hung, partitioned) is declared dead, detaching
+	// the session so the watermark stops waiting for it.
 	conn.readTimeout = s.peerTimeout
-	readerDone := make(chan struct{})
-	go func() {
-		defer close(readerDone)
-		var f frame
-		for {
-			if err := fr.next(&f); err != nil {
-				if isTimeout(err) {
-					s.peerTimeouts.add(1)
-					s.logf("poet server: replica %s silent for %v; presumed dead", conn.RemoteAddr(), s.peerTimeout)
-				}
-				_ = conn.Close()
-				return
-			}
-			if f.kind == frameHead {
-				c.replConfirm(sess, f.head)
-			}
+	gone := s.listen(conn, fr, func(f *frame) {
+		if f.kind == frameHead {
+			c.replConfirm(sess, f.head)
 		}
-	}()
+	})
 
 	for _, name := range traces {
 		fw.traceReg(name)
 	}
+	o := &outbound{fw: fw, peer: "replica"}
+	var sp journalSpan
+	head := 0
+	cur := c.tail(&cursor{head: func() int { return c.journal.n },
+		cut: func(int, int) int {
+			sp, jc = c.journal.span(jc)
+			head = c.ingests
+			return jc.idx
+		},
+		hand: func() error {
+			return o.send(func(fw *frameWriter) {
+				fw.head(head)
+				_, events := fw.replicate(sp)
+				s.replicaEvents.add(int64(events))
+			})
+		},
+	}, jc.idx)
 	// No drain notice of its own: a replica takes Drain as the clean
 	// handoff, and that comes with the End frame.
-	err = s.streamLog(conn, fw, "replica", readerDone, nil, func() (int, int, <-chan struct{}) {
-		sp, next, head, ch := c.journalFrom(cur)
-		if len(sp.b) > 0 {
-			fw.head(head)
-		}
-		recs, events := fw.replicate(sp)
-		s.replicaEvents.add(int64(events))
-		cur = next
-		return recs, head, ch
-	})
+	err = s.stream(o, cur, gone, nil, c.IngestCount, frameDrain, frameEnd)
 	_ = conn.Close()
-	<-readerDone
+	<-gone
 	return err
-}
-
-// streamLog is the sending loop of the sessions that tail an append-only
-// log (replica, shard): emit frames whatever the log holds past the
-// session's cursor — the whole suffix goes into the buffer behind one
-// head count and leaves in one flush, earlier only if the buffer fills —
-// and reports how many records that was, the current head, and the
-// channel that signals growth. An idle stream heartbeats with the head,
-// so the peer can tell quiet from dead and compute its lag; a drain
-// notice goes out when drain fires; on server Close the stream ends with
-// Drain then End — a replica takes that as the primary's clean handoff
-// and promotes, a shard peer rotates to the standby. gone closes when
-// the peer hangs up.
-func (s *Server) streamLog(conn *link, fw *frameWriter, peer string, gone, drain <-chan struct{}, emit func() (n, head int, grew <-chan struct{})) error {
-	hb := time.NewTimer(s.hbInterval)
-	defer hb.Stop()
-	for {
-		n, head, grew := emit()
-		if n > 0 {
-			if err := fw.flush(); err != nil {
-				return fmt.Errorf("encoding to %s: %w", peer, err)
-			}
-			// Re-check for records appended while this batch encoded
-			// before parking.
-			backoff.ResetTimer(hb, s.hbInterval)
-			continue
-		}
-		select {
-		case <-grew:
-		case <-hb.C:
-			hb.Reset(s.hbInterval)
-			fw.head(head)
-			fw.signal(frameHeartbeat)
-			if err := fw.flush(); err != nil {
-				return fmt.Errorf("heartbeat to %s: %w", peer, err)
-			}
-			s.heartbeats.add(1)
-		case <-gone:
-			return nil
-		case <-drain:
-			// Advise the peer to move on; keep serving until End/close
-			// for peers with nowhere to go.
-			drain = nil
-			fw.signal(frameDrain)
-			if err := fw.flush(); err != nil {
-				return fmt.Errorf("drain frame to %s: %w", peer, err)
-			}
-		case <-s.closing:
-			fw.signal(frameDrain)
-			fw.signal(frameEnd)
-			err := fw.flush()
-			_ = conn.Close()
-			return err
-		}
-	}
 }
 
 // SetStandby marks the server as an unpromoted warm standby: target,
@@ -375,9 +255,11 @@ func (s *Server) Draining() bool { return s.drainFlag.Load() }
 // timeouts; single-endpoint peers just keep their session until the End
 // frame), reporter acks keep flowing while connected targets flush,
 // and — once the targets have left, the collector has delivered its
-// backlog, and any attached replica has confirmed the full stream, or
-// wait has elapsed — the server closes gracefully (monitor queues
-// drained, End frames sent). wait <= 0 uses DefaultDrainWait.
+// backlog, and every attached replica has confirmed the ingest count, or
+// wait has elapsed — the server closes gracefully (outbound cursors
+// drained, End frames sent). That is the stable watermark: a Report
+// returns only after its WAL commit, so with the targets gone the
+// durability half holds already. wait <= 0 uses DefaultDrainWait.
 func (s *Server) Drain(wait time.Duration) error {
 	if !s.drainFlag.CompareAndSwap(false, true) {
 		return nil
@@ -388,48 +270,18 @@ func (s *Server) Drain(wait time.Duration) error {
 	s.drains.add(1)
 	s.logf("poet server: draining (up to %v)", wait)
 	close(s.drainCh)
-	deadline := time.Now().Add(wait)
-	for time.Now().Before(deadline) {
-		if s.targetConnCount.Load() == 0 && s.collector.Drained() &&
-			s.collector.replWait(s.collector.IngestCount(), 0) {
-			break
-		}
-		time.Sleep(overloadPoll)
-	}
+	c := s.collector
+	c.mu.Lock()
+	c.awaitLocked(wait, func() bool {
+		return s.targetConnCount.Load() == 0 && c.pendingLocked() == 0 && c.replicatedLocked(c.ingests)
+	})
+	c.mu.Unlock()
 	return s.Close()
 }
 
 // DefaultDrainWait bounds how long Drain waits for targets to flush and
 // leave before closing anyway.
 const DefaultDrainWait = 5 * time.Second
-
-// abort tears down the server without any of the graceful-shutdown
-// courtesies — no drain notices, no monitor queue flush, no End frames:
-// connections are severed first, then handlers are collected. It is the
-// in-process stand-in for SIGKILL, used by the failover tests to
-// simulate a primary crash without a child process.
-func (s *Server) abort() {
-	s.mu.Lock()
-	already := s.closed
-	s.closed = true
-	ln := s.listener
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	if ln != nil {
-		_ = ln.Close()
-	}
-	for _, c := range conns {
-		_ = c.Close()
-	}
-	if !already {
-		close(s.closing)
-	}
-	s.serveWG.Wait()
-	s.wg.Wait()
-}
 
 // ---------------------------------------------------------------------
 // Follower side: the Replicator client.
@@ -566,7 +418,7 @@ func (r *Replicator) connect() (*link, error) {
 		return nil, ErrClientClosed
 	}
 	// Confirmation sender for this connection: an ack immediately after
-	// each applied burst (the barrier's latency), heartbeats when idle.
+	// each applied burst (the stable watermark's latency), heartbeats when idle.
 	go r.acker(s.link, s.fw, wake)
 	return s.link, nil
 }
@@ -714,7 +566,7 @@ func (r *Replicator) session(conn *link) error {
 		}
 		// Confirm once per applied burst, when the inbound buffer runs
 		// dry — not once per record: a heartbeat keeps our side of the
-		// liveness conversation, a record releases the primary's barriers.
+		// liveness conversation, a record moves the primary's watermark.
 		if conn.br.Buffered() == 0 {
 			r.signalAck()
 		}

@@ -38,7 +38,7 @@ type Server struct {
 	peerTimeout  time.Duration
 	writeTimeout time.Duration
 
-	// closing is closed at the start of Close: monitor handlers drain
+	// closing is closed at the start of Close: streaming sessions drain
 	// their cursors, send the End frame, and exit before connections are
 	// torn down, so a graceful shutdown is distinguishable from a crash.
 	closing chan struct{}
@@ -66,12 +66,13 @@ type Server struct {
 	sheddingConns atomic.Int64
 	overloadWait  time.Duration
 
-	mu      sync.Mutex
-	conns   map[net.Conn]struct{}
-	closed  bool
-	wg      sync.WaitGroup
-	monWG   sync.WaitGroup
-	serveWG sync.WaitGroup
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{}
+	closed bool
+	wg     sync.WaitGroup
+	// streamWG counts the streaming sessions Close lets say goodbye.
+	streamWG sync.WaitGroup
+	serveWG  sync.WaitGroup
 }
 
 // monitorQueueSize is the default per-monitor lag bound (its depth). Under
@@ -364,24 +365,46 @@ func (s *Server) untrack(conn net.Conn) {
 }
 
 // Close stops the listener and tears down every live connection, waiting
-// for the handlers to finish. Monitor connections end gracefully: their
+// for the handlers to finish. Streaming sessions end gracefully: their
 // cursors are drained and an explicit End frame is sent, so clients see a
 // clean end of stream instead of an interruption.
-func (s *Server) Close() error {
+func (s *Server) Close() error { return s.shutdown(true) }
+
+// abort tears down the server without any of the graceful-shutdown
+// courtesies — no drain notices, no cursor drain, no End frames:
+// connections are severed first, then handlers are collected. It is the
+// in-process stand-in for SIGKILL, used by the failover tests to
+// simulate a primary crash without a child process.
+func (s *Server) abort() { _ = s.shutdown(false) }
+
+// shutdown stops the listener and the handlers. Graceful, it lets the
+// streaming sessions drain and say goodbye before the connections are
+// severed (their writes run under deadlines, so the wait is bounded);
+// otherwise the connections go first.
+func (s *Server) shutdown(graceful bool) error {
 	s.mu.Lock()
 	already := s.closed
 	s.closed = true
 	s.mu.Unlock()
 	var err error
+	if !already && s.listener != nil {
+		err = s.listener.Close()
+	}
+	if !graceful {
+		s.sever()
+	}
 	if !already {
-		if s.listener != nil {
-			err = s.listener.Close()
-		}
 		close(s.closing)
 	}
-	// Let monitor handlers drain and say goodbye before the teardown;
-	// their writes run under deadlines, so this wait is bounded.
-	s.monWG.Wait()
+	s.streamWG.Wait()
+	s.sever()
+	s.serveWG.Wait()
+	s.wg.Wait()
+	return err
+}
+
+// sever closes every live connection.
+func (s *Server) sever() {
 	s.mu.Lock()
 	conns := make([]net.Conn, 0, len(s.conns))
 	for c := range s.conns {
@@ -391,9 +414,6 @@ func (s *Server) Close() error {
 	for _, c := range conns {
 		_ = c.Close()
 	}
-	s.serveWG.Wait()
-	s.wg.Wait()
-	return err
 }
 
 // countingWriter counts what is flushed to one monitor connection — bytes
@@ -463,20 +483,38 @@ func (s *Server) handle(conn net.Conn) error {
 			return refuseHello(fw, h.role, reason, true)
 		}
 	}
+	if h.role == roleMonitor || h.role == roleReplica || h.role == roleShard {
+		if !s.joinStream() {
+			return refuseHello(fw, h.role, "server is closing", true)
+		}
+		defer s.streamWG.Done()
+	}
 	switch h.role {
 	case roleTarget:
 		return s.handleTarget(l, fr, fw, h)
 	case roleMonitor:
-		return s.handleMonitor(l, fw, h)
+		return s.handleMonitor(l, fr, fw, h)
 	case roleReplica:
 		return s.handleReplica(l, fr, fw, h)
 	case roleShard:
-		return s.handleShard(l, fw, h)
+		return s.handleShard(l, fr, fw, h)
 	case roleQuery:
 		return s.handleQuery(fr, fw)
 	default:
 		return fmt.Errorf("unknown role %q", h.role)
 	}
+}
+
+// joinStream counts a streaming session in, before its hello is
+// answered, so a Close that begins later waits for it to say goodbye;
+// false once Close has begun.
+func (s *Server) joinStream() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.closed {
+		s.streamWG.Add(1)
+	}
+	return !s.closed
 }
 
 // refuseHello answers a hello with an error frame and returns the
@@ -508,16 +546,16 @@ func acceptHello(fw *frameWriter, acks []traceAck) error {
 func (s *Server) handleTarget(conn *link, fr *frameReader, fw *frameWriter, h hello) error {
 	s.targetConns.add(1)
 	s.targetConnCount.Add(1)
-	defer s.targetConnCount.Add(-1)
+	defer func() {
+		s.targetConnCount.Add(-1)
+		c := s.collector // wake a Drain waiting for the targets to leave
+		c.mu.Lock()
+		c.fresh.Broadcast()
+		c.mu.Unlock()
+	}()
 	// The return leg is cold (one acks frame per burst); the ack pump and
 	// the read loop share it, each write its own flush.
-	var fwMu sync.Mutex
-	send := func(write func()) error {
-		fwMu.Lock()
-		defer fwMu.Unlock()
-		write()
-		return fw.flush()
-	}
+	o := &outbound{fw: fw, peer: "target"}
 
 	// The accepting acks frame tells a resuming reporter what it may
 	// prune before retransmitting.
@@ -593,7 +631,7 @@ func (s *Server) handleTarget(conn *link, fr *frameReader, fw *frameWriter, h he
 			// (and someone scrape the counter) before this goroutine runs
 			// again.
 			s.acksSent.add(1)
-			if err := send(func() {
+			if err := o.send(func(fw *frameWriter) {
 				fw.acks(cur)
 				if drained {
 					fw.signal(frameDrain)
@@ -659,7 +697,7 @@ func (s *Server) handleTarget(conn *link, fr *frameReader, fw *frameWriter, h he
 			if errors.Is(err, ErrOverloaded) {
 				// The backlog never drained: a causal predecessor is likely
 				// missing for good. Tell the peer before hanging up.
-				_ = send(func() { fw.refuse(err.Error(), false) })
+				_ = o.send(func(fw *frameWriter) { fw.refuse(err.Error(), false) })
 				return fmt.Errorf("shedding %s/%d: collector still overloaded after %v: %w",
 					raw.Trace, raw.Seq, s.overloadWait, err)
 			}
@@ -675,231 +713,170 @@ func (s *Server) handleTarget(conn *link, fr *frameReader, fw *frameWriter, h he
 			}
 			// Malformed beyond repair: tell the peer why before hanging up,
 			// so it fails its Report instead of retransmitting forever.
-			_ = send(func() { fw.refuse(err.Error(), false) })
+			_ = o.send(func(fw *frameWriter) { fw.refuse(err.Error(), false) })
 			return fmt.Errorf("reporting: %w", err)
 		}
 	}
 }
 
 // handleMonitor streams the linearization to one client through a batch
-// subscription whose cursor starts at the client's resume offset: the
-// collector's own events, cut from its delivery log in batches, with
-// trace announcements interleaved before first use and idle heartbeats
-// so the client can tell a quiet stream from a dead server. Under
-// BackpressureDrop (the default) a monitor that falls monQueue events
-// behind is disconnected — a wire stream must never have silent gaps
-// (a reconnecting client heals the gap by resuming, which replays from
-// its own offset); under BackpressureBlock ingestion throttles to the
-// monitor instead. On server Close the cursor is drained and an End
-// frame marks the clean end of stream.
-func (s *Server) handleMonitor(conn *link, fw *frameWriter, h hello) error {
+// cursor that starts at the client's resume offset: the collector's own
+// events, cut from its delivery log in batches, each once stable, with
+// trace announcements before first use and idle heartbeats so the client
+// can tell a quiet stream from a dead server. Under BackpressureDrop (the
+// default) a monitor that falls monQueue events behind is evicted and
+// disconnected — a wire stream must never have silent gaps (a
+// reconnecting client heals the cut by resuming from its own offset);
+// under BackpressureBlock ingestion throttles to the monitor instead. On
+// server Close the cursor is drained and an End frame marks the clean
+// end of stream.
+func (s *Server) handleMonitor(conn *link, fr *frameReader, fw *frameWriter, h hello) error {
 	s.monitorConns.add(1)
-	s.monWG.Add(1)
-	defer s.monWG.Done()
-
-	// fwMu serializes the batch handler, the heartbeat ticker, and the
-	// drain/end frames; each holds it from first frame to flush.
-	var fwMu sync.Mutex
-	var lastWrite atomic.Int64
-	flush := func() error {
-		err := fw.flush()
-		lastWrite.Store(time.Now().UnixNano())
-		return err
-	}
-	writeSignal := func(kind byte) error {
-		fwMu.Lock()
-		defer fwMu.Unlock()
-		fw.signal(kind)
-		return flush()
-	}
-
-	// Validate the resume offset before subscribing. Delivered and the
-	// retention trim point only grow; an offset rejected here would be
-	// rejected by the subscription too, so check the trim first for the
-	// better error message.
-	if trimmed := s.collector.RetentionStats().TrimmedFrom; h.from < trimmed {
-		return refuseHello(fw, roleMonitor, fmt.Sprintf("cannot resume from offset %d: retention evicted events below %d; the requested suffix no longer exists",
-			h.from, trimmed), false)
-	}
-	if h.from > s.collector.Delivered() {
-		msg := fmt.Sprintf("cannot resume from offset %d (delivered %d): this collector did not produce that stream",
-			h.from, s.collector.Delivered())
-		if d := s.collector.Durable(); d != nil {
-			rec := d.Recovery()
-			if rec.DiscardedRecords > 0 || rec.SnapshotTruncated {
-				// A recovered server may legitimately be behind a client
-				// that outlived it: say so, instead of implying the
-				// client is confused.
-				msg = fmt.Sprintf("cannot resume from offset %d: crash recovery rebuilt only %d events (%d WAL records discarded); the requested suffix no longer exists",
-					h.from, s.collector.Delivered(), rec.DiscardedRecords)
-			}
-		}
-		return refuseHello(fw, roleMonitor, msg, false)
+	// The whole batch is framed into the connection's buffer and leaves
+	// in one flush (earlier only if the buffer fills). The delta baseline
+	// is touched only by the cursor's goroutine, so encoding order equals
+	// stream order — which the baseline depends on. Its first frames wait
+	// for the hello's answer.
+	o := &outbound{fw: fw, peer: "monitor"}
+	o.mu.Lock()
+	sub, err := s.collector.subscribeFrom(h.from, AsyncOptions{QueueDepth: s.monQueue, Policy: s.monPolicy}, true, true,
+		func(anns []traceAnn, batch []*event.Event) error {
+			entries := 0
+			err := o.send(func(fw *frameWriter) {
+				for _, a := range anns {
+					fw.trace(a.id, a.name)
+				}
+				for _, e := range batch {
+					entries += fw.event(e, readablePartner(e), true)
+				}
+			})
+			s.vcEntriesSent.add(int64(entries))
+			return err
+		})
+	if err != nil {
+		o.mu.Unlock()
+		return refuseHello(fw, roleMonitor, err.Error(), false)
 	}
 	// Timestamps are delta-encoded. The baseline starts at zero on both
 	// sides at this handshake, so reconnects and resumed replays are
 	// re-encoded from scratch — retransmitted suffixes never depend on
 	// state from a dead connection.
-	if err := acceptHello(fw, nil); err != nil {
+	err = acceptHello(fw, nil)
+	o.mu.Unlock()
+	if err != nil {
+		sub.Cancel()
 		return err
 	}
 	if h.from > 0 {
 		s.monitorResumes.add(1)
 	}
+	// A monitor never writes after its hello.
+	err = s.stream(o, sub.cur, s.listen(conn, fr, func(*frame) {}), s.drainCh, nil, frameEnd)
+	if errors.Is(err, errLagging) {
+		s.monOverflows.add(1)
+		err = fmt.Errorf("monitor %s overflowed its %d-event queue; disconnected", conn.RemoteAddr(), s.monQueue)
+	}
+	return err
+}
 
-	errc := make(chan error, 1)
-	fail := func(err error) {
-		select {
-		case errc <- err:
-		default:
-		}
-		_ = conn.Close() // unblock pending encodes
-	}
-	// stats is touched only on the subscription's consumer goroutine.
-	statsCh := make(chan func() DeliveryStats, 1)
-	var stats func() DeliveryStats
-	// dropCheck disconnects the client at the first dropped event. It
-	// runs both before and after encoding each batch: the pre-check keeps
-	// the emitted prefix gap-free (a drop that happened while the
-	// previous batch was encoding must not be followed by post-gap
-	// events), the post-check catches a drop during this batch's encode
-	// without waiting for another batch to be cut.
-	dropCheck := func() bool {
-		if s.monPolicy != BackpressureDrop {
-			return true
-		}
-		if st := stats(); st.Dropped > 0 {
-			s.monOverflows.add(1)
-			fail(fmt.Errorf("monitor %s overflowed its %d-event queue; disconnected",
-				conn.RemoteAddr(), s.monQueue))
-			return false
-		}
-		return true
-	}
-	handler := func(batch []*event.Event) {
-		if stats == nil {
-			stats = <-statsCh
-		}
-		if !dropCheck() {
-			return
-		}
-		if d := s.collector.Durable(); d != nil {
-			// Durability barrier: never put an event on the wire before it
-			// is on disk, or a crash would leave this monitor's resume
-			// offset ahead of the recovered stream. Usually a no-op — the
-			// ingestion path already synced these events.
-			if err := d.barrier(); err != nil {
-				fail(fmt.Errorf("durability barrier: %w", err))
-				return
-			}
-		}
-		// Replication barrier: never put an event on a monitor wire
-		// before an attached replica has it, or a failover would leave
-		// this monitor's resume offset ahead of the promoted standby's
-		// stream. Lifts the moment no replica is attached.
-		s.collector.replBarrier()
-		// The whole batch is framed into the connection's buffer and
-		// leaves in one flush (earlier only if the buffer fills). The
-		// frame writer's delta baseline is touched only here, on the
-		// subscription's consumer goroutine, so encoding order equals
-		// stream order — which the baseline depends on.
-		fwMu.Lock()
-		entries := 0
-		for _, e := range batch {
-			entries += fw.event(e, readablePartner(e), true)
-		}
-		err := flush()
-		fwMu.Unlock()
-		s.vcEntriesSent.add(int64(entries))
-		if err != nil {
-			fail(fmt.Errorf("encoding to monitor: %w", err))
-			return
-		}
-		dropCheck()
-	}
-	sub, err := s.collector.SubscribeBatchReplayFrom(h.from, handler, AsyncOptions{
-		QueueDepth: s.monQueue,
-		Policy:     s.monPolicy,
-		OnTrace: func(t event.TraceID, name string) {
-			fwMu.Lock()
-			fw.trace(t, name)
-			fwMu.Unlock()
-		},
-	})
+// outbound is the sending side of a session. Its writers — a cursor's
+// goroutine, the heartbeats, the drain and end frames, a target's acks —
+// share its frame writer, each holding mu from first frame to flush.
+type outbound struct {
+	fw   *frameWriter
+	peer string // the role written to, for errors
+	mu   sync.Mutex
+	// last is when the last flush ended, in Unix nanoseconds.
+	last atomic.Int64
+}
+
+// send frames under mu and flushes once.
+func (o *outbound) send(frames func(*frameWriter)) error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	frames(o.fw)
+	err := o.fw.flush()
+	o.last.Store(time.Now().UnixNano())
 	if err != nil {
-		// Only reachable when a concurrent retention trim overtook the
-		// offset between validation and subscription.
-		return err
+		return fmt.Errorf("writing to %s: %w", o.peer, err)
 	}
-	defer sub.Cancel()
-	statsCh <- sub.Stats
+	return nil
+}
 
-	// Idle heartbeats: a quiet collector must still be distinguishable
-	// from a dead server on the client side.
-	hbStop := make(chan struct{})
-	defer close(hbStop)
+// listen reads the peer's frames, handing each to on, until the peer
+// hangs up or stays silent past the connection's read timeout (if any);
+// the returned channel closes then, and so does the connection.
+func (s *Server) listen(conn *link, fr *frameReader, on func(*frame)) <-chan struct{} {
+	gone := make(chan struct{})
 	go func() {
-		t := time.NewTicker(s.hbInterval)
-		defer t.Stop()
+		defer close(gone)
+		var f frame
 		for {
-			select {
-			case <-hbStop:
+			if err := fr.next(&f); err != nil {
+				if isTimeout(err) {
+					s.peerTimeouts.add(1)
+					s.logf("poet server: %s silent for %v; presumed dead", conn.RemoteAddr(), conn.readTimeout)
+				}
+				_ = conn.Close()
 				return
-			case <-t.C:
-				if time.Since(time.Unix(0, lastWrite.Load())) < s.hbInterval {
-					continue
-				}
-				if err := writeSignal(frameHeartbeat); err != nil {
-					fail(fmt.Errorf("heartbeat to monitor: %w", err))
-					return
-				}
-				s.heartbeats.add(1)
 			}
+			on(&f)
 		}
 	}()
+	return gone
+}
 
-	// Monitors never send after the hello; a background read doubles as
-	// a close detector.
-	done := make(chan struct{})
-	go func() {
-		_, _ = conn.br.ReadByte()
-		close(done)
-	}()
-
-	drain := s.drainCh
+// stream is the loop of every session that streams a log: cur's
+// goroutine frames each span and flushes it once, while stream sends a
+// heartbeat — behind a head frame with head(), when head is set — once
+// nothing was flushed for a heartbeat interval, so the peer can tell a
+// quiet stream from a dead server, and a drain notice when drain fires.
+// It ends when the peer hangs up (gone), when the cursor ends by itself
+// (a write failure, a broken WAL, a lag eviction: its error), or on
+// server Close, where the cursor drains to the head and the bye frames
+// end the stream (End; Drain then End for a replica, which promotes on
+// either, and a shard peer, which rotates to the standby).
+func (s *Server) stream(o *outbound, cur *cursor, gone, drain <-chan struct{}, head func() int, bye ...byte) error {
+	defer cur.close()
+	hb := time.NewTicker(s.hbInterval)
+	defer hb.Stop()
 	for {
 		select {
-		case err := <-errc:
-			return err
-		case <-done:
-			// Prefer a recorded failure over the close it provoked.
-			select {
-			case err := <-errc:
-				return err
-			default:
-				return nil
+		case <-cur.done:
+			return cur.err
+		case <-gone:
+			return nil
+		case <-hb.C:
+			if time.Since(time.Unix(0, o.last.Load())) < s.hbInterval {
+				continue
 			}
+			err := o.send(func(fw *frameWriter) {
+				if head != nil {
+					fw.head(head())
+				}
+				fw.signal(frameHeartbeat)
+			})
+			if err != nil {
+				return err
+			}
+			s.heartbeats.add(1)
 		case <-drain:
-			// Advise the client to move to a healthy peer. Pooled
-			// monitors fail over on the notice; single-endpoint clients
-			// ignore it, so keep serving until End/close.
+			// Advise the peer to move to a healthy one. Pooled peers fail
+			// over on the notice; single-endpoint ones ignore it, so keep
+			// serving until End/close.
 			drain = nil
-			if err := writeSignal(frameDrain); err != nil {
-				return fmt.Errorf("drain frame: %w", err)
+			if err := o.send(func(fw *frameWriter) { fw.signal(frameDrain) }); err != nil {
+				return err
 			}
 		case <-s.closing:
-			// Graceful shutdown: drain the cursor (Cancel flushes the handler)
-			// and mark the clean end of stream.
-			sub.Cancel()
-			select {
-			case err := <-errc:
+			if err := cur.close(); err != nil {
 				return err
-			default:
 			}
-			if err := writeSignal(frameEnd); err != nil {
-				return fmt.Errorf("end frame: %w", err)
-			}
-			return nil
+			return o.send(func(fw *frameWriter) {
+				for _, kind := range bye {
+					fw.signal(kind)
+				}
+			})
 		}
 	}
 }

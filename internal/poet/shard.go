@@ -93,7 +93,6 @@ func (c *Collector) EnableSharding(shardID, numShards int) error {
 	c.numShards = numShards
 	c.remoteSends = make(map[uint64]remoteSend)
 	c.heldRemote = make(map[uint64]time.Time)
-	c.shardX = &tailLog[shardExport]{}
 	return nil
 }
 
@@ -135,7 +134,7 @@ func (c *Collector) ShardStats() ShardStats {
 		return st
 	}
 	st.HomeTraces = c.shardLocals
-	st.Exports = c.shardX.Len()
+	st.Exports = c.exports.Len()
 	st.RemoteSends = len(c.remoteSends)
 	now := time.Now()
 	for m, since := range c.heldRemote {
@@ -199,25 +198,14 @@ func (c *Collector) SupplyRemoteSend(msgID uint64, id event.ID, vc vclock.Stamp)
 	delete(c.heldRemote, msgID)
 	if waiters := c.recvWait[msgID]; len(waiters) > 0 {
 		delete(c.recvWait, msgID)
-		before := c.delivered
 		for _, t := range waiters {
 			c.drain(t, nil)
 		}
 		c.waitFree = append(c.waitFree, waiters[:0])
-		c.paceLocked(before)
 	}
+	c.paceLocked()
 	c.mu.Unlock()
 	return nil
-}
-
-// exportsFrom returns the export records from idx to the end of its
-// chunk, the index just past them, the export-log length, and — when
-// there is nothing to read — the growth signal.
-func (c *Collector) exportsFrom(idx int) (recs []shardExport, next, head int, grew <-chan struct{}) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	recs, next, grew = c.shardX.from(idx)
-	return recs, next, c.shardX.Len(), grew
 }
 
 // ---------------------------------------------------------------------
@@ -225,17 +213,17 @@ func (c *Collector) exportsFrom(idx int) (recs []shardExport, next, head int, gr
 
 // handleShard streams the collector's export log to one peer shard: the
 // suffix past the peer's offset first, then live records as sends are
-// delivered, with idle heartbeats carrying the export head. Timestamps
-// are delta-encoded, so an idle or slowly-changing frontier costs a
-// handful of entries per record. The peer never writes after its hello;
-// a background read doubles as the close detector.
-func (s *Server) handleShard(conn *link, fw *frameWriter, h hello) error {
+// delivered, each span once stable, behind a head frame with the export
+// count, and idle heartbeats carrying it too. Timestamps are
+// delta-encoded, so an idle or slowly-changing frontier costs a handful
+// of entries per record; the baseline is touched only by the cursor's
+// goroutine, so encoding order equals stream order — its invariant.
+func (s *Server) handleShard(conn *link, fr *frameReader, fw *frameWriter, h hello) error {
 	c := s.collector
 	if !c.Sharded() {
 		return refuseHello(fw, roleShard, "sharding not enabled on this collector", false)
 	}
-	_, _, head, _ := c.exportsFrom(0)
-	if h.from > head {
+	if head := c.exportCount(); h.from > head {
 		return refuseHello(fw, roleShard, fmt.Sprintf("cannot resume shard exchange from offset %d (exported %d): this shard did not produce that stream", h.from, head), false)
 	}
 	if err := acceptHello(fw, nil); err != nil {
@@ -244,31 +232,37 @@ func (s *Server) handleShard(conn *link, fw *frameWriter, h hello) error {
 	s.shardSessions.add(1)
 	s.logf("poet server: shard peer %s attached at export offset %d", conn.RemoteAddr(), h.from)
 
-	// Shard peers never send after the hello; a background read doubles
-	// as a close detector.
-	done := make(chan struct{})
-	go func() {
-		_, _ = conn.br.ReadByte()
-		close(done)
-	}()
+	o := &outbound{fw: fw, peer: "shard peer"}
+	var recs []shardExport
+	head := 0
+	cur := c.tail(&cursor{stable: true, head: c.exports.Len,
+		cut: func(from, _ int) int {
+			recs, head = c.exports.Span(from), c.exports.Len()
+			return from + len(recs)
+		},
+		hand: func() error {
+			entries := 0
+			err := o.send(func(fw *frameWriter) {
+				fw.head(head)
+				for i := range recs {
+					entries += fw.export(&recs[i], true)
+				}
+			})
+			s.shardVCEntries.add(int64(entries))
+			s.shardRecords.add(int64(len(recs)))
+			return err
+		},
+	}, h.from)
+	// A shard peer never writes after its hello.
+	return s.stream(o, cur, s.listen(conn, fr, func(*frame) {}), s.drainCh, c.exportCount, frameDrain, frameEnd)
+}
 
-	// The delta baseline is touched only inside this loop, so encoding
-	// order equals stream order — its invariant.
-	idx := h.from
-	return s.streamLog(conn, fw, "shard peer", done, s.drainCh, func() (int, int, <-chan struct{}) {
-		recs, next, head, ch := c.exportsFrom(idx)
-		if len(recs) > 0 {
-			fw.head(head)
-		}
-		entries := 0
-		for i := range recs {
-			entries += fw.export(&recs[i], true)
-		}
-		s.shardVCEntries.add(int64(entries))
-		s.shardRecords.add(int64(len(recs)))
-		idx = next
-		return len(recs), head, ch
-	})
+// exportCount is the export log's length: the head a peer's offset
+// counts in.
+func (c *Collector) exportCount() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.exports.Len()
 }
 
 // ---------------------------------------------------------------------

@@ -202,8 +202,9 @@ const (
 	// BackpressureBlock throttles Report to the slowest monitor; no
 	// event is lost.
 	BackpressureBlock = poet.BackpressureBlock
-	// BackpressureDrop skips a subscriber lagging past its depth ahead,
-	// counting the skipped events in DeliveryStats.Dropped.
+	// BackpressureDrop evicts a subscriber lagging past its depth: it
+	// keeps the gap-free prefix it was handed and gets nothing more, and
+	// DeliveryStats.Dropped counts what it lagged behind by.
 	BackpressureDrop = poet.BackpressureDrop
 )
 
@@ -341,15 +342,14 @@ func WithMaxBatch(n int) Option {
 // WithBackpressure selects what lagging past the depth does. Only
 // BackpressureBlock (the default: ingestion throttles to the slowest
 // monitor) is valid for a Monitor: NewMonitor rejects BackpressureDrop
-// with WithAsyncDelivery, because the matcher's store requires
-// every trace's events to arrive gap-free — a dropped event would not
-// merely cost some matches, it would wedge its whole trace (each later
-// event rejected as out of trace order). Dropping remains available
-// where a gapped stream is handled: a raw batch subscriber
-// (Collector.SubscribeBatch) skips ahead to within its depth of the head
-// (losing the oldest unhanded events, not the newest) and counts the gap
-// in DeliveryStats.Dropped; the TCP server disconnects a lagging monitor
-// connection at its first drop. Only meaningful with WithAsyncDelivery.
+// with WithAsyncDelivery, because the matcher needs the whole stream: an
+// evicted monitor would silently stop matching. Evicting remains available
+// where a consumer can start over: a raw batch subscriber
+// (Collector.SubscribeBatch) is evicted once it lags past its depth — it
+// keeps the gap-free prefix it was handed, gets nothing more, and
+// DeliveryStats.Dropped counts what it lagged behind by — and the TCP
+// server disconnects an evicted monitor connection, which resumes from
+// its offset. Only meaningful with WithAsyncDelivery.
 func WithBackpressure(p BackpressurePolicy) Option {
 	return func(c *config) { c.policy = p }
 }
@@ -499,7 +499,7 @@ func NewMonitor(source string, options ...Option) (*Monitor, error) {
 		o(&m.cfg)
 	}
 	if m.cfg.async && m.cfg.policy == BackpressureDrop {
-		return nil, fmt.Errorf("ocep: WithBackpressure(BackpressureDrop) is incompatible with WithAsyncDelivery: the matcher needs a gap-free per-trace stream, and a dropped event would wedge every later event of its trace; use BackpressureBlock, or Collector.SubscribeBatch for a raw subscriber that tolerates gaps")
+		return nil, fmt.Errorf("ocep: WithBackpressure(BackpressureDrop) is incompatible with WithAsyncDelivery: the matcher needs the whole stream, and an evicted monitor would silently stop matching; use BackpressureBlock, or Collector.SubscribeBatch for a raw subscriber that can start over")
 	}
 	m.instrument()
 	m.matcher = core.NewMatcher(pat, m.cfg.opts)
@@ -764,9 +764,9 @@ func (m *Monitor) Detach() {
 	}
 }
 
-// DeliveryStats returns the async delivery counters: events enqueued,
-// handled and dropped, batches cut, and the current and peak lag. Zero
-// for synchronous or unattached monitors.
+// DeliveryStats returns the async delivery counters: events enqueued
+// and handled, batches cut, and the current and peak lag. Zero for
+// synchronous or unattached monitors.
 func (m *Monitor) DeliveryStats() DeliveryStats {
 	m.mu.Lock()
 	sub := m.sub
