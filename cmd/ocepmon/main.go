@@ -141,16 +141,16 @@ func run() error {
 			mopts = append(mopts, shard.WithDegradeAfter(*degrade))
 		}
 		merged, err := shard.DialMergedMonitor(*addr, mopts,
-			ocep.WithMonitorReconnect(*reconnect),
-			ocep.WithMonitorLog(log.Printf))
+			ocep.WithSessionReconnect(*reconnect),
+			ocep.WithSessionLog(log.Printf))
 		if err != nil {
 			return err
 		}
 		client = merged
 	} else {
 		single, err := ocep.DialMonitor(*addr,
-			ocep.WithMonitorReconnect(*reconnect),
-			ocep.WithMonitorLog(log.Printf))
+			ocep.WithSessionReconnect(*reconnect),
+			ocep.WithSessionLog(log.Printf))
 		if err != nil {
 			return err
 		}

@@ -402,7 +402,7 @@ func run() error {
 			// two exhausted reconnect budgets the follower stops burning
 			// dial loops and probes every 5s until the peer returns.
 			f, err := poet.FollowShardPeer(p, collector,
-				poet.WithShardLog(logf),
+				poet.WithSessionLog(logf),
 				poet.WithShardBreaker(2, 5*time.Second))
 			if err != nil {
 				log.Printf("shard peer %d (%s): %v", i, p, err)
@@ -503,12 +503,12 @@ func run() error {
 
 	var rep *poet.Replicator
 	if *follow != "" {
-		repOpts := []poet.ReplicaOption{
-			poet.WithReplicaLog(logf),
-			poet.WithReplicaHeartbeat(*heartbeat),
+		repOpts := []poet.SessionOption{
+			poet.WithSessionLog(logf),
+			poet.WithSessionHeartbeat(*heartbeat),
 		}
 		if *followBudget > 0 {
-			repOpts = append(repOpts, poet.WithReplicaReconnect(*followBudget))
+			repOpts = append(repOpts, poet.WithSessionReconnect(*followBudget))
 		}
 		rep, err = poet.FollowPrimary(*follow, collector, repOpts...)
 		if err != nil {
@@ -553,8 +553,9 @@ waitLoop:
 			err := following.Err()
 			st := following.Stats()
 			following = nil
-			switch {
-			case err == nil, errors.Is(err, poet.ErrPrimaryDrained), errors.Is(err, poet.ErrStreamInterrupted):
+			// A refused resume wraps ErrStreamInterrupted too, and is fatal.
+			switch rejected := errors.Is(err, poet.ErrSessionRejected); {
+			case err == nil, errors.Is(err, poet.ErrPrimaryDrained), errors.Is(err, poet.ErrStreamInterrupted) && !rejected:
 				reason := "manual stop"
 				if err != nil {
 					reason = err.Error()

@@ -68,18 +68,18 @@ func TestCrashKilledPoetdMatchesCrashFreeRun(t *testing.T) {
 	defer func() { proctest.KillIfAlive(daemon) }()
 
 	rep, err := ocep.DialReporter(addr,
-		ocep.WithReporterBackoff(5*time.Millisecond, 200*time.Millisecond),
-		ocep.WithReporterHeartbeat(20*time.Millisecond),
-		ocep.WithReporterReconnect(60*time.Second),
-		ocep.WithReporterLog(t.Logf))
+		ocep.WithSessionBackoff(5*time.Millisecond, 200*time.Millisecond),
+		ocep.WithSessionHeartbeat(20*time.Millisecond),
+		ocep.WithSessionReconnect(60*time.Second),
+		ocep.WithSessionLog(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rep.Close()
 	cli, err := ocep.DialMonitor(addr,
-		ocep.WithMonitorBackoff(5*time.Millisecond, 200*time.Millisecond),
-		ocep.WithMonitorReconnect(60*time.Second),
-		ocep.WithMonitorLog(t.Logf))
+		ocep.WithSessionBackoff(5*time.Millisecond, 200*time.Millisecond),
+		ocep.WithSessionReconnect(60*time.Second),
+		ocep.WithSessionLog(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,18 +152,18 @@ func runFailoverCase(t *testing.T, poetd string, tc failoverCase) {
 
 	pool := addrP + "," + addrS
 	rep, err := ocep.DialReporter(pool,
-		ocep.WithReporterBackoff(5*time.Millisecond, 200*time.Millisecond),
-		ocep.WithReporterHeartbeat(20*time.Millisecond),
-		ocep.WithReporterReconnect(60*time.Second),
-		ocep.WithReporterLog(t.Logf))
+		ocep.WithSessionBackoff(5*time.Millisecond, 200*time.Millisecond),
+		ocep.WithSessionHeartbeat(20*time.Millisecond),
+		ocep.WithSessionReconnect(60*time.Second),
+		ocep.WithSessionLog(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rep.Close()
 	cli, err := ocep.DialMonitor(pool,
-		ocep.WithMonitorBackoff(5*time.Millisecond, 200*time.Millisecond),
-		ocep.WithMonitorReconnect(60*time.Second),
-		ocep.WithMonitorLog(t.Logf))
+		ocep.WithSessionBackoff(5*time.Millisecond, 200*time.Millisecond),
+		ocep.WithSessionReconnect(60*time.Second),
+		ocep.WithSessionLog(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}

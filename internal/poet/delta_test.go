@@ -114,9 +114,9 @@ func TestDeltaResumeBaselineReset(t *testing.T) {
 		// Throttle so the replay is still in flight when the cuts land.
 		p.SetChunk(256, 200*time.Microsecond)
 		mon, err := DialMonitor(p.Addr(),
-			WithMonitorReconnect(10*time.Second),
-			WithMonitorBackoff(2*time.Millisecond, 50*time.Millisecond),
-			WithMonitorLog(t.Logf))
+			WithSessionReconnect(10*time.Second),
+			WithSessionBackoff(2*time.Millisecond, 50*time.Millisecond),
+			WithSessionLog(t.Logf))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -396,8 +396,8 @@ func TestCrashRecoveryReporterRetransmitExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep, err := DialReporter(addr,
-		WithReporterBackoff(2*time.Millisecond, 50*time.Millisecond),
-		WithReporterReconnect(15*time.Second))
+		WithSessionBackoff(2*time.Millisecond, 50*time.Millisecond),
+		WithSessionReconnect(15*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,8 +476,8 @@ func TestMonitorResumeBeyondRecoveredStreamRejected(t *testing.T) {
 	}
 	defer proxy.Close()
 	cli, err := DialMonitor(proxy.Addr(),
-		WithMonitorBackoff(2*time.Millisecond, 50*time.Millisecond),
-		WithMonitorReconnect(10*time.Second))
+		WithSessionBackoff(2*time.Millisecond, 50*time.Millisecond),
+		WithSessionReconnect(10*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func TestShardExportFailoverStamps(t *testing.T) {
 	// nothing: its link is blackholed.
 	repLink := proxy(addr0)
 	rep, err := poet.FollowPrimary(repLink.Addr(), c0b,
-		poet.WithReplicaHeartbeat(time.Second), poet.WithReplicaLog(t.Logf))
+		poet.WithSessionHeartbeat(time.Second), poet.WithSessionLog(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestShardExportFailoverStamps(t *testing.T) {
 	// Shard 1 follows shard 0's pair, the primary through a proxy.
 	exportLink := proxy(addr0)
 	f1, err := poet.FollowShardPeer(exportLink.Addr()+","+addr0b, c1,
-		poet.WithShardBackoff(2*time.Millisecond, 20*time.Millisecond), poet.WithShardLog(t.Logf))
+		poet.WithSessionBackoff(2*time.Millisecond, 20*time.Millisecond), poet.WithSessionLog(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}

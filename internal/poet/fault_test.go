@@ -43,10 +43,10 @@ func startFaultServer(t *testing.T) (*Collector, *Server, *faultnet.Proxy) {
 func fastReporter(t *testing.T, p *faultnet.Proxy) *Reporter {
 	t.Helper()
 	rep, err := DialReporter(p.Addr(),
-		WithReporterBackoff(2*time.Millisecond, 50*time.Millisecond),
-		WithReporterHeartbeat(20*time.Millisecond),
-		WithReporterReconnect(10*time.Second),
-		WithReporterLog(t.Logf))
+		WithSessionBackoff(2*time.Millisecond, 50*time.Millisecond),
+		WithSessionHeartbeat(20*time.Millisecond),
+		WithSessionReconnect(10*time.Second),
+		WithSessionLog(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,9 +113,9 @@ func TestMonitorResumesGapAndDuplicateFree(t *testing.T) {
 	// the first cut, and the test would prove nothing.
 	p.SetChunk(256, 200*time.Microsecond)
 	mon, err := DialMonitor(p.Addr(),
-		WithMonitorReconnect(10*time.Second),
-		WithMonitorBackoff(2*time.Millisecond, 50*time.Millisecond),
-		WithMonitorLog(t.Logf))
+		WithSessionReconnect(10*time.Second),
+		WithSessionBackoff(2*time.Millisecond, 50*time.Millisecond),
+		WithSessionLog(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestWireSurvivesPartialWrites(t *testing.T) {
 	p.SetChunk(3, 50*time.Microsecond)
 
 	rep := fastReporter(t, p)
-	mon, err := DialMonitor(p.Addr(), WithMonitorReconnect(10*time.Second))
+	mon, err := DialMonitor(p.Addr(), WithSessionReconnect(10*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestHeartbeatsKeepIdleConnectionAlive(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = s.Close() })
 
-	rep, err := DialReporter(addr, WithReporterHeartbeat(25*time.Millisecond), WithReporterLog(t.Logf))
+	rep, err := DialReporter(addr, WithSessionHeartbeat(25*time.Millisecond), WithSessionLog(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,8 +286,8 @@ func TestMonitorDetectsStalledServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	mon, err := DialMonitor(p.Addr(),
-		WithMonitorReconnect(0),
-		WithMonitorReadTimeout(150*time.Millisecond))
+		WithSessionReconnect(0),
+		WithSessionHeartbeat(30*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,6 +311,49 @@ func TestMonitorDetectsStalledServer(t *testing.T) {
 	}
 }
 
+// TestHandshakeSurvivesSlowLink: every role floors its hello-answer
+// deadline at minHandshakeTimeout, so a link far slower than a tuned-down
+// peer timeout still completes the handshake. Through 200ms of latency
+// each way, the hello's answer arrives after 400ms; a monitor and a
+// reporter whose peer timeout is 150ms both connect, and once the link
+// recovers the monitor receives every event the reporter sends.
+func TestHandshakeSurvivesSlowLink(t *testing.T) {
+	_, _, p := startFaultServer(t)
+	p.SetLatency(200 * time.Millisecond)
+	opts := []SessionOption{
+		WithSessionHeartbeat(30 * time.Millisecond), // 150ms peer timeout
+		WithSessionBackoff(2*time.Millisecond, 20*time.Millisecond),
+		WithSessionLog(t.Logf),
+	}
+	mon, err := DialMonitor(p.Addr(), opts...)
+	if err != nil {
+		t.Fatalf("monitor dial over the slow link: %v", err)
+	}
+	defer mon.Close()
+	rep, err := DialReporter(p.Addr(), opts...)
+	if err != nil {
+		t.Fatalf("reporter dial over the slow link: %v", err)
+	}
+	defer rep.Close()
+
+	p.SetLatency(0)
+	const n = 50
+	for i := 1; i <= n; i++ {
+		if err := rep.Report(RawEvent{Trace: "p0", Seq: i, Kind: event.KindInternal, Type: "x"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 1; i <= n; i++ {
+		ev, err := mon.Next()
+		if err != nil {
+			t.Fatalf("event %d: %v", i, err)
+		}
+		if ev.ID.Index != i {
+			t.Fatalf("event %d arrived as %v: the stream has a gap or a duplicate", i, ev.ID)
+		}
+	}
+}
+
 // TestMonitorReconnectBudgetExhausted: when the server is gone for good,
 // a reconnecting client gives up after its budget and reports the
 // interruption with the budget in the error.
@@ -320,9 +363,9 @@ func TestMonitorReconnectBudgetExhausted(t *testing.T) {
 		t.Fatal(err)
 	}
 	mon, err := DialMonitor(p.Addr(),
-		WithMonitorReconnect(200*time.Millisecond),
-		WithMonitorBackoff(10*time.Millisecond, 40*time.Millisecond),
-		WithMonitorReadTimeout(100*time.Millisecond))
+		WithSessionReconnect(200*time.Millisecond),
+		WithSessionBackoff(10*time.Millisecond, 40*time.Millisecond),
+		WithSessionHeartbeat(20*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,9 +395,9 @@ func TestReporterBufferBoundedUnderOutage(t *testing.T) {
 	c, _, p := startFaultServer(t)
 	rep, err := DialReporter(p.Addr(),
 		WithReporterBuffer(64),
-		WithReporterBackoff(2*time.Millisecond, 20*time.Millisecond),
-		WithReporterHeartbeat(20*time.Millisecond),
-		WithReporterLog(t.Logf))
+		WithSessionBackoff(2*time.Millisecond, 20*time.Millisecond),
+		WithSessionHeartbeat(20*time.Millisecond),
+		WithSessionLog(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,9 +447,9 @@ func TestWireFaultSoak(t *testing.T) {
 	c, srv, p := startFaultServer(t)
 	rep := fastReporter(t, p)
 	mon, err := DialMonitor(p.Addr(),
-		WithMonitorReconnect(time.Minute),
-		WithMonitorBackoff(2*time.Millisecond, 50*time.Millisecond),
-		WithMonitorLog(t.Logf))
+		WithSessionReconnect(time.Minute),
+		WithSessionBackoff(2*time.Millisecond, 50*time.Millisecond),
+		WithSessionLog(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}

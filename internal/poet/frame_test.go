@@ -292,7 +292,7 @@ func TestHandshakeAndFramesInOneSegment(t *testing.T) {
 			_, _ = conn.Write(seg.Bytes())
 			_, _ = conn.Read(make([]byte, 1)) // hold the connection until the client is done
 		}()
-		mon, err := DialMonitor(ln.Addr().String(), WithMonitorReconnect(0))
+		mon, err := DialMonitor(ln.Addr().String(), WithSessionReconnect(0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,12 +328,12 @@ func TestLoneEventNeedsNoTimer(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = s.Close() })
-	mon, err := DialMonitor(addr, WithMonitorReadTimeout(time.Hour))
+	mon, err := DialMonitor(addr, WithSessionHeartbeat(12*time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mon.Close()
-	rep, err := DialReporter(addr, WithReporterHeartbeat(time.Hour))
+	rep, err := DialReporter(addr, WithSessionHeartbeat(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,7 +554,7 @@ func TestShardFollowerStopRacesInitialDial(t *testing.T) {
 	if err := c.EnableSharding(0, 2); err != nil {
 		t.Fatal(err)
 	}
-	f, err := FollowShardPeer(ln.Addr().String(), c, WithShardPeerTimeout(time.Minute), WithShardLog(t.Logf))
+	f, err := FollowShardPeer(ln.Addr().String(), c, WithSessionHeartbeat(12*time.Second), WithSessionLog(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}

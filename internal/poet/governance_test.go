@@ -388,7 +388,7 @@ func TestServerOverloadWaitExpires(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = s.Close() })
 
-	rep, err := DialReporter(addr, WithReporterReconnect(0))
+	rep, err := DialReporter(addr, WithSessionReconnect(0))
 	if err != nil {
 		t.Fatal(err)
 	}

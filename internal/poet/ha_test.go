@@ -6,11 +6,13 @@ package poet
 // primary crash (Server.abort, the in-process SIGKILL stand-in).
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -52,10 +54,10 @@ func startReplicatedPair(t *testing.T) (c1 *Collector, s1 *Server, addr1 string,
 	t.Cleanup(func() { _ = s2.Close() })
 
 	rep, err = FollowPrimary(addr1, c2,
-		WithReplicaHeartbeat(20*time.Millisecond),
-		WithReplicaBackoff(2*time.Millisecond, 50*time.Millisecond),
-		WithReplicaReconnect(500*time.Millisecond),
-		WithReplicaLog(t.Logf))
+		WithSessionHeartbeat(20*time.Millisecond),
+		WithSessionBackoff(2*time.Millisecond, 50*time.Millisecond),
+		WithSessionReconnect(500*time.Millisecond),
+		WithSessionLog(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +88,7 @@ func TestReplicaTailsPrimary(t *testing.T) {
 	c1, _, addr1, c2, _, _, _ := startReplicatedPair(t)
 
 	c1West := "explicit-trace"
-	srvRep, err := DialReporter(addr1, WithReporterLog(t.Logf))
+	srvRep, err := DialReporter(addr1, WithSessionLog(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,10 +157,10 @@ func TestReplicaResumesThroughOutage(t *testing.T) {
 
 	c2 := NewCollector()
 	rep, err := FollowPrimary(p.Addr(), c2,
-		WithReplicaHeartbeat(20*time.Millisecond),
-		WithReplicaBackoff(2*time.Millisecond, 50*time.Millisecond),
-		WithReplicaReconnect(10*time.Second),
-		WithReplicaLog(t.Logf))
+		WithSessionHeartbeat(20*time.Millisecond),
+		WithSessionBackoff(2*time.Millisecond, 50*time.Millisecond),
+		WithSessionReconnect(10*time.Second),
+		WithSessionLog(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,9 +210,9 @@ func TestAcksWithheldUntilReplicaConfirms(t *testing.T) {
 	waitFor(t, func() bool { return c.ReplicationStats().Sessions == 1 })
 
 	rep, err := DialReporter(addr,
-		WithReporterHeartbeat(20*time.Millisecond),
-		WithReporterBackoff(2*time.Millisecond, 50*time.Millisecond),
-		WithReporterLog(t.Logf))
+		WithSessionHeartbeat(20*time.Millisecond),
+		WithSessionBackoff(2*time.Millisecond, 50*time.Millisecond),
+		WithSessionLog(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,19 +254,19 @@ func TestFailoverExactlyOnce(t *testing.T) {
 	pool := addr1 + "," + addr2
 
 	wrep, err := DialReporter(pool,
-		WithReporterHeartbeat(20*time.Millisecond),
-		WithReporterBackoff(2*time.Millisecond, 50*time.Millisecond),
-		WithReporterReconnect(30*time.Second),
-		WithReporterLog(t.Logf))
+		WithSessionHeartbeat(20*time.Millisecond),
+		WithSessionBackoff(2*time.Millisecond, 50*time.Millisecond),
+		WithSessionReconnect(30*time.Second),
+		WithSessionLog(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer wrep.Close()
 	mon, err := DialMonitor(pool,
-		WithMonitorBackoff(2*time.Millisecond, 50*time.Millisecond),
-		WithMonitorReconnect(30*time.Second),
-		WithMonitorReadTimeout(2*time.Second),
-		WithMonitorLog(t.Logf))
+		WithSessionBackoff(2*time.Millisecond, 50*time.Millisecond),
+		WithSessionReconnect(30*time.Second),
+		WithSessionHeartbeat(400*time.Millisecond),
+		WithSessionLog(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,17 +339,17 @@ func TestDrainHandsOffMidBatch(t *testing.T) {
 	pool := addr1 + "," + addr2
 
 	wrep, err := DialReporter(pool,
-		WithReporterHeartbeat(20*time.Millisecond),
-		WithReporterBackoff(2*time.Millisecond, 50*time.Millisecond),
-		WithReporterLog(t.Logf))
+		WithSessionHeartbeat(20*time.Millisecond),
+		WithSessionBackoff(2*time.Millisecond, 50*time.Millisecond),
+		WithSessionLog(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer wrep.Close()
 	mon, err := DialMonitor(pool,
-		WithMonitorBackoff(2*time.Millisecond, 50*time.Millisecond),
-		WithMonitorReadTimeout(2*time.Second),
-		WithMonitorLog(t.Logf))
+		WithSessionBackoff(2*time.Millisecond, 50*time.Millisecond),
+		WithSessionHeartbeat(400*time.Millisecond),
+		WithSessionLog(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,10 +461,10 @@ func TestResumeBeyondWatermarkStaysTerminal(t *testing.T) {
 	}
 
 	mon, err := DialMonitor(addrA+","+addrB,
-		WithMonitorBackoff(2*time.Millisecond, 20*time.Millisecond),
-		WithMonitorReconnect(60*time.Second), // a budget this test must NOT consume
-		WithMonitorReadTimeout(200*time.Millisecond),
-		WithMonitorLog(t.Logf))
+		WithSessionBackoff(2*time.Millisecond, 20*time.Millisecond),
+		WithSessionReconnect(60*time.Second), // a budget this test must NOT consume
+		WithSessionHeartbeat(40*time.Millisecond),
+		WithSessionLog(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,14 +508,14 @@ func TestAllEndpointsDownNamesEachError(t *testing.T) {
 		return addr
 	}
 	a, b := deadAddr(), deadAddr()
-	_, err := DialMonitor(a+","+b, WithMonitorBackoff(time.Millisecond, 2*time.Millisecond))
+	_, err := DialMonitor(a+","+b, WithSessionBackoff(time.Millisecond, 2*time.Millisecond))
 	if err == nil {
 		t.Fatalf("dial succeeded against a dead pool")
 	}
 	if !strings.Contains(err.Error(), a) || !strings.Contains(err.Error(), b) {
 		t.Fatalf("dead-pool error %q does not name both endpoints", err)
 	}
-	_, err = DialReporter(a+","+b, WithReporterBackoff(time.Millisecond, 2*time.Millisecond))
+	_, err = DialReporter(a+","+b, WithSessionBackoff(time.Millisecond, 2*time.Millisecond))
 	if err == nil {
 		t.Fatalf("reporter dial succeeded against a dead pool")
 	}
@@ -522,61 +524,239 @@ func TestAllEndpointsDownNamesEachError(t *testing.T) {
 	}
 }
 
-// TestCloseInterruptsBackoff parks both client types in a long reconnect
-// backoff and requires Close to return promptly — the regression test
-// for the interruptible-sleep refactor (a bare time.Sleep here used to
-// hold Close hostage for the rest of the backoff).
-func TestCloseInterruptsBackoff(t *testing.T) {
-	c := NewCollector()
-	s := NewServer(c, t.Logf)
-	addr, err := s.Listen("127.0.0.1:0")
+// fakePeer is the server end of any role's session: it accepts the
+// first hello with an acks frame and cuts the session at once. After
+// that it either refuses every hello terminally (refuse) or stops
+// listening, so dials fail. hellos counts the hellos it read.
+type fakePeer struct {
+	ln     net.Listener
+	hellos atomic.Int32
+}
+
+func startFakePeer(t *testing.T, refuse bool) *fakePeer {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	rep, err := DialReporter(addr,
-		WithReporterBackoff(30*time.Second, 60*time.Second),
-		WithReporterReconnect(10*time.Minute),
-		WithReporterHeartbeat(20*time.Millisecond),
-		WithReporterLog(t.Logf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon, err := DialMonitor(addr,
-		WithMonitorBackoff(30*time.Second, 60*time.Second),
-		WithMonitorReconnect(10*time.Minute),
-		WithMonitorReadTimeout(100*time.Millisecond),
-		WithMonitorLog(t.Logf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Keep the reporter's buffer non-empty so its sender must reconnect
-	// (an idle closed reporter would just exit).
-	if err := rep.Report(RawEvent{Trace: "p0", Seq: 1, Kind: event.KindInternal, Type: "x"}); err != nil {
-		t.Fatal(err)
-	}
-
-	s.abort() // sever without End frames: both clients enter reconnect
-
-	nextDone := make(chan struct{})
+	t.Cleanup(func() { _ = ln.Close() })
+	p := &fakePeer{ln: ln}
 	go func() {
-		defer close(nextDone)
-		_, _ = mon.Next() // parks in resume's backoff sleep
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			var f frame
+			if (&frameReader{br: bufio.NewReader(conn)}).next(&f) == nil {
+				fw := newFrameWriter(conn)
+				first := p.hellos.Add(1) == 1
+				if first {
+					fw.acks(nil)
+				} else {
+					fw.refuse("fake peer refuses every session but the first", false)
+				}
+				_ = fw.flush()
+				if first && !refuse {
+					_ = ln.Close()
+				}
+			}
+			_ = conn.Close()
+		}
 	}()
-	// Give both reconnect loops time to reach their 30s sleeps.
-	time.Sleep(200 * time.Millisecond)
+	return p
+}
 
-	start := time.Now()
-	_ = rep.Close()
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("reporter Close took %v during backoff, want prompt return", elapsed)
+// roleClient is one wire client under test, whatever its role: its
+// engine, a channel that yields why it ended (nil for a stop), and how
+// to stop it.
+type roleClient struct {
+	engine *wireClient
+	ended  <-chan error
+	stop   func()
+}
+
+func endedWith(done <-chan struct{}, why func() error) <-chan error {
+	ended := make(chan error, 1)
+	go func() {
+		<-done
+		ended <- why()
+	}()
+	return ended
+}
+
+// sessionRoles starts each of the four wire clients against addr.
+var sessionRoles = []struct {
+	name  string
+	start func(addr string, opts []SessionOption) (roleClient, error)
+}{
+	{"reporter", func(addr string, opts []SessionOption) (roleClient, error) {
+		r, err := DialReporter(addr, opts...)
+		if err != nil {
+			return roleClient{}, err
+		}
+		return roleClient{&r.wireClient, endedWith(r.done, r.Err), func() { _ = r.Close() }}, nil
+	}},
+	{"monitor", func(addr string, opts []SessionOption) (roleClient, error) {
+		m, err := DialMonitor(addr, opts...)
+		if err != nil {
+			return roleClient{}, err
+		}
+		// A monitor redials inside Next, so Next runs until the stream ends.
+		ended := make(chan error, 1)
+		go func() {
+			for {
+				if _, err := m.Next(); err != nil {
+					if err == io.EOF {
+						err = nil
+					}
+					ended <- err
+					return
+				}
+			}
+		}()
+		return roleClient{&m.wireClient, ended, func() { _ = m.Close() }}, nil
+	}},
+	{"replica", func(addr string, opts []SessionOption) (roleClient, error) {
+		r, err := FollowPrimary(addr, NewCollector(), opts...)
+		if err != nil {
+			return roleClient{}, err
+		}
+		return roleClient{&r.wireClient, endedWith(r.Done(), r.Err), r.Stop}, nil
+	}},
+	{"shard", func(addr string, opts []SessionOption) (roleClient, error) {
+		c := NewCollector()
+		if err := c.EnableSharding(1, 2); err != nil {
+			return roleClient{}, err
+		}
+		f, err := FollowShardPeer(addr, c, opts...)
+		if err != nil {
+			return roleClient{}, err
+		}
+		return roleClient{&f.wireClient, endedWith(f.Done(), f.Err), f.Stop}, nil
+	}},
+}
+
+// TestCloseInterruptsBackoff runs every wire role through the ways a
+// session engine ends, against a peer that cuts the first session:
+//   - stopped while parked in a 30s reconnect backoff, it ends within 2s
+//     with no error (a bare time.Sleep once held Close hostage there);
+//   - with its reconnect budget spent, it ends with an
+//     ErrStreamInterrupted wrap that says so;
+//   - given a breaker, only the shard follower holds on past a spent
+//     budget, probing; every other role still ends as above;
+//   - refused terminally on redial, it ends with ErrSessionRejected at
+//     once, without trying again;
+//   - with a zero budget, the first dial's round is all it gets: no
+//     redial after the cut, though the peer still listens.
+func TestCloseInterruptsBackoff(t *testing.T) {
+	rows := []struct {
+		name   string
+		refuse bool
+		opts   []SessionOption
+		check  func(t *testing.T, p *fakePeer, c roleClient)
+	}{
+		{"stopped in backoff", false, []SessionOption{WithSessionBackoff(30*time.Second, 60*time.Second), WithSessionReconnect(10 * time.Minute)},
+			func(t *testing.T, p *fakePeer, c roleClient) {
+				// A failed redial charges the endpoint; the next sleep is ≥ 15s.
+				waitFor(t, func() bool { return c.engine.eps.Snapshot()[0].ConsecutiveFailures > 0 })
+				// A role's stop may itself wait for the client to end (the
+				// replica's does), so the stop call is what the 2s bounds.
+				start := time.Now()
+				stopped := make(chan struct{})
+				go func() {
+					c.stop()
+					close(stopped)
+				}()
+				select {
+				case <-stopped:
+				case <-time.After(2 * time.Second):
+					t.Fatalf("stop still blocked on the backoff %v after it was called", time.Since(start))
+				}
+				select {
+				case err := <-c.ended:
+					if err != nil {
+						t.Fatalf("stopped client ended with %v, want nil", err)
+					}
+				case <-time.After(2*time.Second - time.Since(start)):
+					t.Fatalf("client still parked in its backoff %v after the stop", time.Since(start))
+				}
+			}},
+		{"budget exhausted", false, []SessionOption{WithSessionBackoff(5*time.Millisecond, 10*time.Millisecond), WithSessionReconnect(50 * time.Millisecond)},
+			func(t *testing.T, p *fakePeer, c roleClient) {
+				err := awaitEnd(t, c)
+				if !errors.Is(err, ErrStreamInterrupted) || !strings.Contains(err.Error(), "budget") {
+					t.Fatalf("ended with %v, want an ErrStreamInterrupted wrap naming the exhausted budget", err)
+				}
+			}},
+		{"breaker only on the shard follower", false, []SessionOption{WithSessionBackoff(5*time.Millisecond, 10*time.Millisecond), WithSessionReconnect(50 * time.Millisecond), WithShardBreaker(1, 20*time.Millisecond)},
+			func(t *testing.T, p *fakePeer, c roleClient) {
+				if c.engine.name != "shard" {
+					// Any other role ignores the breaker: a standby must
+					// still end, and promote, on an exhausted budget.
+					err := awaitEnd(t, c)
+					if !errors.Is(err, ErrStreamInterrupted) || !strings.Contains(err.Error(), "budget") {
+						t.Fatalf("ended with %v, want an ErrStreamInterrupted wrap naming the exhausted budget", err)
+					}
+					return
+				}
+				waitFor(t, func() bool {
+					c.engine.mu.Lock()
+					defer c.engine.mu.Unlock()
+					return c.engine.breaker != BreakerClosed
+				})
+				select {
+				case err := <-c.ended:
+					t.Fatalf("shard follower with an open breaker ended with %v; want it probing", err)
+				case <-time.After(200 * time.Millisecond):
+				}
+			}},
+		{"terminal refusal", true, []SessionOption{WithSessionBackoff(time.Millisecond, 2*time.Millisecond), WithSessionReconnect(10 * time.Second)},
+			func(t *testing.T, p *fakePeer, c roleClient) {
+				err := awaitEnd(t, c)
+				if !errors.Is(err, ErrSessionRejected) || !errors.Is(err, ErrStreamInterrupted) {
+					t.Fatalf("ended with %v, want ErrSessionRejected in an ErrStreamInterrupted wrap", err)
+				}
+				if n := p.hellos.Load(); n != 2 {
+					t.Fatalf("peer read %d hellos, want 2: a terminal refusal is not retried", n)
+				}
+			}},
+		{"zero budget", true, []SessionOption{WithSessionBackoff(time.Millisecond, 2*time.Millisecond), WithSessionReconnect(0)},
+			func(t *testing.T, p *fakePeer, c roleClient) {
+				err := awaitEnd(t, c)
+				if !errors.Is(err, ErrStreamInterrupted) || !strings.Contains(err.Error(), "reconnection disabled") {
+					t.Fatalf("ended with %v, want an ErrStreamInterrupted wrap: reconnection disabled", err)
+				}
+				// The peer still listens: a redial would have reached it.
+				if n := p.hellos.Load(); n != 1 {
+					t.Fatalf("peer read %d hellos, want 1: a zero budget redials nothing", n)
+				}
+			}},
 	}
-	start = time.Now()
-	_ = mon.Close()
+	for _, row := range rows {
+		for _, role := range sessionRoles {
+			t.Run(row.name+"/"+role.name, func(t *testing.T) {
+				p := startFakePeer(t, row.refuse)
+				c, err := role.start(p.ln.Addr().String(), append(row.opts, WithSessionLog(t.Logf)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.stop()
+				row.check(t, p, c)
+			})
+		}
+	}
+}
+
+// awaitEnd waits for a client to end on its own and returns why.
+func awaitEnd(t *testing.T, c roleClient) error {
+	t.Helper()
 	select {
-	case <-nextDone:
-	case <-time.After(2 * time.Second):
-		t.Fatalf("monitor Next still blocked %v after Close during backoff", time.Since(start))
+	case err := <-c.ended:
+		return err
+	case <-time.After(5 * time.Second):
+		t.Fatal("client did not end within 5s")
+		return nil
 	}
 }
 
@@ -607,16 +787,16 @@ func TestDrainWithNoHealthyAlternativeEndsCleanly(t *testing.T) {
 	pool := dead + "," + addr
 
 	wrep, err := DialReporter(pool,
-		WithReporterBackoff(2*time.Millisecond, 50*time.Millisecond),
-		WithReporterLog(t.Logf))
+		WithSessionBackoff(2*time.Millisecond, 50*time.Millisecond),
+		WithSessionLog(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer wrep.Close()
 	mon, err := DialMonitor(pool,
-		WithMonitorBackoff(2*time.Millisecond, 50*time.Millisecond),
-		WithMonitorReadTimeout(2*time.Second),
-		WithMonitorLog(t.Logf))
+		WithSessionBackoff(2*time.Millisecond, 50*time.Millisecond),
+		WithSessionHeartbeat(400*time.Millisecond),
+		WithSessionLog(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -293,7 +293,7 @@ func TestRecoveryReproducesReplicaStream(t *testing.T) {
 					}
 				}
 				sent := s1.WireStats().ReplicaEvents
-				rep, err := FollowPrimary(addr, c2, WithReplicaHeartbeat(20*time.Millisecond), WithReplicaLog(t.Logf))
+				rep, err := FollowPrimary(addr, c2, WithSessionHeartbeat(20*time.Millisecond), WithSessionLog(t.Logf))
 				if err != nil {
 					t.Fatalf("replica at offset %d: %v", applied, err)
 				}
@@ -523,7 +523,7 @@ func TestReplicaWithRetentionConverges(t *testing.T) {
 	if err := c2.SetRetention(64); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := FollowPrimary(addr, c2, WithReplicaHeartbeat(20*time.Millisecond), WithReplicaLog(t.Logf))
+	rep, err := FollowPrimary(addr, c2, WithSessionHeartbeat(20*time.Millisecond), WithSessionLog(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,7 +140,7 @@ type QueryClient struct {
 // DialQuery connects to a POET server as a query client.
 func DialQuery(addr string) (*QueryClient, error) {
 	cfg := defaultClientCfg()
-	s, err := dialSession(addr, hello{role: roleQuery}, &cfg, cfg.peerTimeout)
+	s, err := dialSession(addr, hello{role: roleQuery}, &cfg)
 	if err != nil {
 		return nil, fmt.Errorf("poet query: %w", err)
 	}

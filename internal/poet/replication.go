@@ -3,12 +3,10 @@ package poet
 import (
 	"errors"
 	"fmt"
-	"net"
 	"time"
 
 	"ocep/internal/backoff"
 	"ocep/internal/fifo"
-	"ocep/internal/pool"
 )
 
 // Warm-standby replication. A primary collector that keeps its journal
@@ -286,68 +284,11 @@ const DefaultDrainWait = 5 * time.Second
 // ---------------------------------------------------------------------
 // Follower side: the Replicator client.
 
-// ReplicaOption configures FollowPrimary.
-type ReplicaOption func(*replCfg)
-
-type replCfg struct {
-	clientCfg
-	heartbeat time.Duration
-}
-
 // defaultReplicaBudget is deliberately shorter than the client default:
 // the standby and primary share a failure domain boundary the clients
 // wait behind — promotion must happen while reporter and monitor pools
 // still have reconnect budget left to reach the promoted standby.
 const defaultReplicaBudget = 10 * time.Second
-
-func defaultReplCfg() replCfg {
-	cfg := replCfg{clientCfg: defaultClientCfg(), heartbeat: defaultHeartbeat}
-	cfg.reconnectBudget = defaultReplicaBudget
-	return cfg
-}
-
-// WithReplicaReconnect bounds the cumulative backoff spent redialing the
-// primary per outage; exhausting it declares the primary dead (the
-// Replicator finishes with an ErrStreamInterrupted-wrapping error, the
-// standby's cue to promote).
-func WithReplicaReconnect(budget time.Duration) ReplicaOption {
-	return func(c *replCfg) { c.reconnectBudget = budget }
-}
-
-// WithReplicaHeartbeat sets the confirmation/keep-alive cadence toward
-// the primary and scales the dead-peer timeout to 5x.
-func WithReplicaHeartbeat(d time.Duration) ReplicaOption {
-	return func(c *replCfg) {
-		if d > 0 {
-			c.heartbeat = d
-			c.peerTimeout = 5 * d
-		}
-	}
-}
-
-// WithReplicaPeerTimeout overrides how long the replica waits for a
-// record or heartbeat before declaring the connection dead.
-func WithReplicaPeerTimeout(d time.Duration) ReplicaOption {
-	return func(c *replCfg) {
-		if d > 0 {
-			c.peerTimeout = d
-		}
-	}
-}
-
-// WithReplicaBackoff overrides the reconnect backoff schedule.
-func WithReplicaBackoff(base, max time.Duration) ReplicaOption {
-	return func(c *replCfg) { c.backoffBase, c.backoffMax = base, max }
-}
-
-// WithReplicaLog routes replication diagnostics to logf.
-func WithReplicaLog(logf func(string, ...any)) ReplicaOption {
-	return func(c *replCfg) {
-		if logf != nil {
-			c.logf = logf
-		}
-	}
-}
 
 // ReplicatorStats are a follower's cumulative replication counters.
 type ReplicatorStats struct {
@@ -368,77 +309,54 @@ type ReplicatorStats struct {
 // durable) logs everything, so a crashed standby recovers and resumes
 // from its exact applied offset.
 type Replicator struct {
-	addr string
-	c    *Collector
-	cfg  replCfg
-
-	follower                 // guards the fields below too
-	wake       chan struct{} // current connection's acker wake signal
+	wireClient // its mu guards the fields below too
+	c          *Collector
+	wake       chan struct{} // the live session's acker wake signal
 	head       int
-	reconnects int
 }
 
 // FollowPrimary connects to the primary at addr as a replica and starts
 // tailing its record stream into c. The initial dial and handshake are
 // synchronous (a misconfigured primary fails fast); subsequent outages
-// are ridden out by the reconnect budget. The caller decides what
-// finishing means: watch Done and classify Err — ErrPrimaryDrained or
-// an ErrStreamInterrupted wrap mean "promote", a terminal
-// ErrSessionRejected means the pairing is wrong, nil means Stop was
+// are ridden out by the reconnect budget, 10s unless
+// WithSessionReconnect says otherwise. The caller decides what
+// finishing means: watch Done and classify Err — a terminal
+// ErrSessionRejected means the pairing is wrong, ErrPrimaryDrained or
+// another ErrStreamInterrupted wrap mean "promote", nil means Stop was
 // called (manual promotion).
-func FollowPrimary(addr string, c *Collector, opts ...ReplicaOption) (*Replicator, error) {
-	cfg := defaultReplCfg()
-	for _, o := range opts {
-		o(&cfg)
+func FollowPrimary(addr string, c *Collector, opts ...SessionOption) (*Replicator, error) {
+	cfg := defaultClientCfg()
+	cfg.reconnectBudget = defaultReplicaBudget
+	r := &Replicator{c: c}
+	if err := r.init("replica", addr, cfg, opts, r); err != nil {
+		return nil, err
 	}
-	r := &Replicator{addr: addr, c: c, cfg: cfg}
-	r.stopCh, r.done = make(chan struct{}), make(chan struct{})
-	conn, err := r.connect()
-	if err != nil {
-		return nil, fmt.Errorf("poet replica: %w", err)
-	}
-	go r.run(conn)
-	return r, nil
-}
-
-// connect dials the primary and completes the replica handshake,
-// resuming from the local collector's ingest count.
-func (r *Replicator) connect() (*link, error) {
-	s, err := dialSession(r.addr, hello{role: roleReplica, from: r.c.IngestCount()},
-		&r.cfg.clientCfg, max(r.cfg.peerTimeout, minHandshakeTimeout))
+	s, err := r.connect()
 	if err != nil {
 		return nil, err
 	}
+	go r.run(s, r.serve)
+	return r, nil
+}
+
+// greet resumes from the local collector's ingest count.
+func (r *Replicator) greet() hello { return hello{role: roleReplica, from: r.c.IngestCount()} }
+
+// attach starts the session's confirmation sender: an ack immediately
+// after each applied burst (the stable watermark's latency), heartbeats
+// when idle.
+func (r *Replicator) attach(s *session) {
 	wake := make(chan struct{}, 1)
 	r.mu.Lock()
-	live := r.publishLocked(s.link)
 	r.wake = wake
 	r.mu.Unlock()
-	if !live {
-		return nil, ErrClientClosed
-	}
-	// Confirmation sender for this connection: an ack immediately after
-	// each applied burst (the stable watermark's latency), heartbeats when idle.
-	go r.acker(s.link, s.fw, wake)
-	return s.link, nil
+	go r.acker(s, wake)
 }
 
-// signalAck wakes the current connection's acker; buffered so the apply
-// loop never blocks.
-func (r *Replicator) signalAck() {
-	r.mu.Lock()
-	wake := r.wake
-	r.mu.Unlock()
-	select {
-	case wake <- struct{}{}:
-	default:
-	}
-}
-
-// acker confirms on one connection until it dies: a head frame with the
+// acker confirms on one session until it dies: a head frame with the
 // applied count when it advanced, a heartbeat frame when the timer fires
 // on an unchanged one.
-func (r *Replicator) acker(conn net.Conn, fw *frameWriter, wake chan struct{}) {
+func (r *Replicator) acker(s *session, wake chan struct{}) {
 	t := time.NewTimer(r.cfg.heartbeat)
 	defer t.Stop()
 	last := -1
@@ -455,14 +373,14 @@ func (r *Replicator) acker(conn net.Conn, fw *frameWriter, wake chan struct{}) {
 		applied := r.c.IngestCount()
 		switch {
 		case applied != last:
-			fw.head(applied)
+			s.fw.head(applied)
 		case hb:
-			fw.signal(frameHeartbeat)
+			s.fw.signal(frameHeartbeat)
 		default:
 			continue
 		}
-		if err := fw.flush(); err != nil {
-			_ = conn.Close()
+		if err := s.fw.flush(); err != nil {
+			_ = s.Close()
 			return
 		}
 		last = applied
@@ -472,69 +390,19 @@ func (r *Replicator) acker(conn net.Conn, fw *frameWriter, wake chan struct{}) {
 	}
 }
 
-// run is the replica's session loop: apply the stream, reconnect on
-// transport faults, finish on drain, stop, terminal rejection, or
-// budget exhaustion.
-func (r *Replicator) run(conn *link) {
-	defer close(r.done)
-	for {
-		cause := r.session(conn)
-		_ = conn.Close()
-		if errors.Is(cause, ErrPrimaryDrained) {
-			r.finish(ErrPrimaryDrained)
-			return
-		}
-		if r.isStopped() {
-			r.finish(nil)
-			return
-		}
-		if cause != nil && !isTransport(cause) {
-			r.finish(cause)
-			return
-		}
-		c, err := r.reconnect(cause)
-		if err != nil {
-			r.finish(err)
-			return
-		}
-		if c == nil {
-			// Stopped mid-backoff: reconnect bailed without a connection.
-			r.finish(nil)
-			return
-		}
-		conn = c
-	}
-}
-
-// isTransport reports whether cause is worth redialing: anything except
-// a divergence the stream itself reported (apply errors, protocol
-// violations) is.
-func isTransport(err error) bool {
-	var de *divergenceError
-	return !errors.As(err, &de)
-}
-
-// divergenceError marks causes that redialing cannot fix: the local
-// collector refused a record the primary ingested.
-type divergenceError struct{ err error }
-
-func (d *divergenceError) Error() string { return d.err.Error() }
-func (d *divergenceError) Unwrap() error { return d.err }
-
-// session applies one connection's stream until it ends.
-func (r *Replicator) session(conn *link) error {
-	fr := &frameReader{br: conn.br}
+// serve applies one session's stream until it ends.
+func (r *Replicator) serve(s *session) error {
+	r.mu.Lock()
+	wake := r.wake
+	r.mu.Unlock()
 	var f frame
 	for {
-		if err := fr.next(&f); err != nil {
-			if isTimeout(err) {
-				r.cfg.logf("poet replica: no record or heartbeat from %s in %v; reconnecting", r.addr, r.cfg.peerTimeout)
-			}
+		if err := s.fr.next(&f); err != nil {
 			return err
 		}
 		switch f.kind {
 		case frameDrain, frameEnd:
-			return ErrPrimaryDrained
+			return terminal(ErrPrimaryDrained)
 		case frameHead:
 			r.mu.Lock()
 			if f.head > r.head {
@@ -551,7 +419,7 @@ func (r *Replicator) session(conn *link) error {
 				// The primary applied this remote send; a local refusal
 				// (e.g. sharding not enabled here) is a configuration
 				// divergence redialing cannot fix.
-				return &divergenceError{fmt.Errorf("poet replica: applying remote send %d: %w", f.exp.MsgID, err)}
+				return terminal(fmt.Errorf("poet replica: applying remote send %d: %w", f.exp.MsgID, err))
 			}
 		case frameRaw:
 			err := r.c.Report(f.raw)
@@ -559,45 +427,37 @@ func (r *Replicator) session(conn *link) error {
 				// The primary ingested this record; a local refusal means
 				// the two collectors have diverged (or the local disk
 				// died). Redialing replays the same record — surface it.
-				return &divergenceError{fmt.Errorf("poet replica: applying %s/%d: %w", f.raw.Trace, f.raw.Seq, err)}
+				return terminal(fmt.Errorf("poet replica: applying %s/%d: %w", f.raw.Trace, f.raw.Seq, err))
 			}
 		default:
-			return &divergenceError{fmt.Errorf("poet replica: unexpected kind-%d frame on a replica stream", f.kind)}
+			return terminal(fmt.Errorf("poet replica: unexpected kind-%d frame on a replica stream", f.kind))
 		}
 		// Confirm once per applied burst, when the inbound buffer runs
 		// dry — not once per record: a heartbeat keeps our side of the
 		// liveness conversation, a record moves the primary's watermark.
-		if conn.br.Buffered() == 0 {
-			r.signalAck()
+		if s.br.Buffered() == 0 {
+			select {
+			case wake <- struct{}{}:
+			default:
+			}
 		}
 	}
 }
 
-// reconnect redials the primary until the budget is exhausted. Returns a
-// nil conn when stopped (run notices and finishes nil).
-func (r *Replicator) reconnect(cause error) (conn *link, err error) {
-	if r.cfg.reconnectBudget <= 0 {
-		return nil, fmt.Errorf("poet replica: %w (cause: %v; reconnection disabled)", ErrStreamInterrupted, cause)
-	}
-	eps := pool.New([]string{r.addr}, r.cfg.backoffBase, r.cfg.backoffMax)
-	err = redial(eps, r.cfg.reconnectBudget, r.stopCh, func(string) error {
-		if conn, err = r.connect(); err != nil {
-			return err
-		}
-		r.mu.Lock()
-		r.reconnects++
-		r.mu.Unlock()
-		r.cfg.logf("poet replica: resumed replication from %s at offset %d", r.addr, r.c.IngestCount())
-		return nil
-	})
-	switch {
-	case err == nil || errors.Is(err, ErrClientClosed):
-		return conn, nil
-	case errors.Is(err, ErrSessionRejected):
-		return nil, err
-	}
-	return nil, fmt.Errorf("poet replica: %w; primary unreachable: %v", ErrStreamInterrupted, err)
-}
+// Stop detaches from the primary (manual promotion). The caller should
+// wait on Done for the session goroutine.
+func (r *Replicator) Stop() { r.stop(true) }
+
+// Done is closed when following has stopped, for any reason; Err then
+// says why.
+func (r *Replicator) Done() <-chan struct{} { return r.done }
+
+// Err returns why following ended: nil (Stop was called),
+// ErrPrimaryDrained (clean handoff), an ErrStreamInterrupted wrap
+// (primary unreachable past the reconnect budget — a standby's cue to
+// promote; test for ErrSessionRejected first: a terminal refusal of the
+// resumed session wraps both), or a record the local collector refused.
+func (r *Replicator) Err() error { return r.failure() }
 
 // Stats returns the follower-side replication counters.
 func (r *Replicator) Stats() ReplicatorStats {

@@ -137,7 +137,7 @@ func TestServerLaggardDisconnectGapFree(t *testing.T) {
 
 	// Reconnect disabled: a reconnecting client would transparently heal
 	// the cut by resuming, which is exactly what this test must not allow.
-	mon, err := DialMonitor(addr, WithMonitorReconnect(0))
+	mon, err := DialMonitor(addr, WithSessionReconnect(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"ocep/internal/backoff"
 	"ocep/internal/event"
-	"ocep/internal/pool"
 	"ocep/internal/vclock"
 )
 
@@ -268,76 +266,6 @@ func (c *Collector) exportCount() int {
 // ---------------------------------------------------------------------
 // Follower side: the ShardFollower client.
 
-// ShardOption configures FollowShardPeer.
-type ShardOption func(*shardCfg)
-
-type shardCfg struct {
-	clientCfg
-	breakerAfter int
-	breakerProbe time.Duration
-}
-
-func defaultShardCfg() shardCfg { return shardCfg{clientCfg: defaultClientCfg()} }
-
-// WithShardReconnect bounds the cumulative backoff spent per outage
-// redialing the peer's endpoint pool before the follower finishes with
-// an ErrStreamInterrupted wrap.
-func WithShardReconnect(budget time.Duration) ShardOption {
-	return func(c *shardCfg) { c.reconnectBudget = budget }
-}
-
-// WithShardBackoff overrides the reconnect backoff schedule.
-func WithShardBackoff(base, max time.Duration) ShardOption {
-	return func(c *shardCfg) { c.backoffBase, c.backoffMax = base, max }
-}
-
-// WithShardPeerTimeout overrides how long the follower waits for a
-// record or heartbeat before declaring the connection dead.
-func WithShardPeerTimeout(d time.Duration) ShardOption {
-	return func(c *shardCfg) {
-		if d > 0 {
-			c.peerTimeout = d
-		}
-	}
-}
-
-// WithShardBreaker arms the follower's circuit breaker: after n
-// consecutive exhausted reconnect budgets the follower stops burning
-// dial loops and opens the breaker, probing the peer's endpoints once
-// every probe interval (half-open) until one accepts again, at which
-// point the breaker closes and normal following resumes. Without a
-// breaker (the default) an exhausted budget finishes the follower with
-// an ErrStreamInterrupted wrap, as before.
-func WithShardBreaker(n int, probe time.Duration) ShardOption {
-	return func(c *shardCfg) {
-		if n > 0 && probe > 0 {
-			c.breakerAfter = n
-			c.breakerProbe = probe
-		}
-	}
-}
-
-// WithShardLog routes shard-exchange diagnostics to logf.
-func WithShardLog(logf func(string, ...any)) ShardOption {
-	return func(c *shardCfg) {
-		if logf != nil {
-			c.logf = logf
-		}
-	}
-}
-
-// Breaker states, exported both through ShardFollowerStats and as the
-// poet_shard_peer_breaker_state gauge values.
-const (
-	// BreakerClosed: the follower dials and follows normally.
-	BreakerClosed = 0
-	// BreakerHalfOpen: a probe is in flight after the open interval.
-	BreakerHalfOpen = 1
-	// BreakerOpen: the peer exhausted its reconnect budgets; the
-	// follower only probes periodically.
-	BreakerOpen = 2
-)
-
 // ShardFollowerStats are a follower's cumulative exchange counters.
 type ShardFollowerStats struct {
 	// Peer is the followed endpoint pool, as configured.
@@ -377,22 +305,15 @@ type ShardFollowerStats struct {
 // come up in arbitrary order, so the first dial rides the same
 // reconnect budget as any outage.
 type ShardFollower struct {
-	peer  string
-	eps   *pool.Pool
-	addrs []string
-	c     *Collector
-	cfg   shardCfg
+	wireClient // its mu guards the fields below too
+	peer       string
+	c          *Collector
 
-	follower    // guards the fields below too
 	received    int
 	got         int // records received on the current session
 	head        int
-	reconnects  int
-	sessions    int
 	connected   bool
 	lastContact time.Time
-	breaker     int // BreakerClosed / BreakerHalfOpen / BreakerOpen
-	exhaustions int // reconnect budgets exhausted since last session
 }
 
 // FollowShardPeer starts tailing the peer shard behind addrs (a
@@ -400,183 +321,55 @@ type ShardFollower struct {
 // Done and classify Err when the follower finishes: nil means Stop,
 // anything else means the peer stayed unreachable past the reconnect
 // budget or the exchange is misconfigured.
-func FollowShardPeer(addrs string, c *Collector, opts ...ShardOption) (*ShardFollower, error) {
-	cfg := defaultShardCfg()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	list := pool.ParseAddrs(addrs)
-	if len(list) == 0 {
-		return nil, fmt.Errorf("poet shard: %w", pool.ErrNoEndpoints)
+func FollowShardPeer(addrs string, c *Collector, opts ...SessionOption) (*ShardFollower, error) {
+	f := &ShardFollower{peer: addrs, c: c, lastContact: time.Now()}
+	if err := f.init("shard", addrs, defaultClientCfg(), opts, f); err != nil {
+		return nil, err
 	}
 	if !c.Sharded() {
 		return nil, errors.New("poet shard: FollowShardPeer needs a sharded collector (EnableSharding first)")
 	}
-	f := &ShardFollower{
-		peer:        addrs,
-		eps:         pool.New(list, cfg.backoffBase, cfg.backoffMax),
-		addrs:       list,
-		c:           c,
-		cfg:         cfg,
-		lastContact: time.Now(),
-	}
-	f.stopCh, f.done = make(chan struct{}), make(chan struct{})
-	go f.run()
+	go f.run(nil, f.serve)
 	return f, nil
 }
 
-func (f *ShardFollower) run() {
-	defer close(f.done)
-	for {
-		conn, err := f.connect()
-		if err != nil {
-			if f.cfg.breakerAfter > 0 && errors.Is(err, ErrStreamInterrupted) {
-				f.mu.Lock()
-				f.exhaustions++
-				tripped := f.exhaustions >= f.cfg.breakerAfter
-				f.mu.Unlock()
-				if !tripped {
-					continue // burn another reconnect budget before tripping
-				}
-				conn, err = f.breakerLoop(err)
-				if err != nil {
-					f.finish(err)
-					return
-				}
-			} else {
-				f.finish(err)
-				return
-			}
-		}
-		if conn == nil {
-			f.finish(nil) // stopped mid-backoff, mid-probe, or mid-dial
-			return
-		}
-		cause := f.session(conn)
-		_ = conn.Close()
-		if f.isStopped() {
-			f.finish(nil)
-			return
-		}
-		if !isTransport(cause) {
-			// The local collector refused a record the peer exported
-			// (configuration divergence), or the delta stream
-			// desynchronized in a way a fresh handshake would only repeat.
-			f.finish(cause)
-			return
-		}
-		// Transport or drain: redial through the pool.
-	}
-}
+// greet asks for the export log from zero.
+func (f *ShardFollower) greet() hello { return hello{role: roleShard} }
 
-// breakerLoop holds the breaker open after cause exhausted the
-// configured number of reconnect budgets: instead of continuous dial
-// loops, the follower sleeps the probe interval, then (half-open) tries
-// one handshake against each pool endpoint. A success closes the
-// breaker and returns the fresh session; a terminal rejection surfaces;
-// anything else reopens. Returns a nil conn when stopped.
-func (f *ShardFollower) breakerLoop(cause error) (*link, error) {
-	f.setBreaker(BreakerOpen)
-	f.cfg.logf("poet shard: breaker OPEN for peer %s after %d exhausted reconnect budgets (%v); probing every %v",
-		f.peer, f.cfg.breakerAfter, cause, f.cfg.breakerProbe)
-	for {
-		if !backoff.Sleep(f.cfg.breakerProbe, f.stopCh) {
-			return nil, nil
-		}
-		f.setBreaker(BreakerHalfOpen)
-		for _, addr := range f.addrs {
-			if f.isStopped() {
-				return nil, nil
-			}
-			conn, err := f.handshake(addr)
-			if err == nil {
-				f.eps.Success(addr)
-				f.setBreaker(BreakerClosed)
-				if conn != nil {
-					f.cfg.logf("poet shard: breaker closed; following %s again (export log from zero)", addr)
-				}
-				return conn, nil
-			}
-			if errors.Is(err, ErrSessionRejected) {
-				return nil, err
-			}
-		}
-		f.setBreaker(BreakerOpen)
-	}
-}
-
-func (f *ShardFollower) setBreaker(state int) {
+// attach restarts the per-session counters; the handshake counts as
+// peer contact. A shard peer never writes after its hello, so the
+// session's writer and its buffer go.
+func (f *ShardFollower) attach(s *session) {
+	s.fw = nil
 	f.mu.Lock()
-	f.breaker = state
+	f.got = 0
+	f.connected = true
+	f.lastContact = time.Now()
 	f.mu.Unlock()
 }
 
-// connect completes one handshake against the peer's pool within the
-// per-outage reconnect budget. Returns a nil conn when stopped.
-func (f *ShardFollower) connect() (conn *link, err error) {
-	err = redial(f.eps, f.cfg.reconnectBudget, f.stopCh, func(addr string) error {
-		if conn, err = f.handshake(addr); err == nil && conn != nil {
-			f.cfg.logf("poet shard: following %s (export log from zero)", addr)
-		}
-		return err
-	})
-	switch {
-	case err == nil || errors.Is(err, ErrClientClosed):
-		return conn, nil
-	case errors.Is(err, ErrSessionRejected):
-		return nil, err
-	}
-	return nil, fmt.Errorf("poet shard: %w; peer %s: %v", ErrStreamInterrupted, f.peer, err)
-}
-
-// handshake dials one endpoint and publishes the fresh session's
-// bookkeeping: the handshake counts as peer contact, and per-session
-// counters restart. Returns a nil conn when Stop raced the dial.
-func (f *ShardFollower) handshake(addr string) (*link, error) {
-	s, err := dialSession(addr, hello{role: roleShard},
-		&f.cfg.clientCfg, max(f.cfg.peerTimeout, minHandshakeTimeout))
-	if err != nil {
-		return nil, err
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.publishLocked(s.link) {
-		return nil, nil
-	}
-	f.got = 0
-	f.sessions++
-	if f.sessions > 1 {
-		f.reconnects++
-	}
-	f.connected = true
-	f.exhaustions = 0
-	f.lastContact = time.Now()
-	return s.link, nil
-}
-
-// session applies one connection's export stream until it ends.
-func (f *ShardFollower) session(conn *link) error {
+// serve applies one session's export stream until it ends.
+func (f *ShardFollower) serve(s *session) error {
 	defer func() {
 		f.mu.Lock()
 		f.connected = false
 		f.mu.Unlock()
 	}()
-	fr := &frameReader{br: conn.br}
 	var fm frame
-	addr := conn.RemoteAddr().String()
 	for {
-		if err := fr.next(&fm); err != nil {
-			if isTimeout(err) {
-				f.cfg.logf("poet shard: no record or heartbeat from %s in %v; reconnecting", addr, f.cfg.peerTimeout)
-			}
+		if err := s.fr.next(&fm); err != nil {
 			if errors.Is(err, errNoBaseline) {
-				return &divergenceError{fmt.Errorf("poet shard: %w", err)}
+				// The delta stream desynchronized in a way a fresh
+				// handshake would only repeat.
+				return terminal(fmt.Errorf("poet shard: %w", err))
 			}
 			return err
 		}
 		if fm.kind == frameExport {
 			if err := f.c.SupplyRemoteSend(fm.exp.MsgID, fm.exp.ID, fm.exp.VC); err != nil {
-				return &divergenceError{fmt.Errorf("poet shard: applying export %d from %s: %w", fm.exp.MsgID, addr, err)}
+				// The local collector refused a record the peer exported:
+				// a configuration divergence.
+				return terminal(fmt.Errorf("poet shard: applying export %d from %s: %w", fm.exp.MsgID, s.ep, err))
 			}
 		}
 		f.mu.Lock()
@@ -592,12 +385,29 @@ func (f *ShardFollower) session(conn *link) error {
 		// The peer is going away; rotate toward its standby. When no
 		// alternative looks healthy on a mere drain notice, hold the
 		// session — the peer keeps exporting until its End frame.
-		if fm.kind == frameEnd || fm.kind == frameDrain && f.eps.HealthyAlternative(addr) {
-			f.eps.Demote(addr)
-			return fmt.Errorf("peer %s %s", addr, map[bool]string{true: "ended its stream", false: "draining"}[fm.kind == frameEnd])
+		switch {
+		case fm.kind == frameEnd:
+			f.eps.Demote(s.ep)
+			return fmt.Errorf("peer %s ended its stream", s.ep)
+		case fm.kind == frameDrain && f.drained(s.ep):
+			return fmt.Errorf("peer %s draining", s.ep)
 		}
 	}
 }
+
+// Stop detaches from the peer. The caller should wait on Done for the
+// session goroutine.
+func (f *ShardFollower) Stop() { f.stop(true) }
+
+// Done is closed when following has stopped, for any reason; Err then
+// says why.
+func (f *ShardFollower) Done() <-chan struct{} { return f.done }
+
+// Err returns why following ended: nil (Stop was called), an
+// ErrStreamInterrupted wrap (peer unreachable past the reconnect budget,
+// with no breaker armed), a terminal ErrSessionRejected wrap
+// (misconfigured exchange), or a record the local collector refused.
+func (f *ShardFollower) Err() error { return f.failure() }
 
 // Stats returns the follower's exchange counters.
 func (f *ShardFollower) Stats() ShardFollowerStats {

@@ -200,11 +200,11 @@ func startShardPair(t *testing.T) (c0, c1 *Collector, addr0, addr1 string, clean
 	if err != nil {
 		t.Fatal(err)
 	}
-	f0, err := FollowShardPeer(addr1, c0, WithShardLog(t.Logf))
+	f0, err := FollowShardPeer(addr1, c0, WithSessionLog(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1, err := FollowShardPeer(addr0, c1, WithShardLog(t.Logf))
+	f1, err := FollowShardPeer(addr0, c1, WithSessionLog(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestShardFollowerRestreamsIdempotently(t *testing.T) {
 		t.Fatal(err)
 	}
 	f, err := FollowShardPeer(addr, follower,
-		WithShardLog(t.Logf), WithShardPeerTimeout(500*time.Millisecond), WithShardBackoff(5*time.Millisecond, 20*time.Millisecond))
+		WithSessionLog(t.Logf), WithSessionHeartbeat(100*time.Millisecond), WithSessionBackoff(5*time.Millisecond, 20*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,9 +346,9 @@ func TestShardFollowerRestreamsIdempotently(t *testing.T) {
 	// Yank the session out from under the follower: it reconnects and
 	// re-streams everything from zero.
 	f.mu.Lock()
-	conn := f.conn
+	live := f.live
 	f.mu.Unlock()
-	_ = conn.Close()
+	_ = live.Close()
 	waitShard(t, "re-stream", func() bool { return f.Stats().Received >= 10 })
 	if got := follower.ShardStats().RemoteSends; got != 5 {
 		t.Fatalf("re-stream duplicated remote sends: %d", got)
@@ -393,7 +393,7 @@ func TestHandleShardRejectsUnshardedCollector(t *testing.T) {
 	if err := follower.EnableSharding(1, 2); err != nil {
 		t.Fatal(err)
 	}
-	f, err := FollowShardPeer(addr, follower, WithShardBackoff(time.Millisecond, 2*time.Millisecond))
+	f, err := FollowShardPeer(addr, follower, WithSessionBackoff(time.Millisecond, 2*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +414,7 @@ func TestShardFollowerGivesUpAfterBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	f, err := FollowShardPeer("127.0.0.1:1", c,
-		WithShardReconnect(50*time.Millisecond), WithShardBackoff(5*time.Millisecond, 10*time.Millisecond))
+		WithSessionReconnect(50*time.Millisecond), WithSessionBackoff(5*time.Millisecond, 10*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,9 +533,9 @@ func TestShardFollowerBreakerOpensAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	f, err := FollowShardPeer(addr, follower,
-		WithShardLog(t.Logf),
-		WithShardReconnect(30*time.Millisecond),
-		WithShardBackoff(2*time.Millisecond, 5*time.Millisecond),
+		WithSessionLog(t.Logf),
+		WithSessionReconnect(30*time.Millisecond),
+		WithSessionBackoff(2*time.Millisecond, 5*time.Millisecond),
 		WithShardBreaker(2, 25*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
@@ -603,10 +603,10 @@ func TestShardFollowerStalledOnSilentPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	f, err := FollowShardPeer(proxy.Addr(), follower,
-		WithShardLog(t.Logf),
-		WithShardPeerTimeout(300*time.Millisecond),
-		WithShardReconnect(60*time.Second),
-		WithShardBackoff(5*time.Millisecond, 20*time.Millisecond))
+		WithSessionLog(t.Logf),
+		WithSessionHeartbeat(60*time.Millisecond),
+		WithSessionReconnect(60*time.Second),
+		WithSessionBackoff(5*time.Millisecond, 20*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,9 +171,17 @@ func TestReporterWindowMatchesModel(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		events := windowScript(rng, 1+rng.Intn(5), 300+rng.Intn(300))
-		r := &Reporter{cfg: defaultRepCfg(), acks: map[string]int{}}
-		r.cfg.buffer = bound
-		r.cond = sync.NewCond(&r.mu)
+		// The reporter's handshakes go to a peer that reads the hello,
+		// lets Report run while its answer is on the way, and answers with
+		// what the server has ingested.
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := &Reporter{acks: map[string]int{}, wake: make(chan struct{}, 1)}
+		if err := r.init("reporter", ln.Addr().String(), defaultClientCfg(), []SessionOption{WithReporterBuffer(bound)}, r); err != nil {
+			t.Fatal(err)
+		}
 		m := &windowModel{acks: map[string]int{}}
 		srv := &ingestModel{flights: [][]RawEvent{nil}, got: map[string]map[int]bool{}, acked: map[string]int{}}
 
@@ -192,8 +200,10 @@ func TestReporterWindowMatchesModel(t *testing.T) {
 			if !slices.Equal(got, m.evs) || r.sent != m.sent {
 				fail(step, "window holds %d entries (%d sent), model %d (%d sent)", len(got), r.sent, len(m.evs), m.sent)
 			}
-			if r.stats != m.stats {
-				fail(step, "stats %+v, model %+v", r.stats, m.stats)
+			st := r.stats
+			st.Reconnects = r.reconnects
+			if st != m.stats {
+				fail(step, "stats %+v, model %+v", st, m.stats)
 			}
 		}
 		// reportSome reports up to k events while the model's window has
@@ -247,13 +257,7 @@ func TestReporterWindowMatchesModel(t *testing.T) {
 			m.prune()
 		}
 		// reconnect cuts the live session, losing a suffix of its flight
-		// or not, and runs the reporter's handshake against a peer that
-		// reads the hello, lets Report run while its answer is on the way,
-		// and answers with what the server has ingested.
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
+		// or not, and runs the reporter's handshake against the peer.
 		var conns []net.Conn
 		t.Cleanup(func() {
 			_ = ln.Close()
@@ -301,18 +305,17 @@ func TestReporterWindowMatchesModel(t *testing.T) {
 				fw.acks(a.acks)
 				a.err = fw.flush()
 			}()
-			c, retrans, err := r.handshake(ln.Addr().String())
+			s, err := r.try(ln.Addr().String())
 			a := <-answered
 			if err != nil || a.err != nil {
 				fail(step, "handshake: %v; peer: %v", err, a.err)
 			}
-			conns = append(conns[:0], c, a.conn)
+			conns = append(conns[:0], s, a.conn)
 			if !slices.Equal(a.names, mNames) {
 				fail(step, "hello names %v, model %v", a.names, mNames)
 			}
 			r.mu.Lock()
-			r.stats.Reconnects++
-			r.stats.Retransmits += retrans
+			r.reconnects++ // what redial counts once try succeeds
 			r.mu.Unlock()
 			m.resume(a.acks, mCovered)
 		}
@@ -337,7 +340,7 @@ func TestReporterWindowMatchesModel(t *testing.T) {
 		if seed%2 == 1 {
 			// Closed mid-stream: Flush reports what is still unacked.
 			r.mu.Lock()
-			r.closed = true
+			r.stopped = true
 			r.mu.Unlock()
 			want := ""
 			if len(m.evs) > 0 {
@@ -374,10 +377,10 @@ func TestReporterWindowMatchesModel(t *testing.T) {
 		c, srv, p := startFaultServer(t)
 		rep, err := DialReporter(p.Addr(),
 			WithReporterBuffer(bound),
-			WithReporterBackoff(2*time.Millisecond, 50*time.Millisecond),
-			WithReporterHeartbeat(20*time.Millisecond),
-			WithReporterReconnect(10*time.Second),
-			WithReporterLog(t.Logf))
+			WithSessionBackoff(2*time.Millisecond, 50*time.Millisecond),
+			WithSessionHeartbeat(20*time.Millisecond),
+			WithSessionReconnect(10*time.Second),
+			WithSessionLog(t.Logf))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -501,7 +504,7 @@ func TestDefaultWindowNotTimerBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = s.Close() })
-	rep, err := DialReporter(addr, WithReporterHeartbeat(time.Hour), WithReporterLog(t.Logf))
+	rep, err := DialReporter(addr, WithSessionHeartbeat(time.Hour), WithSessionLog(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}

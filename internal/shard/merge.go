@@ -514,7 +514,7 @@ func (m *MergedClient) Close() error {
 // each pool comma-separated, in shard-ID order) as a monitor client and
 // returns the merged stream. mopts configure the merge (wedge bound,
 // degradation, telemetry); opts apply to every per-shard client.
-func DialMergedMonitor(spec string, mopts []MergeOption, opts ...poet.MonitorOption) (*MergedClient, error) {
+func DialMergedMonitor(spec string, mopts []MergeOption, opts ...poet.SessionOption) (*MergedClient, error) {
 	pools := SplitSpec(spec)
 	if len(pools) == 0 {
 		return nil, fmt.Errorf("shard: empty tier spec %q", spec)

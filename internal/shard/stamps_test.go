@@ -33,7 +33,7 @@ func TestMergedStreamStamps(t *testing.T) {
 		addrs[i] = addr
 	}
 	for i := range cs {
-		f, err := poet.FollowShardPeer(addrs[1-i], cs[i], poet.WithShardLog(t.Logf))
+		f, err := poet.FollowShardPeer(addrs[1-i], cs[i], poet.WithSessionLog(t.Logf))
 		if err != nil {
 			t.Fatal(err)
 		}

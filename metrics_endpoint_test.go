@@ -57,8 +57,8 @@ func TestPoetdMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep, err := ocep.DialReporter(addr,
-		ocep.WithReporterHeartbeat(20*time.Millisecond),
-		ocep.WithReporterReconnect(15*time.Second))
+		ocep.WithSessionHeartbeat(20*time.Millisecond),
+		ocep.WithSessionReconnect(15*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,10 +90,8 @@ type (
 	// EventSource is any linearized stream Monitor.Run can drain: a
 	// MonitorClient, or a sharded tier's MergedClient.
 	EventSource = poet.EventSource
-	// ReporterOption configures DialReporter.
-	ReporterOption = poet.ReporterOption
-	// MonitorOption configures DialMonitor.
-	MonitorOption = poet.MonitorOption
+	// SessionOption configures DialReporter and DialMonitor.
+	SessionOption = poet.SessionOption
 	// ReporterStats are a reporter's cumulative wire counters.
 	ReporterStats = poet.ReporterStats
 	// MonitorClientStats are a monitor client's cumulative wire counters.
@@ -230,49 +228,37 @@ func NewServer(c *Collector, logf func(string, ...any)) *Server {
 // a dead connection is redialed with exponential backoff and the
 // unacknowledged suffix retransmitted, which the server absorbs
 // idempotently — exactly-once ingestion across failures. See
-// WithReporterReconnect, WithReporterBuffer, WithReporterHeartbeat.
-func DialReporter(addr string, opts ...ReporterOption) (*Reporter, error) {
+// WithSessionReconnect, WithSessionBackoff, WithSessionHeartbeat,
+// WithSessionLog and WithReporterBuffer.
+func DialReporter(addr string, opts ...SessionOption) (*Reporter, error) {
 	return poet.DialReporter(addr, opts...)
 }
 
 // DialMonitor connects to a POET server as a monitor client. When the
 // connection dies mid-stream the client reconnects with backoff and
 // resumes from the exact event index it had reached, keeping the
-// observed stream gap- and duplicate-free; see WithMonitorReconnect.
-func DialMonitor(addr string, opts ...MonitorOption) (*MonitorClient, error) {
+// observed stream gap- and duplicate-free. It takes the same options as
+// DialReporter: WithSessionHeartbeat sets how long Next waits for a
+// frame (five heartbeats) before declaring the server dead.
+func DialMonitor(addr string, opts ...SessionOption) (*MonitorClient, error) {
 	return poet.DialMonitor(addr, opts...)
 }
 
-// Reporter options, re-exported for callers of DialReporter.
+// Wire-client options, re-exported for callers of DialReporter and
+// DialMonitor.
 var (
-	// WithReporterReconnect bounds the cumulative backoff spent redialing
-	// per outage (0 disables reconnection).
-	WithReporterReconnect = poet.WithReporterReconnect
-	// WithReporterBuffer bounds the unacknowledged-event buffer; Report
-	// blocks when it is full.
+	// WithSessionReconnect bounds the cumulative backoff spent redialing
+	// per outage (0: no redial after the first dial).
+	WithSessionReconnect = poet.WithSessionReconnect
+	// WithSessionBackoff overrides the reconnect backoff schedule.
+	WithSessionBackoff = poet.WithSessionBackoff
+	// WithSessionHeartbeat sets the keep-alive cadence and the dead-peer
+	// timeout (five heartbeats).
+	WithSessionHeartbeat = poet.WithSessionHeartbeat
+	// WithSessionLog routes redial diagnostics to a log function.
+	WithSessionLog = poet.WithSessionLog
+	// WithReporterBuffer bounds a reporter's unacknowledged window.
 	WithReporterBuffer = poet.WithReporterBuffer
-	// WithReporterHeartbeat sets the idle keep-alive cadence.
-	WithReporterHeartbeat = poet.WithReporterHeartbeat
-	// WithReporterBackoff overrides the reconnect backoff schedule.
-	WithReporterBackoff = poet.WithReporterBackoff
-	// WithReporterLog routes reconnect diagnostics to a log function.
-	WithReporterLog = poet.WithReporterLog
-)
-
-// Monitor-client options, re-exported for callers of DialMonitor.
-var (
-	// WithMonitorReconnect bounds the cumulative backoff spent redialing
-	// per outage (0 disables reconnection: Next surfaces
-	// ErrStreamInterrupted at the first transport failure).
-	WithMonitorReconnect = poet.WithMonitorReconnect
-	// WithMonitorReadTimeout sets how long Next waits for a frame before
-	// declaring the server dead; it must exceed the server's heartbeat
-	// interval.
-	WithMonitorReadTimeout = poet.WithMonitorReadTimeout
-	// WithMonitorBackoff overrides the reconnect backoff schedule.
-	WithMonitorBackoff = poet.WithMonitorBackoff
-	// WithMonitorLog routes reconnect diagnostics to a log function.
-	WithMonitorLog = poet.WithMonitorLog
 )
 
 // Option configures a Monitor.

@@ -155,10 +155,10 @@ func TestShardChaosPartitionHealsToCleanRun(t *testing.T) {
 			tier := make(map[string]shard.TraceReporter[ocep.RawEvent], 2)
 			for _, p := range []string{ct.addr0, ct.addr1} {
 				rep, err := ocep.DialReporter(p,
-					ocep.WithReporterBackoff(5*time.Millisecond, 200*time.Millisecond),
-					ocep.WithReporterHeartbeat(20*time.Millisecond),
-					ocep.WithReporterReconnect(60*time.Second),
-					ocep.WithReporterLog(t.Logf))
+					ocep.WithSessionBackoff(5*time.Millisecond, 200*time.Millisecond),
+					ocep.WithSessionHeartbeat(20*time.Millisecond),
+					ocep.WithSessionReconnect(60*time.Second),
+					ocep.WithSessionLog(t.Logf))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -178,9 +178,9 @@ func TestShardChaosPartitionHealsToCleanRun(t *testing.T) {
 					shard.WithMergeMetrics(reg),
 					shard.WithMergeLog(t.Logf),
 				},
-				ocep.WithMonitorBackoff(5*time.Millisecond, 200*time.Millisecond),
-				ocep.WithMonitorReconnect(60*time.Second),
-				ocep.WithMonitorLog(t.Logf))
+				ocep.WithSessionBackoff(5*time.Millisecond, 200*time.Millisecond),
+				ocep.WithSessionReconnect(60*time.Second),
+				ocep.WithSessionLog(t.Logf))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -337,9 +337,9 @@ func TestShardChaosUnhealedPartitionWedges(t *testing.T) {
 			shard.WithWedgeTimeout(time.Second),
 			shard.WithMergeLog(t.Logf),
 		},
-		ocep.WithMonitorBackoff(5*time.Millisecond, 200*time.Millisecond),
-		ocep.WithMonitorReconnect(60*time.Second),
-		ocep.WithMonitorLog(t.Logf))
+		ocep.WithSessionBackoff(5*time.Millisecond, 200*time.Millisecond),
+		ocep.WithSessionReconnect(60*time.Second),
+		ocep.WithSessionLog(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,10 +357,10 @@ func TestShardChaosUnhealedPartitionWedges(t *testing.T) {
 	reporters := make(map[string]*ocep.Reporter, 2)
 	for _, p := range []string{ct.addr0, ct.addr1} {
 		rep, err := ocep.DialReporter(p,
-			ocep.WithReporterBackoff(5*time.Millisecond, 200*time.Millisecond),
-			ocep.WithReporterHeartbeat(20*time.Millisecond),
-			ocep.WithReporterReconnect(60*time.Second),
-			ocep.WithReporterLog(t.Logf))
+			ocep.WithSessionBackoff(5*time.Millisecond, 200*time.Millisecond),
+			ocep.WithSessionHeartbeat(20*time.Millisecond),
+			ocep.WithSessionReconnect(60*time.Second),
+			ocep.WithSessionLog(t.Logf))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -65,10 +65,10 @@ func runShardedTier(t *testing.T, tc failoverCase, events []ocep.RawEvent, pools
 	tier := make(map[string]shard.TraceReporter[ocep.RawEvent], len(pools))
 	for _, p := range pools {
 		rep, err := ocep.DialReporter(p,
-			ocep.WithReporterBackoff(5*time.Millisecond, 200*time.Millisecond),
-			ocep.WithReporterHeartbeat(20*time.Millisecond),
-			ocep.WithReporterReconnect(60*time.Second),
-			ocep.WithReporterLog(t.Logf))
+			ocep.WithSessionBackoff(5*time.Millisecond, 200*time.Millisecond),
+			ocep.WithSessionHeartbeat(20*time.Millisecond),
+			ocep.WithSessionReconnect(60*time.Second),
+			ocep.WithSessionLog(t.Logf))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,9 +82,9 @@ func runShardedTier(t *testing.T, tc failoverCase, events []ocep.RawEvent, pools
 	}
 
 	merged, err := shard.DialMergedMonitor(spec, nil,
-		ocep.WithMonitorBackoff(5*time.Millisecond, 200*time.Millisecond),
-		ocep.WithMonitorReconnect(60*time.Second),
-		ocep.WithMonitorLog(t.Logf))
+		ocep.WithSessionBackoff(5*time.Millisecond, 200*time.Millisecond),
+		ocep.WithSessionReconnect(60*time.Second),
+		ocep.WithSessionLog(t.Logf))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -184,19 +184,18 @@ func TestTelemetryInvariantsFaultyWire(t *testing.T) {
 	retransmitted := 0
 	logf := func(format string, args ...any) {
 		msg := fmt.Sprintf(format, args...)
-		var ep string
 		var n int
-		if _, err := fmt.Sscanf(msg, "poet reporter: reconnected to %s (retransmitting %d unacked events)", &ep, &n); err == nil && n > 0 {
+		if _, err := fmt.Sscanf(msg, "poet reporter: retransmitting %d unacked events to", &n); err == nil && n > 0 {
 			logMu.Lock()
 			retransmitted++
 			logMu.Unlock()
 		}
 	}
 	rep, err := ocep.DialReporter(proxy.Addr(),
-		ocep.WithReporterBackoff(2*time.Millisecond, 50*time.Millisecond),
-		ocep.WithReporterHeartbeat(20*time.Millisecond),
-		ocep.WithReporterReconnect(15*time.Second),
-		ocep.WithReporterLog(logf))
+		ocep.WithSessionBackoff(2*time.Millisecond, 50*time.Millisecond),
+		ocep.WithSessionHeartbeat(20*time.Millisecond),
+		ocep.WithSessionReconnect(15*time.Second),
+		ocep.WithSessionLog(logf))
 	if err != nil {
 		t.Fatal(err)
 	}

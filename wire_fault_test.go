@@ -145,16 +145,16 @@ func runFaultyWire(t *testing.T, patternSrc string, events []ocep.RawEvent) (mat
 	monProxy.SetChunk(16, 20*time.Microsecond)
 
 	rep, err := ocep.DialReporter(repProxy.Addr(),
-		ocep.WithReporterBackoff(2*time.Millisecond, 50*time.Millisecond),
-		ocep.WithReporterHeartbeat(20*time.Millisecond),
-		ocep.WithReporterReconnect(15*time.Second))
+		ocep.WithSessionBackoff(2*time.Millisecond, 50*time.Millisecond),
+		ocep.WithSessionHeartbeat(20*time.Millisecond),
+		ocep.WithSessionReconnect(15*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rep.Close()
 	cli, err := ocep.DialMonitor(monProxy.Addr(),
-		ocep.WithMonitorReconnect(15*time.Second),
-		ocep.WithMonitorBackoff(2*time.Millisecond, 50*time.Millisecond))
+		ocep.WithSessionReconnect(15*time.Second),
+		ocep.WithSessionBackoff(2*time.Millisecond, 50*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
