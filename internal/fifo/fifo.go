@@ -47,13 +47,22 @@ func (f *Queue[T]) Span(i int) []T {
 	return f.chunks[j/k][j%k : end : end]
 }
 
-// Pop drops the first m elements.
+// Pop clears the first m elements and drops them.
 func (f *Queue[T]) Pop(m int) {
-	for ; m > 0; m-- {
-		var zero T
-		f.chunks[0][f.head], f.head, f.n = zero, f.head+1, f.n-1
-		if f.head == ChunkCap[T]() {
-			f.chunks[0], f.chunks, f.head = nil, f.chunks[1:], 0
-		}
+	for i := 0; i < m; {
+		s := f.Span(i)
+		clear(s[:min(len(s), m-i)])
+		i += len(s)
 	}
+	f.Drop(m)
+}
+
+// Drop drops the first m elements uncleared, for a queue whose elements
+// are pointed into from elsewhere: each chunk all of whose elements are
+// dropped is released.
+func (f *Queue[T]) Drop(m int) {
+	f.head, f.n = f.head+m, f.n-m
+	k := ChunkCap[T]()
+	clear(f.chunks[:f.head/k])
+	f.chunks, f.head = f.chunks[f.head/k:], f.head%k
 }

@@ -88,8 +88,8 @@ type Collector struct {
 	// registered[t] marks a trace registered here: a sharded store leaves
 	// holes for the IDs its peers home.
 	registered []bool
-	// sends maps a delivered send-like event's MsgID to its ID.
-	sends map[uint64]event.ID
+	// sends is the MsgID table, a word per MsgID seen (see sendRemote).
+	sends map[uint64]uint64
 	// recvWait maps a MsgID to traces whose delivery head waits for it;
 	// waitFree holds the lists woken sends emptied, for the next waiter.
 	recvWait map[uint64][]event.TraceID
@@ -99,8 +99,6 @@ type Collector struct {
 	// via the cross-shard exchange, so its age measures exchange health
 	// (the stall watchdog's held-event gauges read it).
 	heldRemote map[uint64]time.Time
-	// sendersSeen guards against duplicate MsgIDs on the send side.
-	sendersSeen map[uint64]bool
 	// subs lists the synchronous handlers in subscription order, the
 	// order one event reaches them in.
 	subs        []subscriber
@@ -113,24 +111,28 @@ type Collector struct {
 	cursors        []*cursor
 	fresh, drained sync.Cond
 	head           atomic.Int64
-	// slab backs every delivered event and its stamp.
+	// slab backs the join clocks.
 	slab event.Slab
-	// order is the delivery order of all events: the linearization of
-	// the partial order that clients (and cursors) read.
-	order []*event.Event
+	// log is the linearization clients (and cursors) read and the
+	// delivered events' storage at once: each is carved in place, in
+	// chunks that never move. log.At(0) is delivery number trimmedFrom.
+	log fifo.Queue[event.Event]
+	// open holds, under retention, the sends delivered since the last
+	// trim and those still unmatched before it: all a trim must keep.
+	open []event.ID
 	// journal, when non-nil, is the ingestion-ordered log of every
 	// accepted record that dumps, snapshots and replica sessions read
 	// (see journal.go). nil until EnableReplicationLog.
 	journal *journal
 	rec     []byte // recordLocked's encoding of the last record; its readers copy it
-	// retain, when positive, bounds len(order): SetRetention trims the
+	// retain, when positive, bounds log.Len(): SetRetention trims the
 	// linearization log (and compacts the store) once it exceeds the
 	// bound by a quarter. 0 means keep everything.
 	retain int
 	// trimmedFrom is the number of delivered events trimmed off the front
-	// of order by retention: order[0] is delivery number trimmedFrom.
+	// of the log by retention.
 	trimmedFrom int
-	// evictedEvents counts events evicted by retention (order trims).
+	// evictedEvents counts events evicted by retention (log trims).
 	evictedEvents int
 	// compactedEvents counts events released from the store by retention.
 	compactedEvents int
@@ -157,15 +159,15 @@ type Collector struct {
 	// trace IDs are striped across shards (a trace homed here gets a
 	// global ID congruent to shardID mod numShards), delivered sends are
 	// exported for peer shards, and a receive whose send was delivered
-	// on a peer is stamped from remoteSends (see shard.go).
+	// on a peer is stamped from remote (see shard.go).
 	sharded            bool
 	shardID, numShards int
 	// shardLocals counts the traces homed on this shard; the next one
 	// gets global ID shardID + numShards*shardLocals.
 	shardLocals int
-	// remoteSends maps a MsgID to the identity and timestamp of a send
-	// delivered on a peer shard, supplied by SupplyRemoteSend.
-	remoteSends map[uint64]remoteSend
+	// remote holds each send delivered on a peer shard, supplied by
+	// SupplyRemoteSend; its MsgID's word in sends indexes it.
+	remote fifo.Queue[remoteSend]
 	// exports is the cross-shard export log peer shards tail — an index
 	// of the delivered sends, not a view of the journal: a record needs
 	// the send's stamp, which exists only after delivery. A fifo nobody
@@ -258,7 +260,7 @@ func (c *Collector) InstrumentMetrics(reg *telemetry.Registry) {
 	reg.GaugeFunc("poet_retained_events", "Delivered events currently retained in the linearization log (equals delivered when retention is off).", func() int64 {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		return int64(len(c.order))
+		return int64(c.log.Len())
 	})
 	reg.GaugeFunc("poet_journal_bytes", "Bytes the journal holds: every accepted record as the WAL encodes it, in 32 KiB chunks (0 without a journal).", func() int64 {
 		return int64(c.ReplicationStats().JournalBytes)
@@ -268,10 +270,9 @@ func (c *Collector) InstrumentMetrics(reg *telemetry.Registry) {
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
 	c := &Collector{
-		store:       event.NewStore(),
-		sends:       make(map[uint64]event.ID),
-		recvWait:    make(map[uint64][]event.TraceID),
-		sendersSeen: make(map[uint64]bool),
+		store:    event.NewStore(),
+		sends:    make(map[uint64]uint64),
+		recvWait: make(map[uint64][]event.TraceID),
 	}
 	c.fresh.L, c.drained.L = &c.mu, &c.mu
 	return c
@@ -306,12 +307,15 @@ func (c *Collector) SetRetention(keepEvents int) error {
 		return errors.New("poet: retention is incompatible with sharding (peer shards re-stream the export log from record zero)")
 	}
 	c.retain = keepEvents
-	// Drop already-matched sends from the map so it holds only open
-	// sends from here on (deliver maintains that invariant under
-	// retention; entries that predate it are swept once, here).
-	for msgID, id := range c.sends {
-		if e := c.store.Get(id); e == nil || !e.Partner.IsZero() {
-			delete(c.sends, msgID)
+	// Forget the matched sends but for their MsgIDs and list the open
+	// ones (deliver does both under retention; sends that predate it are
+	// swept once, here).
+	c.open = c.open[:0]
+	for msgID, w := range c.sends {
+		if e := c.store.Get(sendOf(w)); e != nil && e.Partner.IsZero() {
+			c.open = append(c.open, e.ID)
+		} else if uint32(w) != 0 {
+			c.sends[msgID] = sendMatched
 		}
 	}
 	c.maybeTrimLocked()
@@ -358,7 +362,7 @@ func (c *Collector) RetentionStats() RetentionStats {
 		TrimmedFrom:    c.trimmedFrom,
 		Evicted:        c.evictedEvents,
 		StoreCompacted: c.compactedEvents,
-		Retained:       len(c.order),
+		Retained:       c.log.Len(),
 	}
 }
 
@@ -369,10 +373,10 @@ func (c *Collector) RetentionStats() RetentionStats {
 // compacted along with the log, clamped per trace so no unmatched send —
 // still needed to stamp its future receive — is released.
 func (c *Collector) maybeTrimLocked() {
-	if c.retain <= 0 || len(c.order) <= c.retain+c.retain/4 {
+	if c.retain <= 0 || c.log.Len() <= c.retain+c.retain/4 {
 		return
 	}
-	drop := len(c.order) - c.retain
+	drop := c.log.Len() - c.retain
 	for _, cur := range c.cursors {
 		drop = min(drop, cur.floor-c.trimmedFrom)
 	}
@@ -383,25 +387,29 @@ func (c *Collector) maybeTrimLocked() {
 	// dropped prefix covers a per-trace prefix: the highest index per
 	// trace tells the store how far it may compact.
 	keepFrom := make(map[event.TraceID]int)
-	for _, e := range c.order[:drop] {
-		if e.ID.Index+1 > keepFrom[e.ID.Trace] {
-			keepFrom[e.ID.Trace] = e.ID.Index + 1
+	for i := 0; i < drop; i++ {
+		if id := c.log.At(i).ID; id.Index+1 > keepFrom[id.Trace] {
+			keepFrom[id.Trace] = id.Index + 1
 		}
 	}
-	rest := c.order[drop:]
-	c.order = append(make([]*event.Event, 0, len(rest)), rest...)
+	// The store may still hold a dropped event, so the log forgets it
+	// uncleared; a chunk goes once nothing points into it.
+	c.log.Drop(drop)
 	c.trimmedFrom += drop
 	c.evictedEvents += drop
 	c.tel.evicted.Add(int64(drop))
 	// Unmatched sends pin the store: a receive delivered later merges the
-	// send's vector clock via store.Get. sends entries are deleted when
-	// the receive is delivered (retention mode only), so what remains in
-	// the map is exactly the open sends.
-	for _, id := range c.sends {
-		if limit, ok := keepFrom[id.Trace]; ok && id.Index < limit {
-			keepFrom[id.Trace] = id.Index
+	// send's vector clock via store.Get. A matched one leaves open here.
+	open := c.open[:0]
+	for _, id := range c.open {
+		if e := c.store.Get(id); e != nil && e.Partner.IsZero() {
+			open = append(open, id)
+			if limit, ok := keepFrom[id.Trace]; ok && id.Index < limit {
+				keepFrom[id.Trace] = id.Index
+			}
 		}
 	}
+	c.open = open
 	for t, from := range keepFrom {
 		c.compactedEvents += c.store.CompactTrace(t, from)
 	}
@@ -493,20 +501,24 @@ func (c *Collector) subscribeLocked(h Handler) *Subscription {
 func (c *Collector) SubscribeReplay(h Handler) *Subscription {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, e := range c.order {
-		h(e)
+	for i := 0; i < c.log.Len(); i++ {
+		h(c.log.At(i))
 	}
 	return c.subscribeLocked(h)
 }
 
 // Ordered returns the delivered events in delivery order (the retained
-// suffix, when SetRetention has trimmed the front). The slice is the
-// collector's own log: callers must not modify it, and should read it
-// only once reporting has quiesced.
+// suffix, when SetRetention has trimmed the front), in a fresh slice.
+// The events are the collector's own: callers must not modify them, and
+// should read them only once reporting has quiesced.
 func (c *Collector) Ordered() []*event.Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.order
+	out := make([]*event.Event, c.log.Len())
+	for i := range out {
+		out[i] = c.log.At(i)
+	}
+	return out
 }
 
 // RegisterTrace pre-registers a trace name and returns its ID, so that
@@ -732,10 +744,11 @@ func (c *Collector) reportLocked(raw RawEvent) error {
 			raw.Trace, c.pending[t].len(), ErrOverloaded)
 	}
 	if isSendLike(raw.Kind) && raw.MsgID != 0 {
-		if c.sendersSeen[raw.MsgID] {
+		w, ok := c.sends[raw.MsgID]
+		if ok && localSeen(w) {
 			return fmt.Errorf("poet: duplicate message id %d from %q/%d", raw.MsgID, raw.Trace, raw.Seq)
 		}
-		c.sendersSeen[raw.MsgID] = true
+		c.sends[raw.MsgID] = w | sendLocal
 		// The sender turned out to be local after all: any receive held
 		// on it is waiting on local delivery order, not a peer shard.
 		delete(c.heldRemote, raw.MsgID)
@@ -800,8 +813,10 @@ func (c *Collector) awaitSendLocked(tr event.TraceID, msgID uint64) {
 	// No local sender claims this message: the send must arrive from a
 	// peer shard. Stamp the first-held time so the watchdog gauges can
 	// age it.
-	if _, held := c.heldRemote[msgID]; c.sharded && !held && !c.sendersSeen[msgID] {
-		c.heldRemote[msgID] = time.Now()
+	if _, held := c.heldRemote[msgID]; c.sharded && !held {
+		if w, ok := c.sends[msgID]; !ok || !localSeen(w) {
+			c.heldRemote[msgID] = time.Now()
+		}
 	}
 }
 
@@ -812,21 +827,20 @@ func (c *Collector) deliver(t event.TraceID, raw RawEvent) {
 	var partner event.ID
 	if isRecvLike(raw.Kind) {
 		var sent vclock.Stamp
-		if sendID, ok := c.sends[raw.MsgID]; ok {
-			sent = c.store.Get(sendID).VC
-			partner = sendID
+		if w := c.sends[raw.MsgID]; w&sendRemote == 0 {
+			partner = sendOf(w)
+			sent = c.store.Get(partner).VC
 			if c.retain > 0 {
-				// Under retention the sends map holds only open (unmatched)
-				// sends: a matched entry no longer pins the store against
-				// compaction, and the map stays bounded by the open-send count.
-				delete(c.sends, raw.MsgID)
+				// Under retention a matched send is forgotten but for its
+				// MsgID: it no longer pins the store against compaction.
+				c.sends[raw.MsgID] = sendMatched
 			}
 		} else {
 			// The send was delivered on a peer shard; its exported stamp
 			// stands in for the local event (see shard.go). Partner names
 			// the remote identity — the local store holds no event for it,
 			// so the back-patch below finds nil and skips.
-			rs := c.remoteSends[raw.MsgID]
+			rs := c.remote.At(int(w &^ (sendRemote | sendLocal)))
 			sent, partner = rs.vc, rs.id
 		}
 		// A join: the one place a clock is materialised.
@@ -836,15 +850,15 @@ func (c *Collector) deliver(t event.TraceID, raw RawEvent) {
 		stamp = stamp.Tick(int(t))
 	}
 	c.stamps[t] = stamp
-	e := c.slab.New()
-	*e = event.Event{
+	c.log.Push(event.Event{
 		ID:      event.ID{Trace: t, Index: c.nextSeq[t]},
 		Kind:    raw.Kind,
 		Type:    raw.Type,
 		Text:    raw.Text,
 		VC:      stamp,
 		Partner: partner,
-	}
+	})
+	e := c.log.At(c.log.Len() - 1)
 	if !partner.IsZero() {
 		if sendEv := c.store.Get(partner); sendEv != nil {
 			sendEv.Partner = e.ID
@@ -856,7 +870,10 @@ func (c *Collector) deliver(t event.TraceID, raw RawEvent) {
 	}
 	c.nextSeq[t]++
 	if isSendLike(raw.Kind) && raw.MsgID != 0 {
-		c.sends[raw.MsgID] = e.ID
+		c.sends[raw.MsgID] = uint64(t)<<32 | uint64(e.ID.Index)
+		if c.retain > 0 {
+			c.open = append(c.open, e.ID)
+		}
 		if c.sharded {
 			// Export every delivered send: the receive's home shard is
 			// unknowable here (its trace may not have reported yet), so
@@ -867,8 +884,28 @@ func (c *Collector) deliver(t event.TraceID, raw RawEvent) {
 	}
 	c.delivered++
 	c.tel.delivered.Inc()
-	c.order = append(c.order, e)
 	for _, s := range c.subs {
 		s.h(e)
 	}
 }
+
+// A word of the MsgID table is a delivered local send's ID, trace<<32 |
+// index (an index fits the int32 a clock entry holds), or names no event
+// (index 0): sendLocal alone is a local send ingested but not delivered,
+// sendMatched one forgotten behind its receive under retention, which
+// still rejects a duplicate. sendRemote | i is a peer shard's send,
+// remote.At(i); sendLocal beside it records a local send ingested too,
+// whose delivery replaces the word: the local stamp wins.
+const (
+	sendRemote  uint64 = 1 << 63
+	sendLocal   uint64 = 1 << 62
+	sendMatched uint64 = 1 << 32
+)
+
+// sendOf is the delivered local send a word names, or the zero ID.
+func sendOf(w uint64) event.ID {
+	return event.ID{Trace: event.TraceID(w >> 32), Index: int(uint32(w))}
+}
+
+// localSeen reports whether word w records a local send.
+func localSeen(w uint64) bool { return w&sendRemote == 0 || w&sendLocal != 0 }

@@ -16,15 +16,14 @@ import (
 // cursor: a position in the log and a floor (the end of the last span
 // its consumer finished), moved by one goroutine that cuts the next span
 // under the collector lock and hands it over outside it. The delivery
-// log (Collector.order) is read by batch subscribers and monitor
+// log (Collector.log) is read by batch subscribers and monitor
 // sessions, the journal by replica sessions, the shard export index by
 // peer shards. Appends wake the cursors through the collector's fresh
 // cond, once per ingesting call; a consumer's progress wakes its waiters
 // through drained. Three rules make that safe:
 //
-//   - A span stays valid: an append writes past every span, and a
-//     regrowth or a retention trim builds a new array. A trim never
-//     passes a subscriber's floor.
+//   - A span stays valid: an append writes past every span, and no
+//     record moves. A trim never passes a subscriber's floor.
 //   - A delivered event is immutable but for a send-like event's Partner,
 //     which the collector writes under its lock when the receive is
 //     delivered: outside the lock only readablePartner reads it, and
@@ -99,7 +98,9 @@ type AsyncOptions struct {
 // linearization order, on the subscription's own goroutine and outside
 // the collector's lock: it may call the collector's read methods. The
 // events are the collector's own: it must not modify them, nor read a
-// send-like event's Partner (see CopyBatch).
+// send-like event's Partner (see CopyBatch). The slice is the cursor's,
+// refilled for the next batch once the handler returns: a handler that
+// keeps the pointers past its return copies them out.
 type BatchHandler func(batch []*event.Event)
 
 // DeliveryStats are one batch subscription's cumulative counters.
@@ -408,8 +409,10 @@ func (c *Collector) subscribeBatchLocked(from int, opts AsyncOptions, stable, an
 	}
 	cur.cut = func(from, end int) int {
 		end = min(end, from+maxBatch)
-		batch, anns = c.order[from-c.trimmedFrom:end-c.trimmedFrom], anns[:0]
-		for _, e := range batch {
+		batch, anns = batch[:0], anns[:0]
+		for p := from; p < end; p++ {
+			e := c.log.At(p - c.trimmedFrom)
+			batch = append(batch, e)
 			if t := int(e.ID.Trace); announce && (t >= len(announced) || !announced[t]) {
 				announced = append(announced, make([]bool, max(0, t+1-len(announced)))...)
 				announced[t] = true

@@ -10,6 +10,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -561,9 +562,11 @@ func TestSubscribeBatchReplayFrom(t *testing.T) {
 }
 
 // liveStreamGolden is the SHA-256 of what TestResumedStreamIsLiveSuffix's
-// live monitor connection receives: the same bytes the per-connection
-// queue of copies sent before subscribers became cursors.
-const liveStreamGolden = "361c4267ad67bcc0d0507a2feba463090af803a058771019d6f5785d4b313479"
+// live monitor connection receives, recorded from OCEP-POET-5, which
+// spells texts through the string table. Its OCEP-POET-4 bytes, the same
+// the per-connection queue of copies sent before subscribers became
+// cursors, hashed to 361c4267ad67bcc0d0507a2feba463090af803a058771019d6f5785d4b313479.
+const liveStreamGolden = "6be0ada59acabc8d8f4ce3939c23c5ed8b12293eafcf6f767d0c69cb4ac7f059"
 
 // monitorReader decodes one raw monitor connection, keeping every byte
 // the server sent.
@@ -714,4 +717,44 @@ func TestResumedStreamIsLiveSuffix(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBatchSliceReusedAfterHandler holds the BatchHandler slice contract:
+// a cursor refills one slice, so a handler's batch is overwritten once
+// the handler returns, and a handler that copies the pointers out keeps
+// the whole stream in order. Under -race it also shows the refill never
+// overlaps the handler (every in-tree consumer copies the same way).
+func TestBatchSliceReusedAfterHandler(t *testing.T) {
+	c := NewCollector()
+	var got, prev, prevCopy []*event.Event
+	overwritten := 0
+	sub := c.SubscribeBatch(func(batch []*event.Event) {
+		if len(prev) > 0 && &prev[0] == &batch[0] && !slices.Equal(prev, prevCopy) {
+			overwritten++ // the last batch's slice, rewritten since it was handed over
+		}
+		got = append(got, batch...)
+		prev, prevCopy = batch, append(prevCopy[:0], batch...)
+	}, AsyncOptions{MaxBatch: 8})
+	for i := 1; i <= 500; i++ {
+		for _, tr := range []string{"a", "b", "c"} {
+			if err := c.Report(RawEvent{Trace: tr, Seq: i, Kind: event.KindInternal, Type: "step"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sub.Flush()
+	sub.Cancel()
+	want := c.Ordered()
+	if len(got) != len(want) {
+		t.Fatalf("handler kept %d events of %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d the handler kept is %v, the log's %v", i, got[i].ID, want[i].ID)
+		}
+	}
+	if overwritten == 0 {
+		t.Fatal("no batch slice was reused: the contract is not exercised")
+	}
+	t.Logf("%d of the handler's batches were rewritten after it returned", overwritten)
 }

@@ -137,7 +137,7 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 // returns the number of events replayed. A dump cut short or corrupt
 // fails, after replaying the prefix before the damage.
 func (c *Collector) Reload(r io.Reader) (int, error) {
-	n, _, err := c.reloadSnapshot(r, false)
+	n, _, err := c.reloadSnapshot(r, false, make(map[string]string))
 	return n, err
 }
 
@@ -145,7 +145,7 @@ func (c *Collector) Reload(r io.Reader) (int, error) {
 // stream that is cut short or corrupt (a snapshot torn by a crash
 // mid-write) yields the longest valid prefix and truncated=true instead
 // of an error; input that is not a dump at all still fails.
-func (c *Collector) reloadSnapshot(r io.Reader, lenient bool) (n int, truncated bool, err error) {
+func (c *Collector) reloadSnapshot(r io.Reader, lenient bool, lits map[string]string) (n int, truncated bool, err error) {
 	br := bufio.NewReader(r)
 	head, _ := br.Peek(512)
 	gobEra := bytes.Contains(head, []byte(gobDumpMagic))
@@ -162,7 +162,7 @@ func (c *Collector) reloadSnapshot(r io.Reader, lenient bool) (n int, truncated 
 			ended = true
 			return nil
 		}
-		if err := c.replayRecord(p); err != nil {
+		if err := c.replayRecord(p, lits); err != nil {
 			return err
 		}
 		records++

@@ -319,7 +319,7 @@ func checkCut(t *testing.T, dump []byte, cut int) {
 	case cut < len(dump) && err == nil:
 		t.Fatalf("a dump cut at byte %d of %d reloaded without error (%d events)", cut, len(dump), n)
 	}
-	n, truncated, err := NewCollector().reloadSnapshot(bytes.NewReader(dump[:cut]), true)
+	n, truncated, err := NewCollector().reloadSnapshot(bytes.NewReader(dump[:cut]), true, nil)
 	switch {
 	case cut < 16:
 		if err == nil {
@@ -358,7 +358,7 @@ func FuzzReload(f *testing.F) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, _ = NewCollector().Reload(bytes.NewReader(in))
-		_, _, _ = NewCollector().reloadSnapshot(bytes.NewReader(in), true)
+		_, _, _ = NewCollector().reloadSnapshot(bytes.NewReader(in), true, nil)
 		runtime.ReadMemStats(&after)
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(2<<20+256*len(in)); got > limit {
 			t.Fatalf("reloading %d bytes allocated %d bytes, over the %d limit", len(in), got, limit)

@@ -324,8 +324,9 @@ func ReloadDir(c *Collector, dir string) (RecoveryStats, error) {
 func recoverInto(c *Collector, dir string, logf func(string, ...any), replay func(func([]byte) error) (wal.ReplayStats, error)) (RecoveryStats, error) {
 	var st RecoveryStats
 	start := time.Now()
+	lits := make(map[string]string)
 	if f, err := os.Open(filepath.Join(dir, SnapshotFile)); err == nil {
-		n, truncated, err := c.reloadSnapshot(f, true)
+		n, truncated, err := c.reloadSnapshot(f, true, lits)
 		f.Close()
 		if err != nil {
 			return st, err
@@ -344,7 +345,7 @@ func recoverInto(c *Collector, dir string, logf func(string, ...any), replay fun
 		// A record the collector refuses is a recovery observation, not a
 		// reason to refuse to start: staleness is the expected
 		// snapshot/WAL overlap, anything else is counted loudly.
-		if err := c.replayRecord(p); errors.Is(err, ErrStaleEvent) {
+		if err := c.replayRecord(p, lits); errors.Is(err, ErrStaleEvent) {
 			st.StaleRecords++
 		} else if err != nil {
 			st.RejectedRecords++
@@ -388,7 +389,8 @@ type stringTable map[string]uint64
 // append spells s as a reference when the peer has seen it, and as
 // reference 0 plus the literal otherwise. The literal enters the table
 // on both sides when it is short and the table has room — the same test
-// recordReader.interned applies, so the two halves never disagree.
+// recordReader.interned applies, so the two halves never disagree, and
+// neither holds more than maxInterned strings of maxInternLen bytes.
 func (t stringTable) append(b []byte, s string) []byte { return appendRef(t, b, s) }
 
 // appendRef is append for a string or its bytes, copied only if kept.
@@ -412,7 +414,7 @@ func encodeEventRecord(b []byte, raw *RawEvent, t stringTable) []byte {
 	b = binary.AppendUvarint(b, uint64(raw.Kind))
 	b = binary.AppendUvarint(b, raw.MsgID)
 	b = t.append(b, raw.Type)
-	return appendString(b, raw.Text)
+	return t.append(b, raw.Text)
 }
 
 func encodeTraceRecord(b []byte, name string, t stringTable) []byte {
@@ -439,7 +441,7 @@ func (w *frameWriter) replicate(sp journalSpan) (recs, events int) {
 			r.uvarint() // kind
 			r.uvarint() // msgid
 			w.body = append(w.body, ints[:len(ints)-len(r.p)]...)
-			w.body = append(appendRef(w.strs, w.body, r.bytes()), r.p...) // the type, then the text
+			w.body = appendRef(w.strs, appendRef(w.strs, w.body, r.bytes()), r.bytes()) // the type, then the text
 		}
 		w.emit()
 	}
@@ -453,8 +455,10 @@ type recordReader struct {
 	p   []byte
 	err error
 	// tab is the reading half of the connection's string table; nil for
-	// WAL records.
-	tab *[]string
+	// WAL records, whose strings lits, when set, keeps one copy of each
+	// of (under the same bounds).
+	tab  *[]string
+	lits map[string]string
 }
 
 func (r *recordReader) fail(err error) {
@@ -501,7 +505,15 @@ func (r *recordReader) bytes() []byte {
 // interned reads a string spelled by stringTable.append.
 func (r *recordReader) interned() string {
 	if r.tab == nil {
-		return r.string()
+		b := r.bytes()
+		s, ok := r.lits[string(b)]
+		if !ok {
+			s = string(b)
+			if r.lits != nil && r.err == nil && len(s) <= maxInternLen && len(r.lits) < maxInterned {
+				r.lits[s] = s
+			}
+		}
+		return s
 	}
 	ref := r.uvarint()
 	if ref == 0 {
@@ -525,16 +537,17 @@ func (r *recordReader) eventRecord() RawEvent {
 	raw.Kind = event.Kind(r.uvarint())
 	raw.MsgID = r.uvarint()
 	raw.Type = r.interned()
-	raw.Text = r.string()
+	raw.Text = r.interned()
 	return raw
 }
 
-// replayRecord decodes one WAL record and applies it to the collector.
-func (c *Collector) replayRecord(p []byte) error {
+// replayRecord decodes one WAL record and applies it to the collector,
+// keeping one copy of each string in lits.
+func (c *Collector) replayRecord(p []byte, lits map[string]string) error {
 	if len(p) == 0 {
 		return fmt.Errorf("poet: empty WAL record")
 	}
-	r := &recordReader{p: p[1:]}
+	r := &recordReader{p: p[1:], lits: lits}
 	switch p[0] {
 	case recEvent:
 		raw := r.eventRecord()
@@ -543,7 +556,7 @@ func (c *Collector) replayRecord(p []byte) error {
 		}
 		return c.Report(raw)
 	case recTrace:
-		name := r.string()
+		name := r.interned()
 		if r.err != nil || name == "" {
 			return fmt.Errorf("poet: malformed WAL trace record")
 		}

@@ -542,3 +542,56 @@ func TestMonitorResumeBeyondRecoveredStreamRejected(t *testing.T) {
 		t.Fatal("Next hung instead of surfacing the rejected resume")
 	}
 }
+
+// TestRecoveredHeapPerEvent: a collector that OpenDurable recovers keeps
+// one copy of each trace, type and text string, as the live collector
+// that wrote the log does, though the WAL and the snapshot spell every
+// string literally. Recovered from the WAL alone, and then from the
+// snapshot alone, it retains at most 2 B an event more than the live one.
+func TestRecoveredHeapPerEvent(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes heap sizes")
+	}
+	const traces, n = 32, 100000
+	dir := t.TempDir()
+	opts := DurableOptions{Fsync: SyncNone, SnapshotEvery: -1}
+	heapOf := func(open func() (*Collector, *Durability)) (float64, *Collector, *Durability) {
+		before := liveHeap()
+		c, d := open()
+		return float64(liveHeap()-before) / n, c, d
+	}
+	live, c, d := heapOf(func() (*Collector, *Durability) {
+		c, d := openDurable(t, dir, opts)
+		for i := 0; i < n; i++ {
+			raw := RawEvent{Trace: fmt.Sprintf("p%d", i%traces), Seq: i/traces + 1, Kind: event.KindInternal, Type: "walk_step", Text: "critical"}
+			if err := c.Report(raw); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c, d
+	})
+	// Crash: no snapshot, the WAL alone.
+	if err := d.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c, d = nil, nil
+	fromWAL, c, d := heapOf(func() (*Collector, *Durability) { return openDurable(t, dir, opts) })
+	if rec := d.Recovery(); rec.WALRecords != n || c.Delivered() != n {
+		t.Fatalf("recovered %d events from %d WAL records, want %d", c.Delivered(), rec.WALRecords, n)
+	}
+	// A clean close: the snapshot alone.
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c, d = nil, nil
+	fromSnap, c, d := heapOf(func() (*Collector, *Durability) { return openDurable(t, dir, opts) })
+	defer d.Close()
+	if rec := d.Recovery(); rec.SnapshotEvents != n || rec.WALRecords != 0 || c.Delivered() != n {
+		t.Fatalf("recovered %d events, %+v, want %d from the snapshot", c.Delivered(), rec, n)
+	}
+	t.Logf("B retained per event: live %.1f, recovered from the WAL %.1f, from the snapshot %.1f", live, fromWAL, fromSnap)
+	if fromWAL > live+2 || fromSnap > live+2 {
+		t.Fatalf("a recovered collector retains %.1f (WAL) and %.1f (snapshot) B an event, the live one %.1f: want at most 2 more",
+			fromWAL, fromSnap, live)
+	}
+}

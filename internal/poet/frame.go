@@ -52,7 +52,7 @@ const (
 const (
 	maxFrameLen   = 1 << 24 // bytes in one frame body
 	maxInternLen  = 255     // longest string the string table takes
-	maxInterned   = 1 << 16 // strings in one connection's table
+	maxInterned   = 1 << 13 // strings in one connection's table: ≤ 2 MiB of them
 	maxClockWidth = 1 << 20 // highest trace ID a timestamp entry or announcement may name, plus one
 	frameBufSize  = 32 << 10
 )
@@ -178,7 +178,7 @@ func (w *frameWriter) event(e *event.Event, partner event.ID, delta bool) int {
 	b = appendID(b, e.ID)
 	b = binary.AppendUvarint(b, uint64(e.Kind))
 	b = w.strs.append(b, e.Type)
-	b = appendString(b, e.Text)
+	b = w.strs.append(b, e.Text)
 	b = appendID(b, partner)
 	return w.stamp(b, e.VC, delta)
 }
@@ -331,7 +331,7 @@ func (r *frameReader) next(f *frame) error {
 		e := r.slab.New()
 		e.ID = c.id()
 		e.Kind = event.Kind(c.uvarint())
-		e.Type, e.Text = c.interned(), c.string()
+		e.Type, e.Text = c.interned(), c.interned()
 		e.Partner = c.id()
 		if t := int(e.ID.Trace); c.err == nil && (t >= len(r.announced) || !r.announced[t]) {
 			c.fail(fmt.Errorf("%w: trace %d", errTraceRef, t))

@@ -7,7 +7,9 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"slices"
+	"strconv"
 	"testing"
 	"time"
 
@@ -167,7 +169,9 @@ func TestFrameDecoderBounds(t *testing.T) {
 		{"empty frame", frameOf(), errFrameTooLong},
 		{"unknown kind", frameOf(200), errFrameKind},
 		{"string-table index not sent", frameOf(frameRaw, 5), errStringRef},
-		{"event on an unannounced trace", frameOf(frameEvent, 0, 3, 1, 1, 0, 0, 0, 0, 0), errTraceRef},
+		// flags, id t3#1, kind, type and text each a new empty literal
+		// (reference 0, length 0), partner.
+		{"event on an unannounced trace", frameOf(frameEvent, 0, 3, 1, 1, 0, 0, 0, 0, 0, 0), errTraceRef},
 		{"varint overruns the frame", frameOf(frameHead, 0x80), errFrameOverrun},
 		{"string overruns the frame", frameOf(frameTrace, 1, 9, 'x'), errFrameOverrun},
 		{"delta without baseline", frameOf(frameExport, flagDelta, 1, 0, 1, 0, 1), errNoBaseline},
@@ -418,11 +422,14 @@ func TestTrickleCutsFramesMidHeaderAndMidVarint(t *testing.T) {
 	c, _, p := startFaultServer(t)
 	// Indices beyond 127 make the index field a two-byte varint; texts of
 	// varying length keep the frame size from settling on a divisor of
-	// the chunk size, which would pin every cut to one frame offset.
+	// the chunk size, which would pin every cut to one frame offset. Each
+	// text is new, so the frame spells it out rather than referencing it
+	// in the string table.
 	const traces, perTrace = 4, 500
 	for i := 1; i <= perTrace; i++ {
 		for tr := 0; tr < traces; tr++ {
-			ev := RawEvent{Trace: string(rune('a' + tr)), Seq: i, Kind: event.KindInternal, Type: "tick", Text: "xxxxxx"[:(i+tr)%7]}
+			text := "xxxxxx"[:(i+tr)%7] + strconv.Itoa(i)
+			ev := RawEvent{Trace: string(rune('a' + tr)), Seq: i, Kind: event.KindInternal, Type: "tick", Text: text}
 			if err := c.Report(ev); err != nil {
 				t.Fatal(err)
 			}
@@ -585,4 +592,58 @@ func TestShardFollowerStopRacesInitialDial(t *testing.T) {
 	if st := f.Stats(); st.Connected {
 		t.Fatalf("stats = %+v: a stopped follower reports a live session", st)
 	}
+}
+
+// TestStringTableBound: texts that never repeat fill a connection's
+// string tables up to their bound and no further — at most maxInterned
+// strings of at most maxInternLen bytes, 2 MiB, the same strings on both
+// sides — and still decode exactly, spelled literally once it is full.
+func TestStringTableBound(t *testing.T) {
+	const n, batch = 200000, 1000
+	var wire bytes.Buffer
+	before := liveHeap()
+	fw := newFrameWriter(&wire)
+	fr := &frameReader{br: bufio.NewReaderSize(&wire, frameBufSize)}
+	text := func(i int) string {
+		return strconv.Itoa(i) + string(bytes.Repeat([]byte{'x'}, 200-len(strconv.Itoa(i))))
+	}
+	var f frame
+	for i := 0; i < n; i += batch {
+		for j := i; j < i+batch; j++ {
+			fw.raw(&RawEvent{Trace: "p" + strconv.Itoa(j%4), Seq: j/4 + 1, Kind: event.KindInternal, Type: "step", Text: text(j)})
+		}
+		if err := fw.flush(); err != nil {
+			t.Fatal(err)
+		}
+		for j := i; j < i+batch; j++ {
+			if err := fr.next(&f); err != nil {
+				t.Fatalf("frame %d: %v", j, err)
+			}
+			if f.kind != frameRaw || f.raw.Text != text(j) || f.raw.Seq != j/4+1 {
+				t.Fatalf("frame %d decoded as kind %d %+v", j, f.kind, f.raw)
+			}
+		}
+	}
+	held := liveHeap() - before
+	const bound = maxInterned * maxInternLen
+	wrote, read := 0, 0
+	for s := range fw.strs {
+		wrote += len(s)
+	}
+	for i, s := range fr.strs {
+		read += len(s)
+		if fw.strs[s] != uint64(i+1) {
+			t.Fatalf("the reader's string %d is the writer's %d", i+1, fw.strs[s])
+		}
+	}
+	t.Logf("tables hold %d strings, %d B (writer) and %d B (reader); %d B live with the codec state", len(fr.strs), wrote, read, held)
+	if len(fw.strs) != maxInterned || len(fr.strs) != maxInterned || wrote != read || read > bound {
+		t.Fatalf("tables hold %d (writer) and %d (reader) strings of %d and %d B, want %d each, at most %d B",
+			len(fw.strs), len(fr.strs), wrote, read, maxInterned, bound)
+	}
+	if !raceEnabled && held > 3*bound {
+		t.Fatalf("the codec state holds %d B after %d distinct texts, want at most %d", held, n, 3*bound)
+	}
+	runtime.KeepAlive(fw)
+	runtime.KeepAlive(fr)
 }

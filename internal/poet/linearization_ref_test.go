@@ -15,7 +15,9 @@ import (
 // stood before the head-of-trace fast path, when every accepted event
 // was written to pending[t] and read back — and pending[t] was a map
 // keyed by Seq, which Ref keeps as its own state beside the collector it
-// drives. Replica promotion, WAL recovery and monitor resume offsets
+// drives. So are the MsgIDs of the sends it has seen, locally and from
+// peer shards, as the two sets the collector once kept: the collector's
+// MsgID table holds only what its deliver reads. Replica promotion, WAL recovery and monitor resume offsets
 // assume delivery order is a function of the ingestion order alone, so
 // the two must agree on every order, not just in-order ones.
 
@@ -25,10 +27,15 @@ type Ref struct {
 	// pending[t] buffers raw events that arrived ahead of their trace's
 	// delivery point, keyed by Seq.
 	pending []map[int]RawEvent
+	// sendersSeen holds the MsgID of every local send ingested, remote
+	// that of every peer-shard send supplied.
+	sendersSeen, remote map[uint64]bool
 }
 
 // NewRef returns the reference path into c, which only Ref may feed.
-func NewRef(c *Collector) *Ref { return &Ref{c: c} }
+func NewRef(c *Collector) *Ref {
+	return &Ref{c: c, sendersSeen: make(map[uint64]bool), remote: make(map[uint64]bool)}
+}
 
 // Report is Collector.Report through the reference path. With
 // waitersFirst it is the reference for a fast path built wrong — one
@@ -105,10 +112,10 @@ func (r *Ref) reportLocked(raw RawEvent, waitersFirst bool) error {
 			raw.Trace, len(r.pending[t]), ErrOverloaded)
 	}
 	if isSendLike(raw.Kind) && raw.MsgID != 0 {
-		if c.sendersSeen[raw.MsgID] {
+		if r.sendersSeen[raw.MsgID] {
 			return fmt.Errorf("poet: duplicate message id %d from %q/%d", raw.MsgID, raw.Trace, raw.Seq)
 		}
-		c.sendersSeen[raw.MsgID] = true
+		r.sendersSeen[raw.MsgID] = true
 		delete(c.heldRemote, raw.MsgID)
 	}
 	head := raw.Seq == c.nextSeq[t]
@@ -136,7 +143,7 @@ func (r *Ref) drain(t event.TraceID, waitersFirst bool) {
 					if ws := c.recvWait[raw.MsgID]; len(ws) == 0 || ws[len(ws)-1] != tr {
 						c.recvWait[raw.MsgID] = append(ws, tr)
 					}
-					if c.sharded && !c.sendersSeen[raw.MsgID] {
+					if c.sharded && !r.sendersSeen[raw.MsgID] {
 						if _, ok := c.heldRemote[raw.MsgID]; !ok {
 							c.heldRemote[raw.MsgID] = time.Now()
 						}
@@ -176,11 +183,13 @@ func (r *Ref) SupplyRemoteSend(msgID uint64, id event.ID, vc vclock.Stamp) error
 	if !c.sharded {
 		return errors.New("poet: SupplyRemoteSend on an unsharded collector")
 	}
-	if _, ok := c.remoteSends[msgID]; ok || c.sendersSeen[msgID] {
+	if r.remote[msgID] || r.sendersSeen[msgID] {
 		return nil
 	}
 	vc = vclock.NewStamp(vc.Dense(), vc.Trace(), nil)
-	c.remoteSends[msgID] = remoteSend{id: id, vc: vc}
+	r.remote[msgID] = true
+	c.sends[msgID] = sendRemote | uint64(c.remote.Len()) // what deliver reads
+	c.remote.Push(remoteSend{id: id, vc: vc})
 	c.recordLocked(nil, &shardExport{MsgID: msgID, ID: id, VC: vc})
 	delete(c.heldRemote, msgID)
 	if waiters := c.recvWait[msgID]; len(waiters) > 0 {

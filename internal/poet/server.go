@@ -452,9 +452,6 @@ func (s *Server) handle(conn net.Conn) error {
 		return fmt.Errorf("kind-%d frame where the hello belongs", f.kind)
 	}
 	h := f.hello
-	if h.magic != wireMagic {
-		return fmt.Errorf("bad magic %q", h.magic)
-	}
 	// Past the hello only the roles that hear from their peer keep a read
 	// deadline; they re-arm it themselves.
 	l.readTimeout = 0
@@ -468,6 +465,11 @@ func (s *Server) handle(conn net.Conn) error {
 		out = countingWriter{w: l, s: s}
 	}
 	fw := newFrameWriter(out)
+	if h.magic != wireMagic {
+		// Every version's hello and error frames read alike, so an older
+		// peer learns why it is turned away.
+		return refuseHello(fw, h.role, fmt.Sprintf("peer speaks %q, this server %s; rebuild the peer from the same checkout", h.magic, wireMagic), false)
+	}
 	// An unpromoted standby or a draining server takes no new sessions;
 	// the refusal is marked retriable so endpoint pools rotate to the live
 	// peer (or keep probing until promotion) instead of treating it as

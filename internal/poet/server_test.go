@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -248,19 +249,23 @@ func TestServerRejectsBadHello(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// Direct bad-magic connection.
-	bad, err := dialRaw(addr, hello{magic: "WRONG", role: roleTarget})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bad.Close()
-	// The server closes it; reading yields EOF eventually.
-	buf := make([]byte, 1)
-	if err := bad.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bad.Read(buf); err == nil {
-		t.Fatalf("expected close or deadline on bad-magic connection")
+	// Direct bad-magic connections, one of them a v4 peer's: the server
+	// answers with a terminal refusal naming both protocols, then closes.
+	for _, magic := range []string{"WRONG", "OCEP-POET-4"} {
+		bad, err := dialRaw(addr, hello{magic: magic, role: roleTarget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer bad.Close()
+		if err := bad.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if f := bad.answer(t); f.kind != frameError || f.retry || !strings.Contains(f.reason, strconv.Quote(magic)) || !strings.Contains(f.reason, wireMagic) {
+			t.Fatalf("%s hello answered by kind %d (retry %v): %q, want a terminal refusal naming %s", magic, f.kind, f.retry, f.reason, wireMagic)
+		}
+		if _, err := bad.fr.br.ReadByte(); err == nil {
+			t.Fatalf("expected close or deadline on the %s connection", magic)
+		}
 	}
 }
 

@@ -55,8 +55,7 @@ type shardExport struct {
 	VC    vclock.Stamp
 }
 
-// remoteSend is a peer shard's exported send, keyed by MsgID in
-// Collector.remoteSends.
+// remoteSend is a peer shard's exported send, in Collector.remote.
 type remoteSend struct {
 	id event.ID
 	vc vclock.Stamp
@@ -89,7 +88,6 @@ func (c *Collector) EnableSharding(shardID, numShards int) error {
 	c.sharded = true
 	c.shardID = shardID
 	c.numShards = numShards
-	c.remoteSends = make(map[uint64]remoteSend)
 	c.heldRemote = make(map[uint64]time.Time)
 	return nil
 }
@@ -133,7 +131,7 @@ func (c *Collector) ShardStats() ShardStats {
 	}
 	st.HomeTraces = c.shardLocals
 	st.Exports = c.exports.Len()
-	st.RemoteSends = len(c.remoteSends)
+	st.RemoteSends = c.remote.Len()
 	now := time.Now()
 	for m, since := range c.heldRemote {
 		ws := c.recvWait[m]
@@ -155,11 +153,8 @@ func (c *Collector) ShardStats() ShardStats {
 // delivered locally or supplied by a peer shard — the receive gate of
 // the delivery cascade.
 func (c *Collector) hasSendLocked(msgID uint64) bool {
-	if _, ok := c.sends[msgID]; ok {
-		return true
-	}
-	_, ok := c.remoteSends[msgID]
-	return ok
+	w, ok := c.sends[msgID]
+	return ok && (w&sendRemote != 0 || uint32(w) != 0)
 }
 
 // SupplyRemoteSend applies one peer-shard export record: the identity
@@ -178,20 +173,18 @@ func (c *Collector) SupplyRemoteSend(msgID uint64, id event.ID, vc vclock.Stamp)
 		c.mu.Unlock()
 		return errors.New("poet: SupplyRemoteSend on an unsharded collector")
 	}
-	if c.sendersSeen[msgID] {
-		// The send is (or will be) delivered locally: the local stamp
-		// wins, and this record is our own export echoed around the tier.
-		c.mu.Unlock()
-		return nil
-	}
-	if _, ok := c.remoteSends[msgID]; ok {
+	if _, ok := c.sends[msgID]; ok {
+		// Supplied already, or the send is (or will be) delivered locally:
+		// the local stamp wins, and this record is our own export echoed
+		// around the tier.
 		c.mu.Unlock()
 		return nil
 	}
 	// The one materialising copy: the stored stamp pins none of the
 	// decoder's slab.
 	vc = vclock.NewStamp(vc.Dense(), vc.Trace(), nil)
-	c.remoteSends[msgID] = remoteSend{id: id, vc: vc}
+	c.sends[msgID] = sendRemote | uint64(c.remote.Len())
+	c.remote.Push(remoteSend{id: id, vc: vc})
 	c.recordLocked(nil, &shardExport{MsgID: msgID, ID: id, VC: vc})
 	delete(c.heldRemote, msgID)
 	if waiters := c.recvWait[msgID]; len(waiters) > 0 {

@@ -166,8 +166,10 @@ func TestSupplyRemoteSendGatesReceives(t *testing.T) {
 func (c *Collector) remoteSendFor(msgID uint64) (remoteSend, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rs, ok := c.remoteSends[msgID]
-	return rs, ok
+	if w := c.sends[msgID]; w&sendRemote != 0 {
+		return *c.remote.At(int(w &^ (sendRemote | sendLocal))), true
+	}
+	return remoteSend{}, false
 }
 
 func TestSupplyRemoteSendRequiresSharding(t *testing.T) {

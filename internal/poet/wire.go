@@ -13,7 +13,7 @@ import (
 	"ocep/internal/pool"
 )
 
-// Wire protocol v4 ("OCEP-POET-4"); docs/ARCHITECTURE.md has the frame
+// Wire protocol v5 ("OCEP-POET-5"); docs/ARCHITECTURE.md has the frame
 // layout table. Every connection speaks the frame codec of frame.go in
 // both directions, from its first byte: a hello frame naming the role,
 // answered by an acks frame (the target's per-trace acks; empty for the
@@ -38,7 +38,9 @@ import (
 //
 // Compatibility: v1–v3 opened with a gob hello; the server recognizes
 // one by its first frame failing to parse and rejects it with a message
-// naming v4, instead of desynchronizing mid-stream.
+// naming v5, instead of desynchronizing mid-stream. A v4 peer's hello
+// parses (v5 changed only how texts are spelled), and is refused with
+// an error frame naming both versions.
 
 // Connection roles.
 const (
@@ -67,7 +69,7 @@ type hello struct {
 	traces []string
 }
 
-const wireMagic = "OCEP-POET-4"
+const wireMagic = "OCEP-POET-5"
 
 // traceAck is the highest seq s such that events 1..s of the trace have
 // all been ingested (delivered or buffered awaiting causal partners).
