@@ -392,7 +392,7 @@ type MonitorClient struct {
 
 	// fr decodes the live session's frames, from ep. Replaced wholesale
 	// on every (re)connection, so the string table, the announced traces,
-	// and the delta baseline reset together with the server's.
+	// and each trace's last timestamp reset together with the server's.
 	fr       *frameReader
 	ep       string
 	received int
@@ -447,8 +447,8 @@ func (m *MonitorClient) Next() (*event.Event, error) {
 		var f frame
 		err := m.fr.next(&f)
 		switch {
-		case errors.Is(err, errNoBaseline):
-			// A baseline desync is a protocol bug, not a transport fault:
+		case errors.Is(err, errDesync):
+			// A timestamp desync is a protocol bug, not a transport fault:
 			// resuming would mask it, so surface it.
 			return nil, err
 		case err != nil:

@@ -562,11 +562,15 @@ func TestSubscribeBatchReplayFrom(t *testing.T) {
 }
 
 // liveStreamGolden is the SHA-256 of what TestResumedStreamIsLiveSuffix's
-// live monitor connection receives, recorded from OCEP-POET-5, which
-// spells texts through the string table. Its OCEP-POET-4 bytes, the same
-// the per-connection queue of copies sent before subscribers became
-// cursors, hashed to 361c4267ad67bcc0d0507a2feba463090af803a058771019d6f5785d4b313479.
-const liveStreamGolden = "6be0ada59acabc8d8f4ce3939c23c5ed8b12293eafcf6f767d0c69cb4ac7f059"
+// live monitor connection receives, recorded from OCEP-POET-6, which
+// spells a delta timestamp against its own trace's previous one. Its
+// OCEP-POET-5 bytes (a delta against the previous frame, texts through
+// the string table) hashed to
+// 6be0ada59acabc8d8f4ce3939c23c5ed8b12293eafcf6f767d0c69cb4ac7f059; its
+// OCEP-POET-4 bytes, the same the per-connection queue of copies sent
+// before subscribers became cursors, to
+// 361c4267ad67bcc0d0507a2feba463090af803a058771019d6f5785d4b313479.
+const liveStreamGolden = "dcc93b52775b43a59e9b4f5c14a69662c8a7de406a66253f1251a688ffe30bd9"
 
 // monitorReader decodes one raw monitor connection, keeping every byte
 // the server sent.

@@ -18,17 +18,18 @@ import (
 // lists as a uvarint count plus items. Three things are per-connection
 // state, reset by every handshake: the string table (repeating strings
 // are spelled once, then referenced), the set of announced trace IDs,
-// and the baseline of the delta-encoded timestamps.
+// and the last delta-encoded timestamp of each trace.
 //
 // A timestamp is always the last field and runs to the end of its
-// frame, in one of two spellings named by the frame's flags byte: dense
-// (every entry of the vector, in order) or delta ((trace, value) pairs
-// for the entries that differ from the previous timestamp on this
-// connection, explicit zeros for entries that vanished — the
-// linearization interleaves traces, so timestamps are not per-component
-// monotone along the stream). The first delta frame of a connection is
-// flagged as the baseline, so a desynchronized decoder fails loudly
-// instead of mis-stamping.
+// frame, spelled as the frame's flags byte says: dense (every entry, in
+// order) or delta, against the last timestamp of its event's trace on
+// this connection, the own entry being the event's index. A causal
+// history grows only at a join, so a delta timestamp is a tick (no
+// bytes: it shares that timestamp's join clock) or a join ((trace,
+// value) pairs for the foreign entries that rose). A clock never shrinks
+// along a trace: a tick with no previous timestamp, an own entry that
+// does not rise or a pair that lowers an entry is a desynchronized
+// stream, and fails loudly instead of mis-stamping.
 const (
 	frameRaw       = recEvent // RawEvent, in the WAL's record encoding
 	frameTraceReg  = recTrace // explicit trace registration (replica stream), ditto
@@ -44,8 +45,8 @@ const (
 	frameError     = 12       // refusal: retry bit, reason
 	frameQuery     = 13       // query request: op, id, argument trace
 
-	flagDelta    = 1 // the timestamp is delta-encoded
-	flagBaseline = 2 // ...against the all-zero vector: the first delta frame of a connection
+	flagDelta = 1 // the timestamp is delta-encoded against its trace's previous one
+	flagTick  = 2 // ...and shares that timestamp's join clock: no pairs follow
 )
 
 // Decoder bounds: frames come from outside the process.
@@ -64,7 +65,7 @@ var (
 	errFrameMalformed = errors.New("poet: malformed frame")
 	errStringRef      = errors.New("poet: string-table index not yet sent")
 	errTraceRef       = errors.New("poet: event on a trace not yet announced")
-	errNoBaseline     = errors.New("poet: delta-encoded timestamp without a baseline frame (decoder out of sync)")
+	errDesync         = errors.New("poet: delta-encoded timestamp does not extend its trace's previous one (decoder out of sync)")
 )
 
 // frameWriter encodes frames into one connection's outbound buffer.
@@ -76,12 +77,9 @@ type frameWriter struct {
 	body []byte
 	err  error
 	strs stringTable
-	// base is the previous timestamp sent delta-encoded, dense, and last
-	// the same timestamp as stamped; sent reports that there was one.
-	base vclock.VC
-	last vclock.Stamp
-	sent bool
-	hdr  [binary.MaxVarintLen32]byte // emit's; a local escapes via bw.Write
+	// stamps[t] is the last timestamp of trace t sent delta-encoded.
+	stamps []vclock.Stamp
+	hdr    [binary.MaxVarintLen32]byte // emit's; a local escapes via bw.Write
 }
 
 func newFrameWriter(w io.Writer) *frameWriter {
@@ -174,20 +172,19 @@ func (w *frameWriter) trace(id event.TraceID, name string) {
 // e.Partner under the rule its context allows; see readablePartner) and
 // returns the number of timestamp entries it put on the wire.
 func (w *frameWriter) event(e *event.Event, partner event.ID, delta bool) int {
-	b := append(w.body[:0], frameEvent, w.flags(delta))
+	b := append(w.body[:0], frameEvent, 0) // stamp sets the flags
 	b = appendID(b, e.ID)
 	b = binary.AppendUvarint(b, uint64(e.Kind))
 	b = w.strs.append(b, e.Type)
 	b = w.strs.append(b, e.Text)
 	b = appendID(b, partner)
-	return w.stamp(b, e.VC, delta)
+	return w.stamp(b, e.ID, e.VC, delta)
 }
 
 // export sends a cross-shard export record; the count is event's.
 func (w *frameWriter) export(rec *shardExport, delta bool) int {
-	b := append(w.body[:0], frameExport, w.flags(delta))
-	b = binary.AppendUvarint(b, rec.MsgID)
-	return w.stamp(appendID(b, rec.ID), rec.VC, delta)
+	b := binary.AppendUvarint(append(w.body[:0], frameExport, 0), rec.MsgID)
+	return w.stamp(appendID(b, rec.ID), rec.ID, rec.VC, delta)
 }
 
 func appendID(b []byte, id event.ID) []byte {
@@ -195,43 +192,34 @@ func appendID(b []byte, id event.ID) []byte {
 	return binary.AppendUvarint(b, uint64(id.Index))
 }
 
-func (w *frameWriter) flags(delta bool) byte {
-	switch {
-	case !delta:
-		return 0
-	case !w.sent:
-		return flagDelta | flagBaseline
-	}
-	return flagDelta
-}
-
-// stamp appends v to the frame b straight from the stamp, advances the
-// delta baseline, and emits the frame.
-func (w *frameWriter) stamp(b []byte, v vclock.Stamp, delta bool) (entries int) {
+// stamp appends v, the timestamp of event id, to the frame b, sets the
+// frame's flags (b[1]) and emits it. A timestamp that does not extend
+// its trace's previous one on this connection (never one the collector
+// stamped) goes dense.
+func (w *frameWriter) stamp(b []byte, id event.ID, v vclock.Stamp, delta bool) (entries int) {
+	t, n := int(id.Trace), len(b)
 	if !delta {
-		entries = v.Width()
-		for t := 0; t < entries; t++ {
-			b = binary.AppendUvarint(b, uint64(v.Get(t)))
+		b[1], entries = 0, v.Width()
+		for u := 0; u < entries; u++ {
+			b = binary.AppendUvarint(b, uint64(v.Get(u)))
 		}
 	} else {
-		w.sent = true
-		if n := v.Width(); n > len(w.base) {
-			w.base = append(w.base, make(vclock.VC, n-len(w.base))...)
+		if t >= len(w.stamps) {
+			w.stamps = append(w.stamps, make([]vclock.Stamp, t+1-len(w.stamps))...)
 		}
-		lo, hi := 0, len(w.base)
-		if v.Shares(w.last) {
-			// Only the own entry can differ from the previous stamp's.
-			lo = v.Trace()
-			hi = min(lo+1, hi)
+		prev := w.stamps[t]
+		if own := v.Get(t); own != id.Index || own <= prev.Get(t) {
+			return w.stamp(b, id, v, false)
 		}
-		for t := lo; t < hi; t++ {
-			if n := int32(v.Get(t)); w.base[t] != n {
-				w.base[t] = n
-				b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(t)), uint64(n))
-				entries++
-			}
+		if b[1] = flagDelta; prev.Get(t) > 0 && v.Shares(prev) {
+			b[1] |= flagTick
+		} else if !v.Rises(prev, func(u int, x int32) {
+			b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(u)), uint64(x))
+			entries++
+		}) {
+			return w.stamp(b[:n], id, v, false)
 		}
-		w.last = v
+		w.stamps[t] = v
 	}
 	w.body = b
 	w.emit()
@@ -262,13 +250,9 @@ type frameReader struct {
 	strs []string
 	// announced marks the trace IDs announced on this connection.
 	announced []bool
-	// base is the previous delta-decoded timestamp, dense, and last the
-	// same timestamp as decoded; seen reports that a baseline frame
-	// arrived.
-	base vclock.VC
-	last vclock.Stamp
-	seen bool
-	// dense is the scratch clock a dense frame decodes into.
+	// stamps[t] is the last delta-decoded timestamp of trace t.
+	stamps []vclock.Stamp
+	// dense is the scratch clock a materialised timestamp is built in.
 	dense vclock.VC
 	// slab backs the decoded events and timestamps.
 	slab event.Slab
@@ -336,12 +320,12 @@ func (r *frameReader) next(f *frame) error {
 		if t := int(e.ID.Trace); c.err == nil && (t >= len(r.announced) || !r.announced[t]) {
 			c.fail(fmt.Errorf("%w: trace %d", errTraceRef, t))
 		}
-		e.VC = r.stamp(&c, flags, int(e.ID.Trace), true)
+		e.VC = r.stamp(&c, flags, e.ID)
 		f.ev = e
 	case frameExport:
 		flags := byte(c.uvarint())
 		f.exp = shardExport{MsgID: c.uvarint(), ID: c.id()}
-		f.exp.VC = r.stamp(&c, flags, int(f.exp.ID.Trace), false)
+		f.exp.VC = r.stamp(&c, flags, f.exp.ID)
 	case frameHead:
 		f.head = c.int()
 	case frameHello:
@@ -394,16 +378,14 @@ func (r *recordReader) entry() int32 {
 	return int32(n)
 }
 
-// stamp consumes the rest of the frame as the timestamp of an event on
-// trace t. A delta frame of an event (share) whose one pair moves t one
-// past the previous timestamp's own entry, when that timestamp was t's
-// too, shares the previous join clock: the frame itself proves the two
-// clocks differ in entry t alone. Every other timestamp — dense, a trace
-// switch, a receive, an export — is materialised, trimmed to its last
-// nonzero entry: the width the collector stamped it with.
-func (r *frameReader) stamp(c *recordReader, flags byte, t int, share bool) vclock.Stamp {
-	if c.err == nil && t >= maxClockWidth {
-		c.fail(fmt.Errorf("%w: timestamp of trace %d, limit %d", errFrameMalformed, t, maxClockWidth))
+// stamp consumes the rest of the frame as the timestamp of event id.
+// A tick is the previous timestamp of id's trace with id's index for its
+// own entry, over the same join clock; a join or a dense timestamp is
+// materialised.
+func (r *frameReader) stamp(c *recordReader, flags byte, id event.ID) vclock.Stamp {
+	t := int(id.Trace)
+	if c.err == nil && (t >= maxClockWidth || id.Index > math.MaxInt32) {
+		c.fail(fmt.Errorf("%w: timestamp of event %v, limit t%d#%d", errFrameMalformed, id, maxClockWidth-1, math.MaxInt32))
 	}
 	if c.err != nil {
 		return vclock.Stamp{}
@@ -427,43 +409,55 @@ func (r *frameReader) stamp(c *recordReader, flags byte, t int, share bool) vclo
 		if len(c.p) > 0 {
 			c.fail(errFrameOverrun) // a last varint with no final byte
 		}
-		return r.materialise(r.dense, t)
+		return r.materialise(t)
 	}
-	switch {
-	case flags&flagBaseline != 0:
-		r.base, r.last, r.seen = r.base[:0], vclock.Stamp{}, true
-	case !r.seen:
-		c.fail(errNoBaseline)
+	if t >= len(r.stamps) {
+		r.stamps = append(r.stamps, make([]vclock.Stamp, t+1-len(r.stamps))...)
+	}
+	prev := r.stamps[t]
+	switch had := prev.Get(t); {
+	case id.Index <= had:
+		c.fail(fmt.Errorf("%w: event %v after t%d#%d", errDesync, id, t, had))
+	case flags&flagTick != 0 && had == 0:
+		c.fail(fmt.Errorf("%w: event %v ticks a trace with no timestamp yet", errDesync, id))
+	case flags&flagTick != 0:
+		r.stamps[t] = prev.At(t, id.Index)
+		return r.stamps[t]
+	}
+	r.dense = prev.At(t, id.Index).AppendDense(r.dense[:0])
+	for len(c.p) > 0 {
+		switch u, n := c.uvarint(), c.entry(); {
+		case c.err != nil:
+		case u >= maxClockWidth:
+			c.fail(fmt.Errorf("%w: timestamp entry for trace %d, limit %d", errFrameMalformed, u, maxClockWidth))
+		case int(u) < len(r.dense) && (n < r.dense[u] || int(u) == t):
+			c.fail(fmt.Errorf("%w: event %v sets entry %d from %d to %d", errDesync, id, u, r.dense[u], n))
+		default:
+			if int(u) >= len(r.dense) {
+				r.dense = append(r.dense, make(vclock.VC, int(u)+1-len(r.dense))...)
+			}
+			r.dense[u] = n
+		}
+	}
+	if c.err != nil {
 		return vclock.Stamp{}
 	}
-	pairs, u := 0, uint64(0)
-	for ; len(c.p) > 0; pairs++ {
-		var n int32
-		if u, n = c.uvarint(), c.entry(); c.err != nil {
-			return vclock.Stamp{}
-		}
-		if u >= maxClockWidth {
-			c.fail(fmt.Errorf("%w: timestamp entry for trace %d, limit %d", errFrameMalformed, u, maxClockWidth))
-			return vclock.Stamp{}
-		}
-		if int(u) >= len(r.base) {
-			r.base = append(r.base, make(vclock.VC, int(u)+1-len(r.base))...)
-		}
-		r.base[u] = n
-	}
-	if share && pairs == 1 && int(u) == t && r.last.Trace() == t && int(r.base[t]) == r.last.Get(t)+1 {
-		r.last = r.last.Tick(t)
-	} else {
-		r.last = r.materialise(r.base, t)
-	}
-	return r.last
+	r.stamps[t] = r.materialise(t)
+	return r.stamps[t]
 }
 
-// materialise stamps an event of trace t with a copy of v carved from
-// the reader's slab, trailing zeros trimmed.
-func (r *frameReader) materialise(v vclock.VC, t int) vclock.Stamp {
+// materialise stamps an event of trace t with r.dense, trailing zeros
+// trimmed: in a join clock carved from the reader's slab if it has a
+// foreign entry, else in none.
+func (r *frameReader) materialise(t int) vclock.Stamp {
+	v := r.dense
 	for len(v) > 0 && v[len(v)-1] == 0 {
 		v = v[:len(v)-1]
 	}
-	return vclock.NewStamp(v, t, &r.slab)
+	for u, n := range v {
+		if n != 0 && u != t {
+			return vclock.NewStamp(v, t, &r.slab)
+		}
+	}
+	return vclock.Stamp{}.At(t, v.Get(t))
 }

@@ -81,6 +81,7 @@ func sameFrame(a, b *frame) bool {
 // sampleFrames is one frame of every kind.
 func sampleFrames() []frame {
 	clock := func(t int, ns ...int32) vclock.Stamp { return vclock.VC(ns).Stamp(t) }
+	p0, x9 := clock(0, 1), clock(5, 0, 3, 0, 0, 0, 9)
 	return []frame{
 		{kind: frameHello, hello: hello{magic: wireMagic, role: roleTarget, traces: []string{"alpha", "beta"}}},
 		{kind: frameAcks, acks: []traceAck{{Trace: "alpha", Seq: 3}, {Trace: "gamma", Seq: 1 << 33}}},
@@ -95,13 +96,14 @@ func sampleFrames() []frame {
 		{kind: frameRaw, raw: RawEvent{Trace: "alpha", Seq: 300, Kind: event.KindInternal, Type: "req"}},
 		{kind: frameTrace, id: 0, name: "alpha"},
 		{kind: frameTrace, id: 2, name: "beta"},
-		{kind: frameEvent, ev: &event.Event{ID: event.ID{Trace: 0, Index: 1}, Kind: event.KindSend, Type: "req", Text: "r0", VC: clock(0, 1)}},
+		{kind: frameEvent, ev: &event.Event{ID: event.ID{Trace: 0, Index: 1}, Kind: event.KindSend, Type: "req", Text: "r0", VC: p0}},
 		{kind: frameEvent, ev: &event.Event{ID: event.ID{Trace: 2, Index: 200}, Kind: event.KindReceive, Type: "resp",
 			Partner: event.ID{Trace: 0, Index: 1}, VC: clock(2, 1, 0, 200)}},
-		{kind: frameEvent, ev: &event.Event{ID: event.ID{Trace: 0, Index: 2}, Kind: event.KindInternal, Type: "req", VC: clock(0, 2)}},
+		{kind: frameEvent, ev: &event.Event{ID: event.ID{Trace: 0, Index: 2}, Kind: event.KindInternal, Type: "req", VC: p0.Tick(0)}},
 		{kind: frameHead, head: 1 << 40},
-		{kind: frameExport, exp: shardExport{MsgID: 1 << 50, ID: event.ID{Trace: 5, Index: 9}, VC: clock(5, 0, 3, 0, 0, 0, 9)}},
-		{kind: frameExport, exp: shardExport{MsgID: 2, ID: event.ID{Trace: 5, Index: 10}, VC: clock(5)}},
+		{kind: frameExport, exp: shardExport{MsgID: 1 << 50, ID: event.ID{Trace: 5, Index: 9}, VC: x9}},
+		{kind: frameExport, exp: shardExport{MsgID: 2, ID: event.ID{Trace: 5, Index: 10}, VC: clock(5)}}, // dense even in a delta stream
+		{kind: frameExport, exp: shardExport{MsgID: 3, ID: event.ID{Trace: 5, Index: 11}, VC: x9.At(5, 11)}},
 		{kind: frameDrain},
 		{kind: frameEnd},
 	}
@@ -154,12 +156,25 @@ func TestFrameStringsSentOnce(t *testing.T) {
 	}
 }
 
+// frameOf frames a body by hand.
+func frameOf(body ...byte) []byte {
+	return append(binary.AppendUvarint(nil, uint64(len(body))), body...)
+}
+
+// decodeError decodes in to its first error: io.EOF if every frame
+// decodes.
+func decodeError(in []byte) error {
+	fr := &frameReader{br: bufio.NewReader(bytes.NewReader(in))}
+	for {
+		if err := fr.next(new(frame)); err != nil {
+			return err
+		}
+	}
+}
+
 // TestFrameDecoderBounds feeds the decoder each class of malformed
 // input and requires that class's own error.
 func TestFrameDecoderBounds(t *testing.T) {
-	frameOf := func(body ...byte) []byte {
-		return append(binary.AppendUvarint(nil, uint64(len(body))), body...)
-	}
 	cases := []struct {
 		name string
 		in   []byte
@@ -174,9 +189,14 @@ func TestFrameDecoderBounds(t *testing.T) {
 		{"event on an unannounced trace", frameOf(frameEvent, 0, 3, 1, 1, 0, 0, 0, 0, 0, 0), errTraceRef},
 		{"varint overruns the frame", frameOf(frameHead, 0x80), errFrameOverrun},
 		{"string overruns the frame", frameOf(frameTrace, 1, 9, 'x'), errFrameOverrun},
-		{"delta without baseline", frameOf(frameExport, flagDelta, 1, 0, 1, 0, 1), errNoBaseline},
-		{"timestamp entry beyond the width limit", frameOf(append([]byte{frameExport, flagDelta | flagBaseline, 1, 0, 1},
+		// flags, msgid 1, id t0#1, then the timestamp.
+		{"tick on a trace with no timestamp yet", frameOf(frameExport, flagDelta|flagTick, 1, 0, 1), errDesync},
+		{"timestamp entry beyond the width limit", frameOf(append([]byte{frameExport, flagDelta, 1, 0, 1},
 			append(binary.AppendUvarint(nil, maxClockWidth), 1)...)...), errFrameMalformed},
+		{"tick whose own entry does not rise", append(frameOf(frameExport, flagDelta, 1, 0, 2),
+			frameOf(frameExport, flagDelta|flagTick, 1, 0, 2)...), errDesync},
+		{"pair that lowers an entry", append(frameOf(frameExport, flagDelta, 1, 0, 1, 1, 5),
+			frameOf(frameExport, flagDelta, 1, 0, 2, 1, 3)...), errDesync},
 		{"bytes past the last field", frameOf(frameHeartbeat, 0), errFrameMalformed},
 		{"cut mid-frame", frameOf(frameHead, 1)[:2], io.ErrUnexpectedEOF},
 		{"long frame cut short", append(binary.AppendUvarint(nil, 1<<20), frameHead, 1), io.ErrUnexpectedEOF},
@@ -185,8 +205,7 @@ func TestFrameDecoderBounds(t *testing.T) {
 			binary.AppendUvarint(nil, maxClockWidth+1)...)...), errFrameMalformed},
 	}
 	for _, tc := range cases {
-		fr := &frameReader{br: bufio.NewReader(bytes.NewReader(tc.in))}
-		if err := fr.next(new(frame)); !errors.Is(err, tc.want) {
+		if err := decodeError(tc.in); !errors.Is(err, tc.want) {
 			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
 		}
 	}
@@ -195,8 +214,29 @@ func TestFrameDecoderBounds(t *testing.T) {
 // FuzzFrameDecode throws arbitrary bytes at the decoder: it must never
 // panic, and whatever it does decode must survive re-encoding — decode ∘
 // encode is the identity on the decoder's range. Seeded with one frame
-// of every kind in both timestamp spellings.
+// of every kind in both timestamp spellings, and with the delta streams
+// a desynchronized encoder would send, each of which must fail to
+// decode.
 func FuzzFrameDecode(f *testing.F) {
+	join := func(index byte, pairs ...byte) []byte { // an export of t0#index
+		return frameOf(append([]byte{frameExport, flagDelta, 1, 0, index}, pairs...)...)
+	}
+	for _, in := range [][]byte{
+		// A tick on a trace with no timestamp yet.
+		frameOf(frameExport, flagDelta|flagTick, 1, 0, 1),
+		// A tick whose own count is not above the previous one.
+		append(join(2), frameOf(frameExport, flagDelta|flagTick, 1, 0, 2)...),
+		// A pair that lowers an entry along a trace.
+		append(join(1, 1, 5), join(2, 1, 3)...),
+		// A join replayed after a resume into a decoder that was not
+		// reset: its own count does not rise.
+		append(append(join(4, 1, 5), frameOf(frameHello, 0, 0, 2, 0)...), join(3, 1, 5)...),
+	} {
+		if err := decodeError(in); !errors.Is(err, errDesync) {
+			f.Fatalf("seed %x decodes to %v, want an out-of-sync error", in, err)
+		}
+		f.Add(in, true)
+	}
 	for _, delta := range []bool{false, true} {
 		var all bytes.Buffer
 		fw := newFrameWriter(&all)

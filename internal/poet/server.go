@@ -236,12 +236,12 @@ func (s *Server) InstrumentMetrics(reg *telemetry.Registry) {
 		{&s.monitorBytes, "poet_wire_monitor_bytes_total", "Bytes written to monitor connections (events, announcements, heartbeats, handshakes)."},
 		{&s.monitorFlushes, "poet_wire_monitor_flushes_total", "write(2) calls on monitor connections; events per flush is the batching of the outbound leg."},
 		{&s.targetReads, "poet_wire_target_reads_total", "read(2) calls that returned data on target connections; events per read is the batching of the inbound leg."},
-		{&s.vcEntriesSent, "poet_wire_vc_entries_total", "Vector-timestamp entries sent to monitors (the entries that changed since the previous timestamp)."},
+		{&s.vcEntriesSent, "poet_wire_vc_entries_total", "Vector-timestamp entries sent to monitors (the foreign entries that rose since the trace's previous timestamp)."},
 		{&s.replicaSessions, "poet_wire_replica_sessions_total", "Accepted replica (warm-standby) sessions."},
 		{&s.replicaEvents, "poet_wire_replica_events_total", "Event records streamed to replica sessions."},
 		{&s.shardSessions, "poet_wire_shard_sessions_total", "Accepted peer-shard (cross-shard exchange) sessions."},
 		{&s.shardRecords, "poet_wire_shard_records_total", "Export records streamed to peer shards."},
-		{&s.shardVCEntries, "poet_wire_shard_vc_entries_total", "Vector-timestamp entries sent on shard sessions (changed entries on delta sessions)."},
+		{&s.shardVCEntries, "poet_wire_shard_vc_entries_total", "Vector-timestamp entries sent on shard sessions (the foreign entries that rose since the trace's previous timestamp)."},
 		{&s.drains, "poet_wire_drains_total", "Drain invocations (orderly shutdowns announced to peers)."},
 	} {
 		m.c.tel = reg.Counter(m.name, m.help)
@@ -735,10 +735,10 @@ func (s *Server) handleTarget(conn *link, fr *frameReader, fw *frameWriter, h he
 func (s *Server) handleMonitor(conn *link, fr *frameReader, fw *frameWriter, h hello) error {
 	s.monitorConns.add(1)
 	// The whole batch is framed into the connection's buffer and leaves
-	// in one flush (earlier only if the buffer fills). The delta baseline
+	// in one flush (earlier only if the buffer fills). The delta state
 	// is touched only by the cursor's goroutine, so encoding order equals
-	// stream order — which the baseline depends on. Its first frames wait
-	// for the hello's answer.
+	// stream order — which the delta state depends on. Its first frames
+	// wait for the hello's answer.
 	o := &outbound{fw: fw, peer: "monitor"}
 	o.mu.Lock()
 	sub, err := s.collector.subscribeFrom(h.from, AsyncOptions{QueueDepth: s.monQueue, Policy: s.monPolicy}, true, true,
@@ -759,10 +759,10 @@ func (s *Server) handleMonitor(conn *link, fr *frameReader, fw *frameWriter, h h
 		o.mu.Unlock()
 		return refuseHello(fw, roleMonitor, err.Error(), false)
 	}
-	// Timestamps are delta-encoded. The baseline starts at zero on both
-	// sides at this handshake, so reconnects and resumed replays are
-	// re-encoded from scratch — retransmitted suffixes never depend on
-	// state from a dead connection.
+	// Timestamps are delta-encoded against each trace's previous one on
+	// this connection. Both sides start with none at this handshake, so
+	// reconnects and resumed replays are re-encoded from scratch —
+	// retransmitted suffixes never depend on state from a dead connection.
 	err = acceptHello(fw, nil)
 	o.mu.Unlock()
 	if err != nil {

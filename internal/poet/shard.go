@@ -205,9 +205,9 @@ func (c *Collector) SupplyRemoteSend(msgID uint64, id event.ID, vc vclock.Stamp)
 // handleShard streams the collector's export log to one peer shard: the
 // suffix past the peer's offset first, then live records as sends are
 // delivered, each span once stable, behind a head frame with the export
-// count, and idle heartbeats carrying it too. Timestamps are
-// delta-encoded, so an idle or slowly-changing frontier costs a handful
-// of entries per record; the baseline is touched only by the cursor's
+// count, and idle heartbeats carrying it too. Timestamps are delta-encoded
+// against each trace's previous export, so a send that joined nothing
+// since costs no entries; the delta state is touched only by the cursor's
 // goroutine, so encoding order equals stream order — its invariant.
 func (s *Server) handleShard(conn *link, fr *frameReader, fw *frameWriter, h hello) error {
 	c := s.collector
@@ -351,7 +351,7 @@ func (f *ShardFollower) serve(s *session) error {
 	var fm frame
 	for {
 		if err := s.fr.next(&fm); err != nil {
-			if errors.Is(err, errNoBaseline) {
+			if errors.Is(err, errDesync) {
 				// The delta stream desynchronized in a way a fresh
 				// handshake would only repeat.
 				return terminal(fmt.Errorf("poet shard: %w", err))

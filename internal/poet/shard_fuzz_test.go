@@ -38,7 +38,8 @@ func FuzzShardFrontierCodec(f *testing.F) {
 		fr := &frameReader{br: bufio.NewReader(&wire)}
 		trace := 0
 		export := func(step int, msgID uint64, vc vclock.VC) {
-			id := event.ID{Trace: event.TraceID(trace % 64), Index: step + 1}
+			// The own entry is the index, as on a collector's stream.
+			id := event.ID{Trace: event.TraceID(trace % 64), Index: max(vc.Get(trace%64), 1)}
 			fw.head(step + 1)
 			fw.export(&shardExport{MsgID: msgID, ID: id, VC: vc.Stamp(int(id.Trace))}, true)
 			if err := fw.flush(); err != nil {

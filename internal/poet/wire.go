@@ -13,7 +13,7 @@ import (
 	"ocep/internal/pool"
 )
 
-// Wire protocol v5 ("OCEP-POET-5"); docs/ARCHITECTURE.md has the frame
+// Wire protocol v6 ("OCEP-POET-6"); docs/ARCHITECTURE.md has the frame
 // layout table. Every connection speaks the frame codec of frame.go in
 // both directions, from its first byte: a hello frame naming the role,
 // answered by an acks frame (the target's per-trace acks; empty for the
@@ -69,7 +69,7 @@ type hello struct {
 	traces []string
 }
 
-const wireMagic = "OCEP-POET-5"
+const wireMagic = "OCEP-POET-6"
 
 // traceAck is the highest seq s such that events 1..s of the trace have
 // all been ingested (delivered or buffered awaiting causal partners).

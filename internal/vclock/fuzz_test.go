@@ -86,6 +86,7 @@ func FuzzStampVsDense(f *testing.F) {
 		for i := 0; i+2 < len(program); i += 3 {
 			op, tr := program[i]%5, int(program[i+1]%16)
 			e := stamped{trace: tr, join: op >= 3 && len(sent) > 0}
+			prev, prevDense := stamps[tr], clocks[tr].Clone()
 			if e.join {
 				from := sent[int(program[i+2])%len(sent)]
 				stamps[tr] = stamps[tr].Join(from.st, tr, nil)
@@ -109,6 +110,19 @@ func FuzzStampVsDense(f *testing.F) {
 			if e.st.String() != e.dense.String() || !slices.Equal(ranged, want) || e.st.Weight() != weight {
 				t.Fatalf("step %d: stamp %s ranges %v weighs %d; dense %s ranges %v weighs %d",
 					i, e.st, ranged, e.st.Weight(), e.dense, want, weight)
+			}
+			// Rises walks the foreign entries that rose along the trace;
+			// backwards, it fails exactly where one rose.
+			var rose, wantRose []int32
+			for u := 0; u < len(e.dense); u++ {
+				if u != tr && e.dense.Get(u) > prevDense.Get(u) {
+					wantRose = append(wantRose, int32(u), int32(e.dense.Get(u)))
+				}
+			}
+			up := e.st.Rises(prev, func(u int, n int32) { rose = append(rose, int32(u), n) })
+			down := prev.Rises(e.st, func(int, int32) {})
+			if !up || !slices.Equal(rose, wantRose) || prev.Get(tr) > 0 && down != (len(wantRose) == 0) {
+				t.Fatalf("step %d: %s.Rises(%s) = %v, %v; backwards %v; dense rises %v", i, e.st, prev, up, rose, down, wantRose)
 			}
 			for _, u := range []int{-1, 0, tr, 15, 16, 1000} {
 				if e.st.Get(u) != e.dense.Get(u) {

@@ -59,7 +59,12 @@ func (v VC) Stamp(t int) Stamp { return NewStamp(v, t, nil) }
 // Tick returns the stamp of trace t's next event when no message joins
 // it: s's join clock, own count one more. s must be trace t's latest
 // stamp, or the zero Stamp before its first event.
-func (s Stamp) Tick(t int) Stamp { return Stamp{join: s.join, trace: int32(t), n: s.n + 1} }
+func (s Stamp) Tick(t int) Stamp { return s.At(t, int(s.n)+1) }
+
+// At is Tick to own count n: the stamp of trace t's event number n when
+// no message joined the trace since s. From the zero Stamp it is a stamp
+// with no foreign entries.
+func (s Stamp) At(t, n int) Stamp { return Stamp{join: s.join, trace: int32(t), n: int32(n)} }
 
 // Join returns the stamp of trace t's next event when it receives the
 // message stamped recv: the entrywise maximum of s and recv, own count
@@ -72,6 +77,34 @@ func (s Stamp) Join(recv Stamp, t int, a Allocator) Stamp {
 	}
 	v[t] = s.n + 1
 	return Stamp{join: j, trace: int32(t), n: v[t]}
+}
+
+// Rises calls f, in increasing trace order, for each entry but s's own
+// in which s exceeds prev, and reports whether s is below prev in none of
+// them; it stops at the first entry where it is.
+func (s Stamp) Rises(prev Stamp, f func(t int, n int32)) bool {
+	sb, pb := s.base(), prev.base()
+	for t := 0; t < max(len(sb), len(pb), int(prev.trace)+1); t++ {
+		var x, y int32
+		switch {
+		case t == int(s.trace):
+			continue
+		case t < len(sb):
+			x = sb[t]
+		}
+		switch {
+		case t == int(prev.trace):
+			y = prev.n
+		case t < len(pb):
+			y = pb[t]
+		}
+		if x < y {
+			return false
+		} else if x > y {
+			f(t, x)
+		}
+	}
+	return true
 }
 
 // Trace returns the trace of the stamped event.
@@ -124,7 +157,15 @@ func (s Stamp) Range(f func(t int, n int32) bool) {
 }
 
 // Dense returns the stamp as an independent dense clock, Width long.
-func (s Stamp) Dense() VC { return s.fill(make(VC, s.Width())) }
+func (s Stamp) Dense() VC { return s.AppendDense(nil) }
+
+// AppendDense appends the stamp's dense clock, Width long, to v.
+func (s Stamp) AppendDense(v VC) VC {
+	n := len(v)
+	v = append(v, make(VC, s.Width())...)
+	s.fill(v[n:])
+	return v
+}
 
 // fill writes the stamp's entries into v, at least Width long and zero
 // beyond the join clock, and returns it.
