@@ -473,7 +473,7 @@ func TestJournalBytesPerEvent(t *testing.T) {
 	evs := ringStream(32, 100000)
 	wal := 0
 	for i := range evs {
-		wal += len(encodeEventRecord(nil, &evs[i], nil))
+		wal += len(encodeRecord(nil, &evs[i], nil))
 	}
 	budget := wal + 4*len(evs) + fifo.ChunkBytes
 	held := func(journal bool) (int64, ReplicationStats) {
@@ -545,10 +545,8 @@ func TestReplicaTranscodeAllocs(t *testing.T) {
 		switch r := &model[i]; {
 		case r.remote:
 			twin.export(&r.x, false)
-		case r.Seq > 0:
-			twin.raw(&r.RawEvent)
 		default:
-			twin.traceReg(r.Trace)
+			twin.raw(&r.RawEvent)
 		}
 	}
 	if err := errors.Join(fw.flush(), twin.flush()); err != nil {

@@ -325,9 +325,9 @@ func (c *Collector) SetRetention(keepEvents int) error {
 // SetAdmissionLimit caps the out-of-order events buffered per trace:
 // a Report that finds its trace already holding maxPendingPerTrace
 // undeliverable events fails with ErrOverloaded instead of buffering
-// without bound. The refused event is not ingested — the reporter
-// retransmits it once the backlog drains (the wire server retries
-// transparently; see WireStats.LoadSheds). n <= 0 disables the limit.
+// without bound; the reporter retransmits it once the backlog drains
+// (see WireStats.LoadSheds). It binds reporters only: recovery, reload
+// and replication are never refused for load. n <= 0 disables it.
 func (c *Collector) SetAdmissionLimit(maxPendingPerTrace int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -525,21 +525,11 @@ func (c *Collector) Ordered() []*event.Event {
 // trace numbering (and so vector-clock positions) is deterministic
 // regardless of event arrival interleaving.
 func (c *Collector) RegisterTrace(name string) event.TraceID {
-	c.mu.Lock()
-	_, known := c.store.TraceByName(name)
-	id := c.ensureTrace(name)
-	var w walTicket
-	if !known {
-		// Explicit registrations must be replayed in order relative to
-		// events, or trace numbering (and so vector-clock layout) would
-		// differ on a replica or after recovery. Event-driven
-		// registrations are implied by the event records themselves.
-		w = c.recordLocked(&RawEvent{Trace: name}, nil)
-		c.fresh.Broadcast() // the journal grew
-	}
-	c.mu.Unlock()
 	// A WAL failure here resurfaces, sticky, at the next event's commit.
-	_ = w.commit()
+	_ = c.apply(RawEvent{Trace: name})
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	id, _ := c.store.TraceByName(name)
 	return id
 }
 
@@ -682,10 +672,12 @@ func (c *Collector) TraceStats() []TraceStat {
 	return out
 }
 
-// Report ingests one raw event. Events of one trace may arrive ahead of
-// the trace's delivery point (they are buffered), but never at or before
-// it. Delivery cascades: everything the new event unblocks is delivered
-// before Report returns.
+// Report ingests one raw event from a reporter. Events of one trace may
+// arrive ahead of the trace's delivery point (they are buffered), but
+// never at or before it. Delivery cascades: everything the new event
+// unblocks is delivered before Report returns. Report is the one path
+// admission control (SetAdmissionLimit) binds: a reporter's event may
+// be refused for load, a record the tier already accepted never is.
 //
 // When a BackpressureBlock batch subscriber lags past its depth, Report
 // waits — after releasing the collector lock, so readers and subscribers
@@ -693,11 +685,40 @@ func (c *Collector) TraceStats() []TraceStat {
 // slowest blocking subscriber.
 func (c *Collector) Report(raw RawEvent) error {
 	c.mu.Lock()
-	err := c.reportLocked(raw)
+	return c.applyLocked(&raw, c.admission)
+}
+
+// apply ingests a record the tier has accepted once (recovery, reload, a
+// standby's stream, RegisterTrace): an event, or at Seq 0 a trace
+// registration. No admission limit refuses it, so a rebuilt stream is
+// the stream that was observed; a stale event is refused as by Report.
+func (c *Collector) apply(raw RawEvent) error {
+	c.mu.Lock()
+	if raw.Seq != 0 {
+		return c.applyLocked(&raw, 0)
+	}
+	_, known := c.store.TraceByName(raw.Trace)
+	c.ensureTrace(raw.Trace)
+	var w walTicket
+	if !known {
+		// Recorded in order with events, or trace numbering would differ
+		// on a replica or after recovery; an event's own record implies
+		// its trace's.
+		w = c.recordLocked(&raw, nil)
+		c.fresh.Broadcast() // the journal grew
+	}
+	c.mu.Unlock()
+	return w.commit()
+}
+
+// applyLocked ingests an event under limit, the admission cap (0 for
+// none), and releases mu.
+func (c *Collector) applyLocked(raw *RawEvent, limit int) error {
+	err := c.ingestLocked(raw, limit)
 	var w walTicket
 	switch {
 	case err == nil:
-		w = c.recordLocked(&raw, nil)
+		w = c.recordLocked(raw, nil)
 		c.maybeTrimLocked()
 	case errors.Is(err, ErrStaleEvent):
 		c.tel.stale.Inc()
@@ -721,7 +742,7 @@ func (c *Collector) Report(raw RawEvent) error {
 	return err
 }
 
-func (c *Collector) reportLocked(raw RawEvent) error {
+func (c *Collector) ingestLocked(raw *RawEvent, limit int) error {
 	if raw.Seq < 1 {
 		return fmt.Errorf("poet: event on %q has sequence %d: %w", raw.Trace, raw.Seq, ErrStaleEvent)
 	}
@@ -739,7 +760,7 @@ func (c *Collector) reportLocked(raw RawEvent) error {
 	// what drains the backlog — refusing it would wedge the trace), but
 	// an out-of-order event beyond the per-trace buffer cap is shed back
 	// to the reporter, which retains and retransmits it.
-	if c.admission > 0 && raw.Seq != c.nextSeq[t] && c.pending[t].len() >= c.admission {
+	if limit > 0 && raw.Seq != c.nextSeq[t] && c.pending[t].len() >= limit {
 		return fmt.Errorf("poet: trace %q has %d buffered events awaiting causal predecessors: %w",
 			raw.Trace, c.pending[t].len(), ErrOverloaded)
 	}
@@ -753,10 +774,10 @@ func (c *Collector) reportLocked(raw RawEvent) error {
 		// on it is waiting on local delivery order, not a peer shard.
 		delete(c.heldRemote, raw.MsgID)
 	}
-	head := &raw
+	head := raw
 	if raw.Seq != c.nextSeq[t] || isRecvLike(raw.Kind) && !c.hasSendLocked(raw.MsgID) {
 		// Not deliverable on arrival: only such an event is buffered.
-		c.pending[t].insert(raw)
+		c.pending[t].insert(*raw)
 		head = nil
 	}
 	c.drain(t, head)

@@ -19,9 +19,10 @@ import (
 // write-ahead-log segment (see internal/wal): the segment header, then
 // CRC-framed records in the WAL's own record encoding, read back by the
 // WAL's own reader and applied through replayRecord, as recovery applies
-// the log. The registered traces' records come first, in ID order, so a
-// reload reproduces the writer's trace numbering (and so its
-// vector-clock layout) whatever the event interleaving. The journal's
+// the log (no admission limit refuses a reloaded record). The registered
+// traces' records come first, in ID order, so a reload reproduces the
+// writer's trace numbering (and so its vector-clock layout) whatever the
+// event interleaving. The journal's
 // event records follow in ingestion order: replaying them rebuilds the
 // writer's linearization and its journal, which keeps replica offsets
 // valid across a restart. An end record counting the records before it
@@ -57,7 +58,7 @@ func encodeSnapshot(w io.Writer, st snapshotState) error {
 	sw := wal.NewWriter(w)
 	var rec []byte
 	for _, name := range st.traces {
-		rec = encodeTraceRecord(rec[:0], name, nil)
+		rec = encodeRecord(rec[:0], &RawEvent{Trace: name}, nil)
 		sw.Append(rec)
 	}
 	for sp, cur := st.journal.span(journalCursor{}); len(sp.b) > 0; sp, cur = st.journal.span(cur) {
@@ -187,12 +188,15 @@ func (c *Collector) reloadSnapshot(r io.Reader, lenient bool, lits map[string]st
 }
 
 // ReloadFile reloads from a file path, transparently decompressing
-// ".gz" dumps. A directory path reloads a durability data directory
-// (snapshot plus write-ahead log) instead; see ReloadDir.
+// ".gz" dumps. A directory path replays a durability data directory
+// (snapshot plus write-ahead log) instead, read-only: no durability is
+// attached, and a torn WAL tail is skipped, not repaired.
 func (c *Collector) ReloadFile(path string) (n int, err error) {
 	if fi, serr := os.Stat(path); serr == nil && fi.IsDir() {
-		stats, err := ReloadDir(c, path)
-		return stats.Delivered + stats.Pending, err
+		st, err := recoverInto(c, path, func(string, ...any) {}, func(fn func([]byte) error) (wal.ReplayStats, error) {
+			return wal.Replay(path, fn)
+		})
+		return st.Delivered + st.Pending, err
 	}
 	f, err := os.Open(path)
 	if err != nil {

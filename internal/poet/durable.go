@@ -89,9 +89,10 @@ type RecoveryStats struct {
 	// snapshot (a crash between snapshot and truncation leaves them
 	// behind; they replay as idempotent no-ops).
 	StaleRecords int
-	// RejectedRecords counts well-formed WAL records the collector
-	// refused for reasons other than staleness (e.g. a duplicate message
-	// id). Nonzero values indicate a corrupt-but-CRC-valid log.
+	// RejectedRecords counts WAL records the collector refused for
+	// reasons other than staleness (e.g. a duplicate message id), never
+	// for load: admission control binds reporters only. Nonzero values
+	// indicate a corrupt-but-CRC-valid log.
 	RejectedRecords int
 	// DiscardedRecords and DiscardedBytes count the torn/corrupt WAL
 	// suffix dropped by crash recovery (see wal.ReplayStats).
@@ -308,19 +309,10 @@ func (d *Durability) Close() error {
 	return closeErr
 }
 
-// ReloadDir replays a durability data directory — snapshot plus WAL —
-// into a collector without attaching durability, for offline inspection
-// of a recovered state (`poetd -reload <datadir>`).
-func ReloadDir(c *Collector, dir string) (RecoveryStats, error) {
-	return recoverInto(c, dir, func(string, ...any) {}, func(fn func([]byte) error) (wal.ReplayStats, error) {
-		return wal.Replay(dir, fn)
-	})
-}
-
 // recoverInto replays dir's snapshot and then its write-ahead log into
-// c through the normal ingestion path. replay is wal.Open for a
-// directory that will be appended to (it repairs a torn tail) and
-// wal.Replay for a read-only look.
+// c through apply, which no admission limit refuses. replay is wal.Open
+// for a directory that will be appended to (it repairs a torn tail) and
+// wal.Replay for a read-only look (ReloadFile on a directory).
 func recoverInto(c *Collector, dir string, logf func(string, ...any), replay func(func([]byte) error) (wal.ReplayStats, error)) (RecoveryStats, error) {
 	var st RecoveryStats
 	start := time.Now()
@@ -407,7 +399,12 @@ func appendRef[S string | []byte](t stringTable, b []byte, s S) []byte {
 	return appendString(append(b, 0), s)
 }
 
-func encodeEventRecord(b []byte, raw *RawEvent, t stringTable) []byte {
+// encodeRecord encodes raw as an event record, or at Seq 0 as a trace
+// registration naming raw.Trace.
+func encodeRecord(b []byte, raw *RawEvent, t stringTable) []byte {
+	if raw.Seq == 0 {
+		return t.append(append(b, recTrace), raw.Trace)
+	}
 	b = append(b, recEvent)
 	b = t.append(b, raw.Trace)
 	b = binary.AppendUvarint(b, uint64(raw.Seq))
@@ -415,10 +412,6 @@ func encodeEventRecord(b []byte, raw *RawEvent, t stringTable) []byte {
 	b = binary.AppendUvarint(b, raw.MsgID)
 	b = t.append(b, raw.Type)
 	return t.append(b, raw.Text)
-}
-
-func encodeTraceRecord(b []byte, name string, t stringTable) []byte {
-	return t.append(append(b, recTrace), name)
 }
 
 // replicate frames a journal span for a replica and counts its records
@@ -530,9 +523,13 @@ func (r *recordReader) interned() string {
 	return (*r.tab)[ref-1]
 }
 
-// eventRecord reads the fields encodeEventRecord wrote.
-func (r *recordReader) eventRecord() RawEvent {
+// record reads the fields encodeRecord wrote for a record of kind
+// recEvent or recTrace.
+func (r *recordReader) record(kind byte) RawEvent {
 	raw := RawEvent{Trace: r.interned()}
+	if kind == recTrace {
+		return raw
+	}
 	raw.Seq = r.int()
 	raw.Kind = event.Kind(r.uvarint())
 	raw.MsgID = r.uvarint()
@@ -541,28 +538,16 @@ func (r *recordReader) eventRecord() RawEvent {
 	return raw
 }
 
-// replayRecord decodes one WAL record and applies it to the collector,
-// keeping one copy of each string in lits.
+// replayRecord decodes one WAL record and applies it, keeping one copy
+// of each string in lits.
 func (c *Collector) replayRecord(p []byte, lits map[string]string) error {
-	if len(p) == 0 {
-		return fmt.Errorf("poet: empty WAL record")
-	}
-	r := &recordReader{p: p[1:], lits: lits}
-	switch p[0] {
-	case recEvent:
-		raw := r.eventRecord()
-		if r.err != nil {
-			return fmt.Errorf("poet: malformed WAL event record")
-		}
-		return c.Report(raw)
-	case recTrace:
-		name := r.interned()
-		if r.err != nil || name == "" {
-			return fmt.Errorf("poet: malformed WAL trace record")
-		}
-		c.RegisterTrace(name)
-		return nil
-	default:
+	if p[0] != recEvent && p[0] != recTrace {
 		return fmt.Errorf("poet: unknown WAL record kind %d", p[0])
 	}
+	r := &recordReader{p: p[1:], lits: lits}
+	raw := r.record(p[0])
+	if r.err != nil || p[0] == recEvent && raw.Seq == 0 || p[0] == recTrace && raw.Trace == "" {
+		return fmt.Errorf("poet: malformed WAL record of kind %d", p[0])
+	}
+	return c.apply(raw)
 }

@@ -1,6 +1,7 @@
 package poet
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -335,7 +336,10 @@ func TestDumpNeedsJournalFromTheStart(t *testing.T) {
 	}
 }
 
-func TestReloadDirMatchesLiveRecovery(t *testing.T) {
+// TestReloadFileDirMatchesLiveRecovery: ReloadFile on a data directory
+// (poetd -reload <datadir>) rebuilds the crashed writer's state
+// read-only, as OpenDurable's recovery does.
+func TestReloadFileDirMatchesLiveRecovery(t *testing.T) {
 	dir := t.TempDir()
 	evs := durWorkload(30)
 	c1, d1 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways, SnapshotEvery: -1})
@@ -344,28 +348,116 @@ func TestReloadDirMatchesLiveRecovery(t *testing.T) {
 	if err := d1.log.Close(); err != nil { // crash
 		t.Fatal(err)
 	}
-
-	// Offline reload (poetd -reload <datadir>): same state, no
-	// durability attached.
-	c2 := NewCollector()
-	stats, err := ReloadDir(c2, dir)
+	segs := walSegments(t, dir)
+	before, err := os.ReadFile(segs[len(segs)-1])
 	if err != nil {
-		t.Fatalf("ReloadDir: %v", err)
+		t.Fatal(err)
 	}
-	if stats.WALRecords != len(evs) {
-		t.Fatalf("ReloadDir replayed %d records, want %d", stats.WALRecords, len(evs))
+
+	c2 := NewCollector()
+	n, err := c2.ReloadFile(dir)
+	if err != nil || n != len(evs) {
+		t.Fatalf("ReloadFile(dir) = %d, %v; want %d events", n, err, len(evs))
 	}
 	if got := stateSig(c2); !equalSlices(got, want) {
-		t.Fatal("ReloadDir state differs from the durable original")
+		t.Fatal("ReloadFile(dir) state differs from the durable original")
 	}
 	if c2.Durable() != nil {
-		t.Fatal("ReloadDir must not attach durability")
+		t.Fatal("ReloadFile(dir) must not attach durability")
 	}
-	// ReloadFile routes directories to ReloadDir.
-	c3 := NewCollector()
-	n, err := c3.ReloadFile(dir)
-	if err != nil || n != c2.Delivered()+c2.Pending() {
-		t.Fatalf("ReloadFile(dir) = %d, %v", n, err)
+	// Read-only: the directory is as the crash left it.
+	after, err := os.ReadFile(segs[len(segs)-1])
+	if err != nil || !bytes.Equal(before, after) || !equalSlices(walSegments(t, dir), segs) {
+		t.Fatalf("ReloadFile(dir) changed the data directory (%v)", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, SnapshotFile)); !os.IsNotExist(err) {
+		t.Fatalf("ReloadFile(dir) wrote a snapshot (%v)", err)
+	}
+}
+
+// admissionBacklog leaves trace p0 holding six out-of-order events: its
+// head, a receive, waits on a send nobody has reported, and five more
+// queue behind it. p1 delivers two events in between.
+func admissionBacklog() []RawEvent {
+	evs := []RawEvent{{Trace: "p0", Seq: 1, Kind: event.KindReceive, Type: "r", MsgID: 9}}
+	for s := 2; s <= 6; s++ {
+		evs = append(evs, RawEvent{Trace: "p0", Seq: s, Kind: event.KindInternal, Type: "x"})
+		if s%3 == 0 {
+			evs = append(evs, RawEvent{Trace: "p1", Seq: s / 3, Kind: event.KindInternal, Type: "y"})
+		}
+	}
+	return evs
+}
+
+// TestRecoveryAndReloadIgnoreAdmissionLimit: a record the writer
+// accepted is never refused for load on the way back in. Recovery, a
+// dump's Reload and ReloadFile of a data directory each rebuild the
+// writer's out-of-order backlog into a collector whose admission limit
+// is below the writer's, with the writer's ingest count and acks.
+func TestRecoveryAndReloadIgnoreAdmissionLimit(t *testing.T) {
+	dir := t.TempDir()
+	w, d := openDurable(t, dir, DurableOptions{Fsync: SyncAlways, SnapshotEvery: -1})
+	w.SetAdmissionLimit(8)
+	w.RegisterTrace("idle")
+	evs := admissionBacklog()
+	reportAll(t, w, evs)
+	if w.Pending() != 6 || w.AckFor("p0") != 6 {
+		t.Fatalf("writer holds %d pending, p0 acked to %d; want 6 and 6", w.Pending(), w.AckFor("p0"))
+	}
+	want := stateSig(w)
+	var dump bytes.Buffer
+	if err := w.Dump(&dump); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.log.Close(); err != nil { // crash
+		t.Fatal(err)
+	}
+	// The data directory is reloaded read-only before recovery opens it
+	// for appending (and Close snapshots into it).
+	for _, tc := range []struct {
+		name string
+		load func(c *Collector) (int, error)
+	}{
+		{"dump", func(c *Collector) (int, error) { return c.Reload(bytes.NewReader(dump.Bytes())) }},
+		{"datadir", func(c *Collector) (int, error) { return c.ReloadFile(dir) }},
+		{"recover", func(c *Collector) (int, error) {
+			d, err := OpenDurable(c, DurableOptions{Dir: dir, Fsync: SyncAlways})
+			if err != nil {
+				return 0, err
+			}
+			t.Cleanup(func() { _ = d.Close() })
+			if st := d.Recovery(); st.RejectedRecords != 0 || st.WALRecords != len(evs)+1 {
+				t.Errorf("recovery stats %+v, want %d WAL records and none rejected", st, len(evs)+1)
+			}
+			return c.IngestCount(), nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCollector()
+			c.SetAdmissionLimit(2)
+			n, err := tc.load(c)
+			if err != nil || n != len(evs) {
+				t.Fatalf("rebuilt %d events (%v), want all %d", n, err, len(evs))
+			}
+			if c.IngestCount() != w.IngestCount() || c.Pending() != w.Pending() {
+				t.Fatalf("ingested %d with %d pending, want %d with %d", c.IngestCount(), c.Pending(), w.IngestCount(), w.Pending())
+			}
+			for _, tr := range []string{"p0", "p1", "idle"} {
+				if got, want := c.AckFor(tr), w.AckFor(tr); got != want {
+					t.Fatalf("AckFor(%s) = %d, want the writer's %d", tr, got, want)
+				}
+			}
+			if got := stateSig(c); !equalSlices(got, want) {
+				t.Fatalf("rebuilt state differs:\nwant %v\ngot  %v", want, got)
+			}
+			// The send the backlog waits on drains all of it.
+			if err := c.Report(RawEvent{Trace: "p2", Seq: 1, Kind: event.KindSend, Type: "s", MsgID: 9}); err != nil {
+				t.Fatal(err)
+			}
+			if !c.Drained() || c.Delivered() != len(evs)+1 {
+				t.Fatalf("delivered %d of %d after the send", c.Delivered(), len(evs)+1)
+			}
+		})
 	}
 }
 

@@ -152,13 +152,9 @@ func (w *frameWriter) query(q *queryReq) {
 	w.emit()
 }
 
+// raw frames an event, or at Seq 0 a trace registration.
 func (w *frameWriter) raw(ev *RawEvent) {
-	w.body = encodeEventRecord(w.body[:0], ev, w.strs)
-	w.emit()
-}
-
-func (w *frameWriter) traceReg(name string) {
-	w.body = encodeTraceRecord(w.body[:0], name, w.strs)
+	w.body = encodeRecord(w.body[:0], ev, w.strs)
 	w.emit()
 }
 
@@ -229,9 +225,9 @@ func (w *frameWriter) stamp(b []byte, id event.ID, v vclock.Stamp, delta bool) (
 // frame is one decoded frame; kind says which fields are set.
 type frame struct {
 	kind   byte
-	raw    RawEvent      // frameRaw
+	raw    RawEvent      // frameRaw; frameTraceReg as Seq 0 (apply's registration)
 	id     event.TraceID // frameTrace
-	name   string        // frameTrace, frameTraceReg
+	name   string        // frameTrace
 	ev     *event.Event  // frameEvent
 	exp    shardExport   // frameExport
 	head   int           // frameHead
@@ -294,10 +290,8 @@ func (r *frameReader) next(f *frame) error {
 	f.kind = p[0]
 	c := recordReader{p: p[1:], tab: &r.strs}
 	switch f.kind {
-	case frameRaw:
-		f.raw = c.eventRecord()
-	case frameTraceReg:
-		f.name = c.interned()
+	case frameRaw, frameTraceReg:
+		f.raw = c.record(f.kind)
 	case frameTrace:
 		id := c.int()
 		f.id, f.name = event.TraceID(id), c.string()

@@ -21,10 +21,8 @@ import (
 // writeFrame re-emits a decoded frame.
 func writeFrame(fw *frameWriter, f *frame, delta bool) {
 	switch f.kind {
-	case frameRaw:
+	case frameRaw, frameTraceReg:
 		fw.raw(&f.raw)
-	case frameTraceReg:
-		fw.traceReg(f.name)
 	case frameTrace:
 		fw.trace(f.id, f.name)
 	case frameEvent:
@@ -53,10 +51,8 @@ func sameFrame(a, b *frame) bool {
 		return false
 	}
 	switch a.kind {
-	case frameRaw:
+	case frameRaw, frameTraceReg:
 		return a.raw == b.raw
-	case frameTraceReg:
-		return a.name == b.name
 	case frameTrace:
 		return a.id == b.id && a.name == b.name
 	case frameEvent:
@@ -91,7 +87,7 @@ func sampleFrames() []frame {
 		{kind: frameQuery, query: queryReq{op: opGP, id: event.ID{Trace: 2, Index: 300}, arg: 1}},
 		{kind: frameHello, hello: hello{magic: wireMagic, role: roleMonitor, from: 1 << 20}},
 		{kind: frameHeartbeat},
-		{kind: frameTraceReg, name: "alpha"},
+		{kind: frameTraceReg, raw: RawEvent{Trace: "alpha"}},
 		{kind: frameRaw, raw: RawEvent{Trace: "alpha", Seq: 1, Kind: event.KindSend, Type: "req", Text: "r0", MsgID: 7}},
 		{kind: frameRaw, raw: RawEvent{Trace: "alpha", Seq: 300, Kind: event.KindInternal, Type: "req"}},
 		{kind: frameTrace, id: 0, name: "alpha"},

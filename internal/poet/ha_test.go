@@ -7,10 +7,14 @@ package poet
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -130,6 +134,122 @@ func TestReplicaTailsPrimary(t *testing.T) {
 	st := c1.ReplicationStats()
 	if st.Sessions != 1 || st.Confirmed != total {
 		t.Fatalf("primary replication stats = %+v", st)
+	}
+}
+
+// TestReplicaIgnoresAdmissionLimit: a standby whose admission limit is
+// below its primary's follows an out-of-order backlog to the end. The
+// primary accepted every record, so the standby refuses none for load.
+func TestReplicaIgnoresAdmissionLimit(t *testing.T) {
+	c1, _, _, c2, _, _, rep := startReplicatedPair(t)
+	c1.SetAdmissionLimit(4)
+	c2.SetAdmissionLimit(1)
+	evs := []RawEvent{
+		{Trace: "p", Seq: 1, Kind: event.KindReceive, Type: "r", MsgID: 7},
+		{Trace: "p", Seq: 2, Kind: event.KindInternal, Type: "x"},
+		{Trace: "p", Seq: 3, Kind: event.KindInternal, Type: "x"},
+		{Trace: "q", Seq: 1, Kind: event.KindSend, Type: "s", MsgID: 7},
+	}
+	reportAll(t, c1, evs)
+	stopped := func() bool {
+		select {
+		case <-rep.Done():
+			return true
+		default:
+			return false
+		}
+	}
+	waitFor(t, func() bool { return stopped() || c2.Delivered() == len(evs) })
+	if stopped() {
+		t.Fatalf("the standby stopped following after %d of %d records: %v", c2.IngestCount(), len(evs), rep.Err())
+	}
+	if got, want := stateSig(c2), stateSig(c1); !equalSlices(got, want) {
+		t.Fatalf("standby state differs:\nwant %v\ngot  %v", want, got)
+	}
+	if c2.AckFor("p") != 3 || c2.AckFor("q") != 1 {
+		t.Fatalf("standby acks p=%d q=%d, want 3 and 1", c2.AckFor("p"), c2.AckFor("q"))
+	}
+}
+
+// TestReplicaJournalAndWALMatchPrimary: after a mixed workload —
+// explicit registrations, out-of-order events, a mid-stream reconnect,
+// then traces new to the standby, registered and implied — a durable
+// standby's journal and WAL are byte for byte its durable primary's.
+func TestReplicaJournalAndWALMatchPrimary(t *testing.T) {
+	dir1, dir2 := t.TempDir(), t.TempDir()
+	opts := DurableOptions{Fsync: SyncAlways, SnapshotEvery: -1}
+	c1, d1 := openDurable(t, dir1, opts)
+	t.Cleanup(func() { _ = d1.Close() })
+	s1 := NewServer(c1, t.Logf)
+	s1.SetWireTiming(10*time.Millisecond, 20*time.Millisecond, 2*time.Second)
+	addr1, err := s1.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s1.Close() })
+	p, err := faultnet.Listen(addr1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = p.Close() })
+	c2, d2 := openDurable(t, dir2, opts)
+	t.Cleanup(func() { _ = d2.Close() })
+	rep, err := FollowPrimary(p.Addr(), c2,
+		WithSessionHeartbeat(20*time.Millisecond),
+		WithSessionBackoff(2*time.Millisecond, 50*time.Millisecond),
+		WithSessionReconnect(10*time.Second),
+		WithSessionLog(t.Logf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rep.Stop)
+	caughtUp := func() bool { return c2.IngestCount() == c1.IngestCount() }
+
+	evs := durWorkload(40) // alpha and beta, every third receive ahead of its send
+	c1.RegisterTrace("zeta")
+	c1.RegisterTrace("beta")
+	reportAll(t, c1, evs[:60])
+	// The standby holds every trace before the cut, so the reconnect's
+	// leading registrations are all no-ops on it.
+	waitFor(t, caughtUp)
+	p.CutAll()
+	reportAll(t, c1, evs[60:])
+	waitFor(t, func() bool { return rep.Stats().Reconnects > 0 && caughtUp() })
+	c1.RegisterTrace("eta")
+	reportAll(t, c1, []RawEvent{
+		{Trace: "eta", Seq: 2, Kind: event.KindReceive, Type: "r", MsgID: 1000},
+		{Trace: "theta", Seq: 1, Kind: event.KindSend, Type: "s", MsgID: 1000},
+		{Trace: "eta", Seq: 1, Kind: event.KindInternal, Type: "x"},
+	})
+	waitFor(t, caughtUp)
+	rep.Stop()
+	<-rep.Done()
+
+	chunks := func(c *Collector) [][]byte {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.journal.chunks
+	}
+	if st := c1.ReplicationStats(); st.Records <= c1.IngestCount() {
+		t.Fatalf("the primary journaled %d records for %d events: no registration in it", st.Records, c1.IngestCount())
+	}
+	if !slices.EqualFunc(chunks(c1), chunks(c2), bytes.Equal) {
+		t.Fatal("the standby's journal differs from the primary's")
+	}
+	segs1, segs2 := walSegments(t, dir1), walSegments(t, dir2)
+	if len(segs1) == 0 || len(segs1) != len(segs2) {
+		t.Fatalf("WAL segments: primary %d, standby %d", len(segs1), len(segs2))
+	}
+	for i := range segs1 {
+		b1, err1 := os.ReadFile(segs1[i])
+		b2, err2 := os.ReadFile(segs2[i])
+		if err := errors.Join(err1, err2); err != nil {
+			t.Fatal(err)
+		}
+		if filepath.Base(segs1[i]) != filepath.Base(segs2[i]) || !bytes.Equal(b1, b2) {
+			t.Fatalf("WAL segment %s (%d bytes) differs from the primary's %s (%d bytes)",
+				filepath.Base(segs2[i]), len(b2), filepath.Base(segs1[i]), len(b1))
+		}
 	}
 }
 

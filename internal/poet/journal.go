@@ -176,8 +176,8 @@ func (t walTicket) commit() error {
 }
 
 // recordLocked is the one place an accepted input enters the
-// collector's history: Report, RegisterTrace (Seq 0) and
-// SupplyRemoteSend call it in the critical section that applies the
+// collector's history: apply (an event, or at Seq 0 a registration)
+// and SupplyRemoteSend call it in the critical section that applies the
 // input. It counts the record and, when something keeps it, encodes it
 // once: the journal stores those bytes and the WAL appends them, under
 // mu, so the orders agree. Remote sends stay off the disk (peers
@@ -200,10 +200,8 @@ func (c *Collector) recordLocked(raw *RawEvent, remote *shardExport) (t walTicke
 			return t
 		}
 		logged = c.tel.walEventRecs
-		c.rec = encodeEventRecord(c.rec[:0], raw, nil)
-	default:
-		c.rec = encodeTraceRecord(c.rec[:0], raw.Trace, nil)
 	}
+	c.rec = encodeRecord(c.rec[:0], raw, nil)
 	if c.journal != nil {
 		c.journal.append(c.rec)
 	}

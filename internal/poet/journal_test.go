@@ -33,12 +33,7 @@ type jrec struct {
 func (r *jrec) isEvent() bool { return !r.remote && r.Seq > 0 }
 
 // encode is the record as recordLocked hands it to the journal.
-func (r *jrec) encode() []byte {
-	if r.Seq > 0 {
-		return encodeEventRecord(nil, &r.RawEvent, nil)
-	}
-	return encodeTraceRecord(nil, r.Trace, nil)
-}
+func (r *jrec) encode() []byte { return encodeRecord(nil, &r.RawEvent, nil) }
 
 // add appends r to the journal as recordLocked does.
 func (j *journal) add(r jrec) {
@@ -65,13 +60,10 @@ func (sp *journalSpan) decode() (jrec, bool) {
 		return jrec{}, false
 	}
 	r := recordReader{p: p[1:]}
-	switch p[0] {
-	case recEvent:
-		return jrec{RawEvent: r.eventRecord()}, true
-	case recTrace:
-		return jrec{RawEvent: RawEvent{Trace: r.string()}}, true
+	if p[0] == recRemote {
+		return jrec{remote: true, x: *sp.remotes.At(r.int())}, true
 	}
-	return jrec{remote: true, x: *sp.remotes.At(r.int())}, true
+	return jrec{RawEvent: r.record(p[0])}, true
 }
 
 // all decodes the log, oldest record first.
@@ -489,7 +481,7 @@ func TestDumpIsIngestionOrdered(t *testing.T) {
 		case recTrace:
 			traces = append(traces, r.string())
 		case recEvent:
-			got = append(got, r.eventRecord())
+			got = append(got, r.record(recEvent))
 		case recEnd:
 			end = r.int()
 		}
@@ -679,7 +671,7 @@ func TestJournalMatchesRecordModel(t *testing.T) {
 		if _, err := wal.Read(&buf, func(p []byte) error {
 			r := &recordReader{p: p[1:]}
 			if p[0] == recEvent {
-				got = append(got, r.eventRecord())
+				got = append(got, r.record(recEvent))
 			}
 			return r.err
 		}); err != nil {

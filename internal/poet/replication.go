@@ -14,9 +14,9 @@ import (
 // registration and applied peer-shard send, in exactly the order the WAL
 // logs them) serves it to replica sessions (hello role "replica") over
 // the normal wire port: a session is a cursor over the journal. A
-// standby runs a Replicator that applies the stream
-// to its own collector through the public Report/RegisterTrace path, so
-// the standby's delivery, ack watermarks, and monitor offsets are the
+// standby runs a Replicator that applies the stream to its own
+// collector through apply, which no admission limit refuses, so the
+// standby's delivery, ack watermarks, and monitor offsets are the
 // deterministic product of the same record order the primary ingested:
 // after a failover, a monitor's ResumeFrom and a reporter's pruned
 // prefix mean the same thing on the standby that they meant on the
@@ -198,7 +198,7 @@ func (s *Server) handleReplica(conn *link, fr *frameReader, fw *frameWriter, h h
 	})
 
 	for _, name := range traces {
-		fw.traceReg(name)
+		fw.raw(&RawEvent{Trace: name})
 	}
 	o := &outbound{fw: fw, peer: "replica"}
 	var sp journalSpan
@@ -304,8 +304,8 @@ type ReplicatorStats struct {
 
 // Replicator tails a primary's record stream into a local collector,
 // keeping a warm standby one promotion away. It applies records through
-// the public Report/RegisterTrace path — duplicates after a resume are
-// absorbed as stale no-ops, and the local WAL (when the collector is
+// apply, as recovery does — no admission limit refuses one, duplicates
+// after a resume are absorbed as stale no-ops, and the local WAL (when the collector is
 // durable) logs everything, so a crashed standby recovers and resumes
 // from its exact applied offset.
 type Replicator struct {
@@ -411,9 +411,6 @@ func (r *Replicator) serve(s *session) error {
 			r.mu.Unlock()
 			continue
 		case frameHeartbeat:
-		case frameTraceReg:
-			r.c.RegisterTrace(f.name)
-			continue
 		case frameExport:
 			if err := r.c.SupplyRemoteSend(f.exp.MsgID, f.exp.ID, f.exp.VC); err != nil {
 				// The primary applied this remote send; a local refusal
@@ -421,10 +418,10 @@ func (r *Replicator) serve(s *session) error {
 				// divergence redialing cannot fix.
 				return terminal(fmt.Errorf("poet replica: applying remote send %d: %w", f.exp.MsgID, err))
 			}
-		case frameRaw:
-			err := r.c.Report(f.raw)
+		case frameRaw, frameTraceReg:
+			err := r.c.apply(f.raw)
 			if err != nil && !errors.Is(err, ErrStaleEvent) {
-				// The primary ingested this record; a local refusal means
+				// The primary accepted this record; a local refusal means
 				// the two collectors have diverged (or the local disk
 				// died). Redialing replays the same record — surface it.
 				return terminal(fmt.Errorf("poet replica: applying %s/%d: %w", f.raw.Trace, f.raw.Seq, err))

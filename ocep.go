@@ -186,12 +186,6 @@ func OpenDurable(c *Collector, opts DurableOptions) (*Durability, error) {
 	return poet.OpenDurable(c, opts)
 }
 
-// ReloadDir replays a durability data directory (snapshot plus
-// write-ahead log) into a collector without attaching durability.
-func ReloadDir(c *Collector, dir string) (RecoveryStats, error) {
-	return poet.ReloadDir(c, dir)
-}
-
 // ParseSyncPolicy parses "always", "interval", or "none".
 func ParseSyncPolicy(s string) (SyncPolicy, error) { return poet.ParseSyncPolicy(s) }
 
@@ -561,12 +555,11 @@ func (m *Monitor) feedLocked(e *Event) ([]Match, error) {
 	if m.cfg.measure {
 		m.timings = append(m.timings, time.Since(start))
 	}
-	m.tel.events.Inc()
-	if err != nil {
-		return nil, err
-	}
+	// Matches before the event: a reader that sees the event counted
+	// sees its matches counted too.
 	m.tel.matches.Add(int64(len(matches)))
-	return matches, nil
+	m.tel.events.Inc()
+	return matches, err
 }
 
 // emit invokes the match callback outside the monitor lock.
@@ -699,10 +692,8 @@ func (m *Monitor) attachAsync(c *Collector) {
 			}
 		} else {
 			matches, err = m.matcher.FeedBatch(batch)
+			m.tel.matches.Add(int64(len(matches)))
 			m.tel.events.Add(int64(len(batch)))
-			if err == nil {
-				m.tel.matches.Add(int64(len(matches)))
-			}
 		}
 		if err != nil && m.err == nil {
 			m.err = err

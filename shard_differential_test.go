@@ -149,8 +149,9 @@ func runShardedTier(t *testing.T, tc failoverCase, events []ocep.RawEvent, pools
 	// The counter wait above guarantees the stream is fully consumed, so
 	// the match count and the stats below are final even though Run is
 	// still blocked waiting for the shards' End frames. The monitor counts
-	// an event, and its matches, before it hands the matches to the
-	// handler: wait for the handler to have collected them all.
+	// an event's matches before the event itself, and both before it hands
+	// the matches to the handler: wait for the handler to have collected
+	// them all.
 	want := reg.FindCounter("ocep_monitor_matches_total").Value()
 	timedOut := false
 	timer := time.AfterFunc(15*time.Second, func() {

@@ -13,6 +13,7 @@ package ocep_test
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -42,6 +43,76 @@ func captureDeadlock(t *testing.T) ([]ocep.RawEvent, string) {
 		t.Fatal("workload produced no events")
 	}
 	return sink.events, workload.DeadlockPattern(2)
+}
+
+// TestTelemetryInvariantsMatchesCountedBeforeEvent: the monitor counts
+// an event's matches before the event itself, so a reader that sees
+// ocep_monitor_events_total at k sees ocep_monitor_matches_total final
+// for those k events — what a test waiting on the event counter relies
+// on before it reads the match counter. Every event here is a match, so
+// a sample (events read first) must never find fewer matches than
+// events. A watcher samples the pair while the monitor is fed directly,
+// then in one-event batches through an async attachment. The window it
+// looks for is a few instructions wide: on one CPU the watcher seldom
+// lands in it, on two it does thousands of times a run.
+func TestTelemetryInvariantsMatchesCountedBeforeEvent(t *testing.T) {
+	const n = 50000
+	raw := func(k int) ocep.RawEvent {
+		return ocep.RawEvent{Trace: "p", Seq: k, Kind: ocep.KindInternal, Type: "ping"}
+	}
+	for _, async := range []bool{false, true} {
+		reg := ocep.NewRegistry()
+		opts := []ocep.Option{ocep.WithMetrics(reg)}
+		if async {
+			opts = append(opts, ocep.WithAsyncDelivery(), ocep.WithMaxBatch(1))
+		}
+		mon, err := ocep.NewMonitor(`A := [*, ping, *]; pattern := A;`, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events := reg.FindCounter("ocep_monitor_events_total")
+		matches := reg.FindCounter("ocep_monitor_matches_total")
+		var stop atomic.Bool
+		var samples, behind int
+		watched := make(chan struct{})
+		go func() {
+			defer close(watched)
+			for !stop.Load() {
+				e := events.Value()
+				if matches.Value() < e {
+					behind++
+				}
+				samples++
+			}
+		}()
+		if async {
+			c := ocep.NewCollector()
+			mon.Attach(c)
+			for k := 1; k <= n; k++ {
+				if err := c.Report(raw(k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mon.Flush()
+			mon.Detach()
+		} else {
+			tid := mon.RegisterTrace("p")
+			for k := 1; k <= n; k++ {
+				r := raw(k)
+				e := &ocep.Event{ID: ocep.EventID{Trace: tid, Index: k}, Kind: r.Kind, Type: r.Type, VC: ocep.VC{int32(k)}.Stamp(int(tid))}
+				if ms, err := mon.Feed(e); err != nil || len(ms) != 1 {
+					t.Fatalf("event %d: %d matches, %v", k, len(ms), err)
+				}
+			}
+		}
+		stop.Store(true)
+		<-watched
+		if behind > 0 {
+			t.Errorf("async=%v: %d of %d samples saw the event counter ahead of the match counter", async, behind, samples)
+		}
+		metricEq(t, reg, "ocep_monitor_events_total", n)
+		metricEq(t, reg, "ocep_monitor_matches_total", n)
+	}
 }
 
 // TestTelemetryInvariantsInProcess drives an instrumented collector
