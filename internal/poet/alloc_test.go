@@ -459,51 +459,71 @@ func ringStream(traces, n int) []RawEvent {
 	return evs
 }
 
-// TestJournalBytesPerEvent pins what the journal holds per record: the
-// record as the WAL writes it, its length prefix, and the slack at a
-// chunk's end. On a 100 000-event ring that is at most the WAL's record
-// bytes plus 4 B a record plus one chunk, both as the journal counts
-// itself (ReplicationStats.JournalBytes) and as the live heap sees it
-// beside a collector that keeps none. A journal of RawEvent structs held
-// 80 B a record.
+// TestJournalBytesPerEvent pins what the journal holds per event on a
+// 100 000-event ring, both as the journal counts itself
+// (ReplicationStats.JournalBytes) and as the live heap sees it beside a
+// collector that keeps none. Through its chunk's string table a record
+// spells a repeating string as a one-byte reference: where trace, type
+// and text repeat, a record is its integers, three reference bytes and a
+// length byte, plus 2 B; where every text is new, it is at most the
+// literal spelling plus 2 B (the length byte and the text's reference
+// 0). Each budget has one chunk, and the heap's one chunk's table, of
+// slack. A journal of RawEvent structs held 80 B a record, and the
+// literal spelling 14.8 B on the ring.
 func TestJournalBytesPerEvent(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes heap sizes")
 	}
-	evs := ringStream(32, 100000)
-	wal := 0
-	for i := range evs {
-		wal += len(encodeRecord(nil, &evs[i], nil))
+	ring := ringStream(32, 100000)
+	unique := append([]RawEvent(nil), ring...)
+	for i := range unique {
+		unique[i].Text = fmt.Sprintf("payload-%d", i)
 	}
-	budget := wal + 4*len(evs) + fifo.ChunkBytes
-	held := func(journal bool) (int64, ReplicationStats) {
-		before := liveHeap()
-		c := NewCollector()
-		if journal {
-			if err := c.EnableReplicationLog(); err != nil {
-				t.Fatal(err)
-			}
+	for _, w := range []struct {
+		name string
+		evs  []RawEvent
+		per  func(raw *RawEvent) int // a record's budget
+	}{
+		{"repeating", ring, func(raw *RawEvent) int {
+			return len(literalRecord(raw)) - len(raw.Trace) - len(raw.Type) - len(raw.Text) + 1 + 2
+		}},
+		{"unique-text", unique, func(raw *RawEvent) int { return len(literalRecord(raw)) + 2 }},
+	} {
+		evs := w.evs
+		literal, budget := 0, fifo.ChunkBytes
+		for i := range evs {
+			literal += len(literalRecord(&evs[i]))
+			budget += w.per(&evs[i])
 		}
-		for _, e := range evs {
-			if err := c.Report(e); err != nil {
-				t.Fatal(err)
+		held := func(journal bool) (int64, ReplicationStats) {
+			before := liveHeap()
+			c := NewCollector()
+			if journal {
+				if err := c.EnableReplicationLog(); err != nil {
+					t.Fatal(err)
+				}
 			}
+			for _, e := range evs {
+				if err := c.Report(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			heap := liveHeap() - before
+			runtime.KeepAlive(c)
+			return heap, c.ReplicationStats()
 		}
-		heap := liveHeap() - before
-		runtime.KeepAlive(c)
-		return heap, c.ReplicationStats()
-	}
-	withJournal, st := held(true)
-	without, _ := held(false)
-	runtime.KeepAlive(evs) // or the second collector's heap is net of the stream's
-	n := float64(len(evs))
-	t.Logf("%d events: WAL records %.1f B each; the journal counts %.1f B and the heap %.1f B per record, budget %.1f",
-		len(evs), float64(wal)/n, float64(st.JournalBytes)/n, float64(withJournal-without)/n, float64(budget)/n)
-	if st.Records != len(evs) || st.JournalBytes < wal || st.JournalBytes > budget {
-		t.Errorf("the journal of %d records counts %d bytes, want between the WAL's %d and %d", st.Records, st.JournalBytes, wal, budget)
-	}
-	if withJournal-without > int64(budget) {
-		t.Errorf("the journal holds %d bytes of heap, budget %d", withJournal-without, budget)
+		withJournal, st := held(true)
+		without, _ := held(false)
+		runtime.KeepAlive(evs) // or the second collector's heap is net of the stream's
+		n := float64(len(evs))
+		t.Logf("%s: %d events, literal records %.1f B each; the journal counts %.1f B and the heap %.1f B per record, budget %.1f",
+			w.name, len(evs), float64(literal)/n, float64(st.JournalBytes)/n, float64(withJournal-without)/n, float64(budget)/n)
+		if st.Records != len(evs) || st.JournalBytes > budget {
+			t.Errorf("%s: the journal of %d records counts %d bytes, budget %d", w.name, st.Records, st.JournalBytes, budget)
+		}
+		if tab := int64(maxInterned) * 64; withJournal-without > int64(budget)+tab {
+			t.Errorf("%s: the journal holds %d bytes of heap, budget %d and a table's %d", w.name, withJournal-without, budget, tab)
+		}
 	}
 }
 
@@ -529,17 +549,16 @@ func TestReplicaTranscodeAllocs(t *testing.T) {
 		model[i] = r
 		j.add(r)
 	}
-	stream := func(fw *frameWriter) (recs int) {
+	stream := func(fw *frameWriter) (events int) {
 		for sp, cur := j.span(journalCursor{}); len(sp.b) > 0; sp, cur = j.span(cur) {
-			k, _ := fw.replicate(sp)
-			recs += k
+			events += fw.replicate(sp, true)
 		}
-		return recs
+		return events
 	}
 	var got, want bytes.Buffer
 	fw, twin := newFrameWriter(&got), newFrameWriter(&want)
-	if recs := stream(fw); recs != n {
-		t.Fatalf("streamed %d records of %d", recs, n)
+	if events, want := stream(fw), j.events(); events != want {
+		t.Fatalf("streamed %d event records of %d", events, want)
 	}
 	for i := range model {
 		switch r := &model[i]; {
@@ -562,4 +581,28 @@ func TestReplicaTranscodeAllocs(t *testing.T) {
 	if per > 0.01 {
 		t.Fatalf("streaming a journal record to a replica costs %.4f allocations, want <= 0.01", per)
 	}
+}
+
+// BenchmarkReplicateSpan streams a 100 000-event ring journal, with
+// texts from a small set, to a replica connection through a warm
+// frameWriter: the transcode from each journal chunk's string table to
+// the connection's, per record.
+func BenchmarkReplicateSpan(b *testing.B) {
+	j := journal{strs: make(stringTable)}
+	for i, e := range ringStream(32, 100000) {
+		e.Text = fmt.Sprintf("t%d", i%16)
+		j.record(nil, &e, nil)
+	}
+	fw := newFrameWriter(io.Discard)
+	stream := func() {
+		for sp, cur := j.span(journalCursor{}); len(sp.b) > 0; sp, cur = j.span(cur) {
+			fw.replicate(sp, true)
+		}
+	}
+	stream()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stream()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*j.n), "ns/record")
 }

@@ -20,14 +20,14 @@ import (
 // CRC-framed records in the WAL's own record encoding, read back by the
 // WAL's own reader and applied through replayRecord, as recovery applies
 // the log (no admission limit refuses a reloaded record). The registered
-// traces' records come first, in ID order, so a reload reproduces the
-// writer's trace numbering (and so its vector-clock layout) whatever the
-// event interleaving. The journal's
-// event records follow in ingestion order: replaying them rebuilds the
-// writer's linearization and its journal, which keeps replica offsets
-// valid across a restart. An end record counting the records before it
-// closes the file, so a dump cut at any record boundary is told from a
-// whole one.
+// traces' records come first, in ID order, through a table of their own,
+// so a reload reproduces the writer's trace numbering (and so its
+// vector-clock layout) whatever the event interleaving. The journal's
+// chunks follow whole, less the peer-shard sends, in ingestion order:
+// replaying them rebuilds the writer's linearization and its journal,
+// which keeps replica offsets valid across a restart. An end record
+// counting the records before it closes the file, so a dump cut at any
+// record boundary is told from a whole one.
 
 // gobDumpMagic opened the gob dumps of earlier builds; it is recognized
 // only to reject them by name.
@@ -53,22 +53,25 @@ func (c *Collector) snapshotStateLocked() (snapshotState, error) {
 }
 
 // encodeSnapshot writes one state cut as a dump, copying the journal's
-// event records as they stand. Remote sends stay out: peers re-stream them.
+// records as they stand. Remote sends stay out: peers re-stream them.
 func encodeSnapshot(w io.Writer, st snapshotState) error {
 	sw := wal.NewWriter(w)
-	var rec []byte
+	n, strs := len(st.traces), make(stringTable)
+	rec := []byte{recChunk} // the registrations' own table
 	for _, name := range st.traces {
-		rec = encodeRecord(rec[:0], &RawEvent{Trace: name}, nil)
+		rec = encodeRecord(rec, &RawEvent{Trace: name}, strs)
 		sw.Append(rec)
+		rec = rec[:0]
 	}
 	for sp, cur := st.journal.span(journalCursor{}); len(sp.b) > 0; sp, cur = st.journal.span(cur) {
 		for p := sp.next(); p != nil; p = sp.next() {
-			if p[0] == recEvent {
+			if p[0] != recRemote {
 				sw.Append(p)
+				n++
 			}
 		}
 	}
-	sw.Append(binary.AppendUvarint(append(rec[:0], recEnd), uint64(len(st.traces)+st.journal.events())))
+	sw.Append(binary.AppendUvarint(append(rec[:0], recEnd), uint64(n)))
 	if err := sw.Flush(); err != nil {
 		return fmt.Errorf("poet: writing dump: %w", err)
 	}
@@ -151,6 +154,7 @@ func (c *Collector) reloadSnapshot(r io.Reader, lenient bool, lits map[string]st
 	head, _ := br.Peek(512)
 	gobEra := bytes.Contains(head, []byte(gobDumpMagic))
 	records, ended := 0, false
+	tab := recordReader{lits: lits}
 	st, err := wal.Read(br, func(p []byte) error {
 		if ended {
 			return errors.New("a record follows the end record")
@@ -163,11 +167,11 @@ func (c *Collector) reloadSnapshot(r io.Reader, lenient bool, lits map[string]st
 			ended = true
 			return nil
 		}
-		if err := c.replayRecord(p, lits); err != nil {
+		if err := c.replayRecord(p, &tab); err != nil {
 			return err
 		}
 		records++
-		if p[0] == recEvent {
+		if isEvent(p) {
 			n++
 		}
 		return nil
@@ -177,6 +181,8 @@ func (c *Collector) reloadSnapshot(r io.Reader, lenient bool, lits map[string]st
 		return 0, false, errGobDump
 	case errors.Is(err, wal.ErrNoHeader):
 		return 0, false, fmt.Errorf("poet: not a dump: %w", err)
+	case errors.Is(err, errLiteralLog):
+		return 0, false, errLiteralLog
 	case err == nil && !st.Truncated && ended:
 		return n, false, nil
 	case lenient:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -14,6 +15,7 @@ import (
 
 	"ocep/internal/event"
 	"ocep/internal/vclock"
+	"ocep/internal/wal"
 )
 
 func TestDumpReloadRoundTrip(t *testing.T) {
@@ -81,14 +83,15 @@ func TestDumpRequiresJournal(t *testing.T) {
 }
 
 // TestDumpGolden: the dump of a fixed seeded workload hashes to the value
-// recorded while dumps still re-encoded every event at dump time, so the
-// verbatim copy of the journal's records keeps the format byte for byte.
-// The workload has every record kind a journal holds: a sharded
-// collector's explicit registration, receives held for their sends, a
-// peer's remote send applied mid-stream (which a dump leaves out), empty,
-// long and 255+-byte texts, and a stranded event.
+// recorded when records began to spell their strings through the string
+// table of their journal chunk (61 026 bytes literally, 56 798 so), so
+// the format stays byte for byte what that change made it. The workload
+// has every record kind a journal holds: a sharded collector's explicit
+// registration, receives held for their sends, a peer's remote send
+// applied mid-stream (which a dump leaves out), empty, long and
+// 255+-byte texts, and a stranded event.
 func TestDumpGolden(t *testing.T) {
-	const want = "261d94d29a9504e6e34647654069f5cccfe54a3f864e9bb896659de347687fa7"
+	const want = "5e919398f34ef650ed4855d9c887c2fc68c7e554e6f2b25d491748e0679de04c"
 	c := NewCollector()
 	if err := c.EnableSharding(0, 2); err != nil {
 		t.Fatal(err)
@@ -296,7 +299,7 @@ func eventsBefore(dump []byte, cut int) int {
 		if end > cut {
 			break
 		}
-		if dump[off+8] == recEvent {
+		if isEvent(dump[off+8 : end]) {
 			n++
 		}
 		off = end
@@ -354,6 +357,23 @@ func FuzzReload(f *testing.F) {
 	f.Add([]byte(gobDumpMagic), uint(17))
 	// A record that claims 64 MiB, on 24 bytes of input.
 	f.Add(append(append([]byte(nil), small[:16]...), 0, 0, 0, 4, 0, 0, 0, 0, 1, 2, 3, 4), uint(20))
+	// Dumps whose string tables do not add up, one of the literal
+	// spelling, and one with a marker among its leading registrations
+	// that cuts off a later reference; each fails cleanly.
+	mark := func(rec []byte) []byte { return append([]byte{recChunk}, rec...) }
+	ev := []byte{recEvent, 1, 1, 0, 0, 0, 1, 'x', 0, 0} // trace by reference 1
+	reg := func(name string) []byte { return appendString([]byte{recTrace, 0}, name) }
+	for _, in := range [][]byte{
+		segmentOf(f, true, mark(ev)),                 // a reference before its definition
+		segmentOf(f, true, mark(reg("a")), mark(ev)), // a reference past the marker that reset it
+		literalDump(f),
+		segmentOf(f, true, mark(reg("a")), reg("b"), mark(reg("c")), []byte{recTrace, 2}),
+	} {
+		if _, err := NewCollector().Reload(bytes.NewReader(in)); err == nil {
+			f.Fatalf("seed %x reloads without an error", in)
+		}
+		f.Add(in, uint(len(in)))
+	}
 	f.Fuzz(func(t *testing.T, in []byte, cut uint) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -365,4 +385,79 @@ func FuzzReload(f *testing.F) {
 		}
 		checkCut(t, dump, int(cut%uint(len(dump)+1)))
 	})
+}
+
+// literalRecord is raw's record in the literal spelling of earlier
+// builds, which spelled every string out.
+func literalRecord(raw *RawEvent) []byte {
+	b := appendString([]byte{recEvent}, raw.Trace)
+	b = binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(b, uint64(raw.Seq)), uint64(raw.Kind)), raw.MsgID)
+	return appendString(appendString(b, raw.Type), raw.Text)
+}
+
+// segmentOf writes recs as one standalone segment; with end set, an end
+// record counting them closes it, as a dump's does.
+func segmentOf(t testing.TB, end bool, recs ...[]byte) []byte {
+	var buf bytes.Buffer
+	sw := wal.NewWriter(&buf)
+	for _, p := range recs {
+		sw.Append(p)
+	}
+	if end {
+		sw.Append(binary.AppendUvarint([]byte{recEnd}, uint64(len(recs))))
+	}
+	if err := sw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// literalDump is a dump as earlier builds wrote it: the registration and
+// the events spelled literally, and no chunk marker.
+func literalDump(t testing.TB) []byte {
+	recs := [][]byte{appendString([]byte{recTrace}, "alpha")}
+	for _, e := range durWorkload(1) {
+		recs = append(recs, literalRecord(&e))
+	}
+	return segmentOf(t, true, recs...)
+}
+
+// TestLiteralEraRefused: a dump, snapshot or write-ahead log of the
+// literal spelling — no chunk marker at its head — is refused by name,
+// by Reload, ReloadFile, recovery and a read-only directory reload, and
+// never half-read: a lenient snapshot read would otherwise take it for
+// a torn one and recover nothing.
+func TestLiteralEraRefused(t *testing.T) {
+	dump := literalDump(t)
+	if n, err := NewCollector().Reload(bytes.NewReader(dump)); !errors.Is(err, errLiteralLog) || n != 0 {
+		t.Fatalf("reloading a literal-era dump: %d events, %v; want the literal-era error", n, err)
+	}
+	snapDir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(snapDir, SnapshotFile), dump, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewCollector().ReloadFile(filepath.Join(snapDir, SnapshotFile)); !errors.Is(err, errLiteralLog) {
+		t.Fatalf("ReloadFile of a literal-era dump: %v", err)
+	}
+	walDir := t.TempDir()
+	log, _, err := wal.Open(walDir, wal.Options{Policy: wal.SyncAlways}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range durWorkload(3) {
+		if _, err := log.Append(literalRecord(&e)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{snapDir, walDir} {
+		if _, err := OpenDurable(NewCollector(), DurableOptions{Dir: dir}); !errors.Is(err, errLiteralLog) {
+			t.Fatalf("recovering the literal-era %s: %v, want the literal-era error", filepath.Base(dir), err)
+		}
+		if _, err := NewCollector().ReloadFile(dir); !errors.Is(err, errLiteralLog) {
+			t.Fatalf("reloading the literal-era directory %s: %v", filepath.Base(dir), err)
+		}
+	}
 }

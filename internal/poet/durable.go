@@ -10,13 +10,14 @@
 // The WAL is the collector's journal (journal.go) on disk: every
 // ingested RawEvent — delivered or still buffered awaiting causal
 // partners — and every explicit trace registration is encoded once under
-// the collector lock, and the WAL appends the bytes the journal stores.
-// So WAL order is ingestion order, and recovery rebuilds the identical
-// linearization (delivery order, vector clocks, ack watermarks, monitor
-// stream offsets) and the identical journal (replica offsets survive).
+// the collector lock, and the WAL appends the bytes the journal stores,
+// chunk markers included. So WAL order is ingestion order, and recovery
+// rebuilds the identical linearization (delivery order, vector clocks,
+// ack watermarks, monitor stream offsets) and the identical journal
+// (replica offsets survive).
 //
 // Snapshots bound recovery time: every SnapshotEvery ingested events the
-// registered traces and a verbatim copy of the journal's event records
+// registered traces and a verbatim copy of the journal's records
 // go, in ingestion order, to snapshot.poet (temp file + fsync + rename)
 // and the WAL segments older than the rotation cut are removed. A
 // snapshot is a standalone WAL segment in the same record encoding, read
@@ -169,7 +170,7 @@ func OpenDurable(c *Collector, opts DurableOptions) (*Durability, error) {
 	d.sinceSnap.Store(int64(d.recovery.WALRecords))
 
 	c.mu.Lock()
-	c.durable = d
+	c.durable, c.journal.cut = d, true
 	c.mu.Unlock()
 	if d.recovery.SnapshotEvents+d.recovery.SnapshotPending+d.recovery.WALRecords > 0 {
 		d.logf("poet: recovered %d delivered + %d pending events (snapshot %d+%d, wal %d, stale %d, discarded %d) in %v",
@@ -224,7 +225,7 @@ func (d *Durability) Sync() error { return d.log.Sync() }
 // registration — in the journal's bytes. Caller holds c.mu.
 func (d *Durability) appendLocked(rec []byte) (int64, error) {
 	seq, err := d.log.Append(rec)
-	if err == nil && rec[0] == recEvent {
+	if err == nil && isEvent(rec) {
 		d.sinceSnap.Add(1)
 	}
 	return seq, err
@@ -266,6 +267,7 @@ func (d *Durability) Snapshot() error {
 		c.mu.Unlock()
 		return fmt.Errorf("poet: rotating WAL for snapshot: %w", err)
 	}
+	c.journal.cut = true
 	st, err := c.snapshotStateLocked()
 	d.sinceSnap.Store(0)
 	c.mu.Unlock()
@@ -316,9 +318,9 @@ func (d *Durability) Close() error {
 func recoverInto(c *Collector, dir string, logf func(string, ...any), replay func(func([]byte) error) (wal.ReplayStats, error)) (RecoveryStats, error) {
 	var st RecoveryStats
 	start := time.Now()
-	lits := make(map[string]string)
+	rd := recordReader{lits: make(map[string]string)}
 	if f, err := os.Open(filepath.Join(dir, SnapshotFile)); err == nil {
-		n, truncated, err := c.reloadSnapshot(f, true, lits)
+		n, truncated, err := c.reloadSnapshot(f, true, rd.lits)
 		f.Close()
 		if err != nil {
 			return st, err
@@ -333,11 +335,15 @@ func recoverInto(c *Collector, dir string, logf func(string, ...any), replay fun
 		return st, fmt.Errorf("poet: opening snapshot: %w", err)
 	}
 	walStats, err := replay(func(p []byte) error {
+		err := c.replayRecord(p, &rd)
+		if errors.Is(err, errLiteralLog) {
+			return err
+		}
 		st.WALRecords++
 		// A record the collector refuses is a recovery observation, not a
 		// reason to refuse to start: staleness is the expected
 		// snapshot/WAL overlap, anything else is counted loudly.
-		if err := c.replayRecord(p, lits); errors.Is(err, ErrStaleEvent) {
+		if errors.Is(err, ErrStaleEvent) {
 			st.StaleRecords++
 		} else if err != nil {
 			st.RejectedRecords++
@@ -358,38 +364,42 @@ func recoverInto(c *Collector, dir string, logf func(string, ...any), replay fun
 
 // Record encoding: one leading kind byte, then varint-framed fields.
 // The WAL, dumps and snapshots, the replica stream, and the target
-// stream share it (see frame.go); the only difference is how the
-// repeating strings are spelled — literally on disk, where every record
-// must stand alone, through the connection's string table on the wire.
-// Only the first two kinds double as frame kinds.
+// stream share it (see frame.go); each spells the repeating strings
+// through a string table — the connection's on the wire, on disk the
+// journal chunk's, so a chunk stands alone. Only the first two kinds
+// double as frame kinds.
 const (
 	recEvent = 1 // trace, seq, kind, msgid, type, text
 	recTrace = 2 // name
 	recEnd   = 3 // the count of records before it: a dump's last record, never in the log
+	recChunk = 5 // before a record's kind: the string table starts empty (recRemote is 4)
 )
+
+// isEvent reports whether a WAL or dump record, past any marker, is an
+// event record.
+func isEvent(p []byte) bool {
+	return p[0] == recEvent || p[0] == recChunk && len(p) > 1 && p[1] == recEvent
+}
+
+// errLiteralLog names the literal spelling of earlier builds.
+var errLiteralLog = errors.New("poet: literal-era dump or write-ahead log (no chunk marker at its head) rejected: records now spell their strings through a per-chunk string table, and this build reads no other spelling")
 
 func appendString[S string | []byte](b []byte, s S) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
 }
 
-// stringTable is the writing half of a connection's string table: the
-// reference (index+1) of every string already spelled out on it. The
-// nil table of a WAL record spells every string literally.
+// stringTable is the writing half of a string table: the reference
+// (index+1) of every string already spelled out through it.
 type stringTable map[string]uint64
 
-// append spells s as a reference when the peer has seen it, and as
-// reference 0 plus the literal otherwise. The literal enters the table
-// on both sides when it is short and the table has room — the same test
-// recordReader.interned applies, so the two halves never disagree, and
-// neither holds more than maxInterned strings of maxInternLen bytes.
-func (t stringTable) append(b []byte, s string) []byte { return appendRef(t, b, s) }
-
-// appendRef is append for a string or its bytes, copied only if kept.
+// appendRef spells s (a string or its bytes, copied only if kept) as a
+// reference when the reader has seen it, and as reference 0 plus the
+// literal otherwise. The literal enters the table on both sides when it
+// is short and the table has room — the same test recordReader.interned
+// applies, so the two halves never disagree, and neither holds more than
+// maxInterned strings of maxInternLen bytes.
 func appendRef[S string | []byte](t stringTable, b []byte, s S) []byte {
-	if t == nil {
-		return appendString(b, s)
-	}
 	if ref, ok := t[string(s)]; ok {
 		return binary.AppendUvarint(b, ref)
 	}
@@ -403,30 +413,41 @@ func appendRef[S string | []byte](t stringTable, b []byte, s S) []byte {
 // registration naming raw.Trace.
 func encodeRecord(b []byte, raw *RawEvent, t stringTable) []byte {
 	if raw.Seq == 0 {
-		return t.append(append(b, recTrace), raw.Trace)
+		return appendRef(t, append(b, recTrace), raw.Trace)
 	}
 	b = append(b, recEvent)
-	b = t.append(b, raw.Trace)
+	b = appendRef(t, b, raw.Trace)
 	b = binary.AppendUvarint(b, uint64(raw.Seq))
 	b = binary.AppendUvarint(b, uint64(raw.Kind))
 	b = binary.AppendUvarint(b, raw.MsgID)
-	b = t.append(b, raw.Type)
-	return t.append(b, raw.Text)
+	b = appendRef(t, b, raw.Type)
+	return appendRef(t, b, raw.Text)
 }
 
-// replicate frames a journal span for a replica and counts its records
-// and event records: a remote send as its export, the rest as the
-// RawEvent path spells them through this connection's string table, but
-// with no RawEvent built and no string allocated once the table is warm.
-func (w *frameWriter) replicate(sp journalSpan) (recs, events int) {
+// chunkRef is a journal chunk's string and its connection reference, if any.
+type chunkRef struct {
+	s   []byte
+	ref uint64
+}
+
+// replicate frames a journal span for a replica and counts its event
+// records: a remote send as its export, the rest as the RawEvent path
+// spells them through this connection's string table, where w.chunk maps
+// the chunk's references (a warm string costs an index, not a hash).
+// Unless emit, it only learns the span's strings.
+func (w *frameWriter) replicate(sp journalSpan, emit bool) (events int) {
 	for p := sp.next(); p != nil; p = sp.next() {
-		recs++
+		if p[0] == recChunk {
+			w.chunk, p = w.chunk[:0], p[1:]
+		}
 		r := recordReader{p: p[1:]}
 		if p[0] == recRemote {
-			w.export(sp.remotes.At(r.int()), false)
+			if emit {
+				w.export(sp.remotes.At(r.int()), false)
+			}
 			continue
 		}
-		w.body = appendRef(w.strs, append(w.body[:0], p[0]), r.bytes()) // the trace, or the registered name
+		w.body = w.ref(append(w.body[:0], p[0]), &r, emit) // the trace, or the registered name
 		if p[0] == recEvent {
 			events++
 			ints := r.p
@@ -434,11 +455,37 @@ func (w *frameWriter) replicate(sp journalSpan) (recs, events int) {
 			r.uvarint() // kind
 			r.uvarint() // msgid
 			w.body = append(w.body, ints[:len(ints)-len(r.p)]...)
-			w.body = appendRef(w.strs, appendRef(w.strs, w.body, r.bytes()), r.bytes()) // the type, then the text
+			w.body = w.ref(w.ref(w.body, &r, emit), &r, emit) // the type, then the text
 		}
-		w.emit()
+		if emit {
+			w.emit()
+		}
 	}
-	return recs, events
+	return events
+}
+
+// ref respells a journal record's string; a literal enters w.chunk as
+// appendRef entered it in the chunk's table.
+func (w *frameWriter) ref(b []byte, r *recordReader, emit bool) []byte {
+	ref := r.uvarint()
+	if ref == 0 {
+		s := r.bytes()
+		if len(s) > maxInternLen || len(w.chunk) >= maxInterned {
+			if emit {
+				b = appendRef(w.strs, b, s)
+			}
+			return b
+		}
+		w.chunk = append(w.chunk, chunkRef{s: s})
+		ref = uint64(len(w.chunk))
+	}
+	if cr := &w.chunk[ref-1]; emit && cr.ref > 0 {
+		b = binary.AppendUvarint(b, cr.ref)
+	} else if emit {
+		b = appendRef(w.strs, b, cr.s)
+		cr.ref = w.strs[string(cr.s)]
+	}
+	return b
 }
 
 // recordReader cursors over one record payload (a WAL record or a wire
@@ -447,9 +494,8 @@ func (w *frameWriter) replicate(sp journalSpan) (recs, events int) {
 type recordReader struct {
 	p   []byte
 	err error
-	// tab is the reading half of the connection's string table; nil for
-	// WAL records, whose strings lits, when set, keeps one copy of each
-	// of (under the same bounds).
+	// tab is the reading half of the record's string table; lits, when
+	// set, keeps one copy of each string across tables (same bounds).
 	tab  *[]string
 	lits map[string]string
 }
@@ -495,9 +541,10 @@ func (r *recordReader) bytes() []byte {
 	return s
 }
 
-// interned reads a string spelled by stringTable.append.
+// interned reads a string spelled by appendRef.
 func (r *recordReader) interned() string {
-	if r.tab == nil {
+	ref := r.uvarint()
+	if ref == 0 {
 		b := r.bytes()
 		s, ok := r.lits[string(b)]
 		if !ok {
@@ -506,11 +553,6 @@ func (r *recordReader) interned() string {
 				r.lits[s] = s
 			}
 		}
-		return s
-	}
-	ref := r.uvarint()
-	if ref == 0 {
-		s := r.string()
 		if r.err == nil && len(s) <= maxInternLen && len(*r.tab) < maxInterned {
 			*r.tab = append(*r.tab, s)
 		}
@@ -538,13 +580,19 @@ func (r *recordReader) record(kind byte) RawEvent {
 	return raw
 }
 
-// replayRecord decodes one WAL record and applies it, keeping one copy
-// of each string in lits.
-func (c *Collector) replayRecord(p []byte, lits map[string]string) error {
-	if p[0] != recEvent && p[0] != recTrace {
+// replayRecord decodes one record of a WAL or dump read in order through
+// r and applies it; a marker empties r's table first.
+func (c *Collector) replayRecord(p []byte, r *recordReader) error {
+	if p[0] == recChunk && len(p) > 1 {
+		r.tab, p = &[]string{}, p[1:]
+	}
+	switch {
+	case r.tab == nil:
+		return errLiteralLog
+	case p[0] != recEvent && p[0] != recTrace:
 		return fmt.Errorf("poet: unknown WAL record kind %d", p[0])
 	}
-	r := &recordReader{p: p[1:], lits: lits}
+	r.p, r.err = p[1:], nil
 	raw := r.record(p[0])
 	if r.err != nil || p[0] == recEvent && raw.Seq == 0 || p[0] == recTrace && raw.Trace == "" {
 		return fmt.Errorf("poet: malformed WAL record of kind %d", p[0])

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -13,6 +14,8 @@ import (
 
 	"ocep/internal/event"
 	"ocep/internal/faultnet"
+	"ocep/internal/vclock"
+	"ocep/internal/wal"
 )
 
 // durWorkload builds a deterministic two-trace message workload. Every
@@ -685,5 +688,191 @@ func TestRecoveredHeapPerEvent(t *testing.T) {
 	if fromWAL > live+2 || fromSnap > live+2 {
 		t.Fatalf("a recovered collector retains %.1f (WAL) and %.1f (snapshot) B an event, the live one %.1f: want at most 2 more",
 			fromWAL, fromSnap, live)
+	}
+}
+
+// journalRecords lists c's journal records as the WAL holds them: every
+// record and marker in journal order, the peer-shard sends left out.
+func journalRecords(c *Collector) (out [][]byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for sp, cur := c.journal.span(journalCursor{}); len(sp.b) > 0; sp, cur = c.journal.span(cur) {
+		for p := sp.next(); p != nil; p = sp.next() {
+			if p[0] != recRemote {
+				out = append(out, slices.Clone(p))
+			}
+		}
+	}
+	return out
+}
+
+// walRecords reads the data directory's WAL, segment by segment, and
+// fails unless each segment opens with a chunk marker.
+func walRecords(t *testing.T, dir string) (out [][]byte) {
+	t.Helper()
+	for _, seg := range walSegments(t, dir) {
+		f, err := os.Open(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := len(out)
+		_, err = wal.Read(f, func(p []byte) error {
+			out = append(out, slices.Clone(p))
+			return nil
+		})
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) > first && out[first][0] != recChunk {
+			t.Fatalf("WAL segment %s opens with a kind-%d record, not a chunk marker", filepath.Base(seg), out[first][0])
+		}
+	}
+	return out
+}
+
+// TestWALIsTheJournalLessRemoteSends: the WAL appends the bytes the
+// journal stores — markers, registrations and events, in journal order —
+// and only the peer-shard sends stay off it. Every segment opens with a
+// marker: the first, the one a snapshot's rotation opens, and the run a
+// recovered collector appends after its attach, whose records are the
+// recovered journal's from its attach marker on.
+func TestWALIsTheJournalLessRemoteSends(t *testing.T) {
+	dir := t.TempDir()
+	open := func() (*Collector, *Durability) {
+		c := NewCollector()
+		if err := c.EnableSharding(0, 2); err != nil {
+			t.Fatal(err)
+		}
+		d, err := OpenDurable(c, DurableOptions{Dir: dir, Fsync: SyncAlways, SnapshotEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, d
+	}
+	// drive reports rounds of sends, remote sends and texts that repeat
+	// and that do not, past a journal chunk's worth.
+	msg := uint64(0)
+	drive := func(c *Collector, from, rounds int) {
+		for r := from; r < from+rounds; r++ {
+			for k := 0; k < 20; k++ { // the receive takes the last; a run of them can open a chunk
+				msg++
+				if err := c.SupplyRemoteSend(1<<40+msg, event.ID{Trace: 1, Index: int(msg)}, vclock.VC{0, int32(msg)}.Stamp(1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			reportAll(t, c, []RawEvent{
+				{Trace: "p0", Seq: 2*r + 1, Kind: event.KindReceive, Type: "recv", MsgID: 1<<40 + msg},
+				{Trace: "p0", Seq: 2*r + 2, Kind: event.KindInternal, Type: "step", Text: fmt.Sprintf("unique-%d", r)},
+				{Trace: "p2", Seq: r + 1, Kind: event.KindInternal, Type: "step", Text: "same"},
+			})
+		}
+	}
+	c1, d1 := open()
+	c1.RegisterTrace("explicit")
+	drive(c1, 0, 1500)
+	if got, want := walRecords(t, dir), journalRecords(c1); len(want) < 4000 || !slices.EqualFunc(got, want, bytes.Equal) {
+		t.Fatalf("the WAL holds %d records, want the journal's %d less its remote sends", len(got), len(want))
+	}
+	cut := len(journalRecords(c1)) // the rotation's marker
+	if err := d1.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	drive(c1, 1500, 500)
+	if got, want := walRecords(t, dir), journalRecords(c1)[cut:]; !slices.EqualFunc(got, want, bytes.Equal) {
+		t.Fatalf("after a snapshot the WAL holds %d records, want the journal's %d from the rotation on", len(got), len(want))
+	}
+	if err := d1.log.Close(); err != nil { // crash: no final snapshot
+		t.Fatal(err)
+	}
+	before := len(walRecords(t, dir))
+	c2, d2 := open()
+	defer d2.Close()
+	attach := len(journalRecords(c2)) // the record that will carry the attach's marker
+	if rec := d2.Recovery(); rec.RejectedRecords != 0 || c2.IngestCount() != c1.IngestCount() {
+		t.Fatalf("recovery: %+v, %d events of %d", rec, c2.IngestCount(), c1.IngestCount())
+	}
+	drive(c2, 2000, 500)
+	if got, want := walRecords(t, dir)[before:], journalRecords(c2)[attach:]; want[0][0] != recChunk || !slices.EqualFunc(got, want, bytes.Equal) {
+		t.Fatalf("after recovery the WAL appended %d records, want the journal's %d from its attach marker on", len(got), len(want))
+	}
+	// A chunk a remote send opens hands its marker on to its first
+	// record that spells a string, which the WAL keeps.
+	opened := 0
+	for _, c := range []*Collector{c1, c2} {
+		for _, chunk := range c.journal.chunks {
+			sp := journalSpan{b: chunk}
+			p := sp.next()
+			if p[0] != recRemote {
+				continue
+			}
+			for ; p != nil && p[0] == recRemote; p = sp.next() {
+			}
+			if p != nil && p[0] != recChunk {
+				t.Fatalf("a chunk opened by a remote send continues with an unmarked kind-%d record", p[0])
+			}
+			opened++
+		}
+	}
+	if opened == 0 {
+		t.Fatal("no remote send opened a journal chunk: the workload misses the case")
+	}
+}
+
+// TestRecoveryTwiceMatchesUncrashedTwin: recover, report more, snapshot,
+// crash with a torn tail, recover again — the log then holds runs from
+// before and after an attach and a rotation, each read through its own
+// chunk's table — and the collector is its uncrashed twin: delivery
+// order, stamps, acks and the buffered backlog.
+func TestRecoveryTwiceMatchesUncrashedTwin(t *testing.T) {
+	dir := t.TempDir()
+	opts := DurableOptions{Fsync: SyncAlways, SnapshotEvery: -1}
+	evs := append(jumbledWorkload(3000), RawEvent{Trace: "beta", Seq: 99999, Kind: event.KindInternal, Type: "stranded"})
+	a, b := len(evs)/3, 2*len(evs)/3
+	twin := NewCollector()
+	reportAll(t, twin, evs)
+
+	c1, d1 := openDurable(t, dir, opts)
+	reportAll(t, c1, evs[:a])
+	if err := d1.log.Close(); err != nil { // crash
+		t.Fatal(err)
+	}
+	c2, d2 := openDurable(t, dir, opts)
+	if got, want := stateSig(c2), stateSig(c1); !equalSlices(got, want) {
+		t.Fatalf("first recovery: %d events delivered, want %d", len(got), len(want))
+	}
+	reportAll(t, c2, evs[a:b])
+	if err := d2.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	reportAll(t, c2, evs[b:])
+	if err := d2.log.Close(); err != nil { // crash, mid-append: half a record header
+		t.Fatal(err)
+	}
+	segs := walSegments(t, dir)
+	f, err := os.OpenFile(segs[len(segs)-1], os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{40, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	c3, d3 := openDurable(t, dir, opts)
+	defer d3.Close()
+	if rec := d3.Recovery(); rec.RejectedRecords != 0 || rec.DiscardedBytes == 0 {
+		t.Fatalf("second recovery: %+v, want no rejected record and the torn tail discarded", rec)
+	}
+	if got, want := stateSig(c3), stateSig(twin); !equalSlices(got, want) {
+		t.Fatalf("twice-recovered linearization differs: %d events, want %d", len(got), len(want))
+	}
+	for _, name := range traceNames(twin) {
+		if got, want := c3.AckFor(name), twin.AckFor(name); got != want {
+			t.Fatalf("ack for %s is %d, want the twin's %d", name, got, want)
+		}
+	}
+	if c3.Pending() != twin.Pending() || c3.Pending() == 0 || c3.IngestCount() != twin.IngestCount() {
+		t.Fatalf("pending %d of %d ingested, want the twin's %d of %d", c3.Pending(), c3.IngestCount(), twin.Pending(), twin.IngestCount())
 	}
 }

@@ -73,10 +73,11 @@ var (
 // buffer flushes itself. Write errors stick to the buffer and surface at
 // flush. Not safe for concurrent use.
 type frameWriter struct {
-	bw   *bufio.Writer
-	body []byte
-	err  error
-	strs stringTable
+	bw    *bufio.Writer
+	body  []byte
+	err   error
+	strs  stringTable
+	chunk []chunkRef // the strings of the journal chunk a replica stream is in
 	// stamps[t] is the last timestamp of trace t sent delta-encoded.
 	stamps []vclock.Stamp
 	hdr    [binary.MaxVarintLen32]byte // emit's; a local escapes via bw.Write
@@ -118,7 +119,7 @@ func (w *frameWriter) hello(h *hello) {
 	b := appendString(appendString(append(w.body[:0], frameHello), h.magic), h.role)
 	b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(h.from)), uint64(len(h.traces)))
 	for _, name := range h.traces {
-		b = w.strs.append(b, name)
+		b = appendRef(w.strs, b, name)
 	}
 	w.body = b
 	w.emit()
@@ -128,7 +129,7 @@ func (w *frameWriter) hello(h *hello) {
 func (w *frameWriter) acks(acks []traceAck) {
 	b := binary.AppendUvarint(append(w.body[:0], frameAcks), uint64(len(acks)))
 	for _, a := range acks {
-		b = binary.AppendUvarint(w.strs.append(b, a.Trace), uint64(a.Seq))
+		b = binary.AppendUvarint(appendRef(w.strs, b, a.Trace), uint64(a.Seq))
 	}
 	w.body = b
 	w.emit()
@@ -171,8 +172,8 @@ func (w *frameWriter) event(e *event.Event, partner event.ID, delta bool) int {
 	b := append(w.body[:0], frameEvent, 0) // stamp sets the flags
 	b = appendID(b, e.ID)
 	b = binary.AppendUvarint(b, uint64(e.Kind))
-	b = w.strs.append(b, e.Type)
-	b = w.strs.append(b, e.Text)
+	b = appendRef(w.strs, b, e.Type)
+	b = appendRef(w.strs, b, e.Text)
 	b = appendID(b, partner)
 	return w.stamp(b, e.ID, e.VC, delta)
 }

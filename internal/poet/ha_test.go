@@ -173,8 +173,11 @@ func TestReplicaIgnoresAdmissionLimit(t *testing.T) {
 
 // TestReplicaJournalAndWALMatchPrimary: after a mixed workload —
 // explicit registrations, out-of-order events, a mid-stream reconnect,
-// then traces new to the standby, registered and implied — a durable
-// standby's journal and WAL are byte for byte its durable primary's.
+// a snapshot, a reconnect whose resume offset falls inside a journal
+// chunk past the snapshot's marker, then traces new to the standby,
+// registered and implied — a durable standby's journal and WAL are byte
+// for byte its durable primary's. The snapshot is taken on both at the
+// same record, as the journals' markers must then agree.
 func TestReplicaJournalAndWALMatchPrimary(t *testing.T) {
 	dir1, dir2 := t.TempDir(), t.TempDir()
 	opts := DurableOptions{Fsync: SyncAlways, SnapshotEvery: -1}
@@ -208,13 +211,29 @@ func TestReplicaJournalAndWALMatchPrimary(t *testing.T) {
 	evs := durWorkload(40) // alpha and beta, every third receive ahead of its send
 	c1.RegisterTrace("zeta")
 	c1.RegisterTrace("beta")
-	reportAll(t, c1, evs[:60])
+	reportAll(t, c1, evs[:40])
 	// The standby holds every trace before the cut, so the reconnect's
 	// leading registrations are all no-ops on it.
 	waitFor(t, caughtUp)
 	p.CutAll()
-	reportAll(t, c1, evs[60:])
+	reportAll(t, c1, evs[40:60])
 	waitFor(t, func() bool { return rep.Stats().Reconnects > 0 && caughtUp() })
+	for _, d := range []*Durability{d1, d2} {
+		if err := d.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reportAll(t, c1, evs[60:90])
+	waitFor(t, caughtUp)
+	c1.mu.Lock()
+	resume := c1.journal.seek(c1.journal.indexAfter(c2.IngestCount()))
+	c1.mu.Unlock()
+	if resume.off == 0 {
+		t.Fatalf("the second reconnect resumes at the head of a chunk (%+v): the resume a replica warms its table for is untested", resume)
+	}
+	p.CutAll()
+	reportAll(t, c1, evs[90:])
+	waitFor(t, func() bool { return rep.Stats().Reconnects > 1 && caughtUp() })
 	c1.RegisterTrace("eta")
 	reportAll(t, c1, []RawEvent{
 		{Trace: "eta", Seq: 2, Kind: event.KindReceive, Type: "r", MsgID: 1000},

@@ -14,11 +14,15 @@ import (
 // accepted, in the order it accepted them, in the WAL's record encoding.
 // Everything replayable is a view of it — the WAL appends the bytes it
 // stores (recordLocked encodes each record once, under one lock), Dump
-// and Snapshot copy its event records in ingestion order, and a replica
+// and Snapshot copy its records in ingestion order, and a replica
 // session is a cursor over it whose resume offset counts its event
-// records. The collector is a deterministic function of that order, so
-// replaying any view rebuilds the same linearization and the same
-// journal: an offset taken before a restart names the same prefix after.
+// records. A record spells its strings through its chunk's table: the
+// chunk's first record to spell one carries a one-byte marker before its
+// kind, and the table starts empty there, as it does at the first such
+// record after a new WAL write position (journal.cut). The collector is
+// a deterministic function of that order, so replaying any view rebuilds
+// the same linearization and the same journal: an offset taken before a
+// restart names the same prefix after.
 //
 // It is never truncated — a reader that starts past record zero would
 // need a checkpoint of the collector's state, which no format carries
@@ -41,6 +45,8 @@ type journal struct {
 	firsts  []int                   // firsts[k] is the index of chunk k's first record
 	n       int                     // records
 	size    int                     // bytes in chunks
+	strs    stringTable             // the table since the last marker
+	cut     bool                    // the next record to spell a string opens a table
 	remotes fifo.Queue[shardExport] // the applied peer-shard sends, by value
 	// others lists the indices of the non-event records, ascending: it
 	// turns an event offset into a journal index without a scan.
@@ -57,22 +63,38 @@ type journalSpan struct {
 	remotes fifo.Queue[shardExport]
 }
 
-// append copies one encoded record to the journal's head.
-func (j *journal) append(rec []byte) {
-	if rec[0] != recEvent {
+// record encodes raw's record, or remote's, onto b and appends it.
+func (j *journal) record(b []byte, raw *RawEvent, remote *shardExport) []byte {
+	if remote != nil {
+		j.reserve(2 * binary.MaxVarintLen64)
+		j.remotes.Push(*remote)
+		b = binary.AppendUvarint(append(b, recRemote), uint64(j.remotes.Len()-1))
+	} else {
+		j.reserve(8*binary.MaxVarintLen64 + len(raw.Trace) + len(raw.Type) + len(raw.Text))
+		if j.cut {
+			clear(j.strs)
+			b, j.cut = append(b, recChunk), false
+		}
+		b = encodeRecord(b, raw, j.strs)
+	}
+	if remote != nil || raw.Seq == 0 {
 		j.others = append(j.others, j.n)
 	}
-	var hdr [binary.MaxVarintLen64]byte
-	w := binary.PutUvarint(hdr[:], uint64(len(rec)))
-	if len(j.chunks) == 0 || j.fill+w+len(rec) > len(j.chunks[len(j.chunks)-1]) {
-		c := make([]byte, max(fifo.ChunkBytes, w+len(rec)))
-		j.chunks, j.firsts = append(j.chunks, c), append(j.firsts, j.n)
-		j.fill, j.size = 0, j.size+len(c)
-	}
 	c := j.chunks[len(j.chunks)-1]
-	j.fill += copy(c[j.fill:], hdr[:w])
-	j.fill += copy(c[j.fill:], rec)
+	j.fill += binary.PutUvarint(c[j.fill:], uint64(len(b)))
+	j.fill += copy(c[j.fill:], b)
 	j.n++
+	return b
+}
+
+// reserve makes room for a record of up to n bytes: in a new chunk, whose
+// table starts empty, when the last cannot hold it.
+func (j *journal) reserve(n int) {
+	if n += binary.MaxVarintLen64; len(j.chunks) == 0 || j.fill+n > len(j.chunks[len(j.chunks)-1]) {
+		c := make([]byte, max(fifo.ChunkBytes, n))
+		j.chunks, j.firsts = append(j.chunks, c), append(j.firsts, j.n)
+		j.fill, j.size, j.cut = 0, j.size+len(c), true
+	}
 }
 
 // events is the number of event records: the head replica offsets are
@@ -146,7 +168,7 @@ func (c *Collector) EnableReplicationLog() error {
 	if c.ingests > 0 {
 		return errors.New("poet: EnableReplicationLog must be called before any event is ingested (a dump, snapshot or replica needs the journal from record zero)")
 	}
-	c.journal = &journal{}
+	c.journal = &journal{strs: make(stringTable)}
 	c.repl.confirmed = make(map[int]int)
 	return nil
 }
@@ -179,36 +201,29 @@ func (t walTicket) commit() error {
 // collector's history: apply (an event, or at Seq 0 a registration)
 // and SupplyRemoteSend call it in the critical section that applies the
 // input. It counts the record and, when something keeps it, encodes it
-// once: the journal stores those bytes and the WAL appends them, under
-// mu, so the orders agree. Remote sends stay off the disk (peers
-// re-stream them after a restart); the journal keeps them by value.
+// once: the journal stores those bytes and the WAL (durability turns the
+// journal on) appends them, under mu, so the orders agree. Remote sends
+// stay off the disk (peers re-stream them after a restart); the journal
+// keeps them by value.
 func (c *Collector) recordLocked(raw *RawEvent, remote *shardExport) (t walTicket) {
 	logged := c.tel.walTraceRecs
 	switch {
 	case remote != nil:
 		c.tel.shardRemote.Inc()
-		if c.journal != nil {
-			c.journal.remotes.Push(*remote)
-			c.rec = binary.AppendUvarint(append(c.rec[:0], recRemote), uint64(c.journal.remotes.Len()-1))
-			c.journal.append(c.rec)
-		}
-		return t
 	case raw.Seq > 0:
 		c.ingests++
 		c.tel.ingested.Inc()
-		if c.journal == nil && c.durable == nil {
-			return t
-		}
 		logged = c.tel.walEventRecs
 	}
-	c.rec = encodeRecord(c.rec[:0], raw, nil)
-	if c.journal != nil {
-		c.journal.append(c.rec)
+	if c.journal == nil {
+		return t
 	}
-	if t.d = c.durable; t.d != nil {
-		if t.seq, t.err = t.d.appendLocked(c.rec); t.err == nil {
-			logged.Inc()
-		}
+	c.rec = c.journal.record(c.rec[:0], raw, remote)
+	if t.d = c.durable; t.d == nil || remote != nil {
+		return walTicket{}
+	}
+	if t.seq, t.err = t.d.appendLocked(c.rec); t.err == nil {
+		logged.Inc()
 	}
 	return t
 }

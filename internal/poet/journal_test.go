@@ -2,7 +2,6 @@ package poet
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -32,16 +31,16 @@ type jrec struct {
 
 func (r *jrec) isEvent() bool { return !r.remote && r.Seq > 0 }
 
-// encode is the record as recordLocked hands it to the journal.
-func (r *jrec) encode() []byte { return encodeRecord(nil, &r.RawEvent, nil) }
-
-// add appends r to the journal as recordLocked does.
+// add appends r to the journal as recordLocked does, to a zero journal
+// as to one EnableReplicationLog made.
 func (j *journal) add(r jrec) {
+	if j.strs == nil {
+		j.strs = make(stringTable)
+	}
 	if r.remote {
-		j.remotes.Push(r.x)
-		j.append(binary.AppendUvarint([]byte{recRemote}, uint64(j.remotes.Len()-1)))
+		j.record(nil, nil, &r.x)
 	} else {
-		j.append(r.encode())
+		j.record(nil, &r.RawEvent, nil)
 	}
 }
 
@@ -53,24 +52,38 @@ func same(a, b jrec) bool {
 	return a.RawEvent == b.RawEvent
 }
 
+// jreader decodes journal, dump and WAL records through the table of the
+// chunk they are in: a marker empties it.
+type jreader struct{ strs []string }
+
+// read strips a record's marker, if it has one, and returns its kind and
+// a reader over its fields.
+func (jr *jreader) read(p []byte) (byte, *recordReader) {
+	if p[0] == recChunk {
+		jr.strs, p = jr.strs[:0], p[1:]
+	}
+	return p[0], &recordReader{p: p[1:], tab: &jr.strs}
+}
+
 // decode reads the span's next record, false at its end.
-func (sp *journalSpan) decode() (jrec, bool) {
+func (jr *jreader) decode(sp *journalSpan) (jrec, bool) {
 	p := sp.next()
 	if p == nil {
 		return jrec{}, false
 	}
-	r := recordReader{p: p[1:]}
-	if p[0] == recRemote {
+	kind, r := jr.read(p)
+	if kind == recRemote {
 		return jrec{remote: true, x: *sp.remotes.At(r.int())}, true
 	}
-	return jrec{RawEvent: r.record(p[0])}, true
+	return jrec{RawEvent: r.record(kind)}, true
 }
 
 // all decodes the log, oldest record first.
 func (l *journal) all() []jrec {
 	var out []jrec
+	var jr jreader
 	for sp, cur := l.span(journalCursor{}); len(sp.b) > 0; sp, cur = l.span(cur) {
-		for r, ok := sp.decode(); ok; r, ok = sp.decode() {
+		for r, ok := jr.decode(&sp); ok; r, ok = jr.decode(&sp) {
 			out = append(out, r)
 		}
 	}
@@ -474,12 +487,13 @@ func TestDumpIsIngestionOrdered(t *testing.T) {
 	defer f.Close()
 	var traces []string
 	var got []RawEvent
+	var jr jreader
 	end := -1
 	st, err := wal.Read(f, func(p []byte) error {
-		r := &recordReader{p: p[1:]}
-		switch p[0] {
+		kind, r := jr.read(p)
+		switch kind {
 		case recTrace:
-			traces = append(traces, r.string())
+			traces = append(traces, r.interned())
 		case recEvent:
 			got = append(got, r.record(recEvent))
 		case recEnd:
@@ -598,6 +612,7 @@ func TestJournalMatchesRecordModel(t *testing.T) {
 		go func() {
 			var got []jrec
 			var cur journalCursor
+			var jr jreader
 			for len(got) < len(all) {
 				mu.Lock()
 				sp, next := j.span(cur)
@@ -608,7 +623,7 @@ func TestJournalMatchesRecordModel(t *testing.T) {
 					t.Errorf("seed %d: the span from record %d ends at %+v", seed, cur.idx, next)
 				}
 				mu.Unlock()
-				for r, ok := sp.decode(); ok; r, ok = sp.decode() {
+				for r, ok := jr.decode(&sp); ok; r, ok = jr.decode(&sp) {
 					got = append(got, r)
 				}
 				cur = next
@@ -628,9 +643,15 @@ func TestJournalMatchesRecordModel(t *testing.T) {
 		if got := <-read; !slices.EqualFunc(got, all, same) {
 			t.Fatalf("seed %d: a reader running beside the writer read %d records unlike the %d appended", seed, len(got), len(all))
 		}
-		// The span from every record index opens with that record and ends
+		// The span from every record index opens with that record, read
+		// through the table of the part of its chunk before it, and ends
 		// where the cursor it returns begins.
 		for i := 0; i <= len(all); i++ {
+			var jr jreader
+			cur := j.seek(i)
+			warm := journalSpan{j.chunks[min(cur.chunk, len(j.chunks)-1)][:cur.off], j.remotes}
+			for _, ok := jr.decode(&warm); ok; _, ok = jr.decode(&warm) {
+			}
 			sp, next := j.span(j.seek(i))
 			if i == len(all) {
 				if len(sp.b) != 0 || next != j.seek(i) {
@@ -638,11 +659,11 @@ func TestJournalMatchesRecordModel(t *testing.T) {
 				}
 				break
 			}
-			if r, ok := sp.decode(); !ok || !same(r, all[i]) {
+			if r, ok := jr.decode(&sp); !ok || !same(r, all[i]) {
 				t.Fatalf("seed %d: span(seek(%d)) opens with %+v, want %+v", seed, i, r, all[i])
 			}
 			k := i + 1
-			for sp.next() != nil {
+			for _, ok := jr.decode(&sp); ok; _, ok = jr.decode(&sp) {
 				k++
 			}
 			if want := j.seek(k); k < len(all) && next != want {
@@ -668,10 +689,14 @@ func TestJournalMatchesRecordModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got []RawEvent
+		var jr jreader
 		if _, err := wal.Read(&buf, func(p []byte) error {
-			r := &recordReader{p: p[1:]}
-			if p[0] == recEvent {
+			kind, r := jr.read(p)
+			switch kind {
+			case recEvent:
 				got = append(got, r.record(recEvent))
+			case recTrace:
+				r.record(recTrace) // it may spell a string later records reference
 			}
 			return r.err
 		}); err != nil {

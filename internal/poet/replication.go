@@ -119,26 +119,30 @@ func (c *Collector) ReplicationStats() ReplicationStats {
 
 // replAttach registers a replica session whose hello confirmed applying
 // the first `applied` event records. It returns the session's id, the
-// journal cursor its stream starts at, and the registered traces it
-// sends first: the journal a recovery rebuilds has the snapshot's
+// journal cursor its stream starts at, its chunk up to there (read for
+// the chunk's table, never sent), and the registered traces it sends
+// first: the journal a recovery rebuilds has the snapshot's
 // registrations at its front, not where they happened, so one the
 // replica has yet to apply may sit in the prefix its offset skips;
 // registering every trace in ID order gives it the primary's numbering
 // wherever it stopped (the in-band ones are then no-ops).
-func (c *Collector) replAttach(applied int) (id int, jc journalCursor, traces []string, err error) {
+func (c *Collector) replAttach(applied int) (id int, jc journalCursor, warm journalSpan, traces []string, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	switch {
 	case c.journal == nil:
-		return 0, jc, nil, errors.New("replication log not enabled on this collector")
+		return 0, jc, warm, nil, errors.New("replication log not enabled on this collector")
 	case applied < 0 || applied > c.journal.events():
-		return 0, jc, nil, fmt.Errorf("replica claims %d applied events, this collector ingested %d: it did not produce that stream", applied, c.journal.events())
+		return 0, jc, warm, nil, fmt.Errorf("replica claims %d applied events, this collector ingested %d: it did not produce that stream", applied, c.journal.events())
 	}
 	id = c.repl.nextSess
 	c.repl.nextSess++
 	c.repl.confirmed[id] = applied
 	c.fresh.Broadcast()
-	return id, c.journal.seek(c.journal.indexAfter(applied)), c.registeredTracesLocked(), nil
+	if jc = c.journal.seek(c.journal.indexAfter(applied)); jc.off > 0 {
+		warm = journalSpan{b: c.journal.chunks[jc.chunk][:jc.off:jc.off]}
+	}
+	return id, jc, warm, c.registeredTracesLocked(), nil
 }
 
 // replDetach removes a replica session; the watermark stops waiting for
@@ -173,7 +177,7 @@ func (c *Collector) replConfirm(id, applied int) {
 // count): the confirmations that move the stable watermark.
 func (s *Server) handleReplica(conn *link, fr *frameReader, fw *frameWriter, h hello) error {
 	c := s.collector
-	sess, jc, traces, err := c.replAttach(h.from)
+	sess, jc, warm, traces, err := c.replAttach(h.from)
 	if err != nil {
 		return refuseHello(fw, roleReplica, err.Error(), false)
 	}
@@ -200,6 +204,7 @@ func (s *Server) handleReplica(conn *link, fr *frameReader, fw *frameWriter, h h
 	for _, name := range traces {
 		fw.raw(&RawEvent{Trace: name})
 	}
+	fw.replicate(warm, false)
 	o := &outbound{fw: fw, peer: "replica"}
 	var sp journalSpan
 	head := 0
@@ -212,8 +217,7 @@ func (s *Server) handleReplica(conn *link, fr *frameReader, fw *frameWriter, h h
 		hand: func() error {
 			return o.send(func(fw *frameWriter) {
 				fw.head(head)
-				_, events := fw.replicate(sp)
-				s.replicaEvents.add(int64(events))
+				s.replicaEvents.add(int64(fw.replicate(sp, true)))
 			})
 		},
 	}, jc.idx)
