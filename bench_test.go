@@ -312,7 +312,7 @@ func BenchmarkCollector(b *testing.B) {
 			ids[e.ID] = msg
 			r.msgID = msg
 		case e.Kind == event.KindReceive || e.Kind == event.KindSyncAcquire:
-			r.msgID = ids[e.Partner]
+			r.msgID = ids[e.Partner.ID()]
 		}
 		raws[i] = r
 	}

@@ -56,15 +56,16 @@ func (d *DepGraphDetector) Feed(st *event.Store, e *event.Event) []int {
 			return cyc
 		}
 	case event.KindReceive:
-		if dst, ok := d.pendingDst[e.Partner]; ok {
-			src := int(e.Partner.Trace)
+		partner := e.Partner.ID()
+		if dst, ok := d.pendingDst[partner]; ok {
+			src := int(partner.Trace)
 			if d.edges[src][dst] > 0 {
 				d.edges[src][dst]--
 				if d.edges[src][dst] == 0 {
 					delete(d.edges[src], dst)
 				}
 			}
-			delete(d.pendingDst, e.Partner)
+			delete(d.pendingDst, partner)
 		}
 	}
 	return nil

@@ -111,7 +111,7 @@ func oracleRelHolds(rel pattern.Rel, a, b *event.Event) bool {
 	case pattern.RelConcurrent:
 		return a.Concurrent(b)
 	case pattern.RelLink:
-		return a.Partner == b.ID && b.Partner == a.ID
+		return a.Partner.ID() == b.ID && b.Partner.ID() == a.ID
 	default:
 		return true
 	}

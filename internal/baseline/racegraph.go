@@ -35,7 +35,7 @@ func (r *RaceChecker) Feed(st *event.Store, e *event.Event) []event.ID {
 	if e.Kind != event.KindReceive || e.Partner.IsZero() {
 		return nil
 	}
-	send := st.Get(e.Partner)
+	send := st.Get(e.Partner.ID())
 	if send == nil {
 		return nil
 	}

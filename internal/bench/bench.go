@@ -16,6 +16,7 @@ import (
 	"ocep/internal/pattern"
 	"ocep/internal/poet"
 	"ocep/internal/stats"
+	"ocep/internal/telemetry"
 	"ocep/internal/workload"
 )
 
@@ -172,6 +173,9 @@ type Replay struct {
 	Stats core.Stats
 	// Coverage is the matcher's final representative-subset footprint.
 	Coverage []core.CoveredPair
+	// DomainSizeP50 is the median size of a computed candidate domain,
+	// as ocep_monitor_domain_size buckets it.
+	DomainSizeP50 int64
 }
 
 // ReplayConfig controls a timed replay.
@@ -186,13 +190,24 @@ type ReplayConfig struct {
 
 // Run replays the workload's delivery stream through a fresh matcher.
 func (w *Workload) Run(cfg ReplayConfig) (*Replay, error) {
-	pat, err := CompilePattern(w.Pattern)
+	r, err := replay(w.Pattern, w.Collector.Store(), w.Collector.Ordered(), cfg)
+	if err == nil && cfg.KeepMatches {
+		r.Detected = countDetected(w, r.Matches)
+	}
+	return r, err
+}
+
+// replay feeds ordered, the delivery stream of st, through a fresh
+// matcher for the pattern src.
+func replay(src string, st *event.Store, ordered []*event.Event, cfg ReplayConfig) (*Replay, error) {
+	pat, err := CompilePattern(src)
 	if err != nil {
 		return nil, err
 	}
-	m := core.NewMatcherOn(pat, w.Collector.Store(), cfg.Options)
+	m := core.NewMatcherOn(pat, st, cfg.Options)
+	sizes := new(telemetry.Histogram)
+	m.SetDomainHistogram(sizes)
 	r := &Replay{}
-	ordered := w.Collector.Ordered()
 	prevTriggers := 0
 	start := time.Now()
 	for _, e := range ordered {
@@ -219,9 +234,7 @@ func (w *Workload) Run(cfg ReplayConfig) (*Replay, error) {
 	r.Events = len(ordered)
 	r.Stats = m.Stats()
 	r.Coverage = m.Coverage()
-	if cfg.KeepMatches {
-		r.Detected = countDetected(w, r.Matches)
-	}
+	r.DomainSizeP50 = sizes.Quantile(0.5)
 	return r, nil
 }
 

@@ -166,6 +166,35 @@ func TestAblationSmall(t *testing.T) {
 	}
 }
 
+// TestAblationRowsDiffer: each ablated search row differs from "static
+// order (paper)" in the column that measures what it ablates — the
+// median domain size for causal domains, jump skips for backjumping —
+// so the table shows each mechanism at work, not only time.
+func TestAblationRowsDiffer(t *testing.T) {
+	search, jumps, err := searchAblations(FigureConfig{TargetEvents: testEvents, Seed: 2}.norm())
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := func(rows []ablationRow, name string) *Replay {
+		t.Helper()
+		for _, r := range rows {
+			if r.name == name {
+				return r.r
+			}
+		}
+		t.Fatalf("no %q row", name)
+		return nil
+	}
+	static, noDomains := row(search, "static order (paper)"), row(search, "static, no causal domains")
+	if static.DomainSizeP50 >= noDomains.DomainSizeP50 {
+		t.Errorf("median domain: %d with causal domains, %d without; want it larger without", static.DomainSizeP50, noDomains.DomainSizeP50)
+	}
+	static, noJumps := row(jumps, "static order (paper)"), row(jumps, "static, no backjumping")
+	if static.Stats.BackjumpSkips == 0 || noJumps.Stats.BackjumpSkips != 0 {
+		t.Errorf("jump skips: %d with backjumping, %d without; want some, then none", static.Stats.BackjumpSkips, noJumps.Stats.BackjumpSkips)
+	}
+}
+
 func TestWindowOmissionSmall(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WindowOmission(&buf, FigureConfig{Seed: 2}); err != nil {

@@ -3,11 +3,13 @@ package bench
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"time"
 
 	"ocep/internal/baseline"
 	"ocep/internal/core"
 	"ocep/internal/event"
+	"ocep/internal/event/eventtest"
 	"ocep/internal/lattice"
 	"ocep/internal/poet"
 	"ocep/internal/stats"
@@ -412,45 +414,25 @@ func BaselineRace(w io.Writer, cfg FigureConfig) error {
 	return nil
 }
 
-// Ablation quantifies the contribution of each design choice. The search
-// mechanics (evaluation order, causal domains, backjumping) are stressed
-// on the deadlock workload, whose all-concurrent cycle pattern makes the
-// search space large; the duplicate-pruning rule is stressed on the
-// ordering workload, whose streams are dominated by internal events.
+// Ablation quantifies the contribution of each design choice. The
+// evaluation order and causal domains are stressed on the deadlock
+// workload, whose all-concurrent cycle pattern makes the search space
+// large; backjumping on a chain pattern over a random
+// communication-heavy stream, since the case studies never backjump;
+// the duplicate-pruning rule on the ordering workload, whose streams are
+// dominated by internal events. Each ablated row differs from "static
+// order (paper)" in its own column: Domain p50 for causal domains, Jump
+// skips for backjumping.
 func Ablation(w io.Writer, cfg FigureConfig) error {
 	cfg = cfg.norm()
-	target := cfg.TargetEvents
-	if target > 50_000 {
-		target = 50_000 // the chronological variants scan linearly per trigger
-	}
-	fmt.Fprintln(w, "Ablation A: search mechanics on the deadlock workload (cycle length 3)")
-	dwl, err := Generate(GenConfig{
-		Case: CaseDeadlock, Traces: 12, TargetEvents: target,
-		Seed: cfg.Seed + 98, CycleLen: 3,
-	})
+	search, jumps, err := searchAblations(cfg)
 	if err != nil {
 		return err
 	}
-	searchVariants := []struct {
-		name string
-		opts core.Options
-	}{
-		{"full (dynamic order)", core.Options{RepresentativeOnly: true}},
-		{"static order (paper)", core.Options{RepresentativeOnly: true, StaticOrder: true}},
-		{"static, no backjumping", core.Options{RepresentativeOnly: true, StaticOrder: true, DisableBackjumping: true}},
-		{"static, no causal domains", core.Options{RepresentativeOnly: true, StaticOrder: true, DisableCausalDomains: true, DisableBackjumping: true}},
-	}
-	tblA := stats.NewTable("Variant", "Med (us)", "Q3 (us)", "Max (us)", "Candidates", "Domains", "Jump skips")
-	for _, v := range searchVariants {
-		r, err := dwl.Run(ReplayConfig{Options: v.opts})
-		if err != nil {
-			return err
-		}
-		b := r.Box()
-		tblA.AddRow(v.name, b.Median, b.Q3, b.Max, r.Stats.CandidatesTried, r.Stats.DomainsComputed, r.Stats.BackjumpSkips)
-	}
-	fmt.Fprint(w, tblA.String())
-
+	fmt.Fprintln(w, "Ablation A: search mechanics on the deadlock workload (cycle length 3)")
+	fmt.Fprint(w, ablationTable(search).String())
+	fmt.Fprintln(w, "\nAblation A2: backjumping on ($a -> $b) && ($b -> $c) over a random stream (5 traces)")
+	fmt.Fprint(w, ablationTable(jumps).String())
 	fmt.Fprintln(w, "\nAblation B: duplicate pruning on the ordering workload (100 traces)")
 	owl, err := Generate(GenConfig{
 		Case: CaseOrdering, Traces: 100, TargetEvents: cfg.TargetEvents,
@@ -478,6 +460,73 @@ func Ablation(w io.Writer, cfg FigureConfig) error {
 	fmt.Fprint(w, tblB.String())
 	fmt.Fprintln(w)
 	return nil
+}
+
+// ablationRow is one variant of a search ablation and its replay.
+type ablationRow struct {
+	name string
+	r    *Replay
+}
+
+// searchAblations replays the search variants: the evaluation order and
+// causal domains on the deadlock workload, backjumping on a chain
+// pattern over a random stream.
+func searchAblations(cfg FigureConfig) (search, jumps []ablationRow, err error) {
+	target := min(cfg.TargetEvents, 50_000) // the chronological variants scan linearly per trigger
+	dwl, err := Generate(GenConfig{
+		Case: CaseDeadlock, Traces: 12, TargetEvents: target,
+		Seed: cfg.Seed + 98, CycleLen: 3,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	static := core.Options{RepresentativeOnly: true, StaticOrder: true}
+	noDomains := static
+	noDomains.DisableCausalDomains, noDomains.DisableBackjumping = true, true
+	for _, v := range []struct {
+		name string
+		opts core.Options
+	}{
+		{"full (dynamic order)", core.Options{RepresentativeOnly: true}},
+		{"static order (paper)", static},
+		{"static, no causal domains", noDomains},
+	} {
+		r, err := dwl.Run(ReplayConfig{Options: v.opts})
+		if err != nil {
+			return nil, nil, err
+		}
+		search = append(search, ablationRow{v.name, r})
+	}
+
+	const chain = `A := [*, a, *]; B := [*, b, *]; C := [*, c, *]; A $a; B $b; C $c; pattern := ($a -> $b) && ($b -> $c);`
+	st, evs := eventtest.Random(rand.New(rand.NewSource(cfg.Seed+97)), eventtest.RandomConfig{
+		Traces: 5, Events: min(target, 5_000), SendProb: 0.25, RecvProb: 0.25, Types: []string{"a", "b", "c", "d"},
+	})
+	noJumps := static
+	noJumps.DisableBackjumping = true
+	for _, v := range []struct {
+		name string
+		opts core.Options
+	}{
+		{"static order (paper)", static},
+		{"static, no backjumping", noJumps},
+	} {
+		r, err := replay(chain, st, evs, ReplayConfig{Options: v.opts})
+		if err != nil {
+			return nil, nil, err
+		}
+		jumps = append(jumps, ablationRow{v.name, r})
+	}
+	return search, jumps, nil
+}
+
+func ablationTable(rows []ablationRow) *stats.Table {
+	tbl := stats.NewTable("Variant", "Med (us)", "Q3 (us)", "Max (us)", "Candidates", "Domains", "Domain p50", "Jump skips")
+	for _, row := range rows {
+		b, s := row.r.Box(), row.r.Stats
+		tbl.AddRow(row.name, b.Median, b.Q3, b.Max, s.CandidatesTried, s.DomainsComputed, row.r.DomainSizeP50, s.BackjumpSkips)
+	}
+	return tbl
 }
 
 // WindowOmission quantifies the omission problem of Section IV-B: an

@@ -228,9 +228,9 @@ func governanceSoakRun(events, cap int) (soakRun, error) {
 		recv := &event.Event{
 			ID:   event.ID{Trace: 1, Index: stamps[1].Get(1)},
 			Kind: event.KindReceive, Type: "b", VC: stamps[1],
-			Partner: send.ID,
+			Partner: event.RefTo(send.ID),
 		}
-		send.Partner = recv.ID
+		send.Partner = event.RefTo(recv.ID)
 		if err := feed(recv); err != nil {
 			return r, fmt.Errorf("bench: governance soak: %w", err)
 		}

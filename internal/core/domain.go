@@ -68,7 +68,7 @@ func restrictDomain(st *event.Store, iv interval, rel pattern.Rel, placed *event
 			iv.hi = ls - 1
 		}
 	case pattern.RelLink:
-		p := placed.Partner
+		p := placed.Partner.ID()
 		if p.IsZero() || p.Trace != l {
 			return interval{1, 0}
 		}

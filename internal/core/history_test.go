@@ -148,13 +148,13 @@ func TestHistEntrySize(t *testing.T) {
 	}
 }
 
-// TestEventSize: the stored event is 88 bytes — the 16-byte shared
-// stamp took the place of a 24-byte slice-header clock — and 93 of them
-// fill an 8 KiB slab chunk, so a field added to Event shows here before
-// it shows in retained_bytes_per_event.
+// TestEventSize: the stored event is 72 bytes — a one-byte Kind and a
+// seven-byte packed Partner share its last word — so a field added to
+// Event shows here before it shows in retained_bytes_per_event (the
+// event package's TestEventLayout pins the layout and the chunk sizes).
 func TestEventSize(t *testing.T) {
-	if got := unsafe.Sizeof(event.Event{}); got > 88 {
-		t.Fatalf("unsafe.Sizeof(event.Event{}) = %d, want <= 88", got)
+	if got := unsafe.Sizeof(event.Event{}); got > 72 {
+		t.Fatalf("unsafe.Sizeof(event.Event{}) = %d, want <= 72", got)
 	}
 }
 

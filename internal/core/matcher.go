@@ -354,8 +354,8 @@ func (m *Matcher) Feed(e *event.Event) ([]Match, error) {
 		// subscription or the wire) re-applies it here so the link (~)
 		// relation sees both directions.
 		if !e.Partner.IsZero() && (e.Kind == event.KindReceive || e.Kind == event.KindSyncAcquire) {
-			if send := m.store.Get(e.Partner); send != nil {
-				send.Partner = e.ID
+			if send := m.store.Get(e.Partner.ID()); send != nil {
+				send.Partner = event.RefTo(e.ID)
 			}
 		}
 	}
@@ -913,7 +913,7 @@ func (s *search) place(li int) placeResult {
 		if s.rel(leafIdx, placedLeaf) != pattern.RelLink {
 			continue
 		}
-		partner := s.assigned[placedLeaf].Partner
+		partner := s.assigned[placedLeaf].Partner.ID()
 		linkConflict := conflict{level: pj, hasBound: false}
 		if partner.IsZero() {
 			return s.explained(li, res, linkConflict)
@@ -1202,7 +1202,7 @@ func relHolds(rel pattern.Rel, a, b *event.Event) bool {
 	case pattern.RelConcurrent:
 		return a.Concurrent(b)
 	case pattern.RelLink:
-		return a.Partner == b.ID && b.Partner == a.ID
+		return a.Partner.ID() == b.ID && b.Partner.ID() == a.ID
 	default:
 		return true
 	}

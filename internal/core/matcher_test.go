@@ -243,7 +243,7 @@ func TestLinkOperator(t *testing.T) {
 	}
 	for _, m := range matches {
 		s, r := m.Events[0], m.Events[1]
-		if s.Partner != r.ID || r.Partner != s.ID {
+		if s.Partner.ID() != r.ID || r.Partner.ID() != s.ID {
 			t.Fatalf("linked match not partners: %s / %s", s, r)
 		}
 	}

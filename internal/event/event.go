@@ -9,7 +9,9 @@
 package event
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"ocep/internal/vclock"
 )
@@ -36,7 +38,7 @@ func (id ID) String() string { return fmt.Sprintf("t%d#%d", int(id.Trace), id.In
 
 // Kind classifies the communication role of an event. Values start at 1
 // so the zero value is detectably unset.
-type Kind int
+type Kind uint8
 
 // Event kinds. Sync kinds model synchronization primitives that the uC++
 // plugin exposes as separate traces.
@@ -77,14 +79,47 @@ func (k Kind) String() string {
 // trace (anything but an internal event).
 func (k Kind) IsComm() bool { return k != KindInternal && k != 0 }
 
+// MaxTraces bounds the traces an event can name: a Ref holds a 24-bit
+// trace. The collector refuses the trace that would reach it.
+const MaxTraces = 1 << 24
+
+// Ref is an ID packed into seven bytes of alignment 1 — a 24-bit trace
+// and a 32-bit index, little-endian — so that an Event keeps its
+// partner and its one-byte Kind in one word. The zero Ref is the zero
+// ID.
+type Ref [7]byte
+
+// RefTo packs id. It panics if the trace is not below MaxTraces or the
+// index does not fit 32 bits; the collector never stores such an event.
+func RefTo(id ID) Ref {
+	if uint64(id.Trace) >= MaxTraces || uint64(id.Index) > math.MaxUint32 {
+		panic("event: an ID beyond trace 2^24-1 or index 2^32-1 does not fit a Ref")
+	}
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(id.Trace)|uint64(id.Index)<<24)
+	return Ref(b[:7])
+}
+
+// ID unpacks the reference.
+func (r Ref) ID() ID {
+	return ID{
+		Trace: TraceID(uint32(r[0]) | uint32(r[1])<<8 | uint32(r[2])<<16),
+		Index: int(uint32(r[3]) | uint32(r[4])<<8 | uint32(r[5])<<16 | uint32(r[6])<<24),
+	}
+}
+
+// IsZero reports whether the reference names no event.
+func (r Ref) IsZero() bool { return r[3]|r[4]|r[5]|r[6] == 0 }
+
+// String renders the referenced ID.
+func (r Ref) String() string { return r.ID().String() }
+
 // Event is a primitive event as delivered to monitor clients: fully
 // stamped with a vector timestamp and linked to its communication partner
-// when it has one.
+// when it has one. It is 72 bytes: Kind and Partner share the last word.
 type Event struct {
 	// ID is the event's (trace, index) identity.
 	ID ID
-	// Kind is the communication role.
-	Kind Kind
 	// Type is the event-class type attribute, e.g. "mpi_send" or
 	// "Take_Snapshot". Pattern classes match on it.
 	Type string
@@ -95,10 +130,12 @@ type Event struct {
 	// entry t counts the events of trace t that happen before or at the
 	// event. It shares its trace's last join clock (see vclock.Stamp).
 	VC vclock.Stamp
-	// Partner is the ID of the communication partner event (the matching
+	// Kind is the communication role.
+	Kind Kind
+	// Partner names the communication partner event (the matching
 	// receive of a send, the matching send of a receive, the release
 	// granted by an acquire). Zero when there is none or it is unknown.
-	Partner ID
+	Partner Ref
 }
 
 // Before reports whether e happens before other.

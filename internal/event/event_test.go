@@ -1,9 +1,12 @@
 package event
 
 import (
+	"math"
 	"strings"
 	"testing"
+	"unsafe"
 
+	"ocep/internal/fifo"
 	"ocep/internal/vclock"
 )
 
@@ -18,6 +21,59 @@ func TestIDZeroAndString(t *testing.T) {
 	}
 	if got, want := id.String(), "t2#17"; got != want {
 		t.Fatalf("got %q want %q", got, want)
+	}
+}
+
+// TestRefRoundTrip: a Ref holds every ID an event can name, the zero
+// Ref is the zero ID, and an ID a Ref cannot hold is refused, never
+// truncated.
+func TestRefRoundTrip(t *testing.T) {
+	for _, id := range []ID{{}, {0, 1}, {5, 17}, {MaxTraces - 1, math.MaxInt32}, {1 << 16, math.MaxUint32}} {
+		r := RefTo(id)
+		if r.ID() != id || r.IsZero() != id.IsZero() || r.String() != id.String() {
+			t.Errorf("RefTo(%v) reads back %v (zero %v, %q)", id, r.ID(), r.IsZero(), r)
+		}
+	}
+	if (Ref{}).ID() != (ID{}) {
+		t.Errorf("the zero Ref reads %v", Ref{}.ID())
+	}
+	for _, id := range []ID{{MaxTraces, 1}, {-1, 1}, {0, math.MaxUint32 + 1}, {0, -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("RefTo(%v) did not panic", id)
+				}
+			}()
+			RefTo(id)
+		}()
+	}
+}
+
+// TestEventLayout pins an event at 72 bytes, Kind and Partner sharing
+// its last word, and checks that both chunked homes of events fill
+// their size class beside the 8-byte header of a pointerful object: a
+// slab chunk the 8 KiB class, a delivery-log chunk the 32 KiB one.
+func TestEventLayout(t *testing.T) {
+	var e Event
+	if size := unsafe.Sizeof(e); size != 72 {
+		t.Errorf("an Event is %d bytes, want 72", size)
+	}
+	if unsafe.Sizeof(Ref{}) != 7 || unsafe.Alignof(Ref{}) != 1 || unsafe.Offsetof(e.Kind) != 64 || unsafe.Offsetof(e.Partner) != 65 {
+		t.Errorf("Kind at %d and a %d-byte Partner (alignment %d) at %d, want one word at 64",
+			unsafe.Offsetof(e.Kind), unsafe.Sizeof(Ref{}), unsafe.Alignof(Ref{}), unsafe.Offsetof(e.Partner))
+	}
+	const header = 8
+	size := int(unsafe.Sizeof(e))
+	for _, c := range []struct {
+		what     string
+		n, class int
+	}{
+		{"slab", eventChunkLen, 8 << 10},
+		{"log", fifo.ChunkCap[Event](), fifo.ChunkBytes},
+	} {
+		if used := c.n*size + header; used > c.class || used+size <= c.class {
+			t.Errorf("a %s chunk of %d events is %d B with its header: it does not fill the %d B class", c.what, c.n, used, c.class)
+		}
 	}
 }
 
@@ -47,7 +103,7 @@ func TestKindString(t *testing.T) {
 func TestEventRelations(t *testing.T) {
 	// a on trace 0 sends to b on trace 1; c on trace 2 is concurrent.
 	a := &Event{ID: ID{0, 1}, Kind: KindSend, VC: vclock.VC{1, 0, 0}.Stamp(0)}
-	b := &Event{ID: ID{1, 1}, Kind: KindReceive, VC: vclock.VC{1, 1, 0}.Stamp(1), Partner: a.ID}
+	b := &Event{ID: ID{1, 1}, Kind: KindReceive, VC: vclock.VC{1, 1, 0}.Stamp(1), Partner: RefTo(a.ID)}
 	c := &Event{ID: ID{2, 1}, Kind: KindInternal, VC: vclock.VC{0, 0, 1}.Stamp(2)}
 
 	if !a.Before(b) || b.Before(a) {

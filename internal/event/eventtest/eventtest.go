@@ -60,12 +60,12 @@ func Build(nTraces int, ops []Op) (*event.Store, []*event.Event) {
 			Type:    op.Type,
 			Text:    op.Text,
 			VC:      clocks[t].Stamp(t),
-			Partner: partner,
+			Partner: event.RefTo(partner),
 		}
 		if partner.Index != 0 {
 			// Link the send side back to the receive for completeness.
 			if src := st.Get(partner); src != nil && src.Partner.IsZero() {
-				src.Partner = e.ID
+				src.Partner = event.RefTo(e.ID)
 			}
 		}
 		if err := st.Append(e); err != nil {
@@ -95,7 +95,7 @@ func CheckStamps(events []*event.Event) error {
 			clocks, delivered = append(clocks, nil), append(delivered, 0)
 		}
 		if e.Kind == event.KindReceive || e.Kind == event.KindSyncAcquire {
-			s, ok := sent[e.Partner]
+			s, ok := sent[e.Partner.ID()]
 			if !ok {
 				return fmt.Errorf("event %d (%s): partner %s was not delivered before it", k, e.ID, e.Partner)
 			}
@@ -189,7 +189,7 @@ func Random(rng *rand.Rand, cfg RandomConfig) (*event.Store, []*event.Event) {
 			Kind:    kind,
 			Type:    typ,
 			VC:      clocks[t].Stamp(t),
-			Partner: partner,
+			Partner: event.RefTo(partner),
 		}
 		if err := st.Append(e); err != nil {
 			panic(err)
@@ -216,7 +216,7 @@ func Random(rng *rand.Rand, cfg RandomConfig) (*event.Store, []*event.Event) {
 			d := ps.dst
 			clocks[d] = clocks[d].Merge(ps.ev.VC.Dense())
 			e := emit(d, event.KindReceive, typ, ps.ev.ID)
-			ps.ev.Partner = e.ID
+			ps.ev.Partner = event.RefTo(e.ID)
 		default:
 			emit(t, event.KindInternal, typ, event.ID{})
 		}

@@ -1,6 +1,10 @@
 package event
 
-import "ocep/internal/vclock"
+import (
+	"unsafe"
+
+	"ocep/internal/vclock"
+)
 
 // Slab hands out events and timestamp storage carved from chunks, so
 // that whoever materialises a stream of stamped events pays one
@@ -20,8 +24,8 @@ type Slab struct {
 
 const (
 	// eventChunkLen events plus the 8-byte header Go's allocator puts on
-	// a pointerful object fill the 8 KiB size class: 93*88+8 = 8192.
-	eventChunkLen = 93
+	// a pointerful object fill the 8 KiB size class: 113*72+8 = 8144.
+	eventChunkLen = (8<<10 - 8) / int(unsafe.Sizeof(Event{}))
 	// Clock chunks hold no pointers, carry no header, and are exact
 	// power-of-two size classes.
 	minClockChunk  = 8 << 10 / 4

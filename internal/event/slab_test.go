@@ -76,7 +76,7 @@ var goSizeClasses = []uintptr{4096, 4864, 5376, 6144, 6528, 6784, 6912, 8192, 94
 // and carry no header: they are size classes exactly.
 func TestSlabChunksFillSizeClasses(t *testing.T) {
 	const mallocHeader = 8
-	need := unsafe.Sizeof(Event{})*eventChunkLen + mallocHeader
+	need := unsafe.Sizeof(Event{})*uintptr(eventChunkLen) + mallocHeader
 	for _, class := range goSizeClasses {
 		if class < need {
 			continue

@@ -12,6 +12,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -67,6 +68,18 @@ var ErrStaleEvent = errors.New("poet: stale or duplicate raw event")
 // the reporter should back off and retransmit (the wire server does this
 // transparently, shedding load onto the reporter's bounded buffer).
 var ErrOverloaded = errors.New("poet: collector overloaded")
+
+// Refusals of what an event cannot hold: an Event keeps its kind in one
+// byte and its partner in an event.Ref, and a timestamp counts in int32.
+var (
+	// ErrEventKind reports a kind above event.KindSyncRelease.
+	ErrEventKind = errors.New("poet: unknown event kind")
+	// ErrSeqRange reports a sequence number above math.MaxInt32.
+	ErrSeqRange = errors.New("poet: sequence number out of range")
+	// ErrTooManyTraces reports the trace that would reach
+	// event.MaxTraces.
+	ErrTooManyTraces = errors.New("poet: too many traces")
+)
 
 // Collector ingests raw events, reconstructs causality, and delivers
 // stamped events in a linearization of the partial order. It is safe for
@@ -523,33 +536,41 @@ func (c *Collector) Ordered() []*event.Event {
 
 // RegisterTrace pre-registers a trace name and returns its ID, so that
 // trace numbering (and so vector-clock positions) is deterministic
-// regardless of event arrival interleaving.
-func (c *Collector) RegisterTrace(name string) event.TraceID {
-	// A WAL failure here resurfaces, sticky, at the next event's commit.
-	_ = c.apply(RawEvent{Trace: name})
+// regardless of event arrival interleaving. It fails with
+// ErrTooManyTraces, registering nothing, for a trace that would reach
+// event.MaxTraces, and with the write-ahead log's error when the
+// registration could not be logged.
+func (c *Collector) RegisterTrace(name string) (event.TraceID, error) {
+	if err := c.apply(RawEvent{Trace: name}); err != nil {
+		return 0, err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	id, _ := c.store.TraceByName(name)
-	return id
+	return id, nil
 }
 
-func (c *Collector) ensureTrace(name string) event.TraceID {
-	var id event.TraceID
-	if c.sharded {
-		// Striped global IDs: every shard numbers its home traces in its
-		// own residue class mod numShards, so IDs (and therefore
-		// vector-clock positions) never collide across shards and a
-		// merged monitor sees one coherent coordinate space. The store
-		// tolerates the holes left for peer-homed traces.
-		var known bool
-		id, known = c.store.TraceByName(name)
-		if !known {
+func (c *Collector) ensureTrace(name string) (event.TraceID, error) {
+	id, known := c.store.TraceByName(name)
+	if !known {
+		id = event.TraceID(c.store.NumTraces())
+		if c.sharded {
+			// Striped global IDs: every shard numbers its home traces in
+			// its own residue class mod numShards, so IDs (and therefore
+			// vector-clock positions) never collide across shards and a
+			// merged monitor sees one coherent coordinate space. The
+			// store tolerates the holes left for peer-homed traces.
 			id = event.TraceID(c.shardID + c.numShards*c.shardLocals)
+		}
+		if id >= event.MaxTraces {
+			return 0, fmt.Errorf("poet: trace %q would be trace %d, limit %d: %w", name, id, event.MaxTraces, ErrTooManyTraces)
+		}
+		if c.sharded {
 			c.shardLocals++
 			c.store.NameTrace(id, name)
+		} else {
+			c.store.RegisterTrace(name)
 		}
-	} else {
-		id = c.store.RegisterTrace(name)
 	}
 	for int(id) >= len(c.stamps) {
 		c.stamps = append(c.stamps, vclock.Stamp{})
@@ -558,7 +579,7 @@ func (c *Collector) ensureTrace(name string) event.TraceID {
 		c.registered = append(c.registered, false)
 	}
 	c.registered[id] = true
-	return id
+	return id, nil
 }
 
 // Delivered returns the number of events delivered so far.
@@ -698,7 +719,10 @@ func (c *Collector) apply(raw RawEvent) error {
 		return c.applyLocked(&raw, 0)
 	}
 	_, known := c.store.TraceByName(raw.Trace)
-	c.ensureTrace(raw.Trace)
+	if _, err := c.ensureTrace(raw.Trace); err != nil {
+		c.mu.Unlock()
+		return err
+	}
 	var w walTicket
 	if !known {
 		// Recorded in order with events, or trace numbering would differ
@@ -743,13 +767,20 @@ func (c *Collector) applyLocked(raw *RawEvent, limit int) error {
 }
 
 func (c *Collector) ingestLocked(raw *RawEvent, limit int) error {
-	if raw.Seq < 1 {
+	switch {
+	case raw.Seq < 1:
 		return fmt.Errorf("poet: event on %q has sequence %d: %w", raw.Trace, raw.Seq, ErrStaleEvent)
-	}
-	if isRecvLike(raw.Kind) && raw.MsgID == 0 {
+	case raw.Seq > math.MaxInt32:
+		return fmt.Errorf("poet: event on %q has sequence %d: %w", raw.Trace, raw.Seq, ErrSeqRange)
+	case raw.Kind > event.KindSyncRelease:
+		return fmt.Errorf("poet: event %q/%d has kind %d: %w", raw.Trace, raw.Seq, raw.Kind, ErrEventKind)
+	case isRecvLike(raw.Kind) && raw.MsgID == 0:
 		return fmt.Errorf("poet: receive on %q/%d has no message id", raw.Trace, raw.Seq)
 	}
-	t := c.ensureTrace(raw.Trace)
+	t, err := c.ensureTrace(raw.Trace)
+	if err != nil {
+		return err
+	}
 	if raw.Seq < c.nextSeq[t] {
 		return fmt.Errorf("poet: event %q/%d already delivered: %w", raw.Trace, raw.Seq, ErrStaleEvent)
 	}
@@ -873,16 +904,16 @@ func (c *Collector) deliver(t event.TraceID, raw RawEvent) {
 	c.stamps[t] = stamp
 	c.log.Push(event.Event{
 		ID:      event.ID{Trace: t, Index: c.nextSeq[t]},
-		Kind:    raw.Kind,
 		Type:    raw.Type,
 		Text:    raw.Text,
 		VC:      stamp,
-		Partner: partner,
+		Kind:    raw.Kind,
+		Partner: event.RefTo(partner),
 	})
 	e := c.log.At(c.log.Len() - 1)
 	if !partner.IsZero() {
 		if sendEv := c.store.Get(partner); sendEv != nil {
-			sendEv.Partner = e.ID
+			sendEv.Partner = event.RefTo(e.ID)
 		}
 	}
 	if err := c.store.Append(e); err != nil {

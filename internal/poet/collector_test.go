@@ -3,6 +3,7 @@ package poet
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -30,7 +31,7 @@ func TestCollectorBasicDelivery(t *testing.T) {
 	if !send.Before(recv) {
 		t.Fatalf("send must happen before its receive: %s / %s", send, recv)
 	}
-	if send.Partner != recv.ID || recv.Partner != send.ID {
+	if send.Partner.ID() != recv.ID || recv.Partner.ID() != send.ID {
 		t.Fatalf("partners not linked: %s / %s", send, recv)
 	}
 	// Clocks grow as traces join; compare with zero-padding semantics.
@@ -108,6 +109,84 @@ func TestCollectorErrors(t *testing.T) {
 	}
 	if err := c.Report(RawEvent{Trace: "p1", Seq: 1, Kind: event.KindSend, MsgID: 9}); err == nil {
 		t.Errorf("duplicate msg id on send side must fail")
+	}
+}
+
+// checkRefusesUnholdable feeds ingest, Report or apply, what an event
+// cannot hold — a kind above KindSyncRelease, a sequence number above
+// math.MaxInt32, a 2^24-th trace — and requires each refusal by name,
+// with nothing held: no event delivered or buffered, no trace named.
+// Kind 0, an unset kind, stays accepted.
+func checkRefusesUnholdable(t *testing.T, ingest func(*Collector, RawEvent) error) {
+	t.Helper()
+	c := NewCollector()
+	for _, tc := range []struct {
+		raw  RawEvent
+		want error
+	}{
+		{RawEvent{Trace: "p0", Seq: 1, Kind: event.KindSyncRelease + 1}, ErrEventKind},
+		{RawEvent{Trace: "p0", Seq: 1, Kind: 255, MsgID: 1}, ErrEventKind},
+		{RawEvent{Trace: "p0", Seq: math.MaxInt32 + 1, Kind: event.KindInternal}, ErrSeqRange},
+		{RawEvent{Trace: "p0", Seq: math.MaxInt, Kind: event.KindInternal}, ErrSeqRange},
+	} {
+		if err := ingest(c, tc.raw); !errors.Is(err, tc.want) {
+			t.Errorf("%+v: got %v, want %v", tc.raw, err, tc.want)
+		}
+	}
+	if n, p, tr := c.Delivered(), c.Pending(), c.Store().NumTraces(); n+p+tr != 0 {
+		t.Fatalf("refused events left %d delivered, %d buffered, %d traces", n, p, tr)
+	}
+	if err := ingest(c, RawEvent{Trace: "p0", Seq: 1}); err != nil {
+		t.Fatalf("an event with no kind: %v", err)
+	}
+	if err := ingest(c, RawEvent{Trace: "p0", Seq: math.MaxInt32, Kind: event.KindInternal}); err != nil || c.Pending() != 1 {
+		t.Fatalf("sequence math.MaxInt32: %v, %d buffered", err, c.Pending())
+	}
+
+	// Striped IDs reach the limit in two traces: shard 1 of 2^24 numbers
+	// its second home trace 2^24 + 1.
+	c = NewCollector()
+	if err := c.EnableSharding(1, event.MaxTraces); err != nil {
+		t.Fatal(err)
+	}
+	if err := ingest(c, RawEvent{Trace: "a", Seq: 1, Kind: event.KindInternal}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ingest(c, RawEvent{Trace: "b", Seq: 1, Kind: event.KindInternal}); !errors.Is(err, ErrTooManyTraces) {
+		t.Fatalf("the trace past event.MaxTraces: got %v, want %v", err, ErrTooManyTraces)
+	}
+	if _, known := c.Store().TraceByName("b"); known || c.Delivered() != 1 {
+		t.Fatalf("a refused trace is named (%v) or its event held (%d delivered)", known, c.Delivered())
+	}
+}
+
+func TestReportRefusesUnholdableEvents(t *testing.T) {
+	checkRefusesUnholdable(t, (*Collector).Report)
+}
+
+// TestApplyRefusesUnholdableEvents: a record the tier accepted once
+// (recovery, reload, a standby's stream) is not held either when no
+// event could hold it.
+func TestApplyRefusesUnholdableEvents(t *testing.T) {
+	checkRefusesUnholdable(t, (*Collector).apply)
+	if err := NewCollector().apply(RawEvent{Trace: "b"}); err != nil {
+		t.Fatal(err)
+	}
+	c := NewCollector()
+	if err := c.EnableSharding(1, event.MaxTraces); err != nil {
+		t.Fatal(err)
+	}
+	if id, err := c.RegisterTrace("a"); err != nil || id != 1 {
+		t.Fatalf("RegisterTrace(a) = %d, %v; want shard 1's first trace, 1", id, err)
+	}
+	if err := c.apply(RawEvent{Trace: "b"}); !errors.Is(err, ErrTooManyTraces) {
+		t.Fatalf("registering the trace past event.MaxTraces: got %v", err)
+	}
+	if _, err := c.RegisterTrace("b"); !errors.Is(err, ErrTooManyTraces) {
+		t.Fatalf("RegisterTrace past event.MaxTraces: got %v", err)
+	}
+	if _, known := c.Store().TraceByName("b"); known {
+		t.Fatal("a refused trace was registered")
 	}
 }
 

@@ -35,9 +35,9 @@ import (
 //     stream is what moves that watermark, so it reads the journal head.
 
 // readablePartner is e.Partner as read outside the collector's lock.
-func readablePartner(e *event.Event) event.ID {
+func readablePartner(e *event.Event) event.Ref {
 	if isSendLike(e.Kind) {
-		return event.ID{}
+		return event.Ref{}
 	}
 	return e.Partner
 }

@@ -168,7 +168,7 @@ func TestBatchEventsAreTheCollectors(t *testing.T) {
 	if cp[0] == orig[0] || cp[0].ID != orig[0].ID || cp[0].Text != "x" || !cp[0].VC.Equal(orig[0].VC) {
 		t.Fatalf("copy %+v diverges from %+v", cp[0], orig[0])
 	}
-	if !cp[0].Partner.IsZero() || cp[1].Partner != orig[0].ID {
+	if !cp[0].Partner.IsZero() || cp[1].Partner.ID() != orig[0].ID {
 		t.Fatalf("copied partners: send %v, receive %v; want none, then %v", cp[0].Partner, cp[1].Partner, orig[0].ID)
 	}
 }
@@ -193,7 +193,7 @@ func TestBatchPartnerVisibleToConsumer(t *testing.T) {
 		t.Fatalf("handled %d events, want 2", len(got))
 	}
 	recv := got[1]
-	if recv.Kind != event.KindReceive || recv.Partner != got[0].ID {
+	if recv.Kind != event.KindReceive || recv.Partner.ID() != got[0].ID {
 		t.Fatalf("receive copy lost its partner: %+v", recv)
 	}
 }

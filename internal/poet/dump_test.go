@@ -241,6 +241,24 @@ func TestReloadRejectsGarbage(t *testing.T) {
 	}
 }
 
+// kind256Dump is a dump whose one event, on a registered trace, has
+// kind 256, which a Kind's byte would read as 0.
+func kind256Dump(t testing.TB) []byte {
+	reg := appendString([]byte{recChunk, recTrace, 0}, "a")
+	ev := []byte{recEvent, 1, 1, 0x80, 0x02, 0, 0, 1, 'x', 0, 0} // trace by reference 1, seq 1
+	return segmentOf(t, true, reg, ev)
+}
+
+// TestReloadRefusesKindAboveRange: the record decoder refuses a kind no
+// Kind names before converting it, so recovery, reload and a standby
+// never apply kind 256 as kind 0.
+func TestReloadRefusesKindAboveRange(t *testing.T) {
+	c := NewCollector()
+	if n, err := c.Reload(bytes.NewReader(kind256Dump(t))); !errors.Is(err, ErrEventKind) || n != 0 || c.Delivered() != 0 {
+		t.Fatalf("reloading a kind-256 event: %d events (%d delivered), %v; want %v", n, c.Delivered(), err, ErrEventKind)
+	}
+}
+
 // TestDumpFileKeepsTargetOnFailure: a dump that fails — here for want of
 // the journal — leaves the file it was asked to replace as it was, and
 // no temporary beside it.
@@ -358,8 +376,9 @@ func FuzzReload(f *testing.F) {
 	// A record that claims 64 MiB, on 24 bytes of input.
 	f.Add(append(append([]byte(nil), small[:16]...), 0, 0, 0, 4, 0, 0, 0, 0, 1, 2, 3, 4), uint(20))
 	// Dumps whose string tables do not add up, one of the literal
-	// spelling, and one with a marker among its leading registrations
-	// that cuts off a later reference; each fails cleanly.
+	// spelling, one with a marker among its leading registrations that
+	// cuts off a later reference, and one with an event of kind 256;
+	// each fails cleanly.
 	mark := func(rec []byte) []byte { return append([]byte{recChunk}, rec...) }
 	ev := []byte{recEvent, 1, 1, 0, 0, 0, 1, 'x', 0, 0} // trace by reference 1
 	reg := func(name string) []byte { return appendString([]byte{recTrace, 0}, name) }
@@ -368,6 +387,7 @@ func FuzzReload(f *testing.F) {
 		segmentOf(f, true, mark(reg("a")), mark(ev)), // a reference past the marker that reset it
 		literalDump(f),
 		segmentOf(f, true, mark(reg("a")), reg("b"), mark(reg("c")), []byte{recTrace, 2}),
+		kind256Dump(f),
 	} {
 		if _, err := NewCollector().Reload(bytes.NewReader(in)); err == nil {
 			f.Fatalf("seed %x reloads without an error", in)

@@ -565,6 +565,17 @@ func (r *recordReader) interned() string {
 	return (*r.tab)[ref-1]
 }
 
+// kind reads an event kind, refusing one above event.KindSyncRelease
+// before it could wrap into a Kind's byte.
+func (r *recordReader) kind() event.Kind {
+	k := r.uvarint()
+	if r.err == nil && k > uint64(event.KindSyncRelease) {
+		r.fail(fmt.Errorf("%w: %d", ErrEventKind, k))
+		return 0
+	}
+	return event.Kind(k)
+}
+
 // record reads the fields encodeRecord wrote for a record of kind
 // recEvent or recTrace.
 func (r *recordReader) record(kind byte) RawEvent {
@@ -573,7 +584,7 @@ func (r *recordReader) record(kind byte) RawEvent {
 		return raw
 	}
 	raw.Seq = r.int()
-	raw.Kind = event.Kind(r.uvarint())
+	raw.Kind = r.kind()
 	raw.MsgID = r.uvarint()
 	raw.Type = r.interned()
 	raw.Text = r.interned()
@@ -594,7 +605,10 @@ func (c *Collector) replayRecord(p []byte, r *recordReader) error {
 	}
 	r.p, r.err = p[1:], nil
 	raw := r.record(p[0])
-	if r.err != nil || p[0] == recEvent && raw.Seq == 0 || p[0] == recTrace && raw.Trace == "" {
+	if r.err != nil {
+		return fmt.Errorf("poet: malformed WAL record of kind %d: %w", p[0], r.err)
+	}
+	if p[0] == recEvent && raw.Seq == 0 || p[0] == recTrace && raw.Trace == "" {
 		return fmt.Errorf("poet: malformed WAL record of kind %d", p[0])
 	}
 	return c.apply(raw)

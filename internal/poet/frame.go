@@ -168,13 +168,13 @@ func (w *frameWriter) trace(id event.TraceID, name string) {
 // event sends a delivered event with the given partner (the caller reads
 // e.Partner under the rule its context allows; see readablePartner) and
 // returns the number of timestamp entries it put on the wire.
-func (w *frameWriter) event(e *event.Event, partner event.ID, delta bool) int {
+func (w *frameWriter) event(e *event.Event, partner event.Ref, delta bool) int {
 	b := append(w.body[:0], frameEvent, 0) // stamp sets the flags
 	b = appendID(b, e.ID)
 	b = binary.AppendUvarint(b, uint64(e.Kind))
 	b = appendRef(w.strs, b, e.Type)
 	b = appendRef(w.strs, b, e.Text)
-	b = appendID(b, partner)
+	b = appendID(b, partner.ID())
 	return w.stamp(b, e.ID, e.VC, delta)
 }
 
@@ -309,9 +309,9 @@ func (r *frameReader) next(f *frame) error {
 		flags := byte(c.uvarint())
 		e := r.slab.New()
 		e.ID = c.id()
-		e.Kind = event.Kind(c.uvarint())
+		e.Kind = c.kind()
 		e.Type, e.Text = c.interned(), c.interned()
-		e.Partner = c.id()
+		e.Partner = c.ref()
 		if t := int(e.ID.Trace); c.err == nil && (t >= len(r.announced) || !r.announced[t]) {
 			c.fail(fmt.Errorf("%w: trace %d", errTraceRef, t))
 		}
@@ -350,6 +350,19 @@ func (r *frameReader) next(f *frame) error {
 
 func (r *recordReader) id() event.ID {
 	return event.ID{Trace: event.TraceID(r.int()), Index: r.int()}
+}
+
+// ref reads an event's partner, which must name an event a stream can
+// carry.
+func (r *recordReader) ref() event.Ref {
+	id := r.id()
+	if r.err == nil && (id.Trace >= maxClockWidth || id.Index > math.MaxInt32) {
+		r.fail(fmt.Errorf("%w: partner %v, limit t%d#%d", errFrameMalformed, id, maxClockWidth-1, math.MaxInt32))
+	}
+	if r.err != nil {
+		return event.Ref{}
+	}
+	return event.RefTo(id)
 }
 
 // count reads a list length. A list names at most as many traces as a

@@ -94,7 +94,7 @@ func sampleFrames() []frame {
 		{kind: frameTrace, id: 2, name: "beta"},
 		{kind: frameEvent, ev: &event.Event{ID: event.ID{Trace: 0, Index: 1}, Kind: event.KindSend, Type: "req", Text: "r0", VC: p0}},
 		{kind: frameEvent, ev: &event.Event{ID: event.ID{Trace: 2, Index: 200}, Kind: event.KindReceive, Type: "resp",
-			Partner: event.ID{Trace: 0, Index: 1}, VC: clock(2, 1, 0, 200)}},
+			Partner: event.RefTo(event.ID{Trace: 0, Index: 1}), VC: clock(2, 1, 0, 200)}},
 		{kind: frameEvent, ev: &event.Event{ID: event.ID{Trace: 0, Index: 2}, Kind: event.KindInternal, Type: "req", VC: p0.Tick(0)}},
 		{kind: frameHead, head: 1 << 40},
 		{kind: frameExport, exp: shardExport{MsgID: 1 << 50, ID: event.ID{Trace: 5, Index: 9}, VC: x9}},
@@ -157,6 +157,11 @@ func frameOf(body ...byte) []byte {
 	return append(binary.AppendUvarint(nil, uint64(len(body))), body...)
 }
 
+// kind256Event announces t0 and sends t0#1 with kind 256: flags, id,
+// kind, type and text each a new empty literal, partner, one dense
+// timestamp entry.
+var kind256Event = append(frameOf(frameTrace, 0, 1, 'a'), frameOf(frameEvent, 0, 0, 1, 0x80, 0x02, 0, 0, 0, 0, 0, 0, 1)...)
+
 // decodeError decodes in to its first error: io.EOF if every frame
 // decodes.
 func decodeError(in []byte) error {
@@ -183,6 +188,11 @@ func TestFrameDecoderBounds(t *testing.T) {
 		// flags, id t3#1, kind, type and text each a new empty literal
 		// (reference 0, length 0), partner.
 		{"event on an unannounced trace", frameOf(frameEvent, 0, 3, 1, 1, 0, 0, 0, 0, 0, 0), errTraceRef},
+		// Kind 256 would wrap to 0 in a Kind's byte, 257 to KindInternal.
+		{"event kind above the last", kind256Event, ErrEventKind},
+		{"raw event kind above the last", frameOf(frameRaw, 0, 1, 'a', 1, 0x81, 0x02, 0, 0, 0, 0, 0), ErrEventKind},
+		{"partner beyond the width limit", append(frameOf(frameTrace, 0, 1, 'a'), frameOf(append([]byte{frameEvent, 0, 0, 1, 1, 0, 0, 0, 0},
+			append(binary.AppendUvarint(nil, maxClockWidth), 1, 1)...)...)...), errFrameMalformed},
 		{"varint overruns the frame", frameOf(frameHead, 0x80), errFrameOverrun},
 		{"string overruns the frame", frameOf(frameTrace, 1, 9, 'x'), errFrameOverrun},
 		// flags, msgid 1, id t0#1, then the timestamp.
@@ -233,6 +243,10 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 		f.Add(in, true)
 	}
+	if err := decodeError(kind256Event); !errors.Is(err, ErrEventKind) {
+		f.Fatalf("a kind-256 event decodes to %v, want %v", err, ErrEventKind)
+	}
+	f.Add(kind256Event, false)
 	for _, delta := range []bool{false, true} {
 		var all bytes.Buffer
 		fw := newFrameWriter(&all)
@@ -325,7 +339,7 @@ func TestHandshakeAndFramesInOneSegment(t *testing.T) {
 			fw.acks(nil)
 			fw.trace(0, "p0")
 			for i := 1; i <= n; i++ {
-				fw.event(&event.Event{ID: event.ID{Index: i}, Kind: event.KindInternal, Type: "x", VC: vclock.VC{int32(i)}.Stamp(0)}, event.ID{}, true)
+				fw.event(&event.Event{ID: event.ID{Index: i}, Kind: event.KindInternal, Type: "x", VC: vclock.VC{int32(i)}.Stamp(0)}, event.Ref{}, true)
 			}
 			fw.signal(frameEnd)
 			_ = fw.flush()

@@ -121,7 +121,7 @@ func TestRetentionFreesMemory(t *testing.T) {
 	report(next(0, event.KindReceive, 1))
 	last := c.Ordered()[len(c.Ordered())-1]
 	idle, _ := c.Store().TraceByName("idle")
-	if want := (event.ID{Trace: idle, Index: 10}); last.Partner != want || last.VC.Get(int(idle)) != 10 {
+	if want := (event.ID{Trace: idle, Index: 10}); last.Partner.ID() != want || last.VC.Get(int(idle)) != 10 {
 		t.Fatalf("the receive of the open send is %v, want partner %v and its clock merged", last, want)
 	}
 }

@@ -120,12 +120,12 @@ func (s *Server) handleQuery(fr *frameReader, fw *frameWriter) error {
 // getEventNamed is GetEvent plus the event's partner, read under the lock
 // (a send's is written when its receive is delivered), and the name of
 // its trace.
-func (c *Collector) getEventNamed(id event.ID) (*event.Event, event.ID, string, bool) {
+func (c *Collector) getEventNamed(id event.ID) (*event.Event, event.Ref, string, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.store.Get(id)
 	if e == nil {
-		return nil, event.ID{}, "", false
+		return nil, event.Ref{}, "", false
 	}
 	return e, e.Partner, c.store.TraceName(id.Trace), true
 }

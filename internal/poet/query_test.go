@@ -91,10 +91,10 @@ func TestQueryOverTCP(t *testing.T) {
 	}
 	// A query reads the collector's event under its lock, so a send names
 	// the receive delivered since (the monitor stream never does).
-	if recv := (event.ID{Trace: 1, Index: 1}); e.Partner != recv {
+	if recv := (event.ID{Trace: 1, Index: 1}); e.Partner.ID() != recv {
 		t.Fatalf("queried send has partner %v, want its receive %v", e.Partner, recv)
 	}
-	if r, err := q.Get(event.ID{Trace: 1, Index: 1}); err != nil || r.Partner != send {
+	if r, err := q.Get(event.ID{Trace: 1, Index: 1}); err != nil || r.Partner.ID() != send {
 		t.Fatalf("queried receive = %v, %v; want partner %v", r, err, send)
 	}
 	if pos, err := q.LS(send, 1); err != nil || pos != 1 {

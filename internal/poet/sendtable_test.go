@@ -48,7 +48,7 @@ func (m *mapModel) reportLocked(raw RawEvent) error {
 	if isRecvLike(raw.Kind) && raw.MsgID == 0 {
 		return fmt.Errorf("poet: receive on %q/%d has no message id", raw.Trace, raw.Seq)
 	}
-	t := c.ensureTrace(raw.Trace)
+	t, _ := c.ensureTrace(raw.Trace) // the scripts name a few traces, far below the limit
 	if raw.Seq < c.nextSeq[t] {
 		return fmt.Errorf("poet: event %q/%d already delivered: %w", raw.Trace, raw.Seq, ErrStaleEvent)
 	}
@@ -134,11 +134,11 @@ func (m *mapModel) deliver(t event.TraceID, raw RawEvent) {
 		stamp = stamp.Tick(int(t))
 	}
 	c.stamps[t] = stamp
-	c.log.Push(event.Event{ID: event.ID{Trace: t, Index: c.nextSeq[t]}, Kind: raw.Kind, Type: raw.Type, Text: raw.Text, VC: stamp, Partner: partner})
+	c.log.Push(event.Event{ID: event.ID{Trace: t, Index: c.nextSeq[t]}, Kind: raw.Kind, Type: raw.Type, Text: raw.Text, VC: stamp, Partner: event.RefTo(partner)})
 	e := c.log.At(c.log.Len() - 1)
 	if !partner.IsZero() {
 		if sendEv := c.store.Get(partner); sendEv != nil {
-			sendEv.Partner = e.ID
+			sendEv.Partner = event.RefTo(e.ID)
 		}
 	}
 	if err := c.store.Append(e); err != nil {

@@ -75,7 +75,7 @@ func TestServerEndToEnd(t *testing.T) {
 	if len(mon.Traces()) != 2 {
 		t.Fatalf("announced traces = %d want 2", len(mon.Traces()))
 	}
-	if got[1].Partner != got[0].ID {
+	if got[1].Partner.ID() != got[0].ID {
 		t.Fatalf("partner not preserved over the wire")
 	}
 	if !got[0].Before(got[1]) {

@@ -127,7 +127,7 @@ func TestSupplyRemoteSendGatesReceives(t *testing.T) {
 	if e.ID.Trace != 1 {
 		t.Fatalf("receive homed on trace %d, want striped 1", e.ID.Trace)
 	}
-	if e.Partner != sendID {
+	if e.Partner.ID() != sendID {
 		t.Fatalf("receive partner = %v, want %v", e.Partner, sendID)
 	}
 	// The receive's stamp merges the remote send's: entry for trace 0

@@ -21,7 +21,7 @@ var _ EventSource = (*MonitorClient)(nil)
 func CopyBatch(dst, batch []*event.Event, slab *event.Slab) []*event.Event {
 	for _, e := range batch {
 		cp := slab.New()
-		*cp = event.Event{ID: e.ID, Kind: e.Kind, Type: e.Type, Text: e.Text, VC: e.VC, Partner: readablePartner(e)}
+		*cp = event.Event{ID: e.ID, Type: e.Type, Text: e.Text, VC: e.VC, Kind: e.Kind, Partner: readablePartner(e)}
 		dst = append(dst, cp)
 	}
 	return dst

@@ -102,7 +102,7 @@ func (c Cut) Replay(st *event.Store, ordered []*event.Event) (*poet.Collector, e
 			ids[e.ID] = msg
 			raw.MsgID = msg
 		case event.KindReceive, event.KindSyncAcquire:
-			id, ok := ids[e.Partner]
+			id, ok := ids[e.Partner.ID()]
 			if !ok {
 				return nil, fmt.Errorf("slice: receive %s inside the slice but its send %s is not (slice not causally closed?)",
 					e.ID, e.Partner)

@@ -108,11 +108,12 @@ func Render(st *event.Store, ordered []*event.Event, opts Options) (string, erro
 			if e.Kind != event.KindSend || e.Partner.IsZero() {
 				continue
 			}
-			if _, ok := colOf[e.Partner]; !ok {
+			partner := e.Partner.ID()
+			if _, ok := colOf[partner]; !ok {
 				continue
 			}
 			arrows = append(arrows, fmt.Sprintf("  %s@%s -> %s@%s",
-				e.ID, st.TraceName(e.ID.Trace), e.Partner, st.TraceName(e.Partner.Trace)))
+				e.ID, st.TraceName(e.ID.Trace), partner, st.TraceName(partner.Trace)))
 		}
 		if len(arrows) > 0 {
 			b.WriteString("messages:\n")

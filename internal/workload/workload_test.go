@@ -179,7 +179,7 @@ func TestMsgRaceDetection(t *testing.T) {
 	// received by the same process.
 	for _, match := range matches {
 		s1, r1, s2, r2 := match.Events[0], match.Events[1], match.Events[2], match.Events[3]
-		if s1.Partner != r1.ID || s2.Partner != r2.ID {
+		if s1.Partner.ID() != r1.ID || s2.Partner.ID() != r2.ID {
 			t.Fatalf("link pairs wrong")
 		}
 		if !s1.Concurrent(s2) {
