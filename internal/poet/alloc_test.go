@@ -398,6 +398,89 @@ func TestStampHeapPerEvent(t *testing.T) {
 	runtime.KeepAlive(decoded)
 }
 
+// TestStampHeapPerEventPaired pins the join clocks of the deadlock
+// shape: 32 traces in fixed pairs, p2k and p2k+1 trading a message every
+// round, a third of the events receives. A join clock stores only its
+// window, two entries here whatever the pair's trace IDs, so it costs
+// its two-word header and two entries: 16 B. Dense from trace 0, pair
+// k's clocks cost (2k+3)×4 B, 72 B on average. The test keeps the
+// stamps alone, of the collector's events and of the events a delta
+// decoder reads from its stream, and weighs what their join clocks
+// retain per join, slab slack included; the budget is 16 B and a
+// quarter.
+func TestStampHeapPerEventPaired(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes heap sizes")
+	}
+	const (
+		traces = 32
+		rounds = 300
+		n      = traces * rounds * 3
+		joins  = 2 * traces * (rounds - 1) // the collector's and the decoder's
+		budget = (2 + 2) * 4 * 1.25
+	)
+	stamps := make([]vclock.Stamp, 0, 2*n)
+	var wire bytes.Buffer
+	before := liveHeap()
+	c := NewCollector()
+	fw := newFrameWriter(&wire)
+	c.Subscribe(func(e *event.Event) {
+		if e.ID.Index == 1 {
+			fw.trace(e.ID.Trace, c.Store().TraceName(e.ID.Trace))
+		}
+		fw.event(e, e.Partner, true)
+	})
+	msg := func(round, tr int) uint64 { return uint64(round*traces+tr) + 1 }
+	for r := 0; r < rounds; r++ {
+		for tr := 0; tr < traces; tr++ {
+			name, seq := fmt.Sprintf("p%d", tr), r*3
+			report := func(kind event.Kind, m uint64) {
+				seq++
+				if err := c.Report(RawEvent{Trace: name, Seq: seq, Kind: kind, Type: "work", MsgID: m}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if r == 0 {
+				report(event.KindInternal, 0) // nothing to receive yet
+			} else {
+				report(event.KindReceive, msg(r-1, tr^1))
+			}
+			report(event.KindInternal, 0)
+			report(event.KindSend, msg(r, tr))
+		}
+	}
+	if err := fw.flush(); err != nil {
+		t.Fatal(err)
+	}
+	fr := &frameReader{br: bufio.NewReaderSize(bytes.NewReader(wire.Bytes()), frameBufSize)}
+	decoded := make([]*event.Event, 0, n)
+	for len(decoded) < n {
+		var f frame
+		if err := fr.next(&f); err != nil {
+			t.Fatal(err)
+		}
+		if f.kind == frameEvent {
+			decoded = append(decoded, f.ev)
+		}
+	}
+	if err := eventtest.CheckStamps(decoded); err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range c.Ordered() {
+		if !e.VC.Equal(decoded[i].VC) {
+			t.Fatalf("event %v: collected %v, decoded %v", e.ID, e.VC, decoded[i].VC)
+		}
+		stamps = append(stamps, e.VC, decoded[i].VC)
+	}
+	c, fr, fw, wire, decoded = nil, nil, nil, bytes.Buffer{}, nil
+	per := float64(liveHeap()-before) / joins
+	t.Logf("%.1f B of join clock retained per join", per)
+	if per > budget {
+		t.Errorf("%.1f B of join clock retained per join, budget %.1f", per, budget)
+	}
+	runtime.KeepAlive(stamps)
+}
+
 // TestCollectorHeapPerEvent pins the bytes a collector with no journal
 // and no subscriber retains per in-order event: the slabs may not cost
 // more than the per-event objects they replaced did (163.6 B over 21

@@ -454,14 +454,11 @@ func (r *frameReader) stamp(c *recordReader, flags byte, id event.ID) vclock.Sta
 	return r.stamps[t]
 }
 
-// materialise stamps an event of trace t with r.dense, trailing zeros
-// trimmed: in a join clock carved from the reader's slab if it has a
+// materialise stamps an event of trace t with r.dense: in a join clock
+// carved from the reader's slab over its nonzero window if it has a
 // foreign entry, else in none.
 func (r *frameReader) materialise(t int) vclock.Stamp {
 	v := r.dense
-	for len(v) > 0 && v[len(v)-1] == 0 {
-		v = v[:len(v)-1]
-	}
 	for u, n := range v {
 		if n != 0 && u != t {
 			return vclock.NewStamp(v, t, &r.slab)

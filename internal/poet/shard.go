@@ -180,9 +180,9 @@ func (c *Collector) SupplyRemoteSend(msgID uint64, id event.ID, vc vclock.Stamp)
 		c.mu.Unlock()
 		return nil
 	}
-	// The one materialising copy: the stored stamp pins none of the
-	// decoder's slab.
-	vc = vclock.NewStamp(vc.Dense(), vc.Trace(), nil)
+	// The one materialising copy, carved from the collector's slab: the
+	// stored stamp pins none of the decoder's.
+	vc = vc.Carve(&c.slab)
 	c.sends[msgID] = sendRemote | uint64(c.remote.Len())
 	c.remote.Push(remoteSend{id: id, vc: vc})
 	c.recordLocked(nil, &shardExport{MsgID: msgID, ID: id, VC: vc})

@@ -53,10 +53,11 @@ func (m model) compare(ta int, o model, tb int) Relation {
 // FuzzStampVsDense interprets the fuzz input as a program over at most
 // 16 traces, each step an event of one trace, and stamps every event two
 // ways: with Tick and Join, as the collector does, and with a dense
-// Fidge/Mattern clock per trace, the model. Every stamp's Get, Range,
-// Weight and String must equal the model's, and Before and Compare of
-// the new event against every earlier one must agree with the dense
-// clocks'.
+// Fidge/Mattern clock per trace, the model. Every stamp's Get, Range
+// and String must equal the model's, its Weight the model's window
+// (first to last nonzero entry) at a join and one elsewhere, and Before
+// and Compare of the new event against every earlier one must agree
+// with the dense clocks'.
 //
 // Opcodes (byte triples: op, trace, operand):
 //
@@ -72,6 +73,13 @@ func FuzzStampVsDense(f *testing.F) {
 		rng.Read(program)
 		f.Add(program)
 	}
+	// A pair on traces 14 and 15 whose receiver starts with a receive.
+	f.Add([]byte{1, 14, 0, 3, 15, 0, 1, 15, 0, 3, 14, 1, 1, 14, 0, 3, 15, 2})
+	// Pairs 12-13 and 1-2, then a join of trace 12 on a send whose
+	// window lies wholly below the receiver's, and one of trace 1 on a
+	// send whose window lies wholly above.
+	f.Add([]byte{1, 13, 0, 3, 12, 0, 1, 2, 0, 3, 1, 1, 1, 1, 0, 3, 12, 2})
+	f.Add([]byte{1, 13, 0, 3, 12, 0, 1, 2, 0, 3, 1, 1, 1, 12, 0, 3, 1, 2})
 	f.Fuzz(func(t *testing.T, program []byte) {
 		type stamped struct {
 			st    Stamp
@@ -104,8 +112,11 @@ func FuzzStampVsDense(f *testing.F) {
 			var want []int32
 			e.dense.Range(func(u int, n int32) bool { want = append(want, int32(u), n); return true })
 			weight := 1
-			if e.join {
+			if e.join { // the window, from the first nonzero entry on
 				weight = len(e.dense)
+				for u := 0; e.dense[u] == 0; u++ {
+					weight--
+				}
 			}
 			if e.st.String() != e.dense.String() || !slices.Equal(ranged, want) || e.st.Weight() != weight {
 				t.Fatalf("step %d: stamp %s ranges %v weighs %d; dense %s ranges %v weighs %d",

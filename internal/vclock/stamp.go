@@ -8,49 +8,99 @@ import "unsafe"
 // join clock with one entry, its own, changed. A Stamp is a reference to
 // that join clock, immutable once built, plus the event's trace and own
 // count: 16 bytes whatever the trace count (docs/ARCHITECTURE.md,
-// "Stamps shared along a trace"). The zero Stamp reads zero everywhere.
+// "Stamps shared along a trace"). A join clock stores only its window,
+// its lowest nonzero entry to its highest: a trace that talks to one
+// peer stores two entries. The zero Stamp reads zero everywhere.
 type Stamp struct {
-	// join points at the join clock's width, its entries following in
+	// join points at the join clock's header, its entries following in
 	// the same allocation (see carve); nil for no foreign entries.
-	join     *int32
+	join     *window
 	trace, n int32
 }
+
+// window is a join clock's two-word header: the clock stores entries lo
+// to lo+n-1 and reads zero outside them. The n entries follow the
+// header, entry t at byte 8+4·(t−lo) of it.
+type window struct{ lo, n int32 }
 
 // Allocator hands out zeroed clocks; *event.Slab is one. A nil
 // Allocator means the heap.
 type Allocator interface{ Clock(n int) VC }
 
-// carve returns a zeroed join clock of width w: a pointer to its width
-// word, and its entries.
-func carve(w int, a Allocator) (*int32, VC) {
+// carve returns a zeroed join clock over traces lo to lo+w-1: a
+// pointer to its header, and its entries.
+func carve(lo, w int, a Allocator) (*window, VC) {
 	if w == 0 {
 		return nil, nil
 	}
 	var blk VC
 	if a == nil {
-		blk = make(VC, w+1)
+		blk = make(VC, w+2)
 	} else {
-		blk = a.Clock(w + 1)
+		blk = a.Clock(w + 2)
 	}
-	blk[0] = int32(w)
-	return &blk[0], blk[1:]
+	blk[0], blk[1] = int32(lo), int32(w)
+	return (*window)(unsafe.Pointer(&blk[0])), blk[2:]
 }
 
-// base returns the join clock's entries; entry s.trace is stale unless
-// the clock was built for s.
-func (s Stamp) base() VC {
+// base returns the join clock's first trace and its entries; entry
+// s.trace is stale unless the clock was built for s.
+func (s Stamp) base() (int, VC) {
 	if s.join == nil {
-		return nil
+		return 0, nil
 	}
-	return unsafe.Slice((*int32)(unsafe.Add(unsafe.Pointer(s.join), 4)), *s.join)
+	return int(s.join.lo), unsafe.Slice((*int32)(unsafe.Add(unsafe.Pointer(s.join), 8)), s.join.n)
+}
+
+// entry returns the join clock's entry t: one bounds-checked load.
+func (s Stamp) entry(t int) int32 {
+	if s.join == nil {
+		return 0
+	}
+	if i := uint(t - int(s.join.lo)); i < uint(s.join.n) {
+		return *(*int32)(unsafe.Add(unsafe.Pointer(s.join), 8+4*i))
+	}
+	return 0
+}
+
+// span widens [lo, hi) to cover s's join clock and its own entry if
+// nonzero.
+func (s Stamp) span(lo, hi int) (int, int) {
+	if s.join != nil {
+		lo, hi = min(lo, int(s.join.lo)), max(hi, int(s.join.lo+s.join.n))
+	}
+	if s.n != 0 {
+		lo, hi = min(lo, int(s.trace)), max(hi, int(s.trace)+1)
+	}
+	return lo, hi
 }
 
 // NewStamp returns the stamp of an event on trace t whose clock is v,
-// copied into a join clock carved from a.
+// copied into a join clock carved from a over v's nonzero window.
 func NewStamp(v VC, t int, a Allocator) Stamp {
-	j, b := carve(len(v), a)
-	copy(b, v)
+	lo, hi := 0, len(v)
+	for hi > 0 && v[hi-1] == 0 {
+		hi--
+	}
+	for lo < hi && v[lo] == 0 {
+		lo++
+	}
+	j, b := carve(lo, hi-lo, a)
+	copy(b, v[lo:hi])
 	return Stamp{join: j, trace: int32(t), n: int32(v.Get(t))}
+}
+
+// Carve returns s with its entries copied into a join clock carved from
+// a, so that it shares no storage with s. A stamp with no foreign
+// entries has none to copy and is returned as it is.
+func (s Stamp) Carve(a Allocator) Stamp {
+	if s.join == nil {
+		return s
+	}
+	lo, hi := s.span(int(s.join.lo), int(s.join.lo))
+	j, v := carve(lo, hi-lo, a)
+	s.fill(v, lo)
+	return Stamp{join: j, trace: s.trace, n: s.n}
 }
 
 // Stamp returns the stamp of an event on trace t whose clock is v.
@@ -68,37 +118,32 @@ func (s Stamp) At(t, n int) Stamp { return Stamp{join: s.join, trace: int32(t), 
 
 // Join returns the stamp of trace t's next event when it receives the
 // message stamped recv: the entrywise maximum of s and recv, own count
-// one more, in a join clock carved from a. s is as for Tick.
+// one more, in a join clock carved from a over the window both span. s
+// is as for Tick.
 func (s Stamp) Join(recv Stamp, t int, a Allocator) Stamp {
-	j, v := carve(max(s.Width(), recv.Width(), t+1), a)
-	v = s.fill(v).Merge(recv.base())
-	if recv.n != 0 {
-		v[recv.trace] = max(v[recv.trace], recv.n)
+	lo, hi := recv.span(s.span(t, t+1))
+	j, v := carve(lo, hi-lo, a)
+	s.fill(v, lo)
+	if rlo, rb := recv.base(); rb != nil {
+		v[rlo-lo:].Merge(rb)
 	}
-	v[t] = s.n + 1
-	return Stamp{join: j, trace: int32(t), n: v[t]}
+	if recv.n != 0 {
+		v[int(recv.trace)-lo] = max(v[int(recv.trace)-lo], recv.n)
+	}
+	v[t-lo] = s.n + 1
+	return Stamp{join: j, trace: int32(t), n: s.n + 1}
 }
 
 // Rises calls f, in increasing trace order, for each entry but s's own
 // in which s exceeds prev, and reports whether s is below prev in none of
 // them; it stops at the first entry where it is.
 func (s Stamp) Rises(prev Stamp, f func(t int, n int32)) bool {
-	sb, pb := s.base(), prev.base()
-	for t := 0; t < max(len(sb), len(pb), int(prev.trace)+1); t++ {
-		var x, y int32
-		switch {
-		case t == int(s.trace):
+	lo, hi := s.span(prev.span(int(prev.trace), int(prev.trace)+1))
+	for t := lo; t < hi; t++ {
+		if t == int(s.trace) {
 			continue
-		case t < len(sb):
-			x = sb[t]
 		}
-		switch {
-		case t == int(prev.trace):
-			y = prev.n
-		case t < len(pb):
-			y = pb[t]
-		}
-		if x < y {
+		if x, y := s.entry(t), int32(prev.Get(t)); x < y {
 			return false
 		} else if x > y {
 			f(t, x)
@@ -119,22 +164,20 @@ func (s Stamp) Get(t int) int {
 	if t == int(s.trace) {
 		return int(s.n)
 	}
-	return s.base().Get(t)
+	return int(s.entry(t))
 }
 
 // Width is the length of the dense clock the stamp stands for.
 func (s Stamp) Width() int {
-	if w := len(s.base()); s.n == 0 || w > int(s.trace) {
-		return w
-	}
-	return int(s.trace) + 1
+	_, w := s.span(0, 0)
+	return w
 }
 
 // Weight returns the number of entries the stamp stores for its event:
-// its join clock's width if the clock was built for it, else one.
+// its join clock's window if the clock was built for it, else one.
 func (s Stamp) Weight() int {
-	if b := s.base(); len(b) > 0 && b.Get(int(s.trace)) == int(s.n) {
-		return len(b)
+	if s.join != nil && s.entry(int(s.trace)) == s.n {
+		return int(s.join.n)
 	}
 	return 1
 }
@@ -142,17 +185,11 @@ func (s Stamp) Weight() int {
 // Range calls f for every nonzero entry in increasing trace order,
 // stopping early if f returns false.
 func (s Stamp) Range(f func(t int, n int32) bool) {
-	b, own := s.base(), int(s.trace)
-	for t, n := range b {
-		if t == own {
-			n = s.n
-		}
-		if n != 0 && !f(t, n) {
+	lo, hi := s.span(int(s.trace), int(s.trace))
+	for t := lo; t < hi; t++ {
+		if n := int32(s.Get(t)); n != 0 && !f(t, n) {
 			return
 		}
-	}
-	if own >= len(b) && s.n != 0 {
-		f(own, s.n)
 	}
 }
 
@@ -163,18 +200,19 @@ func (s Stamp) Dense() VC { return s.AppendDense(nil) }
 func (s Stamp) AppendDense(v VC) VC {
 	n := len(v)
 	v = append(v, make(VC, s.Width())...)
-	s.fill(v[n:])
+	s.fill(v[n:], 0)
 	return v
 }
 
-// fill writes the stamp's entries into v, at least Width long and zero
-// beyond the join clock, and returns it.
-func (s Stamp) fill(v VC) VC {
-	copy(v, s.base())
-	if int(s.trace) < len(v) {
-		v[s.trace] = s.n
+// fill writes the stamp's entries into v, whose first entry is trace lo,
+// which spans the join clock and is zero beyond it.
+func (s Stamp) fill(v VC, lo int) {
+	if blo, b := s.base(); b != nil {
+		copy(v[blo-lo:], b)
 	}
-	return v
+	if i := int(s.trace) - lo; i >= 0 && i < len(v) {
+		v[i] = s.n
+	}
 }
 
 // Equal reports whether two stamps hold the same entries.

@@ -11,10 +11,11 @@
 // An event carries a Stamp: a reference to its trace's last join clock
 // plus its own count. VC, a dense vector with one 4-byte entry per trace,
 // is the storage a join clock is built in, and the form timestamps take
-// on the wire and in tests. Every workload this repository measures runs
-// tens to low hundreds of densely connected traces, where the dense form
-// is both the smaller and the faster one (docs/ARCHITECTURE.md, "One
-// clock, one engine").
+// on the wire and in tests. A join clock stores the dense entries of its
+// window alone, from its lowest nonzero entry to its highest: two on
+// traces that talk in fixed pairs, as durable-ha's deadlock traffic
+// does, wherever the pair sits, and on a ring the span its history has
+// reached (docs/ARCHITECTURE.md, "One clock, one engine").
 package vclock
 
 import (
@@ -152,13 +153,13 @@ func (v VC) String() string {
 //
 //	a[trace(a)] <= b[trace(a)]   (and a != b),
 //
-// which costs one read of b's join clock and one branch, whatever the
-// trace count: a's own entry is in the stamp.
+// which costs one bounds-checked load from b's join clock window and
+// one branch, whatever the trace count: a's own entry is in the stamp.
 func Before(a, b Stamp) bool {
 	if a.trace == b.trace {
 		return a.n < b.n
 	}
-	return int(a.n) <= b.base().Get(int(a.trace))
+	return a.n <= b.entry(int(a.trace))
 }
 
 // Concurrent reports whether the two stamped events are concurrent:

@@ -419,12 +419,22 @@ func TestStringFormat(t *testing.T) {
 	}
 }
 
+// BenchmarkBefore compares stamps whose join clocks start at trace 0
+// (dense) and stamps of a pair whose windows start above it (window).
 func BenchmarkBefore(b *testing.B) {
-	va := VC{5, 3, 8, 1, 9, 2, 7, 4}.Stamp(2)
-	vb := VC{6, 3, 9, 1, 9, 2, 8, 4}.Stamp(5)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Before(va, vb)
+	for _, bc := range []struct {
+		name   string
+		va, vb Stamp
+	}{
+		{"dense", VC{5, 3, 8, 1, 9, 2, 7, 4}.Stamp(2), VC{6, 3, 9, 1, 9, 2, 8, 4}.Stamp(5)},
+		{"window", VC{0, 0, 0, 0, 0, 0, 7, 4}.Stamp(6), VC{0, 0, 0, 0, 0, 0, 8, 5}.Stamp(7)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Before(bc.va, bc.vb)
+			}
+		})
 	}
 }
 
