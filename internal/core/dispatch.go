@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -119,6 +120,17 @@ func (d *Dispatcher) Remove(m *Matcher) {
 	}
 	d.members = kept
 	d.rebuild()
+}
+
+// HistoryFloor is the lowest of the members' HistoryFloor(t).
+func (d *Dispatcher) HistoryFloor(t event.TraceID) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	floor := math.MaxInt
+	for _, mem := range d.members {
+		floor = min(floor, mem.m.HistoryFloor(t))
+	}
+	return floor
 }
 
 // rebuild recomputes the class index from scratch. Called with d.mu

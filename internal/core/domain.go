@@ -101,7 +101,7 @@ func conflictBound(st *event.Store, rel pattern.Rel, placed *event.Event, l even
 			// level changes that; the trace is structurally empty.
 			return conflict{level: lvl, bound: 0, hasBound: true}
 		}
-		z := ents[len(ents)-1].ev
+		z := st.Get(event.ID{Trace: l, Index: int(ents[len(ents)-1].pos)})
 		return conflict{level: lvl, bound: st.GP(z, placedTrace), hasBound: true}
 	case pattern.RelBefore, pattern.RelLim:
 		// leaf -> placed failed: GP(placed, l) precedes every class
@@ -121,7 +121,7 @@ func conflictBound(st *event.Store, rel pattern.Rel, placed *event.Event, l even
 			// placed candidates still precede them: dead trace.
 			return conflict{level: lvl, bound: 0, hasBound: true}
 		}
-		ePrime := ents[len(ents)-1].ev
+		ePrime := st.Get(event.ID{Trace: l, Index: int(ents[len(ents)-1].pos)})
 		ls := st.LS(ePrime, placedTrace)
 		if ls == 0 {
 			// Nothing on the placed trace is after e': every earlier

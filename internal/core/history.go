@@ -7,21 +7,21 @@ package core
 
 import "ocep/internal/event"
 
-// histEntry is one matched event in a leaf history, together with its
-// trace position and the trace's communication-event count at the time
-// it was appended. Two same-class internal events with equal counts have
-// no send or receive between them and therefore the same causal relation
-// to events on other traces (Section V-D).
+// histEntry is one matched event in a leaf history: its trace position
+// (the trace is the history's row) and tag, the trace's
+// communication-event count when it was appended, shifted left once,
+// with the low bit set for an internal event. Two same-class internal
+// events with equal counts have no send or receive between them and
+// therefore the same causal relation to events on other traces
+// (Section V-D).
 //
-// pos duplicates ev.ID.Index so that the searches over a history —
-// rangeEntries, lastPos, the candidate loop's jump-bound test — compare
-// positions out of the entry array itself and never load the event. Both
-// counters are int32, as wide as a vector-clock entry, which keeps the
-// entry at 16 bytes.
+// The entry holds no pointer: the searches over a history compare
+// positions out of the entry array itself, and the candidate loop reads
+// the event from the matcher's store by (trace, pos), so the store is
+// the one index that holds event pointers and the entry is 8 bytes.
 type histEntry struct {
-	ev     *event.Event
-	pos    int32
-	commAt int32
+	pos int32
+	tag uint32
 }
 
 // history is the History attribute of one pattern-tree leaf: the matched
@@ -47,16 +47,15 @@ func (h *history) add(ev *event.Event, commAt int, prune bool) {
 	for t >= len(h.perTrace) {
 		h.perTrace = append(h.perTrace, nil)
 	}
-	if prune && ev.Kind == event.KindInternal {
-		if entries := h.perTrace[t]; len(entries) > 0 {
-			last := entries[len(entries)-1]
-			if last.ev.Kind == event.KindInternal && int(last.commAt) == commAt {
-				h.pruned++
-				return
-			}
+	tag := uint32(commAt) << 1
+	if ev.Kind == event.KindInternal {
+		tag |= 1
+		if entries := h.perTrace[t]; prune && len(entries) > 0 && entries[len(entries)-1].tag == tag {
+			h.pruned++
+			return
 		}
 	}
-	h.perTrace[t] = append(h.perTrace[t], histEntry{ev: ev, pos: int32(ev.ID.Index), commAt: int32(commAt)})
+	h.perTrace[t] = append(h.perTrace[t], histEntry{pos: int32(ev.ID.Index), tag: tag})
 }
 
 // entries returns the history of trace t.
@@ -81,8 +80,8 @@ func (h *history) size() int {
 
 // evictOldest discards the oldest entries of trace t down to keep
 // entries and returns the number evicted. The retained suffix is copied
-// to a fresh slice so the evicted prefix — and the events it pins —
-// becomes collectable instead of lingering in the old backing array.
+// to a fresh slice so the evicted prefix does not linger in the old
+// backing array.
 func (h *history) evictOldest(t, keep int) int {
 	entries := h.entries(t)
 	drop := len(entries) - keep
@@ -170,13 +169,13 @@ func (h *history) rangeEntries(t, lo, hi int) []histEntry {
 // precedence operator lim->.
 func (h *history) anyBetween(st *event.Store, a, b *event.Event) bool {
 	for t := 0; t < h.numTraces(); t++ {
-		lo := st.LS(a, event.TraceID(t))
+		tr := event.TraceID(t)
+		lo := st.LS(a, tr)
 		if lo == 0 {
 			continue
 		}
-		hi := st.GP(b, event.TraceID(t))
-		for _, ent := range h.rangeEntries(t, lo, hi) {
-			if ent.ev != a && ent.ev != b {
+		for _, ent := range h.rangeEntries(t, lo, st.GP(b, tr)) {
+			if x := (event.ID{Trace: tr, Index: int(ent.pos)}); x != a.ID && x != b.ID {
 				return true
 			}
 		}

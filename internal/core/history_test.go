@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"unsafe"
 
 	"ocep/internal/event"
 	"ocep/internal/event/eventtest"
+	"ocep/internal/pattern"
 	"ocep/internal/vclock"
 )
 
@@ -122,7 +124,7 @@ func TestHistoryRangeEntriesBruteForce(t *testing.T) {
 			lo, hi := rng.Intn(pos+4)-1, rng.Intn(pos+4)-1
 			var want []histEntry
 			for _, ent := range entries {
-				if p := ent.ev.ID.Index; p >= lo && p <= hi {
+				if p := int(ent.pos); p >= lo && p <= hi {
 					want = append(want, ent)
 				}
 			}
@@ -131,7 +133,7 @@ func TestHistoryRangeEntriesBruteForce(t *testing.T) {
 				t.Fatalf("round %d: rangeEntries(%d,%d) has %d entries, want %d", round, lo, hi, len(got), len(want))
 			}
 			for i := range got {
-				if got[i] != want[i] || int(got[i].pos) != got[i].ev.ID.Index {
+				if got[i] != want[i] {
 					t.Fatalf("round %d: rangeEntries(%d,%d)[%d] = %+v, want %+v", round, lo, hi, i, got[i], want[i])
 				}
 			}
@@ -139,12 +141,12 @@ func TestHistoryRangeEntriesBruteForce(t *testing.T) {
 	}
 }
 
-// TestHistEntrySize: the inline position must not grow the entry — the
-// history is the matcher's retained state, and the ledger's
-// retained_bytes_per_event is bounded on it.
+// TestHistEntrySize: an entry is a position and a tag, 8 bytes with no
+// pointer — the history is the matcher's retained state, and the
+// ledger's retained_bytes_per_event is bounded on it.
 func TestHistEntrySize(t *testing.T) {
-	if got := unsafe.Sizeof(histEntry{}); got != 16 {
-		t.Fatalf("unsafe.Sizeof(histEntry{}) = %d, want 16", got)
+	if got := unsafe.Sizeof(histEntry{}); got != 8 {
+		t.Fatalf("unsafe.Sizeof(histEntry{}) = %d, want 8", got)
 	}
 }
 
@@ -155,6 +157,60 @@ func TestHistEntrySize(t *testing.T) {
 func TestEventSize(t *testing.T) {
 	if got := unsafe.Sizeof(event.Event{}); got > 72 {
 		t.Fatalf("unsafe.Sizeof(event.Event{}) = %d, want <= 72", got)
+	}
+}
+
+// TestHistoryResolvesThroughStore: an entry holds no event, only its
+// position, so the matcher's store must hold every event a history
+// names, after each event, while MaxHistoryPerTrace evicts entries and
+// the owned store is compacted below them.
+func TestHistoryResolvesThroughStore(t *testing.T) {
+	f, err := pattern.Parse(`A := [*, a, *]; B := [*, b, *]; pattern := A -> B;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pat, err := pattern.Compile(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ops []eventtest.Op
+	for w := 0; w < 1200; w++ {
+		label := fmt.Sprintf("w%d", w)
+		ops = append(ops,
+			eventtest.Op{Trace: 0, Kind: event.KindSend, Type: "a", Label: label},
+			eventtest.Op{Trace: 0, Kind: event.KindInternal, Type: "x"},
+			eventtest.Op{Trace: 1, Kind: event.KindReceive, Type: "b", From: label})
+	}
+	st, evs := eventtest.Build(2, ops)
+	m := NewMatcher(pat, Options{MaxHistoryPerTrace: 16})
+	for i := 0; i < st.NumTraces(); i++ {
+		m.RegisterTrace(st.TraceName(event.TraceID(i)))
+	}
+	matches := 0
+	for _, e := range evs {
+		copied := *e
+		got, err := m.Feed(&copied)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matches += len(got)
+		for leaf, h := range m.hist {
+			for tr := 0; tr < h.numTraces(); tr++ {
+				for _, ent := range h.entries(tr) {
+					id := event.ID{Trace: event.TraceID(tr), Index: int(ent.pos)}
+					if e := m.store.Get(id); e == nil || e.ID != id {
+						t.Fatalf("after %s, leaf %d's entry %s resolves to %v (store compacted below %d)",
+							copied.ID, leaf, id, e, m.store.CompactedBefore(id.Trace))
+					}
+				}
+			}
+		}
+	}
+	if s := m.Stats(); s.HistoryEvicted == 0 || s.StoreCompacted == 0 {
+		t.Fatalf("evicted %d entries and compacted %d events, want both", s.HistoryEvicted, s.StoreCompacted)
+	}
+	if matches != 1200 {
+		t.Fatalf("%d matches, want one a wave, 1200", matches)
 	}
 }
 

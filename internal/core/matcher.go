@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -525,15 +526,9 @@ func (m *Matcher) saturated() bool {
 // over a compacted trace returns max(true LS, first retained index),
 // and the first retained index is by construction <= every retained
 // candidate's index. Shared (external) stores are never compacted — the
-// collector owns their retention.
+// collector owns their retention, which HistoryFloor pins.
 func (m *Matcher) compactStore(trace event.TraceID) {
-	t := int(trace)
-	keepFrom := m.store.Len(trace) + 1
-	for _, h := range m.hist {
-		if first := h.firstIndex(t); first > 0 && first < keepFrom {
-			keepFrom = first
-		}
-	}
+	keepFrom := min(m.store.Len(trace)+1, m.HistoryFloor(trace))
 	// Compacting copies the retained suffix; only pay that once a
 	// meaningful prefix has accumulated.
 	const minChunk = 256
@@ -541,6 +536,20 @@ func (m *Matcher) compactStore(trace event.TraceID) {
 		return
 	}
 	m.stats.StoreCompacted += m.store.CompactTrace(trace, keepFrom)
+}
+
+// HistoryFloor returns the lowest position on trace t that a leaf
+// history retains, or math.MaxInt when none retains one: the store's
+// events of t below it are no candidate's, and a store the matcher
+// shares may release them.
+func (m *Matcher) HistoryFloor(t event.TraceID) int {
+	floor := math.MaxInt
+	for _, h := range m.hist {
+		if first := h.firstIndex(int(t)); first > 0 {
+			floor = min(floor, first)
+		}
+	}
+	return floor
 }
 
 // FeedBatch advances the matcher over one cut batch of the linearized
@@ -1015,17 +1024,18 @@ func (s *search) tryCandidates(li int, leaf *pattern.Leaf, leafIdx int, trace ev
 			s.stats.BackjumpSkips++
 			continue
 		}
-		if s.isAssigned(cand.ev) {
+		ev := m.store.Get(event.ID{Trace: trace, Index: int(cand.pos)})
+		if s.isAssigned(ev) {
 			continue // leaves bind distinct events
 		}
-		if m.opts.DisableCausalDomains && !s.checkCandidate(li, cand.ev) {
+		if m.opts.DisableCausalDomains && !s.checkCandidate(li, ev) {
 			continue
 		}
 		mark := s.env.Mark()
-		if !leaf.Class.MatchEvent(cand.ev, traceName, s.env) {
+		if !leaf.Class.MatchEvent(ev, traceName, s.env) {
 			continue
 		}
-		s.assigned[leafIdx] = cand.ev
+		s.assigned[leafIdx] = ev
 		s.stats.CandidatesTried++
 		var sub placeResult
 		if li+1 == m.pat.K() {

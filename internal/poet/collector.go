@@ -102,7 +102,7 @@ type Collector struct {
 	// holes for the IDs its peers home.
 	registered []bool
 	// sends is the MsgID table, a word per MsgID seen (see sendRemote).
-	sends map[uint64]uint64
+	sends msgTable
 	// recvWait maps a MsgID to traces whose delivery head waits for it;
 	// waitFree holds the lists woken sends emptied, for the next waiter.
 	recvWait map[uint64][]event.TraceID
@@ -284,7 +284,6 @@ func (c *Collector) InstrumentMetrics(reg *telemetry.Registry) {
 func NewCollector() *Collector {
 	c := &Collector{
 		store:    event.NewStore(),
-		sends:    make(map[uint64]uint64),
 		recvWait: make(map[uint64][]event.TraceID),
 	}
 	c.fresh.L, c.drained.L = &c.mu, &c.mu
@@ -298,6 +297,11 @@ func NewCollector() *Collector {
 // keepEvents — and never touches an unmatched send (its receive still
 // needs the send's vector clock), so causality reconstruction is exact
 // regardless of the bound.
+//
+// Nor does it release an event a synchronously attached monitor still
+// holds as a candidate (SubscribeReplayPinned): such a monitor matches
+// as one with a store of its own would, and pins no more than its
+// histories hold (MaxHistoryPerTrace bounds them).
 //
 // Consequences of eviction, all surfaced loudly rather than silently:
 // monitor resumes (SubscribeBatchReplayFrom) below the trim point are
@@ -324,13 +328,13 @@ func (c *Collector) SetRetention(keepEvents int) error {
 	// ones (deliver does both under retention; sends that predate it are
 	// swept once, here).
 	c.open = c.open[:0]
-	for msgID, w := range c.sends {
+	c.sends.each(func(msgID, w uint64) {
 		if e := c.store.Get(sendOf(w)); e != nil && e.Partner.IsZero() {
 			c.open = append(c.open, e.ID)
 		} else if uint32(w) != 0 {
-			c.sends[msgID] = sendMatched
+			c.sends.set(msgID, sendMatched)
 		}
-	}
+	})
 	c.maybeTrimLocked()
 	return nil
 }
@@ -360,7 +364,8 @@ type RetentionStats struct {
 	// Evicted counts events evicted from the linearization log.
 	Evicted int
 	// StoreCompacted counts events released from the event store (lags
-	// Evicted by the open-send watermark and per-trace clamping).
+	// Evicted by the open-send watermark, per-trace clamping and the
+	// candidates of synchronously attached monitors).
 	StoreCompacted int
 	// Retained is the current length of the linearization log.
 	Retained int
@@ -384,7 +389,8 @@ func (c *Collector) RetentionStats() RetentionStats {
 // hysteresis keeps trims amortized instead of per-delivery), never past
 // a subscriber's floor (an evicted one no longer counts). The store is
 // compacted along with the log, clamped per trace so no unmatched send —
-// still needed to stamp its future receive — is released.
+// still needed to stamp its future receive — and no event a pinned
+// subscriber still reads is released.
 func (c *Collector) maybeTrimLocked() {
 	if c.retain <= 0 || c.log.Len() <= c.retain+c.retain/4 {
 		return
@@ -424,6 +430,11 @@ func (c *Collector) maybeTrimLocked() {
 	}
 	c.open = open
 	for t, from := range keepFrom {
+		for _, s := range c.subs {
+			if s.floor != nil {
+				from = min(from, s.floor(t))
+			}
+		}
 		c.compactedEvents += c.store.CompactTrace(t, from)
 	}
 }
@@ -441,10 +452,12 @@ func (c *Collector) Durable() *Durability {
 // after Drained).
 func (c *Collector) Store() *event.Store { return c.store }
 
-// subscriber is a synchronous handler and its subscription ID.
+// subscriber is a synchronous handler and its subscription ID; floor,
+// when set, pins the store for it (see SubscribeReplayPinned).
 type subscriber struct {
-	id int
-	h  Handler
+	id    int
+	h     Handler
+	floor func(event.TraceID) int
 }
 
 // Subscription identifies a registered handler, or the cursor of a batch
@@ -512,12 +525,23 @@ func (c *Collector) subscribeLocked(h Handler) *Subscription {
 // handler observes one complete linearization no matter when it joins.
 // Under SetRetention the replay covers only the retained suffix.
 func (c *Collector) SubscribeReplay(h Handler) *Subscription {
+	return c.SubscribeReplayPinned(h, nil)
+}
+
+// SubscribeReplayPinned is SubscribeReplay for a handler that reads the
+// events it was handed again later, through the store, as a matcher on
+// the collector's store does: retention releases no event of trace t at
+// or above floor(t), which runs under the collector lock and returns
+// math.MaxInt when the handler reads none.
+func (c *Collector) SubscribeReplayPinned(h Handler, floor func(event.TraceID) int) *Subscription {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i := 0; i < c.log.Len(); i++ {
 		h(c.log.At(i))
 	}
-	return c.subscribeLocked(h)
+	s := c.subscribeLocked(h)
+	c.subs[len(c.subs)-1].floor = floor
+	return s
 }
 
 // Ordered returns the delivered events in delivery order (the retained
@@ -796,11 +820,11 @@ func (c *Collector) ingestLocked(raw *RawEvent, limit int) error {
 			raw.Trace, c.pending[t].len(), ErrOverloaded)
 	}
 	if isSendLike(raw.Kind) && raw.MsgID != 0 {
-		w, ok := c.sends[raw.MsgID]
-		if ok && localSeen(w) {
+		w := c.sends.get(raw.MsgID)
+		if w != 0 && localSeen(w) {
 			return fmt.Errorf("poet: duplicate message id %d from %q/%d", raw.MsgID, raw.Trace, raw.Seq)
 		}
-		c.sends[raw.MsgID] = w | sendLocal
+		c.sends.set(raw.MsgID, w|sendLocal)
 		// The sender turned out to be local after all: any receive held
 		// on it is waiting on local delivery order, not a peer shard.
 		delete(c.heldRemote, raw.MsgID)
@@ -866,7 +890,7 @@ func (c *Collector) awaitSendLocked(tr event.TraceID, msgID uint64) {
 	// peer shard. Stamp the first-held time so the watchdog gauges can
 	// age it.
 	if _, held := c.heldRemote[msgID]; c.sharded && !held {
-		if w, ok := c.sends[msgID]; !ok || !localSeen(w) {
+		if w := c.sends.get(msgID); w == 0 || !localSeen(w) {
 			c.heldRemote[msgID] = time.Now()
 		}
 	}
@@ -879,13 +903,13 @@ func (c *Collector) deliver(t event.TraceID, raw RawEvent) {
 	var partner event.ID
 	if isRecvLike(raw.Kind) {
 		var sent vclock.Stamp
-		if w := c.sends[raw.MsgID]; w&sendRemote == 0 {
+		if w := c.sends.get(raw.MsgID); w&sendRemote == 0 {
 			partner = sendOf(w)
 			sent = c.store.Get(partner).VC
 			if c.retain > 0 {
 				// Under retention a matched send is forgotten but for its
 				// MsgID: it no longer pins the store against compaction.
-				c.sends[raw.MsgID] = sendMatched
+				c.sends.set(raw.MsgID, sendMatched)
 			}
 		} else {
 			// The send was delivered on a peer shard; its exported stamp
@@ -922,7 +946,7 @@ func (c *Collector) deliver(t event.TraceID, raw RawEvent) {
 	}
 	c.nextSeq[t]++
 	if isSendLike(raw.Kind) && raw.MsgID != 0 {
-		c.sends[raw.MsgID] = uint64(t)<<32 | uint64(e.ID.Index)
+		c.sends.set(raw.MsgID, uint64(t)<<32|uint64(e.ID.Index))
 		if c.retain > 0 {
 			c.open = append(c.open, e.ID)
 		}
@@ -947,7 +971,8 @@ func (c *Collector) deliver(t event.TraceID, raw RawEvent) {
 // sendMatched one forgotten behind its receive under retention, which
 // still rejects a duplicate. sendRemote | i is a peer shard's send,
 // remote.At(i); sendLocal beside it records a local send ingested too,
-// whose delivery replaces the word: the local stamp wins.
+// whose delivery replaces the word: the local stamp wins. A zero word
+// is an absent MsgID.
 const (
 	sendRemote  uint64 = 1 << 63
 	sendLocal   uint64 = 1 << 62

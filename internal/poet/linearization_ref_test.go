@@ -188,7 +188,7 @@ func (r *Ref) SupplyRemoteSend(msgID uint64, id event.ID, vc vclock.Stamp) error
 	}
 	vc = vclock.NewStamp(vc.Dense(), vc.Trace(), nil)
 	r.remote[msgID] = true
-	c.sends[msgID] = sendRemote | uint64(c.remote.Len()) // what deliver reads
+	c.sends.set(msgID, sendRemote|uint64(c.remote.Len())) // what deliver reads
 	c.remote.Push(remoteSend{id: id, vc: vc})
 	c.recordLocked(nil, &shardExport{MsgID: msgID, ID: id, VC: vc})
 	delete(c.heldRemote, msgID)

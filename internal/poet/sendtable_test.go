@@ -2,6 +2,7 @@ package poet
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -208,15 +209,59 @@ func (m *mapModel) trimLocked() {
 	}
 }
 
+// msgIDPattern numbers messages the way one kind of producer does: key
+// k, the k-th MsgID its counter handed out, maps to id(k). pool draws
+// keys from a fixed pool of 24 instead of a counter. A script runs
+// steps steps: enough for each counter to fill part of a page.
+type msgIDPattern struct {
+	name  string
+	pool  bool
+	steps int
+	id    func(k uint64) uint64
+}
+
+var msgIDPatterns = []msgIDPattern{
+	{"a pool of 24", true, 400, func(k uint64) uint64 { return k + 1 }},
+	{"one counter", false, 400, func(k uint64) uint64 { return k + 1 }},
+	{"32 interleaved counters", false, 3000, func(k uint64) uint64 { return k%32<<40 | (k/32 + 1) }},
+	{"stride 64", false, 400, func(k uint64) uint64 { return (k + 1) * 64 }},
+	{"random", false, 400, func(k uint64) uint64 { return max(1, splitmix(k)) }},
+	{"across a page boundary", false, 400, func(k uint64) uint64 { return 1<<20 - 100 + k }},
+	{"near MaxUint64", false, 400, func(k uint64) uint64 { return math.MaxUint64 - 1000 + k }},
+}
+
+// splitmix is SplitMix64's finaliser: k's scrambled 64-bit image.
+func splitmix(k uint64) uint64 {
+	k += 0x9e3779b97f4a7c15
+	k = (k ^ k>>30) * 0xbf58476d1ce4e5b9
+	k = (k ^ k>>27) * 0x94d049bb133111eb
+	return k ^ k>>31
+}
+
 // sendTableScript runs one seeded script through the collector and the
-// map model, failing at the first divergence: local sends with MsgIDs
-// drawn from a small pool (so duplicates are common), MsgID-0 sends,
-// receives ahead of and behind their sends and twice on one MsgID,
-// stale retransmits, refused receives without a MsgID, and either
-// peer-shard sends supplied before and after the local ones (sharded) or
-// a retention bound set mid-script, whose trims run on every Report.
-func sendTableScript(t *testing.T, seed int64, sharded bool) {
+// map model, failing at the first divergence: local sends numbered by
+// pat (a counter with one send in eight reusing a recent MsgID, or a
+// small pool, so duplicates are common), MsgID-0 sends, receives ahead
+// of and behind their sends and twice on one MsgID, stale retransmits,
+// refused receives without a MsgID, and either peer-shard sends
+// supplied before and after the local ones (sharded) or a retention
+// bound set mid-script, whose trims run on every Report.
+//
+// It returns the pages the table made.
+func sendTableScript(t *testing.T, pat msgIDPattern, seed int64, sharded bool) (pages int) {
 	rng := rand.New(rand.NewSource(seed))
+	var sent uint64 // keys the counter has handed out
+	var pick int    // this step's pool key, drawn every step
+	key := func(fresh bool) uint64 {
+		switch {
+		case pat.pool:
+			return pat.id(uint64(pick))
+		case fresh && rng.Intn(8) > 0:
+			sent++
+			return pat.id(sent - 1)
+		}
+		return pat.id(uint64(max(0, int(sent)-24+rng.Intn(28))))
+	}
 	got := NewCollector()
 	want := newMapModel(NewCollector())
 	if sharded {
@@ -232,25 +277,26 @@ func sendTableScript(t *testing.T, seed int64, sharded bool) {
 	same := func(step int, what string, g, w error) {
 		t.Helper()
 		if fmt.Sprint(g) != fmt.Sprint(w) {
-			t.Fatalf("seed %d step %d, %s: the table says %v, the maps %v", seed, step, what, g, w)
+			t.Fatalf("%s, seed %d step %d, %s: the table says %v, the maps %v", pat.name, seed, step, what, g, w)
 		}
 	}
-	for step := 0; step < 400; step++ {
+	for step := 0; step < pat.steps; step++ {
 		tr := traces[rng.Intn(len(traces))]
-		msg := uint64(1 + rng.Intn(24))
+		pick = rng.Intn(24)
 		raw := RawEvent{Trace: tr, Kind: event.KindInternal, Type: "step"}
 		switch op := rng.Intn(20); {
 		case op < 6:
-			raw.Kind, raw.MsgID = event.KindSend, msg
+			raw.Kind, raw.MsgID = event.KindSend, key(true)
 		case op < 7:
 			raw.Kind = event.KindSend // MsgID 0: never received
 		case op < 12:
-			raw.Kind, raw.MsgID = event.KindReceive, msg
+			raw.Kind, raw.MsgID = event.KindReceive, key(false)
 		case op < 13:
 			raw.Kind = event.KindReceive // refused: no MsgID
 		case op < 14 && seq[tr] > 0:
 			raw.Seq = 1 + rng.Intn(seq[tr]) // a retransmit: stale
 		case op < 16 && sharded:
+			msg := key(false)
 			remotes++
 			id, vc := event.ID{Trace: 1, Index: remotes}, vclock.VC{0, int32(remotes)}.Stamp(1)
 			same(step, fmt.Sprintf("supplying remote send %d", msg), got.SupplyRemoteSend(msg, id, vc), want.SupplyRemoteSend(msg, id, vc))
@@ -272,28 +318,28 @@ func sendTableScript(t *testing.T, seed int64, sharded bool) {
 			seq[tr]-- // refused, not ingested: the trace reuses the seq
 		}
 		if got.Delivered() != want.c.Delivered() || got.Pending() != want.c.Pending() {
-			t.Fatalf("seed %d step %d: the table delivered %d with %d held, the maps %d with %d",
-				seed, step, got.Delivered(), got.Pending(), want.c.Delivered(), want.c.Pending())
+			t.Fatalf("%s, seed %d step %d: the table delivered %d with %d held, the maps %d with %d",
+				pat.name, seed, step, got.Delivered(), got.Pending(), want.c.Delivered(), want.c.Pending())
 		}
 	}
 	ge, we := got.Ordered(), want.c.Ordered()
 	for i := range ge {
 		if g, w := ge[i], we[i]; g.ID != w.ID || g.Kind != w.Kind || g.Partner != w.Partner || !g.VC.Equal(w.VC) {
-			t.Fatalf("seed %d: delivery %d is %v partner %v vc %v on the table, %v partner %v vc %v on the maps",
-				seed, i, g.ID, g.Partner, g.VC, w.ID, w.Partner, w.VC)
+			t.Fatalf("%s, seed %d: delivery %d is %v partner %v vc %v on the table, %v partner %v vc %v on the maps",
+				pat.name, seed, i, g.ID, g.Partner, g.VC, w.ID, w.Partner, w.VC)
 		}
 	}
 	if g, w := got.RetentionStats(), want.c.RetentionStats(); g != w {
-		t.Fatalf("seed %d: retention %+v on the table, %+v on the maps", seed, g, w)
+		t.Fatalf("%s, seed %d: retention %+v on the table, %+v on the maps", pat.name, seed, g, w)
 	}
 	for tid := event.TraceID(0); int(tid) < got.store.NumTraces(); tid++ {
 		if g, w := got.store.CompactedBefore(tid), want.c.store.CompactedBefore(tid); g != w {
-			t.Fatalf("seed %d: trace %d compacted below %d on the table, %d on the maps", seed, tid, g, w)
+			t.Fatalf("%s, seed %d: trace %d compacted below %d on the table, %d on the maps", pat.name, seed, tid, g, w)
 		}
 	}
 	if sharded {
 		if g, w := got.remote.Len(), len(want.remoteSends); g != w {
-			t.Fatalf("seed %d: %d remote sends kept on the table, %d on the maps", seed, g, w)
+			t.Fatalf("%s, seed %d: %d remote sends kept on the table, %d on the maps", pat.name, seed, g, w)
 		}
 		held := func(c *Collector) (ids []uint64) {
 			for m := range c.heldRemote {
@@ -303,16 +349,36 @@ func sendTableScript(t *testing.T, seed int64, sharded bool) {
 			return ids
 		}
 		if g, w := held(got), held(want.c); !slices.Equal(g, w) {
-			t.Fatalf("seed %d: receives held on a peer %v on the table, %v on the maps", seed, g, w)
+			t.Fatalf("%s, seed %d: receives held on a peer %v on the table, %v on the maps", pat.name, seed, g, w)
 		}
 	}
+	for _, r := range got.sends.runs {
+		pages += len(r.pages)
+	}
+	return pages
 }
 
 // TestSendTableMatchesMapModel holds the one MsgID table to the two maps
 // it replaced: the same errors, delivery order, partners, stamps and
-// store compaction on seeded scripts, sharded and under retention.
+// store compaction on seeded scripts, sharded and under retention, for
+// every way of numbering messages. Counter-numbered MsgIDs must reach
+// the table's pages, and stride-64 and random ones never.
 func TestSendTableMatchesMapModel(t *testing.T) {
-	for seed := int64(1); seed <= 300; seed++ {
-		sendTableScript(t, seed, seed%2 == 0)
+	for _, pat := range msgIDPatterns {
+		pages := 0
+		for seed := int64(1); seed <= 300; seed++ {
+			pages += sendTableScript(t, pat, seed, seed%2 == 0)
+		}
+		switch pat.name {
+		case "stride 64", "random":
+			if pages != 0 {
+				t.Errorf("%s: %d pages made, want none", pat.name, pages)
+			}
+		case "a pool of 24":
+		default:
+			if pages == 0 {
+				t.Errorf("%s: no page made, every MsgID overflowed", pat.name)
+			}
+		}
 	}
 }

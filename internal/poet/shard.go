@@ -153,8 +153,8 @@ func (c *Collector) ShardStats() ShardStats {
 // delivered locally or supplied by a peer shard — the receive gate of
 // the delivery cascade.
 func (c *Collector) hasSendLocked(msgID uint64) bool {
-	w, ok := c.sends[msgID]
-	return ok && (w&sendRemote != 0 || uint32(w) != 0)
+	w := c.sends.get(msgID)
+	return w&sendRemote != 0 || uint32(w) != 0
 }
 
 // SupplyRemoteSend applies one peer-shard export record: the identity
@@ -173,7 +173,7 @@ func (c *Collector) SupplyRemoteSend(msgID uint64, id event.ID, vc vclock.Stamp)
 		c.mu.Unlock()
 		return errors.New("poet: SupplyRemoteSend on an unsharded collector")
 	}
-	if _, ok := c.sends[msgID]; ok {
+	if c.sends.get(msgID) != 0 {
 		// Supplied already, or the send is (or will be) delivered locally:
 		// the local stamp wins, and this record is our own export echoed
 		// around the tier.
@@ -183,7 +183,7 @@ func (c *Collector) SupplyRemoteSend(msgID uint64, id event.ID, vc vclock.Stamp)
 	// The one materialising copy, carved from the collector's slab: the
 	// stored stamp pins none of the decoder's.
 	vc = vc.Carve(&c.slab)
-	c.sends[msgID] = sendRemote | uint64(c.remote.Len())
+	c.sends.set(msgID, sendRemote|uint64(c.remote.Len()))
 	c.remote.Push(remoteSend{id: id, vc: vc})
 	c.recordLocked(nil, &shardExport{MsgID: msgID, ID: id, VC: vc})
 	delete(c.heldRemote, msgID)

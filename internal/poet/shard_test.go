@@ -166,7 +166,7 @@ func TestSupplyRemoteSendGatesReceives(t *testing.T) {
 func (c *Collector) remoteSendFor(msgID uint64) (remoteSend, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if w := c.sends[msgID]; w&sendRemote != 0 {
+	if w := c.sends.get(msgID); w&sendRemote != 0 {
 		return *c.remote.At(int(w &^ (sendRemote | sendLocal))), true
 	}
 	return remoteSend{}, false

@@ -119,13 +119,13 @@ func (s *MonitorSet) Attach(c *Collector) {
 	// Members joined first, subscription second: SubscribeReplay replays
 	// the delivered history atomically with registration, so every
 	// member observes the full stream with no gap.
-	sub := c.SubscribeReplay(func(e *Event) {
+	sub := c.SubscribeReplayPinned(func(e *Event) {
 		if err := d.Feed(e); err != nil {
 			for _, mon := range shared {
 				mon.recordErr(err)
 			}
 		}
-	})
+	}, d.HistoryFloor)
 	s.mu.Lock()
 	s.disp, s.dispSub = d, sub
 	s.mu.Unlock()

@@ -577,7 +577,8 @@ func (m *Monitor) emit(matches []Match) {
 //
 // By default the feed is synchronous, on the collector's delivery path,
 // and the monitor shares the collector's store (no second copy of any
-// vector timestamp). With WithAsyncDelivery the monitor instead reads a
+// vector timestamp); under SetRetention the collector keeps the events
+// the monitor still holds as candidates. With WithAsyncDelivery the monitor instead reads a
 // cursor over the delivery log on its own goroutine, matching over a
 // private store of event copies; see Flush, Detach and DeliveryStats.
 // Check Err after the run in both modes.
@@ -596,10 +597,11 @@ func (m *Monitor) Attach(c *Collector) {
 		return
 	}
 	m.mu.Lock()
-	m.matcher = core.NewMatcherOn(m.pat, c.Store(), m.cfg.opts)
-	m.matcher.SetDomainHistogram(m.tel.domains)
+	mat := core.NewMatcherOn(m.pat, c.Store(), m.cfg.opts)
+	mat.SetDomainHistogram(m.tel.domains)
+	m.matcher = mat
 	m.mu.Unlock()
-	sub := c.SubscribeReplay(func(e *Event) {
+	sub := c.SubscribeReplayPinned(func(e *Event) {
 		m.mu.Lock()
 		matches, err := m.feedLocked(e)
 		if err != nil && m.err == nil {
@@ -607,6 +609,10 @@ func (m *Monitor) Attach(c *Collector) {
 		}
 		m.mu.Unlock()
 		m.emit(matches)
+	}, func(t TraceID) int {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return mat.HistoryFloor(t)
 	})
 	m.mu.Lock()
 	m.sub = sub

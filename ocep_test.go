@@ -255,3 +255,164 @@ func TestPatternLengthLimit(t *testing.T) {
 		}
 	}
 }
+
+// TestSyncMonitorUnderRetention: a monitor attached to a retaining
+// collector matches over the collector's store, its histories naming
+// events by position, so the collector keeps every event such a
+// monitor still holds as a candidate. A synchronous monitor, a
+// MonitorSet member on the shared dispatcher and an async monitor with
+// a store of its own each report both matches, the one whose request
+// fell out of the retention window included; once a synchronous one
+// detaches, the collector releases that request.
+func TestSyncMonitorUnderRetention(t *testing.T) {
+	for _, mode := range []string{"synchronous", "shared-dispatch", "async"} {
+		collector := ocep.NewCollector()
+		if err := collector.SetRetention(32); err != nil {
+			t.Fatal(err)
+		}
+		var mon *ocep.Monitor
+		var err error
+		detach := func() { mon.Detach() }
+		switch mode {
+		case "synchronous":
+			mon, err = ocep.NewMonitor(requestResponse)
+		case "async":
+			mon, err = ocep.NewMonitor(requestResponse, ocep.WithAsyncDelivery())
+		case "shared-dispatch":
+			set := ocep.NewMonitorSet(nil)
+			err = set.Add("rr", requestResponse)
+			mon, _ = set.Monitor("rr")
+			set.Attach(collector)
+			detach = set.Detach
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mode != "shared-dispatch" {
+			mon.Attach(collector)
+		}
+		seq := map[string]int{}
+		report := func(trace string, kind ocep.Kind, typ, text string, msg uint64) {
+			t.Helper()
+			seq[trace]++
+			if err := collector.Report(ocep.RawEvent{Trace: trace, Seq: seq[trace], Kind: kind, Type: typ, Text: text, MsgID: msg}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		noise := func() { // pushes what came before out of the window
+			for i := 0; i < 100; i++ {
+				report("client", ocep.KindInternal, "noise", "", 0)
+				report("server", ocep.KindInternal, "noise", "", 0)
+			}
+			// An async monitor's cursor holds the log until it catches
+			// up; the next Report trims past it.
+			mon.Flush()
+			report("server", ocep.KindInternal, "noise", "", 0)
+		}
+		report("client", ocep.KindInternal, "request", "1", 0)
+		report("client", ocep.KindSend, "call", "", 1)
+		noise()
+		report("server", ocep.KindReceive, "response", "1", 1)
+		report("client", ocep.KindInternal, "request", "2", 0)
+		report("client", ocep.KindSend, "call", "", 2)
+		report("server", ocep.KindReceive, "response", "2", 2)
+		mon.Flush()
+		if s := collector.RetentionStats(); s.StoreCompacted == 0 {
+			t.Fatalf("%s: retention released nothing: %+v", mode, s)
+		}
+		if err := mon.Err(); err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		if got := mon.Stats().Reported; got != 2 {
+			t.Errorf("%s monitor reported %d matches, want 2", mode, got)
+		}
+		client, _ := collector.Store().TraceByName("client")
+		if got := collector.Store().CompactedBefore(client); mode != "async" && got != 0 {
+			t.Errorf("%s: the client trace is released below %d while request 1 is a candidate", mode, got)
+		}
+		detach()
+		noise()
+		if got := collector.Store().CompactedBefore(client); got == 0 {
+			t.Errorf("%s: a detached monitor still pins the client trace", mode)
+		}
+	}
+}
+
+// TestRetentionPinUnderConcurrentReports: four reporters fill a
+// retaining collector while a synchronous monitor and a MonitorSet
+// member match over its store, capped histories letting it release
+// events, and a reader polls their counters. Both report what an async
+// monitor with a store of its own reports.
+func TestRetentionPinUnderConcurrentReports(t *testing.T) {
+	collector := ocep.NewCollector()
+	if err := collector.SetRetention(64); err != nil {
+		t.Fatal(err)
+	}
+	direct, err := ocep.NewMonitor(requestResponse, ocep.WithHistoryCap(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	async, err := ocep.NewMonitor(requestResponse, ocep.WithHistoryCap(8), ocep.WithAsyncDelivery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := ocep.NewMonitorSet(nil)
+	if err := set.Add("rr", requestResponse, ocep.WithHistoryCap(8)); err != nil {
+		t.Fatal(err)
+	}
+	direct.Attach(collector)
+	async.Attach(collector)
+	set.Attach(collector)
+	defer async.Detach()
+	member, _ := set.Monitor("rr")
+	var reporters, reader sync.WaitGroup
+	done := make(chan struct{})
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				_ = direct.Stats().Reported + member.Stats().Reported
+			}
+		}
+	}()
+	for r := 0; r < 4; r++ {
+		reporters.Add(1)
+		go func(r int) {
+			defer reporters.Done()
+			trace := fmt.Sprintf("p%d", r)
+			for i := 1; i <= 2000; i++ {
+				raw := ocep.RawEvent{Trace: trace, Seq: i, Kind: ocep.KindInternal, Type: "noise"}
+				switch i % 10 {
+				case 0:
+					raw.Type, raw.Text = "request", fmt.Sprint(i/100)
+				case 5:
+					raw.Type, raw.Text = "response", fmt.Sprint(i/100)
+				}
+				if err := collector.Report(raw); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(r)
+	}
+	reporters.Wait()
+	close(done)
+	reader.Wait()
+	async.Flush()
+	want := async.Stats().Reported
+	if want == 0 || collector.RetentionStats().StoreCompacted == 0 {
+		t.Fatalf("%d matches, %+v: the run shows nothing", want, collector.RetentionStats())
+	}
+	for name, mon := range map[string]*ocep.Monitor{"synchronous": direct, "shared-dispatch": member} {
+		if err := mon.Err(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := mon.Stats().Reported; got != want {
+			t.Errorf("%s monitor reported %d matches, the async one %d", name, got, want)
+		}
+	}
+}
