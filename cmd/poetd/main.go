@@ -6,7 +6,7 @@
 //
 //	poetd [-listen addr] [-reload trace.poet|datadir] [-dump trace.poet]
 //	      [-data-dir dir] [-fsync always|interval|none]
-//	      [-fsync-interval d] [-snapshot-every n]
+//	      [-fsync-interval d]
 //	      [-monitor-queue n] [-monitor-policy drop|block]
 //	      [-ack-interval d] [-heartbeat d] [-metrics-addr addr] [-quiet]
 //	      [-retain-events n] [-max-pending n] [-mem-limit bytes]
@@ -19,16 +19,15 @@
 // With -dump, the journal's raw events are written to the given file on
 // shutdown (SIGINT/SIGTERM), reusable later with -reload — POET's dump
 // and reload features. -reload also accepts a -data-dir directory,
-// replaying its recovered state (snapshot plus write-ahead log) into a
-// fresh collector.
+// replaying its recovered state (its write-ahead log) into a fresh
+// collector.
 //
 // With -data-dir, the collector is crash-durable: the journal is
 // write-ahead-logged to the directory (fsync policy selected by
-// -fsync), a snapshot of it is written every -snapshot-every events (and
-// on clean shutdown) after which the redundant log prefix is truncated,
-// and a restart against the same directory recovers the collector —
-// event store, vector clocks, ack watermarks, monitor stream offsets
-// and a standby's replication offset — to the exact state peers expect,
+// -fsync), which holds nothing else, and a restart against the same
+// directory recovers the collector — event store, vector clocks, ack
+// watermarks, monitor stream offsets and a standby's replication
+// offset — to the exact state peers expect,
 // truncating the log at the first torn or corrupt record rather than
 // refusing to start. Under
 // -fsync always an acknowledged event is never lost, so reconnecting
@@ -169,10 +168,9 @@ func run() error {
 		metrics   = flag.String("metrics-addr", "", "address for the telemetry listener (/metrics, /debug/vars, /debug/pprof); empty disables it")
 		quiet     = flag.Bool("quiet", false, "suppress per-connection diagnostics")
 
-		dataDir   = flag.String("data-dir", "", "directory for the journal's write-ahead log and snapshots; enables crash-durable operation and recovery on restart")
+		dataDir   = flag.String("data-dir", "", "directory for the journal's write-ahead log; enables crash-durable operation and recovery on restart")
 		fsyncMode = flag.String("fsync", "always", "WAL durability: always (fsync before acking), interval (periodic fsync), none (OS page cache only)")
 		fsyncInt  = flag.Duration("fsync-interval", 100*time.Millisecond, "flush/fsync cadence for -fsync interval and none")
-		snapEvery = flag.Int("snapshot-every", 0, "snapshot + WAL truncation every n ingested events (0 = default 8192, negative = only on shutdown)")
 
 		retain     = flag.Int("retain-events", 0, "bound the delivered-event log: evict the oldest events past this count (0 = keep everything); such a daemon keeps no journal, so not with -dump, -data-dir or -shard-id")
 		maxPending = flag.Int("max-pending", 0, "cap the out-of-order events buffered per trace; excess reports are shed back onto reporter buffers (0 = unbounded)")
@@ -228,10 +226,10 @@ func run() error {
 		}
 	}
 	if *dump != "" || *dataDir != "" || *retain == 0 {
-		// The journal: what the dump and the snapshots are written from and
-		// what warm standbys tail — every non-evicting poetd keeps it, so a
-		// promoted standby can in turn be followed. Before recovery/-reload:
-		// every reader needs it from the first record.
+		// The journal: what the dump and the write-ahead log are written
+		// from and what warm standbys tail — every non-evicting poetd keeps
+		// it, so a promoted standby can in turn be followed. Before
+		// recovery/-reload: every reader needs it from the first record.
 		if err := collector.EnableReplicationLog(); err != nil {
 			return fmt.Errorf("enabling the journal: %w", err)
 		}
@@ -292,7 +290,6 @@ func run() error {
 			Dir:           *dataDir,
 			Fsync:         policy,
 			FsyncInterval: *fsyncInt,
-			SnapshotEvery: *snapEvery,
 			Logf:          log.Printf,
 		})
 		if err != nil {
@@ -615,12 +612,12 @@ waitLoop:
 		_ = metricsSrv.Close()
 	}
 	if durable != nil {
-		// Clean shutdown: final snapshot, WAL truncated, so the next start
-		// recovers from the snapshot alone.
+		// Clean shutdown: the write-ahead log is synced and closed; the
+		// next start replays it.
 		if err := durable.Close(); err != nil {
 			return fmt.Errorf("closing data directory: %w", err)
 		}
-		log.Printf("data dir %s: final snapshot written, WAL truncated", *dataDir)
+		log.Printf("data dir %s: write-ahead log synced and closed", *dataDir)
 	}
 	if *dump != "" {
 		if err := collector.DumpFile(*dump); err != nil {

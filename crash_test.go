@@ -4,8 +4,8 @@ package ocep_test
 // real poetd child process is SIGKILLed and restarted against the same
 // data directory several times mid-stream must report exactly the match
 // set and coverage of an uninterrupted in-process run. This is the
-// end-to-end proof that the durability subsystem (WAL + snapshots +
-// recovery) composes with the fault-tolerant wire layer: under
+// end-to-end proof that the durability subsystem (WAL + recovery)
+// composes with the fault-tolerant wire layer: under
 // `-fsync always` no acknowledged event is ever lost, the reporter's
 // retransmitted suffix lands as idempotent no-ops against the recovered
 // ack watermarks, and the monitor's resume offset stays valid against
@@ -31,7 +31,6 @@ func startPoetd(t *testing.T, bin, addr, dataDir string, out *proctest.SyncBuffe
 		"-listen", addr,
 		"-data-dir", dataDir,
 		"-fsync", "always",
-		"-snapshot-every", "64",
 		// Acks follow every burst; the ticker is the server's heartbeat to
 		// an idle reporter, which must beat inside the reporters' 100 ms
 		// peer timeout (5 × their 20 ms heartbeat).
@@ -129,7 +128,7 @@ func TestCrashKilledPoetdMatchesCrashFreeRun(t *testing.T) {
 	waitCounter(t, "monitor to consume the full recovered stream",
 		reg.FindCounter("ocep_monitor_events_total"), int64(len(events)))
 
-	// Clean shutdown of the final incarnation: SIGTERM snapshots, sends
+	// Clean shutdown of the final incarnation: SIGTERM closes the log, sends
 	// End to the monitor, and Run returns nil.
 	if err := daemon.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)

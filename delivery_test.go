@@ -285,32 +285,6 @@ func TestAsyncFlushDeterminism(t *testing.T) {
 	}
 }
 
-// TestAsyncDropPolicyRejected is the monitor-level drop-policy test: a
-// matcher-backed monitor cannot tolerate a gapped stream (a drop would
-// wedge its whole trace, not just lose matches), so NewMonitor must
-// reject BackpressureDrop combined with WithAsyncDelivery instead of
-// degrading into a latched feed error at runtime.
-func TestAsyncDropPolicyRejected(t *testing.T) {
-	_, err := ocep.NewMonitor(requestResponse,
-		ocep.WithAsyncDelivery(), ocep.WithBackpressure(ocep.BackpressureDrop))
-	if err == nil {
-		t.Fatal("NewMonitor accepted WithAsyncDelivery + BackpressureDrop")
-	}
-	if !strings.Contains(err.Error(), "BackpressureDrop") {
-		t.Fatalf("error does not name the rejected policy: %v", err)
-	}
-	// Without async delivery the policy is unused; construction succeeds.
-	if _, err := ocep.NewMonitor(requestResponse, ocep.WithBackpressure(ocep.BackpressureDrop)); err != nil {
-		t.Fatalf("sync monitor with drop policy set: %v", err)
-	}
-	// MonitorSet.Add surfaces the same rejection.
-	set := ocep.NewMonitorSet(nil)
-	if err := set.Add("gapped", requestResponse,
-		ocep.WithAsyncDelivery(), ocep.WithBackpressure(ocep.BackpressureDrop)); err == nil {
-		t.Fatal("MonitorSet.Add accepted WithAsyncDelivery + BackpressureDrop")
-	}
-}
-
 // TestMonitorReattach checks that Attach on an already-attached monitor
 // replaces the previous subscription cleanly: the old collector stops
 // feeding the matcher (no duplicate-feed errors, no leaked delivery

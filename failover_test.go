@@ -37,7 +37,6 @@ func startPoetdHA(t *testing.T, bin, addr, dataDir, metricsAddr string, out *pro
 		"-data-dir", dataDir,
 		"-metrics-addr", metricsAddr,
 		"-fsync", "always",
-		"-snapshot-every", "64",
 		// The idle reporters' heartbeat, as in startPoetd.
 		"-ack-interval", "5ms",
 		"-heartbeat", "25ms",

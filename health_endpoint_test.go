@@ -104,12 +104,11 @@ func TestPoetdReadyzDuringRecovery(t *testing.T) {
 	dataDir := t.TempDir()
 
 	// Seed the data directory with a WAL big enough that replaying it
-	// takes a visible amount of time: events across 4 traces, no
-	// snapshot, flushed but deliberately not closed (Close would write
-	// a final snapshot and make recovery near-instant).
+	// takes a visible amount of time: events across 4 traces, flushed
+	// but not closed, as a crash leaves them.
 	c := ocep.NewCollector()
 	d, err := ocep.OpenDurable(c, ocep.DurableOptions{
-		Dir: dataDir, Fsync: ocep.SyncNone, SnapshotEvery: 1 << 30,
+		Dir: dataDir, Fsync: ocep.SyncNone,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +230,7 @@ func TestPoetdSIGTERMAtFirstReadyDrains(t *testing.T) {
 	if err := cmd.Wait(); err != nil {
 		t.Fatalf("poetd exit after SIGTERM at first ready: %v\noutput:\n%s", err, out.String())
 	}
-	if got := out.String(); !strings.Contains(got, "draining") || !strings.Contains(got, "final snapshot written") {
-		t.Fatalf("poetd did not drain and snapshot on SIGTERM; output:\n%s", got)
+	if got := out.String(); !strings.Contains(got, "draining") || !strings.Contains(got, "write-ahead log synced and closed") {
+		t.Fatalf("poetd did not drain and close its log on SIGTERM; output:\n%s", got)
 	}
 }

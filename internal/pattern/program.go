@@ -20,8 +20,6 @@ package pattern
 //     across many attached patterns, skipping whole patterns;
 //   - the relation matrix flattened into one contiguous slice (Rel),
 //     read with a single multiply-add instead of two slice derefs;
-//   - per-leaf constraint adjacency lists (Cons) so loops over a leaf's
-//     constrained partners touch only non-RelNone entries;
 //   - the lim-> pair list (LimPairs) so the per-complete-match
 //     completion check no longer scans the full k×k matrix;
 //   - denormalized attribute specs (procs/types/texts) for the
@@ -38,15 +36,6 @@ const MaxIndexLeaves = 64
 // LeafMask is a bitset over a Program's leaves (bit i = leaf i).
 type LeafMask uint64
 
-// Constraint is one entry of a leaf's constraint adjacency list: the
-// partner leaf and the relation from the owning leaf's perspective.
-type Constraint struct {
-	// J is the partner leaf index.
-	J int
-	// Rel is the relation, from the owning leaf's perspective.
-	Rel Rel
-}
-
 // Program is the compiled execution form of one pattern. Build with
 // NewProgram; immutable afterwards.
 type Program struct {
@@ -55,7 +44,6 @@ type Program struct {
 
 	k       int
 	relFlat []Rel
-	cons    [][]Constraint
 
 	limPairs [][2]int
 	hasLim   bool
@@ -78,7 +66,6 @@ func NewProgram(c *Compiled) *Program {
 		Source:    c,
 		k:         k,
 		relFlat:   make([]Rel, k*k),
-		cons:      make([][]Constraint, k),
 		typeIndex: make(map[string]LeafMask),
 		procs:     make([]AttrSpec, k),
 		types:     make([]AttrSpec, k),
@@ -88,9 +75,6 @@ func NewProgram(c *Compiled) *Program {
 		for j := 0; j < k; j++ {
 			r := c.Rel[i][j]
 			p.relFlat[i*k+j] = r
-			if r != RelNone {
-				p.cons[i] = append(p.cons[i], Constraint{J: j, Rel: r})
-			}
 			if r == RelLim {
 				p.limPairs = append(p.limPairs, [2]int{i, j})
 				p.hasLim = true
@@ -118,10 +102,6 @@ func (p *Program) K() int { return p.k }
 // Rel returns the relation between leaves i and j from i's perspective,
 // out of the flattened table.
 func (p *Program) Rel(i, j int) Rel { return p.relFlat[i*p.k+j] }
-
-// Cons returns leaf i's constraint adjacency list: its non-RelNone
-// partners in ascending leaf order. Callers must not modify it.
-func (p *Program) Cons(i int) []Constraint { return p.cons[i] }
 
 // LimPairs returns the (i, j) pairs with Rel[i][j] == RelLim. Callers
 // must not modify it.

@@ -134,7 +134,7 @@ type Collector struct {
 	// trim and those still unmatched before it: all a trim must keep.
 	open []event.ID
 	// journal, when non-nil, is the ingestion-ordered log of every
-	// accepted record that dumps, snapshots and replica sessions read
+	// accepted record that dumps, the WAL and replica sessions read
 	// (see journal.go). nil until EnableReplicationLog.
 	journal *journal
 	rec     []byte // recordLocked's encoding of the last record; its readers copy it
@@ -319,7 +319,7 @@ func (c *Collector) SetRetention(keepEvents int) error {
 	}
 	switch {
 	case c.journal != nil:
-		return errors.New("poet: retention is incompatible with the journal (dumps, snapshots and replicas read it from record zero)")
+		return errors.New("poet: retention is incompatible with the journal (dumps, the write-ahead log and replicas read it from record zero)")
 	case c.sharded:
 		return errors.New("poet: retention is incompatible with sharding (peer shards re-stream the export log from record zero)")
 	}

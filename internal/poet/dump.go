@@ -15,11 +15,12 @@ import (
 	"ocep/internal/wal"
 )
 
-// A dump — and a snapshot, which is the same file — is one standalone
-// write-ahead-log segment (see internal/wal): the segment header, then
-// CRC-framed records in the WAL's own record encoding, read back by the
-// WAL's own reader and applied through replayRecord, as recovery applies
-// the log (no admission limit refuses a reloaded record). The registered
+// A dump — and the snapshot.poet an earlier build wrote into a data
+// directory, which is the same file — is one standalone write-ahead-log
+// segment (see internal/wal): the segment header, then CRC-framed
+// records in the WAL's own record encoding, read back by the WAL's own
+// reader and applied through replayRecord, as recovery applies the log
+// (no admission limit refuses a reloaded record). The registered
 // traces' records come first, in ID order, through a table of their own,
 // so a reload reproduces the writer's trace numbering (and so its
 // vector-clock layout) whatever the event interleaving. The journal's
@@ -35,26 +36,17 @@ const gobDumpMagic = "OCEP-POET-DUMP"
 
 var errGobDump = errors.New("poet: gob-era dump (" + gobDumpMagic + " v1/v2) rejected: dumps and snapshots are now write-ahead-log segments (OCEPWAL1 header, CRC-framed records), and this build reads no other format")
 
-// snapshotState is one consistent cut of the collector's replayable
-// state, captured under the collector lock and encodable outside it
-// (the journal prefix is immutable).
-type snapshotState struct {
+// dumpState is one consistent cut of the collector's replayable state,
+// captured under the collector lock and encodable outside it (the
+// journal prefix is immutable).
+type dumpState struct {
 	traces  []string
 	journal journal
 }
 
-// snapshotStateLocked captures the current replayable state: the
-// journal, which therefore must be on.
-func (c *Collector) snapshotStateLocked() (snapshotState, error) {
-	if c.journal == nil {
-		return snapshotState{}, errors.New("poet: dump requires the journal (EnableReplicationLog before collection)")
-	}
-	return snapshotState{c.registeredTracesLocked(), *c.journal}, nil
-}
-
-// encodeSnapshot writes one state cut as a dump, copying the journal's
+// encodeDump writes one state cut as a dump, copying the journal's
 // records as they stand. Remote sends stay out: peers re-stream them.
-func encodeSnapshot(w io.Writer, st snapshotState) error {
+func encodeDump(w io.Writer, st dumpState) error {
 	sw := wal.NewWriter(w)
 	n, strs := len(st.traces), make(stringTable)
 	rec := []byte{recChunk} // the registrations' own table
@@ -84,12 +76,13 @@ func encodeSnapshot(w io.Writer, st snapshotState) error {
 // (EnableReplicationLog before events are reported).
 func (c *Collector) Dump(w io.Writer) error {
 	c.mu.Lock()
-	st, err := c.snapshotStateLocked()
-	c.mu.Unlock()
-	if err != nil {
-		return err
+	if c.journal == nil {
+		c.mu.Unlock()
+		return errors.New("poet: dump requires the journal (EnableReplicationLog before collection)")
 	}
-	return encodeSnapshot(w, st)
+	st := dumpState{c.registeredTracesLocked(), *c.journal}
+	c.mu.Unlock()
+	return encodeDump(w, st)
 }
 
 // DumpFile dumps to a file path. A ".gz" suffix selects gzip
@@ -145,10 +138,10 @@ func (c *Collector) Reload(r io.Reader) (int, error) {
 	return n, err
 }
 
-// reloadSnapshot replays a dump or snapshot into c. With lenient set, a
-// stream that is cut short or corrupt (a snapshot torn by a crash
-// mid-write) yields the longest valid prefix and truncated=true instead
-// of an error; input that is not a dump at all still fails.
+// reloadSnapshot replays a dump or a legacy snapshot into c. With
+// lenient set, a stream that is cut short or corrupt (a snapshot torn by
+// a crash mid-write) yields the longest valid prefix and truncated=true
+// instead of an error; input that is not a dump at all still fails.
 func (c *Collector) reloadSnapshot(r io.Reader, lenient bool, lits map[string]string) (n int, truncated bool, err error) {
 	br := bufio.NewReader(r)
 	head, _ := br.Peek(512)
@@ -195,8 +188,9 @@ func (c *Collector) reloadSnapshot(r io.Reader, lenient bool, lits map[string]st
 
 // ReloadFile reloads from a file path, transparently decompressing
 // ".gz" dumps. A directory path replays a durability data directory
-// (snapshot plus write-ahead log) instead, read-only: no durability is
-// attached, and a torn WAL tail is skipped, not repaired.
+// (its write-ahead log, after a legacy snapshot if it holds one)
+// instead, read-only: no durability is attached, and a torn WAL tail is
+// skipped, not repaired.
 func (c *Collector) ReloadFile(path string) (n int, err error) {
 	if fi, serr := os.Stat(path); serr == nil && fi.IsDir() {
 		st, err := recoverInto(c, path, func(string, ...any) {}, func(fn func([]byte) error) (wal.ReplayStats, error) {

@@ -1,11 +1,13 @@
-// Durability subsystem: write-ahead logging and snapshots for the
-// collector, so a crash-killed poetd restarted against the same data
-// directory recovers to exactly the state its peers expect.
+// Durability subsystem: write-ahead logging for the collector, so a
+// crash-killed poetd restarted against the same data directory recovers
+// to exactly the state its peers expect.
 //
 // Layout of a data directory:
 //
-//	<dir>/snapshot.poet   last complete snapshot: a dump (see dump.go)
 //	<dir>/NNNNNNNN.wal    write-ahead log segments (see internal/wal)
+//	<dir>/snapshot.poet   only in a directory an earlier build wrote: a
+//	                      dump (see dump.go) of the journal at its last
+//	                      snapshot; read on recovery, never written
 //
 // The WAL is the collector's journal (journal.go) on disk: every
 // ingested RawEvent — delivered or still buffered awaiting causal
@@ -16,25 +18,20 @@
 // ack watermarks, monitor stream offsets) and the identical journal
 // (replica offsets survive).
 //
-// Snapshots bound recovery time: every SnapshotEvery ingested events the
-// registered traces and a verbatim copy of the journal's records
-// go, in ingestion order, to snapshot.poet (temp file + fsync + rename)
-// and the WAL segments older than the rotation cut are removed. A
-// snapshot is a standalone WAL segment in the same record encoding, read
-// and applied as the log itself is. A crash anywhere in that protocol is
-// safe: a stale snapshot plus a longer WAL replays extra records that
-// land as idempotent stale no-ops.
+// The log is never truncated, and nothing else is written: a copy of
+// the journal would hold the same records and save no replay, as the
+// journal cannot start past record zero. Recovery replays a legacy
+// snapshot.poet first and then the log; the log's records the snapshot
+// already held land as idempotent stale no-ops.
 package poet
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -43,7 +40,8 @@ import (
 	"ocep/internal/wal"
 )
 
-// SnapshotFile is the name of the snapshot inside a data directory.
+// SnapshotFile is the name of the snapshot an earlier build wrote into
+// a data directory. Recovery still replays it before the log.
 const SnapshotFile = "snapshot.poet"
 
 // Sync policies, re-exported so callers do not import internal/wal.
@@ -66,29 +64,28 @@ type DurableOptions struct {
 	Fsync SyncPolicy
 	// FsyncInterval is the flush cadence for SyncInterval/SyncNone.
 	FsyncInterval time.Duration
-	// SnapshotEvery triggers a snapshot each time this many events have
-	// been appended since the last one. 0 means the default (8192);
-	// negative disables periodic snapshots (Close still writes one).
+	// SnapshotEvery is ignored: no snapshot is written.
+	//
+	// Deprecated: the write-ahead log is the whole data directory.
 	SnapshotEvery int
-	// Logf, when non-nil, receives recovery and snapshot progress lines.
+	// Logf, when non-nil, receives recovery progress lines.
 	Logf func(format string, args ...any)
 }
 
-const defaultSnapshotEvery = 8192
-
 // RecoveryStats describes what startup recovery found and rebuilt.
 type RecoveryStats struct {
-	// SnapshotEvents and SnapshotPending count the snapshot's events that
-	// were delivered on replay and those left buffered.
+	// SnapshotEvents and SnapshotPending count the events of a legacy
+	// snapshot (SnapshotFile) that were delivered on replay and those
+	// left buffered; both are 0 in a directory this build wrote.
 	SnapshotEvents, SnapshotPending int
-	// SnapshotTruncated reports a snapshot cut short by a crash
+	// SnapshotTruncated reports a legacy snapshot cut short by a crash
 	// mid-write; the valid prefix was kept and the WAL filled the rest.
 	SnapshotTruncated bool
 	// WALRecords counts WAL records replayed into the collector.
 	WALRecords int
-	// StaleRecords counts WAL records that were already covered by the
-	// snapshot (a crash between snapshot and truncation leaves them
-	// behind; they replay as idempotent no-ops).
+	// StaleRecords counts WAL records that a legacy snapshot already
+	// held (its writer crashed before truncating the log); they replay
+	// as idempotent no-ops.
 	StaleRecords int
 	// RejectedRecords counts WAL records the collector refused for
 	// reasons other than staleness (e.g. a duplicate message id), never
@@ -104,32 +101,22 @@ type RecoveryStats struct {
 	Elapsed time.Duration
 }
 
-// Durability write-ahead-logs a collector's ingestion and manages its
-// snapshots. Create one with OpenDurable; the zero value is not usable.
+// Durability write-ahead-logs a collector's ingestion. Create one with
+// OpenDurable; the zero value is not usable.
 type Durability struct {
-	c   *Collector
-	log *wal.Log
-	dir string
-
-	policy        SyncPolicy
-	snapshotEvery int
-	logf          func(format string, args ...any)
-	recovery      RecoveryStats
-
-	// snapMu serializes snapshot writes (periodic vs Close).
-	snapMu sync.Mutex
-	// snapping guards against overlapping background snapshot triggers.
-	snapping  atomic.Bool
-	sinceSnap atomic.Int64
-	snapshots atomic.Int64
-	closed    atomic.Bool
+	c        *Collector
+	log      *wal.Log
+	policy   SyncPolicy
+	recovery RecoveryStats
+	closed   atomic.Bool
 }
 
 // OpenDurable opens (or creates) a data directory, recovers its
-// snapshot and write-ahead log into c, and attaches write-ahead logging
-// to c's ingestion path. The collector must be fresh: recovery rebuilds
-// its entire state. The journal is turned on implicitly (snapshots are
-// written from it), so a retaining collector is refused.
+// write-ahead log (after a legacy snapshot, if the directory holds one)
+// into c, and attaches write-ahead logging to c's ingestion path. The
+// collector must be fresh: recovery rebuilds its entire state. The
+// journal is turned on implicitly (the log appends its bytes), so a
+// retaining collector is refused.
 func OpenDurable(c *Collector, opts DurableOptions) (*Durability, error) {
 	if c.Delivered() > 0 || c.Pending() > 0 {
 		return nil, fmt.Errorf("poet: OpenDurable requires a fresh collector")
@@ -143,37 +130,26 @@ func OpenDurable(c *Collector, opts DurableOptions) (*Durability, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("poet: creating data directory: %w", err)
 	}
-	d := &Durability{
-		c:             c,
-		dir:           opts.Dir,
-		policy:        opts.Fsync,
-		snapshotEvery: opts.SnapshotEvery,
-		logf:          opts.Logf,
-	}
-	if d.snapshotEvery == 0 {
-		d.snapshotEvery = defaultSnapshotEvery
-	}
-	if d.logf == nil {
-		d.logf = func(string, ...any) {}
+	d := &Durability{c: c, policy: opts.Fsync}
+	logf := opts.Logf
+	if logf == nil {
+		logf = func(string, ...any) {}
 	}
 	// Replay happens before d is attached to c, so it does not re-log.
 	var err error
-	d.recovery, err = recoverInto(c, opts.Dir, d.logf, func(fn func([]byte) error) (st wal.ReplayStats, err error) {
+	d.recovery, err = recoverInto(c, opts.Dir, logf, func(fn func([]byte) error) (st wal.ReplayStats, err error) {
 		d.log, st, err = wal.Open(opts.Dir, wal.Options{Policy: opts.Fsync, Interval: opts.FsyncInterval}, fn)
 		return st, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	// The replayed backlog counts toward the next snapshot trigger, so a
-	// crash loop cannot grow the WAL without bound.
-	d.sinceSnap.Store(int64(d.recovery.WALRecords))
 
 	c.mu.Lock()
 	c.durable, c.journal.cut = d, true
 	c.mu.Unlock()
 	if d.recovery.SnapshotEvents+d.recovery.SnapshotPending+d.recovery.WALRecords > 0 {
-		d.logf("poet: recovered %d delivered + %d pending events (snapshot %d+%d, wal %d, stale %d, discarded %d) in %v",
+		logf("poet: recovered %d delivered + %d pending events (snapshot %d+%d, wal %d, stale %d, discarded %d) in %v",
 			d.recovery.Delivered, d.recovery.Pending,
 			d.recovery.SnapshotEvents, d.recovery.SnapshotPending,
 			d.recovery.WALRecords, d.recovery.StaleRecords,
@@ -186,7 +162,7 @@ func OpenDurable(c *Collector, opts DurableOptions) (*Durability, error) {
 func (d *Durability) Recovery() RecoveryStats { return d.recovery }
 
 // InstrumentMetrics registers the durability subsystem's metrics with
-// reg: snapshot and recovery counters here, plus the underlying WAL's
+// reg: recovery gauges here, plus the underlying WAL's
 // append/fsync counters and latency histograms. Call it at wiring
 // time — after OpenDurable (recovery itself is not metered) and before
 // reporting begins. A nil registry is a no-op. Collector
@@ -197,11 +173,10 @@ func (d *Durability) InstrumentMetrics(reg *telemetry.Registry) {
 		return
 	}
 	d.log.SetMetrics(wal.NewMetrics(reg))
-	reg.CounterFunc("poet_snapshots_total", "Snapshots written (including the final one on Close).", d.Snapshots)
 	reg.GaugeFunc("poet_recovery_wal_records", "WAL records replayed by the last startup recovery.", func() int64 {
 		return int64(d.recovery.WALRecords)
 	})
-	reg.GaugeFunc("poet_recovery_stale_records", "Replayed WAL records already covered by the snapshot (idempotent no-ops).", func() int64 {
+	reg.GaugeFunc("poet_recovery_stale_records", "Replayed WAL records already covered by a legacy snapshot (idempotent no-ops).", func() int64 {
 		return int64(d.recovery.StaleRecords)
 	})
 	reg.GaugeFunc("poet_recovery_discarded_records", "Torn or corrupt WAL records discarded by the last startup recovery.", func() int64 {
@@ -212,109 +187,37 @@ func (d *Durability) InstrumentMetrics(reg *telemetry.Registry) {
 	})
 }
 
-// Snapshots returns how many snapshots have been written (including the
-// final one on Close).
-func (d *Durability) Snapshots() int64 { return d.snapshots.Load() }
-
 // Sync flushes and fsyncs the write-ahead log regardless of the
 // configured policy — an explicit durability barrier for callers on the
 // weaker policies.
 func (d *Durability) Sync() error { return d.log.Sync() }
 
-// appendLocked logs one record — an ingested event, or an explicit trace
-// registration — in the journal's bytes. Caller holds c.mu.
-func (d *Durability) appendLocked(rec []byte) (int64, error) {
-	seq, err := d.log.Append(rec)
-	if err == nil && isEvent(rec) {
-		d.sinceSnap.Add(1)
-	}
-	return seq, err
-}
+// Snapshot is Sync: no snapshot is written.
+//
+// Deprecated: use Sync.
+func (d *Durability) Snapshot() error { return d.Sync() }
 
-// commit makes the given append durable per policy and triggers a
-// background snapshot when the interval has elapsed.
-func (d *Durability) commit(seq int64) error {
-	err := d.log.Commit(seq)
-	if err == nil && d.snapshotEvery > 0 &&
-		d.sinceSnap.Load() >= int64(d.snapshotEvery) &&
-		!d.closed.Load() && d.snapping.CompareAndSwap(false, true) {
-		go func() {
-			defer d.snapping.Store(false)
-			if d.closed.Load() { // Close snapshots on its own
-				return
-			}
-			if serr := d.Snapshot(); serr != nil {
-				d.logf("poet: background snapshot failed: %v", serr)
-			}
-		}()
-	}
-	return err
-}
-
-// Snapshot writes the collector's current state to the data directory
-// and truncates the WAL segments the snapshot makes redundant. Safe to
-// call concurrently with ingestion: the state cut and the WAL rotation
-// happen atomically under the collector lock, so every event is in
-// exactly one of {snapshot, post-cut WAL}.
-func (d *Durability) Snapshot() error {
-	d.snapMu.Lock()
-	defer d.snapMu.Unlock()
-
-	c := d.c
-	c.mu.Lock()
-	cut, err := d.log.Rotate()
-	if err != nil {
-		c.mu.Unlock()
-		return fmt.Errorf("poet: rotating WAL for snapshot: %w", err)
-	}
-	c.journal.cut = true
-	st, err := c.snapshotStateLocked()
-	d.sinceSnap.Store(0)
-	c.mu.Unlock()
-	if err != nil {
-		return err
-	}
-
-	err = writeFileAtomic(filepath.Join(d.dir, SnapshotFile), func(w io.Writer) error { return encodeSnapshot(w, st) })
-	if err != nil {
-		return err
-	}
-	// Only now is the pre-cut WAL redundant. A crash before this line
-	// replays those segments as stale no-ops against the new snapshot.
-	if err := d.log.RemoveSegmentsBefore(cut); err != nil {
-		return fmt.Errorf("poet: truncating WAL after snapshot: %w", err)
-	}
-	d.snapshots.Add(1)
-	d.logf("poet: snapshot: %d events, WAL truncated below segment %d", st.journal.events(), cut)
-	return nil
-}
-
-// Close writes a final snapshot (so restart recovery is a pure snapshot
-// load), truncates the WAL, detaches from the collector, and closes the
-// log. Safe to call once; the collector remains usable in memory-only
-// mode afterwards.
+// Close detaches from the collector, then flushes, fsyncs and closes the
+// log. Safe to call more than once; the collector remains usable in
+// memory-only mode afterwards.
 func (d *Durability) Close() error {
 	if d.closed.Swap(true) {
 		return nil
 	}
-	snapErr := d.Snapshot()
 	c := d.c
 	c.mu.Lock()
 	if c.durable == d {
 		c.durable = nil
 	}
 	c.mu.Unlock()
-	closeErr := d.log.Close()
-	if snapErr != nil {
-		return snapErr
-	}
-	return closeErr
+	return d.log.Close()
 }
 
-// recoverInto replays dir's snapshot and then its write-ahead log into
-// c through apply, which no admission limit refuses. replay is wal.Open
-// for a directory that will be appended to (it repairs a torn tail) and
-// wal.Replay for a read-only look (ReloadFile on a directory).
+// recoverInto replays dir's legacy snapshot, if any, and then its
+// write-ahead log into c through apply, which no admission limit
+// refuses. replay is wal.Open for a directory that will be appended to
+// (it repairs a torn tail) and wal.Replay for a read-only look
+// (ReloadFile on a directory).
 func recoverInto(c *Collector, dir string, logf func(string, ...any), replay func(func([]byte) error) (wal.ReplayStats, error)) (RecoveryStats, error) {
 	var st RecoveryStats
 	start := time.Now()
@@ -341,8 +244,8 @@ func recoverInto(c *Collector, dir string, logf func(string, ...any), replay fun
 		}
 		st.WALRecords++
 		// A record the collector refuses is a recovery observation, not a
-		// reason to refuse to start: staleness is the expected
-		// snapshot/WAL overlap, anything else is counted loudly.
+		// reason to refuse to start: staleness is the expected overlap
+		// with a legacy snapshot, anything else is counted loudly.
 		if errors.Is(err, ErrStaleEvent) {
 			st.StaleRecords++
 		} else if err != nil {

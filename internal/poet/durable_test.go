@@ -14,6 +14,7 @@ import (
 
 	"ocep/internal/event"
 	"ocep/internal/faultnet"
+	"ocep/internal/telemetry"
 	"ocep/internal/vclock"
 	"ocep/internal/wal"
 )
@@ -82,7 +83,7 @@ func walSegments(t *testing.T, dir string) []string {
 func TestDurableCleanShutdownRecovery(t *testing.T) {
 	dir := t.TempDir()
 	evs := durWorkload(40)
-	c1, d1 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways, SnapshotEvery: -1})
+	c1, d1 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways})
 	reportAll(t, c1, evs)
 	want := stateSig(c1)
 	wantAlpha, wantBeta := c1.AckFor("alpha"), c1.AckFor("beta")
@@ -93,9 +94,8 @@ func TestDurableCleanShutdownRecovery(t *testing.T) {
 	c2, d2 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways})
 	defer d2.Close()
 	rec := d2.Recovery()
-	// A clean shutdown leaves a complete snapshot and an empty WAL.
-	if rec.WALRecords != 0 || rec.SnapshotEvents != len(evs) {
-		t.Fatalf("clean-shutdown recovery read %+v, want pure snapshot of %d events", rec, len(evs))
+	if rec.WALRecords != len(evs) || rec.SnapshotEvents != 0 {
+		t.Fatalf("clean-shutdown recovery read %+v, want the WAL's %d events", rec, len(evs))
 	}
 	if got := stateSig(c2); !equalSlices(got, want) {
 		t.Fatalf("recovered state differs:\nwant %v\ngot  %v", want, got)
@@ -119,7 +119,7 @@ func TestDurableCrashRecoveryReplaysWAL(t *testing.T) {
 		}
 		kept = append(kept, e)
 	}
-	c1, d1 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways, SnapshotEvery: -1})
+	c1, d1 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways})
 	reportAll(t, c1, kept)
 	if c1.Pending() == 0 {
 		t.Fatal("workload should leave a buffered receive")
@@ -133,7 +133,7 @@ func TestDurableCrashRecoveryReplaysWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2, d2 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways, SnapshotEvery: -1})
+	c2, d2 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways})
 	defer d2.Close()
 	rec := d2.Recovery()
 	if rec.WALRecords != len(kept) || rec.SnapshotEvents != 0 {
@@ -159,44 +159,53 @@ func TestDurableCrashRecoveryReplaysWAL(t *testing.T) {
 	}
 }
 
-func TestDurablePeriodicSnapshotTruncatesWAL(t *testing.T) {
+// TestDurableDirectoryIsItsWAL: a data directory opened with the
+// default options (SyncNone only to spare 100 k fsyncs) holds nothing
+// but its write-ahead log after a run and a clean Close — every byte on
+// disk is a segment header or an appended record — and the next open
+// replays every event from it.
+func TestDurableDirectoryIsItsWAL(t *testing.T) {
 	dir := t.TempDir()
-	evs := durWorkload(200)
-	c1, d1 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways, SnapshotEvery: 100})
+	evs := durWorkload(33334)
+	c1, d1 := openDurable(t, dir, DurableOptions{Fsync: SyncNone})
+	reg := telemetry.NewRegistry()
+	c1.InstrumentMetrics(reg)
 	reportAll(t, c1, evs)
-	deadline := time.Now().Add(10 * time.Second)
-	for d1.Snapshots() == 0 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if d1.Snapshots() == 0 {
-		t.Fatal("no periodic snapshot was ever written")
-	}
 	want := stateSig(c1)
-	if err := d1.log.Close(); err != nil { // crash, not clean close
+	if err := d1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, SnapshotFile)); err != nil {
-		t.Fatalf("snapshot file missing: %v", err)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var size int64
+	for _, e := range entries {
+		fi, err := e.Info()
+		if err != nil || filepath.Ext(e.Name()) != ".wal" {
+			t.Fatalf("the data directory holds %s (%v), want only *.wal", e.Name(), err)
+		}
+		size += fi.Size()
+	}
+	// A 16-byte header per segment and an 8-byte frame per record.
+	if want := 16*int64(len(entries)) + 8*reg.Value("wal_appends_total") + reg.Value("wal_append_bytes_total"); size != want {
+		t.Fatalf("the data directory holds %d bytes, want the WAL's %d", size, want)
 	}
 
-	c2, d2 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways})
+	c2, d2 := openDurable(t, dir, DurableOptions{Fsync: SyncNone})
 	defer d2.Close()
-	rec := d2.Recovery()
-	if rec.SnapshotEvents == 0 {
-		t.Fatalf("recovery ignored the periodic snapshot: %+v", rec)
-	}
-	if rec.SnapshotEvents+rec.SnapshotPending+rec.WALRecords-rec.StaleRecords != len(evs) {
-		t.Fatalf("snapshot+WAL do not cover the run exactly: %+v (want %d events)", rec, len(evs))
+	if rec := d2.Recovery(); rec.WALRecords != len(evs) || rec.SnapshotEvents+rec.SnapshotPending+rec.StaleRecords != 0 {
+		t.Fatalf("recovery read %+v, want all %d events from the WAL", rec, len(evs))
 	}
 	if got := stateSig(c2); !equalSlices(got, want) {
-		t.Fatalf("recovered state differs after snapshot+WAL recovery")
+		t.Fatal("recovered state differs from the closed collector's")
 	}
 }
 
 func TestDurableTornTailDiscardsLastRecord(t *testing.T) {
 	dir := t.TempDir()
 	evs := durWorkload(20)
-	c1, d1 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways, SnapshotEvery: -1})
+	c1, d1 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways})
 	reportAll(t, c1, evs)
 	if err := d1.log.Close(); err != nil {
 		t.Fatal(err)
@@ -214,7 +223,7 @@ func TestDurableTornTailDiscardsLastRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2, d2 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways, SnapshotEvery: -1})
+	c2, d2 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways})
 	defer d2.Close()
 	rec := d2.Recovery()
 	if rec.WALRecords != len(evs)-1 || rec.DiscardedRecords != 1 {
@@ -239,7 +248,7 @@ func TestDurableTornTailDiscardsLastRecord(t *testing.T) {
 func TestDurableFlippedByteDiscardsSuffix(t *testing.T) {
 	dir := t.TempDir()
 	evs := durWorkload(30)
-	c1, d1 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways, SnapshotEvery: -1})
+	c1, d1 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways})
 	reportAll(t, c1, evs)
 	if err := d1.log.Close(); err != nil {
 		t.Fatal(err)
@@ -255,7 +264,7 @@ func TestDurableFlippedByteDiscardsSuffix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, d2 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways, SnapshotEvery: -1})
+	_, d2 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways})
 	defer d2.Close()
 	rec := d2.Recovery()
 	if rec.DiscardedRecords == 0 {
@@ -270,24 +279,17 @@ func TestDurableFlippedByteDiscardsSuffix(t *testing.T) {
 	}
 }
 
+// TestDurableTruncatedSnapshotRecovers: a legacy snapshot torn by a
+// crash mid-write recovers its valid prefix.
 func TestDurableTruncatedSnapshotRecovers(t *testing.T) {
 	dir := t.TempDir()
 	evs := durWorkload(50)
-	c1, d1 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways, SnapshotEvery: -1})
-	reportAll(t, c1, evs)
-	if err := d1.Close(); err != nil { // clean: snapshot written, WAL truncated
-		t.Fatal(err)
-	}
-	snap := filepath.Join(dir, SnapshotFile)
-	fi, err := os.Stat(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(snap, fi.Size()*2/3); err != nil {
+	snap := legacySnapshot(t, evs)
+	if err := os.WriteFile(filepath.Join(dir, SnapshotFile), snap[:len(snap)*2/3], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	c2, d2 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways, SnapshotEvery: -1})
+	c2, d2 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways})
 	defer d2.Close()
 	rec := d2.Recovery()
 	if !rec.SnapshotTruncated {
@@ -303,9 +305,107 @@ func TestDurableTruncatedSnapshotRecovers(t *testing.T) {
 	}
 }
 
+// legacySnapshot is the snapshot.poet an earlier build wrote of evs: a
+// dump of a journaled collector that ingested them.
+func legacySnapshot(t *testing.T, evs []RawEvent) []byte {
+	t.Helper()
+	c := journaled(t)
+	reportAll(t, c, evs)
+	var b bytes.Buffer
+	if err := c.Dump(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// TestLegacySnapshotOverlapRecoversAsWAL: a directory an earlier build
+// left between writing a snapshot and removing the segments it covers —
+// a snapshot.poet of a prefix, and a WAL of the whole run — recovers the
+// linearization, stamps, trace IDs and event stream the WAL alone
+// rebuilds, and counts the prefix's WAL records as stale.
+func TestLegacySnapshotOverlapRecoversAsWAL(t *testing.T) {
+	evs := append(jumbledWorkload(600), RawEvent{Trace: "beta", Seq: 99999, Kind: event.KindInternal, Type: "stranded"})
+	a := len(evs) / 2
+	dir, walOnly := t.TempDir(), t.TempDir()
+	c1, d1 := openDurable(t, walOnly, DurableOptions{Fsync: SyncNone})
+	c1.RegisterTrace("zeta")
+	reportAll(t, c1, evs[:a])
+	var snap bytes.Buffer
+	if err := c1.Dump(&snap); err != nil {
+		t.Fatal(err)
+	}
+	reportAll(t, c1, evs[a:])
+	if err := d1.log.Close(); err != nil { // crash
+		t.Fatal(err)
+	}
+	for _, seg := range walSegments(t, walOnly) {
+		b, err := os.ReadFile(seg)
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dir, filepath.Base(seg)), b, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, SnapshotFile), snap.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cw, dw := openDurable(t, walOnly, DurableOptions{Fsync: SyncNone})
+	defer dw.Close()
+	cl, dl := openDurable(t, dir, DurableOptions{Fsync: SyncNone})
+	defer dl.Close()
+	if rec := dl.Recovery(); rec.SnapshotEvents+rec.SnapshotPending != a || rec.StaleRecords != a || rec.RejectedRecords != 0 {
+		t.Fatalf("legacy recovery %+v, want %d snapshot events and as many stale WAL records", rec, a)
+	}
+	if rec := dw.Recovery(); rec.WALRecords != len(evs)+1 || rec.StaleRecords != 0 {
+		t.Fatalf("WAL-only recovery %+v, want %d records", rec, len(evs)+1)
+	}
+	for _, sig := range []func(*Collector) []string{stateSig, traceNames, journalEvents} {
+		if got, want := sig(cl), sig(cw); !equalSlices(got, want) || !equalSlices(want, sig(c1)) {
+			t.Fatalf("legacy and WAL-only recovery differ:\nlegacy   %v\nWAL-only %v", got, want)
+		}
+	}
+	if cl.Pending() != c1.Pending() || cl.Pending() == 0 {
+		t.Fatalf("legacy recovery holds %d pending, want the writer's %d", cl.Pending(), c1.Pending())
+	}
+
+	// The upgrade most directories see: an earlier build's clean shutdown
+	// left the snapshot alone; this build appends the rest of the run to
+	// a fresh WAL, crashes, and recovers the snapshot and that suffix.
+	t.Run("snapshot-then-wal", func(t *testing.T) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, SnapshotFile), snap.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c2, d2 := openDurable(t, dir, DurableOptions{Fsync: SyncNone})
+		if rec := d2.Recovery(); rec.SnapshotEvents+rec.SnapshotPending != a || rec.WALRecords != 0 {
+			t.Fatalf("snapshot-only recovery %+v, want %d snapshot events", rec, a)
+		}
+		reportAll(t, c2, evs[a:])
+		if err := d2.log.Close(); err != nil { // crash
+			t.Fatal(err)
+		}
+		c3, d3 := openDurable(t, dir, DurableOptions{Fsync: SyncNone})
+		defer d3.Close()
+		if rec := d3.Recovery(); rec.SnapshotEvents+rec.SnapshotPending != a || rec.WALRecords != len(evs)-a ||
+			rec.StaleRecords != 0 || rec.RejectedRecords != 0 {
+			t.Fatalf("recovery %+v, want %d snapshot events, %d WAL records, none stale", rec, a, len(evs)-a)
+		}
+		for _, sig := range []func(*Collector) []string{stateSig, traceNames, journalEvents} {
+			if got, want := sig(c3), sig(c1); !equalSlices(got, want) {
+				t.Fatalf("snapshot+WAL recovery differs from the uncrashed run:\ngot  %v\nwant %v", got, want)
+			}
+		}
+		if c3.Pending() != c1.Pending() {
+			t.Fatalf("recovery holds %d pending, want the uncrashed run's %d", c3.Pending(), c1.Pending())
+		}
+	})
+}
+
 func TestDurableExplicitTraceOrderSurvives(t *testing.T) {
 	dir := t.TempDir()
-	c1, d1 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways, SnapshotEvery: -1})
+	c1, d1 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways})
 	// Register in an order no event stream would imply: zeta first, and
 	// "mute" never reports at all.
 	c1.RegisterTrace("zeta")
@@ -316,7 +416,7 @@ func TestDurableExplicitTraceOrderSurvives(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2, d2 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways, SnapshotEvery: -1})
+	c2, d2 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways})
 	defer d2.Close()
 	if gotNames := traceNames(c2); !equalSlices(gotNames, wantNames) {
 		t.Fatalf("trace numbering changed across recovery: want %v, got %v", wantNames, gotNames)
@@ -345,7 +445,7 @@ func TestDumpNeedsJournalFromTheStart(t *testing.T) {
 func TestReloadFileDirMatchesLiveRecovery(t *testing.T) {
 	dir := t.TempDir()
 	evs := durWorkload(30)
-	c1, d1 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways, SnapshotEvery: -1})
+	c1, d1 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways})
 	reportAll(t, c1, evs)
 	want := stateSig(c1)
 	if err := d1.log.Close(); err != nil { // crash
@@ -399,7 +499,7 @@ func admissionBacklog() []RawEvent {
 // is below the writer's, with the writer's ingest count and acks.
 func TestRecoveryAndReloadIgnoreAdmissionLimit(t *testing.T) {
 	dir := t.TempDir()
-	w, d := openDurable(t, dir, DurableOptions{Fsync: SyncAlways, SnapshotEvery: -1})
+	w, d := openDurable(t, dir, DurableOptions{Fsync: SyncAlways})
 	w.SetAdmissionLimit(8)
 	w.RegisterTrace("idle")
 	evs := admissionBacklog()
@@ -483,7 +583,7 @@ func TestCrashRecoveryReporterRetransmitExactlyOnce(t *testing.T) {
 	evs := durWorkload(60)
 	half := len(evs) / 2
 
-	c1, d1 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways, SnapshotEvery: -1})
+	c1, d1 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways})
 	s1 := NewServer(c1, t.Logf)
 	s1.SetWireTiming(3*time.Millisecond, 10*time.Millisecond, 2*time.Second)
 	addr, err := s1.Listen("127.0.0.1:0")
@@ -513,7 +613,7 @@ func TestCrashRecoveryReporterRetransmitExactlyOnce(t *testing.T) {
 	if err := d1.log.Close(); err != nil {
 		t.Fatal(err)
 	}
-	c2, d2 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways, SnapshotEvery: -1})
+	c2, d2 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways})
 	defer d2.Close()
 	if got := c2.Delivered() + c2.Pending(); got != half {
 		// SyncAlways: Report fsyncs before returning, so every event the
@@ -554,7 +654,7 @@ func TestMonitorResumeBeyondRecoveredStreamRejected(t *testing.T) {
 	dir := t.TempDir()
 	evs := durWorkload(30)
 
-	c1, d1 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways, SnapshotEvery: -1})
+	c1, d1 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways})
 	s1 := NewServer(c1, t.Logf)
 	s1.SetWireTiming(3*time.Millisecond, 10*time.Millisecond, 2*time.Second)
 	addr, err := s1.Listen("127.0.0.1:0")
@@ -601,7 +701,7 @@ func TestMonitorResumeBeyondRecoveredStreamRejected(t *testing.T) {
 	if err := os.Truncate(last, fi.Size()-40); err != nil {
 		t.Fatal(err)
 	}
-	c2, d2 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways, SnapshotEvery: -1})
+	c2, d2 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways})
 	defer d2.Close()
 	if c2.Delivered() >= len(evs) {
 		t.Fatalf("truncation lost nothing (delivered %d); test is vacuous", c2.Delivered())
@@ -640,16 +740,17 @@ func TestMonitorResumeBeyondRecoveredStreamRejected(t *testing.T) {
 
 // TestRecoveredHeapPerEvent: a collector that OpenDurable recovers keeps
 // one copy of each trace, type and text string, as the live collector
-// that wrote the log does, though the WAL and the snapshot spell every
-// string literally. Recovered from the WAL alone, and then from the
-// snapshot alone, it retains at most 2 B an event more than the live one.
+// that wrote the log does, though each WAL chunk spells its strings
+// afresh. Recovered from the WAL after a crash, and from an earlier
+// build's snapshot.poet through the dump reader, it retains at most 2 B
+// an event more than the live one.
 func TestRecoveredHeapPerEvent(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes heap sizes")
 	}
 	const traces, n = 32, 100000
 	dir := t.TempDir()
-	opts := DurableOptions{Fsync: SyncNone, SnapshotEvery: -1}
+	opts := DurableOptions{Fsync: SyncNone}
 	heapOf := func(open func() (*Collector, *Durability)) (float64, *Collector, *Durability) {
 		before := liveHeap()
 		c, d := open()
@@ -665,7 +766,7 @@ func TestRecoveredHeapPerEvent(t *testing.T) {
 		}
 		return c, d
 	})
-	// Crash: no snapshot, the WAL alone.
+	// Crash: no Close.
 	if err := d.log.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -674,19 +775,30 @@ func TestRecoveredHeapPerEvent(t *testing.T) {
 	if rec := d.Recovery(); rec.WALRecords != n || c.Delivered() != n {
 		t.Fatalf("recovered %d events from %d WAL records, want %d", c.Delivered(), rec.WALRecords, n)
 	}
-	// A clean close: the snapshot alone.
-	if err := d.Close(); err != nil {
+	// A legacy directory: the run as an earlier build's snapshot.poet.
+	legacy := t.TempDir()
+	f, err := os.Create(filepath.Join(legacy, SnapshotFile))
+	if err == nil {
+		err = c.Dump(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err == nil {
+		err = d.Close()
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	c, d = nil, nil
-	fromSnap, c, d := heapOf(func() (*Collector, *Durability) { return openDurable(t, dir, opts) })
+	fromSnap, c, d := heapOf(func() (*Collector, *Durability) { return openDurable(t, legacy, opts) })
 	defer d.Close()
 	if rec := d.Recovery(); rec.SnapshotEvents != n || rec.WALRecords != 0 || c.Delivered() != n {
 		t.Fatalf("recovered %d events, %+v, want %d from the snapshot", c.Delivered(), rec, n)
 	}
-	t.Logf("B retained per event: live %.1f, recovered from the WAL %.1f, from the snapshot %.1f", live, fromWAL, fromSnap)
+	t.Logf("B retained per event: live %.1f, recovered from the WAL %.1f, from a legacy snapshot %.1f", live, fromWAL, fromSnap)
 	if fromWAL > live+2 || fromSnap > live+2 {
-		t.Fatalf("a recovered collector retains %.1f (WAL) and %.1f (snapshot) B an event, the live one %.1f: want at most 2 more",
+		t.Fatalf("a recovered collector retains %.1f (WAL) and %.1f (legacy snapshot) B an event, the live one %.1f: want at most 2 more",
 			fromWAL, fromSnap, live)
 	}
 }
@@ -733,10 +845,10 @@ func walRecords(t *testing.T, dir string) (out [][]byte) {
 
 // TestWALIsTheJournalLessRemoteSends: the WAL appends the bytes the
 // journal stores — markers, registrations and events, in journal order —
-// and only the peer-shard sends stay off it. Every segment opens with a
-// marker: the first, the one a snapshot's rotation opens, and the run a
-// recovered collector appends after its attach, whose records are the
-// recovered journal's from its attach marker on.
+// and only the peer-shard sends stay off it. The log opens with a
+// marker, and so does the run a recovered collector appends after its
+// attach, whose records are the recovered journal's from its attach
+// marker on.
 func TestWALIsTheJournalLessRemoteSends(t *testing.T) {
 	dir := t.TempDir()
 	open := func() (*Collector, *Durability) {
@@ -744,7 +856,7 @@ func TestWALIsTheJournalLessRemoteSends(t *testing.T) {
 		if err := c.EnableSharding(0, 2); err != nil {
 			t.Fatal(err)
 		}
-		d, err := OpenDurable(c, DurableOptions{Dir: dir, Fsync: SyncAlways, SnapshotEvery: -1})
+		d, err := OpenDurable(c, DurableOptions{Dir: dir, Fsync: SyncAlways})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -770,19 +882,11 @@ func TestWALIsTheJournalLessRemoteSends(t *testing.T) {
 	}
 	c1, d1 := open()
 	c1.RegisterTrace("explicit")
-	drive(c1, 0, 1500)
+	drive(c1, 0, 2000)
 	if got, want := walRecords(t, dir), journalRecords(c1); len(want) < 4000 || !slices.EqualFunc(got, want, bytes.Equal) {
 		t.Fatalf("the WAL holds %d records, want the journal's %d less its remote sends", len(got), len(want))
 	}
-	cut := len(journalRecords(c1)) // the rotation's marker
-	if err := d1.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	drive(c1, 1500, 500)
-	if got, want := walRecords(t, dir), journalRecords(c1)[cut:]; !slices.EqualFunc(got, want, bytes.Equal) {
-		t.Fatalf("after a snapshot the WAL holds %d records, want the journal's %d from the rotation on", len(got), len(want))
-	}
-	if err := d1.log.Close(); err != nil { // crash: no final snapshot
+	if err := d1.log.Close(); err != nil { // crash
 		t.Fatal(err)
 	}
 	before := len(walRecords(t, dir))
@@ -819,16 +923,16 @@ func TestWALIsTheJournalLessRemoteSends(t *testing.T) {
 	}
 }
 
-// TestRecoveryTwiceMatchesUncrashedTwin: recover, report more, snapshot,
-// crash with a torn tail, recover again — the log then holds runs from
-// before and after an attach and a rotation, each read through its own
-// chunk's table — and the collector is its uncrashed twin: delivery
-// order, stamps, acks and the buffered backlog.
+// TestRecoveryTwiceMatchesUncrashedTwin: recover, report more, crash
+// with a torn tail, recover again — the log then holds runs from before
+// and after an attach, each read through its own chunk's table — and
+// the collector is its uncrashed twin: delivery order, stamps, acks and
+// the buffered backlog.
 func TestRecoveryTwiceMatchesUncrashedTwin(t *testing.T) {
 	dir := t.TempDir()
-	opts := DurableOptions{Fsync: SyncAlways, SnapshotEvery: -1}
+	opts := DurableOptions{Fsync: SyncAlways}
 	evs := append(jumbledWorkload(3000), RawEvent{Trace: "beta", Seq: 99999, Kind: event.KindInternal, Type: "stranded"})
-	a, b := len(evs)/3, 2*len(evs)/3
+	a := len(evs) / 3
 	twin := NewCollector()
 	reportAll(t, twin, evs)
 
@@ -841,11 +945,7 @@ func TestRecoveryTwiceMatchesUncrashedTwin(t *testing.T) {
 	if got, want := stateSig(c2), stateSig(c1); !equalSlices(got, want) {
 		t.Fatalf("first recovery: %d events delivered, want %d", len(got), len(want))
 	}
-	reportAll(t, c2, evs[a:b])
-	if err := d2.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	reportAll(t, c2, evs[b:])
+	reportAll(t, c2, evs[a:])
 	if err := d2.log.Close(); err != nil { // crash, mid-append: half a record header
 		t.Fatal(err)
 	}

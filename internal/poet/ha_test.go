@@ -173,14 +173,12 @@ func TestReplicaIgnoresAdmissionLimit(t *testing.T) {
 
 // TestReplicaJournalAndWALMatchPrimary: after a mixed workload —
 // explicit registrations, out-of-order events, a mid-stream reconnect,
-// a snapshot, a reconnect whose resume offset falls inside a journal
-// chunk past the snapshot's marker, then traces new to the standby,
-// registered and implied — a durable standby's journal and WAL are byte
-// for byte its durable primary's. The snapshot is taken on both at the
-// same record, as the journals' markers must then agree.
+// a reconnect whose resume offset falls inside a journal chunk, then
+// traces new to the standby, registered and implied — a durable
+// standby's journal and WAL are byte for byte its durable primary's.
 func TestReplicaJournalAndWALMatchPrimary(t *testing.T) {
 	dir1, dir2 := t.TempDir(), t.TempDir()
-	opts := DurableOptions{Fsync: SyncAlways, SnapshotEvery: -1}
+	opts := DurableOptions{Fsync: SyncAlways}
 	c1, d1 := openDurable(t, dir1, opts)
 	t.Cleanup(func() { _ = d1.Close() })
 	s1 := NewServer(c1, t.Logf)
@@ -218,11 +216,6 @@ func TestReplicaJournalAndWALMatchPrimary(t *testing.T) {
 	p.CutAll()
 	reportAll(t, c1, evs[40:60])
 	waitFor(t, func() bool { return rep.Stats().Reconnects > 0 && caughtUp() })
-	for _, d := range []*Durability{d1, d2} {
-		if err := d.Snapshot(); err != nil {
-			t.Fatal(err)
-		}
-	}
 	reportAll(t, c1, evs[60:90])
 	waitFor(t, caughtUp)
 	c1.mu.Lock()

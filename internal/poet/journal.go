@@ -14,12 +14,12 @@ import (
 // accepted, in the order it accepted them, in the WAL's record encoding.
 // Everything replayable is a view of it — the WAL appends the bytes it
 // stores (recordLocked encodes each record once, under one lock), Dump
-// and Snapshot copy its records in ingestion order, and a replica
-// session is a cursor over it whose resume offset counts its event
-// records. A record spells its strings through its chunk's table: the
-// chunk's first record to spell one carries a one-byte marker before its
-// kind, and the table starts empty there, as it does at the first such
-// record after a new WAL write position (journal.cut). The collector is
+// copies its records in ingestion order, and a replica session is a
+// cursor over it whose resume offset counts its event records. A record
+// spells its strings through its chunk's table: the chunk's first record
+// to spell one carries a one-byte marker before its kind, and the table
+// starts empty there, as it does at the first such record after a new
+// WAL write position (journal.cut). The collector is
 // a deterministic function of that order, so replaying any view rebuilds
 // the same linearization and the same journal: an offset taken before a
 // restart names the same prefix after.
@@ -151,11 +151,11 @@ func (s *journalSpan) next() (rec []byte) {
 }
 
 // EnableReplicationLog turns the journal on (the name is its oldest
-// reader's), so the collector can Dump, snapshot (OpenDurable calls this
-// itself) and serve replica sessions. Must be called before any event is
-// ingested — every reader needs the journal from record zero — and
-// refuses a retaining collector. Idempotent. A collector on which it was
-// never called keeps no copy of what it ingested.
+// reader's), so the collector can Dump, write-ahead-log (OpenDurable
+// calls this itself) and serve replica sessions. Must be called before
+// any event is ingested — every reader needs the journal from record
+// zero — and refuses a retaining collector. Idempotent. A collector on
+// which it was never called keeps no copy of what it ingested.
 func (c *Collector) EnableReplicationLog() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -166,7 +166,7 @@ func (c *Collector) EnableReplicationLog() error {
 		return err
 	}
 	if c.ingests > 0 {
-		return errors.New("poet: EnableReplicationLog must be called before any event is ingested (a dump, snapshot or replica needs the journal from record zero)")
+		return errors.New("poet: EnableReplicationLog must be called before any event is ingested (a dump, the write-ahead log or a replica needs the journal from record zero)")
 	}
 	c.journal = &journal{strs: make(stringTable)}
 	c.repl.confirmed = make(map[int]int)
@@ -194,7 +194,7 @@ func (t walTicket) commit() error {
 	if t.d == nil || t.err != nil {
 		return t.err
 	}
-	return t.d.commit(t.seq)
+	return t.d.log.Commit(t.seq)
 }
 
 // recordLocked is the one place an accepted input enters the
@@ -222,7 +222,7 @@ func (c *Collector) recordLocked(raw *RawEvent, remote *shardExport) (t walTicke
 	if t.d = c.durable; t.d == nil || remote != nil {
 		return walTicket{}
 	}
-	if t.seq, t.err = t.d.appendLocked(c.rec); t.err == nil {
+	if t.seq, t.err = t.d.log.Append(c.rec); t.err == nil {
 		logged.Inc()
 	}
 	return t

@@ -139,9 +139,10 @@ func jumbledWorkload(rounds int) []RawEvent {
 }
 
 // TestRecoveryReproducesReplicaStream is the journal's contract: a
-// durable collector that restarts — from its final snapshot, or from a
-// mid-run snapshot plus the write-ahead log a crash left behind —
-// rebuilds not only its state but its record stream, so a replica that
+// durable collector that restarts — from its write-ahead log, from an
+// earlier build's final snapshot, or from such a snapshot taken mid-run
+// plus the log a crash left behind — rebuilds not only its state but its
+// record stream, so a replica that
 // had applied any strict prefix resumes at its offset, is sent exactly
 // the rest, and converges on the primary's linearization and trace
 // numbering. A snapshot in delivery order (or registrations replayed
@@ -166,26 +167,38 @@ func TestRecoveryReproducesReplicaStream(t *testing.T) {
 			{Trace: "late", Seq: 1, Kind: event.KindInternal, Type: "x"},
 		})
 	}
+	// snapshot writes c's dump where an earlier build put its snapshot.
+	snapshot := func(t *testing.T, c *Collector, dir string) {
+		var b bytes.Buffer
+		if err := c.Dump(&b); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, SnapshotFile), b.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	paths := []struct {
 		name    string
 		restart func(t *testing.T, dir string) (before *Collector)
 	}{
-		{"snapshot", func(t *testing.T, dir string) *Collector {
-			c, d := openDurable(t, dir, DurableOptions{Fsync: SyncAlways, SnapshotEvery: -1})
+		{"wal", func(t *testing.T, dir string) *Collector {
+			c, d := openDurable(t, dir, DurableOptions{Fsync: SyncAlways})
 			drive(t, c, nil)
 			if err := d.Close(); err != nil {
 				t.Fatal(err)
 			}
 			return c
 		}},
+		{"snapshot", func(t *testing.T, dir string) *Collector {
+			c := journaled(t)
+			drive(t, c, nil)
+			snapshot(t, c, dir)
+			return c
+		}},
 		{"snapshot+wal-crash", func(t *testing.T, dir string) *Collector {
-			c, d := openDurable(t, dir, DurableOptions{Fsync: SyncAlways, SnapshotEvery: -1})
-			drive(t, c, func() {
-				if err := d.Snapshot(); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if err := d.log.Close(); err != nil { // crash: no final snapshot
+			c, d := openDurable(t, dir, DurableOptions{Fsync: SyncAlways})
+			drive(t, c, func() { snapshot(t, c, dir) })
+			if err := d.log.Close(); err != nil { // crash
 				t.Fatal(err)
 			}
 			return c
@@ -197,7 +210,7 @@ func TestRecoveryReproducesReplicaStream(t *testing.T) {
 			before := p.restart(t, dir)
 			wantStream, wantState, wantNames := journalEvents(before), stateSig(before), traceNames(before)
 
-			c1, d1 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways, SnapshotEvery: -1})
+			c1, d1 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways})
 			defer d1.Close()
 			if rec := d1.Recovery(); rec.RejectedRecords != 0 || rec.DiscardedRecords != 0 {
 				t.Fatalf("recovery lost records: %+v", rec)
@@ -320,17 +333,19 @@ func TestRecoveryReproducesReplicaStream(t *testing.T) {
 }
 
 // TestShardedSnapshotRecoveryKeepsTraceIDs: a sharded collector's store
-// holds unnamed holes for the IDs homed on its peers. A snapshot header
-// that listed them would, on recovery, register each hole's fallback
-// name as a home trace and renumber every real one after it.
+// holds unnamed holes for the IDs homed on its peers. A dump header (and
+// so an earlier build's snapshot) that listed them would, on recovery,
+// register each hole's fallback name as a home trace and renumber every
+// real one after it. Recovery from the WAL and from such a snapshot
+// keeps the numbering.
 func TestShardedSnapshotRecoveryKeepsTraceIDs(t *testing.T) {
-	dir := t.TempDir()
-	open := func() (*Collector, *Durability) {
+	dir, legacy := t.TempDir(), t.TempDir()
+	open := func(dir string) (*Collector, *Durability) {
 		c := NewCollector()
 		if err := c.EnableSharding(0, 2); err != nil {
 			t.Fatal(err)
 		}
-		d, err := OpenDurable(c, DurableOptions{Dir: dir, Fsync: SyncAlways, SnapshotEvery: -1})
+		d, err := OpenDurable(c, DurableOptions{Dir: dir, Fsync: SyncAlways})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,7 +362,7 @@ func TestShardedSnapshotRecoveryKeepsTraceIDs(t *testing.T) {
 		}
 		return out
 	}
-	c1, d1 := open()
+	c1, d1 := open(dir)
 	for _, name := range []string{"p0", "p2", "p4"} {
 		reportN(t, c1, name, 1, 3)
 	}
@@ -355,19 +370,24 @@ func TestShardedSnapshotRecoveryKeepsTraceIDs(t *testing.T) {
 	if fmt.Sprint(want) != "[0 2 4]" {
 		t.Fatalf("shard 0 of 2 numbered its home traces %v, want [0 2 4]", want)
 	}
+	if err := c1.DumpFile(filepath.Join(legacy, SnapshotFile)); err != nil {
+		t.Fatal(err)
+	}
 	if err := d1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	c2, d2 := open()
-	defer d2.Close()
-	if got := ids(c2); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("restart renumbered the home traces: %v, want %v", got, want)
-	}
-	if got := stateSig(c2); !equalSlices(got, wantState) {
-		t.Fatalf("restart changed the stamps:\nwant %v\ngot  %v", wantState, got)
-	}
-	if got := c2.ShardStats().HomeTraces; got != 3 {
-		t.Fatalf("restart left %d home traces, want 3", got)
+	for _, dir := range []string{dir, legacy} {
+		c2, d2 := open(dir)
+		defer d2.Close()
+		if got := ids(c2); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("restart from %s renumbered the home traces: %v, want %v", dir, got, want)
+		}
+		if got := stateSig(c2); !equalSlices(got, wantState) {
+			t.Fatalf("restart from %s changed the stamps:\nwant %v\ngot  %v", dir, wantState, got)
+		}
+		if got := c2.ShardStats().HomeTraces; got != 3 {
+			t.Fatalf("restart from %s left %d home traces, want 3", dir, got)
+		}
 	}
 }
 
@@ -463,33 +483,28 @@ func TestReloadRejectsGobDump(t *testing.T) {
 	}
 }
 
-// TestDumpIsIngestionOrdered: a snapshot is a dump, and a dump is one
-// write-ahead-log segment — the registered traces, then the journal's
-// events as they arrived (buffered ones in place), then the end record
-// counting them — that the WAL's own reader reads.
+// TestDumpIsIngestionOrdered: a dump is one write-ahead-log segment —
+// the registered traces, then the journal's events as they arrived
+// (buffered ones in place), then the end record counting them — that the
+// WAL's own reader reads.
 func TestDumpIsIngestionOrdered(t *testing.T) {
-	dir := t.TempDir()
-	c, d := openDurable(t, dir, DurableOptions{Fsync: SyncNone, SnapshotEvery: -1})
-	evs := jumbledWorkload(350) // > 1 000 records: the snapshot walks three journal chunks
+	c := journaled(t)
+	evs := jumbledWorkload(350) // > 1 000 records: the dump walks three journal chunks
 	evs = append(evs, RawEvent{Trace: "beta", Seq: 999, Kind: event.KindInternal, Type: "stranded"})
 	reportAll(t, c, evs)
 	if c.Pending() == 0 {
 		t.Fatal("workload should leave an event buffered")
 	}
 	wantTraces := traceNames(c)
-	if err := d.Close(); err != nil {
+	var f bytes.Buffer
+	if err := c.Dump(&f); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(filepath.Join(dir, SnapshotFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
 	var traces []string
 	var got []RawEvent
 	var jr jreader
 	end := -1
-	st, err := wal.Read(f, func(p []byte) error {
+	st, err := wal.Read(&f, func(p []byte) error {
 		kind, r := jr.read(p)
 		switch kind {
 		case recTrace:
@@ -502,13 +517,13 @@ func TestDumpIsIngestionOrdered(t *testing.T) {
 		return r.err
 	})
 	if err != nil || st.Truncated {
-		t.Fatalf("reading the snapshot as a segment: %+v, %v", st, err)
+		t.Fatalf("reading the dump as a segment: %+v, %v", st, err)
 	}
 	if !equalSlices(traces, wantTraces) || end != len(traces)+len(evs) {
-		t.Fatalf("snapshot registers %v and ends counting %d records, want %v and %d", traces, end, wantTraces, len(wantTraces)+len(evs))
+		t.Fatalf("dump registers %v and ends counting %d records, want %v and %d", traces, end, wantTraces, len(wantTraces)+len(evs))
 	}
 	if !slices.Equal(got, evs) {
-		t.Fatalf("snapshot holds %d events out of ingestion order, want the %d ingested", len(got), len(evs))
+		t.Fatalf("dump holds %d events out of ingestion order, want the %d ingested", len(got), len(evs))
 	}
 }
 
@@ -605,7 +620,7 @@ func TestJournalMatchesRecordModel(t *testing.T) {
 		var (
 			mu   sync.Mutex
 			j    journal
-			snap snapshotState
+			snap dumpState
 		)
 		grew := sync.NewCond(&mu)
 		read := make(chan []jrec)
@@ -634,7 +649,7 @@ func TestJournalMatchesRecordModel(t *testing.T) {
 		for i, r := range all {
 			mu.Lock()
 			if i == half {
-				snap = snapshotState{journal: j}
+				snap = dumpState{journal: j}
 			}
 			j.add(r)
 			grew.Broadcast()
@@ -685,7 +700,7 @@ func TestJournalMatchesRecordModel(t *testing.T) {
 		// The mid-stream snapshot encodes the model's prefix, however far
 		// the journal has grown since.
 		var buf bytes.Buffer
-		if err := encodeSnapshot(&buf, snap); err != nil {
+		if err := encodeDump(&buf, snap); err != nil {
 			t.Fatal(err)
 		}
 		var got []RawEvent

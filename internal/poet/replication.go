@@ -121,11 +121,12 @@ func (c *Collector) ReplicationStats() ReplicationStats {
 // the first `applied` event records. It returns the session's id, the
 // journal cursor its stream starts at, its chunk up to there (read for
 // the chunk's table, never sent), and the registered traces it sends
-// first: the journal a recovery rebuilds has the snapshot's
-// registrations at its front, not where they happened, so one the
-// replica has yet to apply may sit in the prefix its offset skips;
-// registering every trace in ID order gives it the primary's numbering
-// wherever it stopped (the in-band ones are then no-ops).
+// first: the journal a reload, or a recovery from an earlier build's
+// snapshot, rebuilds has the dump's registrations at its front, not
+// where they happened, so one the replica has yet to apply may sit in
+// the prefix its offset skips; registering every trace in ID order gives
+// it the primary's numbering wherever it stopped (the in-band ones are
+// then no-ops).
 func (c *Collector) replAttach(applied int) (id int, jc journalCursor, warm journalSpan, traces []string, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -33,10 +33,6 @@ type Health struct {
 	// not the diagnostic, so a later all-down ErrorSummary can still name
 	// what each endpoint last said (e.g. "standby awaiting promotion").
 	LastErr error
-	// Load is the most recent load sample recorded by SetLoad;
-	// meaningful only when LoadKnown is true.
-	Load      int64
-	LoadKnown bool
 }
 
 type endpoint struct {
@@ -44,11 +40,6 @@ type endpoint struct {
 	fails  int
 	lastMu sync.Mutex // lastErr is read by ErrorSummary while Fail writes it
 	last   error
-	// load is the most recent SetLoad sample; loadKnown gates endpoints
-	// that have never been sampled out of LeastLoaded. Guarded by the
-	// pool's mu.
-	load      int64
-	loadKnown bool
 }
 
 // Pool is a rotation of endpoints with per-endpoint health. All methods
@@ -179,44 +170,6 @@ func (p *Pool) advanceLocked() {
 	p.failovers++
 }
 
-// SetLoad records addr's most recent load sample — in the sharded tier,
-// a shard's pending-events gauge plus a shedding penalty, scraped from
-// its metrics endpoint. Samples feed LeastLoaded; endpoints never
-// sampled do not participate.
-func (p *Pool) SetLoad(addr string, load int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, ep := range p.eps {
-		if ep.addr == addr {
-			ep.load = load
-			ep.loadKnown = true
-			return
-		}
-	}
-}
-
-// LeastLoaded returns the healthy endpoint (no current failure streak)
-// with the lowest recorded load sample, keeping priority order on ties.
-// ok is false when no healthy endpoint has been sampled — callers fall
-// back to their deterministic placement (the shard partitioner's hash).
-func (p *Pool) LeastLoaded() (addr string, ok bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var best *endpoint
-	for _, ep := range p.eps {
-		if ep.fails > 0 || !ep.loadKnown {
-			continue
-		}
-		if best == nil || ep.load < best.load {
-			best = ep
-		}
-	}
-	if best == nil {
-		return "", false
-	}
-	return best.addr, true
-}
-
 // Failovers counts how many times the pool moved off its current
 // endpoint, whether for failure or drain.
 func (p *Pool) Failovers() uint64 {
@@ -238,8 +191,6 @@ func (p *Pool) Snapshot() []Health {
 			Addr:                ep.addr,
 			ConsecutiveFailures: ep.fails,
 			LastErr:             ep.getErr(),
-			Load:                ep.load,
-			LoadKnown:           ep.loadKnown,
 		}
 	}
 	return out

@@ -192,37 +192,6 @@ func TestSuccessKeepsLastErrorForLaterSummary(t *testing.T) {
 	}
 }
 
-func TestSetLoadAndLeastLoaded(t *testing.T) {
-	p := New([]string{"s0", "s1", "s2"}, 0, 0)
-	if _, ok := p.LeastLoaded(); ok {
-		t.Fatal("LeastLoaded reported an endpoint before any sample")
-	}
-	p.SetLoad("s1", 40)
-	p.SetLoad("s2", 10)
-	if addr, ok := p.LeastLoaded(); !ok || addr != "s2" {
-		t.Fatalf("LeastLoaded = %q, %v; want s2", addr, ok)
-	}
-	// An unhealthy endpoint is excluded even if least loaded.
-	p.Fail("s2", errors.New("refused"))
-	if addr, ok := p.LeastLoaded(); !ok || addr != "s1" {
-		t.Fatalf("LeastLoaded with s2 down = %q, %v; want s1", addr, ok)
-	}
-	// Ties keep priority order.
-	p.Success("s2")
-	p.SetLoad("s0", 10)
-	p.SetLoad("s2", 10)
-	p.SetLoad("s1", 10)
-	if addr, ok := p.LeastLoaded(); !ok || addr != "s0" {
-		t.Fatalf("tied LeastLoaded = %q, %v; want priority order s0", addr, ok)
-	}
-	h := p.Snapshot()[0]
-	if !h.LoadKnown || h.Load != 10 {
-		t.Fatalf("snapshot missing load sample: %+v", h)
-	}
-	// Unknown address: a no-op, not a panic.
-	p.SetLoad("nope", 1)
-}
-
 func TestSuccessMakesEndpointCurrent(t *testing.T) {
 	p := New([]string{"a", "b", "c"}, 0, 0)
 	p.Success("c")

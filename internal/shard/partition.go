@@ -83,8 +83,8 @@ func (p *Partitioner) Assign(trace string) string {
 	return p.keys[i]
 }
 
-// Place records an explicit home shard for trace — the load-aware
-// router's first-sight placement, or an operator pinning a hot trace.
+// Place records an explicit home shard for trace — an operator or a
+// harness pinning a trace before it is first routed.
 // It fails if the trace is already assigned to a different shard: a
 // home shard never moves mid-run.
 func (p *Partitioner) Place(trace, key string) error {

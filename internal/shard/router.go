@@ -40,32 +40,14 @@ type Router[E any] struct {
 	byKey   map[string]TraceReporter[E]
 	traceOf func(E) string
 
-	// loads, when set, biases first-sight placement toward the least
-	// loaded healthy shard instead of the hash. The decision still lands
-	// in the sticky table, so the trace never moves afterwards.
-	loads *pool.Pool
-
 	mu     sync.Mutex
 	routed map[string]int64 // events routed per shard key
-}
-
-// RouterOption configures NewRouter.
-type RouterOption[E any] func(*Router[E])
-
-// WithLoadAware biases first-sight trace placement toward the healthy
-// shard with the lowest load sample in p (whose endpoints must be the
-// router's shard keys; feed it with pool.SetLoad from scraped
-// pending-events/shedding gauges). Traces the pool cannot place — no
-// healthy sampled endpoint — fall back to rendezvous hashing, and every
-// decision is sticky either way.
-func WithLoadAware[E any](p *pool.Pool) RouterOption[E] {
-	return func(r *Router[E]) { r.loads = p }
 }
 
 // NewRouter builds a router over a tier: shards maps each shard key to
 // its reporter, traceOf extracts an event's trace name. The keys (in
 // any order) seed the partitioner.
-func NewRouter[E any](shards map[string]TraceReporter[E], traceOf func(E) string, opts ...RouterOption[E]) (*Router[E], error) {
+func NewRouter[E any](shards map[string]TraceReporter[E], traceOf func(E) string) (*Router[E], error) {
 	keys := make([]string, 0, len(shards))
 	for k := range shards {
 		keys = append(keys, k)
@@ -77,47 +59,21 @@ func NewRouter[E any](shards map[string]TraceReporter[E], traceOf func(E) string
 	if traceOf == nil {
 		return nil, fmt.Errorf("shard: NewRouter needs a traceOf extractor")
 	}
-	r := &Router[E]{
+	return &Router[E]{
 		parts:   parts,
 		byKey:   shards,
 		traceOf: traceOf,
 		routed:  make(map[string]int64),
-	}
-	for _, o := range opts {
-		o(r)
-	}
-	return r, nil
+	}, nil
 }
 
 // Report routes one raw event to its trace's home shard.
 func (r *Router[E]) Report(raw E) error {
-	trace := r.traceOf(raw)
-	key, ok := r.parts.Assigned(trace)
-	if !ok {
-		key = r.placeNew(trace)
-	}
+	key := r.parts.Assign(r.traceOf(raw))
 	r.mu.Lock()
 	r.routed[key]++
 	r.mu.Unlock()
 	return r.byKey[key].Report(raw)
-}
-
-// placeNew decides a first-sight trace's home shard: the least-loaded
-// healthy shard when load-aware routing has samples, the rendezvous
-// hash otherwise. Racing reporters of the same trace are harmless —
-// Place is idempotent for an equal decision and Assign re-reads the
-// sticky table.
-func (r *Router[E]) placeNew(trace string) string {
-	if r.loads != nil {
-		if addr, ok := r.loads.LeastLoaded(); ok {
-			if err := r.parts.Place(trace, addr); err == nil {
-				return addr
-			}
-			// Lost a placement race or the pool named a non-key: fall
-			// through to the sticky/hashed answer.
-		}
-	}
-	return r.parts.Assign(trace)
 }
 
 // Partitioner exposes the router's trace->shard table.

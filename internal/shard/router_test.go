@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-
-	"ocep/internal/pool"
 )
 
 // recorder is a TraceReporter that remembers what it was given.
@@ -22,13 +20,13 @@ func (r *recorder) Report(raw string) error {
 	return nil
 }
 
-func newTestRouter(t *testing.T, recs map[string]*recorder, opts ...RouterOption[string]) *Router[string] {
+func newTestRouter(t *testing.T, recs map[string]*recorder) *Router[string] {
 	t.Helper()
 	shards := make(map[string]TraceReporter[string], len(recs))
 	for k, r := range recs {
 		shards[k] = r
 	}
-	r, err := NewRouter(shards, func(s string) string { return s }, opts...)
+	r, err := NewRouter(shards, func(s string) string { return s })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,48 +74,6 @@ func TestRouterPropagatesReportErrors(t *testing.T) {
 	r := newTestRouter(t, recs)
 	if err := r.Report("x"); !errors.Is(err, boom) {
 		t.Fatalf("Report error = %v", err)
-	}
-}
-
-func TestRouterLoadAwarePlacement(t *testing.T) {
-	recs := map[string]*recorder{"s0": {}, "s1": {}}
-	loads := pool.New([]string{"s0", "s1"}, 0, 0)
-	loads.SetLoad("s0", 1000)
-	loads.SetLoad("s1", 5)
-	r := newTestRouter(t, recs, WithLoadAware[string](loads))
-	if err := r.Report("fresh-trace"); err != nil {
-		t.Fatal(err)
-	}
-	if home, _ := r.Partitioner().Assigned("fresh-trace"); home != "s1" {
-		t.Fatalf("load-aware placement chose %q, want the lightly loaded s1", home)
-	}
-	// The decision is sticky even after the load picture inverts.
-	loads.SetLoad("s0", 0)
-	if err := r.Report("fresh-trace"); err != nil {
-		t.Fatal(err)
-	}
-	if home, _ := r.Partitioner().Assigned("fresh-trace"); home != "s1" {
-		t.Fatal("home shard moved after a load change")
-	}
-	if len(recs["s1"].got) != 2 {
-		t.Fatalf("s1 saw %d events, want 2", len(recs["s1"].got))
-	}
-}
-
-func TestRouterLoadAwareFallsBackToHash(t *testing.T) {
-	recs := map[string]*recorder{"s0": {}, "s1": {}}
-	loads := pool.New([]string{"s0", "s1"}, 0, 0) // never sampled
-	r := newTestRouter(t, recs, WithLoadAware[string](loads))
-	plain := newTestRouter(t, map[string]*recorder{"s0": {}, "s1": {}})
-	for i := 0; i < 50; i++ {
-		trace := fmt.Sprintf("t%d", i)
-		if err := r.Report(trace); err != nil {
-			t.Fatal(err)
-		}
-		want := plain.Partitioner().Assign(trace)
-		if got, _ := r.Partitioner().Assigned(trace); got != want {
-			t.Fatalf("unsampled load-aware router diverged from hash: %q vs %q", got, want)
-		}
 	}
 }
 

@@ -2,9 +2,9 @@
 // append-only, segmented, per-record-checksummed log of opaque payloads
 // with a configurable durability policy. The poet collector appends one
 // record per ingested raw event (in ingestion order, which makes the
-// rebuilt linearization identical on replay) and truncates the log by
-// rotating to a fresh segment whenever a snapshot of the full state has
-// been made durable.
+// rebuilt linearization identical on replay). A log only grows: it
+// appends to its last segment, and it reads the earlier segments an
+// older build's rotations left behind.
 //
 // On-disk layout: a directory of numbered segment files
 // ("00000001.wal", "00000002.wal", ...), each opening with a 16-byte
@@ -21,7 +21,7 @@
 // counted, never silently dropped.
 //
 // A standalone segment (header index 0) written by Writer to any
-// io.Writer is the poet collector's dump and snapshot format; Read scans
+// io.Writer is the poet collector's dump format; Read scans
 // one from any io.Reader with the same code that replays the log.
 //
 // Durability is a policy, not a promise: SyncAlways fsyncs before an
@@ -135,7 +135,7 @@ func writeRecord(w *bufio.Writer, rh *[recHeaderSize]byte, payload []byte) error
 	return err
 }
 
-// Writer writes one standalone segment — a dump or a snapshot — to an
+// Writer writes one standalone segment — a dump — to an
 // io.Writer: the header, then one framed record per Append, in 64 KiB
 // writes. Errors stick and surface at Flush. Read reads it back.
 type Writer struct {
@@ -202,8 +202,6 @@ type Metrics struct {
 	Fsyncs *telemetry.Counter
 	// FsyncNs records per-fsync latency in nanoseconds.
 	FsyncNs *telemetry.Histogram
-	// Rotations counts segment rotations.
-	Rotations *telemetry.Counter
 }
 
 // NewMetrics registers the standard WAL metric set on reg and returns
@@ -218,13 +216,11 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		AppendNs:    reg.Histogram("wal_append_ns", "Write-ahead log append latency (checksum + buffered write) in nanoseconds."),
 		Fsyncs:      reg.Counter("wal_fsyncs_total", "Fsyncs of the active write-ahead log segment."),
 		FsyncNs:     reg.Histogram("wal_fsync_ns", "Write-ahead log fsync latency in nanoseconds."),
-		Rotations:   reg.Counter("wal_rotations_total", "Write-ahead log segment rotations."),
 	}
 }
 
 // Log is an open write-ahead log. Append/Commit are safe for concurrent
-// use; Rotate and RemoveSegmentsBefore coordinate with appends through
-// the same lock.
+// use.
 type Log struct {
 	dir  string
 	opts Options
@@ -232,7 +228,6 @@ type Log struct {
 	mu      sync.Mutex
 	f       *os.File
 	w       *bufio.Writer
-	seg     uint64              // current segment index
 	seq     int64               // records appended this process lifetime
 	err     error               // sticky write failure
 	metrics *Metrics            // nil when uninstrumented; read under mu
@@ -338,7 +333,7 @@ func Open(dir string, opts Options, fn func(payload []byte) error) (*Log, Replay
 			_ = f.Close()
 			return nil, stats, fmt.Errorf("wal: seeking segment %d: %w", lastSeg, err)
 		}
-		l.f, l.w, l.seg = f, bufio.NewWriterSize(f, 1<<18), lastSeg
+		l.f, l.w = f, bufio.NewWriterSize(f, 1<<18)
 	}
 	if opts.Policy != SyncAlways {
 		l.flusher.Add(1)
@@ -425,7 +420,7 @@ func scanSegment(path string, fn func([]byte) error) (ReplayStats, int64, error)
 	return stats, good, nil
 }
 
-// Read replays one segment — a dump or snapshot NewWriter wrote, or a
+// Read replays one segment — a dump NewWriter wrote, or a
 // log segment — from r through fn, as Replay does a directory: a torn
 // or corrupt record ends the scan and is reported in the stats, never
 // as an error. Input without a segment header is ErrNoHeader. The
@@ -526,8 +521,8 @@ func readPayload(br *bufio.Reader, n int) (b []byte, err error) {
 	return b, err
 }
 
-// openSegment creates segment idx and makes it current. Caller holds no
-// locks (Open) or l.mu (rotate).
+// openSegment creates segment idx and makes it current. Open calls it
+// before the log is shared.
 func (l *Log) openSegment(idx uint64) error {
 	f, err := os.OpenFile(filepath.Join(l.dir, segName(idx)), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
@@ -539,7 +534,7 @@ func (l *Log) openSegment(idx uint64) error {
 		return fmt.Errorf("wal: writing segment header: %w", err)
 	}
 	syncDir(l.dir)
-	l.f, l.w, l.seg = f, bufio.NewWriterSize(f, 1<<18), idx
+	l.f, l.w = f, bufio.NewWriterSize(f, 1<<18)
 	return nil
 }
 
@@ -679,62 +674,6 @@ func (l *Log) flushLoop() {
 	}
 }
 
-// Rotate fsyncs and closes the current segment and starts a fresh one,
-// returning the new segment's index: every record appended before the
-// call lives in a segment with a smaller index. The poet collector
-// calls this under its ingestion lock when cutting a snapshot, so the
-// snapshot plus segments >= the returned index is a complete state.
-func (l *Log) Rotate() (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return 0, errors.New("wal: log closed")
-	}
-	if err := l.flushLocked(true); err != nil {
-		return 0, err
-	}
-	target := l.seq
-	if err := l.f.Close(); err != nil && l.err == nil {
-		l.err = fmt.Errorf("wal: closing segment: %w", err)
-		return 0, l.err
-	}
-	if err := l.openSegment(l.seg + 1); err != nil {
-		if l.err == nil {
-			l.err = err
-		}
-		return 0, err
-	}
-	l.syncMu.Lock()
-	if target > l.synced {
-		l.synced = target
-	}
-	l.syncMu.Unlock()
-	if m := l.metrics; m != nil {
-		m.Rotations.Inc()
-	}
-	return l.seg, nil
-}
-
-// RemoveSegmentsBefore deletes every segment with an index below idx —
-// called after a snapshot covering those records has been made durable.
-func (l *Log) RemoveSegmentsBefore(idx uint64) error {
-	idxs, err := listSegments(l.dir)
-	if err != nil {
-		return fmt.Errorf("wal: listing segments: %w", err)
-	}
-	var first error
-	for _, i := range idxs {
-		if i >= idx {
-			continue
-		}
-		if err := os.Remove(filepath.Join(l.dir, segName(i))); err != nil && first == nil {
-			first = fmt.Errorf("wal: removing segment %d: %w", i, err)
-		}
-	}
-	syncDir(l.dir)
-	return first
-}
-
 // Appended returns the number of records appended this process
 // lifetime (the latest sequence number).
 func (l *Log) Appended() int64 {
@@ -743,14 +682,8 @@ func (l *Log) Appended() int64 {
 	return l.seq
 }
 
-// Segment returns the current segment index.
-func (l *Log) Segment() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seg
-}
-
-// Close flushes, fsyncs, and closes the log. Idempotent.
+// Close flushes, fsyncs, and closes the log. Idempotent. Its fsync
+// counts as a Commit's for every record appended before it.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -763,9 +696,9 @@ func (l *Log) Close() error {
 		close(l.stop)
 		l.flusher.Wait()
 	}
+	err := l.Sync()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	err := l.flushLocked(true)
 	if cerr := l.f.Close(); cerr != nil && err == nil {
 		err = fmt.Errorf("wal: close: %w", cerr)
 	}

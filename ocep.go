@@ -76,9 +76,6 @@ type (
 	// DispatchStats are a MonitorSet's shared class-index dispatcher
 	// counters; see MonitorSet.DispatchStats.
 	DispatchStats = core.DispatchStats
-	// BackpressurePolicy selects what an asynchronous subscriber lagging
-	// past its depth does: block ingestion, or skip that subscriber ahead.
-	BackpressurePolicy = poet.BackpressurePolicy
 	// DeliveryStats are one async monitor's delivery counters.
 	DeliveryStats = poet.DeliveryStats
 	// Reporter streams raw events to a POET server with acknowledged,
@@ -98,8 +95,8 @@ type (
 	MonitorClientStats = poet.MonitorClientStats
 	// WireStats are a server's cumulative fault-tolerance counters.
 	WireStats = poet.WireStats
-	// Durability write-ahead-logs a collector's ingestion and manages
-	// its snapshots; see OpenDurable.
+	// Durability write-ahead-logs a collector's ingestion; see
+	// OpenDurable.
 	Durability = poet.Durability
 	// DurableOptions configures OpenDurable.
 	DurableOptions = poet.DurableOptions
@@ -178,27 +175,16 @@ const (
 	SyncNone = poet.SyncNone
 )
 
-// OpenDurable opens (or creates) a data directory, recovers its snapshot
-// and write-ahead log into c, and attaches write-ahead logging to c's
+// OpenDurable opens (or creates) a data directory, recovers its
+// write-ahead log into c, and attaches write-ahead logging to c's
 // ingestion, making the collector crash-durable. Close the returned
-// Durability on shutdown for a final snapshot.
+// Durability on shutdown to sync and close the log.
 func OpenDurable(c *Collector, opts DurableOptions) (*Durability, error) {
 	return poet.OpenDurable(c, opts)
 }
 
 // ParseSyncPolicy parses "always", "interval", or "none".
 func ParseSyncPolicy(s string) (SyncPolicy, error) { return poet.ParseSyncPolicy(s) }
-
-// Backpressure policies for WithBackpressure.
-const (
-	// BackpressureBlock throttles Report to the slowest monitor; no
-	// event is lost.
-	BackpressureBlock = poet.BackpressureBlock
-	// BackpressureDrop evicts a subscriber lagging past its depth: it
-	// keeps the gap-free prefix it was handed and gets nothing more, and
-	// DeliveryStats.Dropped counts what it lagged behind by.
-	BackpressureDrop = poet.BackpressureDrop
-)
 
 // Event kinds.
 const (
@@ -265,7 +251,6 @@ type config struct {
 	async      bool
 	queueDepth int
 	maxBatch   int
-	policy     BackpressurePolicy
 	reg        *Registry
 	labels     []MetricLabel
 }
@@ -317,21 +302,6 @@ func WithQueueDepth(n int) Option {
 // poet.DefaultMaxBatch). Only meaningful with WithAsyncDelivery.
 func WithMaxBatch(n int) Option {
 	return func(c *config) { c.maxBatch = n }
-}
-
-// WithBackpressure selects what lagging past the depth does. Only
-// BackpressureBlock (the default: ingestion throttles to the slowest
-// monitor) is valid for a Monitor: NewMonitor rejects BackpressureDrop
-// with WithAsyncDelivery, because the matcher needs the whole stream: an
-// evicted monitor would silently stop matching. Evicting remains available
-// where a consumer can start over: a raw batch subscriber
-// (Collector.SubscribeBatch) is evicted once it lags past its depth — it
-// keeps the gap-free prefix it was handed, gets nothing more, and
-// DeliveryStats.Dropped counts what it lagged behind by — and the TCP
-// server disconnects an evicted monitor connection, which resumes from
-// its offset. Only meaningful with WithAsyncDelivery.
-func WithBackpressure(p BackpressurePolicy) Option {
-	return func(c *config) { c.policy = p }
 }
 
 // WithReportAll switches to exhaustive per-trigger enumeration and
@@ -477,9 +447,6 @@ func NewMonitor(source string, options ...Option) (*Monitor, error) {
 	m := &Monitor{pat: pat}
 	for _, o := range options {
 		o(&m.cfg)
-	}
-	if m.cfg.async && m.cfg.policy == BackpressureDrop {
-		return nil, fmt.Errorf("ocep: WithBackpressure(BackpressureDrop) is incompatible with WithAsyncDelivery: the matcher needs the whole stream, and an evicted monitor would silently stop matching; use BackpressureBlock, or Collector.SubscribeBatch for a raw subscriber that can start over")
 	}
 	m.instrument()
 	m.matcher = core.NewMatcher(pat, m.cfg.opts)
@@ -673,7 +640,6 @@ func (m *Monitor) attachAsync(c *Collector) {
 	opts := poet.AsyncOptions{
 		QueueDepth: m.cfg.queueDepth,
 		MaxBatch:   m.cfg.maxBatch,
-		Policy:     m.cfg.policy,
 		OnTrace: func(t TraceID, name string) {
 			m.mu.Lock()
 			m.matcher.NameTrace(t, name)

@@ -258,7 +258,7 @@ func TestShardedTierSurvivesShardFailover(t *testing.T) {
 	s0 := startPoetdShard(t, poetd, addr0, m0, 0, spec, out)
 	defer proctest.KillIfAlive(s0)
 	s1p := startPoetdShard(t, poetd, addr1p, m1p, 1, spec, out,
-		"-data-dir", t.TempDir(), "-fsync", "always", "-snapshot-every", "64")
+		"-data-dir", t.TempDir(), "-fsync", "always")
 	defer proctest.KillIfAlive(s1p)
 	s1s := startPoetdShard(t, poetd, addr1s, m1s, 1, spec, out,
 		"-follow", addr1p,

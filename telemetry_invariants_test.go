@@ -346,12 +346,12 @@ func TestTelemetryInvariantsDurableRecovery(t *testing.T) {
 	dir := t.TempDir()
 	n := int64(len(events))
 
-	// First incarnation: durable ingestion, no snapshot (SnapshotEvery
-	// < 0 and no Close), so the WAL alone carries the state.
+	// First incarnation: durable ingestion and no Close, so the WAL
+	// alone carries the state.
 	reg1 := ocep.NewRegistry()
 	c1 := ocep.NewCollector()
 	d1, err := ocep.OpenDurable(c1, ocep.DurableOptions{
-		Dir: dir, Fsync: ocep.SyncAlways, SnapshotEvery: -1,
+		Dir: dir, Fsync: ocep.SyncAlways,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -380,7 +380,6 @@ func TestTelemetryInvariantsDurableRecovery(t *testing.T) {
 	if got := reg1.FindHistogram("wal_fsync_ns").Count(); got != fsyncs {
 		t.Errorf("fsync latency histogram count %d != fsyncs %d", got, fsyncs)
 	}
-	metricEq(t, reg1, "poet_snapshots_total", 0)
 	// Crash: d1 is abandoned without Close. Its file handle leaks for
 	// the remainder of the test process, exactly like a SIGKILL.
 	_ = d1
@@ -389,7 +388,7 @@ func TestTelemetryInvariantsDurableRecovery(t *testing.T) {
 	reg2 := ocep.NewRegistry()
 	c2 := ocep.NewCollector()
 	d2, err := ocep.OpenDurable(c2, ocep.DurableOptions{
-		Dir: dir, Fsync: ocep.SyncAlways, SnapshotEvery: -1,
+		Dir: dir, Fsync: ocep.SyncAlways,
 	})
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
@@ -406,11 +405,13 @@ func TestTelemetryInvariantsDurableRecovery(t *testing.T) {
 		t.Errorf("recovered collector delivered %d, want %d", got, n)
 	}
 
-	// Clean shutdown writes the final snapshot and counts it.
+	// Clean shutdown appends nothing: Close flushes and fsyncs the log.
+	fsyncs = reg2.Value("wal_fsyncs_total")
 	if err := d2.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if got := reg2.Value("poet_snapshots_total"); got < 1 {
-		t.Errorf("poet_snapshots_total = %d after Close, want >= 1", got)
+	metricEq(t, reg2, "wal_appends_total", 0)
+	if got := reg2.Value("wal_fsyncs_total"); got != fsyncs+1 {
+		t.Errorf("wal_fsyncs_total = %d after Close, want %d", got, fsyncs+1)
 	}
 }
