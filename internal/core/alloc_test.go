@@ -3,21 +3,20 @@ package core_test
 import "testing"
 
 // TestTriggerNoMatchAllocatesNothing is the allocation regression guard
-// of the search kernel: with named traces, feeding
-// a triggering event whose search completes no match performs zero heap
-// allocations — the search, its scratch and its per-level conflict
-// buffers all come from the matcher's pool. One run feeds one execution
+// of the search kernel: with named traces, feeding a triggering event
+// whose search completes no match performs zero heap allocations — the
+// search, its scratch and its per-level conflict buffers all come from
+// the matcher's free list. It holds under -race too: the list, unlike a
+// sync.Pool, never drops what is put back. One run feeds one execution
 // of the lockstep workload (8 events, one triggering event searched over
-// 21 traces), so a single allocation per trigger would report at least 1; what the
-// average tolerates is the amortized growth of the retained state (the
-// store and the histories double a few dozen times over the run).
+// 21 traces), so a single allocation per trigger would report at least
+// 1; what the average tolerates is the amortized growth of the retained
+// state (the store and the histories double a few dozen times over the
+// run).
 func TestTriggerNoMatchAllocatesNothing(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool discards at random under the race detector")
-	}
 	const (
 		threads = 20
-		warm    = 32 * 8 * threads // fill the pool, size the buffers
+		warm    = 32 * 8 * threads // fill the free list, size the buffers
 		runs    = 2000
 	)
 	evs := lockstepRounds(threads, (warm+8*(runs+1))/(8*threads)+1)

@@ -1,28 +1,26 @@
 package core
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // budget is the per-trigger resource governor: one instance is created
 // per trigger (when any of MaxTriggerSteps, TriggerDeadline or
 // MaxTriggerMatches is set) and shared by every search that serves the
-// trigger — the parallel top-level workers and the GuaranteeCoverage
-// pinned sweeps — so the configured ceiling bounds the trigger's total
-// work, not each worker's. All state is atomic: a worker that exhausts
-// the budget cancels every other worker at its next step check.
+// trigger — the main search and the GuaranteeCoverage pinned sweeps,
+// which run one after another — so the configured ceiling bounds the
+// trigger's total work, not each search's. Once exhausted it stays
+// exhausted, and every later search of the trigger stops at its first
+// check.
 //
 // A nil *budget is valid and means "unlimited"; every method is a
 // nil-safe no-op, so the un-governed fast path costs one nil check.
 type budget struct {
-	maxSteps int64
-	maxFound int64
+	maxSteps int
+	maxFound int
 	deadline time.Time
 
-	steps     atomic.Int64
-	found     atomic.Int64
-	exhausted atomic.Bool
+	steps     int
+	found     int
+	exhausted bool
 }
 
 // deadlinePollMask throttles the time.Now() syscall on the step path:
@@ -37,8 +35,8 @@ func newBudget(opts Options) *budget {
 		return nil
 	}
 	b := &budget{
-		maxSteps: int64(opts.MaxTriggerSteps),
-		maxFound: int64(opts.MaxTriggerMatches),
+		maxSteps: opts.MaxTriggerSteps,
+		maxFound: opts.MaxTriggerMatches,
 	}
 	if opts.TriggerDeadline > 0 {
 		b.deadline = time.Now().Add(opts.TriggerDeadline)
@@ -48,60 +46,35 @@ func newBudget(opts Options) *budget {
 
 // step consumes one search step (a goForward candidate-loop iteration)
 // and reports whether the search may continue. False means the budget
-// is exhausted — by this worker or any other sharing the budget.
+// is exhausted.
 func (b *budget) step() bool {
 	if b == nil {
 		return true
 	}
-	if b.exhausted.Load() {
+	if b.exhausted {
 		return false
 	}
-	n := b.steps.Add(1)
-	if b.maxSteps > 0 && n > b.maxSteps {
-		b.exhausted.Store(true)
-		return false
+	b.steps++
+	if b.maxSteps > 0 && b.steps > b.maxSteps {
+		b.exhausted = true
+	} else if !b.deadline.IsZero() && b.steps&deadlinePollMask == 0 && time.Now().After(b.deadline) {
+		b.exhausted = true
 	}
-	if !b.deadline.IsZero() && n&deadlinePollMask == 0 && time.Now().After(b.deadline) {
-		b.exhausted.Store(true)
-		return false
-	}
-	return true
+	return !b.exhausted
 }
 
-// out reports whether the budget has been exhausted, possibly by
-// another worker.
-func (b *budget) out() bool { return b != nil && b.exhausted.Load() }
+// out reports whether the budget has been exhausted.
+func (b *budget) out() bool { return b != nil && b.exhausted }
 
-// matchVerdict is noteMatch's decision about one complete match.
-type matchVerdict int
-
-const (
-	// matchReport: report the match; capacity remains.
-	matchReport matchVerdict = iota
-	// matchLast: report the match, then abort — it consumed the final
-	// MaxTriggerMatches slot.
-	matchLast
-	// matchOver: suppress the match entirely — a concurrent worker
-	// already consumed the final slot. Guarantees the reported count
-	// never exceeds the cap under ParallelTraces.
-	matchOver
-)
-
-// noteMatch accounts one complete match against MaxTriggerMatches. The
-// counter is shared across parallel workers, so the cap bounds the
-// trigger's total reported matches, not each worker's.
-func (b *budget) noteMatch() matchVerdict {
+// noteMatch accounts one complete match against MaxTriggerMatches: the
+// match that fills the cap is still reported, and it exhausts the
+// budget, so the search stops at its next step check.
+func (b *budget) noteMatch() {
 	if b == nil || b.maxFound <= 0 {
-		return matchReport
+		return
 	}
-	n := b.found.Add(1)
-	switch {
-	case n < b.maxFound:
-		return matchReport
-	case n == b.maxFound:
-		b.exhausted.Store(true)
-		return matchLast
-	default:
-		return matchOver
+	b.found++
+	if b.found >= b.maxFound {
+		b.exhausted = true
 	}
 }

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"ocep/internal/bench"
@@ -12,8 +13,9 @@ import (
 // This file is the case-study half of the compiled-vs-interpreted
 // differential suite: on each of the four paper workloads the compiled
 // execution must reproduce the interpreted reference's match sets,
-// truncation flags and counters exactly — including under a search
-// budget that never fires and one that fires on every trigger. The
+// truncation flags, coverage and counters exactly — including under a
+// search budget that never fires, one that fires on every trigger, and
+// the GuaranteeCoverage pinned sweeps. The
 // random-pattern half is TestRandomPatternsCompiledMatchesInterpreted
 // and FuzzCompiledVsInterpreted.
 
@@ -51,12 +53,16 @@ func runDiff(t *testing.T, w *bench.Workload, pat *pattern.Compiled, label strin
 	if cs != is {
 		t.Fatalf("%s: stats diverged:\ncompiled    %+v\ninterpreted %+v", label, cs, is)
 	}
+	if cc, ic := cm.Coverage(), im.Coverage(); !reflect.DeepEqual(cc, ic) {
+		t.Fatalf("%s: coverage diverged:\ncompiled    %v\ninterpreted %v", label, cc, ic)
+	}
 	return cs
 }
 
 // TestCompiledDifferentialCaseStudies runs the differential on all four
 // paper case studies in the paper's reporting mode, then under a
-// never-firing and an always-firing search budget.
+// never-firing and an always-firing search budget, then with the
+// GuaranteeCoverage pinned sweeps.
 func TestCompiledDifferentialCaseStudies(t *testing.T) {
 	events := 6_000
 	if testing.Short() {
@@ -75,6 +81,10 @@ func TestCompiledDifferentialCaseStudies(t *testing.T) {
 		// aborts immediately, so the truncation flags and TriggersAborted
 		// accounting are exercised on every trigger.
 		{"budget-always", func(o *core.Options) { o.MaxTriggerSteps = 1 }},
+		// Pinned sweeps: each draws a search from the free list while the
+		// trigger's main search is still out; the interpreted reference
+		// allocates every search afresh.
+		{"coverage-guaranteed", func(o *core.Options) { o.GuaranteeCoverage = true }},
 	}
 	for _, c := range bench.Cases {
 		w, err := bench.Generate(bench.GenConfig{Case: c, Traces: 4, TargetEvents: events, Seed: 7})

@@ -6,7 +6,7 @@ import (
 )
 
 // The interpreted execution (the per-leaf class scan in advance, the Rel
-// matrix in search.rel, the k×k scan in checkLim, unpooled search state)
+// matrix in search.rel, the k×k scan in checkLim, fresh search state)
 // is the reference the compiled execution is differentially tested
 // against. These constructors are the only way to select it, and they
 // exist only in this package's test binary.

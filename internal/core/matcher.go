@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -41,35 +40,26 @@ type Options struct {
 	// per-trigger enumeration finds is reported, which is how the
 	// paper's Figure 3 presents per-arrival results.
 	RepresentativeOnly bool
-	// CoverageSkip skips, while searching, traces whose (leaf, trace)
-	// pair is already covered. This bounds work per event further but
-	// may leave other pairs uncovered; it is an approximate mode kept
-	// for the ablation study.
-	CoverageSkip bool
 	// MaxTriggerMatches aborts a single trigger's search after this
 	// many complete matches (0 = unlimited). A safety valve for
-	// adversarial inputs. Under ParallelTraces > 1 the cap is enforced
-	// by an atomic counter shared across the top-level workers, so the
-	// reported count never exceeds the cap; which particular matches
-	// fill the cap is then timing-dependent (the sequential and parallel
-	// runs may report different — but equally sized — subsets). A
-	// trigger aborted by the cap counts in Stats.TriggersAborted and
-	// its matches carry Match.Truncated.
+	// adversarial inputs. The count spans the trigger's main search and
+	// its GuaranteeCoverage pinned sweeps. A trigger aborted by the cap
+	// counts in Stats.TriggersAborted and its matches carry
+	// Match.Truncated.
 	MaxTriggerMatches int
 	// MaxTriggerSteps bounds the searched volume of a single trigger:
 	// the search aborts cleanly after this many goForward candidate
 	// steps (0 = unlimited). The triggering event is still appended to
 	// the histories, so the stream stays consistent; the abort is
-	// surfaced via Stats.TriggersAborted and Match.Truncated. Under
-	// ParallelTraces the counter is a shared atomic, so the ceiling
-	// bounds the trigger's total work and exhaustion cancels every
-	// worker.
+	// surfaced via Stats.TriggersAborted and Match.Truncated. The
+	// trigger's main search and its GuaranteeCoverage pinned sweeps
+	// draw on one count, so the ceiling bounds the trigger's total work.
 	MaxTriggerSteps int
 	// TriggerDeadline bounds the wall-clock time of a single trigger's
 	// search (0 = unlimited). The deadline is polled every 64 steps of
 	// the step counter, so an exhausted trigger overruns it by at most
 	// a few microseconds of candidate work. Same surfacing and
-	// parallel-sharing semantics as MaxTriggerSteps.
+	// sharing with the pinned sweeps as MaxTriggerSteps.
 	TriggerDeadline time.Duration
 	// MaxHistoryPerTrace caps the retained entries of each (leaf,
 	// trace) history (0 = unlimited). When a history exceeds the cap
@@ -89,14 +79,6 @@ type Options struct {
 	// enumeration is best-effort for patterns whose constraints are
 	// not monotone in candidate choice, e.g. mixed order/concurrency).
 	GuaranteeCoverage bool
-	// ParallelTraces, when greater than 1, explores the top
-	// backtracking level's traces concurrently with that many workers —
-	// the parallelism the paper's Section VI suggests ("each of these
-	// traces represents a subtree in the total search space"). The
-	// reported match SET is unchanged (report order may differ);
-	// incompatible with RepresentativeOnly, CoverageSkip and
-	// GuaranteeCoverage, which fall back to sequential search.
-	ParallelTraces int
 	// StaticOrder uses the compile-time evaluation order of the
 	// pattern tree (the paper's Order attribute) instead of the dynamic
 	// most-constrained-first ordering. Dynamic ordering can be orders
@@ -179,15 +161,15 @@ type Matcher struct {
 	// prog is the compiled execution form of pat.
 	prog *pattern.Program
 	// compiled selects the compiled execution: type-indexed event
-	// dispatch, flattened constraint tables, pooled search state. Always
+	// dispatch, flattened constraint tables, reused search state. Always
 	// set outside this package's tests; export_test.go clears it to run
 	// the interpreted advance/rel/checkLim, the reference the
 	// differential and fuzz suites compare the compiled execution with.
 	compiled bool
-	// searches pools *search values between triggers (compiled path
-	// only; see pool.go).
-	searches sync.Pool
-	hist     []*history
+	// free holds the *search values parked between searches (compiled
+	// path only; see pool.go).
+	free []*search
+	hist []*history
 	// covered[leaf][trace] marks (leaf, trace) pairs already present in
 	// a reported match; the representative subset is complete when every
 	// pair that occurs in some match is covered.
@@ -200,9 +182,6 @@ type Matcher struct {
 	evictable bool
 	// external marks a shared store: Feed validates instead of appends.
 	external bool
-	// coverMu guards covered and the shared Stats when ParallelTraces
-	// workers run; uncontended in sequential mode.
-	coverMu sync.Mutex
 	// comm counts, per trace, the communication events fed so far. The
 	// matcher keeps its own counters (rather than using the store's) so
 	// the duplicate rule sees delivery-time counts even when the shared
@@ -217,7 +196,8 @@ type Matcher struct {
 	extBase int64
 	// domainHist, when non-nil, records the size of every computed
 	// per-trace candidate domain (after the GP/LS interval restriction
-	// prunes it). Observe is lock-free, so parallel workers share it.
+	// prunes it). Observe is lock-free, so the histogram may be read
+	// while the matcher is fed.
 	domainHist *telemetry.Histogram
 }
 
@@ -309,8 +289,6 @@ type CoveredPair struct {
 // pair, some reported match contained an event of that leaf's class on
 // that trace. Pairs are ordered by leaf then trace.
 func (m *Matcher) Coverage() []CoveredPair {
-	m.coverMu.Lock()
-	defer m.coverMu.Unlock()
 	var out []CoveredPair
 	for leaf, row := range m.covered {
 		for tr, ok := range row {
@@ -576,11 +554,8 @@ func (m *Matcher) isCovered(leaf int, trace event.TraceID) bool {
 	return int(trace) < len(row) && row[trace]
 }
 
-// cover marks the pair and reports whether it was new. Guarded so
-// parallel top-level workers can report concurrently.
+// cover marks the pair and reports whether it was new.
 func (m *Matcher) cover(leaf int, trace event.TraceID) bool {
-	m.coverMu.Lock()
-	defer m.coverMu.Unlock()
 	for int(trace) >= len(m.covered[leaf]) {
 		m.covered[leaf] = append(m.covered[leaf], false)
 	}
@@ -601,15 +576,8 @@ type search struct {
 	// staticOrder, when non-nil, fixes the evaluation order
 	// (Options.StaticOrder).
 	staticOrder []int
-	// stats receives this search's counter increments: the matcher's
-	// own counters in sequential mode, a worker-local struct when the
-	// top level runs in parallel.
-	stats *Stats
-	// topFilter, when non-nil, restricts the traces explored at level 1
-	// (parallel worker partitioning).
-	topFilter func(tr int) bool
-	assigned  []*event.Event
-	env       *pattern.Env
+	assigned    []*event.Event
+	env         *pattern.Env
 	// confl[li] is the conflict buffer of backtracking level li: place(li)
 	// truncates it on entry, appends the level's empty-domain causes and
 	// hands it out as placeResult.conflicts. Ownership rule: confl[li] is
@@ -620,10 +588,9 @@ type search struct {
 	// back into place(li). So no buffer is read after it is reused.
 	confl   [][]conflict
 	matches []Match
-	// bud is the trigger's shared resource budget (nil = unlimited).
-	// Parallel workers and pinned sweeps all hold the same instance.
-	bud     *budget
-	aborted bool
+	// bud is the trigger's resource budget (nil = unlimited). The main
+	// search and its pinned sweeps hold the same instance.
+	bud *budget
 	// pinned search mode (GuaranteeCoverage): pinLeaf must be matched
 	// on pinTrace, and the search stops at the first complete match.
 	pinLeaf   int // -1 when not pinned
@@ -639,28 +606,6 @@ func (s *search) rel(i, j int) pattern.Rel {
 		return s.m.prog.Rel(i, j)
 	}
 	return s.m.pat.Rel[i][j]
-}
-
-// exhausted reports whether this search must stop: it aborted itself,
-// or any search sharing the trigger budget exhausted it.
-func (s *search) exhausted() bool {
-	if !s.aborted && s.bud.out() {
-		s.aborted = true
-	}
-	return s.aborted
-}
-
-// budgetStep consumes one step of the trigger budget; false aborts the
-// search.
-func (s *search) budgetStep() bool {
-	if s.aborted {
-		return false
-	}
-	if !s.bud.step() {
-		s.aborted = true
-		return false
-	}
-	return true
 }
 
 // placeResult reports the outcome of placing one level (and everything
@@ -682,7 +627,6 @@ type placeResult struct {
 func (m *Matcher) trigger(trig int, e *event.Event) []Match {
 	s := m.newSearch()
 	defer m.release(s)
-	s.stats = &m.stats
 	s.bud = newBudget(m.opts)
 	if m.opts.StaticOrder {
 		s.staticOrder = m.pat.Orders[trig]
@@ -693,18 +637,15 @@ func (m *Matcher) trigger(trig int, e *event.Event) []Match {
 	m.stats.Triggers++
 	s.levelLeaf[0] = trig
 	s.assigned[trig] = e
-	switch {
-	case m.pat.K() == 1:
+	if m.pat.K() == 1 {
 		s.complete()
-	case m.parallelWorkers() > 1:
-		s.matches = m.parallelTrigger(trig, e, s.bud)
-	default:
+	} else {
 		s.place(1)
 	}
-	if m.opts.GuaranteeCoverage && !s.exhausted() {
+	if m.opts.GuaranteeCoverage {
 		m.pinnedSweep(trig, e, s)
 	}
-	if s.exhausted() {
+	if s.bud.out() {
 		// Budget exhausted (steps, deadline or match cap): the event is
 		// already in the histories, so the stream stays consistent; the
 		// degradation is surfaced, not silent.
@@ -716,71 +657,6 @@ func (m *Matcher) trigger(trig int, e *event.Event) []Match {
 	return s.matches
 }
 
-// parallelWorkers returns the effective top-level worker count.
-// Parallelism is disabled for the reporting modes whose decisions depend
-// on global enumeration order. MaxTriggerMatches is NOT such a mode: the
-// cap is enforced by an atomic counter shared across workers (see
-// budget.noteMatch), so the reported count is exact — a worker that
-// completes a match after another worker consumed the final slot
-// suppresses it. Only the choice of which matches fill the cap is
-// timing-dependent under parallelism, which the option documents.
-func (m *Matcher) parallelWorkers() int {
-	if m.opts.ParallelTraces <= 1 || m.opts.RepresentativeOnly ||
-		m.opts.CoverageSkip || m.opts.GuaranteeCoverage {
-		return 1
-	}
-	return m.opts.ParallelTraces
-}
-
-// parallelTrigger explores the top backtracking level's traces with a
-// pool of worker searches (Section VI's observation that each trace of a
-// backtracking level roots an independent subtree). Each worker owns its
-// environment, assignment and counters; the matcher's counters receive
-// the summed deltas and the reported match set equals the sequential
-// one (the report order may differ).
-func (m *Matcher) parallelTrigger(trig int, e *event.Event, bud *budget) []Match {
-	workers := m.parallelWorkers()
-	traceName := m.store.TraceName(e.ID.Trace)
-	results := make([][]Match, workers)
-	deltas := make([]Stats, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ws := m.newSearch()
-			defer m.release(ws)
-			ws.stats = &deltas[w]
-			ws.bud = bud
-			ws.topFilter = func(tr int) bool { return tr%workers == w }
-			if m.opts.StaticOrder {
-				ws.staticOrder = m.pat.Orders[trig]
-			}
-			if !m.pat.Leaves[trig].Class.MatchEvent(e, traceName, ws.env) {
-				return
-			}
-			ws.levelLeaf[0] = trig
-			ws.assigned[trig] = e
-			ws.place(1)
-			results[w] = ws.matches
-		}(w)
-	}
-	wg.Wait()
-	var out []Match
-	for w := 0; w < workers; w++ {
-		out = append(out, results[w]...)
-		m.stats.CandidatesTried += deltas[w].CandidatesTried
-		m.stats.DomainsComputed += deltas[w].DomainsComputed
-		m.stats.Backtracks += deltas[w].Backtracks
-		m.stats.Backjumps += deltas[w].Backjumps
-		m.stats.BackjumpSkips += deltas[w].BackjumpSkips
-		m.stats.CompleteMatches += deltas[w].CompleteMatches
-		m.stats.Reported += deltas[w].Reported
-		m.stats.Redundant += deltas[w].Redundant
-	}
-	return out
-}
-
 // pinnedSweep runs one first-match search per uncovered (leaf, trace)
 // pair, pinning the leaf to the trace, so the representative subset is
 // exactly the k*n guarantee of Section IV-B.
@@ -788,7 +664,7 @@ func (m *Matcher) pinnedSweep(trig int, e *event.Event, base *search) {
 	n := m.store.NumTraces()
 	for leafIdx := 0; leafIdx < m.pat.K(); leafIdx++ {
 		for tr := 0; tr < n; tr++ {
-			if base.exhausted() {
+			if base.bud.out() {
 				return // trigger budget spent: skip the remaining pairs
 			}
 			trace := event.TraceID(tr)
@@ -808,7 +684,7 @@ func (m *Matcher) pinnedSweep(trig int, e *event.Event, base *search) {
 }
 
 // pinnedOne runs one pinned first-match search for the (leafIdx, trace)
-// pair, owning a search's lifecycle so its pooled state is released per
+// pair, owning a search's lifecycle so its reused state is released per
 // pair. ok is false when the trigger event no longer matches its leaf
 // under a fresh environment (the sweep stops entirely, as before).
 func (m *Matcher) pinnedOne(trig int, e *event.Event, bud *budget, leafIdx int, trace event.TraceID) (matches []Match, ok bool) {
@@ -817,7 +693,6 @@ func (m *Matcher) pinnedOne(trig int, e *event.Event, bud *budget, leafIdx int, 
 	s.pinLeaf = leafIdx
 	s.pinTrace = trace
 	s.stopFirst = true
-	s.stats = &m.stats
 	s.bud = bud
 	if m.opts.StaticOrder {
 		s.staticOrder = m.pat.Orders[trig]
@@ -945,20 +820,13 @@ func (s *search) place(li int) placeResult {
 		}
 	}
 	for tr := first; tr <= last; tr++ {
-		if li == 1 && s.topFilter != nil && !s.topFilter(tr) {
-			continue // another parallel worker owns this trace
-		}
-		if s.exhausted() {
+		if s.bud.out() {
 			res.valid = false
 			return s.explained(li, res)
 		}
 		trace := event.TraceID(tr)
 		if s.pinLeaf == leafIdx && trace != s.pinTrace {
 			res.valid = false
-			continue
-		}
-		if m.opts.CoverageSkip && s.pinLeaf == -1 && m.isCovered(leafIdx, trace) && !res.matched {
-			res.valid = false // skipped traces are unexplained
 			continue
 		}
 		cands, confl, structEmpty := s.domainOn(li, leafIdx, trace)
@@ -1015,13 +883,13 @@ func (s *search) tryCandidates(li int, leaf *pattern.Leaf, leafIdx int, trace ev
 	matchedAny := false
 	for ci := len(cands) - 1; ci >= 0; ci-- {
 		// goForward's step check: one budget unit per candidate-loop
-		// iteration, shared with every worker of the trigger.
-		if !s.budgetStep() {
+		// iteration, shared with the trigger's pinned sweeps.
+		if !s.bud.step() {
 			return traceOutcome{}
 		}
 		cand := cands[ci]
 		if int(cand.pos) > jumpBound {
-			s.stats.BackjumpSkips++
+			m.stats.BackjumpSkips++
 			continue
 		}
 		ev := m.store.Get(event.ID{Trace: trace, Index: int(cand.pos)})
@@ -1036,7 +904,7 @@ func (s *search) tryCandidates(li int, leaf *pattern.Leaf, leafIdx int, trace ev
 			continue
 		}
 		s.assigned[leafIdx] = ev
-		s.stats.CandidatesTried++
+		m.stats.CandidatesTried++
 		var sub placeResult
 		if li+1 == m.pat.K() {
 			sub = s.complete()
@@ -1053,7 +921,7 @@ func (s *search) tryCandidates(li int, leaf *pattern.Leaf, leafIdx int, trace ev
 			}
 			return traceOutcome{matched: true}
 		}
-		s.stats.Backtracks++
+		m.stats.Backtracks++
 		if m.opts.DisableBackjumping || !sub.valid {
 			continue // chronological backtracking
 		}
@@ -1074,17 +942,17 @@ func (s *search) tryCandidates(li int, leaf *pattern.Leaf, leafIdx int, trace ev
 		case !anyMine:
 			// Every conflict is caused by an earlier level (or is
 			// structural): changing this level cannot help.
-			s.stats.Backjumps++
+			m.stats.Backjumps++
 			return traceOutcome{hopeless: true, conflicts: sub.conflicts}
 		case mineUnbounded:
 			// Some conflict on this level has no provable bound.
 			continue
 		case mineMax <= 0:
 			// This level's conflicts demand pruning its whole trace.
-			s.stats.Backjumps++
+			m.stats.Backjumps++
 			return traceOutcome{matched: matchedAny}
 		default:
-			s.stats.Backjumps++
+			m.stats.Backjumps++
 			jumpBound = mineMax
 		}
 	}
@@ -1128,7 +996,7 @@ func (s *search) domainOn(li, leafIdx int, trace event.TraceID) ([]histEntry, co
 func (s *search) domainOnRestrict(li, leafIdx int, trace event.TraceID) ([]histEntry, conflict, bool) {
 	m := s.m
 	h := m.hist[leafIdx]
-	s.stats.DomainsComputed++
+	m.stats.DomainsComputed++
 	length := h.lastPos(int(trace))
 	if length == 0 {
 		return nil, conflict{}, true
@@ -1226,15 +1094,8 @@ func (s *search) complete() placeResult {
 	if !s.checkDisjuncts() || !s.checkLim() {
 		return placeResult{valid: false}
 	}
-	s.stats.CompleteMatches++
-	verdict := s.bud.noteMatch()
-	if verdict == matchOver {
-		// A concurrent worker consumed the final MaxTriggerMatches slot:
-		// suppress this match entirely — coverage untouched, nothing
-		// reported — so the cap bounds the reported set exactly.
-		s.aborted = true
-		return placeResult{matched: true}
-	}
+	m.stats.CompleteMatches++
+	s.bud.noteMatch() // the cap's last match is reported, then the search stops
 	newCoverage := false
 	for leafIdx, ev := range s.assigned {
 		if m.cover(leafIdx, ev.ID.Trace) {
@@ -1245,12 +1106,9 @@ func (s *search) complete() placeResult {
 		events := make([]*event.Event, len(s.assigned))
 		copy(events, s.assigned)
 		s.matches = append(s.matches, Match{Events: events, Bindings: s.env.Snapshot()})
-		s.stats.Reported++
+		m.stats.Reported++
 	} else {
-		s.stats.Redundant++
-	}
-	if verdict == matchLast {
-		s.aborted = true // the cap is spent: stop the search
+		m.stats.Redundant++
 	}
 	return placeResult{matched: true}
 }

@@ -10,19 +10,20 @@ import (
 // binding environment and one conflict buffer per backtracking level
 // (see search.confl for who may read and rewrite those). On the compiled
 // path the whole search — header and scratch — comes from the matcher's
-// pool, so a trigger that finds no match allocates nothing once the pool
-// and the buffers are warm; every search of a trigger (each parallel
-// worker, each pinned sweep) draws its own. The interpreted oracle path
-// never pools: it allocates fresh state per search, as the reference
-// implementation always did. Safe for concurrent use.
+// free list, so a trigger that finds no match allocates nothing once the
+// list and the buffers are warm. One goroutine feeds a matcher, so the
+// list needs no lock, and it holds at most two searches: a trigger's
+// main search and, under GuaranteeCoverage, the pinned sweep it runs
+// next. The interpreted oracle path never reuses: it allocates fresh
+// state per search, as the reference implementation always did.
 //
 // Pair with release, after the search's matches have been taken:
 // Match.Events is a fresh copy, so the matches outlive the search.
 func (m *Matcher) newSearch() *search {
-	if m.compiled {
-		if v := m.searches.Get(); v != nil {
-			return v.(*search)
-		}
+	if n := len(m.free); n > 0 {
+		s := m.free[n-1]
+		m.free = m.free[:n-1]
+		return s
 	}
 	k := m.pat.K()
 	return &search{
@@ -35,13 +36,13 @@ func (m *Matcher) newSearch() *search {
 	}
 }
 
-// release scrubs s and returns it to the pool (compiled path; a no-op on
-// the interpreted one). Scrubbing on release rather than on reuse drops
-// the event pointers promptly, so a pooled search never pins evicted
-// events against the garbage collector, and nothing of one search — its
-// assignment, bindings, conflicts, budget or matches — is visible to the
-// next. The conflict buffers keep their capacity; conflicts hold no
-// pointers.
+// release scrubs s and returns it to the free list (compiled path; a
+// no-op on the interpreted one). Scrubbing on release rather than on
+// reuse drops the event pointers promptly, so a parked search never pins
+// evicted events against the garbage collector, and nothing of one
+// search — its assignment, bindings, conflicts, budget or matches — is
+// visible to the next. The conflict buffers keep their capacity;
+// conflicts hold no pointers.
 func (m *Matcher) release(s *search) {
 	if !m.compiled {
 		return
@@ -60,5 +61,5 @@ func (m *Matcher) release(s *search) {
 		env:       s.env,
 		confl:     s.confl,
 	}
-	m.searches.Put(s)
+	m.free = append(m.free, s)
 }

@@ -169,19 +169,14 @@ func TestRandomPatternsAgainstOracle(t *testing.T) {
 // match multiset, the coverage set, and the Stats
 // counters.
 //
-// Counter contract: on the sequential search every counter is
-// path-independent — the compiled form changes the dispatch layer
-// (type-indexed join, flattened relation tables, pooled search state)
-// but never a search decision, so candidate enumeration order, backtrack
-// and backjump points are bit-identical and full Stats equality holds.
-// Counters that WOULD be allowed to differ are the ones downstream of a
-// nondeterministic schedule — under ParallelTraces, which matches fill
-// a MaxTriggerMatches cap and hence Backtracks/BackjumpSkips can vary
-// run to run — which is why this test pins the sequential path and
-// TestRandomPatternsParallelAgree covers parallel separately. The
-// directional invariant (compiled candidates never exceed interpreted
-// candidates) is asserted explicitly first, so if the equality contract
-// is ever deliberately relaxed the direction check must survive.
+// Counter contract: every counter is path-independent — the compiled
+// form changes the dispatch layer (type-indexed join, flattened relation
+// tables, reused search state) but never a search decision, so candidate
+// enumeration order, backtrack and backjump points are bit-identical and
+// full Stats equality holds. The directional invariant (compiled
+// candidates never exceed interpreted candidates) is asserted explicitly
+// first, so if the equality contract is ever deliberately relaxed the
+// direction check must survive.
 func TestRandomPatternsCompiledMatchesInterpreted(t *testing.T) {
 	rng := rand.New(rand.NewSource(161803))
 	types := []string{"a", "b", "c"}
@@ -257,48 +252,5 @@ func TestRandomPatternsCompiledMatchesInterpreted(t *testing.T) {
 	}
 	if compared == 0 {
 		t.Fatal("every generated pattern was rejected: the differential is vacuous")
-	}
-}
-
-// TestRandomPatternsParallelAgree fuzzes parallel against sequential
-// search over generated patterns.
-func TestRandomPatternsParallelAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(314159))
-	types := []string{"a", "b", "c"}
-	rounds := 30
-	if testing.Short() {
-		rounds = 8
-	}
-	for round := 0; round < rounds; round++ {
-		src := randomPatternSource(rng, types)
-		f, err := pattern.Parse(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pat, err := pattern.Compile(f)
-		if err != nil {
-			continue
-		}
-		st, evs := eventtest.Random(rng, eventtest.RandomConfig{
-			Traces: 4, Events: 60, SendProb: 0.3, RecvProb: 0.3, Types: types,
-		})
-		_, seq := feedAll(t, pat, st, evs, core.Options{DisablePruning: true})
-		_, par := feedAll(t, pat, st, evs, core.Options{DisablePruning: true, ParallelTraces: 3})
-		sk := map[string]int{}
-		for _, m := range seq {
-			sk[matchKey(m)]++
-		}
-		pk := map[string]int{}
-		for _, m := range par {
-			pk[matchKey(m)]++
-		}
-		if len(sk) != len(pk) {
-			t.Fatalf("round %d: distinct match sets differ (%d vs %d)\npattern:\n%s", round, len(sk), len(pk), src)
-		}
-		for k, v := range sk {
-			if pk[k] != v {
-				t.Fatalf("round %d: multiplicity differs for %s\npattern:\n%s", round, k, src)
-			}
-		}
 	}
 }

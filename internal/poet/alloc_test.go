@@ -618,7 +618,7 @@ func TestJournalBytesPerEvent(t *testing.T) {
 func TestReplicaTranscodeAllocs(t *testing.T) {
 	const n = 10000
 	rng := rand.New(rand.NewSource(5))
-	var j journal
+	var j jlog
 	model := make([]jrec, n)
 	for i := range model {
 		r := jrec{RawEvent: RawEvent{Trace: fmt.Sprintf("p%d", i%32), Seq: i/32 + 1, Kind: event.Kind(i % 3), Type: "step", Text: fmt.Sprintf("payload-%d", rng.Intn(1000)), MsgID: uint64(i)}}
@@ -675,7 +675,7 @@ func BenchmarkReplicateSpan(b *testing.B) {
 	j := journal{strs: make(stringTable)}
 	for i, e := range ringStream(32, 100000) {
 		e.Text = fmt.Sprintf("t%d", i%16)
-		j.record(nil, &e, nil)
+		j.record(nil, &e, 0)
 	}
 	fw := newFrameWriter(io.Discard)
 	stream := func() {

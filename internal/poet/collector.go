@@ -179,8 +179,9 @@ type Collector struct {
 	// gets global ID shardID + numShards*shardLocals.
 	shardLocals int
 	// remote holds each send delivered on a peer shard, supplied by
-	// SupplyRemoteSend; its MsgID's word in sends indexes it.
-	remote fifo.Queue[remoteSend]
+	// SupplyRemoteSend; its MsgID's word in sends indexes it, and so
+	// does the journal's recRemote record of it.
+	remote fifo.Queue[shardExport]
 	// exports is the cross-shard export log peer shards tail — an index
 	// of the delivered sends, not a view of the journal: a record needs
 	// the send's stamp, which exists only after delivery. A fifo nobody
@@ -301,7 +302,11 @@ func NewCollector() *Collector {
 // Nor does it release an event a synchronously attached monitor still
 // holds as a candidate (SubscribeReplayPinned): such a monitor matches
 // as one with a store of its own would, and pins no more than its
-// histories hold (MaxHistoryPerTrace bounds them).
+// histories hold. Only MaxHistoryPerTrace (ocep.WithHistoryCap) bounds
+// those histories: a synchronous monitor or MonitorSet member without
+// it keeps every candidate event of the store, so retention releases
+// nothing on the traces its leaves match (TestSyncMonitorUnderRetention
+// shows such a trace left uncompacted).
 //
 // Consequences of eviction, all surfaced loudly rather than silently:
 // monitor resumes (SubscribeBatchReplayFrom) below the trim point are
@@ -752,7 +757,7 @@ func (c *Collector) apply(raw RawEvent) error {
 		// Recorded in order with events, or trace numbering would differ
 		// on a replica or after recovery; an event's own record implies
 		// its trace's.
-		w = c.recordLocked(&raw, nil)
+		w = c.recordLocked(&raw)
 		c.fresh.Broadcast() // the journal grew
 	}
 	c.mu.Unlock()
@@ -766,7 +771,7 @@ func (c *Collector) applyLocked(raw *RawEvent, limit int) error {
 	var w walTicket
 	switch {
 	case err == nil:
-		w = c.recordLocked(raw, nil)
+		w = c.recordLocked(raw)
 		c.maybeTrimLocked()
 	case errors.Is(err, ErrStaleEvent):
 		c.tel.stale.Inc()
@@ -917,7 +922,7 @@ func (c *Collector) deliver(t event.TraceID, raw RawEvent) {
 			// the remote identity — the local store holds no event for it,
 			// so the back-patch below finds nil and skips.
 			rs := c.remote.At(int(w &^ (sendRemote | sendLocal)))
-			sent, partner = rs.vc, rs.id
+			sent, partner = rs.VC, rs.ID
 		}
 		// A join: the one place a clock is materialised.
 		stamp = stamp.Join(sent, int(t), &c.slab)

@@ -30,7 +30,7 @@ import (
 
 // recRemote is the journal-only record of a peer-shard send, which a
 // standby must apply at the same position of the stream: its index in
-// the journal's side log. It never reaches the disk or the wire.
+// Collector.remote. It never reaches the disk or the wire.
 const recRemote = 4
 
 // journal stores each record once, as a uvarint length and the bytes
@@ -40,14 +40,13 @@ const recRemote = 4
 // record has — so a copy of the journal taken under mu is an immutable
 // prefix, and a span cut from it stays valid outside the lock.
 type journal struct {
-	chunks  [][]byte
-	fill    int                     // bytes written into the last chunk
-	firsts  []int                   // firsts[k] is the index of chunk k's first record
-	n       int                     // records
-	size    int                     // bytes in chunks
-	strs    stringTable             // the table since the last marker
-	cut     bool                    // the next record to spell a string opens a table
-	remotes fifo.Queue[shardExport] // the applied peer-shard sends, by value
+	chunks [][]byte
+	fill   int         // bytes written into the last chunk
+	firsts []int       // firsts[k] is the index of chunk k's first record
+	n      int         // records
+	size   int         // bytes in chunks
+	strs   stringTable // the table since the last marker
+	cut    bool        // the next record to spell a string opens a table
 	// others lists the indices of the non-event records, ascending: it
 	// turns an event offset into a journal index without a scan.
 	others []int
@@ -57,18 +56,20 @@ type journal struct {
 // and the index of the record there.
 type journalCursor struct{ chunk, off, idx int }
 
-// journalSpan is a run of whole records and the side log as of the cut.
+// journalSpan is a run of whole records and, for a reader that frames
+// its recRemote records, Collector.remote as of the cut: the copy taken
+// under mu, so the sends the records index stay readable outside it.
 type journalSpan struct {
 	b       []byte
 	remotes fifo.Queue[shardExport]
 }
 
-// record encodes raw's record, or remote's, onto b and appends it.
-func (j *journal) record(b []byte, raw *RawEvent, remote *shardExport) []byte {
-	if remote != nil {
+// record encodes raw's record onto b and appends it; for a nil raw, the
+// recRemote record of the remote-th peer-shard send.
+func (j *journal) record(b []byte, raw *RawEvent, remote int) []byte {
+	if raw == nil {
 		j.reserve(2 * binary.MaxVarintLen64)
-		j.remotes.Push(*remote)
-		b = binary.AppendUvarint(append(b, recRemote), uint64(j.remotes.Len()-1))
+		b = binary.AppendUvarint(append(b, recRemote), uint64(remote))
 	} else {
 		j.reserve(8*binary.MaxVarintLen64 + len(raw.Trace) + len(raw.Type) + len(raw.Text))
 		if j.cut {
@@ -77,7 +78,7 @@ func (j *journal) record(b []byte, raw *RawEvent, remote *shardExport) []byte {
 		}
 		b = encodeRecord(b, raw, j.strs)
 	}
-	if remote != nil || raw.Seq == 0 {
+	if raw == nil || raw.Seq == 0 {
 		j.others = append(j.others, j.n)
 	}
 	c := j.chunks[len(j.chunks)-1]
@@ -129,15 +130,16 @@ func (j *journal) seek(idx int) (cur journalCursor) {
 
 // span returns the records from cur to the end of its chunk (the fill,
 // in the last one), cut with cap == len, and the cursor past them; an
-// empty span and cur when cur is at the head.
+// empty span and cur when cur is at the head. The span's remotes are
+// the caller's to set.
 func (j *journal) span(cur journalCursor) (journalSpan, journalCursor) {
 	for ; cur.chunk < len(j.chunks)-1; cur = (journalCursor{cur.chunk + 1, 0, j.firsts[cur.chunk+1]}) {
 		if c := j.chunks[cur.chunk]; cur.off < len(c) && c[cur.off] != 0 {
-			return journalSpan{c[cur.off:], j.remotes}, journalCursor{cur.chunk + 1, 0, j.firsts[cur.chunk+1]}
+			return journalSpan{b: c[cur.off:]}, journalCursor{cur.chunk + 1, 0, j.firsts[cur.chunk+1]}
 		}
 	}
 	if cur.chunk == len(j.chunks)-1 && cur.off < j.fill {
-		return journalSpan{j.chunks[cur.chunk][cur.off:j.fill:j.fill], j.remotes}, journalCursor{cur.chunk, j.fill, j.n}
+		return journalSpan{b: j.chunks[cur.chunk][cur.off:j.fill:j.fill]}, journalCursor{cur.chunk, j.fill, j.n}
 	}
 	return journalSpan{}, cur
 }
@@ -202,13 +204,14 @@ func (t walTicket) commit() error {
 // and SupplyRemoteSend call it in the critical section that applies the
 // input. It counts the record and, when something keeps it, encodes it
 // once: the journal stores those bytes and the WAL (durability turns the
-// journal on) appends them, under mu, so the orders agree. Remote sends
-// stay off the disk (peers re-stream them after a restart); the journal
-// keeps them by value.
-func (c *Collector) recordLocked(raw *RawEvent, remote *shardExport) (t walTicket) {
+// journal on) appends them, under mu, so the orders agree. A nil raw
+// records the peer-shard send SupplyRemoteSend just pushed onto
+// c.remote: the journal keeps its index there, and it stays off the disk
+// (peers re-stream it after a restart).
+func (c *Collector) recordLocked(raw *RawEvent) (t walTicket) {
 	logged := c.tel.walTraceRecs
 	switch {
-	case remote != nil:
+	case raw == nil:
 		c.tel.shardRemote.Inc()
 	case raw.Seq > 0:
 		c.ingests++
@@ -218,8 +221,8 @@ func (c *Collector) recordLocked(raw *RawEvent, remote *shardExport) (t walTicke
 	if c.journal == nil {
 		return t
 	}
-	c.rec = c.journal.record(c.rec[:0], raw, remote)
-	if t.d = c.durable; t.d == nil || remote != nil {
+	c.rec = c.journal.record(c.rec[:0], raw, c.remote.Len()-1)
+	if t.d = c.durable; t.d == nil || raw == nil {
 		return walTicket{}
 	}
 	if t.seq, t.err = t.d.log.Append(c.rec); t.err == nil {

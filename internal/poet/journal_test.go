@@ -31,18 +31,35 @@ type jrec struct {
 
 func (r *jrec) isEvent() bool { return !r.remote && r.Seq > 0 }
 
-// add appends r to the journal as recordLocked does, to a zero journal
-// as to one EnableReplicationLog made.
-func (j *journal) add(r jrec) {
+// jlog is a journal with the peer-shard send table its recRemote
+// records index, as Collector.remote is to a collector's journal.
+type jlog struct {
+	journal
+	remotes fifo.Queue[shardExport]
+}
+
+// add appends r as SupplyRemoteSend and recordLocked do, to a zero jlog
+// as to the journal EnableReplicationLog made.
+func (j *jlog) add(r jrec) {
 	if j.strs == nil {
 		j.strs = make(stringTable)
 	}
 	if r.remote {
-		j.record(nil, nil, &r.x)
+		j.remotes.Push(r.x)
+		j.record(nil, nil, j.remotes.Len()-1)
 	} else {
-		j.record(nil, &r.RawEvent, nil)
+		j.record(nil, &r.RawEvent, 0)
 	}
 }
+
+// span is the journal's span carrying the send table as of the cut.
+func (j *jlog) span(cur journalCursor) (journalSpan, journalCursor) {
+	sp, next := j.journal.span(cur)
+	sp.remotes = j.remotes
+	return sp, next
+}
+
+func (j *jlog) all() []jrec { return records(&j.journal, j.remotes) }
 
 // same reports whether two records say the same thing.
 func same(a, b jrec) bool {
@@ -78,11 +95,13 @@ func (jr *jreader) decode(sp *journalSpan) (jrec, bool) {
 	return jrec{RawEvent: r.record(kind)}, true
 }
 
-// all decodes the log, oldest record first.
-func (l *journal) all() []jrec {
+// records decodes a journal whose recRemote records index remotes,
+// oldest record first.
+func records(j *journal, remotes fifo.Queue[shardExport]) []jrec {
 	var out []jrec
 	var jr jreader
-	for sp, cur := l.span(journalCursor{}); len(sp.b) > 0; sp, cur = l.span(cur) {
+	for sp, cur := j.span(journalCursor{}); len(sp.b) > 0; sp, cur = j.span(cur) {
+		sp.remotes = remotes
 		for r, ok := jr.decode(&sp); ok; r, ok = jr.decode(&sp) {
 			out = append(out, r)
 		}
@@ -95,7 +114,7 @@ func journalEvents(c *Collector) []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var out []string
-	for _, r := range c.journal.all() {
+	for _, r := range records(c.journal, c.remote) {
 		if r.isEvent() {
 			out = append(out, fmt.Sprintf("%s/%d", r.Trace, r.Seq))
 		}
@@ -237,7 +256,7 @@ func TestRecoveryReproducesReplicaStream(t *testing.T) {
 			// the primary produced before it restarted: before and after
 			// the mid-stream registration, with events still buffered.
 			before.mu.Lock()
-			stream := before.journal.all()
+			stream := records(before.journal, before.remote)
 			before.mu.Unlock()
 			total := len(wantStream)
 			// cutAt is the stream position just past its events-th event.
@@ -259,7 +278,7 @@ func TestRecoveryReproducesReplicaStream(t *testing.T) {
 				cuts = append(cuts, cut)
 			}
 			c1.mu.Lock()
-			served := c1.journal.all()
+			served := records(c1.journal, c1.remote)
 			c1.mu.Unlock()
 			starts := chunkStarts(c1)
 			for _, b := range starts {
@@ -413,7 +432,7 @@ func TestNoJournalUnlessAsked(t *testing.T) {
 func TestJournalIndexAfter(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 50; round++ {
-		var j journal
+		var j jlog
 		for i, n := 0, rng.Intn(60); i < n; i++ {
 			switch rng.Intn(4) {
 			case 0:
@@ -619,7 +638,7 @@ func TestJournalMatchesRecordModel(t *testing.T) {
 		// and decodes them outside it.
 		var (
 			mu   sync.Mutex
-			j    journal
+			j    jlog
 			snap dumpState
 		)
 		grew := sync.NewCond(&mu)
@@ -649,7 +668,7 @@ func TestJournalMatchesRecordModel(t *testing.T) {
 		for i, r := range all {
 			mu.Lock()
 			if i == half {
-				snap = dumpState{journal: j}
+				snap = dumpState{journal: j.journal}
 			}
 			j.add(r)
 			grew.Broadcast()

@@ -48,7 +48,7 @@ func (r *Ref) Report(raw RawEvent, waitersFirst bool) error {
 	defer c.mu.Unlock()
 	err := r.reportLocked(raw, waitersFirst)
 	if err == nil {
-		c.recordLocked(&raw, nil)
+		c.recordLocked(&raw)
 		c.maybeTrimLocked()
 	}
 	return err
@@ -189,8 +189,8 @@ func (r *Ref) SupplyRemoteSend(msgID uint64, id event.ID, vc vclock.Stamp) error
 	vc = vclock.NewStamp(vc.Dense(), vc.Trace(), nil)
 	r.remote[msgID] = true
 	c.sends.set(msgID, sendRemote|uint64(c.remote.Len())) // what deliver reads
-	c.remote.Push(remoteSend{id: id, vc: vc})
-	c.recordLocked(nil, &shardExport{MsgID: msgID, ID: id, VC: vc})
+	c.remote.Push(shardExport{MsgID: msgID, ID: id, VC: vc})
+	c.recordLocked(nil)
 	delete(c.heldRemote, msgID)
 	if waiters := c.recvWait[msgID]; len(waiters) > 0 {
 		delete(c.recvWait, msgID)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"ocep/internal/backoff"
-	"ocep/internal/fifo"
 )
 
 // Warm-standby replication. A primary collector that keeps its journal
@@ -95,7 +94,9 @@ type ReplicationStats struct {
 	// registrations, applied peer-shard sends).
 	Records int
 	// JournalBytes is the memory the journal holds: its records as the
-	// WAL encodes them, and the peer-shard sends kept beside them.
+	// WAL encodes them. A peer-shard send's record is its index in the
+	// collector's remote-send table, which a sharded collector keeps
+	// with or without a journal and which this does not count.
 	JournalBytes int
 }
 
@@ -109,7 +110,7 @@ func (c *Collector) ReplicationStats() ReplicationStats {
 	}
 	st.Sessions = len(c.repl.confirmed)
 	st.Records = c.journal.n
-	st.JournalBytes = c.journal.size + c.journal.remotes.Chunks()*fifo.ChunkBytes
+	st.JournalBytes = c.journal.size
 	if st.Sessions > 0 {
 		st.Confirmed = c.repl.minConfirmed()
 		st.Lag = c.ingests - st.Confirmed
@@ -212,7 +213,7 @@ func (s *Server) handleReplica(conn *link, fr *frameReader, fw *frameWriter, h h
 	cur := c.tail(&cursor{head: func() int { return c.journal.n },
 		cut: func(int, int) int {
 			sp, jc = c.journal.span(jc)
-			head = c.ingests
+			sp.remotes, head = c.remote, c.ingests
 			return jc.idx
 		},
 		hand: func() error {

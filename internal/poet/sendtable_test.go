@@ -22,11 +22,11 @@ type mapModel struct {
 	c           *Collector
 	sends       map[uint64]event.ID
 	sendersSeen map[uint64]bool
-	remoteSends map[uint64]remoteSend
+	remoteSends map[uint64]shardExport
 }
 
 func newMapModel(c *Collector) *mapModel {
-	return &mapModel{c: c, sends: map[uint64]event.ID{}, sendersSeen: map[uint64]bool{}, remoteSends: map[uint64]remoteSend{}}
+	return &mapModel{c: c, sends: map[uint64]event.ID{}, sendersSeen: map[uint64]bool{}, remoteSends: map[uint64]shardExport{}}
 }
 
 func (m *mapModel) Report(raw RawEvent) error {
@@ -35,7 +35,7 @@ func (m *mapModel) Report(raw RawEvent) error {
 	defer c.mu.Unlock()
 	err := m.reportLocked(raw)
 	if err == nil {
-		c.recordLocked(&raw, nil)
+		c.recordLocked(&raw)
 		m.trimLocked()
 	}
 	return err
@@ -128,7 +128,7 @@ func (m *mapModel) deliver(t event.TraceID, raw RawEvent) {
 			}
 		} else {
 			rs := m.remoteSends[raw.MsgID]
-			sent, partner = rs.vc, rs.id
+			sent, partner = rs.VC, rs.ID
 		}
 		stamp = stamp.Join(sent, int(t), &c.slab)
 	} else {
@@ -159,7 +159,7 @@ func (m *mapModel) SupplyRemoteSend(msgID uint64, id event.ID, vc vclock.Stamp) 
 	if _, ok := m.remoteSends[msgID]; ok || m.sendersSeen[msgID] {
 		return nil
 	}
-	m.remoteSends[msgID] = remoteSend{id: id, vc: vclock.NewStamp(vc.Dense(), vc.Trace(), nil)}
+	m.remoteSends[msgID] = shardExport{MsgID: msgID, ID: id, VC: vclock.NewStamp(vc.Dense(), vc.Trace(), nil)}
 	delete(c.heldRemote, msgID)
 	if waiters := c.recvWait[msgID]; len(waiters) > 0 {
 		delete(c.recvWait, msgID)

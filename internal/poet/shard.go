@@ -55,12 +55,6 @@ type shardExport struct {
 	VC    vclock.Stamp
 }
 
-// remoteSend is a peer shard's exported send, in Collector.remote.
-type remoteSend struct {
-	id event.ID
-	vc vclock.Stamp
-}
-
 // EnableSharding makes the collector shard shardID of a numShards-wide
 // tier: its home traces get striped global IDs and its delivered sends
 // are exported for peer shards. Must be called at wiring time, before
@@ -184,8 +178,8 @@ func (c *Collector) SupplyRemoteSend(msgID uint64, id event.ID, vc vclock.Stamp)
 	// stored stamp pins none of the decoder's.
 	vc = vc.Carve(&c.slab)
 	c.sends.set(msgID, sendRemote|uint64(c.remote.Len()))
-	c.remote.Push(remoteSend{id: id, vc: vc})
-	c.recordLocked(nil, &shardExport{MsgID: msgID, ID: id, VC: vc})
+	c.remote.Push(shardExport{MsgID: msgID, ID: id, VC: vc})
+	c.recordLocked(nil)
 	delete(c.heldRemote, msgID)
 	if waiters := c.recvWait[msgID]; len(waiters) > 0 {
 		delete(c.recvWait, msgID)

@@ -163,13 +163,13 @@ func TestSupplyRemoteSendGatesReceives(t *testing.T) {
 }
 
 // remoteSendFor exposes the remote-send table to tests.
-func (c *Collector) remoteSendFor(msgID uint64) (remoteSend, bool) {
+func (c *Collector) remoteSendFor(msgID uint64) (shardExport, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if w := c.sends.get(msgID); w&sendRemote != 0 {
 		return *c.remote.At(int(w &^ (sendRemote | sendLocal))), true
 	}
-	return remoteSend{}, false
+	return shardExport{}, false
 }
 
 func TestSupplyRemoteSendRequiresSharding(t *testing.T) {

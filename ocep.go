@@ -345,13 +345,6 @@ func WithStaticOrder() Option {
 	return func(c *config) { c.opts.StaticOrder = true }
 }
 
-// WithParallelTraces explores the top backtracking level's traces with n
-// concurrent workers (the parallelism suggested in the paper's Section
-// VI). The reported match set is unchanged; report order may differ.
-func WithParallelTraces(n int) Option {
-	return func(c *config) { c.opts.ParallelTraces = n }
-}
-
 // WithTiming records the wall-clock matching time of every fed event;
 // retrieve with Timings.
 func WithTiming() Option {
@@ -359,15 +352,17 @@ func WithTiming() Option {
 }
 
 // WithMaxTriggerMatches bounds the complete matches explored per
-// terminating event (safety valve; 0 = unlimited). The cap is one
-// shared atomic under WithParallelTraces, so exactly n matches are
-// reported regardless of worker count.
+// terminating event (safety valve; 0 = unlimited). The count spans the
+// trigger's search and its WithGuaranteedCoverage pinned sweeps; the
+// match that fills the cap is the last one reported, and it and the
+// trigger's earlier matches carry Match.Truncated.
 func WithMaxTriggerMatches(n int) Option {
 	return func(c *config) { c.opts.MaxTriggerMatches = n }
 }
 
 // WithMaxTriggerSteps bounds the search work per terminating event
-// (candidate instantiation attempts, shared across parallel workers).
+// (candidate instantiation attempts, shared with the
+// WithGuaranteedCoverage pinned sweeps).
 // An exhausted trigger aborts cleanly: its partial results are reported
 // with Match.Truncated set, Stats().TriggersAborted counts it, and the
 // stream continues — the triggering event still joins the histories.
@@ -391,6 +386,12 @@ func WithTriggerDeadline(d time.Duration) Option {
 // changes the coverage guarantee (evicted entries belong to
 // already-covered pairs). Stats().HistoryEvicted counts evictions.
 // 0 = unbounded.
+//
+// A synchronous monitor (Attach, or a MonitorSet member) matches on the
+// collector's own store and pins every event its histories hold against
+// Collector.SetRetention. Without this cap its histories keep every
+// candidate event of the stream, so the collector's retention bounds
+// nothing for it (TestSyncMonitorUnderRetention shows the pin).
 func WithHistoryCap(n int) Option {
 	return func(c *config) { c.opts.MaxHistoryPerTrace = n }
 }

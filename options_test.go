@@ -142,15 +142,6 @@ func TestMonitorOptionsTakeEffect(t *testing.T) {
 		})
 	}
 
-	t.Run("WithParallelTraces", func(t *testing.T) {
-		pat := workload.MsgRacePattern()
-		base := feedOptions(t, pat, msgNames, msgEvs, all)
-		par := feedOptions(t, pat, msgNames, msgEvs, all, ocep.WithParallelTraces(3))
-		if len(base.matches) == 0 || !slices.Equal(par.matches, base.matches) || !slices.Equal(par.cov, base.cov) {
-			t.Fatalf("3 workers reported %d matches covering %d pairs, want the %d covering %d of one", len(par.matches), len(par.cov), len(base.matches), len(base.cov))
-		}
-	})
-
 	t.Run("WithMaxTriggerMatches", func(t *testing.T) {
 		pat := workload.MsgRacePattern()
 		base := feedOptions(t, pat, msgNames, msgEvs, all)
