@@ -613,7 +613,9 @@ func TestDeliveryCursorsUnderConcurrency(t *testing.T) {
 	mon.Attach(c)
 
 	// Resume and cancel from other goroutines while reporting goes on.
-	third, half := make(chan struct{}), make(chan struct{})
+	// The loop waits for Cancel to return before it reports the second
+	// half, so the cancelled cursor always misses some events.
+	third, half, cancelDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	atCancel := 0
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -634,6 +636,7 @@ func TestDeliveryCursorsUnderConcurrency(t *testing.T) {
 		<-half
 		atCancel = c.Delivered()
 		cancelled.sub.Cancel()
+		close(cancelDone)
 	}()
 	for i, raw := range raws {
 		switch i {
@@ -641,6 +644,7 @@ func TestDeliveryCursorsUnderConcurrency(t *testing.T) {
 			close(third)
 		case len(raws) / 2:
 			close(half)
+			<-cancelDone
 		}
 		if err := c.Report(raw); err != nil {
 			t.Fatal(err)

@@ -14,7 +14,7 @@ import (
 )
 
 // TestDocsResolve: every Go source file, source position (file.go:line),
-// test and fuzz target that README.md and docs/ name exists, so the
+// test and fuzz target that README.md, DESIGN.md and docs/ name exists, so the
 // prose cannot drift from the code it cites unnoticed. A file is named by
 // its base name or any trailing part of its path. ROADMAP.md is held to
 // its file, test and fuzz names only: its positions are dated evidence,
@@ -59,7 +59,7 @@ func TestDocsResolve(t *testing.T) {
 	}
 	fileRef := regexp.MustCompile(`\b([\w/.-]*\w\.go)(?::(\d+))?\b`)
 	nameRef := regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z]\w*`)
-	for _, doc := range append(docs, "README.md", "ROADMAP.md") {
+	for _, doc := range append(docs, "README.md", "DESIGN.md", "ROADMAP.md") {
 		positions := doc != "ROADMAP.md"
 		f, err := os.Open(doc)
 		if err != nil {

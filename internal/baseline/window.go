@@ -56,11 +56,19 @@ type windowSearch struct {
 func (s *windowSearch) enumerate(leaf int, anchored bool) {
 	pat := s.w.pat
 	if leaf == pat.K() {
-		if anchored && checkCompoundOn(pat, s.assigned) {
-			events := make([]*event.Event, len(s.assigned))
-			copy(events, s.assigned)
-			s.matches = append(s.matches, core.Match{Events: events, Bindings: s.env.Snapshot()})
+		if !anchored {
+			return
 		}
+		// lim-> is not supported by the window baseline: its histories
+		// are unbounded.
+		for _, d := range pat.Disjuncts {
+			if !d.Holds(s.assigned) {
+				return
+			}
+		}
+		events := make([]*event.Event, len(s.assigned))
+		copy(events, s.assigned)
+		s.matches = append(s.matches, core.Match{Events: events, Bindings: s.env.Snapshot()})
 		return
 	}
 	cls := pat.Leaves[leaf].Class
@@ -102,40 +110,9 @@ func (s *windowSearch) pairwiseOK(leaf int, cand *event.Event) bool {
 		if s.assigned[j] == nil {
 			continue
 		}
-		if !oracleRelHolds(s.w.pat.Rel[leaf][j], cand, s.assigned[j]) {
+		if !s.w.pat.Rel[leaf][j].Holds(cand, s.assigned[j]) {
 			return false
 		}
 	}
 	return true
-}
-
-// checkCompoundOn validates disjuncts on a full assignment (lim-> is
-// not supported by the window baseline; its histories are unbounded).
-func checkCompoundOn(pat *pattern.Compiled, assigned []*event.Event) bool {
-	for _, d := range pat.Disjuncts {
-		ab := anyOrdered(assigned, d.A, d.B)
-		ba := anyOrdered(assigned, d.B, d.A)
-		switch d.Op {
-		case pattern.OpBefore:
-			if !ab || ba {
-				return false
-			}
-		case pattern.OpEntangled:
-			if !ab || !ba {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func anyOrdered(assigned []*event.Event, as, bs []int) bool {
-	for _, ai := range as {
-		for _, bi := range bs {
-			if assigned[ai].Before(assigned[bi]) {
-				return true
-			}
-		}
-	}
-	return false
 }

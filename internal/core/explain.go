@@ -47,16 +47,16 @@ func ExplainMatch(pat *pattern.Compiled, m Match, traceName func(event.TraceID) 
 		}
 	}
 	for _, d := range pat.Disjuncts {
+		ai, bi, ok := pattern.Witness(m.Events, d.A, d.B)
+		if !ok {
+			continue
+		}
 		switch d.Op {
 		case pattern.OpBefore:
-			if ai, bi, ok := witnessPair(m.Events, d.A, d.B); ok {
-				fmt.Fprintf(&b, "  weak precedence witnessed by %s -> %s\n",
-					m.Events[ai].ID, m.Events[bi].ID)
-			}
+			fmt.Fprintf(&b, "  weak precedence witnessed by %s -> %s\n",
+				m.Events[ai].ID, m.Events[bi].ID)
 		case pattern.OpEntangled:
-			ai, bi, ok1 := witnessPair(m.Events, d.A, d.B)
-			ci, di, ok2 := witnessPair(m.Events, d.B, d.A)
-			if ok1 && ok2 {
+			if ci, di, ok := pattern.Witness(m.Events, d.B, d.A); ok {
 				fmt.Fprintf(&b, "  entanglement witnessed by %s -> %s and %s -> %s\n",
 					m.Events[ai].ID, m.Events[bi].ID, m.Events[ci].ID, m.Events[di].ID)
 			}
@@ -104,18 +104,6 @@ func relEvidence(r pattern.Rel, a, b *event.Event) string {
 	default:
 		return ""
 	}
-}
-
-// witnessPair finds one ordered pair a -> b across the index sets.
-func witnessPair(events []*event.Event, as, bs []int) (int, int, bool) {
-	for _, ai := range as {
-		for _, bi := range bs {
-			if events[ai] != nil && events[bi] != nil && events[ai].Before(events[bi]) {
-				return ai, bi, true
-			}
-		}
-	}
-	return 0, 0, false
 }
 
 func sortedKeys(m map[string]string) []string {

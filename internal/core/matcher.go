@@ -1062,28 +1062,11 @@ func (s *search) checkCandidate(li int, cand *event.Event) bool {
 			continue
 		}
 		placed := s.assigned[placedLeaf]
-		if !relHolds(rel, cand, placed) {
+		if !rel.Holds(cand, placed) {
 			return false
 		}
 	}
 	return true
-}
-
-// relHolds evaluates a compiled relation between two concrete events,
-// from a's perspective.
-func relHolds(rel pattern.Rel, a, b *event.Event) bool {
-	switch rel {
-	case pattern.RelBefore, pattern.RelLim:
-		return a.Before(b)
-	case pattern.RelAfter, pattern.RelLimAfter:
-		return b.Before(a)
-	case pattern.RelConcurrent:
-		return a.Concurrent(b)
-	case pattern.RelLink:
-		return a.Partner.ID() == b.ID && b.Partner.ID() == a.ID
-	default:
-		return true
-	}
 }
 
 // complete validates a full assignment (compound disjuncts and lim->
@@ -1091,7 +1074,12 @@ func relHolds(rel pattern.Rel, a, b *event.Event) bool {
 // match.
 func (s *search) complete() placeResult {
 	m := s.m
-	if !s.checkDisjuncts() || !s.checkLim() {
+	for _, d := range m.pat.Disjuncts {
+		if !d.Holds(s.assigned) {
+			return placeResult{valid: false}
+		}
+	}
+	if !s.checkLim() {
 		return placeResult{valid: false}
 	}
 	m.stats.CompleteMatches++
@@ -1111,40 +1099,6 @@ func (s *search) complete() placeResult {
 		m.stats.Redundant++
 	}
 	return placeResult{matched: true}
-}
-
-// checkDisjuncts evaluates the compound-level constraints: weak
-// precedence (at least one ordered pair, and not entangled) and
-// entanglement (ordered pairs in both directions).
-func (s *search) checkDisjuncts() bool {
-	for _, d := range s.m.pat.Disjuncts {
-		ab := existsOrdered(s.assigned, d.A, d.B)
-		ba := existsOrdered(s.assigned, d.B, d.A)
-		switch d.Op {
-		case pattern.OpBefore:
-			if !ab || ba { // ba too would mean the compounds cross
-				return false
-			}
-		case pattern.OpEntangled:
-			if !ab || !ba {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// existsOrdered reports whether some event of leaves as happens before
-// some event of leaves bs.
-func existsOrdered(assigned []*event.Event, as, bs []int) bool {
-	for _, ai := range as {
-		for _, bi := range bs {
-			if assigned[ai].Before(assigned[bi]) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // checkLim validates every lim-> pair: no same-class event causally

@@ -18,9 +18,17 @@ import (
 // wildcards/variables, random pairwise constraints oriented low-to-high
 // index (so precedence closure stays acyclic), occasionally a lim->
 // edge, and occasionally an extra linked send/receive pair constrained
-// against the first leaf.
+// against the first leaf. About one pattern in four has four leaves
+// whose operands ($e0 && $e1) and ($e2 && $e3) are related by weak
+// precedence or entanglement, a compound disjunct the matcher checks at
+// completion; only the pair inside each operand then gets a pairwise
+// constraint (-> or ||), so the disjunct alone relates the operands.
 func randomPatternSource(rng *rand.Rand, types []string) string {
 	k := 2 + rng.Intn(3)
+	compound := rng.Intn(4) == 0
+	if compound {
+		k = 4
+	}
 	var b strings.Builder
 	for i := 0; i < k; i++ {
 		typ := types[rng.Intn(len(types))]
@@ -38,7 +46,14 @@ func randomPatternSource(rng *rand.Rand, types []string) string {
 	var conj []string
 	for i := 0; i < k; i++ {
 		for j := i + 1; j < k; j++ {
-			switch rng.Intn(8) {
+			roll := rng.Intn(8)
+			if compound {
+				if i/2 != j/2 {
+					continue
+				}
+				roll %= 4 // keep the four-leaf search small
+			}
+			switch roll {
 			case 0, 1:
 				conj = append(conj, fmt.Sprintf("($e%d -> $e%d)", i, j))
 			case 2, 3:
@@ -48,6 +63,13 @@ func randomPatternSource(rng *rand.Rand, types []string) string {
 			}
 			// Other rolls leave the pair unconstrained.
 		}
+	}
+	if compound {
+		op := "->"
+		if rng.Intn(2) == 0 {
+			op = "<->"
+		}
+		conj = append(conj, fmt.Sprintf("(($e0 && $e1) %s ($e2 && $e3))", op))
 	}
 	if rng.Float64() < 0.4 {
 		// A linked pair: the eventtest generator pairs sends with

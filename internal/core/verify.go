@@ -7,13 +7,15 @@ import (
 	"ocep/internal/pattern"
 )
 
-// VerifyMatch checks a reported match against the compiled pattern
-// independently of the matcher: distinctness, the pairwise causal
-// constraints, and the compound disjuncts. Class attribute matching is
-// re-done under a fresh environment using the given trace-naming
-// function. lim-> completion (which needs the full class history) is not
-// re-checked. It backs the evaluation harness's no-false-positives
-// check.
+// VerifyMatch checks a reported match against the compiled pattern. On
+// its own it re-checks the match's length, that its leaves bind distinct
+// events, and each leaf's class under a fresh environment, using the
+// given trace-naming function. The pairwise constraints and the compound
+// disjuncts it checks with pattern.Rel.Holds and pattern.Disjunct.Holds,
+// the definitions the matcher uses. lim-> completion (which needs the
+// full class history) is not re-checked. It backs the evaluation
+// harness's no-false-positives check; the independent reference is the
+// brute-force oracle in internal/baseline.
 func VerifyMatch(pat *pattern.Compiled, m Match, traceName func(event.TraceID) string) error {
 	if len(m.Events) != pat.K() {
 		return fmt.Errorf("match has %d events, pattern has %d leaves", len(m.Events), pat.K())
@@ -41,24 +43,15 @@ func VerifyMatch(pat *pattern.Compiled, m Match, traceName func(event.TraceID) s
 			if rel == pattern.RelNone {
 				continue
 			}
-			if !relHolds(rel, m.Events[i], m.Events[j]) {
+			if !rel.Holds(m.Events[i], m.Events[j]) {
 				return fmt.Errorf("constraint %s between %s and %s violated",
 					rel, m.Events[i].ID, m.Events[j].ID)
 			}
 		}
 	}
 	for _, d := range pat.Disjuncts {
-		ab := existsOrdered(m.Events, d.A, d.B)
-		ba := existsOrdered(m.Events, d.B, d.A)
-		switch d.Op {
-		case pattern.OpBefore:
-			if !ab || ba {
-				return fmt.Errorf("weak precedence disjunct violated")
-			}
-		case pattern.OpEntangled:
-			if !ab || !ba {
-				return fmt.Errorf("entanglement disjunct violated")
-			}
+		if !d.Holds(m.Events) {
+			return fmt.Errorf("compound %s constraint between leaves %v and %v violated", d.Op, d.A, d.B)
 		}
 	}
 	return nil

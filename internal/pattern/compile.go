@@ -3,6 +3,8 @@ package pattern
 import (
 	"fmt"
 	"sort"
+
+	"ocep/internal/event"
 )
 
 // Rel is a compiled pairwise causal constraint between two pattern-tree
@@ -69,6 +71,26 @@ func (r Rel) mirror() Rel {
 	}
 }
 
+// Holds evaluates the relation between two concrete events from a's
+// perspective. Every primitive operator reduces to happens-before: the
+// lim-> relations hold here when the events are ordered, and their "no
+// same-class event between" clause, which needs the class history, is
+// the matcher's completion check.
+func (r Rel) Holds(a, b *event.Event) bool {
+	switch r {
+	case RelBefore, RelLim:
+		return a.Before(b)
+	case RelAfter, RelLimAfter:
+		return b.Before(a)
+	case RelConcurrent:
+		return a.Concurrent(b)
+	case RelLink:
+		return a.Partner.ID() == b.ID && b.Partner.ID() == a.ID
+	default:
+		return true
+	}
+}
+
 // Leaf is one leaf of the compiled pattern tree: a distinct event to be
 // matched. Multiple occurrences of the same event variable share a leaf.
 type Leaf struct {
@@ -99,6 +121,34 @@ type Disjunct struct {
 	Op Op
 	// A and B are the leaf indices of the left and right operands.
 	A, B []int
+}
+
+// Holds reports whether the disjunct holds on an assignment
+// (assigned[i] is leaf i's event), by equations (1) and (2) of Section
+// III-B: weak precedence needs an ordered pair from A to B and none
+// back, since pairs both ways make the operands cross, which is
+// entanglement. Leaves bind distinct events, so operands never overlap.
+func (d Disjunct) Holds(assigned []*event.Event) bool {
+	_, _, ab := Witness(assigned, d.A, d.B)
+	_, _, ba := Witness(assigned, d.B, d.A)
+	if d.Op == OpEntangled {
+		return ab && ba
+	}
+	return ab && !ba
+}
+
+// Witness finds one ordered pair across two leaf sets: leaves a in as
+// and b in bs whose events satisfy assigned[a] -> assigned[b]. Unassigned
+// (nil) leaves witness nothing.
+func Witness(assigned []*event.Event, as, bs []int) (a, b int, ok bool) {
+	for _, i := range as {
+		for _, j := range bs {
+			if assigned[i] != nil && assigned[j] != nil && assigned[i].Before(assigned[j]) {
+				return i, j, true
+			}
+		}
+	}
+	return 0, 0, false
 }
 
 // Compiled is the matcher-ready form of a pattern: the leaves in a stable
