@@ -44,31 +44,38 @@ func someBefore(x, y []*event.Event) bool {
 	return false
 }
 
-// TestCompoundOperatorsClassify compiles X op Y over two-leaf compound
-// operands for op in ->, its mirror, <->, || and =>, and evaluates the
-// compiled forms on random distinct events. The oracle is Section
-// III-B spelled out: A crosses B iff they are disjoint with ordered
-// pairs both ways, and (1) A <-> B iff A crosses or overlaps B; (2)
-// A -> B iff some a -> b and not A <-> B; || needs every cross pair
-// concurrent, => every cross pair ordered. Each compiled pattern must
-// agree with its equation, exactly one of ->, <-, <-> and || must hold
-// (the classification property), => must imply ->, and crossing
-// operands must be <-> and not ->.
-func TestCompoundOperatorsClassify(t *testing.T) {
+// operandOps are the compound operators between two-leaf operands A =
+// {$a0, $a1} and B = {$b0, $b1}; "<-" is "->" with the operands swapped.
+var operandOps = []struct{ name, expr string }{
+	{"->", "($a0 && $a1) -> ($b0 && $b1)"},
+	{"<-", "($b0 && $b1) -> ($a0 && $a1)"},
+	{"<->", "($a0 && $a1) <-> ($b0 && $b1)"},
+	{"||", "($a0 && $a1) || ($b0 && $b1)"},
+	{"=>", "($a0 && $a1) => ($b0 && $b1)"},
+}
+
+// operandSample is one draw of disjoint operands A and B: what each
+// compiled operator says (got) and what Section III-B says (want).
+type operandSample struct {
+	A, B      []*event.Event
+	crosses   bool
+	got, want map[string]bool
+}
+
+// operandSamples compiles X op Y for every operator in operandOps and
+// evaluates the compiled forms on random distinct events. The oracle is
+// Section III-B spelled out: A crosses B iff they are disjoint with
+// ordered pairs both ways, and (1) A <-> B iff A crosses or overlaps B;
+// (2) A -> B iff some a -> b and not A <-> B; || needs every cross pair
+// concurrent, => every cross pair ordered.
+func operandSamples(t *testing.T) []operandSample {
+	t.Helper()
 	const decl = "E := [*, *, *];\nE $a0;\nE $a1;\nE $b0;\nE $b1;\n"
-	ops := []struct{ name, expr string }{
-		{"->", "($a0 && $a1) -> ($b0 && $b1)"},
-		{"<-", "($b0 && $b1) -> ($a0 && $a1)"},
-		{"<->", "($a0 && $a1) <-> ($b0 && $b1)"},
-		{"||", "($a0 && $a1) || ($b0 && $b1)"},
-		{"=>", "($a0 && $a1) => ($b0 && $b1)"},
-	}
-	compiled := make(map[string]*Compiled, len(ops))
-	for _, op := range ops {
+	compiled := make(map[string]*Compiled, len(operandOps))
+	for _, op := range operandOps {
 		compiled[op.name] = mustCompile(t, decl+"pattern := "+op.expr+";")
 	}
-	seen := make(map[string]int)
-	crossings, weakOnly := 0, 0
+	var out []operandSample
 	rng := rand.New(rand.NewSource(606))
 	for round := 0; round < 200; round++ {
 		_, evs := eventtest.Random(rng, eventtest.RandomConfig{
@@ -90,54 +97,123 @@ func TestCompoundOperatorsClassify(t *testing.T) {
 					strong = strong && a.Before(b)
 				}
 			}
-			want := map[string]bool{
-				"->":  someBefore(A, B) && !entangled, // (2)
-				"<-":  someBefore(B, A) && !entangled,
-				"<->": entangled,
-				"||":  concurrent,
-				"=>":  strong,
+			s := operandSample{A: A, B: B, crosses: crosses,
+				got: make(map[string]bool, len(operandOps)),
+				want: map[string]bool{
+					"->":  someBefore(A, B) && !entangled, // (2)
+					"<-":  someBefore(B, A) && !entangled,
+					"<->": entangled,
+					"||":  concurrent,
+					"=>":  strong,
+				}}
+			for _, op := range operandOps {
+				s.got[op.name] = holdsOn(compiled[op.name], bind)
 			}
-			got := make(map[string]bool, len(ops))
-			for _, op := range ops {
-				got[op.name] = holdsOn(compiled[op.name], bind)
-				if got[op.name] != want[op.name] {
-					t.Fatalf("round %d: %s holds = %v, Section III-B says %v (A=%v B=%v)",
-						round, op.expr, got[op.name], want[op.name], A, B)
-				}
-				if got[op.name] {
-					seen[op.name]++
-				}
-			}
-			n := 0
-			for _, op := range []string{"->", "<-", "<->", "||"} {
-				if got[op] {
-					n++
-				}
-			}
-			if n != 1 {
-				t.Fatalf("round %d: %d of ->, <-, <->, || hold: %v", round, n, got)
-			}
-			if got["=>"] && !got["->"] {
-				t.Fatalf("round %d: => holds but -> does not", round)
-			}
-			if got["->"] && !got["=>"] {
-				weakOnly++
-			}
-			if crosses {
-				crossings++
-				if !got["<->"] || got["->"] || got["<-"] {
-					t.Fatalf("round %d: crossing operands must be <-> and neither -> nor <-: %v", round, got)
-				}
-			}
+			out = append(out, s)
 		}
 	}
-	for _, op := range ops {
-		if seen[op.name] == 0 {
-			t.Errorf("%s never held: the check is vacuous for it", op.expr)
+	return out
+}
+
+// checkAgrees fails t where a compiled operator in names disagrees with
+// its Section III-B equation, or never holds on any sample.
+func checkAgrees(t *testing.T, samples []operandSample, names ...string) {
+	t.Helper()
+	for _, name := range names {
+		held := 0
+		for i, s := range samples {
+			if s.got[name] != s.want[name] {
+				t.Fatalf("sample %d: %s holds = %v, Section III-B says %v (A=%v B=%v)",
+					i, name, s.got[name], s.want[name], s.A, s.B)
+			}
+			if s.got[name] {
+				held++
+			}
+		}
+		if held == 0 {
+			t.Errorf("%s never held: the check is vacuous for it", name)
 		}
 	}
-	if crossings == 0 || weakOnly == 0 {
-		t.Errorf("%d samples crossed, %d were -> without =>: want some of each", crossings, weakOnly)
+}
+
+// TestClassificationProperty checks every compiled operator against its
+// equation and that exactly one of ->, <-, <-> and || holds between two
+// disjoint operands (the classification property of Section III-B).
+func TestClassificationProperty(t *testing.T) {
+	samples := operandSamples(t)
+	checkAgrees(t, samples, "->", "<-", "<->", "||", "=>")
+	for i, s := range samples {
+		n := 0
+		for _, op := range []string{"->", "<-", "<->", "||"} {
+			if s.got[op] {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Fatalf("sample %d: %d of ->, <-, <->, || hold: %v", i, n, s.got)
+		}
 	}
-	t.Logf("holds: %v; crossings: %d; -> without =>: %d", seen, crossings, weakOnly)
+}
+
+// TestStrongImpliesWeak checks that => on compound operands implies ->.
+func TestStrongImpliesWeak(t *testing.T) {
+	samples := operandSamples(t)
+	checkAgrees(t, samples, "=>")
+	for i, s := range samples {
+		if s.got["=>"] && !s.got["->"] {
+			t.Fatalf("sample %d: => holds but -> does not", i)
+		}
+	}
+}
+
+// TestCrossesAndEntangled checks that crossing operands are <-> and
+// neither -> nor <-.
+func TestCrossesAndEntangled(t *testing.T) {
+	crossings := 0
+	for i, s := range operandSamples(t) {
+		if !s.crosses {
+			continue
+		}
+		crossings++
+		if !s.got["<->"] || s.got["->"] || s.got["<-"] {
+			t.Fatalf("sample %d: crossing operands must be <-> and neither -> nor <-: %v", i, s.got)
+		}
+	}
+	if crossings == 0 {
+		t.Errorf("no sample crossed: the check is vacuous")
+	}
+}
+
+// TestPrecedence compares weak precedence in both directions with
+// equation (2) and checks that it is antisymmetric.
+func TestPrecedence(t *testing.T) {
+	samples := operandSamples(t)
+	checkAgrees(t, samples, "->", "<-")
+	for i, s := range samples {
+		if s.got["->"] && s.got["<-"] {
+			t.Fatalf("sample %d: -> and <- both hold", i)
+		}
+	}
+}
+
+// TestWeakWithoutStrong checks that the samples include operands where
+// -> holds without =>, so => is not merely a synonym of ->.
+func TestWeakWithoutStrong(t *testing.T) {
+	samples := operandSamples(t)
+	checkAgrees(t, samples, "->", "=>")
+	weakOnly := 0
+	for _, s := range samples {
+		if s.got["->"] && !s.got["=>"] {
+			weakOnly++
+		}
+	}
+	if weakOnly == 0 {
+		t.Errorf("no sample was -> without =>")
+	}
+}
+
+// TestConcurrent compares || on compound operands with its all-pairs
+// definition.
+func TestConcurrent(t *testing.T) {
+	checkAgrees(t, operandSamples(t), "||")
 }
