@@ -275,8 +275,11 @@ func TestPoetdRejectedFlagCombinations(t *testing.T) {
 		{[]string{"-shard-id", "0", "-peers", tier, "-reload", filepath.Join(dir, "x.poet")}, []string{"-shard-id is incompatible with -reload"}},
 		{[]string{"-mem-limit", "1G"}, []string{"-mem-limit", "-retain-events"}},
 		{[]string{"-peers", tier}, []string{"-peers", "-shard-id"}},
+		{[]string{"-peers", ";"}, []string{"-peers", "-shard-id"}},
 		{[]string{"-shard-id", "0"}, []string{"-shard-id", "-peers"}},
 		{[]string{"-shard-id", "2", "-peers", tier}, []string{"-shard-id", "-peers"}},
+		{[]string{"-data-dir", filepath.Join(dir, "data"), "-monitor-policy", "bogus"}, []string{"-monitor-policy", "bogus"}},
+		{[]string{"-data-dir", filepath.Join(dir, "data"), "-fsync", "bogus"}, []string{"-fsync", "bogus"}},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)

@@ -87,7 +87,9 @@ func TestPoetdReadyzDuringOverload(t *testing.T) {
 	if err := rep.Flush(); err != nil {
 		t.Fatalf("parked reporter failed: %v", err)
 	}
-
+	// Connected reporters would hold the drain for its whole timeout.
+	rep.Close()
+	rep2.Close()
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}

@@ -583,13 +583,9 @@ func TestCrashRecoveryReporterRetransmitExactlyOnce(t *testing.T) {
 	evs := durWorkload(60)
 	half := len(evs) / 2
 
-	c1, d1 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways})
-	s1 := NewServer(c1, t.Logf)
-	s1.SetWireTiming(3*time.Millisecond, 10*time.Millisecond, 2*time.Second)
-	addr, err := s1.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := Spec{DataDir: dir, Fsync: "always", AckInterval: 3 * time.Millisecond, Heartbeat: 10 * time.Millisecond}
+	n1 := openNode(t, spec)
+	c1, addr := n1.Collector, n1.Addr
 	rep, err := DialReporter(addr,
 		WithSessionBackoff(2*time.Millisecond, 50*time.Millisecond),
 		WithSessionReconnect(15*time.Second))
@@ -607,25 +603,20 @@ func TestCrashRecoveryReporterRetransmitExactlyOnce(t *testing.T) {
 	// Crash the server mid-session. The reporter's unacked suffix (and
 	// possibly some already-ingested events whose acks were lost) will be
 	// retransmitted against the recovered watermarks.
-	if err := s1.Close(); err != nil {
+	if err := n1.Server.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := d1.log.Close(); err != nil {
+	if err := n1.durable.log.Close(); err != nil {
 		t.Fatal(err)
 	}
-	c2, d2 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways})
-	defer d2.Close()
+	spec.Listen = addr
+	n2 := openNode(t, spec)
+	c2 := n2.Collector
 	if got := c2.Delivered() + c2.Pending(); got != half {
 		// SyncAlways: Report fsyncs before returning, so every event the
 		// server ingested is recovered — no more, no less.
 		t.Fatalf("recovered %d events, want %d", got, half)
 	}
-	s2 := NewServer(c2, t.Logf)
-	s2.SetWireTiming(3*time.Millisecond, 10*time.Millisecond, 2*time.Second)
-	if _, err := s2.Listen(addr); err != nil {
-		t.Fatalf("rebinding %s: %v", addr, err)
-	}
-	defer s2.Close()
 
 	for _, e := range evs[half:] {
 		if err := rep.Report(e); err != nil {
@@ -647,21 +638,17 @@ func TestCrashRecoveryReporterRetransmitExactlyOnce(t *testing.T) {
 	if !equalSlices(stateSig(c2), stateSig(fresh)) {
 		t.Fatal("post-crash state differs from an uninterrupted run")
 	}
-	t.Logf("reporter %+v, server stale=%d", rep.Stats(), s2.WireStats().StaleEvents)
+	t.Logf("reporter %+v, server stale=%d", rep.Stats(), n2.Server.WireStats().StaleEvents)
 }
 
 func TestMonitorResumeBeyondRecoveredStreamRejected(t *testing.T) {
 	dir := t.TempDir()
 	evs := durWorkload(30)
 
-	c1, d1 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways})
-	s1 := NewServer(c1, t.Logf)
-	s1.SetWireTiming(3*time.Millisecond, 10*time.Millisecond, 2*time.Second)
-	addr, err := s1.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	reportAll(t, c1, evs)
+	spec := Spec{DataDir: dir, Fsync: "always", AckInterval: 3 * time.Millisecond, Heartbeat: 10 * time.Millisecond}
+	n1 := openNode(t, spec)
+	addr := n1.Addr
+	reportAll(t, n1.Collector, evs)
 	// The monitor dials through a fault proxy so the "crash" can cut the
 	// session mid-stream — Server.Close alone would send a graceful End
 	// frame, which is exactly what a SIGKILL never does.
@@ -686,10 +673,10 @@ func TestMonitorResumeBeyondRecoveredStreamRejected(t *testing.T) {
 	// Crash, then lose the WAL tail (as a weaker fsync policy would):
 	// the recovered stream is shorter than what the monitor consumed.
 	proxy.CutAll()
-	if err := s1.Close(); err != nil {
+	if err := n1.Server.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := d1.log.Close(); err != nil {
+	if err := n1.durable.log.Close(); err != nil {
 		t.Fatal(err)
 	}
 	segs := walSegments(t, dir)
@@ -701,17 +688,10 @@ func TestMonitorResumeBeyondRecoveredStreamRejected(t *testing.T) {
 	if err := os.Truncate(last, fi.Size()-40); err != nil {
 		t.Fatal(err)
 	}
-	c2, d2 := openDurable(t, dir, DurableOptions{Fsync: SyncAlways})
-	defer d2.Close()
-	if c2.Delivered() >= len(evs) {
+	spec.Listen = addr
+	if c2 := openNode(t, spec).Collector; c2.Delivered() >= len(evs) {
 		t.Fatalf("truncation lost nothing (delivered %d); test is vacuous", c2.Delivered())
 	}
-	s2 := NewServer(c2, t.Logf)
-	s2.SetWireTiming(3*time.Millisecond, 10*time.Millisecond, 2*time.Second)
-	if _, err := s2.Listen(addr); err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
 
 	// The client's next read hits the dead connection and tries to
 	// resume at an offset the recovered server cannot serve. That must

@@ -24,72 +24,12 @@ import (
 	"ocep/internal/faultnet"
 )
 
-// startReplicatedPair starts a primary with the replication log enabled
-// and a standby following it, both with fast wire timers. The standby's
-// server is gated (SetStandby) but listening, so pooled clients can
-// probe it. Returns both collectors, both servers, and their addresses.
-func startReplicatedPair(t *testing.T) (c1 *Collector, s1 *Server, addr1 string, c2 *Collector, s2 *Server, addr2 string, rep *Replicator) {
-	t.Helper()
-	c1 = NewCollector()
-	if err := c1.EnableReplicationLog(); err != nil {
-		t.Fatal(err)
-	}
-	c1.SetReplicationAckWait(50 * time.Millisecond)
-	s1 = NewServer(c1, t.Logf)
-	s1.SetWireTiming(10*time.Millisecond, 20*time.Millisecond, 2*time.Second)
-	var err error
-	addr1, err = s1.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = s1.Close() })
-
-	c2 = NewCollector()
-	if err := c2.EnableReplicationLog(); err != nil {
-		t.Fatal(err)
-	}
-	s2 = NewServer(c2, t.Logf)
-	s2.SetWireTiming(10*time.Millisecond, 20*time.Millisecond, 2*time.Second)
-	s2.SetStandby(true)
-	addr2, err = s2.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = s2.Close() })
-
-	rep, err = FollowPrimary(addr1, c2,
-		WithSessionHeartbeat(20*time.Millisecond),
-		WithSessionBackoff(2*time.Millisecond, 50*time.Millisecond),
-		WithSessionReconnect(500*time.Millisecond),
-		WithSessionLog(t.Logf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rep.Stop)
-	return c1, s1, addr1, c2, s2, addr2, rep
-}
-
-// promoteOnDone watches the replicator and promotes the standby when
-// following ends for a promotable reason — the same classification
-// poetd applies.
-func promoteOnDone(t *testing.T, rep *Replicator, s2 *Server) {
-	t.Helper()
-	go func() {
-		<-rep.Done()
-		err := rep.Err()
-		if err == nil || errors.Is(err, ErrPrimaryDrained) || errors.Is(err, ErrStreamInterrupted) {
-			s2.Promote()
-			return
-		}
-		t.Errorf("replication ended unpromotably: %v", err)
-	}()
-}
-
 // TestReplicaTailsPrimary checks the basic warm-standby property: every
 // ingested event and explicit trace registration reaches the standby's
 // collector, producing the identical delivered state.
 func TestReplicaTailsPrimary(t *testing.T) {
-	c1, _, addr1, c2, _, _, _ := startReplicatedPair(t)
+	p, s := startReplicatedPair(t)
+	c1, addr1, c2 := p.Collector, p.Addr, s.Collector
 
 	c1West := "explicit-trace"
 	srvRep, err := DialReporter(addr1, WithSessionLog(t.Logf))
@@ -141,7 +81,8 @@ func TestReplicaTailsPrimary(t *testing.T) {
 // below its primary's follows an out-of-order backlog to the end. The
 // primary accepted every record, so the standby refuses none for load.
 func TestReplicaIgnoresAdmissionLimit(t *testing.T) {
-	c1, _, _, c2, _, _, rep := startReplicatedPair(t)
+	p, s := startReplicatedPair(t)
+	c1, c2 := p.Collector, s.Collector
 	c1.SetAdmissionLimit(4)
 	c2.SetAdmissionLimit(1)
 	evs := []RawEvent{
@@ -151,17 +92,10 @@ func TestReplicaIgnoresAdmissionLimit(t *testing.T) {
 		{Trace: "q", Seq: 1, Kind: event.KindSend, Type: "s", MsgID: 7},
 	}
 	reportAll(t, c1, evs)
-	stopped := func() bool {
-		select {
-		case <-rep.Done():
-			return true
-		default:
-			return false
-		}
-	}
+	stopped := func() bool { return !s.Server.Standby() || len(s.Failed()) > 0 }
 	waitFor(t, func() bool { return stopped() || c2.Delivered() == len(evs) })
 	if stopped() {
-		t.Fatalf("the standby stopped following after %d of %d records: %v", c2.IngestCount(), len(evs), rep.Err())
+		t.Fatalf("the standby stopped following after %d of %d records", c2.IngestCount(), len(evs))
 	}
 	if got, want := stateSig(c2), stateSig(c1); !equalSlices(got, want) {
 		t.Fatalf("standby state differs:\nwant %v\ngot  %v", want, got)
@@ -178,32 +112,14 @@ func TestReplicaIgnoresAdmissionLimit(t *testing.T) {
 // standby's journal and WAL are byte for byte its durable primary's.
 func TestReplicaJournalAndWALMatchPrimary(t *testing.T) {
 	dir1, dir2 := t.TempDir(), t.TempDir()
-	opts := DurableOptions{Fsync: SyncAlways}
-	c1, d1 := openDurable(t, dir1, opts)
-	t.Cleanup(func() { _ = d1.Close() })
-	s1 := NewServer(c1, t.Logf)
-	s1.SetWireTiming(10*time.Millisecond, 20*time.Millisecond, 2*time.Second)
-	addr1, err := s1.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = s1.Close() })
-	p, err := faultnet.Listen(addr1)
+	primary := openNode(t, Spec{DataDir: dir1, Fsync: "always"})
+	p, err := faultnet.Listen(primary.Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = p.Close() })
-	c2, d2 := openDurable(t, dir2, opts)
-	t.Cleanup(func() { _ = d2.Close() })
-	rep, err := FollowPrimary(p.Addr(), c2,
-		WithSessionHeartbeat(20*time.Millisecond),
-		WithSessionBackoff(2*time.Millisecond, 50*time.Millisecond),
-		WithSessionReconnect(10*time.Second),
-		WithSessionLog(t.Logf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rep.Stop)
+	standby := openNode(t, Spec{DataDir: dir2, Fsync: "always", Follow: p.Addr(), FollowReconnect: 10 * time.Second})
+	c1, c2, rep := primary.Collector, standby.Collector, standby.rep
 	caughtUp := func() bool { return c2.IngestCount() == c1.IngestCount() }
 
 	evs := durWorkload(40) // alpha and beta, every third receive ahead of its send
@@ -270,33 +186,14 @@ func TestReplicaJournalAndWALMatchPrimary(t *testing.T) {
 // standby converges on the full stream with no event lost or
 // double-applied.
 func TestReplicaResumesThroughOutage(t *testing.T) {
-	c1 := NewCollector()
-	if err := c1.EnableReplicationLog(); err != nil {
-		t.Fatal(err)
-	}
-	s1 := NewServer(c1, t.Logf)
-	s1.SetWireTiming(10*time.Millisecond, 20*time.Millisecond, 2*time.Second)
-	addr1, err := s1.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = s1.Close() })
-	p, err := faultnet.Listen(addr1)
+	primary := openNode(t, Spec{})
+	p, err := faultnet.Listen(primary.Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = p.Close() })
-
-	c2 := NewCollector()
-	rep, err := FollowPrimary(p.Addr(), c2,
-		WithSessionHeartbeat(20*time.Millisecond),
-		WithSessionBackoff(2*time.Millisecond, 50*time.Millisecond),
-		WithSessionReconnect(10*time.Second),
-		WithSessionLog(t.Logf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rep.Stop)
+	standby := openNode(t, Spec{Follow: p.Addr(), FollowReconnect: 10 * time.Second})
+	c1, c2, rep := primary.Collector, standby.Collector, standby.rep
 
 	const total = 1500
 	for i := 1; i <= total; i++ {
@@ -321,19 +218,8 @@ func TestReplicaResumesThroughOutage(t *testing.T) {
 // reporter acks are withheld (Flush cannot complete) until the mute
 // replica detaches, at which point the barrier lifts.
 func TestAcksWithheldUntilReplicaConfirms(t *testing.T) {
-	c := NewCollector()
-	if err := c.EnableReplicationLog(); err != nil {
-		t.Fatal(err)
-	}
-	c.SetReplicationAckWait(30 * time.Millisecond)
-	s := NewServer(c, t.Logf)
-	s.SetWireTiming(10*time.Millisecond, 20*time.Millisecond, 10*time.Second)
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = s.Close() })
-
+	n := openNode(t, Spec{})
+	c, addr := n.Collector, n.Addr
 	// A mute replica: completes the handshake, then never acks.
 	mute, err := dialRaw(addr, hello{magic: wireMagic, role: roleReplica})
 	if err != nil {
@@ -381,9 +267,9 @@ func TestAcksWithheldUntilReplicaConfirms(t *testing.T) {
 // monitor must observe every event exactly once, in linearization
 // order, across the failover.
 func TestFailoverExactlyOnce(t *testing.T) {
-	_, s1, addr1, c2, s2, addr2, rep := startReplicatedPair(t)
-	promoteOnDone(t, rep, s2)
-	pool := addr1 + "," + addr2
+	p, s := startReplicatedPair(t)
+	s1, c2, s2 := p.Server, s.Collector, s.Server
+	pool := p.Addr + "," + s.Addr
 
 	wrep, err := DialReporter(pool,
 		WithSessionHeartbeat(20*time.Millisecond),
@@ -466,9 +352,9 @@ func TestFailoverExactlyOnce(t *testing.T) {
 // test, nothing here relies on timeouts — the drain choreography alone
 // must move every session.
 func TestDrainHandsOffMidBatch(t *testing.T) {
-	c1, s1, addr1, c2, s2, addr2, rep := startReplicatedPair(t)
-	promoteOnDone(t, rep, s2)
-	pool := addr1 + "," + addr2
+	p, s := startReplicatedPair(t)
+	c1, s1, c2 := p.Collector, p.Server, s.Collector
+	pool := p.Addr + "," + s.Addr
 
 	wrep, err := DialReporter(pool,
 		WithSessionHeartbeat(20*time.Millisecond),

@@ -325,11 +325,8 @@ type Replicator struct {
 // tailing its record stream into c. The initial dial and handshake are
 // synchronous (a misconfigured primary fails fast); subsequent outages
 // are ridden out by the reconnect budget, 10s unless
-// WithSessionReconnect says otherwise. The caller decides what
-// finishing means: watch Done and classify Err — a terminal
-// ErrSessionRejected means the pairing is wrong, ErrPrimaryDrained or
-// another ErrStreamInterrupted wrap mean "promote", nil means Stop was
-// called (manual promotion).
+// WithSessionReconnect says otherwise. Done and Err say how following
+// ended; Node applies the promotion rule to them.
 func FollowPrimary(addr string, c *Collector, opts ...SessionOption) (*Replicator, error) {
 	cfg := defaultClientCfg()
 	cfg.reconnectBudget = defaultReplicaBudget

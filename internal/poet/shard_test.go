@@ -10,6 +10,7 @@ import (
 
 	"ocep/internal/event"
 	"ocep/internal/faultnet"
+	"ocep/internal/proctest"
 	"ocep/internal/telemetry"
 	"ocep/internal/vclock"
 )
@@ -179,53 +180,19 @@ func TestSupplyRemoteSendRequiresSharding(t *testing.T) {
 	}
 }
 
-// startShardPair wires a two-shard tier over real TCP: collectors,
-// servers, and the cross-shard followers in both directions.
-func startShardPair(t *testing.T) (c0, c1 *Collector, addr0, addr1 string, cleanup func()) {
+// startShardPair opens a two-shard tier over real TCP, each shard
+// following the other's export stream.
+func startShardPair(t *testing.T) (n0, n1 *Node) {
 	t.Helper()
-	c0, c1 = NewCollector(), NewCollector()
-	if err := c0.EnableSharding(0, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := c1.EnableSharding(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	s0, s1 := NewServer(c0, t.Logf), NewServer(c1, t.Logf)
-	s0.SetWireTiming(20*time.Millisecond, 50*time.Millisecond, 2*time.Second)
-	s1.SetWireTiming(20*time.Millisecond, 50*time.Millisecond, 2*time.Second)
-	var err error
-	addr0, err = s0.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr1, err = s1.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	f0, err := FollowShardPeer(addr1, c0, WithSessionLog(t.Logf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f1, err := FollowShardPeer(addr0, c1, WithSessionLog(t.Logf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cleanup = func() {
-		f0.Stop()
-		f1.Stop()
-		<-f0.Done()
-		<-f1.Done()
-		_ = s0.Close()
-		_ = s1.Close()
-	}
-	return c0, c1, addr0, addr1, cleanup
+	tier := []string{proctest.FreePort(t), proctest.FreePort(t)}
+	return openNode(t, Spec{Listen: tier[0], ShardID: 0, Peers: tier}), openNode(t, Spec{Listen: tier[1], ShardID: 1, Peers: tier})
 }
 
 // A message each way across the tier: the exchange must gate and stamp
 // receives with the peer's exported timestamps, end to end over TCP.
 func TestCrossShardExchangeOverTCP(t *testing.T) {
-	c0, c1, _, _, cleanup := startShardPair(t)
-	defer cleanup()
+	n0, n1 := startShardPair(t)
+	c0, c1 := n0.Collector, n1.Collector
 
 	// Trace "a" reports to shard 0, "b" to shard 1. a sends m1; b
 	// receives m1 and replies m2; a receives m2.
@@ -261,37 +228,17 @@ func TestCrossShardExchangeOverTCP(t *testing.T) {
 
 // A replicated sharded primary must stream remote-send applications at
 // their linearization position, so a promoted standby reproduces the
-// identical stream.
+// identical stream. Until then the standby follows no peer shard.
 func TestShardedReplicationReplaysRemoteSends(t *testing.T) {
-	primary := NewCollector()
-	if err := primary.EnableSharding(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := primary.EnableReplicationLog(); err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(primary, t.Logf)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	standby := NewCollector()
-	if err := standby.EnableSharding(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := FollowPrimary(addr, standby)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rep.Stop()
+	n0, n1 := startShardPair(t)
+	s := openNode(t, Spec{ShardID: 1, Peers: n1.spec.Peers, Follow: n1.Addr})
+	primary, standby := n1.Collector, s.Collector
 
 	// Receive gated on a remote send, then a local internal event.
 	if err := primary.Report(RawEvent{Trace: "b", Seq: 1, Kind: event.KindReceive, Type: "recv", MsgID: 5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := primary.SupplyRemoteSend(5, event.ID{Trace: 0, Index: 2}, vclock.VC{2}.Stamp(0)); err != nil {
+	if err := n0.Collector.Report(RawEvent{Trace: "a", Seq: 1, Kind: event.KindSend, Type: "send", MsgID: 5}); err != nil {
 		t.Fatal(err)
 	}
 	if err := primary.Report(RawEvent{Trace: "b", Seq: 2, Kind: event.KindInternal, Type: "step"}); err != nil {
@@ -308,6 +255,9 @@ func TestShardedReplicationReplaysRemoteSends(t *testing.T) {
 	}
 	if _, ok := standby.remoteSendFor(5); !ok {
 		t.Fatal("standby did not record the replicated remote send")
+	}
+	if len(s.followers) != 0 || !s.Unfollow() || len(s.followers) != 1 {
+		t.Fatalf("the standby follows %d peer shards once promoted, want 1 and none before", len(s.followers))
 	}
 }
 

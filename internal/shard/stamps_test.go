@@ -8,6 +8,7 @@ import (
 	"ocep/internal/event"
 	"ocep/internal/event/eventtest"
 	"ocep/internal/poet"
+	"ocep/internal/proctest"
 )
 
 // TestMergedStreamStamps runs a ring over eight traces through a
@@ -17,27 +18,15 @@ import (
 // to the independent stamp replay of eventtest.CheckStamps.
 func TestMergedStreamStamps(t *testing.T) {
 	const traces, rounds = 8, 40
+	addrs := []string{proctest.FreePort(t), proctest.FreePort(t)}
 	var cs [2]*poet.Collector
-	var addrs [2]string
 	for i := range cs {
-		cs[i] = poet.NewCollector()
-		if err := cs[i].EnableSharding(i, 2); err != nil {
-			t.Fatal(err)
-		}
-		s := poet.NewServer(cs[i], t.Logf)
-		addr, err := s.Listen("127.0.0.1:0")
+		n, err := poet.Open(poet.Spec{Listen: addrs[i], ShardID: i, Peers: addrs}, poet.Env{SessionLogf: t.Logf})
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { _ = s.Close() })
-		addrs[i] = addr
-	}
-	for i := range cs {
-		f, err := poet.FollowShardPeer(addrs[1-i], cs[i], poet.WithSessionLog(t.Logf))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { f.Stop(); <-f.Done() })
+		t.Cleanup(func() { _ = n.Close(false) })
+		cs[i] = n.Collector
 	}
 	// Trace p<k> is homed on shard k%2 and sends to p<k+1>, on the other.
 	seq := make([]int, traces)
